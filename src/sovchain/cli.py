@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GenerationExhausted, SovChainError
-from .qalgebra import ChainModel
+from .qalgebra import ChainModel, transfer_antiperiodic
 from . import sovbasis as sb
 from . import spectrum as sp
 from . import tq_hom as thm
@@ -260,6 +260,9 @@ def run_pipelines(config: RunConfig) -> dict:
     basis = None
     identity_defect = None
     if "sov" in config.pipelines:
+        probes = [(lam, transfer_antiperiodic(model, lam))
+                  for lam in PROBE_POINTS]
+        right_norms = np.linalg.norm(spec.right, axis=0)
         basis = sb.build_basis(model)
         identity_defect = sb.identity_resolution(basis)
         record("identity_resolution", identity_defect, tol["identity"])
@@ -281,22 +284,20 @@ def run_pipelines(config: RunConfig) -> dict:
         if "sov" in config.pipelines:
             left, right = sp.build_eigenstates(model, f, basis)
             worst = 0.0
-            for lam in PROBE_POINTS:
+            for lam, t_mat in probes:
                 worst = max(
                     worst,
-                    sp.eigen_residual(model, f, right, lam, side="right"),
-                    sp.eigen_residual(model, f, left, lam, side="left"),
+                    sp.eigen_residual(model, f, right, lam, side="right",
+                                      t_mat=t_mat),
+                    sp.eigen_residual(model, f, left, lam, side="left",
+                                      t_mat=t_mat),
                 )
             worst = float(worst)
             entry["eigenstate_residual"] = worst
             record("eigenstate_residual", worst, tol["matching"])
-            norm_left = np.linalg.norm(left)
-            cross = max(
-                abs(np.dot(left, spec.right[:, j]))
-                / (norm_left * np.linalg.norm(spec.right[:, j]))
-                for j in range(len(spec.functions)) if j != idx
-            )
-            cross = float(cross)
+            cross = np.abs(left @ spec.right) / (
+                np.linalg.norm(left) * right_norms)
+            cross = float(np.max(np.delete(cross, idx)))
             entry["biorthogonality"] = cross
             record("biorthogonality", cross, tol["matching"])
 

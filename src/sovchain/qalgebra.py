@@ -3,8 +3,9 @@
 Builds the per-site spin representations, the local Lax matrices, the chain
 monodromy blocks A, B, C, D, the scalar products a and d, and the twisted
 antidiagonal transfer matrix kappa^{-1} B(lam) + kappa C(lam).  Everything is
-dense; sizes are capped at desk scale where brute-force diagonalization is
-the point.
+dense.  The monodromy is built by Kronecker recursion (site n acts only on
+tensor factor n), so each site step costs O(dim^2); callers still build
+each operator once per (model, lam) and reuse it.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -71,8 +72,6 @@ class ChainModel:
     delta_min : float
         Genericity margin: the pairwise shifted-inhomogeneity ladders must
         stay at least this far apart modulo i*pi.
-    dim_cap : int
-        Largest Hilbert-space dimension the brute-force oracle accepts.
     """
 
     two_s: tuple
@@ -81,7 +80,6 @@ class ChainModel:
     kappa: complex
     alpha: complex = 0.0
     delta_min: float = 1e-3
-    dim_cap: int = 64
 
     def __post_init__(self) -> None:
         two_s = tuple(int(v) for v in self.two_s)
@@ -237,32 +235,22 @@ def lax(model: ChainModel, site: int, lam: complex):
     return a, b, c, d
 
 
-def _embed(model: ChainModel, op: np.ndarray, site: int) -> np.ndarray:
-    """Embed a single-site operator into the full tensor-product space."""
-    left = 1
-    for v in model.two_s[: site - 1]:
-        left *= v + 1
-    right = 1
-    for v in model.two_s[site:]:
-        right *= v + 1
-    return np.kron(np.kron(np.eye(left), op), np.eye(right))
-
-
 def monodromy(model: ChainModel, lam: complex):
     """The four monodromy blocks (A, B, C, D) on the full quantum space.
 
-    The product runs site N leftmost; the recursion multiplies each new site
-    from the left onto the partial product of sites 1..n-1.
+    The product runs site N leftmost.  Site n acts only on tensor factor n
+    (site 1 is the slowest index), so multiplying its Lax blocks onto the
+    partial product of sites 1..n-1 is a Kronecker product:
+    an @ a + bn @ c = kron(a, an) + kron(c, bn), and likewise for B, C, D.
     """
-    blocks = [_embed(model, m, 1) for m in lax(model, 1, lam)]
-    a, b, c, d = blocks
+    a, b, c, d = lax(model, 1, lam)
     for site in range(2, model.n_sites + 1):
-        an, bn, cn, dn = (_embed(model, m, site) for m in lax(model, site, lam))
+        an, bn, cn, dn = lax(model, site, lam)
         a, b, c, d = (
-            an @ a + bn @ c,
-            an @ b + bn @ d,
-            cn @ a + dn @ c,
-            cn @ b + dn @ d,
+            np.kron(a, an) + np.kron(c, bn),
+            np.kron(b, an) + np.kron(d, bn),
+            np.kron(a, cn) + np.kron(c, dn),
+            np.kron(b, cn) + np.kron(d, dn),
         )
     return a, b, c, d
 

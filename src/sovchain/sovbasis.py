@@ -25,8 +25,6 @@ from .qalgebra import ChainModel, a_of, d_of, monodromy, xi_shifted
 __all__ = [
     "SOVBasis",
     "all_h_tuples",
-    "build_right_basis",
-    "build_left_basis",
     "build_basis",
     "overlap",
     "expected_overlap",
@@ -58,99 +56,95 @@ def _normalization(model: ChainModel) -> complex:
 
 @dataclass(frozen=True)
 class SOVBasis:
-    """Separated basis data; either half may be absent."""
+    """Both halves of the separated basis.
+
+    Row i of ``right_vectors`` (``left_covectors``) is the state labeled by
+    the i-th tuple of all_h_tuples and entry i of ``right_norms``
+    (``left_norms``) its norm; ``weights[i]`` is that tuple's completeness
+    weight.
+    """
 
     model: ChainModel
-    right_vectors: dict | None
-    left_covectors: dict | None
     normalization: complex
+    weights: np.ndarray
+    right_vectors: np.ndarray
+    left_covectors: np.ndarray
+    right_norms: np.ndarray
+    left_norms: np.ndarray
 
 
-def build_right_basis(model: ChainModel) -> SOVBasis:
-    """Generate all right basis vectors from the reference state.
+def _row(model: ChainModel, h) -> int:
+    """Position of rung tuple h in all_h_tuples."""
+    return int(np.ravel_multi_index(tuple(h), [v + 1 for v in model.two_s]))
 
-    Each step applies -B(xi_n^{(h_n - 1)}) / a(xi_n^{(h_n - 1)}) to the
-    predecessor with one rung lower at site n.  B-operators at distinct
-    arguments commute, so which site is incremented first does not matter.
+
+def _rung_blocks(model: ChainModel) -> dict:
+    """(B, C) at every rung xi_n^{(k)}, k < 2s_n, keyed by (n, k)."""
+    blocks = {}
+    for site in range(1, model.n_sites + 1):
+        for k in range(model.two_s[site - 1]):
+            _, b, c, _ = monodromy(model, xi_shifted(model, site, k))
+            blocks[(site, k)] = b, c
+    return blocks
+
+
+def _generate(model: ChainModel, norm_const: complex, steps: dict):
+    """States (one per row) and their norms.
+
+    State h is the predecessor one rung lower at the first site n with
+    h_n > 0, mapped by matrix @ state / divisor for (matrix, divisor) =
+    steps[(n, h_n - 1)].
     """
-    norm_const = _normalization(model)
-    dim = model.hilbert_dim
-    ref = np.zeros(dim, dtype=complex)
+    ref = np.zeros(model.hilbert_dim, dtype=complex)
     ref[0] = 1.0 / norm_const
-    vectors: dict = {}
+    states: dict = {}
     for h in all_h_tuples(model):
-        if all(v == 0 for v in h):
-            vectors[h] = ref
+        if not any(h):
+            states[h] = ref
             continue
         site = next(n for n, v in enumerate(h, start=1) if v > 0)
         prev = tuple(
             v - 1 if n == site else v for n, v in enumerate(h, start=1)
         )
-        lam = xi_shifted(model, site, h[site - 1] - 1)
-        _, b, _, _ = monodromy(model, lam)
-        vectors[h] = -(b @ vectors[prev]) / a_of(model, lam)
-    _check_norms(vectors)
-    return SOVBasis(
-        model=model,
-        right_vectors=vectors,
-        left_covectors=None,
-        normalization=norm_const,
-    )
-
-
-def build_left_basis(model: ChainModel) -> SOVBasis:
-    """Generate all left covectors from the reference covector.
-
-    Each step applies C(xi_n^{(h_n - 1)}) / d(xi_n^{(h_n)}) on the right of
-    the predecessor covector.
-    """
-    norm_const = _normalization(model)
-    dim = model.hilbert_dim
-    ref = np.zeros(dim, dtype=complex)
-    ref[0] = 1.0 / norm_const
-    covectors: dict = {}
-    for h in all_h_tuples(model):
-        if all(v == 0 for v in h):
-            covectors[h] = ref
-            continue
-        site = next(n for n, v in enumerate(h, start=1) if v > 0)
-        prev = tuple(
-            v - 1 if n == site else v for n, v in enumerate(h, start=1)
-        )
-        lam = xi_shifted(model, site, h[site - 1] - 1)
-        _, _, c, _ = monodromy(model, lam)
-        covectors[h] = (covectors[prev] @ c) / d_of(
-            model, xi_shifted(model, site, h[site - 1])
-        )
-    _check_norms(covectors)
-    return SOVBasis(
-        model=model,
-        right_vectors=None,
-        left_covectors=covectors,
-        normalization=norm_const,
-    )
+        matrix, divisor = steps[(site, h[site - 1] - 1)]
+        states[h] = (matrix @ states[prev]) / divisor
+    return np.array(list(states.values())), _check_norms(states)
 
 
 def build_basis(model: ChainModel) -> SOVBasis:
-    """Both halves of the separated basis."""
-    right = build_right_basis(model)
-    left = build_left_basis(model)
-    return SOVBasis(
-        model=model,
-        right_vectors=right.right_vectors,
-        left_covectors=left.left_covectors,
-        normalization=right.normalization,
-    )
+    """Generate both halves of the basis from one monodromy build per rung.
+
+    Right vectors: each step applies -B(xi_n^{(h_n - 1)}) / a(xi_n^{(h_n - 1)})
+    to the predecessor with one rung lower at site n.  B-operators at
+    distinct arguments commute, so which site is incremented first does not
+    matter.  Left covectors: each step applies C(xi_n^{(h_n - 1)}) /
+    d(xi_n^{(h_n)}) on the right of the predecessor covector.
+    """
+    blocks = _rung_blocks(model)
+    norm_const = _normalization(model)
+    vectors, right_norms = _generate(model, norm_const, {
+        (n, k): (b, -a_of(model, xi_shifted(model, n, k)))
+        for (n, k), (b, _) in blocks.items()
+    })
+    covectors, left_norms = _generate(model, norm_const, {
+        (n, k): (c.T, d_of(model, xi_shifted(model, n, k + 1)))
+        for (n, k), (_, c) in blocks.items()
+    })
+    weights = np.array([weight(model, h) for h in all_h_tuples(model)])
+    return SOVBasis(model, norm_const, weights, vectors, covectors,
+                    right_norms, left_norms)
 
 
-def _check_norms(states: dict) -> None:
-    norms = {h: float(np.linalg.norm(v)) for h, v in states.items()}
-    biggest = max(norms.values())
-    for h, n in norms.items():
+def _check_norms(states: dict) -> np.ndarray:
+    """Norms of the states, in order; raise if any has collapsed."""
+    norms = np.array([np.linalg.norm(v) for v in states.values()])
+    biggest = norms.max()
+    for h, n in zip(states, norms):
         if n < 1e-12 * biggest:
             raise ConditioningFailure(
                 f"basis state {h} collapsed to relative norm {n / biggest:.2e}"
             )
+    return norms
 
 
 # ----------------------------------------------------------------------
@@ -176,20 +170,19 @@ def expected_overlap(model: ChainModel, h, k) -> complex:
 
 def overlap(basis: SOVBasis, h, k) -> complex:
     """Bilinear pairing of left covector h with right vector k."""
+    model = basis.model
     return complex(
-        np.dot(basis.left_covectors[tuple(h)], basis.right_vectors[tuple(k)])
+        np.dot(
+            basis.left_covectors[_row(model, h)],
+            basis.right_vectors[_row(model, k)],
+        )
     )
 
 
 def identity_resolution(basis: SOVBasis) -> float:
     """Relative defect of the weighted completeness sum against identity."""
-    model = basis.model
-    dim = model.hilbert_dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for h in all_h_tuples(model):
-        acc += weight(model, h) * np.outer(
-            basis.right_vectors[h], basis.left_covectors[h]
-        )
+    dim = basis.model.hilbert_dim
+    acc = (basis.right_vectors.T * basis.weights) @ basis.left_covectors
     return float(
         np.linalg.norm(acc - np.eye(dim)) / np.sqrt(dim)
     )
@@ -230,9 +223,9 @@ def d_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> 
     _, _, _, d = monodromy(model, lam)
     val = d_eigenvalue(model, h, lam)
     if side == "right":
-        v = basis.right_vectors[tuple(h)]
+        v = basis.right_vectors[_row(model, h)]
         return _relative(d @ v - val * v, d, v)
-    w = basis.left_covectors[tuple(h)]
+    w = basis.left_covectors[_row(model, h)]
     return _relative(w @ d - val * w, d, w)
 
 
@@ -242,7 +235,7 @@ def c_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> 
     h = tuple(h)
     _, _, c, _ = monodromy(model, lam)
     if side == "right":
-        v = basis.right_vectors[h]
+        v = basis.right_vectors[_row(model, h)]
         total = np.zeros_like(v)
         for a in range(1, model.n_sites + 1):
             if h[a - 1] == 0:
@@ -253,10 +246,10 @@ def c_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> 
             total += (
                 _interp_coeff(model, h, a, lam)
                 * d_of(model, xi_shifted(model, a, h[a - 1]))
-                * basis.right_vectors[lowered]
+                * basis.right_vectors[_row(model, lowered)]
             )
         return _relative(c @ v - total, c, v)
-    w = basis.left_covectors[h]
+    w = basis.left_covectors[_row(model, h)]
     total = np.zeros_like(w)
     for a in range(1, model.n_sites + 1):
         if h[a - 1] == model.two_s[a - 1]:
@@ -267,7 +260,7 @@ def c_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> 
         total += (
             _interp_coeff(model, h, a, lam)
             * d_of(model, xi_shifted(model, a, h[a - 1] + 1))
-            * basis.left_covectors[raised]
+            * basis.left_covectors[_row(model, raised)]
         )
     return _relative(w @ c - total, c, w)
 
@@ -278,7 +271,7 @@ def b_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> 
     h = tuple(h)
     _, b, _, _ = monodromy(model, lam)
     if side == "right":
-        v = basis.right_vectors[h]
+        v = basis.right_vectors[_row(model, h)]
         total = np.zeros_like(v)
         for a in range(1, model.n_sites + 1):
             if h[a - 1] == model.two_s[a - 1]:
@@ -289,10 +282,10 @@ def b_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> 
             total -= (
                 _interp_coeff(model, h, a, lam)
                 * a_of(model, xi_shifted(model, a, h[a - 1]))
-                * basis.right_vectors[raised]
+                * basis.right_vectors[_row(model, raised)]
             )
         return _relative(b @ v - total, b, v)
-    w = basis.left_covectors[h]
+    w = basis.left_covectors[_row(model, h)]
     total = np.zeros_like(w)
     for a in range(1, model.n_sites + 1):
         if h[a - 1] == 0:
@@ -303,7 +296,7 @@ def b_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> 
         total -= (
             _interp_coeff(model, h, a, lam)
             * a_of(model, xi_shifted(model, a, h[a - 1] - 1))
-            * basis.left_covectors[lowered]
+            * basis.left_covectors[_row(model, lowered)]
         )
     return _relative(w @ b - total, b, w)
 
@@ -311,7 +304,7 @@ def b_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> 
 def a_action_residual(basis: SOVBasis, h, lam: complex) -> float:
     """Central-element consistency of the A-action on one right vector."""
     model = basis.model
-    v = basis.right_vectors[tuple(h)]
+    v = basis.right_vectors[_row(model, h)]
     a1, b1, _, _ = monodromy(model, lam)
     _, _, c0, d0 = monodromy(model, lam - model.eta)
     lhs = a1 @ (d0 @ v) - b1 @ (c0 @ v)

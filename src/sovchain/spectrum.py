@@ -12,13 +12,14 @@ separated basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState
 from .qalgebra import ChainModel, a_of, d_of, transfer_antiperiodic, xi_shifted
-from .sovbasis import SOVBasis, all_h_tuples, weight
+from .sovbasis import SOVBasis
 
 __all__ = [
     "EigenvalueFunction",
@@ -38,26 +39,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenvalueFunction:
-    """A transfer-matrix eigenvalue, stored as its values at the base points."""
+    """A transfer-matrix eigenvalue, stored as its values at the base points.
+
+    t(lam) = sum_n w_n prod_{l != n} sinh(lam - xi_l), with cardinal weights
+    w_n = t(xi_n) / prod_{l != n} sinh(xi_n - xi_l) fixed on construction.
+    The leave-one-out product is masked, not divided out, so lam may sit on
+    a base point (integer-spin rungs do).
+    """
 
     model: ChainModel
     base_values: tuple
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.base_values) != self.model.n_sites:
             raise ValueError("need one value per base point")
+        xi = np.asarray(self.model.xi)
+        spread = np.sinh(xi[:, None] - xi[None, :])
+        np.fill_diagonal(spread, 1.0)
+        object.__setattr__(
+            self, "_weights",
+            np.asarray(self.base_values, dtype=complex) / spread.prod(axis=1),
+        )
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        xi = self.model.xi
         n_sites = self.model.n_sites
-        total = np.zeros(lam.shape, dtype=complex)
-        for n in range(n_sites):
-            term = np.full(lam.shape, complex(self.base_values[n]))
-            for l in range(n_sites):
-                if l != n:
-                    term = term * np.sinh(lam - xi[l]) / np.sinh(xi[n] - xi[l])
-            total = total + term
+        factors = np.sinh(lam[..., None] - np.asarray(self.model.xi))
+        loo = np.where(
+            np.eye(n_sites, dtype=bool), 1.0, factors[..., None, :]
+        ).prod(axis=-1)
+        total = loo @ self._weights
         return total if lam.shape else complex(total)
 
 
@@ -90,10 +102,8 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0) -> Spectrum:
         lam_star = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         t_star = transfer_antiperiodic(model, lam_star)
         vals, v = np.linalg.eig(t_star)
-        gap = np.inf
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                gap = min(gap, abs(vals[i] - vals[j]))
+        gaps = np.abs(vals[:, None] - vals[None, :])[~np.eye(dim, dtype=bool)]
+        gap = np.min(gaps, initial=np.inf)
         if gap >= 1e-8 * max(1.0, float(np.max(np.abs(vals)))):
             break
     else:
@@ -105,14 +115,16 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0) -> Spectrum:
     base = np.zeros((dim, model.n_sites), dtype=complex)
     for n in range(model.n_sites):
         t_n = transfer_antiperiodic(model, model.xi[n])
-        base[:, n] = np.einsum("ij,jk,ki->i", w, t_n, v)
+        base[:, n] = np.einsum("ij,ji->i", w @ t_n, v)
     functions = [
         EigenvalueFunction(model, tuple(base[i])) for i in range(dim)
     ]
 
     for lam in rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3):
+        lam = complex(lam)
+        t_mat = transfer_antiperiodic(model, lam)
         worst = max(
-            eigen_residual(model, functions[i], v[:, i], complex(lam))
+            eigen_residual(model, functions[i], v[:, i], lam, t_mat=t_mat)
             for i in range(dim)
         )
         if worst > 1e-8:
@@ -130,9 +142,15 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0) -> Spectrum:
     )
 
 
-def eigen_residual(model, eigfun, vec, lam, side: str = "right") -> float:
-    """Relative defect of one eigen-pair at one spectral point."""
-    t_mat = transfer_antiperiodic(model, lam)
+def eigen_residual(
+    model, eigfun, vec, lam, side: str = "right", t_mat=None
+) -> float:
+    """Relative defect of one eigen-pair at one spectral point.
+
+    Pass ``t_mat``, the transfer matrix at ``lam``, if it is already built.
+    """
+    if t_mat is None:
+        t_mat = transfer_antiperiodic(model, lam)
     t_val = eigfun(lam)
     if side == "right":
         defect = t_mat @ vec - t_val * vec
@@ -240,33 +258,28 @@ def companion_rescale(model: ChainModel, vectors):
 def left_eigenstate(model: ChainModel, basis: SOVBasis, qs) -> np.ndarray:
     """Covector sum_h [prod_n kappa^{h_n} q^{(n)}_{h_n}] w_h <h|."""
     return _assemble(
-        model,
-        basis.left_covectors,
-        lambda h: np.prod(
-            [model.kappa ** hn * qs[n][hn] for n, hn in enumerate(h)]
-        ),
+        model, basis.left_covectors, basis.left_norms, basis.weights, qs, 1
     )
 
 
 def right_eigenstate(model: ChainModel, basis: SOVBasis, ps) -> np.ndarray:
     """Vector sum_h [prod_n kappa^{-h_n} p^{(n)}_{h_n}] w_h |h>."""
     return _assemble(
-        model,
-        basis.right_vectors,
-        lambda h: np.prod(
-            [model.kappa ** (-hn) * ps[n][hn] for n, hn in enumerate(h)]
-        ),
+        model, basis.right_vectors, basis.right_norms, basis.weights, ps, -1
     )
 
 
-def _assemble(model, states, coeff_fn):
-    total = np.zeros(model.hilbert_dim, dtype=complex)
-    scale = 0.0
-    for h in all_h_tuples(model):
-        c = coeff_fn(h) * weight(model, h)
-        state = states[h]
-        scale = max(scale, abs(c) * float(np.linalg.norm(state)))
-        total = total + c * state
+def _assemble(model, states, norms, weights, vectors, sign):
+    """One product of the weighted coefficients with the state matrix.
+
+    The coefficient of tuple h is prod_n kappa^{sign h_n} vectors[n][h_n];
+    over all_h_tuples (last site fastest) that is a Kronecker product.
+    """
+    coeffs = reduce(np.kron, [
+        model.kappa ** (sign * np.arange(len(v))) * v for v in vectors
+    ]) * weights
+    total = coeffs @ states
+    scale = float(np.max(np.abs(coeffs) * norms))
     if scale == 0.0 or np.linalg.norm(total) < 1e-12 * scale:
         raise ZeroState("assembled eigenstate has negligible norm")
     return total

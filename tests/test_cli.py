@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sovchain.cli import (
     main,
     run_pipelines,
 )
+from sovchain import qalgebra, sovbasis
 from sovchain.errors import ConfigError, GenerationExhausted
 from sovchain.qalgebra import distance_to_ipi_lattice
 
@@ -227,3 +229,21 @@ class TestPipelineSelection:
         assert "hom" not in entry
         assert "eigenstate_residual" not in entry
         assert report["summary"]["pass"] is True
+
+
+def test_each_operator_built_at_most_once_per_basis_half(monkeypatch):
+    # monodromy is bound by name in qalgebra and in sovbasis; count both.
+    built = Counter()
+    original = qalgebra.monodromy
+
+    def counting(model, lam):
+        built[(model, complex(lam))] += 1
+        return original(model, lam)
+
+    monkeypatch.setattr(qalgebra, "monodromy", counting)
+    monkeypatch.setattr(sovbasis, "monodromy", counting)
+    doc = base_doc([1, 2, 1])
+    doc["model"]["kappa"] = [[1.0, 0.0], [0.6, 0.8]]
+    report = run_pipelines(RunConfig.from_dict(doc))
+    assert report["summary"]["count"] == 12
+    assert built and max(built.values()) <= 2

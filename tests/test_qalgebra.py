@@ -130,6 +130,39 @@ def test_single_site_monodromy_is_lax():
         assert_allclose(got, want, atol=1e-15)
 
 
+def _embedded_monodromy(m, lam):
+    """Reference monodromy by its definition.
+
+    Every Lax block is embedded into the full space and multiplied onto the
+    partial product from the left.
+    """
+    dims = [v + 1 for v in m.two_s]
+
+    def embed(op, site):
+        left = int(np.prod(dims[: site - 1]))
+        right = int(np.prod(dims[site:]))
+        return np.kron(np.kron(np.eye(left), op), np.eye(right))
+
+    a, b, c, d = (embed(op, 1) for op in lax(m, 1, lam))
+    for site in range(2, m.n_sites + 1):
+        an, bn, cn, dn = (embed(op, site) for op in lax(m, site, lam))
+        a, b, c, d = (
+            an @ a + bn @ c, an @ b + bn @ d, cn @ a + dn @ c, cn @ b + dn @ d,
+        )
+    return a, b, c, d
+
+
+@pytest.mark.parametrize(
+    "two_s", [(1, 2), (2, 1, 3), (1, 1, 1, 1)], ids=["1-2", "2-1-3", "1-1-1-1"]
+)
+def test_monodromy_matches_embedded_product(two_s):
+    m = model(two_s, [0.1 + 0.05j, 0.8, 1.45 - 0.1j, 2.1][: len(two_s)])
+    for lam in (0.3 + 0.2j, -0.7 + 1.1j, 1.3 - 0.4j):
+        for got, want in zip(monodromy(m, lam), _embedded_monodromy(m, lam)):
+            scale = np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= 1e-13 * scale
+
+
 def test_exchange_relation_full_chain():
     rng = np.random.default_rng(3)
     m = model([1, 1], [0.0, 0.7])

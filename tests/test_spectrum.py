@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sovchain.errors import RecursionBlowup, ZeroState
-from sovchain.qalgebra import ChainModel
+from sovchain.qalgebra import ChainModel, xi_shifted
 from sovchain import sovbasis as sb
 from sovchain import spectrum as sp
 
@@ -19,6 +19,51 @@ D1 = model([1], [0.0])
 D2 = model([1, 1], [0.0, 0.7])
 D3 = model([1, 2], [0.0, 0.7])
 D4 = model([1, 1, 1], [0.1, 0.85, 1.7])
+
+
+class TestEigenvalueFunctionEvaluation:
+    F3 = sp.EigenvalueFunction(
+        model([1, 2, 1], [0.1, 0.9 + 0.1j, 1.6]),
+        (0.4 - 0.2j, -1.1 + 0.3j, 0.7 + 0.9j),
+    )
+
+    @staticmethod
+    def cardinal_loop(f, lam):
+        """Reference: the cardinal sum, one site and one factor at a time."""
+        xi = f.model.xi
+        total = 0j
+        for n, value in enumerate(f.base_values):
+            term = complex(value)
+            for l in range(len(xi)):
+                if l != n:
+                    term *= np.sinh(lam - xi[l]) / np.sinh(xi[n] - xi[l])
+            total += term
+        return total
+
+    def test_array_input_matches_scalar_loop(self):
+        lam = np.array([[0.2 + 0.1j, -0.5 + 0.7j], [1.3 - 0.2j, 0.9 + 0.1j]])
+        got = self.F3(lam)
+        assert got.shape == lam.shape
+        want = np.array(
+            [[self.cardinal_loop(self.F3, z) for z in row] for row in lam]
+        )
+        assert_allclose(got, want, rtol=1e-12)
+        for z in lam.ravel():
+            assert_allclose(self.F3(complex(z)), self.cardinal_loop(self.F3, z),
+                            rtol=1e-12)
+
+    def test_interpolates_base_values(self):
+        for n, xi in enumerate(self.F3.model.xi):
+            assert_allclose(self.F3(xi), self.F3.base_values[n], rtol=1e-13)
+
+    def test_finite_on_integer_spin_rung(self):
+        # The middle rung of the spin-1 site is exactly its base point.
+        m = self.F3.model
+        rung = xi_shifted(m, 2, 1)
+        assert rung == m.xi[1]
+        value = self.F3(np.array([rung, rung + 1e-9]))
+        assert np.all(np.isfinite(value))
+        assert_allclose(value, self.F3.base_values[1], rtol=1e-7)
 
 
 class TestSingleSiteAnchor:
