@@ -3,9 +3,12 @@
 A run loads a JSON configuration, builds (or generates) the chain model,
 computes the brute-force spectrum, pushes every eigenvalue through the
 selected characterizations, and writes a JSON report whose numbers carry
-full double precision.  Exit status 0 means every checked quantity stayed
-under its tolerance, 1 means some check failed, 2 means the configuration
-or invocation was unusable.
+full double precision.  A library error (``SovChainError``) raised for one
+eigenvalue and pipeline, or by the separated-basis build, is recorded in
+the report as ``{"class", "message"}`` under that pipeline's key and fails
+the run without aborting it.  Exit status 0 means every checked quantity
+stayed under its tolerance, 1 means some check failed, 2 means the
+configuration or invocation was unusable.
 """
 
 from __future__ import annotations
@@ -226,6 +229,14 @@ def _max_abs_diff(first, second):
     )))
 
 
+def _error_entry(exc: SovChainError) -> dict:
+    return {"class": type(exc).__name__, "message": str(exc)}
+
+
+def _describe(exc: SovChainError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_pipelines(config: RunConfig) -> dict:
     """Execute the selected characterizations and assemble the report."""
     tol = config.tolerances
@@ -257,18 +268,104 @@ def run_pipelines(config: RunConfig) -> dict:
     if len(config.kappa_list) > 1:
         record("kappa_isospectrality", iso, tol["matching"])
 
-    basis = None
-    identity_defect = None
+    basis = basis_error = None
     if "sov" in config.pipelines:
         probes = [(lam, transfer_antiperiodic(model, lam))
                   for lam in PROBE_POINTS]
         right_norms = np.linalg.norm(spec.right, axis=0)
-        basis = sb.build_basis(model)
-        identity_defect = sb.identity_resolution(basis)
-        record("identity_resolution", identity_defect, tol["identity"])
+        try:
+            basis = sb.build_basis(model)
+        except SovChainError as exc:
+            basis_error = _error_entry(exc)
+            failures.append(f"separated basis: {_describe(exc)}")
+        else:
+            record("identity_resolution", sb.identity_resolution(basis),
+                   tol["identity"])
 
     zeta0_inhom = ti.draw_zeta0(model, np.random.default_rng(42))
     zeta0_hom = thm.draw_zeta0_hom(model, np.random.default_rng(42))
+
+    # Each step returns (report fields, [(check, value, tolerance), ...]).
+    def sov_step(idx, f):
+        left, right = sp.build_eigenstates(model, f, basis)
+        worst = 0.0
+        for lam, t_mat in probes:
+            worst = max(
+                worst,
+                sp.eigen_residual(model, f, right, lam, side="right",
+                                  t_mat=t_mat),
+                sp.eigen_residual(model, f, left, lam, side="left",
+                                  t_mat=t_mat),
+            )
+        worst = float(worst)
+        cross = np.abs(left @ spec.right) / (
+            np.linalg.norm(left) * right_norms)
+        cross = float(np.max(np.delete(cross, idx)))
+        return {"eigenstate_residual": worst, "biorthogonality": cross}, [
+            ("eigenstate_residual", worst, tol["matching"]),
+            ("biorthogonality", cross, tol["matching"]),
+        ]
+
+    def inhom_step(idx, f):
+        sol, retries = ti.solve_q_inhom_with_retries(
+            model, f, zeta0=zeta0_inhom, alpha=config.alpha,
+            max_retries=config.max_alpha_retries,
+        )
+        grid = ti.inhom_grid_residual(model, f, sol)
+        rebuilt, residuals = ti.t_from_q_inhom(model, sol)
+        round_trip = _max_abs_diff(rebuilt.base_values, f.base_values)
+        return {"inhom": {
+            "alpha": _emit_complex(sol.alpha),
+            "retries": retries,
+            "roots": [_emit_complex(r) for r in sol.roots],
+            "grid_residual": float(grid),
+            "bethe_max": float(np.max(residuals)),
+            "round_trip": round_trip,
+        }}, [
+            ("inhom_grid_residual", grid, tol["grid"]),
+            ("inhom_bethe", float(np.max(residuals)), tol["bethe"]),
+            ("inhom_round_trip", round_trip, tol["matching"]),
+        ]
+
+    def hom_step(idx, f):
+        sol = thm.solve_q_hom(model, f, zeta0=zeta0_hom)
+        grid = thm.hom_grid_residual(model, f, sol)
+        eps_w, wron = thm.verify_wronskian_identity(model, sol)
+        _, _, sum_res = thm.sum_rule_check(model, sol.roots)
+        bethe = thm.bethe_residuals_hom(model, sol)
+        angles, _ = thm.q_vector_proportionality(model, sol)
+        rebuilt, _ = thm.t_from_q_pair(model, sol)
+        round_trip = _max_abs_diff(rebuilt.base_values, f.base_values)
+        if eps_w != sol.epsilon:
+            failures.append(f"eigenvalue {idx}: Wronskian sign disagrees")
+        return {"hom": {
+            "roots": [_emit_complex(r) for r in sol.roots],
+            "epsilon": sol.epsilon,
+            "winding": sol.winding,
+            "grid_residual": float(grid),
+            "wronskian_residual": float(wron),
+            "sum_rule_residual": float(sum_res),
+            "bethe_max": float(np.max(bethe)),
+            "proportionality_max": float(np.max(angles)),
+            "round_trip": round_trip,
+        }}, [
+            ("hom_grid_residual", grid, tol["grid"]),
+            ("hom_wronskian", wron, tol["grid"]),
+            ("hom_sum_rule", sum_res, tol["bethe"]),
+            ("hom_bethe", float(np.max(bethe)), tol["bethe"]),
+            ("hom_proportionality", float(np.max(angles)), tol["bethe"]),
+            ("hom_round_trip", round_trip, tol["matching"]),
+        ]
+
+    steps = [
+        (name, key, step)
+        for name, key, step in (
+            ("sov", "sov", sov_step),
+            ("tq-inhom", "inhom", inhom_step),
+            ("tq-hom", "hom", hom_step),
+        )
+        if name in config.pipelines
+    ]
 
     records = []
     for idx, f in enumerate(spec.functions):
@@ -281,77 +378,20 @@ def run_pipelines(config: RunConfig) -> dict:
         entry["discrete_residual"] = dres
         record("discrete_residual", dres, tol["determinant"])
 
-        if "sov" in config.pipelines:
-            left, right = sp.build_eigenstates(model, f, basis)
-            worst = 0.0
-            for lam, t_mat in probes:
-                worst = max(
-                    worst,
-                    sp.eigen_residual(model, f, right, lam, side="right",
-                                      t_mat=t_mat),
-                    sp.eigen_residual(model, f, left, lam, side="left",
-                                      t_mat=t_mat),
-                )
-            worst = float(worst)
-            entry["eigenstate_residual"] = worst
-            record("eigenstate_residual", worst, tol["matching"])
-            cross = np.abs(left @ spec.right) / (
-                np.linalg.norm(left) * right_norms)
-            cross = float(np.max(np.delete(cross, idx)))
-            entry["biorthogonality"] = cross
-            record("biorthogonality", cross, tol["matching"])
-
-        if "tq-inhom" in config.pipelines:
-            sol, retries = ti.solve_q_inhom_with_retries(
-                model, f, zeta0=zeta0_inhom, alpha=config.alpha,
-                max_retries=config.max_alpha_retries,
-            )
-            grid = ti.inhom_grid_residual(model, f, sol)
-            rebuilt, residuals = ti.t_from_q_inhom(model, sol)
-            round_trip = _max_abs_diff(rebuilt.base_values, f.base_values)
-            entry["inhom"] = {
-                "alpha": _emit_complex(sol.alpha),
-                "retries": retries,
-                "roots": [_emit_complex(r) for r in sol.roots],
-                "grid_residual": float(grid),
-                "bethe_max": float(np.max(residuals)),
-                "round_trip": round_trip,
-            }
-            record("inhom_grid_residual", grid, tol["grid"])
-            record("inhom_bethe", float(np.max(residuals)), tol["bethe"])
-            record("inhom_round_trip", round_trip, tol["matching"])
-
-        if "tq-hom" in config.pipelines:
-            sol = thm.solve_q_hom(model, f, zeta0=zeta0_hom)
-            grid = thm.hom_grid_residual(model, f, sol)
-            eps_w, wron = thm.verify_wronskian_identity(model, sol)
-            _, _, sum_res = thm.sum_rule_check(model, sol.roots)
-            bethe = thm.bethe_residuals_hom(model, sol)
-            angles, _ = thm.q_vector_proportionality(model, sol)
-            rebuilt, _ = thm.t_from_q_pair(model, sol)
-            round_trip = _max_abs_diff(rebuilt.base_values, f.base_values)
-            entry["hom"] = {
-                "roots": [_emit_complex(r) for r in sol.roots],
-                "epsilon": sol.epsilon,
-                "winding": sol.winding,
-                "grid_residual": float(grid),
-                "wronskian_residual": float(wron),
-                "sum_rule_residual": float(sum_res),
-                "bethe_max": float(np.max(bethe)),
-                "proportionality_max": float(np.max(angles)),
-                "round_trip": round_trip,
-            }
-            if eps_w != sol.epsilon:
-                failures.append(
-                    f"eigenvalue {idx}: Wronskian sign disagrees"
-                )
-            record("hom_grid_residual", grid, tol["grid"])
-            record("hom_wronskian", wron, tol["grid"])
-            record("hom_sum_rule", sum_res, tol["bethe"])
-            record("hom_bethe", float(np.max(bethe)), tol["bethe"])
-            record("hom_proportionality", float(np.max(angles)),
-                   tol["bethe"])
-            record("hom_round_trip", round_trip, tol["matching"])
+        # A library error fails this eigenvalue and pipeline, not the run.
+        for name, key, step in steps:
+            if key == "sov" and basis_error is not None:
+                entry[key] = basis_error
+                continue
+            try:
+                fields, checks = step(idx, f)
+            except SovChainError as exc:
+                entry[key] = _error_entry(exc)
+                failures.append(f"eigenvalue {idx} {name}: {_describe(exc)}")
+                continue
+            entry.update(fields)
+            for check in checks:
+                record(*check)
 
         records.append(entry)
 
@@ -394,9 +434,9 @@ def _write_bethe_csv(path: str, report: dict) -> None:
         )
         for entry in report["eigenvalues"]:
             for key in ("inhom", "hom"):
-                if key not in entry:
-                    continue
-                for j, (re, im) in enumerate(entry[key]["roots"]):
+                for j, (re, im) in enumerate(
+                    entry.get(key, {}).get("roots", [])
+                ):
                     writer.writerow(
                         [entry["index"], key, j, repr(re), repr(im)]
                     )

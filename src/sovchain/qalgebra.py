@@ -36,6 +36,7 @@ __all__ = [
     "a_of",
     "d_of",
     "xi_shifted",
+    "site_rungs",
     "transfer_antiperiodic",
     "normality_check",
     "rll_residual",
@@ -168,6 +169,20 @@ def xi_shifted(model: ChainModel, site: int, k: int) -> complex:
     return model.xi[site - 1] + (two_s - 2 * k) / 2.0 * model.eta
 
 
+def site_rungs(model: ChainModel, site: int) -> np.ndarray:
+    """Every rung of one site's ladder as an array, top (k = 0) first.
+
+    Entry k equals xi_shifted(model, site, k) bit for bit.
+    """
+    if not 1 <= site <= model.n_sites:
+        raise IndexOutOfRange(f"site {site} outside 1..{model.n_sites}")
+    two_s = model.two_s[site - 1]
+    xi = model.xi[site - 1]
+    return np.array(
+        [xi + (two_s - 2 * k) / 2.0 * model.eta for k in range(two_s + 1)]
+    )
+
+
 def q_integer(j: int, eta: complex) -> complex:
     """The deformed integer sinh(j*eta)/sinh(eta)."""
     return complex(np.sinh(j * eta) / np.sinh(eta))
@@ -255,22 +270,23 @@ def monodromy(model: ChainModel, lam: complex):
     return a, b, c, d
 
 
+def _edge_product(model: ChainModel, lam, sign: float):
+    """prod_n sinh(lam - xi_n + sign*s_n*eta): one sinh over a trailing
+    site axis, then a product; accepts any shape."""
+    lam = np.asarray(lam, dtype=complex)
+    half = sign * np.asarray(model.two_s) / 2.0 * model.eta
+    out = np.sinh(lam[..., None] - np.asarray(model.xi) + half).prod(axis=-1)
+    return out if lam.shape else complex(out)
+
+
 def a_of(model: ChainModel, lam) -> complex:
     """Product of sinh(lam - xi_n + s_n*eta) over sites; accepts arrays."""
-    lam = np.asarray(lam, dtype=complex)
-    out = np.ones(lam.shape, dtype=complex)
-    for two_s, xi in zip(model.two_s, model.xi):
-        out = out * np.sinh(lam - xi + two_s / 2.0 * model.eta)
-    return out if lam.shape else complex(out)
+    return _edge_product(model, lam, 1.0)
 
 
 def d_of(model: ChainModel, lam) -> complex:
     """Product of sinh(lam - xi_n - s_n*eta) over sites; accepts arrays."""
-    lam = np.asarray(lam, dtype=complex)
-    out = np.ones(lam.shape, dtype=complex)
-    for two_s, xi in zip(model.two_s, model.xi):
-        out = out * np.sinh(lam - xi - two_s / 2.0 * model.eta)
-    return out if lam.shape else complex(out)
+    return _edge_product(model, lam, -1.0)
 
 
 def transfer_antiperiodic(model: ChainModel, lam: complex) -> np.ndarray:

@@ -7,7 +7,8 @@ kernel prod_{l != n} sinh(lam - xi_l) carries the required quasi-periodicity
 automatically).  The spectrum is characterized site by site: the tridiagonal
 matrix coupling adjacent rungs of each site ladder must be singular, and its
 null vector supplies the expansion coefficients of the eigenstates in the
-separated basis.
+separated basis.  The rung layer is evaluated on arrays: t, a and d are
+computed once per site, on that site's whole rung array.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState
-from .qalgebra import ChainModel, a_of, d_of, transfer_antiperiodic, xi_shifted
+from .qalgebra import ChainModel, a_of, d_of, site_rungs, transfer_antiperiodic
 from .sovbasis import SOVBasis
 
 __all__ = [
@@ -166,6 +167,12 @@ def eigen_residual(
 # per-site rung conditions
 
 
+def _rung_data(model: ChainModel, eigfun, site: int):
+    """t, a and d on every rung of one site, one call each."""
+    rungs = site_rungs(model, site)
+    return eigfun(rungs), a_of(model, rungs), d_of(model, rungs)
+
+
 def ladder_matrix(model: ChainModel, eigfun, site: int) -> np.ndarray:
     """Tridiagonal matrix coupling adjacent rungs of one site ladder.
 
@@ -173,17 +180,8 @@ def ladder_matrix(model: ChainModel, eigfun, site: int) -> np.ndarray:
     the spectrum.  Row h reads
     -d(xi^{(h)}) v_{h-1} + t(xi^{(h)}) v_h + a(xi^{(h)}) v_{h+1} = 0.
     """
-    two_s = model.two_s[site - 1]
-    size = two_s + 1
-    mat = np.zeros((size, size), dtype=complex)
-    for h in range(size):
-        rung = xi_shifted(model, site, h)
-        mat[h, h] = eigfun(rung)
-        if h < two_s:
-            mat[h, h + 1] = a_of(model, rung)
-        if h > 0:
-            mat[h, h - 1] = -d_of(model, rung)
-    return mat
+    t, a, d = _rung_data(model, eigfun, site)
+    return np.diag(t) + np.diag(a[:-1], 1) - np.diag(d[1:], -1)
 
 
 def discrete_residual(model: ChainModel, eigfun) -> float:
@@ -202,29 +200,26 @@ def ladder_nullspace(model: ChainModel, eigfun):
     Returns (q_vectors, p_vectors, consistency): for each site the recursion
     solution with q_0 = 1, the rescaled companion p used for right states,
     and the worst relative defect of the final (unused) row, which vanishes
-    exactly on the spectrum.
+    exactly on the spectrum.  t, a and d are evaluated once per site, on
+    that site's rung array; the recursion itself is sequential.
     """
-    qs, ps = [], []
+    qs = []
     consistency = 0.0
     for site in range(1, model.n_sites + 1):
-        two_s = model.two_s[site - 1]
+        t, a, d = _rung_data(model, eigfun, site)
+        two_s = len(t) - 1
         q = np.zeros(two_s + 1, dtype=complex)
         q[0] = 1.0
         for h in range(two_s):
-            rung = xi_shifted(model, site, h)
-            nxt = (d_of(model, rung) * (q[h - 1] if h > 0 else 0.0)
-                   - eigfun(rung) * q[h]) / a_of(model, rung)
+            nxt = (d[h] * (q[h - 1] if h > 0 else 0.0) - t[h] * q[h]) / a[h]
             if abs(nxt) > 1e12 * max(1.0, float(np.max(np.abs(q[: h + 1])))):
                 raise RecursionBlowup(
                     f"rung recursion overflow at site {site}, rung {h + 1}"
                 )
             q[h + 1] = nxt
-        top = xi_shifted(model, site, two_s)
-        last = -d_of(model, top) * q[two_s - 1] + eigfun(top) * q[two_s]
+        last = -d[-1] * q[-2] + t[-1] * q[-1]
         row_scale = max(
-            abs(d_of(model, top)) * abs(q[two_s - 1]),
-            abs(eigfun(top)) * abs(q[two_s]),
-            1e-300,
+            abs(d[-1]) * abs(q[-2]), abs(t[-1]) * abs(q[-1]), 1e-300
         )
         consistency = max(consistency, abs(last) / row_scale)
         qs.append(q)
@@ -239,15 +234,10 @@ def companion_rescale(model: ChainModel, vectors):
     """
     out = []
     for site, arr in enumerate(vectors, start=1):
-        p = np.zeros(len(arr), dtype=complex)
-        ratio = 1.0 + 0.0j
-        p[0] = arr[0]
-        for h in range(1, len(arr)):
-            ratio *= a_of(model, xi_shifted(model, site, h - 1)) / d_of(
-                model, xi_shifted(model, site, h)
-            )
-            p[h] = (-1) ** h * ratio * arr[h]
-        out.append(p)
+        rungs = site_rungs(model, site)
+        ratio = np.cumprod(a_of(model, rungs[:-1]) / d_of(model, rungs[1:]))
+        signs = (-1.0) ** np.arange(1, len(arr))
+        out.append(np.concatenate([arr[:1], signs * ratio * arr[1:]]))
     return out
 
 

@@ -20,6 +20,12 @@ epsilon; the root sum must land on the half-period lattice and reproduces
 the same epsilon; and the eigenvalue can be rebuilt from Q alone through a
 quotient whose regularity at the inner rungs certifies membership in the
 spectrum.
+
+As in the corrected-equation solver, the layer is evaluated on arrays: the
+closure rows come from the shared builder with half-angle cardinals and
+ladder null vectors computed once per solve, and every certificate
+evaluates Q on a whole point set (the grid, the roots, the inner rungs,
+the base points, a site's rungs) in one call.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import (
     SovChainError,
     ZeroState,
 )
-from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, xi_shifted
+from .qalgebra import ChainModel, a_of, d_of, site_rungs
 from .sovbasis import SOVBasis
 from .spectrum import (
     EigenvalueFunction,
@@ -47,8 +53,8 @@ from .spectrum import (
     left_eigenstate,
     right_eigenstate,
 )
-from .tq_inhom import grid_points
-from .trigpoly import TrigPoly
+from .tq_inhom import GRID_POINTS, _closure
+from .trigpoly import TrigPoly, cardinals
 
 __all__ = [
     "QFunctionHom",
@@ -85,10 +91,10 @@ class QFunctionHom:
     poly: TrigPoly
 
     def value(self, lam):
+        """Evaluate the half-angle product over the roots; any shape."""
         lam = np.asarray(lam, dtype=complex)
-        out = np.ones(lam.shape, dtype=complex)
-        for r in self.roots:
-            out = out * np.sinh(0.5 * (lam - r))
+        roots = np.asarray(self.roots, dtype=complex)
+        out = np.sinh(0.5 * (lam[..., None] - roots)).prod(axis=-1)
         return out if lam.shape else complex(out)
 
 
@@ -101,42 +107,16 @@ def _distance_mod_2ipi(z: complex) -> float:
     return abs(complex(z.real, z.imag - period * k))
 
 
-def _all_rungs(model: ChainModel):
-    out = []
-    for n in range(1, model.n_sites + 1):
-        for k in range(model.two_s[n - 1] + 1):
-            out.append(xi_shifted(model, n, k))
-    return out
-
-
-def _upper_rungs(model: ChainModel):
-    """Site-major list of (site, level) pairs excluding the bottom level."""
-    out = []
-    for n in range(1, model.n_sites + 1):
-        for h in range(model.two_s[n - 1]):
-            out.append((n, h))
-    return out
-
-
 def draw_zeta0_hom(model: ChainModel, rng) -> complex:
     """Random auxiliary node kept away from every rung modulo 2*i*pi."""
-    rungs = _all_rungs(model)
+    rungs = np.concatenate(
+        [site_rungs(model, n) for n in range(1, model.n_sites + 1)]
+    )
     for _ in range(1000):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         if all(_distance_mod_2ipi(z - r) > 1e-2 for r in rungs):
             return z
     raise SovChainError("could not place the auxiliary half-angle node")
-
-
-def _half_cardinal(nodes, k: int, lam: complex) -> complex:
-    num = 1.0 + 0.0j
-    den = 1.0 + 0.0j
-    for j, z in enumerate(nodes):
-        if j == k:
-            continue
-        num *= np.sinh(0.5 * (lam - z))
-        den *= np.sinh(0.5 * (nodes[k] - z))
-    return num / den
 
 
 def half_system_matrix(model: ChainModel, eigfun, zeta0: complex):
@@ -150,19 +130,7 @@ def half_system_matrix(model: ChainModel, eigfun, zeta0: complex):
     one-dimensional nullspace.
     """
     qs, _, _ = ladder_nullspace(model, eigfun)
-    n = model.n_sites
-    nodes = [zeta0] + [xi_shifted(model, j, h) for j, h in _upper_rungs(model)]
-    mat = np.zeros((n, n + 1), dtype=complex)
-    for i in range(1, n + 1):
-        bottom = xi_shifted(model, i, model.two_s[i - 1])
-        mat[i - 1, 0] = -_half_cardinal(nodes, 0, bottom)
-        mat[i - 1, i] += qs[i - 1][-1]
-        k = 1
-        for j in range(1, n + 1):
-            for h in range(model.two_s[j - 1]):
-                mat[i - 1, j] -= _half_cardinal(nodes, k, bottom) * qs[j - 1][h]
-                k += 1
-    return mat
+    return _closure(model, qs, zeta0, angle_scale=0.5)[0]
 
 
 def solve_q_hom(
@@ -182,7 +150,8 @@ def solve_q_hom(
     """
     if zeta0 is None:
         zeta0 = draw_zeta0_hom(model, np.random.default_rng(seed))
-    mat = half_system_matrix(model, eigfun, zeta0)
+    qs, _, _ = ladder_nullspace(model, eigfun)
+    mat, nodes, spread = _closure(model, qs, zeta0, angle_scale=0.5)
     sing = np.linalg.svd(mat, compute_uv=False)
     if sing[-1] <= 1e-8 * sing[0]:
         raise RankDeficient(
@@ -192,26 +161,20 @@ def solve_q_hom(
     _, _, vh = np.linalg.svd(mat)
     null = vh[-1].conj()
 
-    qs, _, _ = ladder_nullspace(model, eigfun)
-    nodes = [zeta0] + [xi_shifted(model, j, h) for j, h in _upper_rungs(model)]
-    values = [null[0]] + [
-        qs[j - 1][h] * null[j] for j, h in _upper_rungs(model)
-    ]
+    values = spread @ null
     raw = TrigPoly.from_values(nodes, values, m=0, angle_scale=0.5)
     c_p, roots = raw.roots()
     poly = raw * (1.0 / c_p)
 
-    top = np.array(
-        [null[j] / c_p for j in range(1, model.n_sites + 1)]
+    top = null[1:] / c_p
+    tops = np.array(
+        [site_rungs(model, j)[0] for j in range(1, model.n_sites + 1)]
     )
-    shifted = np.array(
-        [poly.eval(xi_shifted(model, j, 0) + 1j * np.pi)
-         for j in range(1, model.n_sites + 1)]
-    )
+    shifted = poly.eval(tops + 1j * np.pi)
     scale = max(
         float(np.max(np.abs(top))),
         float(np.max(np.abs(shifted))),
-        float(np.max(np.abs(np.asarray(values)))) / abs(c_p),
+        float(np.max(np.abs(values))) / abs(c_p),
     )
     _require_admissible(top, shifted, scale)
 
@@ -253,9 +216,9 @@ def sum_rule_check(model: ChainModel, roots):
     i*pi*(winding doubled, plus one when epsilon is -1); residual is the
     distance to the nearest lattice point.
     """
-    upper = sum(
-        xi_shifted(model, j, h) for j, h in _upper_rungs(model)
-    )
+    upper = sum(np.concatenate(
+        [site_rungs(model, n)[:-1] for n in range(1, model.n_sites + 1)]
+    ))
     s_val = complex(np.sum(np.asarray(roots, dtype=complex)))
     s_val = s_val - upper + 0.5 * model.n_s * model.eta
     r = int(round(s_val.imag / np.pi))
@@ -272,57 +235,56 @@ def wronskian(model: ChainModel, q: QFunctionHom, lam):
     """Definition route: Q(lam+i*pi)Q(lam-eta) + Q(lam)Q(lam+i*pi-eta)."""
     eta = model.eta
     ip = 1j * np.pi
-    return (q.value(lam + ip) * q.value(lam - eta)
-            + q.value(lam) * q.value(lam + ip - eta))
+    lam = np.asarray(lam, dtype=complex)
+    up, down, here, both = q.value(
+        np.array([lam + ip, lam - eta, lam, lam + ip - eta])
+    )
+    return up * down + here * both
 
 
 def wronskian_closed_form(model: ChainModel, q: QFunctionHom, lam):
     """Product route obtained by pairing the half-angle factors."""
     lam = np.asarray(lam, dtype=complex)
     s = np.sinh(0.5 * model.eta)
-    minus = np.ones(lam.shape, dtype=complex)
-    plus = np.ones(lam.shape, dtype=complex)
-    for r in q.roots:
-        big = np.sinh(lam - r - 0.5 * model.eta)
-        minus = minus * (big - s)
-        plus = plus * (big + s)
-    out = (0.5j) ** model.n_s * (minus + plus)
+    big = np.sinh(lam[..., None] - np.asarray(q.roots) - 0.5 * model.eta)
+    out = (0.5j) ** model.n_s * (
+        (big - s).prod(axis=-1) + (big + s).prod(axis=-1)
+    )
     return out if lam.shape else complex(out)
 
 
-def _inner_rungs(model: ChainModel):
-    out = []
-    for n in range(1, model.n_sites + 1):
-        for h in range(1, model.two_s[n - 1]):
-            out.append(xi_shifted(model, n, h))
-    return out
+def _inner_rungs(model: ChainModel) -> np.ndarray:
+    return np.concatenate(
+        [site_rungs(model, n)[1:-1] for n in range(1, model.n_sites + 1)]
+    )
 
 
 def w_eps(model: ChainModel, epsilon: int, lam):
-    """Target of the Wronskian: 2*eps*(i/2)^deg times the inner-rung product."""
+    """Target of the Wronskian: 2*eps*(i/2)^deg times the inner-rung product.
+
+    Accepts any shape.
+    """
     lam = np.asarray(lam, dtype=complex)
-    out = np.full(lam.shape, 2.0 * epsilon * (0.5j) ** model.n_s, dtype=complex)
-    for r in _inner_rungs(model):
-        out = out * np.sinh(lam - r)
+    out = 2.0 * epsilon * (0.5j) ** model.n_s * np.sinh(
+        lam[..., None] - _inner_rungs(model)
+    ).prod(axis=-1)
     return out if lam.shape else complex(out)
 
 
-def verify_wronskian_identity(
-    model: ChainModel, q: QFunctionHom, count: int = 40, seed: int = 17
-):
+def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
     """Fit the Wronskian against d times the signed inner-rung product.
 
-    Tries both signs on a random grid and returns (epsilon, residual) for
-    the better one; raises NoEpsilonFits when neither sign brings the
-    relative defect under 1e-6.
+    Tries both signs on the verification grid and returns (epsilon,
+    residual) for the better one; raises NoEpsilonFits when neither sign
+    brings the relative defect under 1e-6.
     """
-    pts = grid_points(count, seed)
+    pts = GRID_POINTS
     w_vals = wronskian(model, q, pts)
-    d_vals = d_of(model, pts)
+    target = d_of(model, pts) * w_eps(model, 1, pts)
     best_eps = 0
     best_res = np.inf
     for eps in (1, -1):
-        rhs = d_vals * w_eps(model, eps, pts)
+        rhs = eps * target
         scale = max(float(np.max(np.abs(w_vals))), float(np.max(np.abs(rhs))))
         if scale == 0.0:
             continue
@@ -340,39 +302,40 @@ def verify_wronskian_identity(
 # ----------------------------------------------------------------------
 # consequences of a solved Q
 
-def hom_grid_residual(
-    model: ChainModel, eigfun, q: QFunctionHom, count: int = 40,
-    seed: int = 17,
-) -> float:
-    """Worst relative defect of the two-term equation on a random grid.
+def hom_grid_residual(model: ChainModel, eigfun, q: QFunctionHom) -> float:
+    """Worst relative defect of the two-term equation on the grid.
 
     All terms are evaluated pointwise from products over roots and sites,
-    independently of the coefficient arithmetic used by the solver.
+    independently of the coefficient arithmetic used by the solver, each in
+    one call over the whole grid.  Points where every term vanishes are
+    skipped.
     """
-    pts = grid_points(count, seed)
-    worst = 0.0
-    for lam in pts:
-        lhs = eigfun(lam) * q.value(lam)
-        term_a = -a_of(model, lam) * q.value(lam - model.eta)
-        term_d = d_of(model, lam) * q.value(lam + model.eta)
-        scale = max(abs(lhs), abs(term_a), abs(term_d))
-        if scale == 0.0:
-            continue
-        worst = max(worst, abs(lhs - term_a - term_d) / scale)
-    return worst
+    lam = GRID_POINTS
+    here, down, up = q.value(
+        np.array([lam, lam - model.eta, lam + model.eta])
+    )
+    lhs = eigfun(lam) * here
+    term_a = -a_of(model, lam) * down
+    term_d = d_of(model, lam) * up
+    scale = np.max(np.abs([lhs, term_a, term_d]), axis=0)
+    live = scale != 0.0
+    defect = np.abs(lhs - term_a - term_d)[live] / scale[live]
+    return float(np.max(defect, initial=0.0))
 
 
 def _t_numerator_terms(model: ChainModel, q: QFunctionHom, lam):
     eta = model.eta
     ip = 1j * np.pi
-    term_down = q.value(lam + eta) * q.value(lam + ip - eta)
-    term_up = q.value(lam + eta + ip) * q.value(lam - eta)
-    return term_down, term_up
+    lam = np.asarray(lam, dtype=complex)
+    a, b, c, d = q.value(
+        np.array([lam + eta, lam + ip - eta, lam + eta + ip, lam - eta])
+    )
+    return a * b, c * d
 
 
-def _t_numerator(model: ChainModel, q: QFunctionHom, lam):
-    term_down, term_up = _t_numerator_terms(model, q, lam)
-    return term_down - term_up
+# Offsets tried, in order, when a base point sits on an inner rung.
+_SAMPLE_OFFSETS = (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
+                   -0.31 - 0.19j, 0.37 + 0.05j)
 
 
 def t_from_q_pair(model: ChainModel, q: QFunctionHom, entire_tol: float = 1e-8):
@@ -388,68 +351,60 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom, entire_tol: float = 1e-8):
     raises NotEntire when any entry exceeds entire_tol.
     """
     inner = _inner_rungs(model)
-    pts = grid_points(40, 17)
-    term_down, term_up = _t_numerator_terms(model, q, pts)
+    xi = np.asarray(model.xi, dtype=complex)
+
+    def clearance(pts):
+        """Smallest distance modulo i*pi from pts to the inner rungs."""
+        gap = pts[:, None] - inner
+        gap = np.abs(gap - 1j * np.pi * np.round(gap.imag / np.pi))
+        return float(np.min(gap, initial=np.inf))
+
+    offset = 0.0
+    if clearance(xi) <= 1e-3:
+        offset = next(
+            (c for c in _SAMPLE_OFFSETS if clearance(xi + c) > 5e-2), None
+        )
+    samples = xi + (offset or 0.0)
+    # One evaluation over the grid, the inner rungs and the sample points.
+    term_down, term_up = _t_numerator_terms(
+        model, q, np.concatenate([GRID_POINTS, inner, samples])
+    )
+    cut = GRID_POINTS.size
+    numerator = term_down[cut:] - term_up[cut:]
     # Normalize against the products being subtracted, not against their
     # difference: the zero transfer eigenvalue has an identically vanishing
     # cross combination, and dividing roundoff by roundoff would reject it.
     num_scale = max(
-        float(np.max(np.abs(term_down))), float(np.max(np.abs(term_up)))
+        float(np.max(np.abs(term_down[:cut]))),
+        float(np.max(np.abs(term_up[:cut]))),
     )
     if num_scale == 0.0:
         raise NotEntire("Q vanishes on the whole sampling grid")
-    report = np.array(
-        [abs(_t_numerator(model, q, r)) / num_scale for r in inner]
-    )
+    report = np.abs(numerator[: inner.size]) / num_scale
     if report.size and float(np.max(report)) > entire_tol:
         raise NotEntire(
             "cross combination does not vanish at an inner rung: "
             f"worst relative size {float(np.max(report)):.3e}"
         )
-
-    xi = np.asarray(model.xi, dtype=complex)
-    n = model.n_sites
-
-    def quotient(z):
-        return _t_numerator(model, q, z) / w_eps(model, q.epsilon, z)
-
-    margins = [
-        min(distance_to_ipi_lattice(x - r) for r in inner) if inner else np.inf
-        for x in xi
-    ]
-    if min(margins) > 1e-3:
-        base = np.array([quotient(x) for x in xi])
-        return EigenvalueFunction(model, base), report
-
-    # Offset sampling: pick a deterministic shift keeping every sample
-    # point clear of the inner rungs, then convert samples back to base
-    # values through the interpolation kernel.
-    shift = None
-    for cand in (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
-                 -0.31 - 0.19j, 0.37 + 0.05j):
-        pts_c = xi + cand
-        ok = all(
-            min(distance_to_ipi_lattice(p - r) for r in inner) > 5e-2
-            for p in pts_c
-        )
-        if ok:
-            shift = cand
-            break
-    if shift is None:
+    if offset is None:
         raise SovChainError("no offset clears the inner rungs")
-    samples = np.array([quotient(x + shift) for x in xi])
-    kernel = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        lam = xi[k] + shift
-        for j in range(n):
-            term = 1.0 + 0.0j
-            for l in range(n):
-                if l == j:
-                    continue
-                term *= np.sinh(lam - xi[l]) / np.sinh(xi[j] - xi[l])
-            kernel[k, j] = term
-    base = np.linalg.solve(kernel, samples)
-    return EigenvalueFunction(model, base), report
+    values = numerator[inner.size :] / w_eps(model, q.epsilon, samples)
+    if offset:
+        # Convert the offset samples back to base values through the
+        # interpolation kernel.
+        values = np.linalg.solve(cardinals(xi, samples), values)
+    return EigenvalueFunction(model, values), report
+
+
+def _rung_values(model: ChainModel, q: QFunctionHom):
+    """Per site: Q on the rungs, and the alternating-sign copy of Q shifted
+    by half a period, from one value call."""
+    out = []
+    for n in range(1, model.n_sites + 1):
+        rungs = site_rungs(model, n)
+        plain, shifted = q.value(np.array([rungs, rungs + 1j * np.pi]))
+        out.append((plain, (-1.0) ** np.arange(rungs.size) * shifted))
+    return out
 
 
 def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
@@ -460,24 +415,11 @@ def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
     same complex line.  Returns (angles, both_zero) with one entry per
     site; a site where exactly one vector vanishes reports pi/2.
     """
-    ip = 1j * np.pi
-    vecs = []
-    twisted = []
-    for n in range(1, model.n_sites + 1):
-        rungs = [xi_shifted(model, n, h) for h in range(model.two_s[n - 1] + 1)]
-        vecs.append(np.array([q.value(r) for r in rungs]))
-        twisted.append(np.array(
-            [(-1.0) ** h * q.value(r + ip) for h, r in enumerate(rungs)]
-        ))
-    scale = max(
-        max((float(np.max(np.abs(v))) for v in vecs), default=0.0),
-        max((float(np.max(np.abs(w))) for w in twisted), default=0.0),
-    )
+    pairs = _rung_values(model, q)
+    scale = max(float(np.max(np.abs(np.concatenate(p)))) for p in pairs)
     angles = np.zeros(model.n_sites)
     both_zero = np.zeros(model.n_sites, dtype=bool)
-    for n in range(model.n_sites):
-        v = vecs[n]
-        w = twisted[n]
+    for n, (v, w) in enumerate(pairs):
         nv = float(np.linalg.norm(v))
         nw = float(np.linalg.norm(w))
         tiny = 1e-12 * max(scale, 1e-300)
@@ -508,22 +450,24 @@ def bethe_residuals_hom(
     CoincidentRoots since a double root breaks the simple-pole argument.
     """
     roots = np.asarray(q.roots, dtype=complex)
-    for i in range(roots.size):
-        for j in range(i + 1, roots.size):
-            gap = min(
-                abs(roots[i] - roots[j] - 2j * np.pi * k) for k in (-1, 0, 1)
-            )
-            if gap < coincidence_tol:
-                raise CoincidentRoots(
-                    f"roots {i} and {j} collide modulo the period: "
-                    f"gap {gap:.3e}"
-                )
+    shifts = 2j * np.pi * np.arange(-1, 2)
+    gaps = np.min(np.abs(
+        roots[:, None, None] - roots[None, :, None] - shifts
+    ), axis=-1)
+    close = np.argwhere(np.triu(gaps < coincidence_tol, k=1))
+    if close.size:
+        i, j = close[0]
+        raise CoincidentRoots(
+            f"roots {i} and {j} collide modulo the period: "
+            f"gap {gaps[i, j]:.3e}"
+        )
+    down, up = q.value(np.array([roots - model.eta, roots + model.eta]))
+    term_a = a_of(model, roots) * down
+    term_d = d_of(model, roots) * up
+    scale = np.maximum(np.abs(term_a), np.abs(term_d))
     out = np.zeros(roots.size)
-    for j, lam in enumerate(roots):
-        term_a = a_of(model, lam) * q.value(lam - model.eta)
-        term_d = d_of(model, lam) * q.value(lam + model.eta)
-        scale = max(abs(term_a), abs(term_d))
-        out[j] = abs(term_d - term_a) / scale if scale > 0.0 else 0.0
+    live = scale > 0.0
+    out[live] = np.abs(term_d - term_a)[live] / scale[live]
     return out
 
 
@@ -537,22 +481,10 @@ def eigenstates_from_q_hom(model: ChainModel, q: QFunctionHom, basis: SOVBasis):
     (choice, left covector, right vector); raises BothChoicesZero when
     neither choice yields a state.
     """
-    ip = 1j * np.pi
+    pairs = _rung_values(model, q)
     out = []
-    for choice in (1, -1):
-        vals = []
-        for n in range(1, model.n_sites + 1):
-            rungs = [
-                xi_shifted(model, n, h)
-                for h in range(model.two_s[n - 1] + 1)
-            ]
-            if choice == 1:
-                vals.append(np.array([q.value(r) for r in rungs]))
-            else:
-                vals.append(np.array(
-                    [(-1.0) ** h * q.value(r + ip)
-                     for h, r in enumerate(rungs)]
-                ))
+    for choice, side in ((1, 0), (-1, 1)):
+        vals = [pair[side] for pair in pairs]
         try:
             left = left_eigenstate(model, basis, vals)
             right = right_eigenstate(

@@ -17,6 +17,12 @@ The solver runs the logic backwards: the ladder null vectors determine Q at
 every rung up to one unknown per site, interpolation closure at the bottom
 rungs gives a square linear system, and the solved values interpolate to the
 product function after a monic rescale.
+
+The layer is evaluated on arrays.  Each solve computes the ladder null
+vectors once and builds its closure rows from one cardinal kernel
+(``trigpoly.cardinals``), shared with the half-period solver; each check
+evaluates Q, a, d, t and the correction term in one call per point set
+(the verification grid, the roots, the base points, a site's rungs).
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceptionalAlpha, NonAdmissible, PoleAtXi
-from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, xi_shifted
+from .qalgebra import (
+    ChainModel, a_of, d_of, distance_to_ipi_lattice, site_rungs,
+)
 from .sovbasis import SOVBasis
 from .spectrum import (
     EigenvalueFunction,
@@ -35,7 +43,7 @@ from .spectrum import (
     left_eigenstate,
     right_eigenstate,
 )
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, cardinals
 
 __all__ = [
     "QFunctionInhom",
@@ -57,8 +65,16 @@ __all__ = [
     "degree_drop_residual",
     "homogeneous_rank_check",
     "root_multiset_distance",
-    "grid_points",
+    "GRID_POINTS",
 ]
+
+# Verification grid shared by both functional equations, drawn once.
+_GRID_RNG = np.random.default_rng(17)
+GRID_POINTS = (
+    _GRID_RNG.uniform(-1.5, 1.5, 40) + 1j * _GRID_RNG.uniform(-1.2, 1.2, 40)
+)
+GRID_POINTS.flags.writeable = False
+del _GRID_RNG
 
 
 @dataclass(frozen=True)
@@ -74,11 +90,10 @@ class QFunctionInhom:
     top_values: tuple
 
     def value(self, lam):
-        """Evaluate the product over the stored roots directly."""
+        """Evaluate the product over the stored roots directly; any shape."""
         lam = np.asarray(lam, dtype=complex)
-        out = np.ones(lam.shape, dtype=complex)
-        for r in self.roots:
-            out = out * np.sinh(lam - r)
+        roots = np.asarray(self.roots, dtype=complex)
+        out = np.sinh(lam[..., None] - roots).prod(axis=-1)
         return out if lam.shape else complex(out)
 
 
@@ -86,24 +101,16 @@ class QFunctionInhom:
 # the correction term
 
 
-def _all_rungs(model: ChainModel):
-    return [
-        xi_shifted(model, n, h)
-        for n in range(1, model.n_sites + 1)
-        for h in range(model.two_s[n - 1] + 1)
-    ]
+def _correction_roots(model: ChainModel, x: complex) -> np.ndarray:
+    """The extra root pinned by x, followed by every rung, site-major."""
+    ladders = [site_rungs(model, n) for n in range(1, model.n_sites + 1)]
+    lower = sum(np.concatenate([r[1:] for r in ladders]))
+    extra = x - lower - (model.n_s + 1) * model.eta / 2.0
+    return np.concatenate([[extra]] + ladders)
 
 
-def _lower_rung_sum(model: ChainModel) -> complex:
-    return sum(
-        xi_shifted(model, n, h)
-        for n in range(1, model.n_sites + 1)
-        for h in range(1, model.two_s[n - 1] + 1)
-    )
-
-
-def _correction_root(model: ChainModel, x: complex) -> complex:
-    return x - _lower_rung_sum(model) - (model.n_s + 1) * model.eta / 2.0
+def _correction_scale(model: ChainModel) -> complex:
+    return 2.0 * np.exp(-(model.n_s + 1) * model.eta / 2.0)
 
 
 def f_inhom(model: ChainModel, x: complex, lam):
@@ -111,23 +118,20 @@ def f_inhom(model: ChainModel, x: complex, lam):
 
     The product factor kills the value at every rung, and the extra root is
     placed so that the extreme exponential coefficients of the functional
-    equation cancel.
+    equation cancel.  Accepts any shape.
     """
     lam = np.asarray(lam, dtype=complex)
-    out = np.full(
-        lam.shape, 2.0 * np.exp(-(model.n_s + 1) * model.eta / 2.0)
+    roots = _correction_roots(model, x)
+    out = _correction_scale(model) * np.sinh(lam[..., None] - roots).prod(
+        axis=-1
     )
-    out = out * np.sinh(lam - _correction_root(model, x))
-    for rung in _all_rungs(model):
-        out = out * np.sinh(lam - rung)
     return out if lam.shape else complex(out)
 
 
 def f_inhom_poly(model: ChainModel, x: complex) -> TrigPoly:
     """The correction term as an element of the graded family."""
     return TrigPoly.from_roots(
-        [_correction_root(model, x)] + _all_rungs(model),
-        prefactor=2.0 * np.exp(-(model.n_s + 1) * model.eta / 2.0),
+        list(_correction_roots(model, x)), prefactor=_correction_scale(model)
     )
 
 
@@ -135,41 +139,54 @@ def f_inhom_poly(model: ChainModel, x: complex) -> TrigPoly:
 # the discretized linear system
 
 
-def _upper_rung_index(model: ChainModel):
-    """Site-major (site, h) pairs for the rungs that serve as nodes."""
-    return [
-        (n, h)
-        for n in range(1, model.n_sites + 1)
-        for h in range(model.two_s[n - 1])
-    ]
-
-
 def _dressed_null_vectors(model: ChainModel, eigfun):
     """Ladder null vectors divided by the running exponential prefactors."""
     qs, _, _ = ladder_nullspace(model, eigfun)
     xs = []
-    for site, q in enumerate(qs, start=1):
-        acc = np.zeros(len(q), dtype=complex)
-        running = 1.0 + 0.0j
-        acc[0] = q[0]
-        for h in range(1, len(q)):
-            running *= np.exp(xi_shifted(model, site, h - 1))
-            acc[h] = q[h] / running
-        xs.append(acc)
+    for n, q in enumerate(qs, start=1):
+        running = np.cumprod(np.exp(site_rungs(model, n)[:-1]))
+        xs.append(np.concatenate([q[:1], q[1:] / running]))
     return xs
 
 
-def _cardinal(nodes, k, lam):
-    acc = 1.0 + 0.0j
-    for l, node in enumerate(nodes):
-        if l != k:
-            acc *= np.sinh(lam - node) / np.sinh(nodes[k] - node)
-    return acc
+def _closure_nodes(model: ChainModel, zeta0: complex):
+    """Interpolation nodes (zeta0, then the upper rungs of every site,
+    site-major) and the bottom rung of each site."""
+    ladders = [site_rungs(model, n) for n in range(1, model.n_sites + 1)]
+    nodes = np.concatenate([[zeta0]] + [r[:-1] for r in ladders])
+    return nodes, np.array([r[-1] for r in ladders])
+
+
+def _closure(model: ChainModel, vectors, zeta0: complex, beta: complex = 1.0,
+             angle_scale: float = 1.0):
+    """Bottom-rung closure rows for per-site rung vectors.
+
+    Unknown 0 is the value of Q at zeta0 and unknown j the value at site
+    j's top rung; the value at rung h of site j is beta**h vectors[j][h]
+    times unknown j.  Returns (rows, nodes, spread): spread maps the
+    unknowns to the values at the nodes, and row i demands that
+    interpolation through the nodes reproduce the ladder value at site i's
+    bottom rung, so rows is n_sites x (n_sites + 1).
+    """
+    nodes, bottoms = _closure_nodes(model, zeta0)
+    n_sites = model.n_sites
+    spread = np.zeros((nodes.size, n_sites + 1), dtype=complex)
+    spread[0, 0] = 1.0
+    bottom = np.zeros((n_sites, n_sites + 1), dtype=complex)
+    k = 1
+    for j, (two_s, vec) in enumerate(zip(model.two_s, vectors), start=1):
+        spread[k : k + two_s, j] = beta ** np.arange(two_s) * vec[:-1]
+        bottom[j - 1, j] = beta**two_s * vec[-1]
+        k += two_s
+    rows = bottom - cardinals(nodes, bottoms, angle_scale) @ spread
+    return rows, nodes, spread
 
 
 def draw_zeta0(model: ChainModel, rng) -> complex:
     """Random auxiliary node kept away from every rung modulo the period."""
-    rungs = _all_rungs(model)
+    rungs = np.concatenate(
+        [site_rungs(model, n) for n in range(1, model.n_sites + 1)]
+    )
     for _ in range(1000):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         if all(distance_to_ipi_lattice(z - r) > 1e-2 for r in rungs):
@@ -183,21 +200,10 @@ def system_matrix(model: ChainModel, eigfun, beta: complex, zeta0: complex):
     Unknowns are the values of Q at the top rungs; the right-hand side
     carries the normalization Q(zeta0) = 1.
     """
-    xs = _dressed_null_vectors(model, eigfun)
-    pairs = _upper_rung_index(model)
-    nodes = [zeta0] + [xi_shifted(model, n, h) for n, h in pairs]
-    n_sites = model.n_sites
-    mat = np.zeros((n_sites, n_sites), dtype=complex)
-    rhs = np.zeros(n_sites, dtype=complex)
-    for i in range(1, n_sites + 1):
-        bottom = xi_shifted(model, i, model.two_s[i - 1])
-        mat[i - 1, i - 1] = beta ** model.two_s[i - 1] * xs[i - 1][-1]
-        for k, (j, h) in enumerate(pairs, start=1):
-            mat[i - 1, j - 1] -= (
-                beta**h * _cardinal(nodes, k, bottom) * xs[j - 1][h]
-            )
-        rhs[i - 1] = _cardinal(nodes, 0, bottom)
-    return mat, rhs
+    rows, _, _ = _closure(
+        model, _dressed_null_vectors(model, eigfun), zeta0, beta
+    )
+    return rows[:, 1:], -rows[:, 0]
 
 
 def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
@@ -208,11 +214,9 @@ def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
     """
     n_s = model.n_s
     betas = np.exp(2j * np.pi * np.arange(n_s + 1) / (n_s + 1))
+    xs = _dressed_null_vectors(model, eigfun)
     dets = np.array(
-        [
-            np.linalg.det(system_matrix(model, eigfun, b, zeta0)[0])
-            for b in betas
-        ]
+        [np.linalg.det(_closure(model, xs, zeta0, b)[0][:, 1:]) for b in betas]
     )
     vand = betas[:, None] ** np.arange(n_s + 1)[None, :]
     return np.linalg.solve(vand, dets)
@@ -231,15 +235,10 @@ def det_m_zero_closed_form(model: ChainModel, zeta0: complex) -> complex:
     turns the matrix into a scaled Cauchy matrix in the bottom and top rung
     positions; the determinant then factorizes completely.
     """
-    pairs = _upper_rung_index(model)
-    nodes = [zeta0] + [xi_shifted(model, n, h) for n, h in pairs]
+    nodes, bottoms = _closure_nodes(model, zeta0)
     n_sites = model.n_sites
-    tops = [xi_shifted(model, n, 0) for n in range(1, n_sites + 1)]
-    bottoms = [
-        xi_shifted(model, n, model.two_s[n - 1])
-        for n in range(1, n_sites + 1)
-    ]
-    top_slots = [1 + pairs.index((n, 0)) for n in range(1, n_sites + 1)]
+    top_slots = 1 + np.cumsum((0,) + model.two_s[:-1])
+    tops = nodes[top_slots]
     acc = (-1.0 + 0.0j) ** n_sites
     for a in range(n_sites):
         for b in range(a + 1, n_sites):
@@ -273,7 +272,10 @@ def solve_q_inhom(
 ) -> QFunctionInhom:
     """Solve the closure system at one deformation value and extract roots."""
     beta = np.exp(complex(alpha))
-    mat, rhs = system_matrix(model, eigfun, beta, zeta0)
+    rows, nodes, spread = _closure(
+        model, _dressed_null_vectors(model, eigfun), zeta0, beta
+    )
+    mat, rhs = rows[:, 1:], -rows[:, 0]
     sing = np.linalg.svd(mat, compute_uv=False)
     if sing[-1] <= 1e-10 * max(1.0, float(sing[0])):
         raise ExceptionalAlpha(
@@ -282,12 +284,7 @@ def solve_q_inhom(
     y = np.linalg.solve(mat, rhs)
     _require_admissible(y)
 
-    xs = _dressed_null_vectors(model, eigfun)
-    pairs = _upper_rung_index(model)
-    nodes = [zeta0] + [xi_shifted(model, n, h) for n, h in pairs]
-    values = [1.0 + 0.0j] + [
-        beta**h * xs[j - 1][h] * y[j - 1] for j, h in pairs
-    ]
+    values = spread @ np.concatenate([[1.0], y])
     raw = TrigPoly.from_values(nodes, values, m=0)
     c_p, roots = raw.roots()
     poly = raw * (1.0 / c_p)
@@ -332,39 +329,29 @@ def solve_q_inhom_with_retries(
 # verification
 
 
-def grid_points(count: int = 40, seed: int = 17) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-1.5, 1.5, count) + 1j * rng.uniform(-1.2, 1.2, count)
+def _rhs_terms(model: ChainModel, sol: QFunctionInhom, lam):
+    """The three right-hand terms of the functional equation at lam."""
+    x = sol.alpha + sol.lambda_bar
+    down, up = sol.value(np.array([lam - model.eta, lam + model.eta]))
+    term_a = -np.exp(lam - sol.alpha) * a_of(model, lam) * down
+    term_d = np.exp(-lam - model.eta + sol.alpha) * d_of(model, lam) * up
+    return term_a, term_d, f_inhom(model, x, lam)
 
 
 def inhom_grid_residual(
-    model: ChainModel, eigfun, sol: QFunctionInhom, count: int = 40,
-    seed: int = 17,
+    model: ChainModel, eigfun, sol: QFunctionInhom
 ) -> float:
-    """Worst relative defect of the functional equation on a random grid.
+    """Worst relative defect of the functional equation on the grid.
 
     All four terms are evaluated pointwise from first principles (products
     over roots and rungs), independently of the coefficient arithmetic used
-    by the solver.
+    by the solver, each in one call over the whole grid.
     """
-    worst = 0.0
-    x = sol.alpha + sol.lambda_bar
-    for lam in grid_points(count, seed):
-        lhs = eigfun(complex(lam)) * sol.value(lam)
-        term_a = (
-            -np.exp(lam - sol.alpha)
-            * a_of(model, lam)
-            * sol.value(lam - model.eta)
-        )
-        term_d = (
-            np.exp(-lam - model.eta + sol.alpha)
-            * d_of(model, lam)
-            * sol.value(lam + model.eta)
-        )
-        term_f = f_inhom(model, x, lam)
-        scale = max(abs(lhs), abs(term_a), abs(term_d), abs(term_f))
-        worst = max(worst, abs(lhs - term_a - term_d - term_f) / scale)
-    return worst
+    lam = GRID_POINTS
+    lhs = eigfun(lam) * sol.value(lam)
+    term_a, term_d, term_f = _rhs_terms(model, sol, lam)
+    scale = np.max(np.abs([lhs, term_a, term_d, term_f]), axis=0)
+    return float(np.max(np.abs(lhs - term_a - term_d - term_f) / scale))
 
 
 def t_from_q_inhom(model: ChainModel, sol: QFunctionInhom):
@@ -380,19 +367,8 @@ def t_from_q_inhom(model: ChainModel, sol: QFunctionInhom):
                 raise PoleAtXi(
                     f"root {r:.6g} sits on base point {n} modulo the period"
                 )
-    x = sol.alpha + sol.lambda_bar
-    base = []
-    for xi in model.xi:
-        rhs = (
-            -np.exp(xi - sol.alpha)
-            * a_of(model, xi)
-            * sol.value(xi - model.eta)
-            + np.exp(-xi - model.eta + sol.alpha)
-            * d_of(model, xi)
-            * sol.value(xi + model.eta)
-            + f_inhom(model, x, xi)
-        )
-        base.append(rhs / sol.value(xi))
+    xi = np.asarray(model.xi)
+    base = sum(_rhs_terms(model, sol, xi)) / sol.value(xi)
     return EigenvalueFunction(model, tuple(base)), bethe_residuals_inhom(
         model, sol
     )
@@ -404,23 +380,9 @@ def bethe_residuals_inhom(model: ChainModel, sol: QFunctionInhom) -> np.ndarray:
     At a root of Q the left side of the functional equation vanishes, so the
     three right-hand terms must cancel; their sum is the pole numerator.
     """
-    x = sol.alpha + sol.lambda_bar
-    out = np.zeros(len(sol.roots))
-    for j, lam in enumerate(sol.roots):
-        term_a = (
-            -np.exp(lam - sol.alpha)
-            * a_of(model, lam)
-            * sol.value(lam - model.eta)
-        )
-        term_d = (
-            np.exp(-lam - model.eta + sol.alpha)
-            * d_of(model, lam)
-            * sol.value(lam + model.eta)
-        )
-        term_f = f_inhom(model, x, lam)
-        scale = max(abs(term_a), abs(term_d), abs(term_f), 1e-300)
-        out[j] = abs(term_a + term_d + term_f) / scale
-    return out
+    terms = _rhs_terms(model, sol, np.asarray(sol.roots, dtype=complex))
+    scale = np.maximum(np.max(np.abs(terms), axis=0), 1e-300)
+    return np.abs(sum(terms)) / scale
 
 
 # ----------------------------------------------------------------------
@@ -437,14 +399,11 @@ def q_coordinates_inhom(model: ChainModel, sol: QFunctionInhom):
     """
     coords = []
     for n in range(1, model.n_sites + 1):
-        arr = np.zeros(model.two_s[n - 1] + 1, dtype=complex)
-        for h in range(model.two_s[n - 1] + 1):
-            lam = xi_shifted(model, n, h)
-            gauss = np.exp(
-                -lam * (lam + model.eta - 2.0 * sol.alpha) / (2.0 * model.eta)
-            )
-            arr[h] = gauss * sol.value(lam)
-        coords.append(arr)
+        lam = site_rungs(model, n)
+        gauss = np.exp(
+            -lam * (lam + model.eta - 2.0 * sol.alpha) / (2.0 * model.eta)
+        )
+        coords.append(gauss * sol.value(lam))
     return coords
 
 
@@ -511,26 +470,15 @@ def homogeneous_rank_check(
     column rank certifies that the correction-free equation has only the
     zero solution.
     """
-    beta = np.exp(complex(alpha))
     xs = _dressed_null_vectors(model, eigfun)
-    pairs = _upper_rung_index(model)
-    nodes = [zeta0] + [xi_shifted(model, n, h) for n, h in pairs]
+    rows, nodes, spread = _closure(model, xs, zeta0, np.exp(complex(alpha)))
     n_sites = model.n_sites
-    mat, rhs = system_matrix(model, eigfun, beta, zeta0)
     stacked = np.zeros((n_sites + 2, n_sites + 1), dtype=complex)
-    stacked[:n_sites, 0] = -rhs
-    stacked[:n_sites, 1:] = mat
+    stacked[:n_sites] = rows
     for col in range(n_sites + 1):
-        unit = np.zeros(len(nodes), dtype=complex)
-        if col == 0:
-            unit[0] = 1.0
-        else:
-            for k, (j, h) in enumerate(pairs, start=1):
-                if j == col:
-                    unit[k] = beta**h * xs[j - 1][h]
-        cardinal_poly = TrigPoly.from_values(nodes, unit, m=0)
-        stacked[n_sites, col] = cardinal_poly.coeffs[0]
-        stacked[n_sites + 1, col] = cardinal_poly.coeffs[-1]
+        coeffs = TrigPoly.from_values(nodes, spread[:, col], m=0).coeffs
+        stacked[n_sites, col] = coeffs[0]
+        stacked[n_sites + 1, col] = coeffs[-1]
     sing = np.linalg.svd(stacked, compute_uv=False)
     return float(sing[-1] / sing[0])
 

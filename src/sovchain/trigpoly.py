@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateNodes, NotFullDegree, ScaleMismatch
 
-__all__ = ["TrigPoly", "DEFAULT_TOL"]
+__all__ = ["TrigPoly", "DEFAULT_TOL", "cardinals"]
 
 DEFAULT_TOL = 1e-10
 
@@ -298,3 +298,23 @@ class TrigPoly:
             c[-1] * 2.0**self.m2 * np.exp(self.angle_scale * np.sum(lam))
         )
         return c_p, lam
+
+
+def cardinals(nodes, lam, angle_scale: float = 1.0) -> np.ndarray:
+    """Cardinal functions of every node at lam, on a new trailing axis.
+
+    Entry k is prod_{l != k} sinh(s (lam - z_l)) / sinh(s (z_k - z_l)) with
+    s = angle_scale (1 for the full period, 1/2 for the doubled one): the
+    balanced interpolant through the nodes that is 1 at node k and 0 at
+    the others.  The leave-one-out product is masked, not divided out, so
+    lam may sit on a node.
+    """
+    nodes = np.asarray(nodes, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    diag = np.arange(nodes.size)
+    spread = np.sinh(angle_scale * (nodes[:, None] - nodes))
+    spread[diag, diag] = 1.0
+    ratio = np.sinh(angle_scale * (lam[..., None, None] - nodes)) / spread
+    ratio[..., diag, diag] = 1.0
+    return ratio.prod(axis=-1)
+

@@ -11,8 +11,12 @@ from sovchain.cli import (
     main,
     run_pipelines,
 )
-from sovchain import qalgebra, sovbasis
-from sovchain.errors import ConfigError, GenerationExhausted
+from sovchain import qalgebra, sovbasis, spectrum, tq_hom, tq_inhom
+from sovchain.errors import (
+    ConditioningFailure,
+    ConfigError,
+    GenerationExhausted,
+)
 from sovchain.qalgebra import distance_to_ipi_lattice
 
 SINH_ETA = 0.31421767077936635556 + 0.073330601551639318257j
@@ -247,3 +251,70 @@ def test_each_operator_built_at_most_once_per_basis_half(monkeypatch):
     report = run_pipelines(RunConfig.from_dict(doc))
     assert report["summary"]["count"] == 12
     assert built and max(built.values()) <= 2
+
+
+def test_ladder_and_eigenvalue_calls_per_eigenvalue(monkeypatch):
+    # ladder_nullspace is bound by name in spectrum and both tq modules;
+    # EigenvalueFunction.__call__ is patched on the class.  Calls are keyed
+    # by the eigenvalue's base values.
+    ladders = Counter()
+    evals = Counter()
+    nullspace = spectrum.ladder_nullspace
+    call = spectrum.EigenvalueFunction.__call__
+
+    def counting_nullspace(model, eigfun):
+        ladders[tuple(eigfun.base_values)] += 1
+        return nullspace(model, eigfun)
+
+    def counting_call(self, lam):
+        evals[tuple(self.base_values)] += 1
+        return call(self, lam)
+
+    for module in (spectrum, tq_inhom, tq_hom):
+        monkeypatch.setattr(module, "ladder_nullspace", counting_nullspace)
+    monkeypatch.setattr(spectrum.EigenvalueFunction, "__call__", counting_call)
+    doc = base_doc([1, 2, 1])
+    doc["model"]["kappa"] = [[1.0, 0.0], [0.6, 0.8]]
+    report = run_pipelines(RunConfig.from_dict(doc))
+    assert report["summary"]["count"] == 12
+    assert len(ladders) == 12 and max(ladders.values()) <= 3
+    assert max(evals.values()) < 40
+
+
+def test_library_error_is_recorded_per_eigenvalue(tmp_path, capsys):
+    # Two spin-1 sites: the exact zero eigenvalue puts a tq-inhom root on a
+    # base point.
+    doc = base_doc([2, 2])
+    doc["output"] = {"report": "r.json", "bethe_csv": "roots.csv"}
+    assert main(["run", write_config(tmp_path / "c.json", doc)]) == 1
+    assert "PoleAtXi" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["summary"]["count"] == 9
+    assert report["summary"]["pass"] is False
+    failed = [e for e in report["eigenvalues"] if "class" in e["inhom"]]
+    assert len(failed) == 1
+    assert failed[0]["inhom"]["class"] == "PoleAtXi"
+    assert failed[0]["inhom"]["message"]
+    assert f"eigenvalue {failed[0]['index']} tq-inhom: PoleAtXi" in (
+        report["summary"]["failures"][0]
+    )
+    assert all("roots" in e["hom"] for e in report["eigenvalues"])
+    assert (tmp_path / "roots.csv").exists()
+
+
+def test_basis_error_is_recorded(monkeypatch):
+    def broken(model):
+        raise ConditioningFailure("basis state too small")
+
+    monkeypatch.setattr(sovbasis, "build_basis", broken)
+    report = run_pipelines(RunConfig.from_dict(base_doc([1, 1])))
+    assert report["summary"]["pass"] is False
+    assert report["summary"]["failures"] == [
+        "separated basis: ConditioningFailure: basis state too small"
+    ]
+    for entry in report["eigenvalues"]:
+        assert entry["sov"] == {
+            "class": "ConditioningFailure",
+            "message": "basis state too small",
+        }
+        assert "roots" in entry["inhom"] and "roots" in entry["hom"]

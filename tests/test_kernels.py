@@ -1,0 +1,229 @@
+"""Array kernels of the T-Q layer pinned to their scalar definitions.
+
+Each reference below is the plain loop the kernel replaces: one point, one
+site, root or rung at a time.  The Q-functions are built from arbitrary
+roots and the eigenvalue functions from arbitrary base values, so every
+residual is of order one and a relative comparison is meaningful.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from sovchain import spectrum as sp
+from sovchain import tq_hom as thm
+from sovchain import tq_inhom as ti
+from sovchain.qalgebra import ChainModel, a_of, d_of, site_rungs, xi_shifted
+from sovchain.trigpoly import cardinals
+
+ETA = 0.31 + 0.07j
+RTOL = 1e-13
+XI = (0.1, 0.9 + 0.1j, 1.7 - 0.05j, 2.4 + 0.08j)
+SHAPES = [(1, 2), (2, 1, 3), (1, 1, 1, 1)]
+
+
+def chain(two_s):
+    return ChainModel(two_s=two_s, xi=XI[: len(two_s)], eta=ETA, kappa=1.0)
+
+
+@pytest.fixture(params=SHAPES, ids=lambda s: "".join(map(str, s)))
+def case(request):
+    """A chain with an arbitrary eigenvalue function and Q-functions."""
+    model = chain(request.param)
+    rng = np.random.default_rng(sum(request.param))
+
+    def draw(k):
+        return rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
+    eigfun = sp.EigenvalueFunction(model, tuple(draw(model.n_sites)))
+    roots = tuple(draw(model.n_s))
+    q_inhom = ti.QFunctionInhom(
+        model=model, alpha=0.2 - 0.1j, zeta0=0.3 + 0.4j, roots=roots,
+        lambda_bar=complex(sum(roots)), poly=None, top_values=(),
+    )
+    q_hom = thm.QFunctionHom(model, roots, 1, 0, None)
+    return model, eigfun, q_inhom, q_hom
+
+
+def points():
+    rng = np.random.default_rng(5)
+    return rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
+
+
+# ----------------------------------------------------------------------
+# scalar references
+
+
+def a_loop(model, lam):
+    out = 1.0 + 0.0j
+    for two_s, xi in zip(model.two_s, model.xi):
+        out *= np.sinh(lam - xi + two_s / 2.0 * model.eta)
+    return out
+
+
+def d_loop(model, lam):
+    out = 1.0 + 0.0j
+    for two_s, xi in zip(model.two_s, model.xi):
+        out *= np.sinh(lam - xi - two_s / 2.0 * model.eta)
+    return out
+
+
+def q_loop(roots, lam, scale=1.0):
+    out = 1.0 + 0.0j
+    for r in roots:
+        out *= np.sinh(scale * (lam - r))
+    return out
+
+
+def f_loop(model, x, lam):
+    rungs = [
+        xi_shifted(model, n, h)
+        for n in range(1, model.n_sites + 1)
+        for h in range(model.two_s[n - 1] + 1)
+    ]
+    lower = sum(
+        xi_shifted(model, n, h)
+        for n in range(1, model.n_sites + 1)
+        for h in range(1, model.two_s[n - 1] + 1)
+    )
+    extra = x - lower - (model.n_s + 1) * model.eta / 2.0
+    out = 2.0 * np.exp(-(model.n_s + 1) * model.eta / 2.0)
+    return out * q_loop([extra] + rungs, lam)
+
+
+def inhom_terms_loop(model, sol, lam):
+    x = sol.alpha + sol.lambda_bar
+    term_a = (-np.exp(lam - sol.alpha) * a_loop(model, lam)
+              * q_loop(sol.roots, lam - model.eta))
+    term_d = (np.exp(-lam - model.eta + sol.alpha) * d_loop(model, lam)
+              * q_loop(sol.roots, lam + model.eta))
+    return term_a, term_d, f_loop(model, x, lam)
+
+
+def hom_terms_loop(model, q, lam):
+    term_a = a_loop(model, lam) * q_loop(q.roots, lam - model.eta, 0.5)
+    term_d = d_loop(model, lam) * q_loop(q.roots, lam + model.eta, 0.5)
+    return term_a, term_d
+
+
+def cardinal_loop(nodes, k, lam, scale):
+    acc = 1.0 + 0.0j
+    for l, node in enumerate(nodes):
+        if l != k:
+            acc *= (np.sinh(scale * (lam - node))
+                    / np.sinh(scale * (nodes[k] - node)))
+    return acc
+
+
+# ----------------------------------------------------------------------
+
+
+def test_grid_is_the_seed_17_draw():
+    rng = np.random.default_rng(17)
+    want = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-1.2, 1.2, 40)
+    assert np.array_equal(ti.GRID_POINTS, want)
+    assert thm.GRID_POINTS is ti.GRID_POINTS
+
+
+def test_site_rungs_equal_xi_shifted(case):
+    model = case[0]
+    for n in range(1, model.n_sites + 1):
+        want = [xi_shifted(model, n, h) for h in range(model.two_s[n - 1] + 1)]
+        assert np.array_equal(site_rungs(model, n), want)
+
+
+def test_a_and_d(case):
+    model = case[0]
+    lam = points().reshape(2, 3)
+    for kernel, loop in ((a_of, a_loop), (d_of, d_loop)):
+        got = kernel(model, lam)
+        assert got.shape == lam.shape
+        assert_allclose(got, np.vectorize(lambda z: loop(model, z))(lam),
+                        rtol=RTOL)
+        z = complex(lam[0, 0])
+        assert kernel(model, z) == loop(model, z)
+
+
+def test_values_and_correction(case):
+    model, _, q_inhom, q_hom = case
+    lam = points().reshape(3, 2)
+    want = np.vectorize(lambda z: q_loop(q_inhom.roots, z))(lam)
+    assert_allclose(q_inhom.value(lam), want, rtol=RTOL)
+    want = np.vectorize(lambda z: q_loop(q_hom.roots, z, 0.5))(lam)
+    assert_allclose(q_hom.value(lam), want, rtol=RTOL)
+    x = 0.4 + 0.2j
+    want = np.vectorize(lambda z: f_loop(model, x, z))(lam)
+    assert_allclose(ti.f_inhom(model, x, lam), want, rtol=RTOL)
+
+
+def test_grid_residuals(case):
+    model, eigfun, q_inhom, q_hom = case
+    worst_inhom = worst_hom = 0.0
+    for lam in ti.GRID_POINTS:
+        t = eigfun(complex(lam))
+        lhs = t * q_loop(q_inhom.roots, lam)
+        terms = inhom_terms_loop(model, q_inhom, lam)
+        scale = max(abs(lhs), *map(abs, terms))
+        worst_inhom = max(worst_inhom, abs(lhs - sum(terms)) / scale)
+        lhs = t * q_loop(q_hom.roots, lam, 0.5)
+        term_a, term_d = hom_terms_loop(model, q_hom, lam)
+        scale = max(abs(lhs), abs(term_a), abs(term_d))
+        worst_hom = max(worst_hom, abs(lhs + term_a - term_d) / scale)
+    assert_allclose(ti.inhom_grid_residual(model, eigfun, q_inhom),
+                    worst_inhom, rtol=RTOL)
+    assert_allclose(thm.hom_grid_residual(model, eigfun, q_hom),
+                    worst_hom, rtol=RTOL)
+
+
+def test_bethe_residuals(case):
+    model, _, q_inhom, q_hom = case
+    want = []
+    for lam in q_inhom.roots:
+        terms = inhom_terms_loop(model, q_inhom, lam)
+        want.append(abs(sum(terms)) / max(*map(abs, terms), 1e-300))
+    assert_allclose(ti.bethe_residuals_inhom(model, q_inhom), want, rtol=RTOL)
+    want = []
+    for lam in q_hom.roots:
+        term_a, term_d = hom_terms_loop(model, q_hom, lam)
+        want.append(abs(term_d - term_a) / max(abs(term_a), abs(term_d)))
+    assert_allclose(thm.bethe_residuals_hom(model, q_hom), want, rtol=RTOL)
+
+
+def test_ladder_nullspace_and_rescale(case):
+    model, eigfun = case[:2]
+    want_q, want_p = [], []
+    for site in range(1, model.n_sites + 1):
+        q = [1.0 + 0.0j]
+        p = [1.0 + 0.0j]
+        ratio = 1.0 + 0.0j
+        for h in range(model.two_s[site - 1]):
+            rung = xi_shifted(model, site, h)
+            prev = q[h - 1] if h > 0 else 0.0
+            q.append((d_loop(model, rung) * prev
+                      - eigfun(rung) * q[h]) / a_loop(model, rung))
+            ratio *= a_loop(model, rung) / d_loop(
+                model, xi_shifted(model, site, h + 1)
+            )
+            p.append((-1) ** (h + 1) * ratio * q[h + 1])
+        want_q.append(q)
+        want_p.append(p)
+    qs, ps, _ = sp.ladder_nullspace(model, eigfun)
+    rescaled = sp.companion_rescale(model, [np.array(q) for q in want_q])
+    for site in range(model.n_sites):
+        assert_allclose(qs[site], want_q[site], rtol=RTOL)
+        assert_allclose(ps[site], want_p[site], rtol=RTOL)
+        assert_allclose(rescaled[site], want_p[site], rtol=RTOL)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_cardinals(scale):
+    # Site 1 carries spin 1, so its middle rung, a node, is exactly xi_1.
+    model = chain((2, 1, 3))
+    nodes = ti._closure_nodes(model, 0.3 + 0.4j)[0]
+    assert xi_shifted(model, 1, 1) == model.xi[0] == nodes[2]
+    lam = np.concatenate([points(), [model.xi[0]]])
+    got = cardinals(nodes, lam, scale)
+    assert got.shape == (lam.size, nodes.size)
+    want = [[cardinal_loop(nodes, k, z, scale) for k in range(nodes.size)]
+            for z in lam]
+    assert_allclose(got, want, rtol=RTOL, atol=0.0)
+    assert_allclose(got[-1], np.eye(nodes.size)[2], rtol=0.0, atol=1e-15)
