@@ -5,7 +5,10 @@ monodromy blocks A, B, C, D, the scalar products a and d, and the twisted
 antidiagonal transfer matrix kappa^{-1} B(lam) + kappa C(lam).  Everything is
 dense.  The monodromy is built by Kronecker recursion (site n acts only on
 tensor factor n), so each site step costs O(dim^2); callers still build
-each operator once per (model, lam) and reuse it.
+each operator once per (model, lam) and reuse it.  Everything on the rungs
+that does not depend on an eigenvalue (the rungs, a and d there, and the
+signed companion factors) is built once per model, on first use, in the
+read-only ``ChainModel.rung_table``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -18,8 +21,9 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,6 +162,41 @@ class ChainModel:
                     )
         return float(best)
 
+    @cached_property
+    def rung_table(self) -> tuple:
+        """One read-only ``SiteRungs`` per site, built on first use."""
+        return tuple(_site_table(self, n) for n in range(1, self.n_sites + 1))
+
+
+class SiteRungs(NamedTuple):
+    """Eigenvalue-independent data on one site's ladder, top rung first.
+
+    companion[h - 1] = (-1)^h prod_{k < h} a(rung_k) / d(rung_{k+1}) for
+    h = 1..2s regauges rung vectors from left-state to right-state form.
+    """
+
+    rungs: np.ndarray
+    a: np.ndarray
+    d: np.ndarray
+    companion: np.ndarray
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _site_table(model: ChainModel, site: int) -> SiteRungs:
+    two_s = model.two_s[site - 1]
+    xi = model.xi[site - 1]
+    rungs = np.array(
+        [xi + (two_s - 2 * k) / 2.0 * model.eta for k in range(two_s + 1)]
+    )
+    a, d = a_of(model, rungs), d_of(model, rungs)
+    signs = (-1.0) ** np.arange(1, two_s + 1)
+    companion = signs * np.cumprod(a[:-1] / d[1:])
+    return SiteRungs(*map(_read_only, (rungs, a, d, companion)))
+
 
 def xi_shifted(model: ChainModel, site: int, k: int) -> complex:
     """The k-th rung xi_site + (s_site - k)*eta; site is 1-based, k in 0..2s."""
@@ -172,15 +211,12 @@ def xi_shifted(model: ChainModel, site: int, k: int) -> complex:
 def site_rungs(model: ChainModel, site: int) -> np.ndarray:
     """Every rung of one site's ladder as an array, top (k = 0) first.
 
-    Entry k equals xi_shifted(model, site, k) bit for bit.
+    Entry k equals xi_shifted(model, site, k) bit for bit.  The array is
+    the model's read-only ``rung_table`` entry.
     """
     if not 1 <= site <= model.n_sites:
         raise IndexOutOfRange(f"site {site} outside 1..{model.n_sites}")
-    two_s = model.two_s[site - 1]
-    xi = model.xi[site - 1]
-    return np.array(
-        [xi + (two_s - 2 * k) / 2.0 * model.eta for k in range(two_s + 1)]
-    )
+    return model.rung_table[site - 1].rungs
 
 
 def q_integer(j: int, eta: complex) -> complex:
@@ -262,12 +298,21 @@ def monodromy(model: ChainModel, lam: complex):
     for site in range(2, model.n_sites + 1):
         an, bn, cn, dn = lax(model, site, lam)
         a, b, c, d = (
-            np.kron(a, an) + np.kron(c, bn),
-            np.kron(b, an) + np.kron(d, bn),
-            np.kron(a, cn) + np.kron(c, dn),
-            np.kron(b, cn) + np.kron(d, dn),
+            _kron(a, an) + _kron(c, bn),
+            _kron(b, an) + _kron(d, bn),
+            _kron(a, cn) + _kron(c, dn),
+            _kron(b, cn) + _kron(d, dn),
         )
     return a, b, c, d
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of two arrays of equal ndim, bit for bit, without its
+    overhead: one broadcast product laid out (x0, y0, x1, y1, ...) and a
+    reshape."""
+    xs = x.reshape([v for n in x.shape for v in (n, 1)])
+    ys = y.reshape([v for n in y.shape for v in (1, n)])
+    return (xs * ys).reshape([m * n for m, n in zip(x.shape, y.shape)])
 
 
 def _edge_product(model: ChainModel, lam, sign: float):

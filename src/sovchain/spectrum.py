@@ -7,19 +7,21 @@ kernel prod_{l != n} sinh(lam - xi_l) carries the required quasi-periodicity
 automatically).  The spectrum is characterized site by site: the tridiagonal
 matrix coupling adjacent rungs of each site ladder must be singular, and its
 null vector supplies the expansion coefficients of the eigenstates in the
-separated basis.  The rung layer is evaluated on arrays: t, a and d are
-computed once per site, on that site's whole rung array.
+separated basis.  The rung layer is evaluated on arrays and computed once:
+a, d and the companion factors come from the model's ``rung_table``, and
+each ``EigenvalueFunction`` owns its values on every rung and its ladder
+null vectors, both computed on first use and shared by every pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState
-from .qalgebra import ChainModel, a_of, d_of, site_rungs, transfer_antiperiodic
+from .qalgebra import ChainModel, _kron, _read_only, transfer_antiperiodic
 from .sovbasis import SOVBasis
 
 __all__ = [
@@ -45,7 +47,8 @@ class EigenvalueFunction:
     t(lam) = sum_n w_n prod_{l != n} sinh(lam - xi_l), with cardinal weights
     w_n = t(xi_n) / prod_{l != n} sinh(xi_n - xi_l) fixed on construction.
     The leave-one-out product is masked, not divided out, so lam may sit on
-    a base point (integer-spin rungs do).
+    a base point (integer-spin rungs do).  ``rung_values`` and ``ladder``
+    are computed on first use and kept read-only.
     """
 
     model: ChainModel
@@ -65,13 +68,31 @@ class EigenvalueFunction:
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        n_sites = self.model.n_sites
-        factors = np.sinh(lam[..., None] - np.asarray(self.model.xi))
-        loo = np.where(
-            np.eye(n_sites, dtype=bool), 1.0, factors[..., None, :]
-        ).prod(axis=-1)
-        total = loo @ self._weights
+        total = _leave_one_out(self.model, lam) @ self._weights
         return total if lam.shape else complex(total)
+
+    @cached_property
+    def rung_values(self) -> tuple:
+        """t on each site's rungs, one array per site, from one call."""
+        rungs = [s.rungs for s in self.model.rung_table]
+        values = _read_only(self(np.concatenate(rungs)))
+        return tuple(np.split(values, np.cumsum([r.size for r in rungs[:-1]])))
+
+    @cached_property
+    def ladder(self) -> tuple:
+        """``ladder_nullspace(self.model, self)`` as tuples of read-only
+        arrays: (q_vectors, p_vectors, consistency)."""
+        qs, ps, consistency = ladder_nullspace(self.model, self)
+        return (tuple(map(_read_only, qs)), tuple(map(_read_only, ps)),
+                consistency)
+
+
+def _leave_one_out(model: ChainModel, lam: np.ndarray) -> np.ndarray:
+    """prod_{l != n} sinh(lam - xi_l) for every n, on a trailing axis."""
+    factors = np.sinh(lam[..., None] - np.asarray(model.xi))
+    return np.where(
+        np.eye(model.n_sites, dtype=bool), 1.0, factors[..., None, :]
+    ).prod(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -121,13 +142,15 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0) -> Spectrum:
         EigenvalueFunction(model, tuple(base[i])) for i in range(dim)
     ]
 
+    # Every eigen-pair at once: the eigen_residual defect, column by column.
+    weights = np.array([f._weights for f in functions])
     for lam in rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3):
-        lam = complex(lam)
-        t_mat = transfer_antiperiodic(model, lam)
-        worst = max(
-            eigen_residual(model, functions[i], v[:, i], lam, t_mat=t_mat)
-            for i in range(dim)
-        )
+        t_mat = transfer_antiperiodic(model, complex(lam))
+        t_vals = weights @ _leave_one_out(model, np.asarray(lam))
+        defect = np.linalg.norm(t_mat @ v - t_vals * v, axis=0)
+        worst = float(np.max(
+            defect / (np.linalg.norm(t_mat) * np.linalg.norm(v, axis=0))
+        ))
         if worst > 1e-8:
             raise DegenerateSpectrum(
                 f"eigenvector check failed away from the sample point "
@@ -168,9 +191,9 @@ def eigen_residual(
 
 
 def _rung_data(model: ChainModel, eigfun, site: int):
-    """t, a and d on every rung of one site, one call each."""
-    rungs = site_rungs(model, site)
-    return eigfun(rungs), a_of(model, rungs), d_of(model, rungs)
+    """t, a and d on every rung of one site, read from the cached tables."""
+    rung = model.rung_table[site - 1]
+    return eigfun.rung_values[site - 1], rung.a, rung.d
 
 
 def ladder_matrix(model: ChainModel, eigfun, site: int) -> np.ndarray:
@@ -200,8 +223,10 @@ def ladder_nullspace(model: ChainModel, eigfun):
     Returns (q_vectors, p_vectors, consistency): for each site the recursion
     solution with q_0 = 1, the rescaled companion p used for right states,
     and the worst relative defect of the final (unused) row, which vanishes
-    exactly on the spectrum.  t, a and d are evaluated once per site, on
-    that site's rung array; the recursion itself is sequential.
+    exactly on the spectrum.  t, a and d on the rungs are read from the
+    eigenvalue's and the model's cached tables; the recursion itself is
+    sequential.  Pipelines read the result through ``eigfun.ladder``, which
+    calls this once per eigenvalue.
     """
     qs = []
     consistency = 0.0
@@ -230,15 +255,12 @@ def companion_rescale(model: ChainModel, vectors):
     """Regauge per-site rung vectors from left-state to right-state form.
 
     Component h picks up (-1)^h times the running ratio of the expected
-    diagonal products along the ladder.
+    diagonal products along the ladder (``SiteRungs.companion``).
     """
-    out = []
-    for site, arr in enumerate(vectors, start=1):
-        rungs = site_rungs(model, site)
-        ratio = np.cumprod(a_of(model, rungs[:-1]) / d_of(model, rungs[1:]))
-        signs = (-1.0) ** np.arange(1, len(arr))
-        out.append(np.concatenate([arr[:1], signs * ratio * arr[1:]]))
-    return out
+    return [
+        np.concatenate([arr[:1], rung.companion * arr[1:]])
+        for rung, arr in zip(model.rung_table, vectors)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +287,7 @@ def _assemble(model, states, norms, weights, vectors, sign):
     The coefficient of tuple h is prod_n kappa^{sign h_n} vectors[n][h_n];
     over all_h_tuples (last site fastest) that is a Kronecker product.
     """
-    coeffs = reduce(np.kron, [
+    coeffs = reduce(_kron, [
         model.kappa ** (sign * np.arange(len(v))) * v for v in vectors
     ]) * weights
     total = coeffs @ states
@@ -277,7 +299,7 @@ def _assemble(model, states, norms, weights, vectors, sign):
 
 def build_eigenstates(model: ChainModel, eigfun, basis: SOVBasis):
     """Left covector and right vector for one eigenvalue function."""
-    qs, ps, _ = ladder_nullspace(model, eigfun)
+    qs, ps, _ = eigfun.ladder
     return left_eigenstate(model, basis, qs), right_eigenstate(model, basis, ps)
 
 

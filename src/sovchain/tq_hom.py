@@ -22,15 +22,16 @@ quotient whose regularity at the inner rungs certifies membership in the
 spectrum.
 
 As in the corrected-equation solver, the layer is evaluated on arrays: the
-closure rows come from the shared builder with half-angle cardinals and
-ladder null vectors computed once per solve, and every certificate
-evaluates Q on a whole point set (the grid, the roots, the inner rungs,
-the base points, a site's rungs) in one call.
+closure rows come from the shared builder with half-angle cardinals and the
+ladder null vectors the eigenvalue function owns (``eigfun.ladder``), and
+every certificate evaluates Q on a whole point set (the grid, the roots,
+the inner rungs, the base points, a site's rungs) in one call.  The solve
+keeps its Wronskian fit on the solution, so nothing refits it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,11 +50,10 @@ from .sovbasis import SOVBasis
 from .spectrum import (
     EigenvalueFunction,
     companion_rescale,
-    ladder_nullspace,
     left_eigenstate,
     right_eigenstate,
 )
-from .tq_inhom import GRID_POINTS, _closure
+from .tq_inhom import GRID_POINTS, _closure, _draw_node
 from .trigpoly import TrigPoly, cardinals
 
 __all__ = [
@@ -82,6 +82,8 @@ class QFunctionHom:
     Im root in [0, 2*pi).  epsilon is the sign carried by the Wronskian
     image and the root sum; winding is the integer part of the root sum
     on the half-period lattice.  poly stores the monic interpolated form.
+    wronskian_residual is the defect of the Wronskian fit that
+    ``solve_q_hom`` checked epsilon against (None for a Q built by hand).
     """
 
     model: ChainModel
@@ -89,6 +91,7 @@ class QFunctionHom:
     epsilon: int
     winding: int
     poly: TrigPoly
+    wronskian_residual: float | None = None
 
     def value(self, lam):
         """Evaluate the half-angle product over the roots; any shape."""
@@ -101,22 +104,9 @@ class QFunctionHom:
 # ----------------------------------------------------------------------
 # node placement and the closure system
 
-def _distance_mod_2ipi(z: complex) -> float:
-    period = 2.0 * np.pi
-    k = round(z.imag / period)
-    return abs(complex(z.real, z.imag - period * k))
-
-
 def draw_zeta0_hom(model: ChainModel, rng) -> complex:
     """Random auxiliary node kept away from every rung modulo 2*i*pi."""
-    rungs = np.concatenate(
-        [site_rungs(model, n) for n in range(1, model.n_sites + 1)]
-    )
-    for _ in range(1000):
-        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        if all(_distance_mod_2ipi(z - r) > 1e-2 for r in rungs):
-            return z
-    raise SovChainError("could not place the auxiliary half-angle node")
+    return _draw_node(model, rng, 2.0 * np.pi, SovChainError)
 
 
 def half_system_matrix(model: ChainModel, eigfun, zeta0: complex):
@@ -129,8 +119,7 @@ def half_system_matrix(model: ChainModel, eigfun, zeta0: complex):
     n_sites x (n_sites + 1), so a trustworthy solution shows up as a
     one-dimensional nullspace.
     """
-    qs, _, _ = ladder_nullspace(model, eigfun)
-    return _closure(model, qs, zeta0, angle_scale=0.5)[0]
+    return _closure(model, eigfun.ladder[0], zeta0, angle_scale=0.5)[0]
 
 
 def solve_q_hom(
@@ -145,20 +134,20 @@ def solve_q_hom(
     top rungs; the ladder null vectors extend this to every upper rung,
     and half-angle interpolation through all of them produces the product
     form.  The root sum then determines the sign epsilon and the winding
-    integer, and a Wronskian fit over a random grid must reproduce the
-    same sign.
+    integer, and a Wronskian fit over the verification grid must
+    reproduce the same sign; its residual is kept on the solution.
     """
     if zeta0 is None:
         zeta0 = draw_zeta0_hom(model, np.random.default_rng(seed))
-    qs, _, _ = ladder_nullspace(model, eigfun)
-    mat, nodes, spread = _closure(model, qs, zeta0, angle_scale=0.5)
-    sing = np.linalg.svd(mat, compute_uv=False)
+    mat, nodes, spread = _closure(
+        model, eigfun.ladder[0], zeta0, angle_scale=0.5
+    )
+    _, sing, vh = np.linalg.svd(mat)
     if sing[-1] <= 1e-8 * sing[0]:
         raise RankDeficient(
             "closure system nullspace is not one-dimensional: "
             f"singular value ratio {sing[-1] / sing[0]:.3e}"
         )
-    _, _, vh = np.linalg.svd(mat)
     null = vh[-1].conj()
 
     values = spread @ null
@@ -184,13 +173,13 @@ def solve_q_hom(
             f"root sum misses the half-period lattice by {residual:.3e}"
         )
     sol = QFunctionHom(model, tuple(roots), epsilon, winding, poly)
-    eps_w, _ = verify_wronskian_identity(model, sol)
+    eps_w, wron = verify_wronskian_identity(model, sol)
     if eps_w != epsilon:
         raise NoEpsilonFits(
             "root-sum sign and Wronskian sign disagree: "
             f"{epsilon} vs {eps_w}"
         )
-    return sol
+    return replace(sol, wronskian_residual=wron)
 
 
 def _require_admissible(top, shifted, scale) -> None:

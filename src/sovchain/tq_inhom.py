@@ -18,11 +18,13 @@ every rung up to one unknown per site, interpolation closure at the bottom
 rungs gives a square linear system, and the solved values interpolate to the
 product function after a monic rescale.
 
-The layer is evaluated on arrays.  Each solve computes the ladder null
-vectors once and builds its closure rows from one cardinal kernel
-(``trigpoly.cardinals``), shared with the half-period solver; each check
-evaluates Q, a, d, t and the correction term in one call per point set
-(the verification grid, the roots, the base points, a site's rungs).
+The layer is evaluated on arrays.  Each solve reads the ladder null vectors
+the eigenvalue function owns (``eigfun.ladder``, computed once per
+eigenvalue and shared with the other pipelines) and builds its closure rows
+from one cardinal kernel (``trigpoly.cardinals``), shared with the
+half-period solver; each check evaluates Q, a, d, t and the correction term
+in one call per point set (the verification grid, the roots, the base
+points, a site's rungs).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .sovbasis import SOVBasis
 from .spectrum import (
     EigenvalueFunction,
     companion_rescale,
-    ladder_nullspace,
     left_eigenstate,
     right_eigenstate,
 )
@@ -141,7 +142,7 @@ def f_inhom_poly(model: ChainModel, x: complex) -> TrigPoly:
 
 def _dressed_null_vectors(model: ChainModel, eigfun):
     """Ladder null vectors divided by the running exponential prefactors."""
-    qs, _, _ = ladder_nullspace(model, eigfun)
+    qs, _, _ = eigfun.ladder
     xs = []
     for n, q in enumerate(qs, start=1):
         running = np.cumprod(np.exp(site_rungs(model, n)[:-1]))
@@ -182,16 +183,22 @@ def _closure(model: ChainModel, vectors, zeta0: complex, beta: complex = 1.0,
     return rows, nodes, spread
 
 
-def draw_zeta0(model: ChainModel, rng) -> complex:
-    """Random auxiliary node kept away from every rung modulo the period."""
-    rungs = np.concatenate(
-        [site_rungs(model, n) for n in range(1, model.n_sites + 1)]
-    )
+def _draw_node(model: ChainModel, rng, period: float, error) -> complex:
+    """Random auxiliary node kept away from every rung modulo i*period;
+    raises ``error`` after 1000 draws."""
+    rungs = np.concatenate([s.rungs for s in model.rung_table])
     for _ in range(1000):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        if all(distance_to_ipi_lattice(z - r) > 1e-2 for r in rungs):
+        gap = z - rungs
+        gap = gap - 1j * period * np.round(gap.imag / period)
+        if np.all(np.abs(gap) > 1e-2):
             return z
-    raise ExceptionalAlpha("could not place the auxiliary node")
+    raise error(f"could not place the auxiliary node modulo {period:.4g}i")
+
+
+def draw_zeta0(model: ChainModel, rng) -> complex:
+    """Random auxiliary node kept away from every rung modulo i*pi."""
+    return _draw_node(model, rng, np.pi, ExceptionalAlpha)
 
 
 def system_matrix(model: ChainModel, eigfun, beta: complex, zeta0: complex):
