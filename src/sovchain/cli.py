@@ -331,7 +331,6 @@ def run_pipelines(config: RunConfig) -> dict:
         sol = thm.solve_q_hom(model, f, zeta0=zeta0_hom)
         grid = thm.hom_grid_residual(model, f, sol)
         wron = sol.wronskian_residual
-        _, _, sum_res = thm.sum_rule_check(model, sol.roots)
         bethe = thm.bethe_residuals_hom(model, sol)
         angles, _ = thm.q_vector_proportionality(model, sol)
         rebuilt, _ = thm.t_from_q_pair(model, sol)
@@ -342,14 +341,14 @@ def run_pipelines(config: RunConfig) -> dict:
             "winding": sol.winding,
             "grid_residual": float(grid),
             "wronskian_residual": float(wron),
-            "sum_rule_residual": float(sum_res),
+            "sum_rule_residual": float(sol.sum_rule_residual),
             "bethe_max": float(np.max(bethe)),
             "proportionality_max": float(np.max(angles)),
             "round_trip": round_trip,
         }}, [
             ("hom_grid_residual", grid, tol["grid"]),
             ("hom_wronskian", wron, tol["grid"]),
-            ("hom_sum_rule", sum_res, tol["bethe"]),
+            ("hom_sum_rule", sol.sum_rule_residual, tol["bethe"]),
             ("hom_bethe", float(np.max(bethe)), tol["bethe"]),
             ("hom_proportionality", float(np.max(angles)), tol["bethe"]),
             ("hom_round_trip", round_trip, tol["matching"]),

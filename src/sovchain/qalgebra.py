@@ -8,7 +8,8 @@ tensor factor n), so each site step costs O(dim^2); callers still build
 each operator once per (model, lam) and reuse it.  Everything on the rungs
 that does not depend on an eigenvalue (the rungs, a and d there, and the
 signed companion factors) is built once per model, on first use, in the
-read-only ``ChainModel.rung_table``.
+read-only ``ChainModel.rung_table``, the one place the rung formula is
+evaluated.  ``distance_to_ipi_lattice`` works on arrays of any shape.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -52,10 +53,16 @@ __all__ = [
 _ETA_DEGENERACY_TOL = 1e-8
 
 
-def distance_to_ipi_lattice(z: complex) -> float:
-    """Distance from z to the nearest integer multiple of i*pi."""
-    k = round(z.imag / np.pi)
-    return abs(z - 1j * np.pi * k)
+def distance_to_ipi_lattice(z, period: float = np.pi):
+    """Distance from z to the nearest integer multiple of i*period.
+
+    Any shape; a scalar gives a float.  ``np.hypot`` matches Python's
+    complex ``abs`` bit for bit, ``np.abs`` on arrays does not.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = z - 1j * period * np.round(z.imag / period)
+    out = np.hypot(w.real, w.imag)
+    return out if z.shape else float(out)
 
 
 @dataclass(frozen=True)
@@ -110,25 +117,28 @@ class ChainModel:
                     f"eta={self.eta} is too close to the i*pi-commensurate "
                     f"set: |sinh({k}*eta)| <= {_ETA_DEGENERACY_TOL}"
                 )
-        self._validate_genericity()
+        for i, j, d, gap in self._ladder_gaps():
+            if gap < self.delta_min:
+                raise ConfigError(
+                    f"inhomogeneity ladders of sites {i + 1} and {j + 1} "
+                    f"collide: |xi_{i + 1} - xi_{j + 1} + ({d})*eta| = "
+                    f"{gap:.3e} < delta_min={self.delta_min}"
+                )
 
-    def _validate_genericity(self) -> None:
-        n = self.n_sites
-        for i in range(n):
-            for j in range(i + 1, n):
-                span = self.two_s[i] + self.two_s[j]
-                for t in range(span + 1):
-                    d = t - span / 2.0
-                    gap = distance_to_ipi_lattice(
-                        self.xi[i] - self.xi[j] + d * self.eta
-                    )
-                    if gap < self.delta_min:
-                        raise ConfigError(
-                            f"inhomogeneity ladders of sites {i + 1} and "
-                            f"{j + 1} collide: |xi_{i + 1} - xi_{j + 1} + "
-                            f"({d})*eta| = {gap:.3e} < delta_min="
-                            f"{self.delta_min}"
-                        )
+    def _ladder_gaps(self):
+        """(i, j, d, gap) for every site pair i < j (0-based) and relative
+        ladder shift d: gap is |xi_i - xi_j + d*eta| modulo i*pi, with all
+        gaps from one array call."""
+        shifts = [
+            (i, j, t - (self.two_s[i] + self.two_s[j]) / 2.0)
+            for i in range(self.n_sites) for j in range(i + 1, self.n_sites)
+            for t in range(self.two_s[i] + self.two_s[j] + 1)
+        ]
+        gaps = distance_to_ipi_lattice(np.array(
+            [self.xi[i] - self.xi[j] + d * self.eta for i, j, d in shifts],
+            dtype=complex,
+        ))
+        return [(*shift, float(gap)) for shift, gap in zip(shifts, gaps)]
 
     @property
     def n_sites(self) -> int:
@@ -148,19 +158,8 @@ class ChainModel:
 
     def genericity_margin(self) -> float:
         """Smallest shifted-ladder separation modulo i*pi over site pairs."""
-        best = np.inf
-        for i in range(self.n_sites):
-            for j in range(i + 1, self.n_sites):
-                span = self.two_s[i] + self.two_s[j]
-                for t in range(span + 1):
-                    d = t - span / 2.0
-                    best = min(
-                        best,
-                        distance_to_ipi_lattice(
-                            self.xi[i] - self.xi[j] + d * self.eta
-                        ),
-                    )
-        return float(best)
+        return float(min((gap for *_, gap in self._ladder_gaps()),
+                         default=np.inf))
 
     @cached_property
     def rung_table(self) -> tuple:
@@ -187,6 +186,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _site_table(model: ChainModel, site: int) -> SiteRungs:
+    """The one evaluation of the rung formula xi + (s - k)*eta."""
     two_s = model.two_s[site - 1]
     xi = model.xi[site - 1]
     rungs = np.array(
@@ -199,20 +199,23 @@ def _site_table(model: ChainModel, site: int) -> SiteRungs:
 
 
 def xi_shifted(model: ChainModel, site: int, k: int) -> complex:
-    """The k-th rung xi_site + (s_site - k)*eta; site is 1-based, k in 0..2s."""
+    """The k-th rung xi_site + (s_site - k)*eta; site is 1-based, k in 0..2s.
+
+    Read from the model's ``rung_table``.
+    """
     if not 1 <= site <= model.n_sites:
         raise IndexOutOfRange(f"site {site} outside 1..{model.n_sites}")
     two_s = model.two_s[site - 1]
     if not 0 <= k <= two_s:
         raise IndexOutOfRange(f"shift index {k} outside 0..{two_s}")
-    return model.xi[site - 1] + (two_s - 2 * k) / 2.0 * model.eta
+    return complex(model.rung_table[site - 1].rungs[k])
 
 
 def site_rungs(model: ChainModel, site: int) -> np.ndarray:
     """Every rung of one site's ladder as an array, top (k = 0) first.
 
-    Entry k equals xi_shifted(model, site, k) bit for bit.  The array is
-    the model's read-only ``rung_table`` entry.
+    The array is the model's read-only ``rung_table`` entry, so entry k
+    is xi_shifted(model, site, k).
     """
     if not 1 <= site <= model.n_sites:
         raise IndexOutOfRange(f"site {site} outside 1..{model.n_sites}")

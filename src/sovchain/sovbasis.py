@@ -9,7 +9,8 @@ bilinearly (no complex conjugation anywhere).
 The reference normalization constant uses the top rungs xi_n^{(0)}: the
 pairing of the two reference states must equal the h = 0 case of the general
 overlap formula, which fixes it to prod_{i<j} sinh(xi_j^{(0)} - xi_i^{(0)})
-up to the (immaterial) branch of the square root.
+up to the (immaterial) branch of the square root.  Rungs, and a and d on
+them, are read from the model's rung table.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningFailure
-from .qalgebra import ChainModel, a_of, d_of, monodromy, xi_shifted
+from .qalgebra import ChainModel, a_of, d_of, monodromy
+from .trigpoly import cardinals, sinh_product
 
 __all__ = [
     "SOVBasis",
@@ -47,7 +49,7 @@ def all_h_tuples(model: ChainModel):
 
 def _normalization(model: ChainModel) -> complex:
     acc = 1.0 + 0.0j
-    tops = [xi_shifted(model, n, 0) for n in range(1, model.n_sites + 1)]
+    tops = _rung_points(model, (0,) * model.n_sites)
     for i in range(model.n_sites):
         for j in range(i + 1, model.n_sites):
             acc *= np.sqrt(np.sinh(tops[j] - tops[i]) + 0.0j)
@@ -78,12 +80,17 @@ def _row(model: ChainModel, h) -> int:
     return int(np.ravel_multi_index(tuple(h), [v + 1 for v in model.two_s]))
 
 
+def _rung_points(model: ChainModel, h) -> list:
+    """The rung xi_n^{(h_n)} of every site, read from the rung table."""
+    return [rung.rungs[k] for rung, k in zip(model.rung_table, h)]
+
+
 def _rung_blocks(model: ChainModel) -> dict:
     """(B, C) at every rung xi_n^{(k)}, k < 2s_n, keyed by (n, k)."""
     blocks = {}
-    for site in range(1, model.n_sites + 1):
-        for k in range(model.two_s[site - 1]):
-            _, b, c, _ = monodromy(model, xi_shifted(model, site, k))
+    for site, rung in enumerate(model.rung_table, start=1):
+        for k, lam in enumerate(rung.rungs[:-1]):
+            _, b, c, _ = monodromy(model, lam)
             blocks[(site, k)] = b, c
     return blocks
 
@@ -121,13 +128,13 @@ def build_basis(model: ChainModel) -> SOVBasis:
     d(xi_n^{(h_n)}) on the right of the predecessor covector.
     """
     blocks = _rung_blocks(model)
+    table = model.rung_table
     norm_const = _normalization(model)
     vectors, right_norms = _generate(model, norm_const, {
-        (n, k): (b, -a_of(model, xi_shifted(model, n, k)))
-        for (n, k), (b, _) in blocks.items()
+        (n, k): (b, -table[n - 1].a[k]) for (n, k), (b, _) in blocks.items()
     })
     covectors, left_norms = _generate(model, norm_const, {
-        (n, k): (c.T, d_of(model, xi_shifted(model, n, k + 1)))
+        (n, k): (c.T, table[n - 1].d[k + 1])
         for (n, k), (_, c) in blocks.items()
     })
     weights = np.array([weight(model, h) for h in all_h_tuples(model)])
@@ -153,7 +160,7 @@ def _check_norms(states: dict) -> np.ndarray:
 
 def weight(model: ChainModel, h) -> complex:
     """The completeness weight prod_{i<j} sinh(xi_j^{(h_j)} - xi_i^{(h_i)})."""
-    pts = [xi_shifted(model, n, h[n - 1]) for n in range(1, model.n_sites + 1)]
+    pts = _rung_points(model, h)
     acc = 1.0 + 0.0j
     for i in range(model.n_sites):
         for j in range(i + 1, model.n_sites):
@@ -193,23 +200,8 @@ def identity_resolution(basis: SOVBasis) -> float:
 
 
 def d_eigenvalue(model: ChainModel, h, lam) -> complex:
-    """prod_n sinh(lam - xi_n^{(h_n)})."""
-    lam = np.asarray(lam, dtype=complex)
-    out = np.ones(lam.shape, dtype=complex)
-    for n in range(1, model.n_sites + 1):
-        out = out * np.sinh(lam - xi_shifted(model, n, h[n - 1]))
-    return out if lam.shape else complex(out)
-
-
-def _interp_coeff(model: ChainModel, h, a: int, lam: complex) -> complex:
-    acc = 1.0 + 0.0j
-    pivot = xi_shifted(model, a, h[a - 1])
-    for b in range(1, model.n_sites + 1):
-        if b == a:
-            continue
-        other = xi_shifted(model, b, h[b - 1])
-        acc *= np.sinh(lam - other) / np.sinh(pivot - other)
-    return acc
+    """prod_n sinh(lam - xi_n^{(h_n)}); accepts arrays."""
+    return sinh_product(lam, _rung_points(model, h))
 
 
 def _relative(defect: np.ndarray, op: np.ndarray, state: np.ndarray) -> float:
@@ -229,76 +221,43 @@ def d_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> 
     return _relative(w @ d - val * w, d, w)
 
 
-def c_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> float:
-    """Defect of the interpolation-sum action of C on one basis state."""
+def _neighbour_residual(basis: SOVBasis, h, lam: complex, op, side: str,
+                        step: int, edge) -> float:
+    """Defect of op on state h against a sum over h's ladder neighbours:
+    site a contributes the state with h_a moved to k = h_a + step (right
+    vectors; h_a - step on left covectors), if that rung exists, weighted
+    by edge(site a's SiteRungs, h_a, k) times h's cardinal at site a."""
     model = basis.model
     h = tuple(h)
-    _, _, c, _ = monodromy(model, lam)
-    if side == "right":
-        v = basis.right_vectors[_row(model, h)]
-        total = np.zeros_like(v)
-        for a in range(1, model.n_sites + 1):
-            if h[a - 1] == 0:
-                continue  # the ladder cannot go below its bottom rung
-            lowered = tuple(
-                v2 - 1 if n == a else v2 for n, v2 in enumerate(h, start=1)
-            )
-            total += (
-                _interp_coeff(model, h, a, lam)
-                * d_of(model, xi_shifted(model, a, h[a - 1]))
-                * basis.right_vectors[_row(model, lowered)]
-            )
-        return _relative(c @ v - total, c, v)
-    w = basis.left_covectors[_row(model, h)]
-    total = np.zeros_like(w)
-    for a in range(1, model.n_sites + 1):
-        if h[a - 1] == model.two_s[a - 1]:
-            continue
-        raised = tuple(
-            v2 + 1 if n == a else v2 for n, v2 in enumerate(h, start=1)
-        )
-        total += (
-            _interp_coeff(model, h, a, lam)
-            * d_of(model, xi_shifted(model, a, h[a - 1] + 1))
-            * basis.left_covectors[_row(model, raised)]
-        )
-    return _relative(w @ c - total, c, w)
+    states = basis.right_vectors if side == "right" else basis.left_covectors
+    state = states[_row(model, h)]
+    step = step if side == "right" else -step
+    interp = cardinals(_rung_points(model, h), lam)
+    total = np.zeros_like(state)
+    for a, rung in enumerate(model.rung_table):
+        k = h[a] + step
+        if 0 <= k < rung.rungs.size:
+            moved = h[:a] + (k,) + h[a + 1 :]
+            total += (interp[a] * edge(rung, h[a], k)
+                      * states[_row(model, moved)])
+    image = op @ state if side == "right" else state @ op
+    return _relative(image - total, op, state)
+
+
+def c_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> float:
+    """Defect of the interpolation-sum action of C on one basis state."""
+    _, _, c, _ = monodromy(basis.model, lam)
+    return _neighbour_residual(
+        basis, h, lam, c, side, -1, lambda rung, i, k: rung.d[max(i, k)]
+    )
 
 
 def b_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> float:
     """Defect of the interpolation-sum action of B on one basis state."""
-    model = basis.model
-    h = tuple(h)
-    _, b, _, _ = monodromy(model, lam)
-    if side == "right":
-        v = basis.right_vectors[_row(model, h)]
-        total = np.zeros_like(v)
-        for a in range(1, model.n_sites + 1):
-            if h[a - 1] == model.two_s[a - 1]:
-                continue  # the a-coefficient vanishes at the top rung
-            raised = tuple(
-                v2 + 1 if n == a else v2 for n, v2 in enumerate(h, start=1)
-            )
-            total -= (
-                _interp_coeff(model, h, a, lam)
-                * a_of(model, xi_shifted(model, a, h[a - 1]))
-                * basis.right_vectors[_row(model, raised)]
-            )
-        return _relative(b @ v - total, b, v)
-    w = basis.left_covectors[_row(model, h)]
-    total = np.zeros_like(w)
-    for a in range(1, model.n_sites + 1):
-        if h[a - 1] == 0:
-            continue
-        lowered = tuple(
-            v2 - 1 if n == a else v2 for n, v2 in enumerate(h, start=1)
-        )
-        total -= (
-            _interp_coeff(model, h, a, lam)
-            * a_of(model, xi_shifted(model, a, h[a - 1] - 1))
-            * basis.left_covectors[_row(model, lowered)]
-        )
-    return _relative(w @ b - total, b, w)
+    _, b, _, _ = monodromy(basis.model, lam)
+    return _neighbour_residual(
+        basis, h, lam, b, side, 1, lambda rung, i, k: -rung.a[min(i, k)]
+    )
 
 
 def a_action_residual(basis: SOVBasis, h, lam: complex) -> float:

@@ -25,8 +25,10 @@ As in the corrected-equation solver, the layer is evaluated on arrays: the
 closure rows come from the shared builder with half-angle cardinals and the
 ladder null vectors the eigenvalue function owns (``eigfun.ladder``), and
 every certificate evaluates Q on a whole point set (the grid, the roots,
-the inner rungs, the base points, a site's rungs) in one call.  The solve
-keeps its Wronskian fit on the solution, so nothing refits it.
+the inner rungs, the base points, a site's rungs) in one call, through the
+shared sinh-product kernel at angle scale 1/2.  The solve keeps its
+Wronskian fit and its sum-rule residual on the solution, so nothing
+recomputes them.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
     SovChainError,
     ZeroState,
 )
-from .qalgebra import ChainModel, a_of, d_of, site_rungs
+from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice
 from .sovbasis import SOVBasis
 from .spectrum import (
     EigenvalueFunction,
@@ -54,7 +56,7 @@ from .spectrum import (
     right_eigenstate,
 )
 from .tq_inhom import GRID_POINTS, _closure, _draw_node
-from .trigpoly import TrigPoly, cardinals
+from .trigpoly import TrigPoly, cardinals, sinh_product
 
 __all__ = [
     "QFunctionHom",
@@ -83,7 +85,9 @@ class QFunctionHom:
     image and the root sum; winding is the integer part of the root sum
     on the half-period lattice.  poly stores the monic interpolated form.
     wronskian_residual is the defect of the Wronskian fit that
-    ``solve_q_hom`` checked epsilon against (None for a Q built by hand).
+    ``solve_q_hom`` checked epsilon against, and sum_rule_residual the
+    distance of the root sum to the half-period lattice it found (both None
+    for a Q built by hand).
     """
 
     model: ChainModel
@@ -92,13 +96,11 @@ class QFunctionHom:
     winding: int
     poly: TrigPoly
     wronskian_residual: float | None = None
+    sum_rule_residual: float | None = None
 
     def value(self, lam):
         """Evaluate the half-angle product over the roots; any shape."""
-        lam = np.asarray(lam, dtype=complex)
-        roots = np.asarray(self.roots, dtype=complex)
-        out = np.sinh(0.5 * (lam[..., None] - roots)).prod(axis=-1)
-        return out if lam.shape else complex(out)
+        return sinh_product(lam, self.roots, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -156,9 +158,7 @@ def solve_q_hom(
     poly = raw * (1.0 / c_p)
 
     top = null[1:] / c_p
-    tops = np.array(
-        [site_rungs(model, j)[0] for j in range(1, model.n_sites + 1)]
-    )
+    tops = np.array([rung.rungs[0] for rung in model.rung_table])
     shifted = poly.eval(tops + 1j * np.pi)
     scale = max(
         float(np.max(np.abs(top))),
@@ -172,7 +172,8 @@ def solve_q_hom(
         raise NoEpsilonFits(
             f"root sum misses the half-period lattice by {residual:.3e}"
         )
-    sol = QFunctionHom(model, tuple(roots), epsilon, winding, poly)
+    sol = QFunctionHom(model, tuple(roots), epsilon, winding, poly,
+                       sum_rule_residual=residual)
     eps_w, wron = verify_wronskian_identity(model, sol)
     if eps_w != epsilon:
         raise NoEpsilonFits(
@@ -205,9 +206,7 @@ def sum_rule_check(model: ChainModel, roots):
     i*pi*(winding doubled, plus one when epsilon is -1); residual is the
     distance to the nearest lattice point.
     """
-    upper = sum(np.concatenate(
-        [site_rungs(model, n)[:-1] for n in range(1, model.n_sites + 1)]
-    ))
+    upper = sum(np.concatenate([rung.rungs[:-1] for rung in model.rung_table]))
     s_val = complex(np.sum(np.asarray(roots, dtype=complex)))
     s_val = s_val - upper + 0.5 * model.n_s * model.eta
     r = int(round(s_val.imag / np.pi))
@@ -243,9 +242,7 @@ def wronskian_closed_form(model: ChainModel, q: QFunctionHom, lam):
 
 
 def _inner_rungs(model: ChainModel) -> np.ndarray:
-    return np.concatenate(
-        [site_rungs(model, n)[1:-1] for n in range(1, model.n_sites + 1)]
-    )
+    return np.concatenate([rung.rungs[1:-1] for rung in model.rung_table])
 
 
 def w_eps(model: ChainModel, epsilon: int, lam):
@@ -253,11 +250,9 @@ def w_eps(model: ChainModel, epsilon: int, lam):
 
     Accepts any shape.
     """
-    lam = np.asarray(lam, dtype=complex)
-    out = 2.0 * epsilon * (0.5j) ** model.n_s * np.sinh(
-        lam[..., None] - _inner_rungs(model)
-    ).prod(axis=-1)
-    return out if lam.shape else complex(out)
+    return 2.0 * epsilon * (0.5j) ** model.n_s * sinh_product(
+        lam, _inner_rungs(model)
+    )
 
 
 def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
@@ -344,8 +339,7 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom, entire_tol: float = 1e-8):
 
     def clearance(pts):
         """Smallest distance modulo i*pi from pts to the inner rungs."""
-        gap = pts[:, None] - inner
-        gap = np.abs(gap - 1j * np.pi * np.round(gap.imag / np.pi))
+        gap = distance_to_ipi_lattice(pts[:, None] - inner)
         return float(np.min(gap, initial=np.inf))
 
     offset = 0.0
@@ -389,8 +383,8 @@ def _rung_values(model: ChainModel, q: QFunctionHom):
     """Per site: Q on the rungs, and the alternating-sign copy of Q shifted
     by half a period, from one value call."""
     out = []
-    for n in range(1, model.n_sites + 1):
-        rungs = site_rungs(model, n)
+    for rung in model.rung_table:
+        rungs = rung.rungs
         plain, shifted = q.value(np.array([rungs, rungs + 1j * np.pi]))
         out.append((plain, (-1.0) ** np.arange(rungs.size) * shifted))
     return out
@@ -439,10 +433,7 @@ def bethe_residuals_hom(
     CoincidentRoots since a double root breaks the simple-pole argument.
     """
     roots = np.asarray(q.roots, dtype=complex)
-    shifts = 2j * np.pi * np.arange(-1, 2)
-    gaps = np.min(np.abs(
-        roots[:, None, None] - roots[None, :, None] - shifts
-    ), axis=-1)
+    gaps = distance_to_ipi_lattice(roots[:, None] - roots, 2.0 * np.pi)
     close = np.argwhere(np.triu(gaps < coincidence_tol, k=1))
     if close.size:
         i, j = close[0]

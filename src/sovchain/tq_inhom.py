@@ -24,7 +24,8 @@ eigenvalue and shared with the other pipelines) and builds its closure rows
 from one cardinal kernel (``trigpoly.cardinals``), shared with the
 half-period solver; each check evaluates Q, a, d, t and the correction term
 in one call per point set (the verification grid, the roots, the base
-points, a site's rungs).
+points, a site's rungs) through ``trigpoly.sinh_product``; the pole check
+at the base points is one array comparison against every root.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceptionalAlpha, NonAdmissible, PoleAtXi
-from .qalgebra import (
-    ChainModel, a_of, d_of, distance_to_ipi_lattice, site_rungs,
-)
+from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice
 from .sovbasis import SOVBasis
 from .spectrum import (
     EigenvalueFunction,
@@ -44,7 +43,7 @@ from .spectrum import (
     left_eigenstate,
     right_eigenstate,
 )
-from .trigpoly import TrigPoly, cardinals
+from .trigpoly import TrigPoly, cardinals, sinh_product
 
 __all__ = [
     "QFunctionInhom",
@@ -53,7 +52,6 @@ __all__ = [
     "solve_q_inhom",
     "solve_q_inhom_with_retries",
     "draw_zeta0",
-    "system_matrix",
     "det_m_polynomial",
     "det_m_zero_closed_form",
     "leading_det_coefficient",
@@ -92,10 +90,7 @@ class QFunctionInhom:
 
     def value(self, lam):
         """Evaluate the product over the stored roots directly; any shape."""
-        lam = np.asarray(lam, dtype=complex)
-        roots = np.asarray(self.roots, dtype=complex)
-        out = np.sinh(lam[..., None] - roots).prod(axis=-1)
-        return out if lam.shape else complex(out)
+        return sinh_product(lam, self.roots)
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +99,7 @@ class QFunctionInhom:
 
 def _correction_roots(model: ChainModel, x: complex) -> np.ndarray:
     """The extra root pinned by x, followed by every rung, site-major."""
-    ladders = [site_rungs(model, n) for n in range(1, model.n_sites + 1)]
+    ladders = [rung.rungs for rung in model.rung_table]
     lower = sum(np.concatenate([r[1:] for r in ladders]))
     extra = x - lower - (model.n_s + 1) * model.eta / 2.0
     return np.concatenate([[extra]] + ladders)
@@ -121,12 +116,9 @@ def f_inhom(model: ChainModel, x: complex, lam):
     placed so that the extreme exponential coefficients of the functional
     equation cancel.  Accepts any shape.
     """
-    lam = np.asarray(lam, dtype=complex)
-    roots = _correction_roots(model, x)
-    out = _correction_scale(model) * np.sinh(lam[..., None] - roots).prod(
-        axis=-1
+    return _correction_scale(model) * sinh_product(
+        lam, _correction_roots(model, x)
     )
-    return out if lam.shape else complex(out)
 
 
 def f_inhom_poly(model: ChainModel, x: complex) -> TrigPoly:
@@ -144,8 +136,8 @@ def _dressed_null_vectors(model: ChainModel, eigfun):
     """Ladder null vectors divided by the running exponential prefactors."""
     qs, _, _ = eigfun.ladder
     xs = []
-    for n, q in enumerate(qs, start=1):
-        running = np.cumprod(np.exp(site_rungs(model, n)[:-1]))
+    for rung, q in zip(model.rung_table, qs):
+        running = np.cumprod(np.exp(rung.rungs[:-1]))
         xs.append(np.concatenate([q[:1], q[1:] / running]))
     return xs
 
@@ -153,7 +145,7 @@ def _dressed_null_vectors(model: ChainModel, eigfun):
 def _closure_nodes(model: ChainModel, zeta0: complex):
     """Interpolation nodes (zeta0, then the upper rungs of every site,
     site-major) and the bottom rung of each site."""
-    ladders = [site_rungs(model, n) for n in range(1, model.n_sites + 1)]
+    ladders = [rung.rungs for rung in model.rung_table]
     nodes = np.concatenate([[zeta0]] + [r[:-1] for r in ladders])
     return nodes, np.array([r[-1] for r in ladders])
 
@@ -189,9 +181,7 @@ def _draw_node(model: ChainModel, rng, period: float, error) -> complex:
     rungs = np.concatenate([s.rungs for s in model.rung_table])
     for _ in range(1000):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        gap = z - rungs
-        gap = gap - 1j * period * np.round(gap.imag / period)
-        if np.all(np.abs(gap) > 1e-2):
+        if np.all(distance_to_ipi_lattice(z - rungs, period) > 1e-2):
             return z
     raise error(f"could not place the auxiliary node modulo {period:.4g}i")
 
@@ -199,18 +189,6 @@ def _draw_node(model: ChainModel, rng, period: float, error) -> complex:
 def draw_zeta0(model: ChainModel, rng) -> complex:
     """Random auxiliary node kept away from every rung modulo i*pi."""
     return _draw_node(model, rng, np.pi, ExceptionalAlpha)
-
-
-def system_matrix(model: ChainModel, eigfun, beta: complex, zeta0: complex):
-    """Closure conditions at the bottom rungs as a square system.
-
-    Unknowns are the values of Q at the top rungs; the right-hand side
-    carries the normalization Q(zeta0) = 1.
-    """
-    rows, _, _ = _closure(
-        model, _dressed_null_vectors(model, eigfun), zeta0, beta
-    )
-    return rows[:, 1:], -rows[:, 0]
 
 
 def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
@@ -368,13 +346,15 @@ def t_from_q_inhom(model: ChainModel, sol: QFunctionInhom):
     value of Q there; also returns the per-root residuals that certify the
     reconstructed function is pole-free.
     """
-    for n, xi in enumerate(model.xi, start=1):
-        for r in sol.roots:
-            if distance_to_ipi_lattice(r - xi) < 1e-8:
-                raise PoleAtXi(
-                    f"root {r:.6g} sits on base point {n} modulo the period"
-                )
     xi = np.asarray(model.xi)
+    roots = np.asarray(sol.roots, dtype=complex)
+    hits = np.argwhere(distance_to_ipi_lattice(roots - xi[:, None]) < 1e-8)
+    if hits.size:
+        n, j = hits[0]
+        raise PoleAtXi(
+            f"root {sol.roots[j]:.6g} sits on base point {n + 1} modulo the "
+            "period"
+        )
     base = sum(_rhs_terms(model, sol, xi)) / sol.value(xi)
     return EigenvalueFunction(model, tuple(base)), bethe_residuals_inhom(
         model, sol
@@ -405,8 +385,8 @@ def q_coordinates_inhom(model: ChainModel, sol: QFunctionInhom):
     place inside the trigonometric-polynomial type.
     """
     coords = []
-    for n in range(1, model.n_sites + 1):
-        lam = site_rungs(model, n)
+    for rung in model.rung_table:
+        lam = rung.rungs
         gauss = np.exp(
             -lam * (lam + model.eta - 2.0 * sol.alpha) / (2.0 * model.eta)
         )
@@ -433,12 +413,9 @@ def z_combination(model: ChainModel, sol: QFunctionInhom) -> TrigPoly:
     """Right-hand side of the functional equation as one graded element."""
     eta = model.eta
     alpha = sol.alpha
-    a_poly = TrigPoly.from_roots(
-        [model.xi[n] - model.two_s[n] * eta / 2.0 for n in range(model.n_sites)]
-    )
-    d_poly = TrigPoly.from_roots(
-        [model.xi[n] + model.two_s[n] * eta / 2.0 for n in range(model.n_sites)]
-    )
+    # a and d vanish at the bottom and at the top rungs respectively.
+    a_poly = TrigPoly.from_roots([r.rungs[-1] for r in model.rung_table])
+    d_poly = TrigPoly.from_roots([r.rungs[0] for r in model.rung_table])
     term_a = (
         TrigPoly.exponential(1, coefficient=-np.exp(-alpha))
         * a_poly
@@ -501,12 +478,8 @@ def root_multiset_distance(first, second, period: complex = 1j * np.pi) -> float
         return np.inf
     worst = 0.0
     for r in first:
-        best_j = -1
-        best = np.inf
-        for j, s in enumerate(second):
-            d = min(abs(r - s - k * period) for k in (-1, 0, 1))
-            if d < best:
-                best, best_j = d, j
-        worst = max(worst, best)
-        second.pop(best_j)
+        gaps = distance_to_ipi_lattice(r - np.asarray(second), period.imag)
+        j = int(np.argmin(gaps))
+        worst = max(worst, float(gaps[j]))
+        second.pop(j)
     return worst

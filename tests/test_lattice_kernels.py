@@ -1,0 +1,186 @@
+"""The lattice-distance and sinh-product kernels pinned to scalar loops.
+
+Each reference below is the per-element loop a kernel replaced, kept here
+so the array form can be compared against it.
+"""
+
+import numpy as np
+import pytest
+
+from sovchain import spectrum as sp
+from sovchain import tq_hom as thm
+from sovchain import tq_inhom as ti
+from sovchain.cli import RunConfig
+from sovchain.errors import ConfigError, PoleAtXi
+from sovchain.qalgebra import ChainModel, distance_to_ipi_lattice
+from sovchain.trigpoly import sinh_product
+
+ETA = 0.31 + 0.07j
+
+
+def draw(rng, shape, spread=4.0):
+    return rng.uniform(-spread, spread, shape) + 1j * rng.uniform(
+        -3 * spread, 3 * spread, shape
+    )
+
+
+# ----------------------------------------------------------------------
+# lattice distance
+
+
+def distance_loop(z, period):
+    k = round(z.imag / period)
+    return abs(z - 1j * period * k)
+
+
+@pytest.mark.parametrize("period", [np.pi, 2.0 * np.pi])
+def test_distance_on_arrays_equals_scalar_abs_bit_for_bit(period):
+    z = draw(np.random.default_rng(3), (40, 50))
+    got = distance_to_ipi_lattice(z, period)
+    want = np.array([[distance_loop(complex(v), period) for v in row]
+                     for row in z])
+    assert got.shape == z.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("period", [np.pi, 2.0 * np.pi])
+def test_distance_of_a_scalar_is_a_float(period):
+    z = 0.3 + 7.1j
+    got = distance_to_ipi_lattice(z, period)
+    assert type(got) is float
+    assert got == distance_loop(z, period)
+
+
+def test_distance_default_period_is_pi():
+    assert distance_to_ipi_lattice(0.25 + 1j * np.pi) == 0.25
+    assert distance_to_ipi_lattice(0.25 + 2j * np.pi, 2 * np.pi) == 0.25
+
+
+# ----------------------------------------------------------------------
+# sinh product
+
+
+def sinh_loop(lam, roots, scale):
+    out = np.ones(np.shape(lam), dtype=complex)
+    for r in roots:
+        out = out * np.sinh(scale * (np.asarray(lam) - r))
+    return out
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("n_roots", [1, 4, 9])
+def test_sinh_product_equals_factor_loop(scale, n_roots):
+    rng = np.random.default_rng(n_roots)
+    roots = draw(rng, n_roots, 1.0)
+    lam = draw(rng, (3, 7), 1.0)
+    got = sinh_product(lam, roots, scale)
+    assert got.shape == lam.shape
+    # numpy's product reduction may reassociate, so the loop agrees to
+    # roundoff rather than bit for bit.
+    np.testing.assert_allclose(got, sinh_loop(lam, roots, scale),
+                               rtol=1e-14, atol=0)
+
+
+def test_sinh_product_scalar_returns_complex():
+    got = sinh_product(0.2 + 0.1j, [0.5, -0.3j], 0.5)
+    assert type(got) is complex
+    assert got == complex(sinh_loop(0.2 + 0.1j, [0.5, -0.3j], 0.5))
+
+
+def test_q_values_and_targets_use_the_kernel():
+    model = ChainModel(two_s=(1, 2), xi=(0.1, 0.9 + 0.1j), eta=ETA,
+                       kappa=1.0)
+    roots = (0.2 + 0.1j, -0.4 + 0.3j, 0.7 - 0.2j)
+    lam = np.array([0.3 - 0.2j, -0.1 + 0.5j])
+    q_hom = thm.QFunctionHom(model, roots, 1, 0, None)
+    assert np.array_equal(q_hom.value(lam), sinh_product(lam, roots, 0.5))
+    inner = [rung.rungs[1:-1] for rung in model.rung_table]
+    target = thm.w_eps(model, -1, lam)
+    np.testing.assert_allclose(
+        target, -2.0 * (0.5j) ** 3 * sinh_loop(lam, np.concatenate(inner),
+                                               1.0), rtol=1e-14)
+
+
+# ----------------------------------------------------------------------
+# the array PoleAtXi check on the two-spin-one chain
+
+
+def pole_message_loop(model, sol):
+    for n, xi in enumerate(model.xi, start=1):
+        for r in sol.roots:
+            if distance_loop(r - xi, np.pi) < 1e-8:
+                return f"root {r:.6g} sits on base point {n} modulo the period"
+    return None
+
+
+def test_pole_at_xi_names_the_same_base_point_and_root():
+    config = RunConfig.from_dict({"model": {
+        "two_s": [2, 2], "xi": "random", "seed": 11,
+        "kappa": [[1.0, 0.0]]}})
+    model = config.build_model(1.0)
+    zeta0 = ti.draw_zeta0(model, np.random.default_rng(42))
+    poles = 0
+    for f in sp.brute_force_spectrum(model).functions:
+        sol, _ = ti.solve_q_inhom_with_retries(model, f, zeta0=zeta0)
+        want = pole_message_loop(model, sol)
+        if want is None:
+            ti.t_from_q_inhom(model, sol)
+            continue
+        poles += 1
+        with pytest.raises(PoleAtXi) as err:
+            ti.t_from_q_inhom(model, sol)
+        assert str(err.value) == want
+    assert poles > 0
+
+
+# ----------------------------------------------------------------------
+# genericity scan
+
+
+def margin_loop(model):
+    best = np.inf
+    for i in range(model.n_sites):
+        for j in range(i + 1, model.n_sites):
+            span = model.two_s[i] + model.two_s[j]
+            for t in range(span + 1):
+                d = t - span / 2.0
+                best = min(best, distance_loop(
+                    model.xi[i] - model.xi[j] + d * model.eta, np.pi))
+    return float(best)
+
+
+@pytest.mark.parametrize("two_s", [(1, 2), (2, 1, 3), (1, 1, 1, 1)])
+def test_genericity_margin_equals_triple_loop(two_s):
+    xi = (0.1, 0.9 + 0.1j, 1.7 - 0.05j, 2.4 + 0.08j)[: len(two_s)]
+    model = ChainModel(two_s=two_s, xi=xi, eta=ETA, kappa=1.0)
+    assert model.genericity_margin() == margin_loop(model)
+
+
+def test_single_site_margin_is_infinite():
+    model = ChainModel(two_s=(2,), xi=(0.1,), eta=ETA, kappa=1.0)
+    assert model.genericity_margin() == np.inf
+
+
+def test_collision_message_text_is_unchanged():
+    xi = (0.1, 0.1 + ETA + 1j * np.pi + 1e-4)
+    with pytest.raises(ConfigError) as err:
+        ChainModel(two_s=(1, 1), xi=xi, eta=ETA, kappa=1.0, delta_min=1e-3)
+    gap = distance_loop(xi[0] - xi[1] + 1.0 * ETA, np.pi)
+    assert str(err.value) == (
+        "inhomogeneity ladders of sites 1 and 2 collide: |xi_1 - xi_2 + "
+        f"(1.0)*eta| = {gap:.3e} < delta_min=0.001"
+    )
+
+
+# ----------------------------------------------------------------------
+# the sum rule carried on the solution
+
+
+def test_solve_carries_the_sum_rule_residual():
+    model = RunConfig.from_dict({"model": {
+        "two_s": [1, 2], "xi": "random", "seed": 11,
+        "kappa": [[1.0, 0.0]]}}).build_model(1.0)
+    for f in sp.brute_force_spectrum(model).functions:
+        sol = thm.solve_q_hom(model, f)
+        _, _, residual = thm.sum_rule_check(model, sol.roots)
+        assert sol.sum_rule_residual == residual
