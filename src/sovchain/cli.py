@@ -130,8 +130,11 @@ class RunConfig:
         if not isinstance(retries, int) or retries < 0:
             raise ConfigError("model.max_alpha_retries must be >= 0")
 
+        tol_field = doc.get("tolerances", {})
+        if not isinstance(tol_field, dict):
+            raise ConfigError("'tolerances' must be an object")
         tolerances = dict(DEFAULT_TOLERANCES)
-        for key, value in doc.get("tolerances", {}).items():
+        for key, value in tol_field.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance '{key}'")
             if not isinstance(value, (int, float)) or value <= 0:
@@ -540,9 +543,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    level = os.environ.get("SOVCHAIN_LOG", "WARNING").upper()
+    # getLevelName maps a known name to its number, anything else to a str.
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"usage error: SOVCHAIN_LOG={level!r} is not a logging level",
+              file=sys.stderr)
+        return 2
     logging.basicConfig(
-        level=os.environ.get("SOVCHAIN_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
+        level=level, format="%(levelname)s %(name)s: %(message)s"
     )
     parser = _build_parser()
     args = parser.parse_args(argv)

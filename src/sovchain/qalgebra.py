@@ -9,7 +9,8 @@ each operator once per (model, lam) and reuse it.  Everything on the rungs
 that does not depend on an eigenvalue (the rungs, a and d there, and the
 signed companion factors) is built once per model, on first use, in the
 read-only ``ChainModel.rung_table``, the one place the rung formula is
-evaluated.  ``distance_to_ipi_lattice`` works on arrays of any shape.
+evaluated; ``on_rungs`` evaluates a function on every rung in one call.
+``distance_to_ipi_lattice`` works on arrays of any shape.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -41,7 +42,6 @@ __all__ = [
     "a_of",
     "d_of",
     "xi_shifted",
-    "site_rungs",
     "transfer_antiperiodic",
     "normality_check",
     "rll_residual",
@@ -211,15 +211,15 @@ def xi_shifted(model: ChainModel, site: int, k: int) -> complex:
     return complex(model.rung_table[site - 1].rungs[k])
 
 
-def site_rungs(model: ChainModel, site: int) -> np.ndarray:
-    """Every rung of one site's ladder as an array, top (k = 0) first.
-
-    The array is the model's read-only ``rung_table`` entry, so entry k
-    is xi_shifted(model, site, k).
-    """
-    if not 1 <= site <= model.n_sites:
-        raise IndexOutOfRange(f"site {site} outside 1..{model.n_sites}")
-    return model.rung_table[site - 1].rungs
+# Kept out of __all__ like ``trigpoly.sinh_product``: it runs on every
+# eigenvalue, so the bench tracer must not wrap it.
+def on_rungs(model: ChainModel, fn) -> tuple:
+    """fn evaluated once on every rung, site-major, split per site along
+    the last axis of its result."""
+    rungs = [rung.rungs for rung in model.rung_table]
+    values = fn(np.concatenate(rungs))
+    return tuple(np.split(values, np.cumsum([r.size for r in rungs[:-1]]),
+                          axis=-1))
 
 
 def q_integer(j: int, eta: complex) -> complex:

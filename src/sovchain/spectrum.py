@@ -11,6 +11,8 @@ separated basis.  The rung layer is evaluated on arrays and computed once:
 a, d and the companion factors come from the model's ``rung_table``, and
 each ``EigenvalueFunction`` owns its values on every rung and its ladder
 null vectors, both computed on first use and shared by every pipeline.
+``eigenstates`` is the one assembly of a left and right state from
+per-site rung vectors, for ladder and Q data alike.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState
-from .qalgebra import ChainModel, _kron, _read_only, transfer_antiperiodic
+from .qalgebra import (
+    ChainModel, _kron, _read_only, on_rungs, transfer_antiperiodic,
+)
 from .sovbasis import SOVBasis
 
 __all__ = [
@@ -32,11 +36,9 @@ __all__ = [
     "discrete_residual",
     "ladder_nullspace",
     "companion_rescale",
-    "left_eigenstate",
-    "right_eigenstate",
+    "eigenstates",
     "build_eigenstates",
     "eigen_residual",
-    "refine",
 ]
 
 
@@ -74,17 +76,14 @@ class EigenvalueFunction:
     @cached_property
     def rung_values(self) -> tuple:
         """t on each site's rungs, one array per site, from one call."""
-        rungs = [s.rungs for s in self.model.rung_table]
-        values = _read_only(self(np.concatenate(rungs)))
-        return tuple(np.split(values, np.cumsum([r.size for r in rungs[:-1]])))
+        return tuple(map(_read_only, on_rungs(self.model, self)))
 
     @cached_property
     def ladder(self) -> tuple:
-        """``ladder_nullspace(self.model, self)`` as tuples of read-only
-        arrays: (q_vectors, p_vectors, consistency)."""
-        qs, ps, consistency = ladder_nullspace(self.model, self)
-        return (tuple(map(_read_only, qs)), tuple(map(_read_only, ps)),
-                consistency)
+        """``ladder_nullspace(self.model, self)`` with read-only arrays:
+        (q_vectors, consistency)."""
+        qs, consistency = ladder_nullspace(self.model, self)
+        return tuple(map(_read_only, qs)), consistency
 
 
 def _leave_one_out(model: ChainModel, lam: np.ndarray) -> np.ndarray:
@@ -220,12 +219,11 @@ def discrete_residual(model: ChainModel, eigfun) -> float:
 def ladder_nullspace(model: ChainModel, eigfun):
     """Null vectors of every rung matrix by downward recursion.
 
-    Returns (q_vectors, p_vectors, consistency): for each site the recursion
-    solution with q_0 = 1, the rescaled companion p used for right states,
-    and the worst relative defect of the final (unused) row, which vanishes
-    exactly on the spectrum.  t, a and d on the rungs are read from the
-    eigenvalue's and the model's cached tables; the recursion itself is
-    sequential.  Pipelines read the result through ``eigfun.ladder``, which
+    Returns (q_vectors, consistency): for each site the recursion solution
+    with q_0 = 1, and the worst relative defect of the final (unused) row,
+    which vanishes exactly on the spectrum.  t, a and d on the rungs are
+    read from the eigenvalue's and the model's cached tables; the recursion
+    itself is sequential.  Pipelines read the result through ``eigfun.ladder``, which
     calls this once per eigenvalue.
     """
     qs = []
@@ -248,7 +246,7 @@ def ladder_nullspace(model: ChainModel, eigfun):
         )
         consistency = max(consistency, abs(last) / row_scale)
         qs.append(q)
-    return qs, companion_rescale(model, qs), consistency
+    return qs, consistency
 
 
 def companion_rescale(model: ChainModel, vectors):
@@ -267,18 +265,19 @@ def companion_rescale(model: ChainModel, vectors):
 # eigenstates in the separated basis
 
 
-def left_eigenstate(model: ChainModel, basis: SOVBasis, qs) -> np.ndarray:
-    """Covector sum_h [prod_n kappa^{h_n} q^{(n)}_{h_n}] w_h <h|."""
-    return _assemble(
-        model, basis.left_covectors, basis.left_norms, basis.weights, qs, 1
-    )
+def eigenstates(model: ChainModel, basis: SOVBasis, vectors):
+    """Left covector and right vector from per-site rung vectors v.
 
-
-def right_eigenstate(model: ChainModel, basis: SOVBasis, ps) -> np.ndarray:
-    """Vector sum_h [prod_n kappa^{-h_n} p^{(n)}_{h_n}] w_h |h>."""
-    return _assemble(
-        model, basis.right_vectors, basis.right_norms, basis.weights, ps, -1
-    )
+    left = sum_h [prod_n kappa^{h_n} v^{(n)}_{h_n}] w_h <h| and
+    right = sum_h [prod_n kappa^{-h_n} p^{(n)}_{h_n}] w_h |h>, where
+    p = companion_rescale(model, v).  Raises ZeroState when either state
+    has negligible norm.
+    """
+    left = _assemble(model, basis.left_covectors, basis.left_norms,
+                     basis.weights, vectors, 1)
+    right = _assemble(model, basis.right_vectors, basis.right_norms,
+                      basis.weights, companion_rescale(model, vectors), -1)
+    return left, right
 
 
 def _assemble(model, states, norms, weights, vectors, sign):
@@ -299,40 +298,5 @@ def _assemble(model, states, norms, weights, vectors, sign):
 
 def build_eigenstates(model: ChainModel, eigfun, basis: SOVBasis):
     """Left covector and right vector for one eigenvalue function."""
-    qs, ps, _ = eigfun.ladder
-    return left_eigenstate(model, basis, qs), right_eigenstate(model, basis, ps)
+    return eigenstates(model, basis, eigfun.ladder[0])
 
-
-# ----------------------------------------------------------------------
-
-
-def refine(model: ChainModel, eigfun, steps: int = 2):
-    """Newton polish of the base values against the rung determinants."""
-    x = np.array(eigfun.base_values, dtype=complex)
-    n = model.n_sites
-
-    def residual_vec(vals):
-        fn = EigenvalueFunction(model, tuple(vals))
-        return np.array(
-            [
-                np.linalg.det(ladder_matrix(model, fn, site))
-                for site in range(1, n + 1)
-            ]
-        )
-
-    for _ in range(steps):
-        f0 = residual_vec(x)
-        jac = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            h = 1e-7 * max(1.0, abs(x[j]))
-            bump = np.zeros(n, dtype=complex)
-            bump[j] = h
-            jac[:, j] = (residual_vec(x + bump) - residual_vec(x - bump)) / (
-                2 * h
-            )
-        try:
-            delta = np.linalg.solve(jac, -f0)
-        except np.linalg.LinAlgError:
-            break
-        x = x + delta
-    return EigenvalueFunction(model, tuple(x))

@@ -25,10 +25,12 @@ As in the corrected-equation solver, the layer is evaluated on arrays: the
 closure rows come from the shared builder with half-angle cardinals and the
 ladder null vectors the eigenvalue function owns (``eigfun.ladder``), and
 every certificate evaluates Q on a whole point set (the grid, the roots,
-the inner rungs, the base points, a site's rungs) in one call, through the
-shared sinh-product kernel at angle scale 1/2.  The solve keeps its
-Wronskian fit and its sum-rule residual on the solution, so nothing
-recomputes them.
+the inner rungs, the base points, every rung) in one call, through the
+shared sinh-product kernel at angle scale 1/2.  Q is held by its roots
+alone.  The grid and Bethe residuals share the corrected equation's
+zero-scale rule, and the eigenstates its assembly
+(``spectrum.eigenstates``).  The solve keeps its Wronskian fit and its
+sum-rule residual on the solution, so nothing recomputes them.
 """
 
 from __future__ import annotations
@@ -47,15 +49,10 @@ from .errors import (
     SovChainError,
     ZeroState,
 )
-from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice
+from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
 from .sovbasis import SOVBasis
-from .spectrum import (
-    EigenvalueFunction,
-    companion_rescale,
-    left_eigenstate,
-    right_eigenstate,
-)
-from .tq_inhom import GRID_POINTS, _closure, _draw_node
+from .spectrum import EigenvalueFunction, eigenstates
+from .tq_inhom import GRID_POINTS, _closure, _draw_node, _relative_defect
 from .trigpoly import TrigPoly, cardinals, sinh_product
 
 __all__ = [
@@ -83,7 +80,7 @@ class QFunctionHom:
     roots holds one value per half unit of total spin, normalized to
     Im root in [0, 2*pi).  epsilon is the sign carried by the Wronskian
     image and the root sum; winding is the integer part of the root sum
-    on the half-period lattice.  poly stores the monic interpolated form.
+    on the half-period lattice.  Q is held by its roots alone.
     wronskian_residual is the defect of the Wronskian fit that
     ``solve_q_hom`` checked epsilon against, and sum_rule_residual the
     distance of the root sum to the half-period lattice it found (both None
@@ -94,7 +91,6 @@ class QFunctionHom:
     roots: tuple
     epsilon: int
     winding: int
-    poly: TrigPoly
     wronskian_residual: float | None = None
     sum_rule_residual: float | None = None
 
@@ -155,11 +151,10 @@ def solve_q_hom(
     values = spread @ null
     raw = TrigPoly.from_values(nodes, values, m=0, angle_scale=0.5)
     c_p, roots = raw.roots()
-    poly = raw * (1.0 / c_p)
 
     top = null[1:] / c_p
     tops = np.array([rung.rungs[0] for rung in model.rung_table])
-    shifted = poly.eval(tops + 1j * np.pi)
+    shifted = raw.eval(tops + 1j * np.pi) / c_p
     scale = max(
         float(np.max(np.abs(top))),
         float(np.max(np.abs(shifted))),
@@ -172,7 +167,7 @@ def solve_q_hom(
         raise NoEpsilonFits(
             f"root sum misses the half-period lattice by {residual:.3e}"
         )
-    sol = QFunctionHom(model, tuple(roots), epsilon, winding, poly,
+    sol = QFunctionHom(model, tuple(roots), epsilon, winding,
                        sum_rule_residual=residual)
     eps_w, wron = verify_wronskian_identity(model, sol)
     if eps_w != epsilon:
@@ -291,8 +286,8 @@ def hom_grid_residual(model: ChainModel, eigfun, q: QFunctionHom) -> float:
 
     All terms are evaluated pointwise from products over roots and sites,
     independently of the coefficient arithmetic used by the solver, each in
-    one call over the whole grid.  Points where every term vanishes are
-    skipped.
+    one call over the whole grid.  Points where every term vanishes count
+    as 0.
     """
     lam = GRID_POINTS
     here, down, up = q.value(
@@ -301,10 +296,9 @@ def hom_grid_residual(model: ChainModel, eigfun, q: QFunctionHom) -> float:
     lhs = eigfun(lam) * here
     term_a = -a_of(model, lam) * down
     term_d = d_of(model, lam) * up
-    scale = np.max(np.abs([lhs, term_a, term_d]), axis=0)
-    live = scale != 0.0
-    defect = np.abs(lhs - term_a - term_d)[live] / scale[live]
-    return float(np.max(defect, initial=0.0))
+    return float(np.max(_relative_defect(
+        lhs - term_a - term_d, [lhs, term_a, term_d]
+    )))
 
 
 def _t_numerator_terms(model: ChainModel, q: QFunctionHom, lam):
@@ -322,7 +316,7 @@ _SAMPLE_OFFSETS = (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
                    -0.31 - 0.19j, 0.37 + 0.05j)
 
 
-def t_from_q_pair(model: ChainModel, q: QFunctionHom, entire_tol: float = 1e-8):
+def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     """Rebuild the eigenvalue from Q and its half-period translate.
 
     The quotient of the cross combination by the signed inner-rung product
@@ -332,7 +326,7 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom, entire_tol: float = 1e-8):
     sampling the quotient at an offset copy of the base points and solving
     the interpolation system.  Returns (eigenvalue function, report) where
     the report holds the relative numerator size at every inner rung;
-    raises NotEntire when any entry exceeds entire_tol.
+    raises NotEntire when any entry exceeds 1e-8.
     """
     inner = _inner_rungs(model)
     xi = np.asarray(model.xi, dtype=complex)
@@ -364,7 +358,7 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom, entire_tol: float = 1e-8):
     if num_scale == 0.0:
         raise NotEntire("Q vanishes on the whole sampling grid")
     report = np.abs(numerator[: inner.size]) / num_scale
-    if report.size and float(np.max(report)) > entire_tol:
+    if report.size and float(np.max(report)) > 1e-8:
         raise NotEntire(
             "cross combination does not vanish at an inner rung: "
             f"worst relative size {float(np.max(report)):.3e}"
@@ -382,12 +376,11 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom, entire_tol: float = 1e-8):
 def _rung_values(model: ChainModel, q: QFunctionHom):
     """Per site: Q on the rungs, and the alternating-sign copy of Q shifted
     by half a period, from one value call."""
-    out = []
-    for rung in model.rung_table:
-        rungs = rung.rungs
-        plain, shifted = q.value(np.array([rungs, rungs + 1j * np.pi]))
-        out.append((plain, (-1.0) ** np.arange(rungs.size) * shifted))
-    return out
+    per_site = on_rungs(
+        model, lambda lam: q.value(np.array([lam, lam + 1j * np.pi]))
+    )
+    return [(plain, (-1.0) ** np.arange(plain.size) * shifted)
+            for plain, shifted in per_site]
 
 
 def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
@@ -421,20 +414,18 @@ def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
     return angles, both_zero
 
 
-def bethe_residuals_hom(
-    model: ChainModel, q: QFunctionHom, coincidence_tol: float = 1e-8
-) -> np.ndarray:
+def bethe_residuals_hom(model: ChainModel, q: QFunctionHom) -> np.ndarray:
     """Relative defect of the root system at every root of Q.
 
     Entirety of the rebuilt eigenvalue demands that a(root) times Q one
     step down equals d(root) times Q one step up at every root, with the
     half-angle factors at the root itself included (they carry a relative
-    sign).  Roots closer than coincidence_tol modulo 2*i*pi raise
+    sign).  Roots closer than 1e-8 modulo 2*i*pi raise
     CoincidentRoots since a double root breaks the simple-pole argument.
     """
     roots = np.asarray(q.roots, dtype=complex)
     gaps = distance_to_ipi_lattice(roots[:, None] - roots, 2.0 * np.pi)
-    close = np.argwhere(np.triu(gaps < coincidence_tol, k=1))
+    close = np.argwhere(np.triu(gaps < 1e-8, k=1))
     if close.size:
         i, j = close[0]
         raise CoincidentRoots(
@@ -444,11 +435,7 @@ def bethe_residuals_hom(
     down, up = q.value(np.array([roots - model.eta, roots + model.eta]))
     term_a = a_of(model, roots) * down
     term_d = d_of(model, roots) * up
-    scale = np.maximum(np.abs(term_a), np.abs(term_d))
-    out = np.zeros(roots.size)
-    live = scale > 0.0
-    out[live] = np.abs(term_d - term_a)[live] / scale[live]
-    return out
+    return _relative_defect(term_d - term_a, [term_a, term_d])
 
 
 def eigenstates_from_q_hom(model: ChainModel, q: QFunctionHom, basis: SOVBasis):
@@ -464,12 +451,9 @@ def eigenstates_from_q_hom(model: ChainModel, q: QFunctionHom, basis: SOVBasis):
     pairs = _rung_values(model, q)
     out = []
     for choice, side in ((1, 0), (-1, 1)):
-        vals = [pair[side] for pair in pairs]
         try:
-            left = left_eigenstate(model, basis, vals)
-            right = right_eigenstate(
-                model, basis, companion_rescale(model, vals)
-            )
+            left, right = eigenstates(model, basis,
+                                      [pair[side] for pair in pairs])
         except ZeroState:
             continue
         out.append((choice, left, right))

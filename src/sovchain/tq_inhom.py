@@ -15,8 +15,8 @@ hand side cancel; it ends up depending only on alpha plus the root sum of Q.
 
 The solver runs the logic backwards: the ladder null vectors determine Q at
 every rung up to one unknown per site, interpolation closure at the bottom
-rungs gives a square linear system, and the solved values interpolate to the
-product function after a monic rescale.
+rungs gives a square linear system, and the solved values interpolate to a
+trigonometric polynomial; Q keeps only its roots.
 
 The layer is evaluated on arrays.  Each solve reads the ladder null vectors
 the eigenvalue function owns (``eigfun.ladder``, computed once per
@@ -24,8 +24,10 @@ eigenvalue and shared with the other pipelines) and builds its closure rows
 from one cardinal kernel (``trigpoly.cardinals``), shared with the
 half-period solver; each check evaluates Q, a, d, t and the correction term
 in one call per point set (the verification grid, the roots, the base
-points, a site's rungs) through ``trigpoly.sinh_product``; the pole check
-at the base points is one array comparison against every root.
+points, every rung via ``qalgebra.on_rungs``) through
+``trigpoly.sinh_product``; the pole check at the base points is one array
+comparison against every root.  Every grid and Bethe residual of both
+equations uses one zero-scale rule, ``_relative_defect``.
 """
 
 from __future__ import annotations
@@ -35,14 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceptionalAlpha, NonAdmissible, PoleAtXi
-from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice
+from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
 from .sovbasis import SOVBasis
-from .spectrum import (
-    EigenvalueFunction,
-    companion_rescale,
-    left_eigenstate,
-    right_eigenstate,
-)
+from .spectrum import EigenvalueFunction, eigenstates
 from .trigpoly import TrigPoly, cardinals, sinh_product
 
 __all__ = [
@@ -78,15 +75,14 @@ del _GRID_RNG
 
 @dataclass(frozen=True)
 class QFunctionInhom:
-    """Monic product function sinh(lam - root_1)...sinh(lam - root_Ns)."""
+    """Monic product function sinh(lam - root_1)...sinh(lam - root_Ns),
+    held by its roots."""
 
     model: ChainModel
     alpha: complex
     zeta0: complex
     roots: tuple
     lambda_bar: complex
-    poly: TrigPoly
-    top_values: tuple
 
     def value(self, lam):
         """Evaluate the product over the stored roots directly; any shape."""
@@ -134,7 +130,7 @@ def f_inhom_poly(model: ChainModel, x: complex) -> TrigPoly:
 
 def _dressed_null_vectors(model: ChainModel, eigfun):
     """Ladder null vectors divided by the running exponential prefactors."""
-    qs, _, _ = eigfun.ladder
+    qs, _ = eigfun.ladder
     xs = []
     for rung, q in zip(model.rung_table, qs):
         running = np.cumprod(np.exp(rung.rungs[:-1]))
@@ -244,10 +240,10 @@ def det_m_zero_closed_form(model: ChainModel, zeta0: complex) -> complex:
 # solving
 
 
-def _require_admissible(top_values) -> None:
-    top_values = np.asarray(top_values)
-    if np.min(np.abs(top_values)) < 1e-10 * max(
-        1.0, float(np.max(np.abs(top_values)))
+def _require_admissible(tops) -> None:
+    tops = np.asarray(tops)
+    if np.min(np.abs(tops)) < 1e-10 * max(
+        1.0, float(np.max(np.abs(tops)))
     ):
         raise NonAdmissible("a top-rung value of Q vanished")
 
@@ -270,17 +266,13 @@ def solve_q_inhom(
     _require_admissible(y)
 
     values = spread @ np.concatenate([[1.0], y])
-    raw = TrigPoly.from_values(nodes, values, m=0)
-    c_p, roots = raw.roots()
-    poly = raw * (1.0 / c_p)
+    _, roots = TrigPoly.from_values(nodes, values, m=0).roots()
     return QFunctionInhom(
         model=model,
         alpha=complex(alpha),
         zeta0=complex(zeta0),
         roots=tuple(roots),
         lambda_bar=complex(np.sum(roots)),
-        poly=poly,
-        top_values=tuple(np.asarray(y) / c_p),
     )
 
 
@@ -289,12 +281,12 @@ def solve_q_inhom_with_retries(
     eigfun,
     zeta0: complex | None = None,
     alpha: complex = 0.0,
-    seed: int = 0,
     max_retries: int = 3,
 ):
     """Solve with the default deformation, redrawing it when it lands on an
-    exceptional value.  Returns (solution, number of retries used)."""
-    rng = np.random.default_rng(seed)
+    exceptional value; the redraws, and zeta0 when not given, come from a
+    fixed seed.  Returns (solution, number of retries used)."""
+    rng = np.random.default_rng(0)
     if zeta0 is None:
         zeta0 = draw_zeta0(model, rng)
     for attempt in range(max_retries + 1):
@@ -323,6 +315,15 @@ def _rhs_terms(model: ChainModel, sol: QFunctionInhom, lam):
     return term_a, term_d, f_inhom(model, x, lam)
 
 
+def _relative_defect(numerator, terms) -> np.ndarray:
+    """|numerator| over the largest |term| at each point, 0 where every
+    term vanishes: the one zero-scale rule of every grid and Bethe
+    residual of both functional equations."""
+    scale = np.max(np.abs(terms), axis=0)
+    return np.divide(np.abs(numerator), scale, out=np.zeros(scale.shape),
+                     where=scale != 0.0)
+
+
 def inhom_grid_residual(
     model: ChainModel, eigfun, sol: QFunctionInhom
 ) -> float:
@@ -335,8 +336,9 @@ def inhom_grid_residual(
     lam = GRID_POINTS
     lhs = eigfun(lam) * sol.value(lam)
     term_a, term_d, term_f = _rhs_terms(model, sol, lam)
-    scale = np.max(np.abs([lhs, term_a, term_d, term_f]), axis=0)
-    return float(np.max(np.abs(lhs - term_a - term_d - term_f) / scale))
+    return float(np.max(_relative_defect(
+        lhs - term_a - term_d - term_f, [lhs, term_a, term_d, term_f]
+    )))
 
 
 def t_from_q_inhom(model: ChainModel, sol: QFunctionInhom):
@@ -368,8 +370,7 @@ def bethe_residuals_inhom(model: ChainModel, sol: QFunctionInhom) -> np.ndarray:
     three right-hand terms must cancel; their sum is the pole numerator.
     """
     terms = _rhs_terms(model, sol, np.asarray(sol.roots, dtype=complex))
-    scale = np.maximum(np.max(np.abs(terms), axis=0), 1e-300)
-    return np.abs(sum(terms)) / scale
+    return _relative_defect(sum(terms), terms)
 
 
 # ----------------------------------------------------------------------
@@ -384,25 +385,20 @@ def q_coordinates_inhom(model: ChainModel, sol: QFunctionInhom):
     components.  It is applied pointwise only; it is not periodic and has no
     place inside the trigonometric-polynomial type.
     """
-    coords = []
-    for rung in model.rung_table:
-        lam = rung.rungs
+    def dressed(lam):
         gauss = np.exp(
             -lam * (lam + model.eta - 2.0 * sol.alpha) / (2.0 * model.eta)
         )
-        coords.append(gauss * sol.value(lam))
-    return coords
+        return gauss * sol.value(lam)
+
+    return on_rungs(model, dressed)
 
 
 def eigenstates_from_q_inhom(
     model: ChainModel, sol: QFunctionInhom, basis: SOVBasis
 ):
     """Left and right eigenstates assembled from the dressed Q values."""
-    coords = q_coordinates_inhom(model, sol)
-    return (
-        left_eigenstate(model, basis, coords),
-        right_eigenstate(model, basis, companion_rescale(model, coords)),
-    )
+    return eigenstates(model, basis, q_coordinates_inhom(model, sol))
 
 
 # ----------------------------------------------------------------------
@@ -416,15 +412,16 @@ def z_combination(model: ChainModel, sol: QFunctionInhom) -> TrigPoly:
     # a and d vanish at the bottom and at the top rungs respectively.
     a_poly = TrigPoly.from_roots([r.rungs[-1] for r in model.rung_table])
     d_poly = TrigPoly.from_roots([r.rungs[0] for r in model.rung_table])
+    q_poly = TrigPoly.from_roots(sol.roots)
     term_a = (
         TrigPoly.exponential(1, coefficient=-np.exp(-alpha))
         * a_poly
-        * sol.poly.shift(-eta)
+        * q_poly.shift(-eta)
     )
     term_d = (
         TrigPoly.exponential(-1, coefficient=np.exp(-eta + alpha))
         * d_poly
-        * sol.poly.shift(eta)
+        * q_poly.shift(eta)
     )
     term_f = f_inhom_poly(model, alpha + sol.lambda_bar)
     return term_a + term_d + term_f

@@ -29,9 +29,7 @@ from .errors import DegenerateNodes, NotFullDegree, ScaleMismatch
 
 # sinh_product runs on every Q evaluation, so it stays out of __all__ and
 # out of the bench tracer's reach (bench/tracing.py wraps __all__).
-__all__ = ["TrigPoly", "DEFAULT_TOL", "cardinals"]
-
-DEFAULT_TOL = 1e-10
+__all__ = ["TrigPoly", "cardinals"]
 
 _VALID_SCALES = (1.0, 0.5)
 
@@ -256,7 +254,7 @@ class TrigPoly:
     # ------------------------------------------------------------------
     # factorization
 
-    def roots(self, tol: float = DEFAULT_TOL):
+    def roots(self):
         """Factor a full-degree element into (normalization, roots).
 
         Returns (c_P, roots) with
@@ -267,8 +265,8 @@ class TrigPoly:
         balanced companion matrix in z = exp(2u), mapped back through the
         logarithm, normalized to Im root in [0, pi) for angle_scale 1 and
         [0, 2*pi) for angle_scale 1/2, and sorted by (real, imaginary) part.
-        Raises NotFullDegree when an extremal coefficient vanishes relative
-        to the largest one, or when a z-root leaves the trusted magnitude
+        Raises NotFullDegree when an extremal coefficient is at most 1e-10
+        of the largest one, or when a z-root leaves the trusted magnitude
         window [1e-12, 1e12].
         """
         c = np.asarray(self.coeffs, dtype=complex)
@@ -277,7 +275,7 @@ class TrigPoly:
         scale = float(np.max(np.abs(c)))
         if scale == 0.0:
             raise NotFullDegree("the zero polynomial has no factored form")
-        if abs(c[0]) <= tol * scale or abs(c[-1]) <= tol * scale:
+        if abs(c[0]) <= 1e-10 * scale or abs(c[-1]) <= 1e-10 * scale:
             raise NotFullDegree(
                 "extremal coefficient vanishes: not in the full-degree class"
             )

@@ -308,7 +308,5 @@ class TestNegativeControls:
         for j in range(len(q.roots)):
             bad = list(q.roots)
             bad[j] += 1e-3
-            bad_q = th.QFunctionHom(
-                model, tuple(bad), q.epsilon, q.winding, q.poly
-            )
+            bad_q = th.QFunctionHom(model, tuple(bad), q.epsilon, q.winding)
             assert th.bethe_residuals_hom(model, bad_q).max() > 1e-5

@@ -189,6 +189,22 @@ class TestRunCommand:
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_non_object_tolerances_exit_two(self, tmp_path, capsys, command):
+        doc = base_doc((1,), seed=3)
+        doc["tolerances"] = [1e-8]
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main([command, cfg]) == 2
+        assert "'tolerances' must be an object" in capsys.readouterr().err
+
+    def test_unknown_log_level_exits_two(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "cfg.json", base_doc((1,), seed=3))
+        monkeypatch.setenv("SOVCHAIN_LOG", "verbose")
+        assert main(["check", cfg]) == 2
+        assert "SOVCHAIN_LOG='VERBOSE'" in capsys.readouterr().err
+        monkeypatch.setenv("SOVCHAIN_LOG", "warning")
+        assert main(["check", cfg]) == 0
+
 
 class TestOtherCommands:
     def test_generate_then_check_and_run(self, tmp_path):

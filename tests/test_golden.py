@@ -22,14 +22,16 @@ DATA = Path(__file__).parent / "data" / "golden_reports.json"
 RTOL = 1e-12
 ATOL = 1e-14
 
-# (1,2,1) passes every pipeline; (2,2) records a PoleAtXi under tq-inhom.
+# (1,2,1) passes every pipeline; (2,2) records a PoleAtXi under tq-inhom;
+# (1,4) is the smallest high-spin shape, a 5-rung spin-2 ladder.
 CONFIGS = {
     name: {
         "model": {"two_s": list(two_s), "xi": "random", "seed": 11,
                   "kappa": [[1.0, 0.0], [0.6, 0.8]]},
         "pipelines": "all",
     }
-    for name, two_s in (("1-2-1", (1, 2, 1)), ("2-2", (2, 2)))
+    for name, two_s in (("1-2-1", (1, 2, 1)), ("2-2", (2, 2)),
+                        ("1-4", (1, 4)))
 }
 
 

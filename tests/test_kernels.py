@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 from sovchain import spectrum as sp
 from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
-from sovchain.qalgebra import ChainModel, a_of, d_of, site_rungs, xi_shifted
-from sovchain.trigpoly import cardinals
+from sovchain.qalgebra import ChainModel, a_of, d_of, on_rungs, xi_shifted
+from sovchain.trigpoly import cardinals, sinh_product
 
 ETA = 0.31 + 0.07j
 RTOL = 1e-13
@@ -38,9 +38,9 @@ def case(request):
     roots = tuple(draw(model.n_s))
     q_inhom = ti.QFunctionInhom(
         model=model, alpha=0.2 - 0.1j, zeta0=0.3 + 0.4j, roots=roots,
-        lambda_bar=complex(sum(roots)), poly=None, top_values=(),
+        lambda_bar=complex(sum(roots)),
     )
-    q_hom = thm.QFunctionHom(model, roots, 1, 0, None)
+    q_hom = thm.QFunctionHom(model, roots, 1, 0)
     return model, eigfun, q_inhom, q_hom
 
 
@@ -128,7 +128,7 @@ def test_site_rungs_equal_xi_shifted(case):
     model = case[0]
     for n in range(1, model.n_sites + 1):
         want = [xi_shifted(model, n, h) for h in range(model.two_s[n - 1] + 1)]
-        assert np.array_equal(site_rungs(model, n), want)
+        assert np.array_equal(model.rung_table[n - 1].rungs, want)
 
 
 def test_a_and_d(case):
@@ -206,12 +206,73 @@ def test_ladder_nullspace_and_rescale(case):
             p.append((-1) ** (h + 1) * ratio * q[h + 1])
         want_q.append(q)
         want_p.append(p)
-    qs, ps, _ = sp.ladder_nullspace(model, eigfun)
+    qs, _ = sp.ladder_nullspace(model, eigfun)
+    ps = sp.companion_rescale(model, qs)
     rescaled = sp.companion_rescale(model, [np.array(q) for q in want_q])
     for site in range(model.n_sites):
         assert_allclose(qs[site], want_q[site], rtol=RTOL)
         assert_allclose(ps[site], want_p[site], rtol=RTOL)
         assert_allclose(rescaled[site], want_p[site], rtol=RTOL)
+
+
+# The four zero-scale rules the shared defect replaced, one per residual.
+def defect_inhom_grid(num, terms):
+    return np.abs(num) / np.max(np.abs(terms), axis=0)
+
+
+def defect_hom_grid(num, terms):
+    scale = np.max(np.abs(terms), axis=0)
+    live = scale != 0.0
+    out = np.zeros(scale.shape)
+    out[live] = np.abs(num)[live] / scale[live]
+    return out
+
+
+def defect_bethe_inhom(num, terms):
+    return np.abs(num) / np.maximum(np.max(np.abs(terms), axis=0), 1e-300)
+
+
+def defect_bethe_hom(num, terms):
+    term_a, term_d = terms
+    return np.abs(num) / np.maximum(np.abs(term_a), np.abs(term_d))
+
+
+@pytest.mark.parametrize("reference, n_terms", [
+    (defect_inhom_grid, 4), (defect_hom_grid, 3),
+    (defect_bethe_inhom, 3), (defect_bethe_hom, 2),
+])
+def test_relative_defect_equals_each_old_rule(reference, n_terms):
+    rng = np.random.default_rng(n_terms)
+    terms = [rng.normal(size=7) + 1j * rng.normal(size=7)
+             for _ in range(n_terms)]
+    num = sum(terms)
+    assert np.array_equal(ti._relative_defect(num, terms),
+                          reference(num, terms))
+
+
+def test_relative_defect_is_zero_where_every_term_vanishes():
+    terms = [np.array([0.0, 2.0 + 0j]), np.array([0.0, -1.0j])]
+    num = terms[0] + terms[1]
+    got = ti._relative_defect(num, terms)
+    assert got[0] == 0.0
+    assert_allclose(got[1], np.sqrt(5.0) / 2.0, rtol=RTOL)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(defect_inhom_grid(num, terms)[0])
+
+
+@pytest.mark.parametrize("two_s", [(1, 2), (2, 1, 3)], ids=["12", "213"])
+def test_on_rungs_equals_a_per_site_loop(two_s):
+    model = chain(two_s)
+    roots = np.linspace(0.1, 0.7, model.n_s) + 0.2j
+    eigfun = sp.EigenvalueFunction(model, tuple(0.3 + np.arange(len(two_s))))
+    fns = (eigfun,
+           lambda lam: sinh_product(lam, roots),
+           lambda lam: sinh_product(np.array([lam, lam + 1j]), roots, 0.5))
+    for fn in fns:
+        got = on_rungs(model, fn)
+        assert len(got) == model.n_sites
+        for values, rung in zip(got, model.rung_table):
+            assert np.array_equal(values, fn(rung.rungs))
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])

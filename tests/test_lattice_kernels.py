@@ -92,7 +92,7 @@ def test_q_values_and_targets_use_the_kernel():
                        kappa=1.0)
     roots = (0.2 + 0.1j, -0.4 + 0.3j, 0.7 - 0.2j)
     lam = np.array([0.3 - 0.2j, -0.1 + 0.5j])
-    q_hom = thm.QFunctionHom(model, roots, 1, 0, None)
+    q_hom = thm.QFunctionHom(model, roots, 1, 0)
     assert np.array_equal(q_hom.value(lam), sinh_product(lam, roots, 0.5))
     inner = [rung.rungs[1:-1] for rung in model.rung_table]
     target = thm.w_eps(model, -1, lam)

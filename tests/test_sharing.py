@@ -16,7 +16,7 @@ from sovchain import tq_inhom as ti
 from sovchain.cli import RunConfig, run_pipelines
 from sovchain.errors import DegenerateSpectrum, ExceptionalAlpha, SovChainError
 from sovchain.qalgebra import (
-    ChainModel, _kron, a_of, d_of, lax, monodromy, site_rungs, xi_shifted,
+    ChainModel, _kron, a_of, d_of, lax, monodromy, xi_shifted,
 )
 
 ETA = 0.31 + 0.07j
@@ -80,7 +80,7 @@ def test_solve_keeps_its_wronskian_fit():
         eps, res = thm.verify_wronskian_identity(model, sol)
         assert sol.epsilon == eps
         assert sol.wronskian_residual == res
-    assert thm.QFunctionHom(model, (), 1, 0, None).wronskian_residual is None
+    assert thm.QFunctionHom(model, (), 1, 0).wronskian_residual is None
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +98,6 @@ def test_rung_table_matches_definitions(two_s):
             [xi_shifted(model, n, k) for k in range(two_s[n - 1] + 1)]
         )
         assert np.array_equal(rung.rungs, rungs)
-        assert site_rungs(model, n) is rung.rungs
         assert np.array_equal(rung.a, a_of(model, rungs))
         assert np.array_equal(rung.d, d_of(model, rungs))
         ratio = np.cumprod(a_of(model, rungs[:-1]) / d_of(model, rungs[1:]))
@@ -133,13 +132,13 @@ def test_eigenvalue_tables_match_definitions(two_s):
     model = chain(two_s)
     eigfun = arbitrary_eigfun(model)
     for n, values in enumerate(eigfun.rung_values, start=1):
-        assert np.array_equal(values, eigfun(site_rungs(model, n)))
+        assert np.array_equal(values, eigfun(model.rung_table[n - 1].rungs))
         assert not values.flags.writeable
-    qs, ps, consistency = eigfun.ladder
+    qs, consistency = eigfun.ladder
     assert eigfun.ladder is eigfun.ladder
-    want_q, want_p, want_c = sp.ladder_nullspace(model, eigfun)
+    want_q, want_c = sp.ladder_nullspace(model, eigfun)
     assert consistency == want_c
-    for got, want in zip(qs + ps, want_q + want_p):
+    for got, want in zip(qs, want_q):
         assert np.array_equal(got, want)
         assert not got.flags.writeable
 
@@ -254,7 +253,7 @@ def test_node_draws_use_their_period():
     # A rung's image half a period down is on the rung modulo i*pi but
     # not modulo 2*i*pi.
     model = chain((1, 2))
-    image = complex(site_rungs(model, 1)[0]) - 1j * np.pi
+    image = complex(model.rung_table[0].rungs[0]) - 1j * np.pi
     clear = 0.3 - 0.6j
     assert ti.draw_zeta0(model, Scripted(image, clear)) == clear
     assert thm.draw_zeta0_hom(model, Scripted(image, clear)) == image
@@ -262,7 +261,7 @@ def test_node_draws_use_their_period():
 
 def test_node_draws_give_up_with_their_error_class():
     model = chain((1, 2))
-    rung = complex(site_rungs(model, 1)[0])
+    rung = complex(model.rung_table[0].rungs[0])
     with pytest.raises(ExceptionalAlpha):
         ti.draw_zeta0(model, Scripted(rung))
     with pytest.raises(SovChainError) as info:

@@ -115,7 +115,7 @@ class TestClosureSystem:
 
     def test_solution_matches_ladder_on_all_rungs(self, d3_solved):
         f, sol = d3_solved[1]
-        qs, _, _ = sp.ladder_nullspace(D3, f)
+        qs, _ = sp.ladder_nullspace(D3, f)
         for n in range(1, D3.n_sites + 1):
             top = sol.value(xi_shifted(D3, n, 0))
             for h in range(D3.two_s[n - 1] + 1):
@@ -289,7 +289,7 @@ class TestEigenstates:
         # Roots on both rungs of the only site kill the plain choice but
         # leave the translated one intact.
         rungs = (xi_shifted(D1, 1, 0), xi_shifted(D1, 1, 1))
-        q = thm.QFunctionHom(D1, rungs, 1, 0, None)
+        q = thm.QFunctionHom(D1, rungs, 1, 0)
         states = thm.eigenstates_from_q_hom(D1, q, basis)
         assert len(states) == 1
         assert states[0][0] == -1
@@ -301,7 +301,7 @@ class TestEigenstates:
             xi_shifted(D1, 1, 0) + 1j * np.pi,
             xi_shifted(D1, 1, 1) + 1j * np.pi,
         )
-        q = thm.QFunctionHom(D1, rungs, 1, 0, None)
+        q = thm.QFunctionHom(D1, rungs, 1, 0)
         with pytest.raises(BothChoicesZero):
             thm.eigenstates_from_q_hom(D1, q, basis)
 
@@ -311,8 +311,7 @@ class TestNegativeControls:
         _, sol = d3_solved[1]
         roots = list(sol.roots)
         roots[0] += 1e-3
-        bad = thm.QFunctionHom(D3, tuple(roots), sol.epsilon, sol.winding,
-                               sol.poly)
+        bad = thm.QFunctionHom(D3, tuple(roots), sol.epsilon, sol.winding)
         try:
             _, res = thm.verify_wronskian_identity(D3, bad)
             assert res > 1e-5
@@ -323,8 +322,7 @@ class TestNegativeControls:
         _, sol = d3_solved[1]
         roots = list(sol.roots)
         roots[1] += 1e-3
-        bad = thm.QFunctionHom(D3, tuple(roots), sol.epsilon, sol.winding,
-                               sol.poly)
+        bad = thm.QFunctionHom(D3, tuple(roots), sol.epsilon, sol.winding)
         assert thm.bethe_residuals_hom(D3, bad).max() > 1e-5
 
     def test_perturbed_eigenvalue_breaks_grid(self, d3_solved):
@@ -339,7 +337,7 @@ class TestNegativeControls:
         roots = tuple(
             rng.uniform(0, 1, D3.n_s) + 1j * rng.uniform(0, 2 * np.pi, D3.n_s)
         )
-        q = thm.QFunctionHom(D3, roots, 1, 0, None)
+        q = thm.QFunctionHom(D3, roots, 1, 0)
         angles, both_zero = thm.q_vector_proportionality(D3, q)
         assert not both_zero.any()
         assert angles.min() > 1e-2
@@ -348,8 +346,7 @@ class TestNegativeControls:
         _, sol = d3_solved[2]
         roots = list(sol.roots)
         roots[0] += 1e-2
-        bad = thm.QFunctionHom(D3, tuple(roots), sol.epsilon, sol.winding,
-                               sol.poly)
+        bad = thm.QFunctionHom(D3, tuple(roots), sol.epsilon, sol.winding)
         with pytest.raises(NotEntire):
             thm.t_from_q_pair(D3, bad)
 
@@ -357,8 +354,7 @@ class TestNegativeControls:
         _, sol = d3_solved[0]
         roots = list(sol.roots)
         roots[1] = roots[0] + 2j * np.pi + 1e-10
-        bad = thm.QFunctionHom(D3, tuple(roots), sol.epsilon, sol.winding,
-                               sol.poly)
+        bad = thm.QFunctionHom(D3, tuple(roots), sol.epsilon, sol.winding)
         with pytest.raises(CoincidentRoots):
             thm.bethe_residuals_hom(D3, bad)
 
