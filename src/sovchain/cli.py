@@ -1,14 +1,18 @@
 """Batch harness: configuration, model generation, pipelines, reporting.
 
 A run loads a JSON configuration, builds (or generates) the chain model,
-computes the brute-force spectrum, pushes every eigenvalue through the
-selected characterizations, and writes a JSON report whose numbers carry
-full double precision.  A library error (``SovChainError``) raised for one
-eigenvalue and pipeline, or by the separated-basis build, is recorded in
-the report as ``{"class", "message"}`` under that pipeline's key and fails
-the run without aborting it.  Exit status 0 means every checked quantity
-stayed under its tolerance, 1 means some check failed, 2 means the
-configuration or invocation was unusable.
+computes the brute-force spectrum, pushes the whole spectrum through each
+selected characterization in one batched pass (one row per eigenvalue),
+and writes a JSON report whose numbers carry full double precision.  A
+library error (``SovChainError``) met by one eigenvalue's row in a
+pipeline, or raised by the separated-basis build, is recorded in the
+report as ``{"class", "message"}`` under that pipeline's key and fails the
+run without aborting it; the other rows go on.  With ``SOVCHAIN_LOG=INFO``
+each stage (model, oracle, basis, ladder and every pipeline batch) logs
+one line with its wall time, its rows and its failed rows; the report
+itself holds no times.  Exit status 0 means every checked quantity stayed
+under its tolerance, 1 means some check failed, 2 means the configuration
+or invocation was unusable.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -45,6 +50,25 @@ DEFAULT_TOLERANCES = {
 }
 
 DEFAULT_ETA = 0.31 + 0.07j
+
+# Where each pipeline's results go in an eigenvalue's report entry (sov
+# writes its fields into the entry itself).
+REPORT_KEYS = {"sov": "sov", "tq-inhom": "inhom", "tq-hom": "hom"}
+
+# Each checked quantity, in report order: (pipeline, field, tolerance).
+CHECKS = {
+    "eigenstate_residual": ("sov", "eigenstate_residual", "matching"),
+    "biorthogonality": ("sov", "biorthogonality", "matching"),
+    "inhom_grid_residual": ("tq-inhom", "grid_residual", "grid"),
+    "inhom_bethe": ("tq-inhom", "bethe_max", "bethe"),
+    "inhom_round_trip": ("tq-inhom", "round_trip", "matching"),
+    "hom_grid_residual": ("tq-hom", "grid_residual", "grid"),
+    "hom_wronskian": ("tq-hom", "wronskian_residual", "grid"),
+    "hom_sum_rule": ("tq-hom", "sum_rule_residual", "bethe"),
+    "hom_bethe": ("tq-hom", "bethe_max", "bethe"),
+    "hom_proportionality": ("tq-hom", "proportionality_max", "bethe"),
+    "hom_round_trip": ("tq-hom", "round_trip", "matching"),
+}
 
 # Fixed probe points for eigenstate residuals, kept off the rung lattice
 # of any generated model.
@@ -240,8 +264,23 @@ def _describe(exc: SovChainError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _first_errors(*per_row):
+    """Each row's first error over several lists of per-row errors."""
+    return [next((e for e in row if e is not None), None)
+            for row in zip(*per_row)]
+
+
+def _log_stage(name: str, start: float, rows: int, failed: int) -> None:
+    log.info("stage %s: %.4f s, %d rows, %d failed", name,
+             perf_counter() - start, rows, failed)
+
+
 def run_pipelines(config: RunConfig) -> dict:
-    """Execute the selected characterizations and assemble the report."""
+    """Execute the selected characterizations and assemble the report.
+
+    Every stage runs once over the whole spectrum; the report lists the
+    eigenvalues in order, each with its pipelines in order.
+    """
     tol = config.tolerances
     failures = []
     maxima = {}
@@ -253,26 +292,28 @@ def run_pipelines(config: RunConfig) -> dict:
                 f"{key}: {value:.3e} exceeds {bound:.1e}"
             )
 
-    kappa0 = config.kappa_list[0]
-    model = config.build_model(kappa0)
-    log.info("model built: %d sites, dimension %d",
-             model.n_sites, model.hilbert_dim)
+    start = perf_counter()
+    model = config.build_model(config.kappa_list[0])
+    _log_stage("model", start, model.hilbert_dim, 0)
+    start = perf_counter()
     spec = sp.brute_force_spectrum(model)
-    base_matrix = [list(f.base_values) for f in spec.functions]
+    eigs = spec.rows
+    base = eigs.base_values
 
     # Twisting the boundary must not move the spectrum.
     iso = 0.0
     for kappa in config.kappa_list[1:]:
-        other = config.build_model(kappa)
-        other_spec = sp.brute_force_spectrum(other)
+        other_spec = sp.brute_force_spectrum(config.build_model(kappa))
         iso = max(iso, _max_abs_diff(
-            base_matrix, [list(f.base_values) for f in other_spec.functions]
+            base, [list(f.base_values) for f in other_spec.functions]
         ))
     if len(config.kappa_list) > 1:
         record("kappa_isospectrality", iso, tol["matching"])
+    _log_stage("oracle", start, len(base), 0)
 
     basis = basis_error = None
     if "sov" in config.pipelines:
+        start = perf_counter()
         probes = [(lam, transfer_antiperiodic(model, lam))
                   for lam in PROBE_POINTS]
         right_norms = np.linalg.norm(spec.right, axis=0)
@@ -284,114 +325,111 @@ def run_pipelines(config: RunConfig) -> dict:
         else:
             record("identity_resolution", sb.identity_resolution(basis),
                    tol["identity"])
+        _log_stage("basis", start, model.hilbert_dim,
+                   model.hilbert_dim if basis_error else 0)
 
     zeta0_inhom = ti.draw_zeta0(model, np.random.default_rng(42))
     zeta0_hom = thm.draw_zeta0_hom(model, np.random.default_rng(42))
 
-    # Each step returns (report fields, [(check, value, tolerance), ...]).
-    def sov_step(idx, f):
-        left, right = sp.build_eigenstates(model, f, basis)
+    start = perf_counter()
+    discrete = sp.discrete_residual(model, eigs)
+    ladder_errors = eigs.ladder[2]
+    _log_stage("ladder", start, len(base),
+               sum(e is not None for e in ladder_errors))
+
+    # Each step runs one batch over every eigenvalue and returns its report
+    # fields as columns (one JSON-ready entry per row) and the row errors.
+    def sov_step():
+        left, right, errors = sp.eigenstates(model, basis, eigs.ladder[0])
         worst = 0.0
         for lam, t_mat in probes:
-            worst = max(
-                worst,
-                sp.eigen_residual(model, f, right, lam, side="right",
-                                  t_mat=t_mat),
-                sp.eigen_residual(model, f, left, lam, side="left",
-                                  t_mat=t_mat),
-            )
-        worst = float(worst)
+            worst = np.maximum(worst, np.maximum(
+                sp.eigen_residual(model, eigs, right, lam, "right", t_mat),
+                sp.eigen_residual(model, eigs, left, lam, "left", t_mat),
+            ))
         cross = np.abs(left @ spec.right) / (
-            np.linalg.norm(left) * right_norms)
-        cross = float(np.max(np.delete(cross, idx)))
-        return {"eigenstate_residual": worst, "biorthogonality": cross}, [
-            ("eigenstate_residual", worst, tol["matching"]),
-            ("biorthogonality", cross, tol["matching"]),
-        ]
+            np.linalg.norm(left, axis=1)[:, None] * right_norms)
+        cross = np.where(np.eye(len(cross), dtype=bool), -np.inf, cross)
+        return {
+            "eigenstate_residual": worst.tolist(),
+            "biorthogonality": np.max(cross, axis=1).tolist(),
+        }, _first_errors(ladder_errors, errors)
 
-    def inhom_step(idx, f):
-        sol, retries = ti.solve_q_inhom_with_retries(
-            model, f, zeta0=zeta0_inhom, alpha=config.alpha,
+    def inhom_step():
+        sol, retries, errors = ti.solve_q_inhom(
+            model, eigs, zeta0=zeta0_inhom, alpha=config.alpha,
             max_retries=config.max_alpha_retries,
         )
-        grid = ti.inhom_grid_residual(model, f, sol)
-        rebuilt, residuals = ti.t_from_q_inhom(model, sol)
-        round_trip = _max_abs_diff(rebuilt.base_values, f.base_values)
-        return {"inhom": {
-            "alpha": _emit_complex(sol.alpha),
-            "retries": retries,
-            "roots": [_emit_complex(r) for r in sol.roots],
-            "grid_residual": float(grid),
-            "bethe_max": float(np.max(residuals)),
-            "round_trip": round_trip,
-        }}, [
-            ("inhom_grid_residual", grid, tol["grid"]),
-            ("inhom_bethe", float(np.max(residuals)), tol["bethe"]),
-            ("inhom_round_trip", round_trip, tol["matching"]),
-        ]
+        rebuilt, bethe, pole_errors = ti.t_from_q_inhom(model, sol)
+        return {
+            "alpha": [_emit_complex(a) for a in sol.alpha],
+            "retries": retries.tolist(),
+            "roots": [[_emit_complex(r) for r in row] for row in sol.roots],
+            "grid_residual":
+                ti.inhom_grid_residual(model, eigs, sol).tolist(),
+            "bethe_max": np.max(bethe, axis=1).tolist(),
+            "round_trip": np.max(np.abs(rebuilt - base), axis=1).tolist(),
+        }, _first_errors(errors, pole_errors)
 
-    def hom_step(idx, f):
-        sol = thm.solve_q_hom(model, f, zeta0=zeta0_hom)
-        grid = thm.hom_grid_residual(model, f, sol)
-        wron = sol.wronskian_residual
-        bethe = thm.bethe_residuals_hom(model, sol)
+    def hom_step():
+        sol, errors = thm.solve_q_hom(model, eigs, zeta0_hom)
+        bethe, bethe_errors = thm.bethe_residuals_hom(model, sol)
         angles, _ = thm.q_vector_proportionality(model, sol)
-        rebuilt, _ = thm.t_from_q_pair(model, sol)
-        round_trip = _max_abs_diff(rebuilt.base_values, f.base_values)
-        return {"hom": {
-            "roots": [_emit_complex(r) for r in sol.roots],
-            "epsilon": sol.epsilon,
-            "winding": sol.winding,
-            "grid_residual": float(grid),
-            "wronskian_residual": float(wron),
-            "sum_rule_residual": float(sol.sum_rule_residual),
-            "bethe_max": float(np.max(bethe)),
-            "proportionality_max": float(np.max(angles)),
-            "round_trip": round_trip,
-        }}, [
-            ("hom_grid_residual", grid, tol["grid"]),
-            ("hom_wronskian", wron, tol["grid"]),
-            ("hom_sum_rule", sol.sum_rule_residual, tol["bethe"]),
-            ("hom_bethe", float(np.max(bethe)), tol["bethe"]),
-            ("hom_proportionality", float(np.max(angles)), tol["bethe"]),
-            ("hom_round_trip", round_trip, tol["matching"]),
-        ]
+        rebuilt, _, pair_errors = thm.t_from_q_pair(model, sol)
+        return {
+            "roots": [[_emit_complex(r) for r in row] for row in sol.roots],
+            "epsilon": sol.epsilon.tolist(),
+            "winding": sol.winding.tolist(),
+            "grid_residual": thm.hom_grid_residual(model, eigs, sol).tolist(),
+            "wronskian_residual": sol.wronskian_residual.tolist(),
+            "sum_rule_residual": sol.sum_rule_residual.tolist(),
+            "bethe_max": np.max(bethe, axis=1).tolist(),
+            "proportionality_max": np.max(angles, axis=1).tolist(),
+            "round_trip": np.max(np.abs(rebuilt - base), axis=1).tolist(),
+        }, _first_errors(errors, bethe_errors, pair_errors)
 
-    steps = [
-        (name, key, step)
-        for name, key, step in (
-            ("sov", "sov", sov_step),
-            ("tq-inhom", "inhom", inhom_step),
-            ("tq-hom", "hom", hom_step),
-        )
-        if name in config.pipelines
-    ]
+    steps = {}
+    # A failed row carries garbage through the rest of its batch; only its
+    # error reaches the report.
+    with np.errstate(all="ignore"):
+        for name, step in (("sov", sov_step), ("tq-inhom", inhom_step),
+                           ("tq-hom", hom_step)):
+            if name not in config.pipelines:
+                continue
+            if name == "sov" and basis_error is not None:
+                steps[name] = None, None
+                continue
+            start = perf_counter()
+            steps[name] = step()
+            _log_stage(name, start, len(base),
+                       sum(e is not None for e in steps[name][1]))
 
     records = []
     for idx, f in enumerate(spec.functions):
-        log.debug("eigenvalue %d of %d", idx + 1, len(spec.functions))
         entry = {
             "index": idx,
             "t_at_xi": [_emit_complex(v) for v in f.base_values],
         }
-        dres = float(sp.discrete_residual(model, f))
+        dres = float(discrete[idx])
         entry["discrete_residual"] = dres
         record("discrete_residual", dres, tol["determinant"])
 
         # A library error fails this eigenvalue and pipeline, not the run.
-        for name, key, step in steps:
-            if key == "sov" and basis_error is not None:
+        for name, (columns, errors) in steps.items():
+            key = REPORT_KEYS[name]
+            if columns is None:
                 entry[key] = basis_error
                 continue
-            try:
-                fields, checks = step(idx, f)
-            except SovChainError as exc:
-                entry[key] = _error_entry(exc)
-                failures.append(f"eigenvalue {idx} {name}: {_describe(exc)}")
+            if errors[idx] is not None:
+                entry[key] = _error_entry(errors[idx])
+                failures.append(
+                    f"eigenvalue {idx} {name}: {_describe(errors[idx])}")
                 continue
-            entry.update(fields)
-            for check in checks:
-                record(*check)
+            fields = {field: column[idx] for field, column in columns.items()}
+            entry.update(fields if key == "sov" else {key: fields})
+            for check, (pipeline, field, bound) in CHECKS.items():
+                if pipeline == name:
+                    record(check, fields[field], tol[bound])
 
         records.append(entry)
 

@@ -7,12 +7,19 @@ kernel prod_{l != n} sinh(lam - xi_l) carries the required quasi-periodicity
 automatically).  The spectrum is characterized site by site: the tridiagonal
 matrix coupling adjacent rungs of each site ladder must be singular, and its
 null vector supplies the expansion coefficients of the eigenstates in the
-separated basis.  The rung layer is evaluated on arrays and computed once:
-a, d and the companion factors come from the model's ``rung_table``, and
-each ``EigenvalueFunction`` owns its values on every rung and its ladder
-null vectors, both computed on first use and shared by every pipeline.
-``eigenstates`` is the one assembly of a left and right state from
-per-site rung vectors, for ladder and Q data alike.
+separated basis.
+
+Every eigenvalue has the same rungs, so the layer works on the whole
+spectrum at once.  An ``EigenvalueFunction`` holds one eigenvalue or a
+stack of them, one row each (base values E x N).  Its values on every rung
+(one E x (2s_n + 1) array per site) and its ladder null vectors (a
+recursion sequential in the rung and vectorized over the rows) are
+computed on first use for every row and shared by every pipeline; a row
+whose recursion overflows keeps its ``RecursionBlowup`` and the other rows
+go on.  The rung determinants take one stacked ``det`` per site, and
+``eigenstates`` assembles the left and right states of every row with one
+product per side, for ladder and Q data alike.  a, d and the companion
+factors come from the model's ``rung_table``.
 """
 
 from __future__ import annotations
@@ -22,11 +29,12 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState
+from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState, record
 from .qalgebra import (
-    ChainModel, _kron, _read_only, on_rungs, transfer_antiperiodic,
+    ChainModel, _read_only, on_rungs, transfer_antiperiodic,
 )
 from .sovbasis import SOVBasis
+from .trigpoly import cabs, scalar_product
 
 __all__ = [
     "EigenvalueFunction",
@@ -34,23 +42,22 @@ __all__ = [
     "brute_force_spectrum",
     "ladder_matrix",
     "discrete_residual",
-    "ladder_nullspace",
     "companion_rescale",
     "eigenstates",
-    "build_eigenstates",
     "eigen_residual",
 ]
 
 
 @dataclass(frozen=True)
 class EigenvalueFunction:
-    """A transfer-matrix eigenvalue, stored as its values at the base points.
+    """A transfer-matrix eigenvalue, stored as its values at the base points,
+    or a stack of eigenvalues with one row of base values each.
 
     t(lam) = sum_n w_n prod_{l != n} sinh(lam - xi_l), with cardinal weights
     w_n = t(xi_n) / prod_{l != n} sinh(xi_n - xi_l) fixed on construction.
     The leave-one-out product is masked, not divided out, so lam may sit on
     a base point (integer-spin rungs do).  ``rung_values`` and ``ladder``
-    are computed on first use and kept read-only.
+    are computed on first use, for every row at once, and kept read-only.
     """
 
     model: ChainModel
@@ -58,7 +65,7 @@ class EigenvalueFunction:
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.base_values) != self.model.n_sites:
+        if np.shape(self.base_values)[-1:] != (self.model.n_sites,):
             raise ValueError("need one value per base point")
         xi = np.asarray(self.model.xi)
         spread = np.sinh(xi[:, None] - xi[None, :])
@@ -69,9 +76,15 @@ class EigenvalueFunction:
         )
 
     def __call__(self, lam):
+        """t at lam; a stack puts its rows first.  Each row is one
+        matrix-vector product, so its values do not depend on the rows
+        beside it."""
         lam = np.asarray(lam, dtype=complex)
-        total = _leave_one_out(self.model, lam) @ self._weights
-        return total if lam.shape else complex(total)
+        w = self._weights
+        w = w.reshape(w.shape[:-1] + (1,) * max(lam.ndim - 1, 0) + w.shape[-1:]
+                      + (1,))
+        total = (_leave_one_out(self.model, lam) @ w)[..., 0]
+        return total if total.shape else complex(total)
 
     @cached_property
     def rung_values(self) -> tuple:
@@ -80,10 +93,16 @@ class EigenvalueFunction:
 
     @cached_property
     def ladder(self) -> tuple:
-        """``ladder_nullspace(self.model, self)`` with read-only arrays:
-        (q_vectors, consistency)."""
-        qs, consistency = ladder_nullspace(self.model, self)
-        return tuple(map(_read_only, qs)), consistency
+        """Null vectors of every rung matrix by downward recursion, for
+        every row: (q_vectors, consistency, errors), read-only.
+
+        q_vectors holds per site the recursion solution with q_0 = 1;
+        consistency the worst relative defect of the final (unused) ladder
+        row, which vanishes exactly on the spectrum; errors per row None or
+        the ``RecursionBlowup`` that stopped the recursion (the row's
+        vectors are then zero).
+        """
+        return _ladder(self.model, self.rung_values)
 
 
 def _leave_one_out(model: ChainModel, lam: np.ndarray) -> np.ndarray:
@@ -98,14 +117,16 @@ def _leave_one_out(model: ChainModel, lam: np.ndarray) -> np.ndarray:
 class Spectrum:
     """Full spectrum with matched right eigenvectors and left covectors.
 
-    Column i of ``right`` and row i of ``left`` belong to ``functions[i]``;
-    the rows are the inverse of the column matrix, so left@right = identity.
+    Column i of ``right`` and row i of ``left`` belong to ``functions[i]``,
+    which is also row i of the stack ``rows``; the rows of ``left`` are the
+    inverse of the column matrix, so left@right = identity.
     """
 
     model: ChainModel
     functions: tuple
     right: np.ndarray
     left: np.ndarray
+    rows: EigenvalueFunction
 
 
 def brute_force_spectrum(model: ChainModel, seed: int = 0) -> Spectrum:
@@ -137,19 +158,12 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0) -> Spectrum:
     for n in range(model.n_sites):
         t_n = transfer_antiperiodic(model, model.xi[n])
         base[:, n] = np.einsum("ij,ji->i", w @ t_n, v)
-    functions = [
-        EigenvalueFunction(model, tuple(base[i])) for i in range(dim)
-    ]
-
     # Every eigen-pair at once: the eigen_residual defect, column by column.
-    weights = np.array([f._weights for f in functions])
+    rows = EigenvalueFunction(model, base)
     for lam in rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3):
         t_mat = transfer_antiperiodic(model, complex(lam))
-        t_vals = weights @ _leave_one_out(model, np.asarray(lam))
-        defect = np.linalg.norm(t_mat @ v - t_vals * v, axis=0)
-        worst = float(np.max(
-            defect / (np.linalg.norm(t_mat) * np.linalg.norm(v, axis=0))
-        ))
+        worst = float(np.max(eigen_residual(model, rows, v.T, lam,
+                                            t_mat=t_mat)))
         if worst > 1e-8:
             raise DegenerateSpectrum(
                 f"eigenvector check failed away from the sample point "
@@ -159,94 +173,100 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0) -> Spectrum:
     order = np.lexsort((base[:, 0].imag, base[:, 0].real))
     return Spectrum(
         model=model,
-        functions=tuple(functions[i] for i in order),
+        functions=tuple(EigenvalueFunction(model, tuple(base[i]))
+                        for i in order),
         right=v[:, order],
         left=w[order],
+        rows=EigenvalueFunction(model, base[order]),
     )
 
 
 def eigen_residual(
-    model, eigfun, vec, lam, side: str = "right", t_mat=None
-) -> float:
-    """Relative defect of one eigen-pair at one spectral point.
+    model, eigfun, states, lam, side: str = "right", t_mat=None
+):
+    """Relative defect of eigen-pairs at one spectral point.
 
-    Pass ``t_mat``, the transfer matrix at ``lam``, if it is already built.
+    states holds one right vector (or left covector) per row of eigfun;
+    one product with the transfer matrix does every row.  Pass ``t_mat``,
+    the transfer matrix at ``lam``, if it is already built.
     """
     if t_mat is None:
         t_mat = transfer_antiperiodic(model, lam)
-    t_val = eigfun(lam)
-    if side == "right":
-        defect = t_mat @ vec - t_val * vec
-    else:
-        defect = vec @ t_mat - t_val * vec
-    return float(
-        np.linalg.norm(defect)
-        / (np.linalg.norm(t_mat) * np.linalg.norm(vec))
-    )
+    image = states @ t_mat.T if side == "right" else states @ t_mat
+    defect = image - np.asarray(eigfun(lam))[..., None] * states
+    return np.linalg.norm(defect, axis=-1) / (
+        np.linalg.norm(t_mat) * np.linalg.norm(states, axis=-1))
 
 
 # ----------------------------------------------------------------------
 # per-site rung conditions
 
 
-def _rung_data(model: ChainModel, eigfun, site: int):
-    """t, a and d on every rung of one site, read from the cached tables."""
-    rung = model.rung_table[site - 1]
-    return eigfun.rung_values[site - 1], rung.a, rung.d
-
-
 def ladder_matrix(model: ChainModel, eigfun, site: int) -> np.ndarray:
-    """Tridiagonal matrix coupling adjacent rungs of one site ladder.
+    """Tridiagonal matrix coupling adjacent rungs of one site ladder, one
+    per row of eigfun.
 
     Singularity of this matrix for every site is equivalent to membership in
     the spectrum.  Row h reads
     -d(xi^{(h)}) v_{h-1} + t(xi^{(h)}) v_h + a(xi^{(h)}) v_{h+1} = 0.
     """
-    t, a, d = _rung_data(model, eigfun, site)
-    return np.diag(t) + np.diag(a[:-1], 1) - np.diag(d[1:], -1)
+    t = eigfun.rung_values[site - 1]
+    rung = model.rung_table[site - 1]
+    i = np.arange(t.shape[-1])
+    mat = np.zeros(t.shape + i.shape, dtype=complex)
+    mat[..., i, i] = t
+    mat[..., i[:-1], i[1:]] = rung.a[:-1]
+    mat[..., i[1:], i[:-1]] = -rung.d[1:]
+    return mat
 
 
-def discrete_residual(model: ChainModel, eigfun) -> float:
-    """Worst Hadamard-scaled rung determinant over the sites."""
-    worst = 0.0
+def discrete_residual(model: ChainModel, eigfun):
+    """Worst Hadamard-scaled rung determinant over the sites, per row: one
+    stacked determinant per site."""
+    worst = np.zeros(np.shape(eigfun.base_values)[:-1])
     for site in range(1, model.n_sites + 1):
         mat = ladder_matrix(model, eigfun, site)
-        scale = np.prod(np.linalg.norm(mat, axis=1))
-        worst = max(worst, abs(np.linalg.det(mat)) / float(scale))
-    return worst
+        scale = np.prod(np.linalg.norm(mat, axis=-1), axis=-1)
+        value = cabs(np.linalg.det(mat)) / scale
+        worst = np.where(value > worst, value, worst)
+    return worst if worst.shape else float(worst)
 
 
-def ladder_nullspace(model: ChainModel, eigfun):
-    """Null vectors of every rung matrix by downward recursion.
-
-    Returns (q_vectors, consistency): for each site the recursion solution
-    with q_0 = 1, and the worst relative defect of the final (unused) row,
-    which vanishes exactly on the spectrum.  t, a and d on the rungs are
-    read from the eigenvalue's and the model's cached tables; the recursion
-    itself is sequential.  Pipelines read the result through ``eigfun.ladder``, which
-    calls this once per eigenvalue.
-    """
+def _ladder(model: ChainModel, rung_values):
+    """The downward recursion of every site ladder for every row at once."""
+    lead = np.shape(rung_values[0])[:-1]
+    errors = [None] * int(np.prod(lead, dtype=int))
     qs = []
-    consistency = 0.0
-    for site in range(1, model.n_sites + 1):
-        t, a, d = _rung_data(model, eigfun, site)
-        two_s = len(t) - 1
-        q = np.zeros(two_s + 1, dtype=complex)
-        q[0] = 1.0
-        for h in range(two_s):
-            nxt = (d[h] * (q[h - 1] if h > 0 else 0.0) - t[h] * q[h]) / a[h]
-            if abs(nxt) > 1e12 * max(1.0, float(np.max(np.abs(q[: h + 1])))):
-                raise RecursionBlowup(
-                    f"rung recursion overflow at site {site}, rung {h + 1}"
-                )
-            q[h + 1] = nxt
-        last = -d[-1] * q[-2] + t[-1] * q[-1]
-        row_scale = max(
-            abs(d[-1]) * abs(q[-2]), abs(t[-1]) * abs(q[-1]), 1e-300
-        )
-        consistency = max(consistency, abs(last) / row_scale)
-        qs.append(q)
-    return qs, consistency
+    consistency = np.zeros(lead)
+    # A row that overflows goes on in garbage until it is zeroed below.
+    with np.errstate(all="ignore"):
+        for site, (t, rung) in enumerate(zip(rung_values, model.rung_table),
+                                         start=1):
+            a, d = rung.a, rung.d
+            q = np.zeros(t.shape, dtype=complex)
+            q[..., 0] = 1.0
+            for h in range(t.shape[-1] - 1):
+                prev = q[..., h - 1] if h > 0 else np.zeros(lead, complex)
+                nxt = (scalar_product(d[h], prev)
+                       - scalar_product(t[..., h], q[..., h])) / a[h]
+                peak = np.maximum(1.0, np.max(np.abs(q[..., : h + 1]), -1))
+                record(errors, cabs(nxt) > 1e12 * peak,
+                       lambda k: RecursionBlowup(
+                           f"rung recursion overflow at site {site}, "
+                           f"rung {h + 1}"))
+                q[..., h + 1] = nxt
+            last = (scalar_product(-d[-1], q[..., -2])
+                    + scalar_product(t[..., -1], q[..., -1]))
+            row_scale = np.maximum(np.maximum(
+                cabs(d[-1]) * cabs(q[..., -2]),
+                cabs(t[..., -1]) * cabs(q[..., -1])), 1e-300)
+            consistency = np.maximum(consistency, cabs(last) / row_scale)
+            qs.append(q)
+    blown = np.reshape([e is not None for e in errors], lead)
+    for q in qs:
+        q[blown] = 0.0
+    return (tuple(map(_read_only, qs)), _read_only(np.asarray(consistency)),
+            tuple(errors))
 
 
 def companion_rescale(model: ChainModel, vectors):
@@ -256,7 +276,7 @@ def companion_rescale(model: ChainModel, vectors):
     diagonal products along the ladder (``SiteRungs.companion``).
     """
     return [
-        np.concatenate([arr[:1], rung.companion * arr[1:]])
+        np.concatenate([arr[..., :1], rung.companion * arr[..., 1:]], axis=-1)
         for rung, arr in zip(model.rung_table, vectors)
     ]
 
@@ -266,37 +286,42 @@ def companion_rescale(model: ChainModel, vectors):
 
 
 def eigenstates(model: ChainModel, basis: SOVBasis, vectors):
-    """Left covector and right vector from per-site rung vectors v.
+    """Left covectors and right vectors from per-site rung vectors v, one
+    per row of v.
 
     left = sum_h [prod_n kappa^{h_n} v^{(n)}_{h_n}] w_h <h| and
     right = sum_h [prod_n kappa^{-h_n} p^{(n)}_{h_n}] w_h |h>, where
-    p = companion_rescale(model, v).  Raises ZeroState when either state
-    has negligible norm.
+    p = companion_rescale(model, v).  Returns (left, right, errors), with a
+    ZeroState for each row where either state has negligible norm.
     """
-    left = _assemble(model, basis.left_covectors, basis.left_norms,
-                     basis.weights, vectors, 1)
-    right = _assemble(model, basis.right_vectors, basis.right_norms,
-                      basis.weights, companion_rescale(model, vectors), -1)
-    return left, right
+    left, left_zero = _assemble(model, basis.left_covectors, basis.left_norms,
+                                basis.weights, vectors, 1)
+    right, right_zero = _assemble(model, basis.right_vectors,
+                                  basis.right_norms, basis.weights,
+                                  companion_rescale(model, vectors), -1)
+    zero = left_zero | right_zero
+    errors = [None] * zero.size
+    record(errors, zero, lambda k: ZeroState(
+        "assembled eigenstate has negligible norm"))
+    return left, right, errors
 
 
 def _assemble(model, states, norms, weights, vectors, sign):
     """One product of the weighted coefficients with the state matrix.
 
     The coefficient of tuple h is prod_n kappa^{sign h_n} vectors[n][h_n];
-    over all_h_tuples (last site fastest) that is a Kronecker product.
+    over all_h_tuples (last site fastest) that is a Kronecker product, taken
+    row by row.  Returns the states and a mask of those with negligible norm.
     """
-    coeffs = reduce(_kron, [
-        model.kappa ** (sign * np.arange(len(v))) * v for v in vectors
+    coeffs = reduce(_outer, [
+        model.kappa ** (sign * np.arange(v.shape[-1])) * v for v in vectors
     ]) * weights
     total = coeffs @ states
-    scale = float(np.max(np.abs(coeffs) * norms))
-    if scale == 0.0 or np.linalg.norm(total) < 1e-12 * scale:
-        raise ZeroState("assembled eigenstate has negligible norm")
-    return total
+    scale = np.max(np.abs(coeffs) * norms, axis=-1)
+    zero = (scale == 0.0) | (np.linalg.norm(total, axis=-1) < 1e-12 * scale)
+    return total, zero
 
 
-def build_eigenstates(model: ChainModel, eigfun, basis: SOVBasis):
-    """Left covector and right vector for one eigenvalue function."""
-    return eigenstates(model, basis, eigfun.ladder[0])
-
+def _outer(x, y):
+    """Kronecker product of the last axes, row by row."""
+    return (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (-1,))

@@ -21,16 +21,21 @@ the same epsilon; and the eigenvalue can be rebuilt from Q alone through a
 quotient whose regularity at the inner rungs certifies membership in the
 spectrum.
 
-As in the corrected-equation solver, the layer is evaluated on arrays: the
-closure rows come from the shared builder with half-angle cardinals and the
-ladder null vectors the eigenvalue function owns (``eigfun.ladder``), and
-every certificate evaluates Q on a whole point set (the grid, the roots,
-the inner rungs, the base points, every rung) in one call, through the
-shared sinh-product kernel at angle scale 1/2.  Q is held by its roots
-alone.  The grid and Bethe residuals share the corrected equation's
-zero-scale rule, and the eigenstates its assembly
-(``spectrum.eigenstates``).  The solve keeps its Wronskian fit and its
-sum-rule residual on the solution, so nothing recomputes them.
+As in the corrected-equation solver, the layer works on the whole
+spectrum at once, one row per eigenvalue: ``solve_q_hom`` builds every
+row's closure system with the shared builder, half-angle cardinals and the
+ladder null vectors the eigenvalue stack owns, takes one stacked SVD for
+the nullspaces, one stacked interpolation and one stacked companion
+eigenproblem for the roots, and fits every row's sum rule and Wronskian
+sign in one call each.  Every certificate evaluates Q on a whole point set
+(the grid, the roots, the inner rungs, the base points, every rung) for
+every row in one call, through the shared sinh-product kernel at angle
+scale 1/2.  Q is held by its roots alone.  A row that fails keeps its first
+``SovChainError`` in the errors the function returns and the other rows go
+on.  The grid and Bethe residuals share the corrected equation's
+zero-scale rule, and the eigenstates its assembly (``spectrum.eigenstates``).
+The solve keeps its Wronskian fit and its sum-rule residual on the
+solution, so nothing recomputes them.
 """
 
 from __future__ import annotations
@@ -47,13 +52,16 @@ from .errors import (
     NotEntire,
     RankDeficient,
     SovChainError,
-    ZeroState,
+    record,
 )
 from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
 from .sovbasis import SOVBasis
-from .spectrum import EigenvalueFunction, eigenstates
-from .tq_inhom import GRID_POINTS, _closure, _draw_node, _relative_defect
-from .trigpoly import TrigPoly, cardinals, sinh_product
+from .spectrum import eigenstates
+from .tq_inhom import (
+    GRID_POINTS, _closure, _draw_node, _factor_rows, _null_vectors,
+    _relative_defect,
+)
+from .trigpoly import cabs, cardinals, horner, sinh_product
 
 __all__ = [
     "QFunctionHom",
@@ -84,7 +92,8 @@ class QFunctionHom:
     wronskian_residual is the defect of the Wronskian fit that
     ``solve_q_hom`` checked epsilon against, and sum_rule_residual the
     distance of the root sum to the half-period lattice it found (both None
-    for a Q built by hand).
+    for a Q built by hand).  A stack of solutions holds one row of roots
+    and one entry of every other field per eigenvalue.
     """
 
     model: ChainModel
@@ -95,8 +104,16 @@ class QFunctionHom:
     sum_rule_residual: float | None = None
 
     def value(self, lam):
-        """Evaluate the half-angle product over the roots; any shape."""
+        """Evaluate the half-angle product over the roots; lam holds points
+        shared by every row, or one row of points per row."""
         return sinh_product(lam, self.roots, 0.5)
+
+    def row(self, i: int) -> "QFunctionHom":
+        """Row i of a stack as a single solution."""
+        return QFunctionHom(self.model, tuple(self.roots[i]),
+                            int(self.epsilon[i]), int(self.winding[i]),
+                            float(self.wronskian_residual[i]),
+                            float(self.sum_rule_residual[i]))
 
 
 # ----------------------------------------------------------------------
@@ -117,16 +134,13 @@ def half_system_matrix(model: ChainModel, eigfun, zeta0: complex):
     n_sites x (n_sites + 1), so a trustworthy solution shows up as a
     one-dimensional nullspace.
     """
-    return _closure(model, eigfun.ladder[0], zeta0, angle_scale=0.5)[0]
+    return _closure(model, _null_vectors(eigfun), zeta0, angle_scale=0.5)[0]
 
 
 def solve_q_hom(
-    model: ChainModel,
-    eigfun,
-    zeta0: complex | None = None,
-    seed: int = 0,
-) -> QFunctionHom:
-    """Solve the two-term equation for one transfer eigenvalue.
+    model: ChainModel, eigfun, zeta0: complex | None = None, seed: int = 0
+):
+    """Solve the two-term equation for every row of an eigenvalue stack.
 
     The closure system's nullspace fixes Q at the auxiliary node and the
     top rungs; the ladder null vectors extend this to every upper rung,
@@ -134,67 +148,63 @@ def solve_q_hom(
     form.  The root sum then determines the sign epsilon and the winding
     integer, and a Wronskian fit over the verification grid must
     reproduce the same sign; its residual is kept on the solution.
+    zeta0, when not given, is drawn from ``seed``.  Returns (solutions,
+    errors per row).
     """
     if zeta0 is None:
         zeta0 = draw_zeta0_hom(model, np.random.default_rng(seed))
-    mat, nodes, spread = _closure(
-        model, eigfun.ladder[0], zeta0, angle_scale=0.5
-    )
+    qs, _, errors = eigfun.ladder
+    errors = list(errors)
+    mat, nodes, spread = _closure(model, qs, zeta0, angle_scale=0.5)
     _, sing, vh = np.linalg.svd(mat)
-    if sing[-1] <= 1e-8 * sing[0]:
-        raise RankDeficient(
-            "closure system nullspace is not one-dimensional: "
-            f"singular value ratio {sing[-1] / sing[0]:.3e}"
-        )
-    null = vh[-1].conj()
+    ratio = sing[:, -1] / sing[:, 0]
+    record(errors, sing[:, -1] <= 1e-8 * sing[:, 0], lambda k: RankDeficient(
+        "closure system nullspace is not one-dimensional: "
+        f"singular value ratio {ratio[k]:.3e}"))
+    null = vh[:, -1].conj()
 
-    values = spread @ null
-    raw = TrigPoly.from_values(nodes, values, m=0, angle_scale=0.5)
-    c_p, roots = raw.roots()
-
-    top = null[1:] / c_p
+    values = (spread @ null[..., None])[..., 0]
+    coeffs, c_p, roots = _factor_rows(nodes, values, 0.5, errors)
+    top = null[:, 1:] / c_p[:, None]
     tops = np.array([rung.rungs[0] for rung in model.rung_table])
-    shifted = raw.eval(tops + 1j * np.pi) / c_p
-    scale = max(
-        float(np.max(np.abs(top))),
-        float(np.max(np.abs(shifted))),
-        float(np.max(np.abs(values))) / abs(c_p),
+    shifted = horner(coeffs, nodes.size - 1, tops + 1j * np.pi, 0.5)
+    shifted = shifted / c_p[:, None]
+    scale = np.maximum(
+        np.maximum(np.max(np.abs(top), axis=1), np.max(np.abs(shifted), axis=1)),
+        np.max(np.abs(values), axis=1) / cabs(c_p),
     )
-    _require_admissible(top, shifted, scale)
+    site = _vanishing_site(top, shifted, scale)
+    record(errors, site >= 0, lambda k: NonAdmissible(
+        f"site {site[k] + 1}: Q vanishes at the top rung and at its "
+        "half-period translate"))
 
     epsilon, winding, residual = sum_rule_check(model, roots)
-    if residual > 1e-6:
-        raise NoEpsilonFits(
-            f"root sum misses the half-period lattice by {residual:.3e}"
-        )
-    sol = QFunctionHom(model, tuple(roots), epsilon, winding,
+    record(errors, residual > 1e-6, lambda k: NoEpsilonFits(
+        f"root sum misses the half-period lattice by {residual[k]:.3e}"))
+    sol = QFunctionHom(model, roots, epsilon, winding,
                        sum_rule_residual=residual)
-    eps_w, wron = verify_wronskian_identity(model, sol)
-    if eps_w != epsilon:
-        raise NoEpsilonFits(
-            "root-sum sign and Wronskian sign disagree: "
-            f"{epsilon} vs {eps_w}"
-        )
-    return replace(sol, wronskian_residual=wron)
+    eps_w, wron, fit_errors = verify_wronskian_identity(model, sol)
+    record(errors, [e is not None for e in fit_errors], lambda k: fit_errors[k])
+    record(errors, eps_w != epsilon, lambda k: NoEpsilonFits(
+        "root-sum sign and Wronskian sign disagree: "
+        f"{epsilon[k]} vs {eps_w[k]}"))
+    return replace(sol, wronskian_residual=wron), errors
 
 
-def _require_admissible(top, shifted, scale) -> None:
-    """Reject Q vanishing both at a top rung and at its translate.
+def _vanishing_site(top, shifted, scale) -> np.ndarray:
+    """Per row, the first site where Q vanishes both at the top rung and
+    at its translate, or -1.
 
     Such a pair would let an entire family of functions through the
     closure system without pinning the state at that site.
     """
-    floor = 1e-10 * max(scale, 1e-300)
-    for j in range(len(top)):
-        if abs(top[j]) <= floor and abs(shifted[j]) <= floor:
-            raise NonAdmissible(
-                f"site {j + 1}: Q vanishes at the top rung and at its "
-                "half-period translate"
-            )
+    floor = 1e-10 * np.maximum(scale, 1e-300)[..., None]
+    both = (cabs(top) <= floor) & (cabs(shifted) <= floor)
+    return np.where(both.any(axis=-1), both.argmax(axis=-1), -1)
 
 
 def sum_rule_check(model: ChainModel, roots):
-    """Locate the root sum on the half-period lattice.
+    """Locate the root sum on the half-period lattice, per row of roots.
 
     Returns (epsilon, winding, residual) where the sum of roots minus the
     sum of all upper rungs plus half the total degree times eta must equal
@@ -202,13 +212,14 @@ def sum_rule_check(model: ChainModel, roots):
     distance to the nearest lattice point.
     """
     upper = sum(np.concatenate([rung.rungs[:-1] for rung in model.rung_table]))
-    s_val = complex(np.sum(np.asarray(roots, dtype=complex)))
+    s_val = np.sum(np.asarray(roots, dtype=complex), axis=-1)
     s_val = s_val - upper + 0.5 * model.n_s * model.eta
-    r = int(round(s_val.imag / np.pi))
-    residual = abs(s_val - 1j * np.pi * r)
-    epsilon = 1 if r % 2 == 0 else -1
-    winding = (r - (0 if epsilon == 1 else 1)) // 2
-    return epsilon, winding, float(residual)
+    with np.errstate(invalid="ignore"):  # a failed row may hold NaN
+        r = np.round(s_val.imag / np.pi).astype(int)
+    residual = np.hypot(s_val.real, s_val.imag - np.pi * r)
+    epsilon = np.where(r % 2 == 0, 1, -1)
+    winding = (r - (epsilon != 1)) // 2
+    return epsilon, winding, residual
 
 
 # ----------------------------------------------------------------------
@@ -219,10 +230,8 @@ def wronskian(model: ChainModel, q: QFunctionHom, lam):
     eta = model.eta
     ip = 1j * np.pi
     lam = np.asarray(lam, dtype=complex)
-    up, down, here, both = q.value(
-        np.array([lam + ip, lam - eta, lam, lam + ip - eta])
-    )
-    return up * down + here * both
+    up, down = q.value(lam + ip), q.value(lam - eta)
+    return up * down + q.value(lam) * q.value(lam + ip - eta)
 
 
 def wronskian_closed_form(model: ChainModel, q: QFunctionHom, lam):
@@ -240,49 +249,52 @@ def _inner_rungs(model: ChainModel) -> np.ndarray:
     return np.concatenate([rung.rungs[1:-1] for rung in model.rung_table])
 
 
-def w_eps(model: ChainModel, epsilon: int, lam):
+def w_eps(model: ChainModel, epsilon, lam):
     """Target of the Wronskian: 2*eps*(i/2)^deg times the inner-rung product.
 
-    Accepts any shape.
+    Accepts any shape; epsilon may hold one sign per row.
     """
-    return 2.0 * epsilon * (0.5j) ** model.n_s * sinh_product(
+    unit = (0.5j) ** model.n_s
+    sign = np.asarray(epsilon)[..., None]
+    return np.where(sign == 1, 2.0 * unit, -2.0 * unit) * sinh_product(
         lam, _inner_rungs(model)
     )
 
 
 def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
-    """Fit the Wronskian against d times the signed inner-rung product.
+    """Fit every row's Wronskian against d times the signed inner-rung
+    product.
 
     Tries both signs on the verification grid and returns (epsilon,
-    residual) for the better one; raises NoEpsilonFits when neither sign
-    brings the relative defect under 1e-6.
+    residual, errors) for the better one per row; a row where neither sign
+    brings the relative defect under 1e-6 gets a NoEpsilonFits.
     """
     pts = GRID_POINTS
     w_vals = wronskian(model, q, pts)
     target = d_of(model, pts) * w_eps(model, 1, pts)
-    best_eps = 0
-    best_res = np.inf
+    w_max = np.max(np.abs(w_vals), axis=-1)
+    best_eps = np.zeros(w_max.shape, dtype=int)
+    best_res = np.full(w_max.shape, np.inf)
     for eps in (1, -1):
         rhs = eps * target
-        scale = max(float(np.max(np.abs(w_vals))), float(np.max(np.abs(rhs))))
-        if scale == 0.0:
-            continue
-        res = float(np.max(np.abs(w_vals - rhs))) / scale
-        if res < best_res:
-            best_res = res
-            best_eps = eps
-    if best_eps == 0 or best_res > 1e-6:
-        raise NoEpsilonFits(
-            f"Wronskian matches neither sign: best defect {best_res:.3e}"
-        )
-    return best_eps, best_res
+        scale = np.maximum(w_max, np.max(np.abs(rhs)))
+        with np.errstate(all="ignore"):  # a zero scale is skipped below
+            res = np.max(np.abs(w_vals - rhs), axis=-1) / scale
+        better = (scale != 0.0) & (res < best_res)
+        best_eps = np.where(better, eps, best_eps)
+        best_res = np.where(better, res, best_res)
+    errors = [None] * best_res.size
+    flat_res = np.ravel(best_res)
+    record(errors, (best_eps == 0) | (best_res > 1e-6), lambda k: NoEpsilonFits(
+        f"Wronskian matches neither sign: best defect {flat_res[k]:.3e}"))
+    return best_eps, best_res, errors
 
 
 # ----------------------------------------------------------------------
 # consequences of a solved Q
 
 def hom_grid_residual(model: ChainModel, eigfun, q: QFunctionHom) -> float:
-    """Worst relative defect of the two-term equation on the grid.
+    """Worst relative defect of the two-term equation on the grid, per row.
 
     All terms are evaluated pointwise from products over roots and sites,
     independently of the coefficient arithmetic used by the solver, each in
@@ -290,25 +302,20 @@ def hom_grid_residual(model: ChainModel, eigfun, q: QFunctionHom) -> float:
     as 0.
     """
     lam = GRID_POINTS
-    here, down, up = q.value(
-        np.array([lam, lam - model.eta, lam + model.eta])
-    )
-    lhs = eigfun(lam) * here
-    term_a = -a_of(model, lam) * down
-    term_d = d_of(model, lam) * up
-    return float(np.max(_relative_defect(
+    lhs = eigfun(lam) * q.value(lam)
+    term_a = -a_of(model, lam) * q.value(lam - model.eta)
+    term_d = d_of(model, lam) * q.value(lam + model.eta)
+    return np.max(_relative_defect(
         lhs - term_a - term_d, [lhs, term_a, term_d]
-    )))
+    ), axis=-1)
 
 
 def _t_numerator_terms(model: ChainModel, q: QFunctionHom, lam):
     eta = model.eta
     ip = 1j * np.pi
     lam = np.asarray(lam, dtype=complex)
-    a, b, c, d = q.value(
-        np.array([lam + eta, lam + ip - eta, lam + eta + ip, lam - eta])
-    )
-    return a * b, c * d
+    return (q.value(lam + eta) * q.value(lam + ip - eta),
+            q.value(lam + eta + ip) * q.value(lam - eta))
 
 
 # Offsets tried, in order, when a base point sits on an inner rung.
@@ -317,16 +324,16 @@ _SAMPLE_OFFSETS = (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
 
 
 def t_from_q_pair(model: ChainModel, q: QFunctionHom):
-    """Rebuild the eigenvalue from Q and its half-period translate.
+    """Rebuild every row's eigenvalue from Q and its half-period translate.
 
     The quotient of the cross combination by the signed inner-rung product
     is an entire function exactly when Q belongs to the spectrum; its
     values at the base points define the eigenvalue function.  Base points
     sitting on an inner rung (integer-spin sites) are recovered instead by
     sampling the quotient at an offset copy of the base points and solving
-    the interpolation system.  Returns (eigenvalue function, report) where
-    the report holds the relative numerator size at every inner rung;
-    raises NotEntire when any entry exceeds 1e-8.
+    the interpolation system.  Returns (base values, report, errors) where
+    the report holds the relative numerator size at every inner rung; a
+    row gets a NotEntire when any entry exceeds 1e-8.
     """
     inner = _inner_rungs(model)
     xi = np.asarray(model.xi, dtype=complex)
@@ -347,39 +354,44 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
         model, q, np.concatenate([GRID_POINTS, inner, samples])
     )
     cut = GRID_POINTS.size
-    numerator = term_down[cut:] - term_up[cut:]
+    numerator = term_down[..., cut:] - term_up[..., cut:]
     # Normalize against the products being subtracted, not against their
     # difference: the zero transfer eigenvalue has an identically vanishing
     # cross combination, and dividing roundoff by roundoff would reject it.
-    num_scale = max(
-        float(np.max(np.abs(term_down[:cut]))),
-        float(np.max(np.abs(term_up[:cut]))),
+    num_scale = np.maximum(
+        np.max(np.abs(term_down[..., :cut]), axis=-1),
+        np.max(np.abs(term_up[..., :cut]), axis=-1),
     )
-    if num_scale == 0.0:
-        raise NotEntire("Q vanishes on the whole sampling grid")
-    report = np.abs(numerator[: inner.size]) / num_scale
-    if report.size and float(np.max(report)) > 1e-8:
-        raise NotEntire(
-            "cross combination does not vanish at an inner rung: "
-            f"worst relative size {float(np.max(report)):.3e}"
-        )
+    with np.errstate(all="ignore"):  # a vanishing row is rejected below
+        report = np.abs(numerator[..., : inner.size]) / num_scale[..., None]
+        values = numerator[..., inner.size :] / w_eps(model, q.epsilon,
+                                                      samples)
+    worst = np.ravel(np.max(report, axis=-1, initial=0.0))
+    errors = [None] * worst.size
+    record(errors, num_scale == 0.0, lambda k: NotEntire(
+        "Q vanishes on the whole sampling grid"))
+    record(errors, worst > 1e-8, lambda k: NotEntire(
+        "cross combination does not vanish at an inner rung: "
+        f"worst relative size {worst[k]:.3e}"))
     if offset is None:
-        raise SovChainError("no offset clears the inner rungs")
-    values = numerator[inner.size :] / w_eps(model, q.epsilon, samples)
-    if offset:
+        record(errors, np.ones(worst.size, dtype=bool), lambda k: (
+            SovChainError("no offset clears the inner rungs")))
+    elif offset:
         # Convert the offset samples back to base values through the
         # interpolation kernel.
-        values = np.linalg.solve(cardinals(xi, samples), values)
-    return EigenvalueFunction(model, values), report
+        kernel = np.broadcast_to(cardinals(xi, samples),
+                                 values.shape + xi.shape)
+        values = np.linalg.solve(kernel, values[..., None])[..., 0]
+    return values, report, errors
 
 
 def _rung_values(model: ChainModel, q: QFunctionHom):
     """Per site: Q on the rungs, and the alternating-sign copy of Q shifted
     by half a period, from one value call."""
     per_site = on_rungs(
-        model, lambda lam: q.value(np.array([lam, lam + 1j * np.pi]))
+        model, lambda lam: np.array([q.value(lam), q.value(lam + 1j * np.pi)])
     )
-    return [(plain, (-1.0) ** np.arange(plain.size) * shifted)
+    return [(plain, (-1.0) ** np.arange(plain.shape[-1]) * shifted)
             for plain, shifted in per_site]
 
 
@@ -389,53 +401,70 @@ def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
     For each site, collect Q over the full rung ladder and the alternating
     sign copy of Q shifted by half a period; on the spectrum both span the
     same complex line.  Returns (angles, both_zero) with one entry per
-    site; a site where exactly one vector vanishes reports pi/2.
+    site (after the rows); a site where exactly one vector vanishes reports
+    pi/2.
     """
     pairs = _rung_values(model, q)
-    scale = max(float(np.max(np.abs(np.concatenate(p)))) for p in pairs)
-    angles = np.zeros(model.n_sites)
-    both_zero = np.zeros(model.n_sites, dtype=bool)
+    scale = np.max([np.max(np.abs(np.concatenate(p, axis=-1)), axis=-1)
+                    for p in pairs], axis=0)
+    tiny = 1e-12 * np.maximum(scale, 1e-300)
+    angles = np.zeros(scale.shape + (model.n_sites,))
+    both_zero = np.zeros(angles.shape, dtype=bool)
     for n, (v, w) in enumerate(pairs):
-        nv = float(np.linalg.norm(v))
-        nw = float(np.linalg.norm(w))
-        tiny = 1e-12 * max(scale, 1e-300)
-        if nv <= tiny and nw <= tiny:
-            both_zero[n] = True
-            angles[n] = 0.0
-            continue
-        if nv <= tiny or nw <= tiny:
-            angles[n] = 0.5 * np.pi
-            continue
-        coeff = np.vdot(v, w) / (nv * nv)
-        perp = w - coeff * v
-        angles[n] = float(np.arcsin(
-            min(1.0, float(np.linalg.norm(perp)) / nw)
-        ))
+        nv, nw = _norm(v), _norm(w)
+        zero_v, zero_w = nv <= tiny, nw <= tiny
+        both_zero[..., n] = zero_v & zero_w
+        with np.errstate(all="ignore"):  # vanishing vectors are set below
+            coeff = _vdot(v, w) / (nv * nv)
+            perp = w - coeff[..., None] * v
+            angle = np.arcsin(np.minimum(1.0, _norm(perp) / nw))
+        angles[..., n] = np.where(zero_v | zero_w,
+                                  np.where(both_zero[..., n], 0.0, 0.5 * np.pi),
+                                  angle)
     return angles, both_zero
 
 
-def bethe_residuals_hom(model: ChainModel, q: QFunctionHom) -> np.ndarray:
-    """Relative defect of the root system at every root of Q.
+def _norm(v):
+    """``np.linalg.norm`` of each row, bit for bit: the same two strided
+    dot products of the real and imaginary parts."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt((re @ np.swapaxes(re, -1, -2))[..., 0, 0]
+                   + (im @ np.swapaxes(im, -1, -2))[..., 0, 0])
+
+
+def _vdot(v, w):
+    """``np.vdot`` of each row pair, bit for bit."""
+    return (v.conj()[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def bethe_residuals_hom(model: ChainModel, q: QFunctionHom):
+    """Relative defect of the root system at every root of Q, per row.
 
     Entirety of the rebuilt eigenvalue demands that a(root) times Q one
     step down equals d(root) times Q one step up at every root, with the
     half-angle factors at the root itself included (they carry a relative
-    sign).  Roots closer than 1e-8 modulo 2*i*pi raise
-    CoincidentRoots since a double root breaks the simple-pole argument.
+    sign).  Returns (residuals, errors): a row with two roots closer than
+    1e-8 modulo 2*i*pi gets a CoincidentRoots, since a double root breaks
+    the simple-pole argument.
     """
     roots = np.asarray(q.roots, dtype=complex)
-    gaps = distance_to_ipi_lattice(roots[:, None] - roots, 2.0 * np.pi)
-    close = np.argwhere(np.triu(gaps < 1e-8, k=1))
-    if close.size:
-        i, j = close[0]
-        raise CoincidentRoots(
+    gaps = distance_to_ipi_lattice(
+        roots[..., :, None] - roots[..., None, :], 2.0 * np.pi)
+    close = np.triu(gaps < 1e-8, k=1).reshape((-1,) + gaps.shape[-2:])
+    flat_gaps = gaps.reshape(close.shape)
+
+    def collide(k):
+        i, j = np.argwhere(close[k])[0]
+        return CoincidentRoots(
             f"roots {i} and {j} collide modulo the period: "
-            f"gap {gaps[i, j]:.3e}"
+            f"gap {flat_gaps[k][i, j]:.3e}"
         )
-    down, up = q.value(np.array([roots - model.eta, roots + model.eta]))
-    term_a = a_of(model, roots) * down
-    term_d = d_of(model, roots) * up
-    return _relative_defect(term_d - term_a, [term_a, term_d])
+
+    errors = [None] * len(close)
+    record(errors, close.any(axis=(1, 2)), collide)
+    term_a = a_of(model, roots) * q.value(roots - model.eta)
+    term_d = d_of(model, roots) * q.value(roots + model.eta)
+    return _relative_defect(term_d - term_a, [term_a, term_d]), errors
 
 
 def eigenstates_from_q_hom(model: ChainModel, q: QFunctionHom, basis: SOVBasis):
@@ -451,12 +480,10 @@ def eigenstates_from_q_hom(model: ChainModel, q: QFunctionHom, basis: SOVBasis):
     pairs = _rung_values(model, q)
     out = []
     for choice, side in ((1, 0), (-1, 1)):
-        try:
-            left, right = eigenstates(model, basis,
-                                      [pair[side] for pair in pairs])
-        except ZeroState:
-            continue
-        out.append((choice, left, right))
+        left, right, errors = eigenstates(model, basis,
+                                          [pair[side] for pair in pairs])
+        if errors[0] is None:
+            out.append((choice, left, right))
     if not out:
         raise BothChoicesZero(
             "neither half-period choice produced a nonzero state"

@@ -18,16 +18,22 @@ every rung up to one unknown per site, interpolation closure at the bottom
 rungs gives a square linear system, and the solved values interpolate to a
 trigonometric polynomial; Q keeps only its roots.
 
-The layer is evaluated on arrays.  Each solve reads the ladder null vectors
-the eigenvalue function owns (``eigfun.ladder``, computed once per
-eigenvalue and shared with the other pipelines) and builds its closure rows
-from one cardinal kernel (``trigpoly.cardinals``), shared with the
-half-period solver; each check evaluates Q, a, d, t and the correction term
-in one call per point set (the verification grid, the roots, the base
-points, every rung via ``qalgebra.on_rungs``) through
-``trigpoly.sinh_product``; the pole check at the base points is one array
-comparison against every root.  Every grid and Bethe residual of both
-equations uses one zero-scale rule, ``_relative_defect``.
+The layer works on the whole spectrum at once: a Q, like an
+``EigenvalueFunction``, is one solution or a stack of them, one row per
+eigenvalue (roots E x N_s).  ``solve_q_inhom`` builds every row's
+closure system (E x N x (N + 1)) from the ladder null vectors the
+eigenvalue stack owns and from one cardinal kernel (``trigpoly.cardinals``,
+shared with the half-period solver), takes one stacked SVD and solve, and
+gets every row's roots from one stacked companion eigenproblem
+(``trigpoly.factor``).  A row whose system is singular is solved again, and
+only it, at the next deformation redraw.  Each check evaluates Q, a, d, t
+and the correction term in one call per point set for every row (the
+verification grid, the roots, the base points, every rung via
+``qalgebra.on_rungs``) through ``trigpoly.sinh_product``.  A row that fails
+a step keeps its first ``SovChainError`` in the list of errors the function
+returns (one entry per row, None for a row that passed), and the other
+rows go on.  Every grid and Bethe residual of both equations uses one
+zero-scale rule, ``_relative_defect``.
 """
 
 from __future__ import annotations
@@ -36,18 +42,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExceptionalAlpha, NonAdmissible, PoleAtXi
+from .errors import (
+    DegenerateNodes, ExceptionalAlpha, NonAdmissible, PoleAtXi, record,
+)
 from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
 from .sovbasis import SOVBasis
-from .spectrum import EigenvalueFunction, eigenstates
-from .trigpoly import TrigPoly, cardinals, sinh_product
+from .spectrum import eigenstates
+from .trigpoly import TrigPoly, cardinals, factor, interpolate, sinh_product
 
 __all__ = [
     "QFunctionInhom",
     "f_inhom",
     "f_inhom_poly",
     "solve_q_inhom",
-    "solve_q_inhom_with_retries",
     "draw_zeta0",
     "det_m_polynomial",
     "det_m_zero_closed_form",
@@ -76,7 +83,8 @@ del _GRID_RNG
 @dataclass(frozen=True)
 class QFunctionInhom:
     """Monic product function sinh(lam - root_1)...sinh(lam - root_Ns),
-    held by its roots."""
+    held by its roots; or a stack of them, with one row of roots, one alpha
+    and one lambda_bar per eigenvalue."""
 
     model: ChainModel
     alpha: complex
@@ -85,20 +93,32 @@ class QFunctionInhom:
     lambda_bar: complex
 
     def value(self, lam):
-        """Evaluate the product over the stored roots directly; any shape."""
+        """Evaluate the product over the stored roots directly; lam holds
+        points shared by every row, or one row of points per row."""
         return sinh_product(lam, self.roots)
+
+    def row(self, i: int) -> "QFunctionInhom":
+        """Row i of a stack as a single solution."""
+        return QFunctionInhom(self.model, complex(self.alpha[i]), self.zeta0,
+                              tuple(self.roots[i]),
+                              complex(self.lambda_bar[i]))
 
 
 # ----------------------------------------------------------------------
 # the correction term
 
 
-def _correction_roots(model: ChainModel, x: complex) -> np.ndarray:
-    """The extra root pinned by x, followed by every rung, site-major."""
+def _correction_roots(model: ChainModel, x) -> np.ndarray:
+    """The extra root pinned by x, followed by every rung, site-major; one
+    row per entry of x."""
     ladders = [rung.rungs for rung in model.rung_table]
     lower = sum(np.concatenate([r[1:] for r in ladders]))
-    extra = x - lower - (model.n_s + 1) * model.eta / 2.0
-    return np.concatenate([[extra]] + ladders)
+    extra = np.asarray(x - lower - (model.n_s + 1) * model.eta / 2.0)
+    rungs = np.concatenate(ladders)
+    out = np.empty(extra.shape + (1 + rungs.size,), dtype=complex)
+    out[..., 0] = extra
+    out[..., 1:] = rungs
+    return out
 
 
 def _correction_scale(model: ChainModel) -> complex:
@@ -110,7 +130,7 @@ def f_inhom(model: ChainModel, x: complex, lam):
 
     The product factor kills the value at every rung, and the extra root is
     placed so that the extreme exponential coefficients of the functional
-    equation cancel.  Accepts any shape.
+    equation cancel.  Accepts any shape; x may hold one value per row.
     """
     return _correction_scale(model) * sinh_product(
         lam, _correction_roots(model, x)
@@ -128,14 +148,23 @@ def f_inhom_poly(model: ChainModel, x: complex) -> TrigPoly:
 # the discretized linear system
 
 
-def _dressed_null_vectors(model: ChainModel, eigfun):
+def _dressed_null_vectors(model: ChainModel, qs):
     """Ladder null vectors divided by the running exponential prefactors."""
-    qs, _ = eigfun.ladder
-    xs = []
-    for rung, q in zip(model.rung_table, qs):
-        running = np.cumprod(np.exp(rung.rungs[:-1]))
-        xs.append(np.concatenate([q[:1], q[1:] / running]))
-    return xs
+    return [
+        np.concatenate(
+            [q[..., :1], q[..., 1:] / np.cumprod(np.exp(rung.rungs[:-1]))],
+            axis=-1,
+        )
+        for rung, q in zip(model.rung_table, qs)
+    ]
+
+
+def _null_vectors(eigfun):
+    """One eigenvalue's ladder null vectors; raises its RecursionBlowup."""
+    qs, _, (error,) = eigfun.ladder
+    if error is not None:
+        raise error
+    return qs
 
 
 def _closure_nodes(model: ChainModel, zeta0: complex):
@@ -155,17 +184,19 @@ def _closure(model: ChainModel, vectors, zeta0: complex, beta: complex = 1.0,
     times unknown j.  Returns (rows, nodes, spread): spread maps the
     unknowns to the values at the nodes, and row i demands that
     interpolation through the nodes reproduce the ladder value at site i's
-    bottom rung, so rows is n_sites x (n_sites + 1).
+    bottom rung, so rows is n_sites x (n_sites + 1).  Vectors with leading
+    axes give a stack of systems, one per row, against one cardinal matrix.
     """
     nodes, bottoms = _closure_nodes(model, zeta0)
     n_sites = model.n_sites
-    spread = np.zeros((nodes.size, n_sites + 1), dtype=complex)
-    spread[0, 0] = 1.0
-    bottom = np.zeros((n_sites, n_sites + 1), dtype=complex)
+    lead = np.shape(vectors[0])[:-1]
+    spread = np.zeros(lead + (nodes.size, n_sites + 1), dtype=complex)
+    spread[..., 0, 0] = 1.0
+    bottom = np.zeros(lead + (n_sites, n_sites + 1), dtype=complex)
     k = 1
     for j, (two_s, vec) in enumerate(zip(model.two_s, vectors), start=1):
-        spread[k : k + two_s, j] = beta ** np.arange(two_s) * vec[:-1]
-        bottom[j - 1, j] = beta**two_s * vec[-1]
+        spread[..., k : k + two_s, j] = beta ** np.arange(two_s) * vec[..., :-1]
+        bottom[..., j - 1, j] = beta**two_s * vec[..., -1]
         k += two_s
     rows = bottom - cardinals(nodes, bottoms, angle_scale) @ spread
     return rows, nodes, spread
@@ -195,7 +226,7 @@ def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
     """
     n_s = model.n_s
     betas = np.exp(2j * np.pi * np.arange(n_s + 1) / (n_s + 1))
-    xs = _dressed_null_vectors(model, eigfun)
+    xs = _dressed_null_vectors(model, _null_vectors(eigfun))
     dets = np.array(
         [np.linalg.det(_closure(model, xs, zeta0, b)[0][:, 1:]) for b in betas]
     )
@@ -205,7 +236,7 @@ def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
 
 def leading_det_coefficient(model: ChainModel, eigfun) -> complex:
     """Product of the dressed null-vector components at the bottom rungs."""
-    xs = _dressed_null_vectors(model, eigfun)
+    xs = _dressed_null_vectors(model, _null_vectors(eigfun))
     return complex(np.prod([x[-1] for x in xs]))
 
 
@@ -240,66 +271,90 @@ def det_m_zero_closed_form(model: ChainModel, zeta0: complex) -> complex:
 # solving
 
 
-def _require_admissible(tops) -> None:
-    tops = np.asarray(tops)
-    if np.min(np.abs(tops)) < 1e-10 * max(
-        1.0, float(np.max(np.abs(tops)))
-    ):
-        raise NonAdmissible("a top-rung value of Q vanished")
+def _inadmissible(tops) -> np.ndarray:
+    """Per row: does a top-rung value of Q vanish?"""
+    tops = np.abs(tops)
+    return np.min(tops, axis=-1) < 1e-10 * np.maximum(
+        1.0, np.max(tops, axis=-1))
+
+
+def _factor_rows(nodes, values, angle_scale: float, errors: list):
+    """Interpolate every row of node values and factor the interpolants:
+    (coefficients, c_P, roots), with each row's failure added to errors."""
+    try:
+        coeffs = interpolate(nodes, values, 0, angle_scale)
+    except DegenerateNodes as exc:  # the nodes are shared by every row
+        record(errors, np.ones(len(values), dtype=bool), lambda k: exc)
+        coeffs = np.ones(values.shape, dtype=complex)
+    c_p, roots, failed = factor(coeffs, angle_scale)
+    record(errors, [e is not None for e in failed], lambda k: failed[k])
+    return coeffs, c_p, roots
+
+
+def _solve(model: ChainModel, xs, alpha: complex, zeta0: complex, errors):
+    """Solve every row's closure system at one deformation value and
+    extract the roots; returns the stack of solutions, with each row's
+    failure added to errors."""
+    beta = np.exp(complex(alpha))
+    rows, nodes, spread = _closure(model, xs, zeta0, beta)
+    mat, rhs = rows[..., 1:], -rows[..., 0]
+    sing = np.linalg.svd(mat, compute_uv=False)
+    singular = sing[:, -1] <= 1e-10 * np.maximum(1.0, sing[:, 0])
+    record(errors, singular, lambda k: ExceptionalAlpha(
+        f"closure system singular at exp(alpha) = {beta:.6g}"))
+    mat[singular] = np.eye(model.n_sites)  # keeps the stacked solve regular
+    y = np.linalg.solve(mat, rhs[..., None])[..., 0]
+    record(errors, _inadmissible(y), lambda k: NonAdmissible(
+        "a top-rung value of Q vanished"))
+
+    unknowns = np.concatenate([np.ones((len(y), 1)), y], axis=-1)
+    values = (spread @ unknowns[..., None])[..., 0]
+    roots = _factor_rows(nodes, values, 1.0, errors)[2]
+    return QFunctionInhom(model, np.full(len(y), complex(alpha)),
+                          complex(zeta0), roots, np.sum(roots, axis=-1))
 
 
 def solve_q_inhom(
-    model: ChainModel, eigfun, alpha: complex, zeta0: complex
-) -> QFunctionInhom:
-    """Solve the closure system at one deformation value and extract roots."""
-    beta = np.exp(complex(alpha))
-    rows, nodes, spread = _closure(
-        model, _dressed_null_vectors(model, eigfun), zeta0, beta
-    )
-    mat, rhs = rows[:, 1:], -rows[:, 0]
-    sing = np.linalg.svd(mat, compute_uv=False)
-    if sing[-1] <= 1e-10 * max(1.0, float(sing[0])):
-        raise ExceptionalAlpha(
-            f"closure system singular at exp(alpha) = {beta:.6g}"
-        )
-    y = np.linalg.solve(mat, rhs)
-    _require_admissible(y)
-
-    values = spread @ np.concatenate([[1.0], y])
-    _, roots = TrigPoly.from_values(nodes, values, m=0).roots()
-    return QFunctionInhom(
-        model=model,
-        alpha=complex(alpha),
-        zeta0=complex(zeta0),
-        roots=tuple(roots),
-        lambda_bar=complex(np.sum(roots)),
-    )
-
-
-def solve_q_inhom_with_retries(
     model: ChainModel,
     eigfun,
     zeta0: complex | None = None,
     alpha: complex = 0.0,
     max_retries: int = 3,
 ):
-    """Solve with the default deformation, redrawing it when it lands on an
-    exceptional value; the redraws, and zeta0 when not given, come from a
-    fixed seed.  Returns (solution, number of retries used)."""
+    """Solve every row of an eigenvalue stack with the default deformation.
+
+    The rows whose closure system is singular there (ExceptionalAlpha) are
+    solved again, and only they, at the next redraw, up to max_retries
+    times; the redraws, and zeta0 when not given, come from a fixed seed,
+    so every row sees the same sequence.  Returns (solutions, retries per
+    row, errors per row).
+    """
     rng = np.random.default_rng(0)
     if zeta0 is None:
         zeta0 = draw_zeta0(model, rng)
-    for attempt in range(max_retries + 1):
-        try:
-            return solve_q_inhom(model, eigfun, alpha, zeta0), attempt
-        except ExceptionalAlpha:
-            if attempt == max_retries:
-                raise
-            alpha = complex(
-                rng.uniform(-np.log(2.0), np.log(2.0)),
-                rng.uniform(0.0, 2.0 * np.pi),
-            )
-    raise AssertionError("unreachable")
+    qs, _, errors = eigfun.ladder
+    errors = list(errors)
+    xs = _dressed_null_vectors(model, qs)
+    sol = _solve(model, xs, alpha, zeta0, errors)
+    retries = np.zeros(len(errors), dtype=int)
+    for attempt in range(1, max_retries + 1):
+        again = np.flatnonzero([isinstance(e, ExceptionalAlpha)
+                                for e in errors])
+        if not again.size:
+            break
+        alpha = complex(
+            rng.uniform(-np.log(2.0), np.log(2.0)),
+            rng.uniform(0.0, 2.0 * np.pi),
+        )
+        part_errors = [None] * again.size
+        part = _solve(model, [x[again] for x in xs], alpha, zeta0,
+                      part_errors)
+        for name in ("alpha", "roots", "lambda_bar"):
+            getattr(sol, name)[again] = getattr(part, name)
+        for row, exc in zip(again, part_errors):
+            errors[row] = exc
+        retries[again] = attempt
+    return sol, retries, errors
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +363,12 @@ def solve_q_inhom_with_retries(
 
 def _rhs_terms(model: ChainModel, sol: QFunctionInhom, lam):
     """The three right-hand terms of the functional equation at lam."""
-    x = sol.alpha + sol.lambda_bar
-    down, up = sol.value(np.array([lam - model.eta, lam + model.eta]))
-    term_a = -np.exp(lam - sol.alpha) * a_of(model, lam) * down
-    term_d = np.exp(-lam - model.eta + sol.alpha) * d_of(model, lam) * up
-    return term_a, term_d, f_inhom(model, x, lam)
+    alpha = np.asarray(sol.alpha)[..., None]
+    down = sol.value(lam - model.eta)
+    up = sol.value(lam + model.eta)
+    term_a = -np.exp(lam - alpha) * a_of(model, lam) * down
+    term_d = np.exp(-lam - model.eta + alpha) * d_of(model, lam) * up
+    return term_a, term_d, f_inhom(model, sol.alpha + sol.lambda_bar, lam)
 
 
 def _relative_defect(numerator, terms) -> np.ndarray:
@@ -327,40 +383,47 @@ def _relative_defect(numerator, terms) -> np.ndarray:
 def inhom_grid_residual(
     model: ChainModel, eigfun, sol: QFunctionInhom
 ) -> float:
-    """Worst relative defect of the functional equation on the grid.
+    """Worst relative defect of the functional equation on the grid, per
+    row.
 
     All four terms are evaluated pointwise from first principles (products
     over roots and rungs), independently of the coefficient arithmetic used
-    by the solver, each in one call over the whole grid.
+    by the solver, each in one call over the whole grid for every row.
     """
     lam = GRID_POINTS
     lhs = eigfun(lam) * sol.value(lam)
     term_a, term_d, term_f = _rhs_terms(model, sol, lam)
-    return float(np.max(_relative_defect(
+    return np.max(_relative_defect(
         lhs - term_a - term_d - term_f, [lhs, term_a, term_d, term_f]
-    )))
+    ), axis=-1)
 
 
 def t_from_q_inhom(model: ChainModel, sol: QFunctionInhom):
-    """Reconstruct the eigenvalue function from Q alone.
+    """Reconstruct every row's eigenvalue from its Q alone.
 
     Evaluates the functional equation at the base points and divides by the
-    value of Q there; also returns the per-root residuals that certify the
-    reconstructed function is pole-free.
+    value of Q there.  Returns (base values, Bethe residuals, errors): the
+    residuals certify the reconstructed function is pole-free, and a row
+    with a root on a base point modulo the period gets a PoleAtXi.
     """
     xi = np.asarray(model.xi)
     roots = np.asarray(sol.roots, dtype=complex)
-    hits = np.argwhere(distance_to_ipi_lattice(roots - xi[:, None]) < 1e-8)
-    if hits.size:
-        n, j = hits[0]
-        raise PoleAtXi(
-            f"root {sol.roots[j]:.6g} sits on base point {n + 1} modulo the "
+    hits = distance_to_ipi_lattice(roots[..., None, :] - xi[:, None]) < 1e-8
+    hits = hits.reshape((-1,) + hits.shape[-2:])
+    flat = roots.reshape(-1, roots.shape[-1])
+
+    def pole(k):
+        n, j = np.argwhere(hits[k])[0]
+        return PoleAtXi(
+            f"root {flat[k][j]:.6g} sits on base point {n + 1} modulo the "
             "period"
         )
-    base = sum(_rhs_terms(model, sol, xi)) / sol.value(xi)
-    return EigenvalueFunction(model, tuple(base)), bethe_residuals_inhom(
-        model, sol
-    )
+
+    errors = [None] * len(hits)
+    record(errors, hits.any(axis=(1, 2)), pole)
+    with np.errstate(all="ignore"):  # a pole row divides by zero
+        base = sum(_rhs_terms(model, sol, xi)) / sol.value(xi)
+    return base, bethe_residuals_inhom(model, sol), errors
 
 
 def bethe_residuals_inhom(model: ChainModel, sol: QFunctionInhom) -> np.ndarray:
@@ -386,8 +449,9 @@ def q_coordinates_inhom(model: ChainModel, sol: QFunctionInhom):
     place inside the trigonometric-polynomial type.
     """
     def dressed(lam):
+        alpha = np.asarray(sol.alpha)[..., None]
         gauss = np.exp(
-            -lam * (lam + model.eta - 2.0 * sol.alpha) / (2.0 * model.eta)
+            -lam * (lam + model.eta - 2.0 * alpha) / (2.0 * model.eta)
         )
         return gauss * sol.value(lam)
 
@@ -397,7 +461,8 @@ def q_coordinates_inhom(model: ChainModel, sol: QFunctionInhom):
 def eigenstates_from_q_inhom(
     model: ChainModel, sol: QFunctionInhom, basis: SOVBasis
 ):
-    """Left and right eigenstates assembled from the dressed Q values."""
+    """Left and right eigenstates assembled from the dressed Q values:
+    (left, right, errors) as ``spectrum.eigenstates`` returns them."""
     return eigenstates(model, basis, q_coordinates_inhom(model, sol))
 
 
@@ -451,7 +516,7 @@ def homogeneous_rank_check(
     column rank certifies that the correction-free equation has only the
     zero solution.
     """
-    xs = _dressed_null_vectors(model, eigfun)
+    xs = _dressed_null_vectors(model, _null_vectors(eigfun))
     rows, nodes, spread = _closure(model, xs, zeta0, np.exp(complex(alpha)))
     n_sites = model.n_sites
     stacked = np.zeros((n_sites + 2, n_sites + 1), dtype=complex)

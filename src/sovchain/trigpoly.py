@@ -15,7 +15,9 @@ return new instances; instances are immutable and safe to share.
 
 The pointwise kernels ``sinh_product`` (prod of sinh(s (lam - r)) over
 roots) and ``cardinals`` (the Lagrange kernel of both T-Q closures) take
-arrays of any shape.
+arrays of any shape.  ``interpolate``, ``horner`` and ``factor`` are
+``from_values``, ``eval`` and ``roots`` for a whole stack of polynomials,
+one per row, and the methods are those kernels applied to one row.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateNodes, NotFullDegree, ScaleMismatch
+from .errors import (
+    DegenerateNodes, NotFullDegree, ScaleMismatch, record,
+)
 
 # sinh_product runs on every Q evaluation, so it stays out of __all__ and
 # out of the bench tracer's reach (bench/tracing.py wraps __all__).
-__all__ = ["TrigPoly", "cardinals"]
+__all__ = ["TrigPoly", "cardinals", "interpolate", "factor"]
 
 _VALID_SCALES = (1.0, 0.5)
 
@@ -129,19 +133,8 @@ class TrigPoly:
             raise ValueError("nodes and values must be 1-d of equal length")
         if nodes_arr.size == 0:
             raise ValueError("need at least one node")
-        m2 = nodes_arr.size - 1
-        m1 = m2 - m
-        u = angle_scale * nodes_arr
-        z = np.exp(2.0 * u)
-        for i in range(z.size):
-            for j in range(i + 1, z.size):
-                if abs(z[i] - z[j]) <= 1e-10 * max(1.0, abs(z[i]), abs(z[j])):
-                    raise DegenerateNodes(
-                        f"nodes {i} and {j} coincide modulo the period"
-                    )
-        vand = z[:, None] ** np.arange(m2 + 1)[None, :]
-        rhs = values_arr * np.exp(m1 * u)
-        coeffs = np.linalg.solve(vand, rhs)
+        m1 = nodes_arr.size - 1 - m
+        coeffs = interpolate(nodes_arr, values_arr, m, angle_scale)
         return cls(m1 % 2, m1, tuple(coeffs), angle_scale)
 
     # ------------------------------------------------------------------
@@ -167,14 +160,9 @@ class TrigPoly:
         lam_arr = np.asarray(lam, dtype=complex)
         if not self.coeffs:
             out = np.zeros(lam_arr.shape, dtype=complex)
-            return out if lam_arr.shape else complex(out)
-        u = self.angle_scale * lam_arr
-        w = np.exp(2.0 * u)
-        acc = np.full(lam_arr.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * w + c
-        acc = acc * np.exp(-self.m1 * u)
-        return acc if lam_arr.shape else complex(acc)
+        else:
+            out = horner(self.coeffs, self.m1, lam_arr, self.angle_scale)
+        return out if lam_arr.shape else complex(out)
 
     __call__ = eval
 
@@ -269,51 +257,144 @@ class TrigPoly:
         of the largest one, or when a z-root leaves the trusted magnitude
         window [1e-12, 1e12].
         """
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.size == 0:
+        if not any(self.coeffs):
             raise NotFullDegree("the zero polynomial has no factored form")
-        scale = float(np.max(np.abs(c)))
-        if scale == 0.0:
-            raise NotFullDegree("the zero polynomial has no factored form")
-        if abs(c[0]) <= 1e-10 * scale or abs(c[-1]) <= 1e-10 * scale:
-            raise NotFullDegree(
-                "extremal coefficient vanishes: not in the full-degree class"
-            )
-        if c.size == 1:
-            return complex(c[0]), np.zeros(0, dtype=complex)
-        z = np.roots(c[::-1])
-        if z.size != self.m2:
-            raise NotFullDegree("companion solve lost roots")
-        mags = np.abs(z)
-        if np.any(mags < 1e-12) or np.any(mags > 1e12):
-            raise NotFullDegree("root magnitude outside the trusted window")
-        lam = np.log(z) / (2.0 * self.angle_scale)
-        period = np.pi / self.angle_scale
+        if len(self.coeffs) == 1:
+            return complex(self.coeffs[0]), np.zeros(0, dtype=complex)
+        c_p, roots, errors = factor([self.coeffs], self.angle_scale)
+        if errors[0] is not None:
+            raise errors[0]
+        return complex(c_p[0]), roots[0]
+
+
+# ----------------------------------------------------------------------
+# batch kernels: one row per polynomial, on a leading axis
+
+
+def interpolate(nodes, values, m: int, angle_scale: float = 1.0):
+    """Coefficients of ``TrigPoly.from_values`` for every row of values.
+
+    values holds one row of node values per polynomial on its leading
+    axes.  Each row is solved against its own copy of the Vandermonde
+    matrix, so a row's coefficients do not depend on the rows beside it.
+    Raises DegenerateNodes when two nodes coincide modulo the period.
+    """
+    nodes = np.asarray(nodes, dtype=complex)
+    values = np.asarray(values, dtype=complex)
+    m2 = nodes.size - 1
+    u = angle_scale * nodes
+    z = np.exp(2.0 * u)
+    for i in range(z.size):
+        for j in range(i + 1, z.size):
+            if abs(z[i] - z[j]) <= 1e-10 * max(1.0, abs(z[i]), abs(z[j])):
+                raise DegenerateNodes(
+                    f"nodes {i} and {j} coincide modulo the period"
+                )
+    vand = z[:, None] ** np.arange(m2 + 1)[None, :]
+    rhs = values * np.exp((m2 - m) * u)
+    stack = np.broadcast_to(vand, rhs.shape + (m2 + 1,))
+    return np.linalg.solve(stack, rhs[..., None])[..., 0]
+
+
+def horner(coeffs, m1: int, lam, angle_scale: float = 1.0):
+    """``TrigPoly.eval`` of every row of coefficients (leading axes) at the
+    points lam: the result has the rows' shape followed by lam's."""
+    c = np.asarray(coeffs, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    c = c.reshape(c.shape[:-1] + (1,) * lam.ndim + c.shape[-1:])
+    u = angle_scale * lam
+    w = np.exp(2.0 * u)
+    acc = np.broadcast_to(c[..., -1], np.broadcast_shapes(c.shape[:-1], w.shape))
+    for k in range(c.shape[-1] - 2, -1, -1):
+        acc = acc * w + c[..., k]
+    return acc * np.exp(-m1 * u)
+
+
+def factor(coeffs, angle_scale: float = 1.0):
+    """``TrigPoly.roots`` for every row of an (E, m2 + 1) coefficient array,
+    m2 >= 1.
+
+    Returns (c_P, roots, errors): roots is (E, m2), and errors holds per
+    row None or the NotFullDegree that ``roots`` would raise.  The
+    companion matrices are built exactly as ``np.roots`` builds them and
+    go through one stacked ``np.linalg.eigvals``; a failed row's matrix is
+    zeroed so it cannot stop the others.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    rows, m2 = c.shape[0], c.shape[1] - 1
+    errors = [None] * rows
+    scale = np.max(np.abs(c), axis=1)
+    record(errors, scale == 0.0, lambda k: NotFullDegree(
+        "the zero polynomial has no factored form"))
+    ends = np.minimum(cabs(c[:, 0]), cabs(c[:, -1]))
+    record(errors, ends <= 1e-10 * scale, lambda k: NotFullDegree(
+        "extremal coefficient vanishes: not in the full-degree class"))
+    live = np.array([e is None for e in errors], dtype=bool)
+    companion = np.zeros((rows, m2, m2), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(m2 - 1)
+    companion[live, 0] = -c[live, -2::-1] / c[live, -1:]
+    z = np.linalg.eigvals(companion)
+    mags = np.abs(z)
+    record(errors, np.any((mags < 1e-12) | (mags > 1e12), axis=1),
+           lambda k: NotFullDegree("root magnitude outside the trusted window"))
+    # A failed row's garbage may overflow; its error is already recorded.
+    with np.errstate(all="ignore"):
+        lam = np.log(z) / (2.0 * angle_scale)
+        period = np.pi / angle_scale
         # Map into the fundamental strip Im in [0, period), snapping roundoff
         # at the branch seam (z on the positive real axis) to Im = 0 so that
         # real roots come out real instead of jittering across the period.
         seam = 1e-13
         lam = np.where(lam.imag < -seam, lam + 1j * period, lam)
         lam = np.where(lam.imag >= period - seam, lam - 1j * period, lam)
-        lam = np.where(np.abs(lam.imag) <= seam, lam.real.astype(complex), lam)
-        order = np.lexsort((lam.imag, lam.real))
-        lam = lam[order]
-        c_p = complex(
-            c[-1] * 2.0**self.m2 * np.exp(self.angle_scale * np.sum(lam))
+        lam = np.where(np.abs(lam.imag) <= seam, lam.real.astype(complex),
+                       lam)
+        order = np.lexsort((lam.imag, lam.real), axis=1)
+        lam = np.take_along_axis(lam, order, axis=1)
+        c_p = scalar_product(
+            scalar_product(c[:, -1], 2.0**m2),
+            np.exp(scalar_product(angle_scale, np.sum(lam, axis=1))),
         )
-        return c_p, lam
+    return c_p, lam, errors
+
+
+def scalar_product(a, b):
+    """a * b elementwise, rounded as numpy rounds the product of two complex
+    scalars.  Array multiplication may fuse a multiply and an add and so
+    differ in the last bit; this keeps a product of scalars that moved
+    into an array equal to what it was."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def cabs(z):
+    """|z| elementwise, equal bit for bit to ``abs`` of a complex scalar
+    (``np.abs`` on a complex array is not)."""
+    z = np.asarray(z, dtype=complex)
+    return np.hypot(z.real, z.imag)
 
 
 def sinh_product(lam, roots, angle_scale: float = 1.0):
     """prod_j sinh(angle_scale * (lam - roots_j)) for lam of any shape.
 
     One sinh over a trailing root axis, then a product; a scalar lam gives
-    a complex.
+    a complex.  Roots with leading axes are rows, one product each: lam
+    then holds either points shared by every row or one row of points per
+    row (its second-to-last axis), and the rows lead in the result.
     """
     lam = np.asarray(lam, dtype=complex)
-    roots = np.asarray(roots, dtype=complex)
-    out = np.sinh(angle_scale * (lam[..., None] - roots)).prod(axis=-1)
-    return out if lam.shape else complex(out)
+    # C order keeps each product's factors in one order, whatever the rows.
+    roots = np.ascontiguousarray(roots, dtype=complex)
+    if roots.ndim > 1:
+        roots = roots[..., None, :]
+    factors = np.subtract(lam[..., None], roots)
+    factors *= angle_scale
+    out = np.sinh(factors, out=factors).prod(axis=-1)
+    return out if out.shape else complex(out)
 
 
 def cardinals(nodes, lam, angle_scale: float = 1.0) -> np.ndarray:

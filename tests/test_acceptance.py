@@ -149,12 +149,10 @@ class TestSpectrumOracle:
         basis = chain_bases[name]
         rng = default_rng(23)
         probes = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
-        lefts = []
-        rights = []
-        for f in spec.functions:
-            left, right = sp.build_eigenstates(model, f, basis)
-            lefts.append(left)
-            rights.append(right)
+        lefts, rights, errors = sp.eigenstates(
+            model, basis, spec.rows.ladder[0])
+        assert errors == [None] * model.hilbert_dim
+        for f, left, right in zip(spec.functions, lefts, rights):
             for lam in probes:
                 assert sp.eigen_residual(model, f, right, lam, "right") < 1e-8
                 assert sp.eigen_residual(model, f, left, lam, "left") < 1e-8
@@ -176,19 +174,21 @@ class TestInhomogeneousEquation:
         spec = chain_spectra[name]
         zeta0 = ti.draw_zeta0(model, default_rng(42))
         zeta0_b = ti.draw_zeta0(model, default_rng(43))
-        for f in spec.functions:
-            sol, attempt = ti.solve_q_inhom_with_retries(model, f, zeta0=zeta0)
-            assert attempt <= 3
+        sols, attempts, errors = ti.solve_q_inhom(
+            model, spec.rows, zeta0=zeta0)
+        others, _, errors_b = ti.solve_q_inhom(model, spec.rows, zeta0=zeta0_b)
+        assert errors == errors_b == [None] * model.hilbert_dim
+        assert attempts.max() <= 3
+        for i, f in enumerate(spec.functions):
+            sol = sols.row(i)
             assert ti.inhom_grid_residual(model, f, sol) < 1e-8
             assert ti.bethe_residuals_inhom(model, sol).max() < 1e-7
-            rebuilt, _ = ti.t_from_q_inhom(model, sol)
+            rebuilt, _, pole = ti.t_from_q_inhom(model, sol)
+            assert pole == [None]
             scale = max(abs(v) for v in f.base_values)
-            diff = max(
-                abs(a - b)
-                for a, b in zip(rebuilt.base_values, f.base_values)
-            )
+            diff = max(abs(a - b) for a, b in zip(rebuilt, f.base_values))
             assert diff / scale < 1e-8
-            other, _ = ti.solve_q_inhom_with_retries(model, f, zeta0=zeta0_b)
+            other = others.row(i)
             assert ti.root_multiset_distance(sol.roots, other.roots) < 1e-7
 
     @pytest.mark.parametrize("name", SMALL_SHAPES)
@@ -214,10 +214,13 @@ class TestHomogeneousEquation:
         basis = chain_bases[name]
         zeta0 = th.draw_zeta0_hom(model, default_rng(42))
         all_roots = []
+        sols, errors = th.solve_q_hom(model, spec.rows, zeta0=zeta0)
+        assert errors == [None] * model.hilbert_dim
         for idx, f in enumerate(spec.functions):
-            q = th.solve_q_hom(model, f, zeta0=zeta0)
+            q = sols.row(idx)
             assert th.hom_grid_residual(model, f, q) < 1e-8
-            eps, wres = th.verify_wronskian_identity(model, q)
+            eps, wres, fit_errors = th.verify_wronskian_identity(model, q)
+            assert fit_errors == [None]
             assert eps == q.epsilon
             assert wres < 1e-9
             eps2, winding, sres = th.sum_rule_check(model, q.roots)
@@ -227,7 +230,9 @@ class TestHomogeneousEquation:
             angles, both_zero = th.q_vector_proportionality(model, q)
             assert np.max(angles) < 1e-7
             assert not both_zero.any()
-            assert th.bethe_residuals_hom(model, q).max() < 1e-7
+            bethe, bethe_errors = th.bethe_residuals_hom(model, q)
+            assert bethe_errors == [None]
+            assert bethe.max() < 1e-7
             states = th.eigenstates_from_q_hom(model, q, basis)
             assert states
             for _, left, right in states:
@@ -263,10 +268,13 @@ class TestSingleSiteAnchor:
     ):
         model = chains["one-spin-half"]
         xi1 = model.xi[0]
-        for f in chain_spectra["one-spin-half"].functions:
+        spec = chain_spectra["one-spin-half"]
+        sols, errors = th.solve_q_hom(model, spec.rows)
+        assert errors == [None, None]
+        for i, f in enumerate(spec.functions):
             value = complex(f(0.37 - 0.2j))
             plus_branch = abs(value - SINH_ETA) < 1e-6
-            q = th.solve_q_hom(model, f)
+            q = sols.row(i)
             assert q.epsilon == (1 if plus_branch else -1)
             target = xi1 if plus_branch else xi1 + 1j * np.pi
             apart = ti.root_multiset_distance(
@@ -290,23 +298,23 @@ class TestNegativeControls:
         off = sp.EigenvalueFunction(
             model, tuple(v + 1e-3 for v in f.base_values)
         )
-        sol, _ = ti.solve_q_inhom_with_retries(model, f)
+        sol = ti.solve_q_inhom(model, spec.rows)[0].row(0)
         assert ti.inhom_grid_residual(model, off, sol) > 1e-5
-        q = th.solve_q_hom(model, f)
+        q = th.solve_q_hom(model, spec.rows)[0].row(0)
         assert th.hom_grid_residual(model, off, q) > 1e-5
 
     def test_perturbed_roots_are_rejected(self, chains, chain_spectra):
         model = chains["two-spin-half"]
-        f = chain_spectra["two-spin-half"].functions[0]
-        sol, _ = ti.solve_q_inhom_with_retries(model, f)
+        rows = chain_spectra["two-spin-half"].rows
+        sol = ti.solve_q_inhom(model, rows)[0].row(0)
         for j in range(len(sol.roots)):
             bad = list(sol.roots)
             bad[j] += 1e-3
             bad_sol = dataclasses.replace(sol, roots=tuple(bad))
             assert ti.bethe_residuals_inhom(model, bad_sol).max() > 1e-5
-        q = th.solve_q_hom(model, f)
+        q = th.solve_q_hom(model, rows)[0].row(0)
         for j in range(len(q.roots)):
             bad = list(q.roots)
             bad[j] += 1e-3
             bad_q = th.QFunctionHom(model, tuple(bad), q.epsilon, q.winding)
-            assert th.bethe_residuals_hom(model, bad_q).max() > 1e-5
+            assert th.bethe_residuals_hom(model, bad_q)[0].max() > 1e-5

@@ -270,32 +270,30 @@ def test_each_operator_built_at_most_once_per_basis_half(monkeypatch):
 
 
 def test_ladder_and_eigenvalue_calls_per_eigenvalue(monkeypatch):
-    # ladder_nullspace is bound by name in spectrum only (the tq modules
-    # read eigfun.ladder); EigenvalueFunction.__call__ is patched on the
-    # class.  Calls are keyed
-    # by the eigenvalue's base values.
-    ladders = Counter()
-    evals = Counter()
-    nullspace = spectrum.ladder_nullspace
+    # The ladder recursion (spectrum._ladder) and EigenvalueFunction.__call__
+    # each run on the whole spectrum at once: every call covers all 12 rows,
+    # and the calls do not repeat per eigenvalue.
+    ladders = []
+    evals = []
+    ladder = spectrum._ladder
     call = spectrum.EigenvalueFunction.__call__
 
-    def counting_nullspace(model, eigfun):
-        ladders[tuple(eigfun.base_values)] += 1
-        return nullspace(model, eigfun)
+    def counting_ladder(model, rung_values):
+        ladders.append(np.shape(rung_values[0])[:-1])
+        return ladder(model, rung_values)
 
     def counting_call(self, lam):
-        evals[tuple(self.base_values)] += 1
+        evals.append(np.shape(self.base_values)[:-1])
         return call(self, lam)
 
-    for module in (spectrum,):
-        monkeypatch.setattr(module, "ladder_nullspace", counting_nullspace)
+    monkeypatch.setattr(spectrum, "_ladder", counting_ladder)
     monkeypatch.setattr(spectrum.EigenvalueFunction, "__call__", counting_call)
     doc = base_doc([1, 2, 1])
     doc["model"]["kappa"] = [[1.0, 0.0], [0.6, 0.8]]
     report = run_pipelines(RunConfig.from_dict(doc))
     assert report["summary"]["count"] == 12
-    assert len(ladders) == 12 and max(ladders.values()) <= 3
-    assert max(evals.values()) < 40
+    assert ladders == [(12,)]
+    assert set(evals) == {(12,)} and len(evals) < 40
 
 
 def test_library_error_is_recorded_per_eigenvalue(tmp_path, capsys):

@@ -5,8 +5,6 @@ the Kronecker step, the oracle self-check and the auxiliary node draws are
 pinned to the definitions they replace, kept here as plain references.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,9 @@ from sovchain import spectrum as sp
 from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
 from sovchain.cli import RunConfig, run_pipelines
-from sovchain.errors import DegenerateSpectrum, ExceptionalAlpha, SovChainError
+from sovchain.errors import (
+    DegenerateSpectrum, ExceptionalAlpha, RecursionBlowup, SovChainError,
+)
 from sovchain.qalgebra import (
     ChainModel, _kron, a_of, d_of, lax, monodromy, xi_shifted,
 )
@@ -41,21 +41,23 @@ def arbitrary_eigfun(model):
 
 
 def test_one_ladder_and_one_wronskian_fit_per_eigenvalue(monkeypatch):
-    ladders = Counter()
-    fits = Counter()
-    nullspace = sp.ladder_nullspace
-    verify = thm.verify_wronskian_identity
+    # One ladder recursion and one Wronskian fit per run, each over all 12
+    # eigenvalues at once.
+    ladders = []
+    fits = []
+    ladder = sp._ladder
+    fit = thm.verify_wronskian_identity
 
-    def counting_nullspace(model, eigfun):
-        ladders[tuple(eigfun.base_values)] += 1
-        return nullspace(model, eigfun)
+    def counting_ladder(model, rung_values):
+        ladders.append(np.shape(rung_values[0])[:-1])
+        return ladder(model, rung_values)
 
-    def counting_verify(model, q):
-        fits[q.roots] += 1
-        return verify(model, q)
+    def counting_fit(model, q):
+        fits.append(np.shape(q.roots)[:-1])
+        return fit(model, q)
 
-    monkeypatch.setattr(sp, "ladder_nullspace", counting_nullspace)
-    monkeypatch.setattr(thm, "verify_wronskian_identity", counting_verify)
+    monkeypatch.setattr(sp, "_ladder", counting_ladder)
+    monkeypatch.setattr(thm, "verify_wronskian_identity", counting_fit)
     doc = {
         "model": {
             "two_s": [1, 2, 1], "xi": "random", "seed": 11,
@@ -66,8 +68,8 @@ def test_one_ladder_and_one_wronskian_fit_per_eigenvalue(monkeypatch):
     }
     report = run_pipelines(RunConfig.from_dict(doc))
     assert report["summary"]["count"] == 12
-    assert len(ladders) == 12 and set(ladders.values()) == {1}
-    assert len(fits) == 12 and set(fits.values()) == {1}
+    assert ladders == [(12,)]
+    assert fits == [(12,)]
     for entry in report["eigenvalues"]:
         assert "roots" in entry["hom"] and "eigenstate_residual" in entry
 
@@ -75,11 +77,11 @@ def test_one_ladder_and_one_wronskian_fit_per_eigenvalue(monkeypatch):
 def test_solve_keeps_its_wronskian_fit():
     model = chain((1, 2))
     spec = sp.brute_force_spectrum(model)
-    for f in spec.functions[:3]:
-        sol = thm.solve_q_hom(model, f, seed=4)
-        eps, res = thm.verify_wronskian_identity(model, sol)
-        assert sol.epsilon == eps
-        assert sol.wronskian_residual == res
+    sol, errors = thm.solve_q_hom(model, spec.rows, seed=4)
+    assert errors == [None] * model.hilbert_dim
+    eps, res, _ = thm.verify_wronskian_identity(model, sol)
+    assert np.array_equal(sol.epsilon, eps)
+    assert np.array_equal(sol.wronskian_residual, res)
     assert thm.QFunctionHom(model, (), 1, 0).wronskian_residual is None
 
 
@@ -134,29 +136,33 @@ def test_eigenvalue_tables_match_definitions(two_s):
     for n, values in enumerate(eigfun.rung_values, start=1):
         assert np.array_equal(values, eigfun(model.rung_table[n - 1].rungs))
         assert not values.flags.writeable
-    qs, consistency = eigfun.ladder
+    qs, consistency, errors = eigfun.ladder
     assert eigfun.ladder is eigfun.ladder
-    want_q, want_c = sp.ladder_nullspace(model, eigfun)
-    assert consistency == want_c
+    assert errors == (None,)
+    # A row of a stack gets the ladder it gets on its own.
+    stack = sp.EigenvalueFunction(model, np.array([eigfun.base_values] * 2))
+    want_q, want_c, _ = stack.ladder
+    assert consistency == want_c[1]
     for got, want in zip(qs, want_q):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want[1])
         assert not got.flags.writeable
 
 
-def test_failed_ladder_is_not_cached(monkeypatch):
+def test_failed_ladder_row_keeps_its_error():
+    # An overflowing row records its RecursionBlowup with zero vectors; the
+    # rows beside it keep the vectors they get on their own.
     model = chain((1, 2))
-    eigfun = arbitrary_eigfun(model)
-    calls = []
-
-    def failing(model, eigfun):
-        calls.append(1)
-        raise SovChainError("no ladder")
-
-    monkeypatch.setattr(sp, "ladder_nullspace", failing)
-    for _ in range(2):
-        with pytest.raises(SovChainError):
-            eigfun.ladder
-    assert len(calls) == 2
+    good = np.array(arbitrary_eigfun(model).base_values)
+    stack = sp.EigenvalueFunction(
+        model, np.array([good, [1e20 + 0j, 1e20 + 0j], good])
+    )
+    qs, _, errors = stack.ladder
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], RecursionBlowup)
+    alone = sp.EigenvalueFunction(model, tuple(good)).ladder[0]
+    for q, want in zip(qs, alone):
+        assert np.array_equal(q[0], want) and np.array_equal(q[2], want)
+        assert not q[1].any()
 
 
 # ----------------------------------------------------------------------

@@ -84,7 +84,7 @@ class TestSingleSiteAnchor:
 
     def test_null_vector_components(self):
         plus = sp.EigenvalueFunction(D1, (SINH_ETA,))
-        qs, consistency = sp.ladder_nullspace(D1, plus)
+        qs, consistency, _ = plus.ladder
         ps = sp.companion_rescale(D1, qs)
         assert_allclose(qs[0], [1.0, -1.0], atol=1e-14)
         assert_allclose(ps[0], [1.0, -1.0], atol=1e-14)
@@ -95,8 +95,7 @@ class TestSingleSiteAnchor:
         m = model([1], [0.0], kappa=kap)
         plus = sp.EigenvalueFunction(m, (SINH_ETA,))
         basis = sb.build_basis(m)
-        qs, _ = sp.ladder_nullspace(m, plus)
-        left, right = sp.eigenstates(m, basis, qs)
+        left, right, _ = sp.eigenstates(m, basis, plus.ladder[0])
         assert_allclose(left / left[0], [1.0, kap], atol=1e-12)
         assert_allclose(right / right[0], [1.0, 1.0 / kap], atol=1e-12)
 
@@ -116,7 +115,7 @@ def test_discrete_characterization(m):
     spec = sp.brute_force_spectrum(m, seed=3)
     for f in spec.functions:
         assert sp.discrete_residual(m, f) < 1e-8
-        assert sp.ladder_nullspace(m, f)[1] < 1e-8
+        assert f.ladder[1] < 1e-8
 
 
 def test_quasi_periodicity():
@@ -146,7 +145,9 @@ def test_separated_eigenstates(m):
     basis = sb.build_basis(m)
     rng = np.random.default_rng(5)
     lams = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
-    pairs = [sp.build_eigenstates(m, f, basis) for f in spec.functions]
+    lefts, rights, errors = sp.eigenstates(m, basis, spec.rows.ladder[0])
+    assert errors == [None] * m.hilbert_dim
+    pairs = list(zip(lefts, rights))
     for f, (left, right) in zip(spec.functions, pairs):
         for lam in lams:
             assert sp.eigen_residual(m, f, right, complex(lam), "right") < 1e-8
@@ -168,14 +169,13 @@ def test_perturbed_value_is_rejected():
 
 def test_recursion_blowup_guard():
     absurd = sp.EigenvalueFunction(D1, (1e20 + 0j,))
-    with pytest.raises(RecursionBlowup):
-        sp.ladder_nullspace(D1, absurd)
+    assert isinstance(absurd.ladder[2][0], RecursionBlowup)
 
 
 def test_zero_coefficients_raise():
     basis = sb.build_basis(D1)
-    with pytest.raises(ZeroState):
-        sp.eigenstates(D1, basis, [np.zeros(2, dtype=complex)])
+    errors = sp.eigenstates(D1, basis, [np.zeros(2, dtype=complex)])[2]
+    assert isinstance(errors[0], ZeroState)
 
 
 def test_base_value_count_is_checked():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sovchain.errors import ExceptionalAlpha, NonAdmissible, PoleAtXi
+from sovchain.errors import ExceptionalAlpha, PoleAtXi
 from sovchain.qalgebra import ChainModel, xi_shifted
 from sovchain.trigpoly import TrigPoly
 from sovchain import sovbasis as sb
@@ -23,24 +23,31 @@ D3 = model([1, 2], [0.0, 0.7])
 ZETA0 = ti.draw_zeta0(D3, np.random.default_rng(42))
 
 
+def solved(m):
+    """Every eigenvalue with its solution, from one solve over the stack."""
+    spec = sp.brute_force_spectrum(m, seed=3)
+    sol, retries, errors = ti.solve_q_inhom(m, spec.rows, zeta0=ZETA0)
+    assert errors == [None] * m.hilbert_dim
+    return [(f, sol.row(i)) for i, f in enumerate(spec.functions)], retries
+
+
+def solve_one(m, f, **kwargs):
+    """(solution, retries, error) for one eigenvalue, from a stack of one."""
+    sol, retries, errors = ti.solve_q_inhom(
+        m, sp.EigenvalueFunction(m, [f.base_values]), **kwargs)
+    return sol.row(0), int(retries[0]), errors[0]
+
+
 @pytest.fixture(scope="module")
 def d2_solutions():
-    spec = sp.brute_force_spectrum(D2, seed=3)
-    out = []
-    for f in spec.functions:
-        sol, retries = ti.solve_q_inhom_with_retries(D2, f, zeta0=ZETA0)
-        assert retries == 0
-        out.append((f, sol))
+    out, retries = solved(D2)
+    assert not retries.any()
     return out
 
 
 @pytest.fixture(scope="module")
 def d3_solutions():
-    spec = sp.brute_force_spectrum(D3, seed=3)
-    return [
-        (f, ti.solve_q_inhom_with_retries(D3, f, zeta0=ZETA0)[0])
-        for f in spec.functions
-    ]
+    return solved(D3)[0]
 
 
 class TestCorrectionTerm:
@@ -88,7 +95,8 @@ class TestSolve:
     def test_zeta0_independence(self, d3_solutions):
         other = ti.draw_zeta0(D3, np.random.default_rng(7))
         for f, sol in d3_solutions:
-            sol2 = ti.solve_q_inhom(D3, f, 0.0, other)
+            sol2, _, error = solve_one(D3, f, zeta0=other, max_retries=0)
+            assert error is None
             assert ti.root_multiset_distance(sol.roots, sol2.roots) < 1e-7
 
     def test_root_multisets_distinguish_eigenvalues(self, d3_solutions):
@@ -102,17 +110,18 @@ class TestSolve:
         f, _ = d2_solutions[0]
         coeffs = ti.det_m_polynomial(D2, f, ZETA0)
         bad_alpha = np.log(np.roots(coeffs[::-1])[0])
-        with pytest.raises(ExceptionalAlpha):
-            ti.solve_q_inhom(D2, f, bad_alpha, ZETA0)
-        sol, retries = ti.solve_q_inhom_with_retries(
-            D2, f, zeta0=ZETA0, alpha=bad_alpha
-        )
+        _, _, error = solve_one(D2, f, zeta0=ZETA0, alpha=bad_alpha,
+                                max_retries=0)
+        assert isinstance(error, ExceptionalAlpha)
+        sol, retries, error = solve_one(D2, f, zeta0=ZETA0, alpha=bad_alpha)
+        assert error is None
         assert 1 <= retries <= 3
         assert ti.inhom_grid_residual(D2, f, sol) < 1e-8
 
     def test_admissibility_guard(self):
-        with pytest.raises(NonAdmissible):
-            ti._require_admissible(np.array([1.0, 0.0, 2.0]))
+        # One flag per row: the solve records NonAdmissible for flagged rows.
+        flagged = ti._inadmissible(np.array([[1.0, 0.0, 2.0], [1.0, 0.5, 2.0]]))
+        assert flagged.tolist() == [True, False]
 
 
 class TestDeterminantIdentities:
@@ -145,10 +154,9 @@ class TestDeterminantIdentities:
 class TestReconstruction:
     def test_round_trip_base_values(self, d3_solutions):
         for f, sol in d3_solutions:
-            rebuilt, _ = ti.t_from_q_inhom(D3, sol)
-            diff = np.abs(
-                np.array(rebuilt.base_values) - np.array(f.base_values)
-            )
+            rebuilt, _, errors = ti.t_from_q_inhom(D3, sol)
+            assert errors == [None]
+            diff = np.abs(rebuilt - np.array(f.base_values))
             assert np.max(diff) < 1e-8
 
     def test_bethe_residuals_small(self, d3_solutions):
@@ -175,8 +183,7 @@ class TestReconstruction:
             roots=roots,
             lambda_bar=complex(np.sum(roots)),
         )
-        with pytest.raises(PoleAtXi):
-            ti.t_from_q_inhom(D2, sol)
+        assert isinstance(ti.t_from_q_inhom(D2, sol)[2][0], PoleAtXi)
 
 
 class TestEigenstateCoordinates:
@@ -186,7 +193,7 @@ class TestEigenstateCoordinates:
 
     def test_dressed_ratios_equal_null_vector(self, d3_solutions):
         for f, sol in d3_solutions:
-            qs, _ = sp.ladder_nullspace(D3, f)
+            qs = f.ladder[0]
             for site, arr in enumerate(ti.q_coordinates_inhom(D3, sol)):
                 assert np.max(np.abs(arr / arr[0] - qs[site])) < 1e-9
 
@@ -194,7 +201,8 @@ class TestEigenstateCoordinates:
         basis = sb.build_basis(D3)
         spec = sp.brute_force_spectrum(D3, seed=3)
         for (f, sol), column in zip(d3_solutions, spec.right.T):
-            left, right = ti.eigenstates_from_q_inhom(D3, sol, basis)
+            left, right, errors = ti.eigenstates_from_q_inhom(D3, sol, basis)
+            assert errors == [None]
             for lam in [0.25 + 0.4j, -0.7 - 0.2j]:
                 assert sp.eigen_residual(D3, f, right, lam, "right") < 1e-8
                 assert sp.eigen_residual(D3, f, left, lam, "left") < 1e-8
