@@ -1,6 +1,11 @@
 """Transfer-matrix spectrum: dense diagonalization cross-checked against the
 per-site rung determinant conditions.
 
+The dense oracle diagonalizes every twist of one chain in a single pass.
+The monodromy does not depend on the twist, so B and C are built once
+per sample point and each twist forms its own transfer matrix from them;
+the eigendecomposition and inverse stay per twist.
+
 An eigenvalue of the twisted transfer matrix is a trigonometric polynomial
 determined by its values at the N base points xi_1..xi_N (the interpolation
 kernel prod_{l != n} sinh(lam - xi_l) carries the required quasi-periodicity
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState, record
 from .qalgebra import (
-    ChainModel, _read_only, on_rungs, transfer_antiperiodic,
+    ChainModel, _read_only, monodromy, on_rungs, transfer_antiperiodic,
 )
 from .sovbasis import SOVBasis
 from .trigpoly import cabs, scalar_product
@@ -117,68 +122,136 @@ def _leave_one_out(model: ChainModel, lam: np.ndarray) -> np.ndarray:
 class Spectrum:
     """Full spectrum with matched right eigenvectors and left covectors.
 
-    Column i of ``right`` and row i of ``left`` belong to ``functions[i]``,
-    which is also row i of the stack ``rows``; the rows of ``left`` are the
-    inverse of the column matrix, so left@right = identity.
+    Column i of ``right`` and row i of ``left`` belong to row i of the
+    stack ``rows``; the rows of ``left`` are the inverse of the column
+    matrix, so left@right = identity.  ``functions`` views the same rows
+    as one ``EigenvalueFunction`` each, built on first use.
     """
 
     model: ChainModel
-    functions: tuple
     right: np.ndarray
     left: np.ndarray
     rows: EigenvalueFunction
 
+    @cached_property
+    def functions(self) -> tuple:
+        return tuple(EigenvalueFunction(self.model, tuple(values))
+                     for values in self.rows.base_values)
 
-def brute_force_spectrum(model: ChainModel, seed: int = 0) -> Spectrum:
+
+def brute_force_spectrum(models, seed: int = 0):
     """Diagonalize the twisted transfer matrix at a random point.
 
     Commutativity of the family lets one random-point diagonalization fix a
     common eigenbasis; the eigenvalue functions are then read off at the base
     points and verified at extra points.  Draws are retried when the sampled
     spectrum is too close to degenerate.
+
+    ``models`` is one model, which gives its ``Spectrum``, or a sequence of
+    models that differ only in the twist, which gives a tuple with one
+    ``Spectrum`` each.  Every twist draws from its own ``default_rng(seed)``,
+    so its points, its retries and its numbers are those of a call on it
+    alone.  The monodromy does not depend on the twist: it is built once
+    per distinct point, and each twist that drew the point forms
+    kappa^{-1} B + kappa C from the same blocks.
     """
-    rng = np.random.default_rng(seed)
-    dim = model.hilbert_dim
-    vals = v = None
+    single = isinstance(models, ChainModel)
+    twists = (models,) if single else tuple(models)
+    first = twists[0]
+    if any((m.two_s, m.xi, m.eta) != (first.two_s, first.xi, first.eta)
+           for m in twists):
+        raise ValueError("the models must differ only in the twist")
+    rngs = [np.random.default_rng(seed) for _ in twists]
+    vectors = _eigenbases(twists, rngs)
+    inverses = [np.linalg.inv(v) for v in vectors]
+    base = _base_values(twists, vectors, inverses)
+    # Each twist's unsorted pair is dropped as its sorted copy is made.
+    spectra = [_sorted(twist, values, vectors.pop(0), inverses.pop(0))
+               for twist, values in zip(twists, base)]
+    _check(spectra, rngs)
+    return spectra[0] if single else tuple(spectra)
+
+
+def _transfers(twists, points):
+    """(i, transfer matrix of twists[i] at points[i]) for every i in
+    ``points``: one monodromy per distinct point, whose blocks are dropped
+    before the next is built."""
+    groups = {}
+    for i, lam in points.items():
+        groups.setdefault(lam, []).append(i)
+    for lam, members in groups.items():
+        b, c = monodromy(twists[0], lam)[1:3]
+        for i in members:
+            kappa = twists[i].kappa
+            # transfer_antiperiodic's kappa^{-1} B + kappa C, bit for bit.
+            yield i, b / kappa + kappa * c
+        del b, c
+
+
+def _eigenbases(twists, rngs) -> list:
+    """Each twist's eigenvectors at the first of its sample points whose
+    eigenvalues are well separated."""
+    vectors = [None] * len(twists)
     for _ in range(4):
-        lam_star = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        t_star = transfer_antiperiodic(model, lam_star)
-        vals, v = np.linalg.eig(t_star)
-        gaps = np.abs(vals[:, None] - vals[None, :])[~np.eye(dim, dtype=bool)]
-        gap = np.min(gaps, initial=np.inf)
-        if gap >= 1e-8 * max(1.0, float(np.max(np.abs(vals)))):
-            break
-    else:
-        raise DegenerateSpectrum(
-            "no sampled point separated the transfer eigenvalues"
-        )
-    w = np.linalg.inv(v)
-
-    base = np.zeros((dim, model.n_sites), dtype=complex)
-    for n in range(model.n_sites):
-        t_n = transfer_antiperiodic(model, model.xi[n])
-        base[:, n] = np.einsum("ij,ji->i", w @ t_n, v)
-    # Every eigen-pair at once: the eigen_residual defect, column by column.
-    rows = EigenvalueFunction(model, base)
-    for lam in rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3):
-        t_mat = transfer_antiperiodic(model, complex(lam))
-        worst = float(np.max(eigen_residual(model, rows, v.T, lam,
-                                            t_mat=t_mat)))
-        if worst > 1e-8:
-            raise DegenerateSpectrum(
-                f"eigenvector check failed away from the sample point "
-                f"(residual {worst:.2e})"
-            )
-
-    order = np.lexsort((base[:, 0].imag, base[:, 0].real))
-    return Spectrum(
-        model=model,
-        functions=tuple(EigenvalueFunction(model, tuple(base[i]))
-                        for i in order),
-        right=v[:, order],
-        left=w[order],
-        rows=EigenvalueFunction(model, base[order]),
+        points = {i: complex(rngs[i].uniform(-1, 1), rngs[i].uniform(-1, 1))
+                  for i, v in enumerate(vectors) if v is None}
+        for i, t_star in _transfers(twists, points):
+            vals, v = np.linalg.eig(t_star)
+            if _separated(vals):
+                vectors[i] = v
+        if all(v is not None for v in vectors):
+            return vectors
+    raise DegenerateSpectrum(
+        "no sampled point separated the transfer eigenvalues"
     )
+
+
+def _separated(vals) -> bool:
+    """Whether the sampled eigenvalues are far enough apart to fix an
+    eigenbasis."""
+    gaps = np.abs(vals[:, None] - vals[None, :])
+    gap = np.min(gaps[~np.eye(len(vals), dtype=bool)], initial=np.inf)
+    return gap >= 1e-8 * max(1.0, float(np.max(np.abs(vals))))
+
+
+def _base_values(twists, vectors, inverses) -> np.ndarray:
+    """t(xi_n) for every twist, eigenvalue and base point (T x E x N)."""
+    first = twists[0]
+    base = np.zeros((len(twists), first.hilbert_dim, first.n_sites),
+                    dtype=complex)
+    for n, xi in enumerate(first.xi):
+        for i, t_n in _transfers(twists, dict.fromkeys(range(len(twists)),
+                                                       xi)):
+            base[i, :, n] = np.einsum("ij,ji->i", inverses[i] @ t_n,
+                                      vectors[i])
+    return base
+
+
+def _sorted(model, values, right, left) -> Spectrum:
+    """The spectrum in lexicographic order of t(xi_1)."""
+    order = np.lexsort((values[:, 0].imag, values[:, 0].real))
+    return Spectrum(model=model, right=right[:, order], left=left[order],
+                    rows=EigenvalueFunction(model, values[order]))
+
+
+def _check(spectra, rngs) -> None:
+    """Every eigen-pair of every twist at three more points of its own:
+    the eigen_residual defect, column by column."""
+    twists = [spec.model for spec in spectra]
+    checks = [rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+              for rng in rngs]
+    for j in range(3):
+        points = {i: complex(lam[j]) for i, lam in enumerate(checks)}
+        for i, t_mat in _transfers(twists, points):
+            spec = spectra[i]
+            worst = float(np.max(eigen_residual(
+                spec.model, spec.rows, spec.right.T, checks[i][j],
+                t_mat=t_mat)))
+            if worst > 1e-8:
+                raise DegenerateSpectrum(
+                    f"eigenvector check failed away from the sample point "
+                    f"(residual {worst:.2e})"
+                )
 
 
 def eigen_residual(

@@ -3,11 +3,17 @@
 The model's rung table, an eigenvalue function's rung values and ladder,
 the Kronecker step, the oracle self-check and the auxiliary node draws are
 pinned to the definitions they replace, kept here as plain references.
+The oracle's one pass over every twist is pinned to one call per twist.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sovchain import cli
+from sovchain import qalgebra as qa
+from sovchain import sovbasis as sb
 from sovchain import spectrum as sp
 from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
@@ -188,22 +194,162 @@ def test_kron_equals_numpy_kron(two_s):
 
 def test_oracle_check_fires_on_a_wrong_transfer_matrix(monkeypatch):
     model = chain((1, 1, 1))
-    transfer = sp.transfer_antiperiodic
     calls = []
 
     def skewed(model, lam):
         # The sample point and the base points are built first; every
-        # later (check-point) matrix is perturbed.
+        # later (check-point) transfer matrix is perturbed through B.
         calls.append(lam)
-        t = transfer(model, lam)
+        a, b, c, d = monodromy(model, lam)
         if len(calls) > 1 + model.n_sites:
-            t = t + 1e-3 * np.linalg.norm(t) * np.eye(t.shape[0])[::-1]
-        return t
+            t = b / model.kappa + model.kappa * c
+            b = b + model.kappa * (
+                1e-3 * np.linalg.norm(t) * np.eye(t.shape[0])[::-1])
+        return a, b, c, d
 
     sp.brute_force_spectrum(model)
-    monkeypatch.setattr(sp, "transfer_antiperiodic", skewed)
+    monkeypatch.setattr(sp, "monodromy", skewed)
     with pytest.raises(DegenerateSpectrum, match="eigenvector check failed"):
         sp.brute_force_spectrum(model)
+
+
+# ----------------------------------------------------------------------
+# one oracle pass for every twist
+
+TWISTS = tuple(np.exp(1j * np.linspace(0.0, 2.5, 8)))
+
+
+def twist_doc(two_s, kappas, pipelines="all"):
+    return {
+        "model": {"two_s": list(two_s), "xi": "random", "seed": 11,
+                  "kappa": [[k.real, k.imag] for k in map(complex, kappas)]},
+        "pipelines": pipelines,
+    }
+
+
+def counting_builds(monkeypatch):
+    """The spectral point of every monodromy build, at every binding."""
+    builds = []
+
+    def counting(model, lam):
+        builds.append(lam)
+        return monodromy(model, lam)
+
+    for module in (qa, sb, sp):
+        monkeypatch.setattr(module, "monodromy", counting)
+    return builds
+
+
+def test_oracle_builds_each_point_once_for_every_twist(monkeypatch):
+    # (1,)*5 tq-hom: the N + 4 points of the oracle are the only monodromy
+    # builds, whatever the number of twists; the chain is drawn once and
+    # the oracle makes no per-eigenvalue function.
+    builds = counting_builds(monkeypatch)
+    draws, singles, in_oracle = [], [], []
+    draw = cli.generate_model
+    oracle, init = sp.brute_force_spectrum, sp.EigenvalueFunction.__post_init__
+
+    def counting_oracle(*args, **kwargs):
+        in_oracle.append(True)
+        try:
+            return oracle(*args, **kwargs)
+        finally:
+            in_oracle.pop()
+
+    def counting_init(self):
+        if in_oracle and np.ndim(self.base_values) == 1:
+            singles.append(self)
+        init(self)
+
+    monkeypatch.setattr(cli, "generate_model",
+                        lambda *a, **k: draws.append(a) or draw(*a, **k))
+    monkeypatch.setattr(sp, "brute_force_spectrum", counting_oracle)
+    monkeypatch.setattr(sp.EigenvalueFunction, "__post_init__",
+                        counting_init)
+    for count in (1, 2, 8):
+        builds.clear()
+        draws.clear()
+        report = run_pipelines(RunConfig.from_dict(
+            twist_doc((1,) * 5, TWISTS[:count], ["tq-hom"])))
+        assert report["summary"]["pass"], report["summary"]["failures"]
+        assert len(builds) == len(set(builds)) == 5 + 4
+        assert len(draws) == 1
+        assert singles == []
+
+
+def rejecting(monkeypatch, *rejected):
+    """Make the gap test of the oracle fail on the listed calls (0-based)."""
+    calls = []
+    separated = sp._separated
+
+    def gap_test(vals):
+        calls.append(None)
+        return len(calls) - 1 not in rejected and separated(vals)
+
+    monkeypatch.setattr(sp, "_separated", gap_test)
+
+
+@pytest.mark.parametrize("two_s", [(1, 2, 1), (2, 2), (1,) * 5],
+                         ids=["121", "22", "11111"])
+@pytest.mark.parametrize("retry", [False, True], ids=["", "retry"])
+def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
+    # With a retry, twist 1 alone rejects its first sample point (call 1 of
+    # the shared first attempt), so its later draws differ from the others'.
+    model = cli.generate_model(11, len(two_s), two_s, 0.05, eta=ETA)
+    twisted = [replace(model, kappa=k) for k in TWISTS[:3]]
+    builds = counting_builds(monkeypatch)
+    if retry:
+        rejecting(monkeypatch, 1)
+    together = sp.brute_force_spectrum(twisted)
+    assert len(builds) == model.n_sites + 4 + (4 if retry else 0)
+    for i, twist in enumerate(twisted):
+        if retry:
+            rejecting(monkeypatch, *([0] if i == 1 else []))
+        alone = sp.brute_force_spectrum(twist)
+        got = together[i]
+        assert got.model == twist
+        assert np.array_equal(got.rows.base_values, alone.rows.base_values)
+        assert np.array_equal(got.right, alone.right)
+        assert np.array_equal(got.left, alone.left)
+        assert all(f.base_values == g.base_values
+                   for f, g in zip(got.functions, alone.functions))
+
+
+def test_oracle_needs_models_that_differ_only_in_the_twist():
+    with pytest.raises(ValueError, match="only in the twist"):
+        sp.brute_force_spectrum([chain((1, 2)), chain((2, 1))])
+
+
+def test_isospectrality_check_fires_on_one_wrong_twist(monkeypatch):
+    # Twist 0.6+0.8i (not 1) gets t + 1e-6 s L_1 on every point, with L_1
+    # the first cardinal function and s the largest |t(xi_1)|: its
+    # eigenvectors and its function class stay, so only t(xi_1) moves.
+    doc = twist_doc((1, 2, 1), (1.0, 0.6 + 0.8j))
+    clean = run_pipelines(RunConfig.from_dict(doc))
+    assert clean["summary"]["pass"]
+    scale = max(abs(complex(*e["t_at_xi"][0])) for e in clean["eigenvalues"])
+    kappa = 0.6 + 0.8j
+    # B + beta * shift and C - beta * shift move the kappa = 1 transfer
+    # matrix by 0 and this one by shift.
+    beta = 1.0 / (1.0 / kappa - kappa)
+    build = sp.monodromy
+
+    def skewed(model, lam):
+        a, b, c, d = build(model, lam)
+        xi = np.asarray(model.xi)
+        cardinal = (np.prod(np.sinh(lam - xi[1:]))
+                    / np.prod(np.sinh(xi[0] - xi[1:])))
+        shift = 1e-6 * scale * cardinal * np.eye(b.shape[0])
+        return a, b + beta * shift, c - beta * shift, d
+
+    monkeypatch.setattr(sp, "monodromy", skewed)
+    report = run_pipelines(RunConfig.from_dict(doc))
+    summary = report["summary"]
+    assert not summary["pass"]
+    assert summary["failures"][0].startswith("kappa_isospectrality")
+    iso = summary["max_residuals"]["kappa_isospectrality"]
+    assert iso == pytest.approx(1e-6 * scale, rel=1e-3)
+    assert report["eigenvalues"] == clean["eigenvalues"]
 
 
 # ----------------------------------------------------------------------
