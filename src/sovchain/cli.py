@@ -490,7 +490,15 @@ def _load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return RunConfig.from_dict(doc, base_dir=os.path.dirname(path) or ".")
+    config = RunConfig.from_dict(doc, base_dir=os.path.dirname(path) or ".")
+    # Caught here, not when the report is written after every pipeline.
+    for key, target in (("report", config.report_path),
+                        ("bethe_csv", config.bethe_csv_path)):
+        folder = os.path.dirname(target or "") or "."
+        if target is not None and not os.path.isdir(folder):
+            raise ConfigError(
+                f"output.{key}: directory {folder!r} does not exist")
+    return config
 
 
 def _cmd_run(args) -> int:

@@ -2,7 +2,8 @@
 
 Builds the per-site spin representations, the local Lax matrices, the chain
 monodromy blocks A, B, C, D, the scalar products a and d, and the twisted
-antidiagonal transfer matrix kappa^{-1} B(lam) + kappa C(lam).  Everything is
+antidiagonal transfer matrix kappa^{-1} B(lam) + kappa C(lam), which the
+diagonal ``twist_gauge`` conjugates into the untwisted B + C.  Everything is
 dense.  The monodromy is built by Kronecker recursion (site n acts only on
 tensor factor n), so each site step costs O(dim^2); callers still build
 each operator once per (model, lam) and reuse it.  Everything on the rungs
@@ -24,7 +25,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "d_of",
     "xi_shifted",
     "transfer_antiperiodic",
+    "twist_gauge",
     "normality_check",
     "rll_residual",
     "rtt_residual",
@@ -341,6 +343,20 @@ def transfer_antiperiodic(model: ChainModel, lam: complex) -> np.ndarray:
     """The twisted antidiagonal transfer matrix kappa^{-1} B + kappa C."""
     _, b, c, _ = monodromy(model, lam)
     return b / model.kappa + model.kappa * c
+
+
+def twist_gauge(model: ChainModel) -> np.ndarray:
+    """The diagonal kappa^{-|h|} of G, with kappa^{-1} B + kappa C =
+    G (B + C) G^{-1}.
+
+    B lowers the total S^z by one and C raises it by one, so conjugating
+    the untwisted B + C by G gives every B entry kappa^{-1} and every C
+    entry kappa.  |h| = sum_n h_n counts the lowerings of basis state h
+    from the top (rung index h_n at site n, site 1 the slowest index, as in
+    ``sovbasis.all_h_tuples``).  At kappa = 1 every entry is exactly 1.
+    """
+    lowerings = reduce(np.add.outer, [np.arange(v + 1) for v in model.two_s])
+    return model.kappa ** -np.ravel(lowerings)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 per-site rung determinant conditions.
 
 The dense oracle diagonalizes every twist of one chain in a single pass.
-The monodromy does not depend on the twist, so B and C are built once
-per sample point and each twist forms its own transfer matrix from them;
-the eigendecomposition and inverse stay per twist.
+The twist is a diagonal similarity of the untwisted transfer matrix, so
+one eigendecomposition and one inverse serve every twist, gauged by
+kappa^{-|h|}.  The monodromy does not depend on the twist, so B and C are
+built once per sample point; each twist forms its own transfer matrix from
+them for its base values and its check residuals.
 
 An eigenvalue of the twisted transfer matrix is a trigonometric polynomial
 determined by its values at the N base points xi_1..xi_N (the interpolation
@@ -37,6 +39,7 @@ import numpy as np
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState, record
 from .qalgebra import (
     ChainModel, _read_only, monodromy, on_rungs, transfer_antiperiodic,
+    twist_gauge,
 )
 from .sovbasis import SOVBasis
 from .trigpoly import cabs, scalar_product
@@ -149,11 +152,14 @@ def brute_force_spectrum(models, seed: int = 0):
 
     ``models`` is one model, which gives its ``Spectrum``, or a sequence of
     models that differ only in the twist, which gives a tuple with one
-    ``Spectrum`` each.  Every twist draws from its own ``default_rng(seed)``,
-    so its points, its retries and its numbers are those of a call on it
-    alone.  The monodromy does not depend on the twist: it is built once
-    per distinct point, and each twist that drew the point forms
-    kappa^{-1} B + kappa C from the same blocks.
+    ``Spectrum`` each.  The twist is a diagonal similarity
+    (``twist_gauge``), so one eigendecomposition of the untwisted B + C
+    serves every twist: twist kappa gets the right vectors G V and the left
+    covectors V^{-1} G^{-1}.  All twists share one ``default_rng(seed)``
+    and so one sample point, one retry loop and the same check points; the
+    monodromy is built once per point.  Base values and check residuals
+    are each twist's own, from its kappa^{-1} B + kappa C, and a twist in
+    a call with others gets the numbers of a call on it alone.
     """
     single = isinstance(models, ChainModel)
     twists = (models,) if single else tuple(models)
@@ -161,45 +167,38 @@ def brute_force_spectrum(models, seed: int = 0):
     if any((m.two_s, m.xi, m.eta) != (first.two_s, first.xi, first.eta)
            for m in twists):
         raise ValueError("the models must differ only in the twist")
-    rngs = [np.random.default_rng(seed) for _ in twists]
-    vectors = _eigenbases(twists, rngs)
-    inverses = [np.linalg.inv(v) for v in vectors]
-    base = _base_values(twists, vectors, inverses)
+    rng = np.random.default_rng(seed)
+    vectors = _eigenbasis(first, rng)
+    inverse = np.linalg.inv(vectors)
+    pairs = [(g[:, None] * vectors, inverse / g)
+             for g in map(twist_gauge, twists)]
+    # Only the gauged pairs live on: at dim 1024 each matrix is 16 MB.
+    del vectors, inverse
+    base = _base_values(twists, pairs)
     # Each twist's unsorted pair is dropped as its sorted copy is made.
-    spectra = [_sorted(twist, values, vectors.pop(0), inverses.pop(0))
+    spectra = [_sorted(twist, values, *pairs.pop(0))
                for twist, values in zip(twists, base)]
-    _check(spectra, rngs)
+    _check(spectra, rng)
     return spectra[0] if single else tuple(spectra)
 
 
-def _transfers(twists, points):
-    """(i, transfer matrix of twists[i] at points[i]) for every i in
-    ``points``: one monodromy per distinct point, whose blocks are dropped
-    before the next is built."""
-    groups = {}
-    for i, lam in points.items():
-        groups.setdefault(lam, []).append(i)
-    for lam, members in groups.items():
-        b, c = monodromy(twists[0], lam)[1:3]
-        for i in members:
-            kappa = twists[i].kappa
-            # transfer_antiperiodic's kappa^{-1} B + kappa C, bit for bit.
-            yield i, b / kappa + kappa * c
-        del b, c
+def _transfers(twists, lam):
+    """The transfer matrix of every twist at lam, one at a time, from one
+    monodromy."""
+    b, c = monodromy(twists[0], lam)[1:3]
+    for twist in twists:
+        # transfer_antiperiodic's kappa^{-1} B + kappa C, bit for bit.
+        yield b / twist.kappa + twist.kappa * c
 
 
-def _eigenbases(twists, rngs) -> list:
-    """Each twist's eigenvectors at the first of its sample points whose
+def _eigenbasis(model, rng) -> np.ndarray:
+    """Eigenvectors of the untwisted B + C at the first sample point whose
     eigenvalues are well separated."""
-    vectors = [None] * len(twists)
     for _ in range(4):
-        points = {i: complex(rngs[i].uniform(-1, 1), rngs[i].uniform(-1, 1))
-                  for i, v in enumerate(vectors) if v is None}
-        for i, t_star in _transfers(twists, points):
-            vals, v = np.linalg.eig(t_star)
-            if _separated(vals):
-                vectors[i] = v
-        if all(v is not None for v in vectors):
+        lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        b, c = monodromy(model, lam)[1:3]
+        vals, vectors = np.linalg.eig(b + c)
+        if _separated(vals):
             return vectors
     raise DegenerateSpectrum(
         "no sampled point separated the transfer eigenvalues"
@@ -214,16 +213,15 @@ def _separated(vals) -> bool:
     return gap >= 1e-8 * max(1.0, float(np.max(np.abs(vals))))
 
 
-def _base_values(twists, vectors, inverses) -> np.ndarray:
+def _base_values(twists, pairs) -> np.ndarray:
     """t(xi_n) for every twist, eigenvalue and base point (T x E x N)."""
     first = twists[0]
     base = np.zeros((len(twists), first.hilbert_dim, first.n_sites),
                     dtype=complex)
     for n, xi in enumerate(first.xi):
-        for i, t_n in _transfers(twists, dict.fromkeys(range(len(twists)),
-                                                       xi)):
-            base[i, :, n] = np.einsum("ij,ji->i", inverses[i] @ t_n,
-                                      vectors[i])
+        for i, t_n in enumerate(_transfers(twists, xi)):
+            right, left = pairs[i]
+            base[i, :, n] = np.einsum("ij,ji->i", left @ t_n, right)
     return base
 
 
@@ -234,22 +232,19 @@ def _sorted(model, values, right, left) -> Spectrum:
                     rows=EigenvalueFunction(model, values[order]))
 
 
-def _check(spectra, rngs) -> None:
-    """Every eigen-pair of every twist at three more points of its own:
-    the eigen_residual defect, column by column."""
+def _check(spectra, rng) -> None:
+    """Every eigen-pair of every twist at three more points: the
+    eigen_residual defect of its own transfer matrix, column by column."""
     twists = [spec.model for spec in spectra]
-    checks = [rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-              for rng in rngs]
-    for j in range(3):
-        points = {i: complex(lam[j]) for i, lam in enumerate(checks)}
-        for i, t_mat in _transfers(twists, points):
-            spec = spectra[i]
+    checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+    for lam in checks:
+        for spec, t_mat in zip(spectra, _transfers(twists, lam)):
             worst = float(np.max(eigen_residual(
-                spec.model, spec.rows, spec.right.T, checks[i][j],
-                t_mat=t_mat)))
+                spec.model, spec.rows, spec.right.T, lam, t_mat=t_mat)))
             if worst > 1e-8:
                 raise DegenerateSpectrum(
                     f"eigenvector check failed away from the sample point "
+                    f"at twist kappa={spec.model.kappa:.6g} "
                     f"(residual {worst:.2e})"
                 )
 

@@ -11,7 +11,7 @@ from sovchain.cli import (
     main,
     run_pipelines,
 )
-from sovchain import qalgebra, sovbasis, spectrum, tq_hom, tq_inhom
+from sovchain import cli, qalgebra, sovbasis, spectrum, tq_hom, tq_inhom
 from sovchain.errors import (
     ConditioningFailure,
     ConfigError,
@@ -188,6 +188,21 @@ class TestRunCommand:
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("key", ["report", "bethe_csv"])
+    def test_output_in_missing_directory_exits_two(
+            self, tmp_path, capsys, monkeypatch, command, key):
+        doc = base_doc((1,), seed=3)
+        doc["output"] = {key: "nodir/out"}
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        monkeypatch.setattr(cli, "run_pipelines", pytest.fail)
+        assert main([command, cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: output.{key}: directory")
+        assert "nodir" in err[0]
+        assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("command", ["check", "run"])
     def test_non_object_tolerances_exit_two(self, tmp_path, capsys, command):

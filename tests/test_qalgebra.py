@@ -17,6 +17,7 @@ from sovchain.qalgebra import (
     rtt_residual,
     spin_matrices,
     transfer_antiperiodic,
+    twist_gauge,
     xi_shifted,
 )
 
@@ -256,6 +257,24 @@ def test_twist_leaves_spectrum_invariant():
     assert_allclose(
         sorted(e1, key=key), sorted(e2, key=key), atol=1e-9
     )
+
+
+@pytest.mark.parametrize("two_s", [(1, 2, 1), (2, 2), (1, 4), (1,) * 5],
+                         ids=["121", "22", "14", "11111"])
+@pytest.mark.parametrize("kappa", [0.6 + 0.8j, 2.0 - 0.5j])
+def test_twist_is_a_diagonal_gauge(two_s, kappa):
+    # kappa^{-1} B + kappa C = G (B + C) G^{-1} with G = diag(kappa^{-|h|}):
+    # B lowers the total S^z by one and C raises it by one.
+    xi = (0.1 + 0.05j, 0.8 - 0.1j, 1.5 + 0.02j, 2.3 - 0.07j, 3.05 + 0.1j)
+    untwisted = model(two_s, xi[: len(two_s)])
+    rng = np.random.default_rng(sum(two_s))
+    lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    twisted = model(two_s, xi[: len(two_s)], kappa=kappa)
+    gauge = twist_gauge(twisted)
+    t1 = transfer_antiperiodic(untwisted, lam)
+    assert_allclose(transfer_antiperiodic(twisted, lam),
+                    gauge[:, None] * t1 / gauge, rtol=1e-14, atol=0)
+    assert np.all(twist_gauge(untwisted) == 1)
 
 
 # ----------------------------------------------------------------------

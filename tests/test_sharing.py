@@ -3,7 +3,8 @@
 The model's rung table, an eigenvalue function's rung values and ladder,
 the Kronecker step, the oracle self-check and the auxiliary node draws are
 pinned to the definitions they replace, kept here as plain references.
-The oracle's one pass over every twist is pinned to one call per twist.
+The oracle's one pass over every twist, with one eigendecomposition for
+all of them, is pinned to one call per twist.
 """
 
 from dataclasses import replace
@@ -242,10 +243,12 @@ def counting_builds(monkeypatch):
 
 def test_oracle_builds_each_point_once_for_every_twist(monkeypatch):
     # (1,)*5 tq-hom: the N + 4 points of the oracle are the only monodromy
-    # builds, whatever the number of twists; the chain is drawn once and
-    # the oracle makes no per-eigenvalue function.
+    # builds, whatever the number of twists; the chain is drawn once, and
+    # each oracle call makes one eig, one inv and no per-eigenvalue
+    # function.
     builds = counting_builds(monkeypatch)
     draws, singles, in_oracle = [], [], []
+    solvers = {"eig": [], "inv": []}
     draw = cli.generate_model
     oracle, init = sp.brute_force_spectrum, sp.EigenvalueFunction.__post_init__
 
@@ -261,20 +264,35 @@ def test_oracle_builds_each_point_once_for_every_twist(monkeypatch):
             singles.append(self)
         init(self)
 
+    def counting_solver(name):
+        solver = getattr(np.linalg, name)
+
+        def counting(*args, **kwargs):
+            if in_oracle:
+                solvers[name].append(None)
+            return solver(*args, **kwargs)
+        return counting
+
     monkeypatch.setattr(cli, "generate_model",
                         lambda *a, **k: draws.append(a) or draw(*a, **k))
     monkeypatch.setattr(sp, "brute_force_spectrum", counting_oracle)
     monkeypatch.setattr(sp.EigenvalueFunction, "__post_init__",
                         counting_init)
+    for name in solvers:
+        monkeypatch.setattr(np.linalg, name, counting_solver(name))
     for count in (1, 2, 8):
         builds.clear()
         draws.clear()
+        for calls in solvers.values():
+            calls.clear()
         report = run_pipelines(RunConfig.from_dict(
             twist_doc((1,) * 5, TWISTS[:count], ["tq-hom"])))
         assert report["summary"]["pass"], report["summary"]["failures"]
         assert len(builds) == len(set(builds)) == 5 + 4
         assert len(draws) == 1
         assert singles == []
+        assert {name: len(calls) for name, calls in solvers.items()} == {
+            "eig": 1, "inv": 1}
 
 
 def rejecting(monkeypatch, *rejected):
@@ -293,18 +311,19 @@ def rejecting(monkeypatch, *rejected):
                          ids=["121", "22", "11111"])
 @pytest.mark.parametrize("retry", [False, True], ids=["", "retry"])
 def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
-    # With a retry, twist 1 alone rejects its first sample point (call 1 of
-    # the shared first attempt), so its later draws differ from the others'.
+    # With a retry, the first sample point is rejected: it is redrawn once
+    # for every twist, so one more point is built, and each lone call
+    # makes the same retry.
     model = cli.generate_model(11, len(two_s), two_s, 0.05, eta=ETA)
     twisted = [replace(model, kappa=k) for k in TWISTS[:3]]
     builds = counting_builds(monkeypatch)
     if retry:
-        rejecting(monkeypatch, 1)
+        rejecting(monkeypatch, 0)
     together = sp.brute_force_spectrum(twisted)
-    assert len(builds) == model.n_sites + 4 + (4 if retry else 0)
+    assert len(builds) == model.n_sites + 4 + (1 if retry else 0)
     for i, twist in enumerate(twisted):
         if retry:
-            rejecting(monkeypatch, *([0] if i == 1 else []))
+            rejecting(monkeypatch, 0)
         alone = sp.brute_force_spectrum(twist)
         got = together[i]
         assert got.model == twist
@@ -350,6 +369,30 @@ def test_isospectrality_check_fires_on_one_wrong_twist(monkeypatch):
     iso = summary["max_residuals"]["kappa_isospectrality"]
     assert iso == pytest.approx(1e-6 * scale, rel=1e-3)
     assert report["eigenvalues"] == clean["eigenvalues"]
+
+
+def test_oracle_check_names_the_one_wrong_twist(monkeypatch):
+    # B + beta * shift and C - beta * shift leave the untwisted B + C, and
+    # with it the shared eigenbasis, as they are, and move the 0.6+0.8i
+    # transfer matrix by an antidiagonal shift, which is neither the
+    # identity nor a gauge: that twist's check residuals must fire.
+    model = chain((1, 1, 1))
+    kappa = 0.6 + 0.8j
+    beta = 1.0 / (1.0 / kappa - kappa)
+    twisted = [model, replace(model, kappa=kappa)]
+    sp.brute_force_spectrum(twisted)
+
+    def skewed(model, lam):
+        a, b, c, d = monodromy(model, lam)
+        t = b / kappa + kappa * c
+        shift = 1e-3 * np.linalg.norm(t) * np.eye(t.shape[0])[::-1]
+        return a, b + beta * shift, c - beta * shift, d
+
+    monkeypatch.setattr(sp, "monodromy", skewed)
+    sp.brute_force_spectrum(model)
+    with pytest.raises(DegenerateSpectrum, match=(
+            r"eigenvector check failed .* at twist kappa=0\.6\+0\.8j ")):
+        sp.brute_force_spectrum(twisted)
 
 
 # ----------------------------------------------------------------------
