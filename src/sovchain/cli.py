@@ -75,11 +75,17 @@ CHECKS = {
 PROBE_POINTS = (0.23 + 0.11j, -0.4 + 0.6j)
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether a JSON value is a number of the given kinds.  JSON true and
+    false arrive as bool, a subclass of int, and are not numbers here."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            and all(_is_number(v) for v in value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{where}: expected a number or [re, im] pair")
 
@@ -112,7 +118,7 @@ class RunConfig:
             raise ConfigError("missing 'model' section")
         two_s = model.get("two_s")
         if (not isinstance(two_s, list) or not two_s
-                or not all(isinstance(v, int) and v >= 1 for v in two_s)):
+                or not all(_is_number(v, int) and v >= 1 for v in two_s)):
             raise ConfigError("model.two_s must be a list of positive ints")
         xi_field = model.get("xi", "random")
         if xi_field == "random":
@@ -130,17 +136,17 @@ class RunConfig:
         else:
             raise ConfigError("model.xi must be 'random' or a list")
         xi_seed = model.get("seed", 0)
-        if not isinstance(xi_seed, int):
+        if not _is_number(xi_seed, int):
             raise ConfigError("model.seed must be an integer")
         delta_min = model.get("delta_min", 0.05)
-        if not isinstance(delta_min, (int, float)) or delta_min <= 0:
+        if not _is_number(delta_min) or delta_min <= 0:
             raise ConfigError("model.delta_min must be a positive number")
         eta = _parse_complex(model.get("eta", [0.31, 0.07]), "model.eta")
         kappa_field = model.get("kappa", [[1.0, 0.0]])
         if not isinstance(kappa_field, list) or not kappa_field:
             raise ConfigError("model.kappa must be a nonempty list")
         if (len(kappa_field) == 2
-                and all(isinstance(v, (int, float)) for v in kappa_field)):
+                and all(_is_number(v) for v in kappa_field)):
             # A bare [re, im] pair means a single twist, not two real ones.
             kappa_field = [kappa_field]
         kappa_list = tuple(
@@ -151,7 +157,7 @@ class RunConfig:
             raise ConfigError("model.kappa entries must be nonzero")
         alpha = _parse_complex(model.get("alpha", 0.0), "model.alpha")
         retries = model.get("max_alpha_retries", 3)
-        if not isinstance(retries, int) or retries < 0:
+        if not _is_number(retries, int) or retries < 0:
             raise ConfigError("model.max_alpha_retries must be >= 0")
 
         tol_field = doc.get("tolerances", {})
@@ -161,7 +167,7 @@ class RunConfig:
         for key, value in tol_field.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance '{key}'")
-            if not isinstance(value, (int, float)) or value <= 0:
+            if not _is_number(value) or value <= 0:
                 raise ConfigError(f"tolerances.{key} must be positive")
             tolerances[key] = float(value)
 
@@ -202,17 +208,17 @@ class RunConfig:
         if self.xi is None:
             return generate_model(
                 self.xi_seed, len(self.two_s), self.two_s, self.delta_min,
-                eta=self.eta, kappa=kappa, alpha=self.alpha,
+                eta=self.eta, kappa=kappa,
             )
         return ChainModel(
             two_s=self.two_s, xi=self.xi, eta=self.eta, kappa=kappa,
-            alpha=self.alpha, delta_min=self.delta_min,
+            delta_min=self.delta_min,
         )
 
 
 def generate_model(
     seed: int, n_sites: int, two_s, delta_min: float,
-    eta: complex = DEFAULT_ETA, kappa: complex = 1.0, alpha: complex = 0.0,
+    eta: complex = DEFAULT_ETA, kappa: complex = 1.0,
 ) -> ChainModel:
     """Draw inhomogeneities until the genericity margin holds.
 
@@ -236,8 +242,7 @@ def generate_model(
         )
         try:
             return ChainModel(
-                two_s=two_s, xi=xi, eta=eta, kappa=kappa, alpha=alpha,
-                delta_min=delta_min,
+                two_s=two_s, xi=xi, eta=eta, kappa=kappa, delta_min=delta_min,
             )
         except ConfigError:
             continue

@@ -81,8 +81,6 @@ class ChainModel:
         Anisotropy parameter; must stay clear of the i*pi-commensurate set.
     kappa : complex
         Nonzero twist of the antidiagonal transfer matrix.
-    alpha : complex
-        Deformation parameter of the inhomogeneous functional equation.
     delta_min : float
         Genericity margin: the pairwise shifted-inhomogeneity ladders must
         stay at least this far apart modulo i*pi.
@@ -92,7 +90,6 @@ class ChainModel:
     xi: tuple
     eta: complex
     kappa: complex
-    alpha: complex = 0.0
     delta_min: float = 1e-3
 
     def __post_init__(self) -> None:
@@ -102,7 +99,6 @@ class ChainModel:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "eta", complex(self.eta))
         object.__setattr__(self, "kappa", complex(self.kappa))
-        object.__setattr__(self, "alpha", complex(self.alpha))
         if len(two_s) == 0:
             raise ConfigError("chain needs at least one site")
         if len(xi) != len(two_s):

@@ -85,68 +85,43 @@ def _rung_points(model: ChainModel, h) -> list:
     return [rung.rungs[k] for rung, k in zip(model.rung_table, h)]
 
 
-def _rung_blocks(model: ChainModel) -> dict:
-    """(B, C) at every rung xi_n^{(k)}, k < 2s_n, keyed by (n, k)."""
-    blocks = {}
-    for site, rung in enumerate(model.rung_table, start=1):
+def build_basis(model: ChainModel) -> SOVBasis:
+    """Generate both halves of the basis in one pass over the sites.
+
+    Last site first, the block of states of the later sites is the h_n = 0
+    block of site n, and upper rung k maps block k to block k + 1: right
+    vectors by -B(xi_n^{(k)}) / a(xi_n^{(k)}), left covectors by
+    C(xi_n^{(k)}) / d(xi_n^{(k + 1)}) acting on the right.  Stacking the
+    blocks by k gives all_h_tuples order (last site fastest).  B-operators
+    at distinct arguments commute, so the site order does not matter.
+    Each upper rung costs one monodromy build, dropped after its step.
+    """
+    norm_const = _normalization(model)
+    right = np.zeros((1, model.hilbert_dim), dtype=complex)
+    right[0, 0] = 1.0 / norm_const
+    left = right
+    for rung in reversed(model.rung_table):
+        rights, lefts = [right], [left]
         for k, lam in enumerate(rung.rungs[:-1]):
             _, b, c, _ = monodromy(model, lam)
-            blocks[(site, k)] = b, c
-    return blocks
-
-
-def _generate(model: ChainModel, norm_const: complex, steps: dict):
-    """States (one per row) and their norms.
-
-    State h is the predecessor one rung lower at the first site n with
-    h_n > 0, mapped by matrix @ state / divisor for (matrix, divisor) =
-    steps[(n, h_n - 1)].
-    """
-    ref = np.zeros(model.hilbert_dim, dtype=complex)
-    ref[0] = 1.0 / norm_const
-    states: dict = {}
-    for h in all_h_tuples(model):
-        if not any(h):
-            states[h] = ref
-            continue
-        site = next(n for n, v in enumerate(h, start=1) if v > 0)
-        prev = tuple(
-            v - 1 if n == site else v for n, v in enumerate(h, start=1)
-        )
-        matrix, divisor = steps[(site, h[site - 1] - 1)]
-        states[h] = (matrix @ states[prev]) / divisor
-    return np.array(list(states.values())), _check_norms(states)
-
-
-def build_basis(model: ChainModel) -> SOVBasis:
-    """Generate both halves of the basis from one monodromy build per rung.
-
-    Right vectors: each step applies -B(xi_n^{(h_n - 1)}) / a(xi_n^{(h_n - 1)})
-    to the predecessor with one rung lower at site n.  B-operators at
-    distinct arguments commute, so which site is incremented first does not
-    matter.  Left covectors: each step applies C(xi_n^{(h_n - 1)}) /
-    d(xi_n^{(h_n)}) on the right of the predecessor covector.
-    """
-    blocks = _rung_blocks(model)
-    table = model.rung_table
-    norm_const = _normalization(model)
-    vectors, right_norms = _generate(model, norm_const, {
-        (n, k): (b, -table[n - 1].a[k]) for (n, k), (b, _) in blocks.items()
-    })
-    covectors, left_norms = _generate(model, norm_const, {
-        (n, k): (c.T, table[n - 1].d[k + 1])
-        for (n, k), (_, c) in blocks.items()
-    })
-    weights = np.array([weight(model, h) for h in all_h_tuples(model)])
-    return SOVBasis(model, norm_const, weights, vectors, covectors,
+            rights.append(rights[-1] @ b.T / -rung.a[k])
+            lefts.append(lefts[-1] @ c / rung.d[k + 1])
+            del b, c
+        right, left = np.concatenate(rights), np.concatenate(lefts)
+    hs = all_h_tuples(model)
+    right_norms = _check_norms(hs, right)
+    left_norms = _check_norms(hs, left)
+    weights = np.array([weight(model, h) for h in hs])
+    return SOVBasis(model, norm_const, weights, right, left,
                     right_norms, left_norms)
 
 
-def _check_norms(states: dict) -> np.ndarray:
-    """Norms of the states, in order; raise if any has collapsed."""
-    norms = np.array([np.linalg.norm(v) for v in states.values()])
+def _check_norms(hs: list, states: np.ndarray) -> np.ndarray:
+    """Norms of the states (row i labeled by hs[i]); raise if any has
+    collapsed."""
+    norms = np.linalg.norm(states, axis=1)
     biggest = norms.max()
-    for h, n in zip(states, norms):
+    for h, n in zip(hs, norms):
         if n < 1e-12 * biggest:
             raise ConditioningFailure(
                 f"basis state {h} collapsed to relative norm {n / biggest:.2e}"

@@ -137,9 +137,7 @@ def half_system_matrix(model: ChainModel, eigfun, zeta0: complex):
     return _closure(model, _null_vectors(eigfun), zeta0, angle_scale=0.5)[0]
 
 
-def solve_q_hom(
-    model: ChainModel, eigfun, zeta0: complex | None = None, seed: int = 0
-):
+def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     """Solve the two-term equation for every row of an eigenvalue stack.
 
     The closure system's nullspace fixes Q at the auxiliary node and the
@@ -148,11 +146,8 @@ def solve_q_hom(
     form.  The root sum then determines the sign epsilon and the winding
     integer, and a Wronskian fit over the verification grid must
     reproduce the same sign; its residual is kept on the solution.
-    zeta0, when not given, is drawn from ``seed``.  Returns (solutions,
-    errors per row).
+    Returns (solutions, errors per row).
     """
-    if zeta0 is None:
-        zeta0 = draw_zeta0_hom(model, np.random.default_rng(seed))
     qs, _, errors = eigfun.ladder
     errors = list(errors)
     mat, nodes, spread = _closure(model, qs, zeta0, angle_scale=0.5)

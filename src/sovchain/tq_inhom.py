@@ -317,21 +317,19 @@ def _solve(model: ChainModel, xs, alpha: complex, zeta0: complex, errors):
 def solve_q_inhom(
     model: ChainModel,
     eigfun,
-    zeta0: complex | None = None,
+    zeta0: complex,
     alpha: complex = 0.0,
     max_retries: int = 3,
 ):
-    """Solve every row of an eigenvalue stack with the default deformation.
+    """Solve every row of an eigenvalue stack at the auxiliary node zeta0.
 
-    The rows whose closure system is singular there (ExceptionalAlpha) are
-    solved again, and only they, at the next redraw, up to max_retries
-    times; the redraws, and zeta0 when not given, come from a fixed seed,
+    The rows whose closure system is singular at the deformation alpha
+    (ExceptionalAlpha) are solved again, and only they, at the next
+    redraw, up to max_retries times; the redraws come from a fixed seed,
     so every row sees the same sequence.  Returns (solutions, retries per
     row, errors per row).
     """
     rng = np.random.default_rng(0)
-    if zeta0 is None:
-        zeta0 = draw_zeta0(model, rng)
     qs, _, errors = eigfun.ladder
     errors = list(errors)
     xs = _dressed_null_vectors(model, qs)

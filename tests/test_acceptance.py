@@ -81,7 +81,7 @@ class TestAdjointSymmetry:
 
 
 class TestSeparatedBasis:
-    @pytest.mark.parametrize("name", SMALL_SHAPES)
+    @pytest.mark.parametrize("name", ALL_SHAPES)
     def test_operator_actions(self, name, chains, chain_bases):
         model = chains[name]
         basis = chain_bases[name]
@@ -92,7 +92,7 @@ class TestSeparatedBasis:
                 assert sb.c_action_residual(basis, h, lam, side) < 1e-9
                 assert sb.b_action_residual(basis, h, lam, side) < 1e-9
 
-    @pytest.mark.parametrize("name", SMALL_SHAPES)
+    @pytest.mark.parametrize("name", ALL_SHAPES)
     def test_overlaps_match_closed_form(self, name, chains, chain_bases):
         model = chains[name]
         basis = chain_bases[name]
@@ -103,7 +103,7 @@ class TestSeparatedBasis:
                 want = sb.expected_overlap(model, h, k)
                 assert abs(got - want) < 1e-9
 
-    @pytest.mark.parametrize("name", SMALL_SHAPES)
+    @pytest.mark.parametrize("name", ALL_SHAPES)
     def test_identity_resolution(self, name, chain_bases):
         assert sb.identity_resolution(chain_bases[name]) < 1e-8
 
@@ -269,7 +269,8 @@ class TestSingleSiteAnchor:
         model = chains["one-spin-half"]
         xi1 = model.xi[0]
         spec = chain_spectra["one-spin-half"]
-        sols, errors = th.solve_q_hom(model, spec.rows)
+        zeta0 = th.draw_zeta0_hom(model, default_rng(0))
+        sols, errors = th.solve_q_hom(model, spec.rows, zeta0)
         assert errors == [None, None]
         for i, f in enumerate(spec.functions):
             value = complex(f(0.37 - 0.2j))
@@ -298,21 +299,25 @@ class TestNegativeControls:
         off = sp.EigenvalueFunction(
             model, tuple(v + 1e-3 for v in f.base_values)
         )
-        sol = ti.solve_q_inhom(model, spec.rows)[0].row(0)
+        zeta0 = ti.draw_zeta0(model, default_rng(0))
+        sol = ti.solve_q_inhom(model, spec.rows, zeta0)[0].row(0)
         assert ti.inhom_grid_residual(model, off, sol) > 1e-5
-        q = th.solve_q_hom(model, spec.rows)[0].row(0)
+        zeta0 = th.draw_zeta0_hom(model, default_rng(0))
+        q = th.solve_q_hom(model, spec.rows, zeta0)[0].row(0)
         assert th.hom_grid_residual(model, off, q) > 1e-5
 
     def test_perturbed_roots_are_rejected(self, chains, chain_spectra):
         model = chains["two-spin-half"]
         rows = chain_spectra["two-spin-half"].rows
-        sol = ti.solve_q_inhom(model, rows)[0].row(0)
+        zeta0 = ti.draw_zeta0(model, default_rng(0))
+        sol = ti.solve_q_inhom(model, rows, zeta0)[0].row(0)
         for j in range(len(sol.roots)):
             bad = list(sol.roots)
             bad[j] += 1e-3
             bad_sol = dataclasses.replace(sol, roots=tuple(bad))
             assert ti.bethe_residuals_inhom(model, bad_sol).max() > 1e-5
-        q = th.solve_q_hom(model, rows)[0].row(0)
+        zeta0 = th.draw_zeta0_hom(model, default_rng(0))
+        q = th.solve_q_hom(model, rows, zeta0)[0].row(0)
         for j in range(len(q.roots)):
             bad = list(q.roots)
             bad[j] += 1e-3

@@ -101,6 +101,15 @@ class TestConfigParsing:
         (lambda d: d.update(tolerances={"bogus": 1e-8}), "tolerance"),
         (lambda d: d.update(pipelines=["nope"]), "pipelines"),
         (lambda d: d["model"].update(delta_min=-1), "delta_min"),
+        (lambda d: d["model"].update(two_s=[True, 1]), "model.two_s"),
+        (lambda d: d["model"].update(seed=True), "model.seed"),
+        (lambda d: d["model"].update(delta_min=True), "model.delta_min"),
+        (lambda d: d["model"].update(eta=[True, False]), "model.eta"),
+        (lambda d: d["model"].update(kappa=[True, False]), "model.kappa"),
+        (lambda d: d["model"].update(alpha=True), "model.alpha"),
+        (lambda d: d["model"].update(max_alpha_retries=False),
+         "model.max_alpha_retries"),
+        (lambda d: d.update(tolerances={"grid": True}), "tolerances.grid"),
     ])
     def test_rejects_malformed(self, mutate, message):
         doc = base_doc((1, 1))

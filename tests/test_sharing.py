@@ -84,7 +84,8 @@ def test_one_ladder_and_one_wronskian_fit_per_eigenvalue(monkeypatch):
 def test_solve_keeps_its_wronskian_fit():
     model = chain((1, 2))
     spec = sp.brute_force_spectrum(model)
-    sol, errors = thm.solve_q_hom(model, spec.rows, seed=4)
+    sol, errors = thm.solve_q_hom(
+        model, spec.rows, thm.draw_zeta0_hom(model, np.random.default_rng(4)))
     assert errors == [None] * model.hilbert_dim
     eps, res, _ = thm.verify_wronskian_identity(model, sol)
     assert np.array_equal(sol.epsilon, eps)

@@ -17,6 +17,7 @@ D1 = model([1], [0.0])
 D2 = model([1, 1], [0.0, 0.7])
 D3 = model([1, 2], [0.0, 0.7])
 D4 = model([1, 1, 1], [0.1, 0.85, 1.7])
+D5 = model([1, 2, 1], [0.1, 0.85, 1.7])
 
 RNG = np.random.default_rng(11)
 LAMBDAS = [complex(z) for z in RNG.uniform(-1, 1, 3) + 1j * RNG.uniform(-1, 1, 3)]
@@ -43,7 +44,7 @@ def test_two_site_overlap_literal():
     assert_allclose(got, 1.3182460914662971917, rtol=1e-12)
 
 
-@pytest.mark.parametrize("m", [D1, D2, D3], ids=["D1", "D2", "D3"])
+@pytest.mark.parametrize("m", [D1, D2, D3, D5], ids=["D1", "D2", "D3", "D5"])
 def test_overlaps_match_closed_form(m):
     basis = sb.build_basis(m)
     hs = sb.all_h_tuples(m)
@@ -61,11 +62,12 @@ def test_identity_resolution(m):
 
 
 def test_d_action_diagonal():
-    basis = sb.build_basis(D3)
-    for lam in LAMBDAS:
-        for h in sb.all_h_tuples(D3):
-            assert sb.d_action_residual(basis, h, lam, "right") < 1e-10
-            assert sb.d_action_residual(basis, h, lam, "left") < 1e-10
+    for m in (D3, D5):
+        basis = sb.build_basis(m)
+        for lam in LAMBDAS:
+            for h in sb.all_h_tuples(m):
+                assert sb.d_action_residual(basis, h, lam, "right") < 1e-10
+                assert sb.d_action_residual(basis, h, lam, "left") < 1e-10
 
 
 def test_d_eigenvalues_separate_states():
@@ -79,7 +81,7 @@ def test_d_eigenvalues_separate_states():
         seen.append(vals)
 
 
-@pytest.mark.parametrize("m", [D2, D3], ids=["D2", "D3"])
+@pytest.mark.parametrize("m", [D2, D3, D5], ids=["D2", "D3", "D5"])
 def test_c_action_interpolation_sum(m):
     basis = sb.build_basis(m)
     for lam in LAMBDAS:
@@ -88,7 +90,7 @@ def test_c_action_interpolation_sum(m):
             assert sb.c_action_residual(basis, h, lam, "left") < 1e-9
 
 
-@pytest.mark.parametrize("m", [D2, D3], ids=["D2", "D3"])
+@pytest.mark.parametrize("m", [D2, D3, D5], ids=["D2", "D3", "D5"])
 def test_b_action_interpolation_sum(m):
     basis = sb.build_basis(m)
     for lam in LAMBDAS:
@@ -129,6 +131,20 @@ def test_weight_is_reciprocal_of_overlap():
 
 
 def test_collapsed_state_raises():
-    states = {(0,): np.array([1.0 + 0j, 0.0]), (1,): np.array([1e-15 + 0j, 0.0])}
+    states = np.array([[1.0 + 0j, 0.0], [1e-15 + 0j, 0.0]])
     with pytest.raises(ConditioningFailure):
-        sb._check_norms(states)
+        sb._check_norms([(0,), (1,)], states)
+
+
+def test_collapsing_generation_step_raises(monkeypatch):
+    # B at site 2's top rung builds every state with h_2 = 1 on D2; shrunk
+    # to rounding level, the first of them, (0, 1), is the collapse named.
+    top = D2.rung_table[1].rungs[0]
+
+    def shrunk_b(m, lam):
+        a, b, c, d = monodromy(m, lam)
+        return (a, b * 1e-14, c, d) if lam == top else (a, b, c, d)
+
+    monkeypatch.setattr(sb, "monodromy", shrunk_b)
+    with pytest.raises(ConditioningFailure, match=r"\(0, 1\)"):
+        sb.build_basis(D2)

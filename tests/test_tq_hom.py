@@ -34,7 +34,8 @@ D5 = model([2, 2], [0.0, 0.9])
 def solved_spectrum(m):
     """Every eigenvalue with its solution, from one solve over the stack."""
     spec = sp.brute_force_spectrum(m, seed=3)
-    sol, errors = thm.solve_q_hom(m, spec.rows, seed=3)
+    sol, errors = thm.solve_q_hom(
+        m, spec.rows, thm.draw_zeta0_hom(m, np.random.default_rng(3)))
     assert errors == [None] * m.hilbert_dim
     return [(f, sol.row(i)) for i, f in enumerate(spec.functions)]
 
@@ -102,7 +103,8 @@ class TestSingleSiteAnchor:
             f for f in spec.functions
             if abs(f.base_values[0] - SINH_ETA) < 1e-10
         )
-        sol = solve_one(d1_plain, f, seed=3)
+        sol = solve_one(d1_plain, f, zeta0=thm.draw_zeta0_hom(
+            d1_plain, np.random.default_rng(3)))
         states = thm.eigenstates_from_q_hom(d1_plain, sol, basis)
         assert len(states) == 2
         for _, _, right in states:
@@ -276,7 +278,8 @@ class TestEigenstates:
         basis = build_basis(D3)
         for idx in (0, 2, 5):
             f = spec.functions[idx]
-            sol = solve_one(D3, f, seed=3)
+            sol = solve_one(D3, f, zeta0=thm.draw_zeta0_hom(
+                D3, np.random.default_rng(3)))
             states = thm.eigenstates_from_q_hom(D3, sol, basis)
             assert len(states) == 2
             ref = spec.right[:, idx]
