@@ -231,6 +231,8 @@ def generate_model(
         raise ConfigError(
             f"got {len(two_s)} spin values for {n_sites} sites"
         )
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(10_000):
         xi = tuple(

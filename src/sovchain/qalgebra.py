@@ -359,54 +359,31 @@ def twist_gauge(model: ChainModel) -> np.ndarray:
 # structural residuals (consumed by tests and the acceptance harness)
 
 
-def _two_aux_operators(lax_blocks, dim_q):
-    """Lift 2x2-block local operators into aux1 (x) aux2 (x) quantum."""
-    a, b, c, d = lax_blocks
+def _exchange_residual(first, second, dim_q, lam, mu, eta) -> float:
+    """Relative defect of R12(lam - mu) L1 L2 = L2 L1 R12(lam - mu), where
+    L1 lifts the 2x2-block operator ``first`` (at lam) and L2 ``second``
+    (at mu) into aux1 (x) aux2 (x) quantum, quantum of dimension dim_q."""
     eye2 = np.eye(2)
-    block = np.block([[a, b], [c, d]])
-
-    def on_first():
-        # aux1 slot active, identity on aux2: reorder kron factors by hand.
-        out = np.zeros((4 * dim_q, 4 * dim_q), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                sub = block[
-                    i * dim_q : (i + 1) * dim_q, j * dim_q : (j + 1) * dim_q
-                ]
-                out[
-                    i * 2 * dim_q : (i + 1) * 2 * dim_q,
-                    j * 2 * dim_q : (j + 1) * 2 * dim_q,
-                ] = np.kron(eye2, sub)
-        return out
-
-    def on_second():
-        return np.kron(eye2, block)
-
-    return on_first(), on_second()
-
-
-def rll_residual(model: ChainModel, site: int, lam: complex, mu: complex) -> float:
-    """Relative defect of the exchange relation for one local Lax matrix."""
-    dim_q = model.two_s[site - 1] + 1
-    l1, _ = _two_aux_operators(lax(model, site, lam), dim_q)
-    _, l2 = _two_aux_operators(lax(model, site, mu), dim_q)
-    r12 = np.kron(r_matrix(lam - mu, model.eta), np.eye(dim_q))
+    l1 = np.block([[np.kron(eye2, x) for x in first[:2]],
+                   [np.kron(eye2, x) for x in first[2:]]])
+    l2 = np.kron(eye2, np.block([list(second[:2]), list(second[2:])]))
+    r12 = np.kron(r_matrix(lam - mu, eta), np.eye(dim_q))
     lhs = r12 @ l1 @ l2
     rhs = l2 @ l1 @ r12
     scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
     return float(np.linalg.norm(lhs - rhs) / scale)
 
 
+def rll_residual(model: ChainModel, site: int, lam: complex, mu: complex) -> float:
+    """Relative defect of the exchange relation for one local Lax matrix."""
+    return _exchange_residual(lax(model, site, lam), lax(model, site, mu),
+                              model.two_s[site - 1] + 1, lam, mu, model.eta)
+
+
 def rtt_residual(model: ChainModel, lam: complex, mu: complex) -> float:
     """Relative defect of the exchange relation for the full monodromy."""
-    dim_q = model.hilbert_dim
-    t1, _ = _two_aux_operators(monodromy(model, lam), dim_q)
-    _, t2 = _two_aux_operators(monodromy(model, mu), dim_q)
-    r12 = np.kron(r_matrix(lam - mu, model.eta), np.eye(dim_q))
-    lhs = r12 @ t1 @ t2
-    rhs = t2 @ t1 @ r12
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-300)
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    return _exchange_residual(monodromy(model, lam), monodromy(model, mu),
+                              model.hilbert_dim, lam, mu, model.eta)
 
 
 def quantum_determinant_residual(model: ChainModel, lam: complex) -> float:

@@ -10,50 +10,64 @@ The reference normalization constant uses the top rungs xi_n^{(0)}: the
 pairing of the two reference states must equal the h = 0 case of the general
 overlap formula, which fixes it to prod_{i<j} sinh(xi_j^{(0)} - xi_i^{(0)})
 up to the (immaterial) branch of the square root.  Rungs, and a and d on
-them, are read from the model's rung table.
+them, are read from the model's rung table.  The closed forms are checked
+on the whole basis at once, from one (dim x N) array of rung points.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConditioningFailure
 from .qalgebra import ChainModel, a_of, d_of, monodromy
-from .trigpoly import cardinals, sinh_product
+from .trigpoly import cardinals, scalar_product, sinh_product
 
 __all__ = [
     "SOVBasis",
     "all_h_tuples",
+    "rung_points",
+    "weights",
     "build_basis",
-    "overlap",
-    "expected_overlap",
-    "weight",
     "identity_resolution",
-    "d_eigenvalue",
-    "d_action_residual",
-    "c_action_residual",
-    "b_action_residual",
-    "a_action_residual",
+    "overlap_residual",
+    "action_residuals",
 ]
 
 
 def all_h_tuples(model: ChainModel):
     """All rung tuples in lexicographic order (last site fastest)."""
-    return list(
-        itertools.product(*(range(v + 1) for v in model.two_s))
-    )
+    return list(itertools.product(*(range(v + 1) for v in model.two_s)))
 
 
-def _normalization(model: ChainModel) -> complex:
-    acc = 1.0 + 0.0j
-    tops = _rung_points(model, (0,) * model.n_sites)
-    for i in range(model.n_sites):
-        for j in range(i + 1, model.n_sites):
-            acc *= np.sqrt(np.sinh(tops[j] - tops[i]) + 0.0j)
-    return complex(acc)
+def _h_grid(model: ChainModel) -> np.ndarray:
+    """Row n: h_n of every state, in all_h_tuples order (N x dim)."""
+    return np.indices([v + 1 for v in model.two_s]).reshape(model.n_sites, -1)
+
+
+def rung_points(model: ChainModel) -> np.ndarray:
+    """Row i: the rung xi_n^{(h_n)} of every site for the i-th tuple of
+    all_h_tuples (dim x N), read from the rung table."""
+    return np.stack([rung.rungs[h] for rung, h in
+                     zip(model.rung_table, _h_grid(model))], axis=1)
+
+
+def _pair_product(points: np.ndarray, factor=lambda z: z) -> np.ndarray:
+    """prod_{i<j} factor(sinh(p_j - p_i)) over the trailing site axis, one
+    product per row, multiplied in pair order as scalars would be."""
+    i, j = np.triu_indices(points.shape[-1], 1)
+    pairs = factor(np.sinh(points[..., j] - points[..., i]))
+    return reduce(scalar_product, np.moveaxis(pairs, -1, 0),
+                  np.ones(points.shape[:-1], dtype=complex))
+
+
+def weights(model: ChainModel) -> np.ndarray:
+    """The completeness weight prod_{i<j} sinh(xi_j^{(h_j)} - xi_i^{(h_i)})
+    of every state, in all_h_tuples order."""
+    return _pair_product(rung_points(model))
 
 
 @dataclass(frozen=True)
@@ -75,16 +89,6 @@ class SOVBasis:
     left_norms: np.ndarray
 
 
-def _row(model: ChainModel, h) -> int:
-    """Position of rung tuple h in all_h_tuples."""
-    return int(np.ravel_multi_index(tuple(h), [v + 1 for v in model.two_s]))
-
-
-def _rung_points(model: ChainModel, h) -> list:
-    """The rung xi_n^{(h_n)} of every site, read from the rung table."""
-    return [rung.rungs[k] for rung, k in zip(model.rung_table, h)]
-
-
 def build_basis(model: ChainModel) -> SOVBasis:
     """Generate both halves of the basis in one pass over the sites.
 
@@ -96,7 +100,8 @@ def build_basis(model: ChainModel) -> SOVBasis:
     at distinct arguments commute, so the site order does not matter.
     Each upper rung costs one monodromy build, dropped after its step.
     """
-    norm_const = _normalization(model)
+    tops = rung_points(model)[0]
+    norm_const = complex(_pair_product(tops, lambda z: np.sqrt(z + 0.0j)))
     right = np.zeros((1, model.hilbert_dim), dtype=complex)
     right[0, 0] = 1.0 / norm_const
     left = right
@@ -111,8 +116,7 @@ def build_basis(model: ChainModel) -> SOVBasis:
     hs = all_h_tuples(model)
     right_norms = _check_norms(hs, right)
     left_norms = _check_norms(hs, left)
-    weights = np.array([weight(model, h) for h in hs])
-    return SOVBasis(model, norm_const, weights, right, left,
+    return SOVBasis(model, norm_const, weights(model), right, left,
                     right_norms, left_norms)
 
 
@@ -133,114 +137,86 @@ def _check_norms(hs: list, states: np.ndarray) -> np.ndarray:
 # overlaps and completeness
 
 
-def weight(model: ChainModel, h) -> complex:
-    """The completeness weight prod_{i<j} sinh(xi_j^{(h_j)} - xi_i^{(h_i)})."""
-    pts = _rung_points(model, h)
-    acc = 1.0 + 0.0j
-    for i in range(model.n_sites):
-        for j in range(i + 1, model.n_sites):
-            acc *= np.sinh(pts[j] - pts[i])
-    return complex(acc)
-
-
-def expected_overlap(model: ChainModel, h, k) -> complex:
-    """The closed-form pairing: diagonal in h with inverse-weight value."""
-    if tuple(h) != tuple(k):
-        return 0.0
-    return 1.0 / weight(model, h)
-
-
-def overlap(basis: SOVBasis, h, k) -> complex:
-    """Bilinear pairing of left covector h with right vector k."""
-    model = basis.model
-    return complex(
-        np.dot(
-            basis.left_covectors[_row(model, h)],
-            basis.right_vectors[_row(model, k)],
-        )
-    )
-
-
 def identity_resolution(basis: SOVBasis) -> float:
     """Relative defect of the weighted completeness sum against identity."""
     dim = basis.model.hilbert_dim
     acc = (basis.right_vectors.T * basis.weights) @ basis.left_covectors
-    return float(
-        np.linalg.norm(acc - np.eye(dim)) / np.sqrt(dim)
-    )
+    return float(np.linalg.norm(acc - np.eye(dim)) / np.sqrt(dim))
+
+
+def overlap_residual(basis: SOVBasis) -> float:
+    """Largest absolute deviation of the bilinear pairing of every left
+    covector with every right vector from its closed form, diagonal in h
+    with inverse-weight value."""
+    gram = basis.left_covectors @ basis.right_vectors.T
+    return float(np.max(np.abs(gram - np.diag(1.0 / basis.weights))))
 
 
 # ----------------------------------------------------------------------
 # closed-form action residuals
 
 
-def d_eigenvalue(model: ChainModel, h, lam) -> complex:
-    """prod_n sinh(lam - xi_n^{(h_n)}); accepts arrays."""
-    return sinh_product(lam, _rung_points(model, h))
+def _scaled(defect: np.ndarray, op: np.ndarray, norms: np.ndarray):
+    """Row norms of defect relative to ||op|| times each state's norm."""
+    return (np.linalg.norm(defect, axis=1)
+            / np.maximum(np.linalg.norm(op) * norms, 1e-300))
 
 
-def _relative(defect: np.ndarray, op: np.ndarray, state: np.ndarray) -> float:
-    scale = np.linalg.norm(op) * np.linalg.norm(state)
-    return float(np.linalg.norm(defect) / max(scale, 1e-300))
+def _neighbour_sum(model: ChainModel, states: np.ndarray, interp: np.ndarray,
+                   step: int, edges: list) -> np.ndarray:
+    """Row i: the sum over sites a of state i's ladder neighbour with h_a
+    moved to h_a + step, weighted by interp[i, a] times edges[a][j], j the
+    upper rung of the move; a move off the ladder adds nothing.  Along
+    site a the neighbours are the same rows shifted by step * stride_a."""
+    sizes = [v + 1 for v in model.two_s]
+    strides = model.hilbert_dim // np.cumprod(sizes)
+    total = np.zeros_like(states)
+    for a, (h, edge) in enumerate(zip(_h_grid(model), edges)):
+        moved = h + step
+        rows = np.flatnonzero((moved >= 0) & (moved < sizes[a]))
+        coef = interp[rows, a] * edge[np.minimum(h, moved)[rows]]
+        total[rows] += coef[:, None] * states[rows + step * strides[a]]
+    return total
 
 
-def d_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> float:
-    """Defect of the diagonal action of D on one basis state."""
+def action_residuals(basis: SOVBasis, lam: complex) -> dict:
+    """Relative defects of the closed-form actions on every basis state.
+
+    Keyed by (operator, side), entry i for row i of the basis:
+    - ("D", side): D(lam) acts diagonally by prod_n sinh(lam - xi_n^{(h_n)});
+    - ("C", side), ("B", side): interpolation sums over the ladder
+      neighbours, weighted by h's cardinals at lam; C moves one h_n up a
+      rung on right vectors (down on left covectors) with weight d at the
+      lower rung of the move, B the reverse with -a at the upper rung;
+    - ("A", "right"): the central element A(lam) D(lam - eta) -
+      B(lam) C(lam - eta) = a(lam) d(lam - eta) on right vectors.
+
+    One monodromy at lam and one at lam - eta serve every check.
+    """
     model = basis.model
-    _, _, _, d = monodromy(model, lam)
-    val = d_eigenvalue(model, h, lam)
-    if side == "right":
-        v = basis.right_vectors[_row(model, h)]
-        return _relative(d @ v - val * v, d, v)
-    w = basis.left_covectors[_row(model, h)]
-    return _relative(w @ d - val * w, d, w)
-
-
-def _neighbour_residual(basis: SOVBasis, h, lam: complex, op, side: str,
-                        step: int, edge) -> float:
-    """Defect of op on state h against a sum over h's ladder neighbours:
-    site a contributes the state with h_a moved to k = h_a + step (right
-    vectors; h_a - step on left covectors), if that rung exists, weighted
-    by edge(site a's SiteRungs, h_a, k) times h's cardinal at site a."""
-    model = basis.model
-    h = tuple(h)
-    states = basis.right_vectors if side == "right" else basis.left_covectors
-    state = states[_row(model, h)]
-    step = step if side == "right" else -step
-    interp = cardinals(_rung_points(model, h), lam)
-    total = np.zeros_like(state)
-    for a, rung in enumerate(model.rung_table):
-        k = h[a] + step
-        if 0 <= k < rung.rungs.size:
-            moved = h[:a] + (k,) + h[a + 1 :]
-            total += (interp[a] * edge(rung, h[a], k)
-                      * states[_row(model, moved)])
-    image = op @ state if side == "right" else state @ op
-    return _relative(image - total, op, state)
-
-
-def c_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> float:
-    """Defect of the interpolation-sum action of C on one basis state."""
-    _, _, c, _ = monodromy(basis.model, lam)
-    return _neighbour_residual(
-        basis, h, lam, c, side, -1, lambda rung, i, k: rung.d[max(i, k)]
-    )
-
-
-def b_action_residual(basis: SOVBasis, h, lam: complex, side: str = "right") -> float:
-    """Defect of the interpolation-sum action of B on one basis state."""
-    _, b, _, _ = monodromy(basis.model, lam)
-    return _neighbour_residual(
-        basis, h, lam, b, side, 1, lambda rung, i, k: -rung.a[min(i, k)]
-    )
-
-
-def a_action_residual(basis: SOVBasis, h, lam: complex) -> float:
-    """Central-element consistency of the A-action on one right vector."""
-    model = basis.model
-    v = basis.right_vectors[_row(model, h)]
-    a1, b1, _, _ = monodromy(model, lam)
+    a1, b1, c1, d1 = monodromy(model, lam)
     _, _, c0, d0 = monodromy(model, lam - model.eta)
-    lhs = a1 @ (d0 @ v) - b1 @ (c0 @ v)
-    rhs = a_of(model, lam) * d_of(model, lam - model.eta) * v
-    return _relative(lhs - rhs, a1, v)
+    points = rung_points(model)
+    interp = cardinals(points, lam)
+    d_column = sinh_product(lam, points)  # one row per state
+    c_edges = [rung.d[1:] for rung in model.rung_table]
+    b_edges = [-rung.a[:-1] for rung in model.rung_table]
+    sides = (
+        ("right", basis.right_vectors, basis.right_norms, 1, np.transpose),
+        ("left", basis.left_covectors, basis.left_norms, -1, lambda op: op),
+    )
+    out = {}
+    for side, states, norms, step, act in sides:
+        closed_forms = {
+            "D": (d1, d_column * states),
+            "C": (c1, _neighbour_sum(model, states, interp, -step, c_edges)),
+            "B": (b1, _neighbour_sum(model, states, interp, step, b_edges)),
+        }
+        for key, (op, want) in closed_forms.items():
+            out[key, side] = _scaled(states @ act(op) - want, op, norms)
+    right = basis.right_vectors
+    target = a_of(model, lam) * d_of(model, lam - model.eta)
+    out["A", "right"] = _scaled(
+        right @ d0.T @ a1.T - right @ c0.T @ b1.T - target * right,
+        a1, basis.right_norms)
+    return out

@@ -404,14 +404,16 @@ def cardinals(nodes, lam, angle_scale: float = 1.0) -> np.ndarray:
     s = angle_scale (1 for the full period, 1/2 for the doubled one): the
     balanced interpolant through the nodes that is 1 at node k and 0 at
     the others.  The leave-one-out product is masked, not divided out, so
-    lam may sit on a node.
+    lam may sit on a node.  Nodes with leading axes are rows, one node set
+    each, and lam broadcasts against those axes.
     """
     nodes = np.asarray(nodes, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
-    diag = np.arange(nodes.size)
-    spread = np.sinh(angle_scale * (nodes[:, None] - nodes))
-    spread[diag, diag] = 1.0
-    ratio = np.sinh(angle_scale * (lam[..., None, None] - nodes)) / spread
+    diag = np.arange(nodes.shape[-1])
+    spread = np.sinh(angle_scale * (nodes[..., :, None] - nodes[..., None, :]))
+    spread[..., diag, diag] = 1.0
+    ratio = (np.sinh(angle_scale * (lam[..., None, None] - nodes[..., None, :]))
+             / spread)
     ratio[..., diag, diag] = 1.0
     return ratio.prod(axis=-1)
 

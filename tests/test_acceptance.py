@@ -85,23 +85,15 @@ class TestSeparatedBasis:
     def test_operator_actions(self, name, chains, chain_bases):
         model = chains[name]
         basis = chain_bases[name]
-        lam = 0.23 + 0.11j
-        for h in sb.all_h_tuples(model):
-            for side in ("right", "left"):
-                assert sb.d_action_residual(basis, h, lam, side) < 1e-9
-                assert sb.c_action_residual(basis, h, lam, side) < 1e-9
-                assert sb.b_action_residual(basis, h, lam, side) < 1e-9
+        res = sb.action_residuals(basis, 0.23 + 0.11j)
+        for side in ("right", "left"):
+            for op in "DCB":
+                assert res[op, side].shape == (model.hilbert_dim,)
+                assert res[op, side].max() < 1e-9
 
     @pytest.mark.parametrize("name", ALL_SHAPES)
-    def test_overlaps_match_closed_form(self, name, chains, chain_bases):
-        model = chains[name]
-        basis = chain_bases[name]
-        hs = sb.all_h_tuples(model)
-        for h in hs:
-            for k in hs:
-                got = sb.overlap(basis, h, k)
-                want = sb.expected_overlap(model, h, k)
-                assert abs(got - want) < 1e-9
+    def test_overlaps_match_closed_form(self, name, chain_bases):
+        assert sb.overlap_residual(chain_bases[name]) < 1e-9
 
     @pytest.mark.parametrize("name", ALL_SHAPES)
     def test_identity_resolution(self, name, chain_bases):

@@ -70,6 +70,10 @@ class TestGenerateModel:
         with pytest.raises(ConfigError):
             generate_model(0, 3, (1, 1), 0.05)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            generate_model(-1, 2, (1, 1), 0.05)
+
 
 class TestConfigParsing:
     def test_minimal_document(self):
@@ -195,6 +199,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "sites 1 and 2" in err
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"model": {"two_s": [1, 1], "seed": -1}})
+        assert main([command, cfg]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
@@ -255,6 +266,15 @@ class TestOtherCommands:
             "--delta-min", "10", "--out", str(tmp_path / "x.json"),
         ])
         assert code == 2
+
+    def test_generate_negative_seed_exits_two(self, tmp_path, capsys):
+        code = main([
+            "generate", "--seed", "-1", "--sites", "1", "--spins", "1",
+            "--out", str(tmp_path / "g.json"),
+        ])
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "g.json").exists()
 
     def test_check_bad_json_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"

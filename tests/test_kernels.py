@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sovchain import sovbasis as sb
 from sovchain import spectrum as sp
 from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
@@ -288,3 +289,17 @@ def test_cardinals(scale):
             for z in lam]
     assert_allclose(got, want, rtol=RTOL, atol=0.0)
     assert_allclose(got[-1], np.eye(nodes.size)[2], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_cardinals_on_rows_of_nodes(scale):
+    # The separated basis reads one node set per state: its rung points.
+    rows = sb.rung_points(chain((2, 1, 3)))
+    lam = points()
+    got = cardinals(rows, lam[:, None], scale)
+    assert got.shape == (lam.size, *rows.shape)
+    at_one = cardinals(rows, lam[0], scale)
+    assert at_one.shape == rows.shape
+    for r, nodes in enumerate(rows):
+        assert np.array_equal(got[:, r], cardinals(nodes, lam, scale))
+        assert np.array_equal(at_one[r], cardinals(nodes, lam[0], scale))

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sovchain.cli import generate_model
 from sovchain.errors import ConditioningFailure
 from sovchain.qalgebra import ChainModel, a_of, monodromy, xi_shifted
 from sovchain import sovbasis as sb
+from sovchain.trigpoly import sinh_product
 
 ETA = 0.31 + 0.07j
 
@@ -30,29 +32,34 @@ def test_h_tuple_enumeration():
     ]
 
 
+def reference_pairing(basis):
+    return basis.left_covectors[0] @ basis.right_vectors[0]
+
+
+def test_rung_points_follow_the_tuples():
+    for m in (D1, D3, D5):
+        want = [[xi_shifted(m, n + 1, k) for n, k in enumerate(h)]
+                for h in sb.all_h_tuples(m)]
+        assert np.array_equal(sb.rung_points(m), want)
+
+
 def test_single_site_reference_overlap():
     # With one site there are no pair factors, so the reference pairing is 1.
     basis = sb.build_basis(D1)
-    assert_allclose(sb.overlap(basis, (0,), (0,)), 1.0, atol=1e-14)
+    assert_allclose(reference_pairing(basis), 1.0, atol=1e-14)
 
 
 def test_two_site_overlap_literal():
     # Real eta=0.3 keeps the expected value exactly 1/sinh(0.7).
     m = ChainModel(two_s=(1, 1), xi=(0.0, 0.7), eta=0.3, kappa=1.0)
     basis = sb.build_basis(m)
-    got = sb.overlap(basis, (0, 0), (0, 0))
+    got = reference_pairing(basis)
     assert_allclose(got, 1.3182460914662971917, rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [D1, D2, D3, D5], ids=["D1", "D2", "D3", "D5"])
 def test_overlaps_match_closed_form(m):
-    basis = sb.build_basis(m)
-    hs = sb.all_h_tuples(m)
-    for h in hs:
-        for k in hs:
-            got = sb.overlap(basis, h, k)
-            want = sb.expected_overlap(m, h, k)
-            assert abs(got - want) < 1e-9
+    assert sb.overlap_residual(sb.build_basis(m)) < 1e-9
 
 
 @pytest.mark.parametrize("m", [D2, D3, D4], ids=["D2", "D3", "D4"])
@@ -65,45 +72,42 @@ def test_d_action_diagonal():
     for m in (D3, D5):
         basis = sb.build_basis(m)
         for lam in LAMBDAS:
-            for h in sb.all_h_tuples(m):
-                assert sb.d_action_residual(basis, h, lam, "right") < 1e-10
-                assert sb.d_action_residual(basis, h, lam, "left") < 1e-10
+            res = sb.action_residuals(basis, lam)
+            assert res["D", "right"].max() < 1e-10
+            assert res["D", "left"].max() < 1e-10
 
 
 def test_d_eigenvalues_separate_states():
     # The value vectors (d_h at each top rung) must be pairwise distinct,
     # otherwise D would not label the basis.
     probe = [xi_shifted(D3, n, 0) for n in (1, 2)]
-    seen = []
-    for h in sb.all_h_tuples(D3):
-        vals = tuple(np.round(sb.d_eigenvalue(D3, h, z), 10) for z in probe)
-        assert vals not in seen
-        seen.append(vals)
+    vals = np.round(sinh_product(probe, sb.rung_points(D3)), 10)
+    assert vals.shape == (D3.hilbert_dim, 2)
+    assert len({tuple(row) for row in vals}) == D3.hilbert_dim
 
 
 @pytest.mark.parametrize("m", [D2, D3, D5], ids=["D2", "D3", "D5"])
 def test_c_action_interpolation_sum(m):
     basis = sb.build_basis(m)
     for lam in LAMBDAS:
-        for h in sb.all_h_tuples(m):
-            assert sb.c_action_residual(basis, h, lam, "right") < 1e-9
-            assert sb.c_action_residual(basis, h, lam, "left") < 1e-9
+        res = sb.action_residuals(basis, lam)
+        assert res["C", "right"].max() < 1e-9
+        assert res["C", "left"].max() < 1e-9
 
 
 @pytest.mark.parametrize("m", [D2, D3, D5], ids=["D2", "D3", "D5"])
 def test_b_action_interpolation_sum(m):
     basis = sb.build_basis(m)
     for lam in LAMBDAS:
-        for h in sb.all_h_tuples(m):
-            assert sb.b_action_residual(basis, h, lam, "right") < 1e-9
-            assert sb.b_action_residual(basis, h, lam, "left") < 1e-9
+        res = sb.action_residuals(basis, lam)
+        assert res["B", "right"].max() < 1e-9
+        assert res["B", "left"].max() < 1e-9
 
 
 def test_a_action_via_central_element():
     basis = sb.build_basis(D3)
     for lam in LAMBDAS:
-        for h in sb.all_h_tuples(D3):
-            assert sb.a_action_residual(basis, h, lam) < 1e-9
+        assert sb.action_residuals(basis, lam)["A", "right"].max() < 1e-9
 
 
 def test_b_operators_commute_in_construction():
@@ -125,9 +129,12 @@ def test_b_operators_commute_in_construction():
 
 
 def test_weight_is_reciprocal_of_overlap():
-    for h in sb.all_h_tuples(D3):
-        w = sb.weight(D3, h)
-        assert_allclose(w * sb.expected_overlap(D3, h, h), 1.0, rtol=1e-12)
+    basis = sb.build_basis(D3)
+    for h, w in zip(sb.all_h_tuples(D3), sb.weights(D3)):
+        pts = [xi_shifted(D3, n + 1, k) for n, k in enumerate(h)]
+        assert_allclose(w, np.sinh(pts[1] - pts[0]), rtol=1e-15)
+    gram = basis.left_covectors @ basis.right_vectors.T
+    assert_allclose(basis.weights * np.diag(gram), 1.0, rtol=1e-9)
 
 
 def test_collapsed_state_raises():
@@ -148,3 +155,33 @@ def test_collapsing_generation_step_raises(monkeypatch):
     monkeypatch.setattr(sb, "monodromy", shrunk_b)
     with pytest.raises(ConditioningFailure, match=r"\(0, 1\)"):
         sb.build_basis(D2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_actions_on_eight_spin_half_sites(seed):
+    # dim 256.  Overlaps are left out: their absolute measure scales with
+    # |1/w|, which reaches 2e7 here.
+    m = generate_model(seed, 8, [1] * 8, 0.05, eta=ETA, kappa=np.exp(0.3j))
+    basis = sb.build_basis(m)
+    for key, res in sb.action_residuals(basis, 0.23 + 0.11j).items():
+        assert res.shape == (256,)
+        assert res.max() < 1e-9, key
+    assert sb.identity_resolution(basis) < 1e-8
+
+
+@pytest.mark.parametrize("two_s", [(1, 1), (1,) * 6], ids=["dim4", "dim64"])
+def test_action_residuals_build_two_monodromies(two_s, monkeypatch):
+    m = generate_model(3, len(two_s), list(two_s), 0.05, eta=ETA)
+    basis = sb.build_basis(m)
+    built = []
+
+    def counting(model, lam):
+        built.append(lam)
+        return monodromy(model, lam)
+
+    monkeypatch.setattr(sb, "monodromy", counting)
+    res = sb.action_residuals(basis, 0.23 + 0.11j)
+    assert len(built) == 2
+    assert sorted(res) == sorted(
+        [(op, side) for op in "DCB" for side in ("right", "left")]
+        + [("A", "right")])
