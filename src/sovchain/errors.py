@@ -58,7 +58,7 @@ class NotFullDegree(SovChainError):
 
 
 class ScaleMismatch(SovChainError):
-    """Binary operation between trig polynomials on incompatible angle scales or parities."""
+    """A trigonometric polynomial's angle scale is neither 1 nor 1/2."""
 
 
 class IndexOutOfRange(SovChainError):

@@ -145,11 +145,12 @@ def identity_resolution(basis: SOVBasis) -> float:
 
 
 def overlap_residual(basis: SOVBasis) -> float:
-    """Largest absolute deviation of the bilinear pairing of every left
-    covector with every right vector from its closed form, diagonal in h
-    with inverse-weight value."""
+    """Largest deviation of the bilinear pairing of every left covector
+    with every right vector from its closed form, diagonal in h with
+    inverse-weight value, relative to the largest |1/w|."""
     gram = basis.left_covectors @ basis.right_vectors.T
-    return float(np.max(np.abs(gram - np.diag(1.0 / basis.weights))))
+    expected = np.diag(1.0 / basis.weights)
+    return float(np.max(np.abs(gram - expected)) / np.max(np.abs(expected)))
 
 
 # ----------------------------------------------------------------------

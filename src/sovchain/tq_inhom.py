@@ -48,12 +48,11 @@ from .errors import (
 from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
 from .sovbasis import SOVBasis
 from .spectrum import eigenstates
-from .trigpoly import TrigPoly, cardinals, factor, interpolate, sinh_product
+from .trigpoly import cardinals, factor, interpolate, sinh_product
 
 __all__ = [
     "QFunctionInhom",
     "f_inhom",
-    "f_inhom_poly",
     "solve_q_inhom",
     "draw_zeta0",
     "det_m_polynomial",
@@ -64,7 +63,6 @@ __all__ = [
     "bethe_residuals_inhom",
     "q_coordinates_inhom",
     "eigenstates_from_q_inhom",
-    "z_combination",
     "degree_drop_residual",
     "homogeneous_rank_check",
     "root_multiset_distance",
@@ -134,13 +132,6 @@ def f_inhom(model: ChainModel, x: complex, lam):
     """
     return _correction_scale(model) * sinh_product(
         lam, _correction_roots(model, x)
-    )
-
-
-def f_inhom_poly(model: ChainModel, x: complex) -> TrigPoly:
-    """The correction term as an element of the graded family."""
-    return TrigPoly.from_roots(
-        list(_correction_roots(model, x)), prefactor=_correction_scale(model)
     )
 
 
@@ -468,39 +459,21 @@ def eigenstates_from_q_inhom(
 # structural checks on the functional equation
 
 
-def z_combination(model: ChainModel, sol: QFunctionInhom) -> TrigPoly:
-    """Right-hand side of the functional equation as one graded element."""
-    eta = model.eta
-    alpha = sol.alpha
-    # a and d vanish at the bottom and at the top rungs respectively.
-    a_poly = TrigPoly.from_roots([r.rungs[-1] for r in model.rung_table])
-    d_poly = TrigPoly.from_roots([r.rungs[0] for r in model.rung_table])
-    q_poly = TrigPoly.from_roots(sol.roots)
-    term_a = (
-        TrigPoly.exponential(1, coefficient=-np.exp(-alpha))
-        * a_poly
-        * q_poly.shift(-eta)
-    )
-    term_d = (
-        TrigPoly.exponential(-1, coefficient=np.exp(-eta + alpha))
-        * d_poly
-        * q_poly.shift(eta)
-    )
-    term_f = f_inhom_poly(model, alpha + sol.lambda_bar)
-    return term_a + term_d + term_f
-
-
-def degree_drop_residual(model: ChainModel, sol: QFunctionInhom) -> float:
+def degree_drop_residual(model: ChainModel, sol: QFunctionInhom):
     """Relative size of the extreme exponential coefficients of the combined
-    right-hand side, which must cancel for the equation to close."""
-    z = z_combination(model, sol)
-    expected_m1 = model.n_sites + model.n_s + 1
-    if z.m1 != expected_m1 or z.m2 != expected_m1:
-        raise AssertionError(
-            f"combination landed in an unexpected class ({z.m1}, {z.m2})"
-        )
-    scale = z.max_abs_coeff()
-    return max(abs(z.coeffs[0]), abs(z.coeffs[-1])) / scale
+    right-hand side, which must cancel for the equation to close, against
+    the largest coefficient of its three terms; per row.
+
+    Every term lies in the balanced class of degree m2 = N + N_s + 1, so
+    one interpolation through m2 + 1 nodes gives its coefficients.  The
+    nodes i*pi*k/(m2 + 1) put exp(2 lam) on the roots of unity, where the
+    Vandermonde matrix is a scaled DFT.
+    """
+    m2 = model.n_sites + model.n_s + 1
+    nodes = 1j * np.pi * np.arange(m2 + 1) / (m2 + 1)
+    coeffs = interpolate(nodes, np.stack(_rhs_terms(model, sol, nodes)), 0)
+    ends = np.abs(coeffs.sum(axis=0)[..., [0, -1]])
+    return ends.max(axis=-1) / np.abs(coeffs).max(axis=(0, -1))
 
 
 def homogeneous_rank_check(
@@ -519,10 +492,9 @@ def homogeneous_rank_check(
     n_sites = model.n_sites
     stacked = np.zeros((n_sites + 2, n_sites + 1), dtype=complex)
     stacked[:n_sites] = rows
-    for col in range(n_sites + 1):
-        coeffs = TrigPoly.from_values(nodes, spread[:, col], m=0).coeffs
-        stacked[n_sites, col] = coeffs[0]
-        stacked[n_sites + 1, col] = coeffs[-1]
+    coeffs = interpolate(nodes, spread.T, 0)
+    stacked[n_sites] = coeffs[:, 0]
+    stacked[n_sites + 1] = coeffs[:, -1]
     sing = np.linalg.svd(stacked, compute_uv=False)
     return float(sing[-1] / sing[0])
 

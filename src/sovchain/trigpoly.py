@@ -1,6 +1,6 @@
-"""Arithmetic for trigonometric polynomials on the exponential lattice.
+"""Stacked kernels for trigonometric polynomials on the exponential lattice.
 
-A trigonometric polynomial is stored as
+A trigonometric polynomial is stored by its coefficients as
 
     P(lam) = exp(-m1*u) * sum_{j=0}^{m2} c_j exp(2*j*u),    u = angle_scale*lam,
 
@@ -9,15 +9,14 @@ fixes the sign picked up under the half-period shift u -> u + i*pi.  With
 angle_scale 1 this family contains the ordinary products of sinh(lam - r);
 with angle_scale 1/2 it contains the double-period products sinh((lam - r)/2).
 
-Coefficients are kept exactly as computed, with no automatic trimming, so a
-degree drop is always visible to the caller.  All operations are pure and
-return new instances; instances are immutable and safe to share.
-
-The pointwise kernels ``sinh_product`` (prod of sinh(s (lam - r)) over
-roots) and ``cardinals`` (the Lagrange kernel of both T-Q closures) take
-arrays of any shape.  ``interpolate``, ``horner`` and ``factor`` are
-``from_values``, ``eval`` and ``roots`` for a whole stack of polynomials,
-one per row, and the methods are those kernels applied to one row.
+There is no polynomial arithmetic: a polynomial is built from its values at
+m2 + 1 nodes, which fix its class, and the pointwise kernels compute those
+values.  ``sinh_product`` (prod of sinh(s (lam - r)) over roots) and
+``cardinals`` (the Lagrange kernel of both T-Q closures) take arrays of any
+shape.  ``interpolate``, ``horner`` and ``factor`` turn values into
+coefficients, coefficients into values, and coefficients into roots for a
+whole stack of polynomials, one per row.  ``TrigPoly`` holds one row: its
+``from_values``, ``eval`` and ``roots`` are those kernels applied to it.
 """
 
 from __future__ import annotations
@@ -74,43 +73,6 @@ class TrigPoly:
             self, "coeffs", tuple(complex(c) for c in self.coeffs)
         )
 
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def zero(cls, angle_scale: float = 1.0) -> "TrigPoly":
-        return cls(0, 0, (), angle_scale)
-
-    @classmethod
-    def constant(cls, value: complex, angle_scale: float = 1.0) -> "TrigPoly":
-        return cls(0, 0, (complex(value),), angle_scale)
-
-    @classmethod
-    def exponential(
-        cls, k: int, angle_scale: float = 1.0, coefficient: complex = 1.0
-    ) -> "TrigPoly":
-        """The unbalanced element coefficient * exp(k * angle_scale * lam)."""
-        return cls((-k) % 2, -k, (complex(coefficient),), angle_scale)
-
-    @classmethod
-    def sinh_factor(cls, root: complex, angle_scale: float = 1.0) -> "TrigPoly":
-        """sinh(angle_scale * (lam - root))."""
-        r = angle_scale * complex(root)
-        return cls(1, 1, (-np.exp(r) / 2.0, np.exp(-r) / 2.0), angle_scale)
-
-    @classmethod
-    def from_roots(
-        cls,
-        roots: Sequence[complex],
-        angle_scale: float = 1.0,
-        prefactor: complex = 1.0,
-    ) -> "TrigPoly":
-        """prefactor * prod_j sinh(angle_scale * (lam - root_j))."""
-        p = cls.constant(prefactor, angle_scale)
-        for r in roots:
-            p = p * cls.sinh_factor(r, angle_scale)
-        return p
-
     @classmethod
     def from_values(
         cls,
@@ -138,21 +100,6 @@ class TrigPoly:
         return cls(m1 % 2, m1, tuple(coeffs), angle_scale)
 
     # ------------------------------------------------------------------
-    # basic queries
-
-    @property
-    def m2(self) -> int:
-        return len(self.coeffs) - 1
-
-    def max_abs_coeff(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return float(np.max(np.abs(self.coeffs)))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs_coeff() <= tol
-
-    # ------------------------------------------------------------------
     # evaluation
 
     def eval(self, lam):
@@ -165,79 +112,6 @@ class TrigPoly:
         return out if lam_arr.shape else complex(out)
 
     __call__ = eval
-
-    # ------------------------------------------------------------------
-    # algebra
-
-    def __mul__(self, other):
-        if isinstance(other, TrigPoly):
-            if other.angle_scale != self.angle_scale:
-                raise ScaleMismatch(
-                    "cannot multiply polynomials on different angle scales"
-                )
-            if not self.coeffs or not other.coeffs:
-                return TrigPoly.zero(self.angle_scale)
-            c = np.convolve(
-                np.asarray(self.coeffs, dtype=complex),
-                np.asarray(other.coeffs, dtype=complex),
-            )
-            return TrigPoly(
-                (self.parity + other.parity) % 2,
-                self.m1 + other.m1,
-                tuple(c),
-                self.angle_scale,
-            )
-        if not self.coeffs:
-            return self
-        scaled = complex(other) * np.asarray(self.coeffs, dtype=complex)
-        return TrigPoly(self.parity, self.m1, tuple(scaled), self.angle_scale)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return self.__mul__(-1.0)
-
-    def __add__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        if other.angle_scale != self.angle_scale:
-            raise ScaleMismatch("cannot add polynomials on different angle scales")
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        if self.parity != other.parity:
-            raise ScaleMismatch(
-                "cannot add polynomials of opposite parity: the sum leaves "
-                "the graded family"
-            )
-        m1 = max(self.m1, other.m1)
-        sa = (m1 - self.m1) // 2
-        sb = (m1 - other.m1) // 2
-        n = max(sa + len(self.coeffs), sb + len(other.coeffs))
-        c = np.zeros(n, dtype=complex)
-        c[sa : sa + len(self.coeffs)] += self.coeffs
-        c[sb : sb + len(other.coeffs)] += other.coeffs
-        return TrigPoly(self.parity, m1, tuple(c), self.angle_scale)
-
-    def __sub__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return self.__add__(other.__neg__())
-
-    def shift(self, delta: complex) -> "TrigPoly":
-        """The polynomial lam -> P(lam + delta), computed on coefficients."""
-        if not self.coeffs:
-            return self
-        j = np.arange(len(self.coeffs))
-        fac = np.exp((2 * j - self.m1) * (self.angle_scale * complex(delta)))
-        return TrigPoly(
-            self.parity,
-            self.m1,
-            tuple(np.asarray(self.coeffs, dtype=complex) * fac),
-            self.angle_scale,
-        )
 
     # ------------------------------------------------------------------
     # factorization

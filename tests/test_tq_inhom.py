@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sovchain.cli import generate_model
 from sovchain.errors import ExceptionalAlpha, PoleAtXi
 from sovchain.qalgebra import ChainModel, xi_shifted
-from sovchain.trigpoly import TrigPoly
+from sovchain.trigpoly import horner, interpolate
 from sovchain import sovbasis as sb
 from sovchain import spectrum as sp
 from sovchain import tq_inhom as ti
@@ -21,6 +24,13 @@ D2 = model([1, 1], [0.0, 0.7])
 D3 = model([1, 2], [0.0, 0.7])
 
 ZETA0 = ti.draw_zeta0(D3, np.random.default_rng(42))
+
+
+def dft_nodes(m):
+    """The N + N_s + 2 nodes i pi k / (N + N_s + 2) of the degree-drop
+    check."""
+    count = m.n_sites + m.n_s + 2
+    return 1j * np.pi * np.arange(count) / count
 
 
 def solved(m):
@@ -74,12 +84,17 @@ class TestCorrectionTerm:
             assert_allclose(ti.f_inhom(D1, x, lam), expected, rtol=1e-12)
 
     def test_pointwise_matches_coefficient_route(self):
+        # The correction term lies in the balanced class of degree
+        # N + N_s + 1, the class the degree-drop check interpolates in.
         x = 0.3 + 0.5j
-        poly = ti.f_inhom_poly(D3, x)
+        nodes = dft_nodes(D3)
+        m1 = nodes.size - 1
+        coeffs = interpolate(nodes, ti.f_inhom(D3, x, nodes), 0)
         rng = np.random.default_rng(0)
         for lam in rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4):
             assert_allclose(
-                poly(complex(lam)), ti.f_inhom(D3, x, complex(lam)), rtol=1e-11
+                horner(coeffs, m1, complex(lam)), ti.f_inhom(D3, x, complex(lam)),
+                rtol=1e-11,
             )
 
 
@@ -216,16 +231,33 @@ class TestStructure:
         for _, sol in d3_solutions:
             assert ti.degree_drop_residual(D3, sol) < 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("two_s", [(2, 2), (4,), (2, 2, 2)])
+    def test_degree_drop_on_integer_spin_chains(self, two_s, seed):
+        # These chains have the exact zero eigenvalue, where the combined
+        # side vanishes identically and only the terms set the scale.
+        m = generate_model(seed, len(two_s), list(two_s), 0.05, eta=ETA,
+                           kappa=np.exp(0.3j))
+        spec = sp.brute_force_spectrum(m, seed=3)
+        zeta0 = ti.draw_zeta0(m, np.random.default_rng(42))
+        sol, _, errors = ti.solve_q_inhom(m, spec.rows, zeta0=zeta0)
+        assert errors == [None] * m.hilbert_dim
+        for i in range(m.hilbert_dim):
+            assert ti.degree_drop_residual(m, sol.row(i)) < 1e-9, i
+
+    def test_shifted_lambda_bar_breaks_degree_drop(self, d3_solutions):
+        for _, sol in d3_solutions:
+            wrong = dataclasses.replace(sol, lambda_bar=sol.lambda_bar + 1e-4)
+            assert ti.degree_drop_residual(D3, wrong) > 1e-7
+
     def test_combined_side_equals_eigenvalue_times_q(self, d3_solutions):
-        # Coefficient-level identity: the combination degree-drops twice and
-        # the quotient matches t * Q built from the other direction.
+        # At the nodes of the coefficient check, the three right-hand terms
+        # sum to t * Q with t built from its base values.
+        nodes = dft_nodes(D3)
         for f, sol in d3_solutions:
-            z = ti.z_combination(D3, sol)
-            t_poly = TrigPoly.from_values(D3.xi, tuple(f(x) for x in D3.xi), m=0)
-            tq = t_poly * TrigPoly.from_roots(sol.roots)
-            aligned = tq + TrigPoly(z.parity, z.m1, (0.0,) * (z.m2 + 1))
-            diff = z - aligned
-            assert diff.max_abs_coeff() < 1e-9 * z.max_abs_coeff()
+            terms = ti._rhs_terms(D3, sol, nodes)
+            tq = f(nodes) * sol.value(nodes)
+            assert np.max(np.abs(sum(terms) - tq)) < 1e-9 * np.max(np.abs(terms))
 
     def test_correction_free_system_has_only_zero_solution(self, d2_solutions):
         for f, _ in d2_solutions:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sovchain import DegenerateNodes, NotFullDegree, ScaleMismatch, TrigPoly
+from sovchain.trigpoly import factor, horner, interpolate
 
 # Frozen reference values (30-digit offline evaluation, pasted as literals).
 SINH_03 = 0.30452029344714261896
@@ -16,45 +17,63 @@ def random_points(n, spread=1.5):
     return RNG.uniform(-spread, spread, n) + 1j * RNG.uniform(-1.2, 1.2, n)
 
 
+def coeffs_of(roots, angle_scale=1.0, prefactor=1.0):
+    """Ascending coefficients of prefactor * prod sinh(s (lam - r)), whose
+    left exponent m1 is the number of roots: each factor is
+    exp(-u) exp(-s r)/2 (exp(2u) - exp(2 s r)) with u = s lam."""
+    sr = angle_scale * np.asarray(roots, dtype=complex)
+    return prefactor * np.prod(np.exp(-sr) / 2.0) * np.poly(np.exp(2 * sr))[::-1]
+
+
+def dft_nodes(count):
+    """Nodes i pi k / count: exp(2 lam) runs over the roots of unity."""
+    return 1j * np.pi * np.arange(count) / count
+
+
 # ----------------------------------------------------------------------
 # evaluation
 
 
 def test_eval_zero_polynomial():
-    z = TrigPoly.zero()
     for lam in [0.0, 1.3, 0.2 + 0.7j]:
-        assert z.eval(lam) == 0.0
+        assert horner([0.0, 0.0], 1, lam) == 0.0
+        assert TrigPoly(0, 0, ()).eval(lam) == 0.0
 
 
 def test_eval_constant():
-    p = TrigPoly(0, 0, (1.0,))
-    assert p.eval(1.3) == 1.0
+    assert horner([1.0], 0, 1.3) == 1.0
 
 
 def test_eval_matches_sinh():
-    p = TrigPoly(1, 1, (-0.5, 0.5))
-    assert_allclose(p.eval(0.3), SINH_03, rtol=1e-14)
+    assert_allclose(horner([-0.5, 0.5], 1, 0.3), SINH_03, rtol=1e-14)
 
 
 def test_eval_vectorized():
-    p = TrigPoly.sinh_factor(0.4)
     pts = random_points(7)
-    assert_allclose(p.eval(pts), np.sinh(pts - 0.4), rtol=1e-13)
+    assert_allclose(horner(coeffs_of([0.4]), 1, pts), np.sinh(pts - 0.4),
+                    rtol=1e-13)
 
 
 @pytest.mark.parametrize("roots", [[0.3], [0.1, -0.4 + 0.2j], [0.5, 1.0j, -0.7]])
 def test_parity_under_half_period_shift(roots):
-    p = TrigPoly.from_roots(roots)
+    c, m1 = coeffs_of(roots), len(roots)
     pts = random_points(5)
-    sign = (-1.0) ** p.parity
-    assert_allclose(p.eval(pts + 1j * np.pi), sign * p.eval(pts), rtol=1e-12)
+    sign = (-1.0) ** m1
+    assert_allclose(horner(c, m1, pts + 1j * np.pi), sign * horner(c, m1, pts),
+                    rtol=1e-12)
 
 
 def test_parity_under_full_period_shift_half_angle():
-    p = TrigPoly.from_roots([0.3, -0.2 + 0.4j, 0.9], angle_scale=0.5)
+    c = coeffs_of([0.3, -0.2 + 0.4j, 0.9], angle_scale=0.5)
     pts = random_points(5)
-    sign = (-1.0) ** p.parity
-    assert_allclose(p.eval(pts + 2j * np.pi), sign * p.eval(pts), rtol=1e-12)
+    assert_allclose(horner(c, 3, pts + 2j * np.pi, 0.5),
+                    -horner(c, 3, pts, 0.5), rtol=1e-12)
+
+
+def test_exponential_factor():
+    # One coefficient with m1 = -2 is the unbalanced element 0.7 exp(2 lam).
+    pts = random_points(4)
+    assert_allclose(horner([0.7], -2, pts), 0.7 * np.exp(2 * pts), rtol=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -62,46 +81,99 @@ def test_parity_under_full_period_shift_half_angle():
 
 
 def test_from_values_all_zero_gives_zero_polynomial():
-    p = TrigPoly.from_values([0.0, 0.7], [0.0, 0.0], m=0)
-    assert p.max_abs_coeff() <= 1e-14
+    assert np.max(np.abs(interpolate([0.0, 0.7], [0.0, 0.0], 0))) <= 1e-14
 
 
 def test_from_values_reconstructs_shifted_sinh():
-    p = TrigPoly.from_values(
-        [0.0, 0.7], [np.sinh(-0.2), np.sinh(0.5)], m=0
-    )
+    c = interpolate([0.0, 0.7], [np.sinh(-0.2), np.sinh(0.5)], 0)
     pts = random_points(5)
-    assert_allclose(p.eval(pts), np.sinh(pts - 0.2), rtol=1e-12)
+    assert_allclose(horner(c, 1, pts), np.sinh(pts - 0.2), rtol=1e-12)
 
 
 def test_from_values_distinct_imaginary_nodes_ok():
-    p = TrigPoly.from_values([0.0, 1j * np.pi / 2], [1.0, 1.0j], m=0)
-    assert_allclose(p.eval(0.0), 1.0, rtol=1e-12)
-    assert_allclose(p.eval(1j * np.pi / 2), 1.0j, rtol=1e-12)
+    nodes = [0.0, 1j * np.pi / 2]
+    c = interpolate(nodes, [1.0, 1.0j], 0)
+    assert_allclose(horner(c, 1, nodes), [1.0, 1.0j], rtol=1e-12)
 
 
 def test_from_values_period_collision_raises():
     with pytest.raises(DegenerateNodes):
-        TrigPoly.from_values([0.0, 1j * np.pi], [1.0, 2.0], m=0)
+        interpolate([0.0, 1j * np.pi], [1.0, 2.0], 0)
 
 
 def test_from_values_half_angle_period_collision():
     # 2i*pi is the collision period on the half-angle scale; i*pi is fine.
-    TrigPoly.from_values([0.0, 1j * np.pi], [1.0, 2.0], m=0, angle_scale=0.5)
+    interpolate([0.0, 1j * np.pi], [1.0, 2.0], 0, angle_scale=0.5)
     with pytest.raises(DegenerateNodes):
-        TrigPoly.from_values(
-            [0.0, 2j * np.pi], [1.0, 2.0], m=0, angle_scale=0.5
-        )
+        interpolate([0.0, 2j * np.pi], [1.0, 2.0], 0, angle_scale=0.5)
 
 
 def test_vanishing_on_full_node_set_means_zero():
     # An element of the (m1, m2) family vanishing at m2+1 admissible nodes
     # has identically tiny coefficients.
-    p = TrigPoly.from_roots([0.2, 0.8 - 0.3j, 1.4 + 0.1j])
+    p = coeffs_of([0.2, 0.8 - 0.3j, 1.4 + 0.1j])
     nodes = np.array([0.1, 0.5 + 0.2j, 0.9, 1.3 - 0.4j])
-    q = TrigPoly.from_values(nodes, p.eval(nodes), m=0)
-    diff = q - p
-    assert diff.max_abs_coeff() <= 1e-10 * p.max_abs_coeff()
+    q = interpolate(nodes, horner(p, 3, nodes), 0)
+    assert np.max(np.abs(q - p)) <= 1e-10 * np.max(np.abs(p))
+
+
+def test_shift_by_half_period_negates_sinh():
+    # lam -> sinh(lam + i pi), built from its values, is -sinh(lam).
+    nodes = dft_nodes(2)
+    c = interpolate(nodes, horner([-0.5, 0.5], 1, nodes + 1j * np.pi), 0)
+    assert_allclose(c, (0.5, -0.5), atol=1e-15)
+
+
+def test_shift_evaluates_at_offset_argument():
+    p = coeffs_of([0.4, -0.1 + 0.3j])
+    delta = 0.37 - 0.21j
+    nodes = dft_nodes(3)
+    shifted = interpolate(nodes, horner(p, 2, nodes + delta), 0)
+    pts = random_points(5)
+    assert_allclose(horner(shifted, 2, pts), horner(p, 2, pts + delta),
+                    rtol=1e-12)
+
+
+def test_add_sinh_pair_is_cosh_multiple():
+    nodes = dft_nodes(2)
+    c = interpolate(nodes, np.sinh(nodes + 0.3) + np.sinh(nodes - 0.3), 0)
+    assert_allclose(c, TWO_COSH_03 * np.array([-0.5, 0.5]), rtol=1e-14)
+
+
+def test_add_aligns_mixed_left_exponents():
+    # exp(lam) sinh(lam - 0.2) has m1 = 0 and the two-root product m1 = 2;
+    # three nodes put their sum in the balanced class (2, 2).
+    def total(lam):
+        return (np.exp(lam) * np.sinh(lam - 0.2)
+                + np.sinh(lam - 0.5) * np.sinh(lam + 0.4))
+
+    nodes = dft_nodes(3)
+    c = interpolate(nodes, total(nodes), 0)
+    pts = random_points(5)
+    assert_allclose(horner(c, 2, pts), total(pts), rtol=1e-12)
+
+
+def test_methods_are_the_kernels_on_one_row():
+    nodes = np.array([0.1, 0.5 + 0.2j, 0.9, 1.3 - 0.4j])
+    stack = np.stack([horner(coeffs_of(r), 3, nodes) for r in
+                      ([0.2, 0.8 - 0.3j, 1.4 + 0.1j], [0.3, -0.6, 1.1j])])
+    coeffs = interpolate(nodes, stack, 0)
+    c_p, roots, errors = factor(coeffs)
+    assert errors == [None, None]
+    pts = random_points(6)
+    for i, values in enumerate(stack):
+        p = TrigPoly.from_values(nodes, values, m=0)
+        assert np.array_equal(p.coeffs, coeffs[i])
+        assert np.array_equal(p.eval(pts), horner(coeffs[i], p.m1, pts))
+        got_c, got_roots = p.roots()
+        assert got_c == c_p[i] and np.array_equal(got_roots, roots[i])
+
+
+def test_invalid_angle_scale_raises():
+    with pytest.raises(ScaleMismatch):
+        TrigPoly(1, 1, (-0.5, 0.5), angle_scale=2.0)
+    with pytest.raises(ScaleMismatch):
+        TrigPoly.from_values([0.0, 0.7], [1.0, 2.0], m=0, angle_scale=0.3)
 
 
 # ----------------------------------------------------------------------
@@ -110,97 +182,38 @@ def test_vanishing_on_full_node_set_means_zero():
 
 class TestRoots:
     def test_single_factor(self):
-        c_p, roots = TrigPoly.sinh_factor(0.4).roots()
-        assert_allclose(c_p, 1.0, rtol=1e-12)
-        assert_allclose(roots, [0.4], atol=1e-12)
+        c_p, roots, errors = factor([coeffs_of([0.4])])
+        assert errors == [None]
+        assert_allclose(c_p[0], 1.0, rtol=1e-12)
+        assert_allclose(roots[0], [0.4], atol=1e-12)
 
     def test_two_factors_with_strip_normalization(self):
-        p = TrigPoly.sinh_factor(0.4) * TrigPoly.sinh_factor(0.9 - 0.2j)
-        c_p, roots = p.roots()
+        p = coeffs_of([0.4, 0.9 - 0.2j])
+        c_p, roots, _ = factor([p])
         assert_allclose(
-            roots, [0.4, 0.9 + 1j * (np.pi - 0.2)], atol=1e-10
+            roots[0], [0.4, 0.9 + 1j * (np.pi - 0.2)], atol=1e-10
         )
         # Re-multiplying the factored form reproduces p.
         pts = random_points(6)
-        rebuilt = c_p * np.prod(
-            np.sinh(pts[:, None] - roots[None, :]), axis=1
+        rebuilt = c_p[0] * np.prod(
+            np.sinh(pts[:, None] - roots[0][None, :]), axis=1
         )
-        assert_allclose(rebuilt, p.eval(pts), rtol=1e-10)
+        assert_allclose(rebuilt, horner(p, 2, pts), rtol=1e-10)
 
     def test_trailing_coefficient_zero_raises(self):
-        with pytest.raises(NotFullDegree):
-            TrigPoly(1, 1, (0.0, 0.3, 0.7)).roots()
+        assert isinstance(factor([[0.0, 0.3, 0.7]])[2][0], NotFullDegree)
 
     def test_zero_polynomial_raises(self):
+        assert isinstance(factor([[0.0, 0.0]])[2][0], NotFullDegree)
         with pytest.raises(NotFullDegree):
-            TrigPoly.zero().roots()
+            TrigPoly(0, 0, ()).roots()
 
     def test_half_angle_strip(self):
-        p = TrigPoly.from_roots([0.2, 1.1 + 0.5j], angle_scale=0.5)
-        c_p, roots = p.roots()
-        assert_allclose(c_p, 1.0, rtol=1e-12)
-        assert_allclose(roots, [0.2, 1.1 + 0.5j], atol=1e-12)
-
-
-# ----------------------------------------------------------------------
-# algebra
-
-
-def test_mul_by_zero():
-    q = TrigPoly.from_roots([0.3, 0.9])
-    assert (TrigPoly.zero() * q).is_zero()
-
-
-def test_scalar_mul():
-    p = TrigPoly.sinh_factor(0.2)
-    assert_allclose((3.0 * p).eval(0.9), 3.0 * p.eval(0.9), rtol=1e-14)
-
-
-def test_shift_by_half_period_negates_sinh():
-    p = TrigPoly(1, 1, (-0.5, 0.5))
-    shifted = p.shift(1j * np.pi)
-    assert_allclose(shifted.coeffs, (0.5, -0.5), atol=1e-15)
-
-
-def test_shift_evaluates_at_offset_argument():
-    p = TrigPoly.from_roots([0.4, -0.1 + 0.3j])
-    delta = 0.37 - 0.21j
-    pts = random_points(5)
-    assert_allclose(p.shift(delta).eval(pts), p.eval(pts + delta), rtol=1e-12)
-
-
-def test_add_sinh_pair_is_cosh_multiple():
-    total = TrigPoly.sinh_factor(-0.3) + TrigPoly.sinh_factor(0.3)
-    expected = TWO_COSH_03 * np.array([-0.5, 0.5])
-    assert_allclose(total.coeffs, expected, rtol=1e-14)
-
-
-def test_add_aligns_mixed_left_exponents():
-    p = TrigPoly.exponential(1) * TrigPoly.sinh_factor(0.2)  # m1 = 0
-    q = TrigPoly.from_roots([0.5, -0.4])  # m1 = 2
-    total = p + q
-    pts = random_points(5)
-    assert_allclose(total.eval(pts), p.eval(pts) + q.eval(pts), rtol=1e-12)
-
-
-def test_add_parity_mismatch_raises():
-    with pytest.raises(ScaleMismatch):
-        TrigPoly.sinh_factor(0.1) + TrigPoly.constant(1.0)
-
-
-def test_mixed_angle_scales_raise():
-    full = TrigPoly.sinh_factor(0.1)
-    half = TrigPoly.sinh_factor(0.1, angle_scale=0.5)
-    with pytest.raises(ScaleMismatch):
-        full * half
-    with pytest.raises(ScaleMismatch):
-        full + half
-
-
-def test_exponential_factor():
-    p = TrigPoly.exponential(2, coefficient=0.7)
-    pts = random_points(4)
-    assert_allclose(p.eval(pts), 0.7 * np.exp(2 * pts), rtol=1e-13)
+        c_p, roots, errors = factor(
+            [coeffs_of([0.2, 1.1 + 0.5j], angle_scale=0.5)], 0.5)
+        assert errors == [None]
+        assert_allclose(c_p[0], 1.0, rtol=1e-12)
+        assert_allclose(roots[0], [0.2, 1.1 + 0.5j], atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -216,17 +229,18 @@ complex_roots = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(st.lists(complex_roots, min_size=1, max_size=6))
 def test_interpolation_round_trip(roots):
-    p = TrigPoly.from_roots(roots)
+    p, m1 = coeffs_of(roots), len(roots)
     rng = np.random.default_rng(7)
     # Keep nodes in a moderate band: the node matrix in the exponential
     # variable is Vandermonde, whose conditioning grows with node spread.
     nodes = rng.uniform(-0.7, 0.7, len(roots) + 1) + 1j * rng.uniform(
         -1.0, 1.0, len(roots) + 1
     )
-    q = TrigPoly.from_values(nodes, p.eval(nodes), m=0)
+    q = interpolate(nodes, horner(p, m1, nodes), 0)
     pts = rng.uniform(-1.5, 1.5, 20) + 1j * rng.uniform(-1.0, 1.0, 20)
-    scale = np.max(np.abs(p.eval(pts)))
-    assert np.max(np.abs(q.eval(pts) - p.eval(pts))) <= 1e-10 * max(scale, 1.0)
+    ref = horner(p, m1, pts)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(horner(q, m1, pts) - ref)) <= 1e-10 * max(scale, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,10 +254,11 @@ def test_roots_round_trip(roots):
     ) if len(roots) > 1 else 1.0
     if sep < 0.1:
         return
-    p = TrigPoly.from_roots(roots, prefactor=1.3 - 0.4j)
-    c_p, found = p.roots()
+    p = coeffs_of(roots, prefactor=1.3 - 0.4j)
+    c_p, found, errors = factor([p])
+    assert errors == [None]
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.5, 1.5, 8) + 1j * rng.uniform(-1.0, 1.0, 8)
-    rebuilt = c_p * np.prod(np.sinh(pts[:, None] - found[None, :]), axis=1)
-    ref = p.eval(pts)
+    rebuilt = c_p[0] * np.prod(np.sinh(pts[:, None] - found[0][None, :]), axis=1)
+    ref = horner(p, len(roots), pts)
     assert np.max(np.abs(rebuilt - ref)) <= 1e-8 * max(np.max(np.abs(ref)), 1.0)
