@@ -90,8 +90,11 @@ def _parse_complex(value, where: str) -> complex:
     raise ConfigError(f"{where}: expected a number or [re, im] pair")
 
 
-def _emit_complex(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
+def _emit_complex(z):
+    """[re, im] for a complex scalar, and that pair on a new last axis for
+    an array, as nested lists of Python floats."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
 @dataclass
@@ -368,9 +371,9 @@ def run_pipelines(config: RunConfig) -> dict:
         )
         rebuilt, bethe, pole_errors = ti.t_from_q_inhom(model, sol)
         return {
-            "alpha": [_emit_complex(a) for a in sol.alpha],
+            "alpha": _emit_complex(sol.alpha),
             "retries": retries.tolist(),
-            "roots": [[_emit_complex(r) for r in row] for row in sol.roots],
+            "roots": _emit_complex(sol.roots),
             "grid_residual":
                 ti.inhom_grid_residual(model, eigs, sol).tolist(),
             "bethe_max": np.max(bethe, axis=1).tolist(),
@@ -383,7 +386,7 @@ def run_pipelines(config: RunConfig) -> dict:
         angles, _ = thm.q_vector_proportionality(model, sol)
         rebuilt, _, pair_errors = thm.t_from_q_pair(model, sol)
         return {
-            "roots": [[_emit_complex(r) for r in row] for row in sol.roots],
+            "roots": _emit_complex(sol.roots),
             "epsilon": sol.epsilon.tolist(),
             "winding": sol.winding.tolist(),
             "grid_residual": thm.hom_grid_residual(model, eigs, sol).tolist(),
@@ -411,10 +414,10 @@ def run_pipelines(config: RunConfig) -> dict:
                        sum(e is not None for e in steps[name][1]))
 
     records = []
-    for idx, values in enumerate(base):
+    for idx, values in enumerate(_emit_complex(base)):
         entry = {
             "index": idx,
-            "t_at_xi": [_emit_complex(v) for v in values],
+            "t_at_xi": values,
         }
         dres = float(discrete[idx])
         entry["discrete_residual"] = dres
@@ -449,9 +452,9 @@ def run_pipelines(config: RunConfig) -> dict:
     report = {
         "model": {
             "two_s": list(model.two_s),
-            "xi": [_emit_complex(v) for v in model.xi],
+            "xi": _emit_complex(model.xi),
             "eta": _emit_complex(model.eta),
-            "kappa": [_emit_complex(k) for k in config.kappa_list],
+            "kappa": _emit_complex(config.kappa_list),
             "alpha": _emit_complex(config.alpha),
             "delta_min": model.delta_min,
             "hilbert_dim": model.hilbert_dim,
@@ -540,12 +543,11 @@ def _cmd_generate(args) -> int:
     doc = {
         "model": {
             "two_s": list(model.two_s),
-            "xi": [_emit_complex(v) for v in model.xi],
+            "xi": _emit_complex(model.xi),
             "seed": args.seed,
             "delta_min": args.delta_min,
             "eta": _emit_complex(model.eta),
-            "kappa": [_emit_complex(complex(k)) for k in args.kappa] or
-                     [[1.0, 0.0]],
+            "kappa": _emit_complex(args.kappa) or [[1.0, 0.0]],
         },
         "pipelines": "all",
     }

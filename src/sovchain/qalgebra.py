@@ -11,6 +11,8 @@ that does not depend on an eigenvalue (the rungs, a and d there, and the
 signed companion factors) is built once per model, on first use, in the
 read-only ``ChainModel.rung_table``, the one place the rung formula is
 evaluated; ``on_rungs`` evaluates a function on every rung in one call.
+Likewise ``ChainModel.lax_table`` holds each site's Sz diagonal and
+sinh(eta) S+-, so a Lax build computes only its two diagonal blocks.
 ``distance_to_ipi_lattice`` works on arrays of any shape.
 
 Conventions fixed here and relied on everywhere else:
@@ -164,6 +166,14 @@ class ChainModel:
         """One read-only ``SiteRungs`` per site, built on first use."""
         return tuple(_site_table(self, n) for n in range(1, self.n_sites + 1))
 
+    @cached_property
+    def lax_table(self) -> tuple:
+        """Per site, the spectral-point-free parts of its Lax blocks: the Sz
+        diagonal and sinh(eta) S-, sinh(eta) S+, read-only, built on first
+        use and shared by sites of equal spin."""
+        blocks = {v: _lax_parts(v, self.eta) for v in set(self.two_s)}
+        return tuple(blocks[v] for v in self.two_s)
+
 
 class SiteRungs(NamedTuple):
     """Eigenvalue-independent data on one site's ladder, top rung first.
@@ -194,6 +204,12 @@ def _site_table(model: ChainModel, site: int) -> SiteRungs:
     signs = (-1.0) ** np.arange(1, two_s + 1)
     companion = signs * np.cumprod(a[:-1] / d[1:])
     return SiteRungs(*map(_read_only, (rungs, a, d, companion)))
+
+
+def _lax_parts(two_s: int, eta: complex) -> tuple:
+    sz, splus, sminus = spin_matrices(two_s, eta)
+    return tuple(map(_read_only, (np.real(np.diag(sz)), sminus * np.sinh(eta),
+                                  splus * np.sinh(eta))))
 
 
 def xi_shifted(model: ChainModel, site: int, k: int) -> complex:
@@ -273,17 +289,14 @@ def lax(model: ChainModel, site: int, lam: complex):
 
     Returns (a, b, c, d) with a = sinh(u + eta*Sz), b = Sminus*sinh(eta),
     c = Splus*sinh(eta), d = sinh(u - eta*Sz), where u = lam - xi_site.
+    b and c are the model's read-only ``lax_table`` entries.
     """
     if not 1 <= site <= model.n_sites:
         raise IndexOutOfRange(f"site {site} outside 1..{model.n_sites}")
-    two_s = model.two_s[site - 1]
     u = complex(lam) - model.xi[site - 1]
-    sz, splus, sminus = spin_matrices(two_s, model.eta)
-    sz_diag = np.real(np.diag(sz))
+    sz_diag, b, c = model.lax_table[site - 1]
     a = np.diag(np.sinh(u + model.eta * sz_diag))
     d = np.diag(np.sinh(u - model.eta * sz_diag))
-    b = sminus * np.sinh(model.eta)
-    c = splus * np.sinh(model.eta)
     return a, b, c, d
 
 

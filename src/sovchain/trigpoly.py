@@ -13,7 +13,10 @@ There is no polynomial arithmetic: a polynomial is built from its values at
 m2 + 1 nodes, which fix its class, and the pointwise kernels compute those
 values.  ``sinh_product`` (prod of sinh(s (lam - r)) over roots) and
 ``cardinals`` (the Lagrange kernel of both T-Q closures) take arrays of any
-shape.  ``interpolate``, ``horner`` and ``factor`` turn values into
+shape.  ``sinh_product`` is evaluated in exponential form, one exp per
+point and per root and no complex sinh per factor; its two products
+mirror each other operand for operand, so a point bit-equal to a root gives
+an exact 0.  ``interpolate``, ``horner`` and ``factor`` turn values into
 coefficients, coefficients into values, and coefficients into roots for a
 whole stack of polynomials, one per row.  ``TrigPoly`` holds one row: its
 ``from_values``, ``eval`` and ``roots`` are those kernels applied to it.
@@ -31,7 +34,9 @@ from .errors import (
 )
 
 # sinh_product runs on every Q evaluation, so it stays out of __all__ and
-# out of the bench tracer's reach (bench/tracing.py wraps __all__).
+# out of the bench tracer's reach (bench/tracing.py wraps __all__).  It
+# takes exp(+-s lam) once per point and exp(+-s r) once per root and runs no
+# complex sinh; its exact 0 on a root rests on the mirrored operand order.
 __all__ = ["TrigPoly", "cardinals", "interpolate", "factor"]
 
 _VALID_SCALES = (1.0, 0.5)
@@ -255,19 +260,33 @@ def cabs(z):
 def sinh_product(lam, roots, angle_scale: float = 1.0):
     """prod_j sinh(angle_scale * (lam - roots_j)) for lam of any shape.
 
-    One sinh over a trailing root axis, then a product; a scalar lam gives
-    a complex.  Roots with leading axes are rows, one product each: lam
-    then holds either points shared by every row or one row of points per
-    row (its second-to-last axis), and the rows lead in the result.
+    Evaluated in exponential form, with no complex sinh: for s =
+    angle_scale, exp(s lam) and exp(-s lam) are taken once per point and
+    exp(s r) and exp(-s r) once per root, and factor j is
+
+        (exp(s lam)/2) exp(-s r_j) - (exp(s r_j)/2) exp(-s lam),
+
+    where halving is exact.  The second product mirrors the first operand
+    for operand, so a point bit-equal to a root gives an exact 0: numpy's
+    complex multiply may fuse a multiply and an add and is then not
+    commutative in the last bit.  Each factor is good to a few ulps of
+    |exp(s lam - s r)| + |exp(s r - s lam)|, so beside a root it is
+    accurate in absolute, not relative, terms.  The factors then multiply
+    along a trailing root axis; a scalar lam gives a complex.  Roots with
+    leading axes are rows, one product each: lam then holds either points
+    shared by every row or one row of points per row (its second-to-last
+    axis), and the rows lead in the result.
     """
     lam = np.asarray(lam, dtype=complex)
     # C order keeps each product's factors in one order, whatever the rows.
     roots = np.ascontiguousarray(roots, dtype=complex)
     if roots.ndim > 1:
         roots = roots[..., None, :]
-    factors = np.subtract(lam[..., None], roots)
-    factors *= angle_scale
-    out = np.sinh(factors, out=factors).prod(axis=-1)
+    at_lam = angle_scale * lam[..., None]
+    at_root = angle_scale * roots
+    factors = np.multiply(0.5 * np.exp(at_lam), np.exp(-at_root))
+    factors -= np.multiply(0.5 * np.exp(at_root), np.exp(-at_lam))
+    out = factors.prod(axis=-1)
     return out if out.shape else complex(out)
 
 

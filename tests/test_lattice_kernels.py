@@ -84,7 +84,65 @@ def test_sinh_product_equals_factor_loop(scale, n_roots):
 def test_sinh_product_scalar_returns_complex():
     got = sinh_product(0.2 + 0.1j, [0.5, -0.3j], 0.5)
     assert type(got) is complex
-    assert got == complex(sinh_loop(0.2 + 0.1j, [0.5, -0.3j], 0.5))
+    # The exponential form rounds differently from sinh: same bound as the
+    # factor loop above.
+    np.testing.assert_allclose(
+        got, complex(sinh_loop(0.2 + 0.1j, [0.5, -0.3j], 0.5)),
+        rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_sinh_product_matches_mpmath_at_50_digits(scale):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    roots = draw(rng, (5, 6), 1.0)
+    lam = draw(rng, (5, 8), 1.0)
+    # Three points per row sit 1e-6 from one of that row's roots.
+    offsets = 1e-6 * np.exp(2j * np.pi * rng.uniform(size=(5, 3)))
+    lam[:, :3] = roots[:, [0, 2, 5]] + offsets
+    got = sinh_product(lam, roots, scale)
+    assert got.shape == lam.shape
+    with mpmath.workdps(50):
+        s = mpmath.mpf(scale)
+        want = np.array([[complex(mpmath.fprod(
+            mpmath.sinh(s * (mpmath.mpc(z) - mpmath.mpc(r))) for r in row))
+            for z in points] for row, points in zip(roots, lam)])
+    # Factor j is exp(x)/2 - exp(-x)/2 with x = s (lam - r_j), each term
+    # rounded to a few ulps: the product is good to eps times the sum of
+    # the factor condition numbers (|e^x| + |e^-x|) / |e^x - e^-x|.  That
+    # is about 10 on the free points and about 1/|x| beside a root.
+    x = scale * (lam[..., None] - roots[:, None, :])
+    cond = ((np.abs(np.exp(x)) + np.abs(np.exp(-x)))
+            / np.abs(2.0 * np.sinh(x))).sum(axis=-1)
+    error = np.abs(got - want) / np.abs(want)
+    assert np.all(error <= 8 * np.finfo(float).eps * cond)
+    assert error[:, 3:].max() < 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_sinh_product_is_exactly_zero_on_a_root(scale):
+    rng = np.random.default_rng(23)
+    roots = draw(rng, (6, 7), 1.0)
+    # Every point of a row is one of its roots, at every position, so each
+    # lands on some vector lane and on the tail of some loop.
+    picks = rng.integers(0, 7, (6, 37))
+    lam = np.take_along_axis(roots, picks, axis=1)
+    assert np.all(sinh_product(lam, roots, scale) == 0)
+    # Points shared by every row: zero on the rows that own the root.
+    shared = roots[2, [0, 3, 6]]
+    got = sinh_product(shared, roots, scale)
+    assert np.all(got[2] == 0) and np.all(got[np.arange(6) != 2] != 0)
+    assert sinh_product(roots[0, 4], roots[0], scale) == 0
+
+
+def test_sinh_product_half_angle_zero_on_roots_shifted_by_i_pi():
+    # The half-period translate of a root is a root of its own, not a sign:
+    # the translated choice of the homogeneous T-Q equation meets it.
+    rungs = np.array([0.35 + 0.155j, 0.04 + 0.085j, 0.9 - 0.2j])
+    roots = np.concatenate([rungs, rungs + 1j * np.pi])
+    lam = rungs + 1j * np.pi
+    assert np.all(sinh_product(lam, roots, 0.5) == 0)
+    assert np.all(sinh_product(lam, rungs, 0.5) != 0)
 
 
 def test_q_values_and_targets_use_the_kernel():

@@ -113,6 +113,27 @@ def test_lax_top_entry():
     assert_allclose(a[0, 0], np.sinh(lam - 0.0 + ETA / 2), rtol=1e-14)
 
 
+def lax_from_spin_matrices(m, site, lam):
+    """The Lax blocks with the spin matrices rebuilt on every call."""
+    sz, splus, sminus = spin_matrices(m.two_s[site - 1], m.eta)
+    u = complex(lam) - m.xi[site - 1]
+    sz_diag = np.real(np.diag(sz))
+    return (np.diag(np.sinh(u + m.eta * sz_diag)), sminus * np.sinh(m.eta),
+            splus * np.sinh(m.eta), np.diag(np.sinh(u - m.eta * sz_diag)))
+
+
+def test_lax_from_the_table_equals_a_fresh_build_bit_for_bit():
+    m = model([2, 1, 2], [0.1, 0.85, 1.7])
+    for site in (1, 2, 3):
+        for lam in (0.41 + 0.09j, -0.3 + 1.2j):
+            for got, want in zip(lax(m, site, lam),
+                                 lax_from_spin_matrices(m, site, lam)):
+                assert np.array_equal(got, want)
+    # Built once per spin: sites 1 and 3 share their read-only blocks.
+    assert all(x is y for x, y in zip(m.lax_table[0], m.lax_table[2]))
+    assert not any(x.flags.writeable for x in m.lax_table[1])
+
+
 @pytest.mark.parametrize("two_s", [1, 2, 3])
 def test_exchange_relation_local(two_s):
     m = model([two_s], [0.3])
