@@ -4,9 +4,11 @@ Builds the per-site spin representations, the local Lax matrices, the chain
 monodromy blocks A, B, C, D, the scalar products a and d, and the twisted
 antidiagonal transfer matrix kappa^{-1} B(lam) + kappa C(lam), which the
 diagonal ``twist_gauge`` conjugates into the untwisted B + C.  Everything is
-dense.  The monodromy is built by Kronecker recursion (site n acts only on
-tensor factor n), so each site step costs O(dim^2); callers still build
-each operator once per (model, lam) and reuse it.  Everything on the rungs
+dense.  The monodromy is built one site at a time (site n acts only on
+tensor factor n); a site step writes only the entries where that site's
+Lax blocks are nonzero (a and d diagonal, b and c one off-diagonal each),
+so it costs O(dim^2); callers still build each operator once per
+(model, lam) and reuse it.  Everything on the rungs
 that does not depend on an eigenvalue (the rungs, a and d there, and the
 signed companion factors) is built once per model, on first use, in the
 read-only ``ChainModel.rung_table``, the one place the rung formula is
@@ -305,28 +307,67 @@ def monodromy(model: ChainModel, lam: complex):
 
     The product runs site N leftmost.  Site n acts only on tensor factor n
     (site 1 is the slowest index), so multiplying its Lax blocks onto the
-    partial product of sites 1..n-1 is a Kronecker product:
-    an @ a + bn @ c = kron(a, an) + kron(c, bn), and likewise for B, C, D.
+    partial product T of sites 1..n-1 gives A' = T_A (x) a + T_C (x) b and
+    likewise for B', C', D'.  a and d are diagonal and b and c have one
+    off-diagonal each, so a site step writes only those local entries of
+    each new block (``_site_step``) and leaves the rest zero: O(dim^2) per
+    site.  The four blocks returned share no memory, so dropping A and D
+    frees them.
     """
-    a, b, c, d = lax(model, 1, lam)
+    blocks = lax(model, 1, lam)
     for site in range(2, model.n_sites + 1):
-        an, bn, cn, dn = lax(model, site, lam)
-        a, b, c, d = (
-            _kron(a, an) + _kron(c, bn),
-            _kron(b, an) + _kron(d, bn),
-            _kron(a, cn) + _kron(c, dn),
-            _kron(b, cn) + _kron(d, dn),
-        )
-    return a, b, c, d
+        blocks = _site_step(blocks, lax(model, site, lam),
+                            last=site == model.n_sites)
+    return tuple(blocks)
 
 
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.kron of two arrays of equal ndim, bit for bit, without its
-    overhead: one broadcast product laid out (x0, y0, x1, y1, ...) and a
-    reshape."""
-    xs = x.reshape([v for n in x.shape for v in (n, 1)])
-    ys = y.reshape([v for n in y.shape for v in (1, n)])
-    return (xs * ys).reshape([m * n for m, n in zip(x.shape, y.shape)])
+def _site_step(blocks, lax_blocks, last: bool):
+    """The partial monodromy with one more site, from its four blocks and
+    the site's Lax blocks.
+
+    Laid out (dim, n, dim, n), the new blocks are nonzero only at the local
+    entries (k, k) of a and d, (k + 1, k) of b and (k, k + 1) of c.  Each
+    such entry is the partial block times the Lax entry, in that operand
+    order, so the result equals the Kronecker sums bit for bit.  Earlier
+    steps write all four blocks into one buffer, two at a time; the last
+    step gives each block its own buffer.
+    """
+    top, bottom = np.asarray(blocks).reshape(2, 2, *blocks[0].shape)
+    a, b, c, d = lax_blocks
+    dim, n = top.shape[-1], len(a)
+    size = dim * n
+    if last:
+        out = [np.zeros((dim, n, dim, n), dtype=complex) for _ in range(4)]
+        for beta in (0, 1):
+            _write_bands(out[beta], out[2 + beta], top[beta], bottom[beta],
+                         lax_blocks)
+        return [block.reshape(size, size) for block in out]
+    out = np.zeros((2, 2, dim, n, dim, n), dtype=complex)
+    _write_bands(out[0], out[1], top, bottom, lax_blocks)
+    return out.reshape(4, size, size)
+
+
+def _write_bands(upper, lower, top, bottom, lax_blocks) -> None:
+    """upper = top (x) a + bottom (x) b and lower = top (x) c + bottom (x) d
+    at the nonzero local entries; every array may carry the same leading
+    batch axes."""
+    a, b, c, d = lax_blocks
+    for out, src, local, row, col in (
+        (upper, top, a.diagonal(), 0, 0), (upper, bottom, b.diagonal(-1), 1, 0),
+        (lower, bottom, d.diagonal(), 0, 0), (lower, top, c.diagonal(1), 0, 1),
+    ):
+        np.multiply(src, local.reshape((-1,) + (1,) * src.ndim),
+                    out=_local_band(out, row, col))
+
+
+def _local_band(block: np.ndarray, row: int, col: int) -> np.ndarray:
+    """Writeable view of the local entries (k + row, k + col) of a
+    C-contiguous block laid out (..., dim, n, dim, n), shaped
+    (n - row - col, ..., dim, dim)."""
+    *batch, dim, n, _, _ = block.shape
+    *outer, s_i, s_k, s_j, s_l = block.strides
+    return np.ndarray((n - row - col, *batch, dim, dim), block.dtype, block,
+                      row * s_k + col * s_l, (s_k + s_l, *outer, s_i, s_j))
 
 
 def _edge_product(model: ChainModel, lam, sign: float):

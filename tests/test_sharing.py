@@ -1,7 +1,7 @@
 """Per-model and per-eigenvalue tables computed once and shared.
 
 The model's rung table, an eigenvalue function's rung values and ladder,
-the Kronecker step, the oracle self-check and the auxiliary node draws are
+the structured monodromy step, the oracle self-check and the auxiliary node draws are
 pinned to the definitions they replace, kept here as plain references.
 The oracle's one pass over every twist, with one eigendecomposition for
 all of them, is pinned to one call per twist.
@@ -23,7 +23,7 @@ from sovchain.errors import (
     DegenerateSpectrum, ExceptionalAlpha, RecursionBlowup, SovChainError,
 )
 from sovchain.qalgebra import (
-    ChainModel, _kron, a_of, d_of, lax, monodromy, xi_shifted,
+    ChainModel, a_of, d_of, lax, monodromy, xi_shifted,
 )
 
 ETA = 0.31 + 0.07j
@@ -174,20 +174,33 @@ def test_failed_ladder_row_keeps_its_error():
 
 
 # ----------------------------------------------------------------------
-# the Kronecker step
+# the structured site step
 
 
-@pytest.mark.parametrize("two_s", [(1, 2), (2, 1, 3)], ids=["12", "213"])
-def test_kron_equals_numpy_kron(two_s):
-    model = chain(two_s)
-    lam = 0.37 - 0.21j
-    left = monodromy(chain(two_s[:-1]), lam)
-    right = lax(model, model.n_sites, lam)
-    for x in left + lax(model, 1, lam):
-        for y in right:
-            assert np.array_equal(_kron(x, y), np.kron(x, y))
-    vec_x, vec_y = np.diag(left[0]), np.diag(right[3])
-    assert np.array_equal(_kron(vec_x, vec_y), np.kron(vec_x, vec_y))
+def _kron_monodromy(model, lam):
+    """The monodromy by the plain Kronecker recursion of its definition."""
+    a, b, c, d = lax(model, 1, lam)
+    for site in range(2, model.n_sites + 1):
+        an, bn, cn, dn = lax(model, site, lam)
+        a, b, c, d = (
+            np.kron(a, an) + np.kron(c, bn), np.kron(b, an) + np.kron(d, bn),
+            np.kron(a, cn) + np.kron(c, dn), np.kron(b, cn) + np.kron(d, dn),
+        )
+    return a, b, c, d
+
+
+@pytest.mark.parametrize("two_s", [(1, 2), (2, 1, 3), (3, 3), (1,) * 6],
+                         ids=["12", "213", "33", "111111"])
+def test_monodromy_equals_the_kronecker_recursion(two_s):
+    xi = XI + (3.1 - 0.03j, 3.8 + 0.06j)
+    model = ChainModel(two_s=two_s, xi=xi[: len(two_s)], eta=ETA, kappa=1.0)
+    for lam in (0.37 - 0.21j, -0.8 + 1.3j):
+        got = monodromy(model, lam)
+        for block, want in zip(got, _kron_monodromy(model, lam)):
+            assert np.array_equal(block, want)
+        # Separate buffers: dropping A and D frees them.
+        assert not any(np.shares_memory(x, y)
+                       for i, x in enumerate(got) for y in got[:i])
 
 
 # ----------------------------------------------------------------------
