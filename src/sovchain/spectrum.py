@@ -3,10 +3,13 @@ per-site rung determinant conditions.
 
 The dense oracle diagonalizes every twist of one chain in a single pass.
 The twist is a diagonal similarity of the untwisted transfer matrix, so
-one eigendecomposition and one inverse serve every twist, gauged by
-kappa^{-|h|}.  The monodromy does not depend on the twist, so B and C are
-built once per sample point; each twist forms its own transfer matrix from
-them for its base values and its check residuals.
+one eigenbasis serves every twist, gauged by kappa^{-|h|}.  The global
+spin flip J (the reversal of the state index) commutes with the untwisted
+B + C, so that eigenbasis takes one half-size eigendecomposition and one
+inverse per flip sector, and each eigenvalue carries its sector (+1 or
+-1).  The monodromy does not depend on the twist, so B and C are built
+once per sample point; each twist forms its own transfer matrix from them
+for its base values and its check residuals.
 
 An eigenvalue of the twisted transfer matrix is a trigonometric polynomial
 determined by its values at the N base points xi_1..xi_N (the interpolation
@@ -127,14 +130,17 @@ class Spectrum:
 
     Column i of ``right`` and row i of ``left`` belong to row i of the
     stack ``rows``; the rows of ``left`` are the inverse of the column
-    matrix, so left@right = identity.  ``functions`` views the same rows
-    as one ``EigenvalueFunction`` each, built on first use.
+    matrix, so left@right = identity.  ``sector`` (read-only) holds row i's
+    spin-flip sector, +1 or -1: the untwisted eigenvector is even or odd
+    under the reversal of the state index.  ``functions`` views the same
+    rows as one ``EigenvalueFunction`` each, built on first use.
     """
 
     model: ChainModel
     right: np.ndarray
     left: np.ndarray
     rows: EigenvalueFunction
+    sector: np.ndarray
 
     @cached_property
     def functions(self) -> tuple:
@@ -153,9 +159,11 @@ def brute_force_spectrum(models, seed: int = 0):
     ``models`` is one model, which gives its ``Spectrum``, or a sequence of
     models that differ only in the twist, which gives a tuple with one
     ``Spectrum`` each.  The twist is a diagonal similarity
-    (``twist_gauge``), so one eigendecomposition of the untwisted B + C
-    serves every twist: twist kappa gets the right vectors G V and the left
-    covectors V^{-1} G^{-1}.  All twists share one ``default_rng(seed)``
+    (``twist_gauge``), so one eigenbasis V of the untwisted B + C serves
+    every twist: twist kappa gets the right vectors G V and the left
+    covectors V^{-1} G^{-1}.  V and V^{-1} come from one eigendecomposition
+    and one inverse per spin-flip sector (``_eigenbasis``), each half the
+    size of B + C.  All twists share one ``default_rng(seed)``
     and so one sample point, one retry loop and the same check points; the
     monodromy is built once per point.  Base values and check residuals
     are each twist's own, from its kappa^{-1} B + kappa C, and a twist in
@@ -168,15 +176,14 @@ def brute_force_spectrum(models, seed: int = 0):
            for m in twists):
         raise ValueError("the models must differ only in the twist")
     rng = np.random.default_rng(seed)
-    vectors = _eigenbasis(first, rng)
-    inverse = np.linalg.inv(vectors)
+    vectors, inverse, sector = _eigenbasis(first, rng)
     pairs = [(g[:, None] * vectors, inverse / g)
              for g in map(twist_gauge, twists)]
     # Only the gauged pairs live on: at dim 1024 each matrix is 16 MB.
     del vectors, inverse
     base = _base_values(twists, pairs)
     # Each twist's unsorted pair is dropped as its sorted copy is made.
-    spectra = [_sorted(twist, values, *pairs.pop(0))
+    spectra = [_sorted(twist, values, *pairs.pop(0), sector)
                for twist, values in zip(twists, base)]
     _check(spectra, rng)
     return spectra[0] if single else tuple(spectra)
@@ -191,18 +198,65 @@ def _transfers(twists, lam):
         yield b / twist.kappa + twist.kappa * c
 
 
-def _eigenbasis(model, rng) -> np.ndarray:
-    """Eigenvectors of the untwisted B + C at the first sample point whose
-    eigenvalues are well separated."""
+def _eigenbasis(model, rng):
+    """Eigenvectors, their inverse and their flip sectors (+1, -1) of the
+    untwisted B + C at the first sample point whose eigenvalues are well
+    separated.
+
+    J, the reversal of the state index, is the global spin flip: it swaps
+    B and C, so it commutes with B + C.  Each sector's block
+    (``_flip_sectors``) takes one ``eig`` and one ``inv``; the gap test runs
+    on the eigenvalues of both, and the vectors and inverse rows lift back
+    to the full space (``_lift``).
+    """
+    dim = model.hilbert_dim
     for _ in range(4):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        b, c = monodromy(model, lam)[1:3]
-        vals, vectors = np.linalg.eig(b + c)
-        if _separated(vals):
-            return vectors
-    raise DegenerateSpectrum(
-        "no sampled point separated the transfer eigenvalues"
-    )
+        eigs = [np.linalg.eig(block) for block in
+                _flip_sectors(np.add(*monodromy(model, lam)[1:3]))]
+        if _separated(np.concatenate([vals for vals, _ in eigs])):
+            break
+    else:
+        raise DegenerateSpectrum(
+            "no sampled point separated the transfer eigenvalues"
+        )
+    signs = (1, -1)
+    vectors = np.hstack([_lift(v, sign, dim)
+                         for (_, v), sign in zip(eigs, signs)])
+    inverse = np.vstack([_lift(np.linalg.inv(v).T, sign, dim).T
+                         for (_, v), sign in zip(eigs, signs)])
+    sector = np.repeat(signs, [len(vals) for vals, _ in eigs])
+    return vectors, inverse, sector
+
+
+def _flip_sectors(m):
+    """The blocks of a J-symmetric M on the even and odd states, in O(dim^2).
+
+    With h = dim // 2, M+ acts on (e_i + e_{dim-1-i}) / sqrt 2 and M- on
+    (e_i - e_{dim-1-i}) / sqrt 2 for i < h; for odd dim, M+ also acts on
+    the middle state e_h.  Only the first h rows of M (and row h) are read.
+    """
+    h = len(m) // 2
+    near, far = m[:h, :h], m[:h, ::-1][:, :h]
+    plus, minus = near + far, near - far
+    if len(m) % 2:
+        root2 = np.sqrt(2.0)
+        plus = np.block([[plus, root2 * m[:h, h:h + 1]],
+                         [root2 * m[h:h + 1, :h], m[h:h + 1, h:h + 1]]])
+    return plus, minus
+
+
+def _lift(x, sign, dim):
+    """Full-space columns from sector coordinates: row i < h of x is the
+    coefficient of (e_i + sign e_{dim-1-i}) / sqrt 2, and a row h (odd
+    dim, even sector) that of the middle state."""
+    h = dim // 2
+    half = x[:h] / np.sqrt(2.0)
+    out = np.zeros((dim, x.shape[1]), dtype=complex)
+    out[:h] = half
+    out[h:len(x)] = x[h:]
+    out[dim - h:] = sign * half[::-1]
+    return out
 
 
 def _separated(vals) -> bool:
@@ -225,11 +279,12 @@ def _base_values(twists, pairs) -> np.ndarray:
     return base
 
 
-def _sorted(model, values, right, left) -> Spectrum:
+def _sorted(model, values, right, left, sector) -> Spectrum:
     """The spectrum in lexicographic order of t(xi_1)."""
     order = np.lexsort((values[:, 0].imag, values[:, 0].real))
     return Spectrum(model=model, right=right[:, order], left=left[order],
-                    rows=EigenvalueFunction(model, values[order]))
+                    rows=EigenvalueFunction(model, values[order]),
+                    sector=_read_only(sector[order]))
 
 
 def _check(spectra, rng) -> None:

@@ -258,8 +258,8 @@ def counting_builds(monkeypatch):
 def test_oracle_builds_each_point_once_for_every_twist(monkeypatch):
     # (1,)*5 tq-hom: the N + 4 points of the oracle are the only monodromy
     # builds, whatever the number of twists; the chain is drawn once, and
-    # each oracle call makes one eig, one inv and no per-eigenvalue
-    # function.
+    # each oracle call makes no per-eigenvalue function and one eig and one
+    # inv per spin-flip sector, half-size blocks whose sizes sum to dim.
     builds = counting_builds(monkeypatch)
     draws, singles, in_oracle = [], [], []
     solvers = {"eig": [], "inv": []}
@@ -283,7 +283,7 @@ def test_oracle_builds_each_point_once_for_every_twist(monkeypatch):
 
         def counting(*args, **kwargs):
             if in_oracle:
-                solvers[name].append(None)
+                solvers[name].append(len(args[0]))
             return solver(*args, **kwargs)
         return counting
 
@@ -305,8 +305,7 @@ def test_oracle_builds_each_point_once_for_every_twist(monkeypatch):
         assert len(builds) == len(set(builds)) == 5 + 4
         assert len(draws) == 1
         assert singles == []
-        assert {name: len(calls) for name, calls in solvers.items()} == {
-            "eig": 1, "inv": 1}
+        assert solvers == {"eig": [16, 16], "inv": [16, 16]}
 
 
 def rejecting(monkeypatch, *rejected):

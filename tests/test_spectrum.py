@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sovchain.errors import RecursionBlowup, ZeroState
-from sovchain.qalgebra import ChainModel, xi_shifted
 from sovchain import sovbasis as sb
 from sovchain import spectrum as sp
+from sovchain import tq_hom as thm
+from sovchain.cli import RunConfig
+from sovchain.errors import DegenerateSpectrum, RecursionBlowup, ZeroState
+from sovchain.qalgebra import ChainModel, monodromy, xi_shifted
 
 ETA = 0.31 + 0.07j
 SINH_ETA = 0.31421767077936635556 + 0.073330601551639318257j
@@ -181,3 +183,72 @@ def test_zero_coefficients_raise():
 def test_base_value_count_is_checked():
     with pytest.raises(ValueError):
         sp.EigenvalueFunction(D2, (1.0 + 0j,))
+
+
+# ----------------------------------------------------------------------
+# spin-flip sectors of the oracle
+
+
+def generated(two_s, seed=0):
+    """The chain ``sovchain run`` draws for this shape and model seed, at
+    kappa = 1."""
+    doc = {"model": {"two_s": list(two_s), "seed": seed}}
+    return RunConfig.from_dict(doc).build_model(1.0)
+
+
+@pytest.mark.parametrize("two_s", [(4,), (2, 2), (2, 2, 2), (1, 4)],
+                         ids=["4", "22", "222", "14"])
+def test_flip_sectors_split_the_spectrum(two_s):
+    m = generated(two_s)
+    dim = m.hilbert_dim
+    b, c = monodromy(m, 0.3 - 0.4j)[1:3]
+    full = np.linalg.eig(b + c)[0]
+    blocks = sp._flip_sectors(b + c)
+    assert [len(x) for x in blocks] == [(dim + 1) // 2, dim // 2]
+    halves = np.concatenate([np.linalg.eig(x)[0] for x in blocks])
+    # Equal as multisets: each eigenvalue has its own nearest partner.
+    dist = np.abs(full[:, None] - halves[None, :])
+    nearest = np.argmin(dist, axis=1)
+    assert sorted(nearest) == list(range(dim))
+    assert np.max(dist[np.arange(dim), nearest]) <= 1e-12 * np.max(np.abs(full))
+    vectors, inverse, sector = sp._eigenbasis(m, np.random.default_rng(0))
+    assert np.max(np.abs(inverse @ vectors - np.eye(dim))) <= 1e-12
+    assert np.sum(sector == 1) == (dim + 1) // 2
+    assert np.sum(sector == -1) == dim // 2
+
+
+def test_an_eigenvalue_shared_by_both_sectors_fails_the_gap_test(monkeypatch):
+    # M = Q+ M+ Q+^T + Q- M- Q-^T commutes with the index reversal; the
+    # eigenvalue 2 sits in both blocks, each of which alone is separated.
+    dim = 5
+    rng = np.random.default_rng(7)
+    plus, minus = ((s @ np.diag(vals) @ np.linalg.inv(s))
+                   for s, vals in ((rng.standard_normal((3, 3)), [1, 2, 4]),
+                                   (rng.standard_normal((2, 2)), [2, 3])))
+    lifts = [sp._lift(np.eye(k), sign, dim) for k, sign in ((3, 1), (2, -1))]
+    mat = sum(q @ x @ q.T for q, x in zip(lifts, (plus, minus)))
+    assert np.allclose(mat, mat[::-1, ::-1], rtol=0, atol=1e-14)
+    blocks = sp._flip_sectors(mat)
+    for got, want in zip(blocks, (plus, minus)):
+        assert_allclose(got, want, atol=1e-13)
+    vals = [np.linalg.eig(x)[0] for x in blocks]
+    assert all(sp._separated(v) for v in vals)
+    assert not sp._separated(np.concatenate(vals))
+    monkeypatch.setattr(sp, "monodromy",
+                        lambda model, lam: (None, mat / 2, mat / 2, None))
+    with pytest.raises(DegenerateSpectrum):
+        sp._eigenbasis(D1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("two_s", [(1, 2, 1), (1, 1, 1), (2, 2), (1, 4)],
+                         ids=["121", "111", "22", "14"])
+def test_sector_is_the_tq_hom_sign(two_s, seed):
+    # At kappa = 1 the half-period Q's Wronskian sign epsilon is the
+    # spin-flip parity of the eigenvector.
+    m = generated(two_s, seed)
+    spec = sp.brute_force_spectrum(m)
+    assert not spec.sector.flags.writeable
+    sol, _ = thm.solve_q_hom(m, spec.rows,
+                             thm.draw_zeta0_hom(m, np.random.default_rng(42)))
+    assert np.array_equal(spec.sector, sol.epsilon)
