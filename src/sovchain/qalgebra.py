@@ -329,12 +329,11 @@ def _site_step(blocks, lax_blocks, last: bool):
     entries (k, k) of a and d, (k + 1, k) of b and (k, k + 1) of c.  Each
     such entry is the partial block times the Lax entry, in that operand
     order, so the result equals the Kronecker sums bit for bit.  Earlier
-    steps write all four blocks into one buffer, two at a time; the last
-    step gives each block its own buffer.
+    steps write all four blocks into one buffer; the last step gives each
+    block its own, so that no block keeps another's memory alive.
     """
     top, bottom = np.asarray(blocks).reshape(2, 2, *blocks[0].shape)
-    a, b, c, d = lax_blocks
-    dim, n = top.shape[-1], len(a)
+    dim, n = top.shape[-1], len(lax_blocks[0])
     size = dim * n
     if last:
         out = [np.zeros((dim, n, dim, n), dtype=complex) for _ in range(4)]

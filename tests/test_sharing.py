@@ -1,12 +1,13 @@
 """Per-model and per-eigenvalue tables computed once and shared.
 
 The model's rung table, an eigenvalue function's rung values and ladder,
-the structured monodromy step, the oracle self-check and the auxiliary node draws are
-pinned to the definitions they replace, kept here as plain references.
-The oracle's one pass over every twist, with one eigendecomposition for
-all of them, is pinned to one call per twist.
+the structured monodromy step, the oracle self-check and the auxiliary
+node draws are pinned to the definitions they replace, kept here as plain
+references.  The oracle's one pass over every twist, with one eigenbasis
+for all of them, is pinned to one call per twist.
 """
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -198,9 +199,15 @@ def test_monodromy_equals_the_kronecker_recursion(two_s):
         got = monodromy(model, lam)
         for block, want in zip(got, _kron_monodromy(model, lam)):
             assert np.array_equal(block, want)
-        # Separate buffers: dropping A and D frees them.
         assert not any(np.shares_memory(x, y)
                        for i, x in enumerate(got) for y in got[:i])
+        # Disjoint views of one buffer share no memory either: keeping B
+        # and C must not keep the memory of A and D alive.
+        owners = [weakref.ref(x if x.base is None else x.base) for x in got]
+        kept = got[1:3]
+        del got, block
+        assert owners[0]() is None and owners[3]() is None
+        assert all(owner() is not None for owner in owners[1:3])
 
 
 # ----------------------------------------------------------------------
