@@ -4,11 +4,13 @@ Builds the per-site spin representations, the local Lax matrices, the chain
 monodromy blocks A, B, C, D, the scalar products a and d, and the twisted
 antidiagonal transfer matrix kappa^{-1} B(lam) + kappa C(lam), which the
 diagonal ``twist_gauge`` conjugates into the untwisted B + C.  Everything is
-dense.  The monodromy is built one site at a time (site n acts only on
-tensor factor n); a site step writes only the entries where that site's
-Lax blocks are nonzero (a and d diagonal, b and c one off-diagonal each),
-so it costs O(dim^2); callers still build each operator once per
-(model, lam) and reuse it.  Everything on the rungs
+dense.  In the monodromy, a and d are diagonal and b and c have one
+off-diagonal each, so every nonzero entry of a block is one product of a
+local Lax entry per site; the read-only ``ChainModel.monodromy_plan``,
+built once per model on first use, says where those entries sit and which
+local entries they multiply, so a build costs O(nnz) per site (365 of the
+4096 entries of a block at dim 64).  Callers still build each operator
+once per (model, lam) and reuse it.  Everything on the rungs
 that does not depend on an eigenvalue (the rungs, a and d there, and the
 signed companion factors) is built once per model, on first use, in the
 read-only ``ChainModel.rung_table``, the one place the rung formula is
@@ -176,6 +178,13 @@ class ChainModel:
         blocks = {v: _lax_parts(v, self.eta) for v in set(self.two_s)}
         return tuple(blocks[v] for v in self.two_s)
 
+    @cached_property
+    def monodromy_plan(self) -> "MonodromyPlan":
+        """The nonzero entries of the monodromy blocks and their local Lax
+        factors per site (``MonodromyPlan``), read-only, built on first
+        use."""
+        return _monodromy_plan(self.two_s)
+
 
 class SiteRungs(NamedTuple):
     """Eigenvalue-independent data on one site's ladder, top rung first.
@@ -305,68 +314,100 @@ def lax(model: ChainModel, site: int, lam: complex):
 def monodromy(model: ChainModel, lam: complex):
     """The four monodromy blocks (A, B, C, D) on the full quantum space.
 
-    The product runs site N leftmost.  Site n acts only on tensor factor n
-    (site 1 is the slowest index), so multiplying its Lax blocks onto the
-    partial product T of sites 1..n-1 gives A' = T_A (x) a + T_C (x) b and
-    likewise for B', C', D'.  a and d are diagonal and b and c have one
-    off-diagonal each, so a site step writes only those local entries of
-    each new block (``_site_step``) and leaves the rest zero: O(dim^2) per
-    site.  The four blocks returned share no memory, so dropping A and D
-    frees them.
+    The product runs site N leftmost, with site 1 the slowest tensor index.
+    a and d are diagonal and b and c have one off-diagonal each, so every
+    nonzero entry of every block is one product of N local Lax entries,
+    one per site.  ``ChainModel.monodromy_plan`` says which entries are
+    nonzero and which local entry each site contributes there; a build
+    reads each site's four local vectors from ``lax``, multiplies the
+    gathered factors in site order (partial product first, local factor
+    second, as the Kronecker recursion does, so the blocks equal it bit
+    for bit) and scatters each block into its own zeros.  The work is
+    O(nnz) per site, (3^N +- 1)/2 entries a block on spin-1/2 chains.  The
+    four blocks returned share no memory, so dropping A and D frees them.
     """
-    blocks = lax(model, 1, lam)
-    for site in range(2, model.n_sites + 1):
-        blocks = _site_step(blocks, lax(model, site, lam),
-                            last=site == model.n_sites)
+    plan = model.monodromy_plan
+    values = reduce(np.multiply, (
+        _local_entries(*lax(model, site, lam))[index]
+        for site, index in enumerate(plan.factors, start=1)))
+    dim = model.hilbert_dim
+    blocks = []
+    for positions, part in zip(plan.positions, np.split(values, plan.bounds)):
+        block = np.zeros(dim * dim, dtype=complex)
+        block[positions] = part
+        blocks.append(block.reshape(dim, dim))
     return tuple(blocks)
 
 
-def _site_step(blocks, lax_blocks, last: bool):
-    """The partial monodromy with one more site, from its four blocks and
-    the site's Lax blocks.
+def _local_entries(a, b, c, d) -> np.ndarray:
+    """A site's nonzero Lax entries: [a diagonal, d diagonal,
+    b subdiagonal, c superdiagonal]."""
+    return np.concatenate(
+        (a.diagonal(), d.diagonal(), b.diagonal(-1), c.diagonal(1)))
 
-    Laid out (dim, n, dim, n), the new blocks are nonzero only at the local
-    entries (k, k) of a and d, (k + 1, k) of b and (k, k + 1) of c.  Each
-    such entry is the partial block times the Lax entry, in that operand
-    order, so the result equals the Kronecker sums bit for bit.  Earlier
-    steps write all four blocks into one buffer; the last step gives each
-    block its own, so that no block keeps another's memory alive.
+
+class MonodromyPlan(NamedTuple):
+    """Where the monodromy blocks A, B, C, D are nonzero, and which local
+    Lax entry each site contributes to each such entry.
+
+    positions[k] holds block k's nonzero flat positions, in the order the
+    site recursion makes them.
+    factors is (n_sites, nnz), the blocks' entries side by side in the
+    order A, B, C, D (split at ``bounds``); row n - 1 indexes site n's
+    ``_local_entries``.
     """
-    top, bottom = np.asarray(blocks).reshape(2, 2, *blocks[0].shape)
-    dim, n = top.shape[-1], len(lax_blocks[0])
-    size = dim * n
-    if last:
-        out = [np.zeros((dim, n, dim, n), dtype=complex) for _ in range(4)]
-        for beta in (0, 1):
-            _write_bands(out[beta], out[2 + beta], top[beta], bottom[beta],
-                         lax_blocks)
-        return [block.reshape(size, size) for block in out]
-    out = np.zeros((2, 2, dim, n, dim, n), dtype=complex)
-    _write_bands(out[0], out[1], top, bottom, lax_blocks)
-    return out.reshape(4, size, size)
+
+    positions: tuple
+    factors: np.ndarray
+    bounds: tuple
 
 
-def _write_bands(upper, lower, top, bottom, lax_blocks) -> None:
-    """upper = top (x) a + bottom (x) b and lower = top (x) c + bottom (x) d
-    at the nonzero local entries; every array may carry the same leading
-    batch axes."""
-    a, b, c, d = lax_blocks
-    for out, src, local, row, col in (
-        (upper, top, a.diagonal(), 0, 0), (upper, bottom, b.diagonal(-1), 1, 0),
-        (lower, bottom, d.diagonal(), 0, 0), (lower, top, c.diagonal(1), 0, 1),
-    ):
-        np.multiply(src, local.reshape((-1,) + (1,) * src.ndim),
-                    out=_local_band(out, row, col))
+def _monodromy_plan(two_s: tuple) -> MonodromyPlan:
+    """The site recursion T' = L_n T on the nonzero entries only.
+
+    An entry of the partial product carries its auxiliary row alpha and
+    column beta (block 2 alpha + beta).  Site n multiplies it by a local
+    entry of L_n[gamma, alpha]: from alpha = 0 by one of a (gamma 0) or c
+    (gamma 1), from alpha = 1 by one of b (gamma 0) or d (gamma 1).  Both
+    choices offer 2n - 1 local entries, so every entry extends to 2n - 1
+    new ones, and the recursion starts from the identity on dimension 1.
+    """
+    dtype = np.min_scalar_type(4 * max(two_s) + 1)
+    alpha = beta = np.arange(2)
+    rows = cols = np.zeros(2, dtype=np.intp)
+    table = np.zeros((0, 2), dtype=dtype)
+    steps = {v: _local_steps(v) for v in set(two_s)}
+    for v in two_s:
+        local = steps[v][alpha]
+        rows = (rows[:, None] * (v + 1) + local[:, 0]).ravel()
+        cols = (cols[:, None] * (v + 1) + local[:, 1]).ravel()
+        table = np.vstack((np.repeat(table, 2 * v + 1, axis=1),
+                           local[:, 2].ravel().astype(dtype)))
+        beta = np.repeat(beta, 2 * v + 1)
+        alpha = local[:, 3].ravel()
+    flat = rows * int(np.prod([v + 1 for v in two_s])) + cols
+    # Grouped by block with masks, not sorted: np.argsort would page in
+    # numpy's SIMD sort code, which shows in the peak RSS of a small run.
+    block = 2 * alpha + beta
+    masks = [block == k for k in range(4)]
+    positions = tuple(_read_only(flat[mask]) for mask in masks)
+    return MonodromyPlan(
+        positions,
+        _read_only(np.hstack([table[:, mask] for mask in masks])),
+        tuple(np.cumsum([p.size for p in positions[:-1]]).tolist()))
 
 
-def _local_band(block: np.ndarray, row: int, col: int) -> np.ndarray:
-    """Writeable view of the local entries (k + row, k + col) of a
-    C-contiguous block laid out (..., dim, n, dim, n), shaped
-    (n - row - col, ..., dim, dim)."""
-    *batch, dim, n, _, _ = block.shape
-    *outer, s_i, s_k, s_j, s_l = block.strides
-    return np.ndarray((n - row - col, *batch, dim, dim), block.dtype, block,
-                      row * s_k + col * s_l, (s_k + s_l, *outer, s_i, s_j))
+def _local_steps(two_s: int) -> np.ndarray:
+    """Per incoming alpha, the (row, col, factor index, gamma) of the 2n - 1
+    local entries it may take, n = two_s + 1: a then c from 0, b then d
+    from 1, indexed as in ``_local_entries``."""
+    n = two_s + 1
+    k, j = np.arange(n), np.arange(n - 1)
+    a = (k, k, k, np.zeros_like(k))
+    d = (k, k, n + k, np.ones_like(k))
+    b = (j + 1, j, 2 * n + j, np.zeros_like(j))
+    c = (j, j + 1, 3 * n - 1 + j, np.ones_like(j))
+    return np.array([np.concatenate(pair, axis=1) for pair in ((a, c), (b, d))])
 
 
 def _edge_product(model: ChainModel, lam, sign: float):

@@ -1,7 +1,7 @@
 """Per-model and per-eigenvalue tables computed once and shared.
 
 The model's rung table, an eigenvalue function's rung values and ladder,
-the structured monodromy step, the oracle self-check and the auxiliary
+the monodromy's nonzero plan, the oracle self-check and the auxiliary
 node draws are pinned to the definitions they replace, kept here as plain
 references.  The oracle's one pass over every twist, with one eigenbasis
 for all of them, is pinned to one call per twist.
@@ -175,7 +175,7 @@ def test_failed_ladder_row_keeps_its_error():
 
 
 # ----------------------------------------------------------------------
-# the structured site step
+# the monodromy from its nonzero plan
 
 
 def _kron_monodromy(model, lam):
@@ -190,11 +190,18 @@ def _kron_monodromy(model, lam):
     return a, b, c, d
 
 
-@pytest.mark.parametrize("two_s", [(1, 2), (2, 1, 3), (3, 3), (1,) * 6],
-                         ids=["12", "213", "33", "111111"])
+MONODROMY_SHAPES = [(1, 2), (2, 1, 3), (3, 3), (1,) * 6, (1,) * 8, (4,), (1,)]
+MONODROMY_IDS = ["12", "213", "33", "111111", "11111111", "4", "1"]
+
+
+def long_chain(two_s):
+    xi = XI + (3.1 - 0.03j, 3.8 + 0.06j, 4.6 - 0.07j, 5.3 + 0.02j)
+    return ChainModel(two_s=two_s, xi=xi[: len(two_s)], eta=ETA, kappa=1.0)
+
+
+@pytest.mark.parametrize("two_s", MONODROMY_SHAPES, ids=MONODROMY_IDS)
 def test_monodromy_equals_the_kronecker_recursion(two_s):
-    xi = XI + (3.1 - 0.03j, 3.8 + 0.06j)
-    model = ChainModel(two_s=two_s, xi=xi[: len(two_s)], eta=ETA, kappa=1.0)
+    model = long_chain(two_s)
     for lam in (0.37 - 0.21j, -0.8 + 1.3j):
         got = monodromy(model, lam)
         for block, want in zip(got, _kron_monodromy(model, lam)):
@@ -208,6 +215,38 @@ def test_monodromy_equals_the_kronecker_recursion(two_s):
         del got, block
         assert owners[0]() is None and owners[3]() is None
         assert all(owner() is not None for owner in owners[1:3])
+
+
+@pytest.mark.parametrize("two_s", MONODROMY_SHAPES, ids=MONODROMY_IDS)
+def test_monodromy_plan_is_the_nonzero_pattern(two_s):
+    model = long_chain(two_s)
+    plan = model.monodromy_plan
+    blocks = _kron_monodromy(model, 0.37 - 0.21j)
+    for positions, block in zip(plan.positions, blocks):
+        assert np.array_equal(np.sort(positions), np.flatnonzero(block))
+    assert plan.factors.shape == (model.n_sites, sum(
+        p.size for p in plan.positions))
+    assert plan.factors.itemsize == 1
+    assert not plan.factors.flags.writeable
+    assert not any(p.flags.writeable for p in plan.positions)
+    if set(two_s) == {1}:
+        n = model.n_sites
+        assert [p.size for p in plan.positions] == [
+            (3**n + 1) // 2, (3**n - 1) // 2, (3**n - 1) // 2, (3**n + 1) // 2]
+
+
+def test_monodromy_plan_is_built_once_per_model(monkeypatch):
+    builds = []
+    build = qa._monodromy_plan
+    monkeypatch.setattr(qa, "_monodromy_plan",
+                        lambda two_s: builds.append(two_s) or build(two_s))
+    model = long_chain((1,) * 6)
+    assert builds == []  # built on first use, not with the model
+    monodromy(model, 0.37 - 0.21j)
+    plan = model.monodromy_plan
+    monodromy(model, -0.8 + 1.3j)
+    assert builds == [(1,) * 6] and model.monodromy_plan is plan
+    assert [p.size for p in plan.positions] == [365, 364, 364, 365]
 
 
 # ----------------------------------------------------------------------
