@@ -271,22 +271,29 @@ def sinh_product(lam, roots, angle_scale: float = 1.0):
     complex multiply may fuse a multiply and an add and is then not
     commutative in the last bit.  Each factor is good to a few ulps of
     |exp(s lam - s r)| + |exp(s r - s lam)|, so beside a root it is
-    accurate in absolute, not relative, terms.  The factors then multiply
-    along a trailing root axis; a scalar lam gives a complex.  Roots with
-    leading axes are rows, one product each: lam then holds either points
-    shared by every row or one row of points per row (its second-to-last
-    axis), and the rows lead in the result.
+    accurate in absolute, not relative, terms.  Each factor multiplies
+    into a running product over the points, root by root in order, so no
+    points-by-roots array is built; no roots give exactly 1.  A scalar lam
+    gives a complex.  Roots with leading axes are rows, one product each:
+    lam then holds either points shared by every row or one row of points
+    per row (its second-to-last axis), and the rows lead in the result.
     """
     lam = np.asarray(lam, dtype=complex)
-    # C order keeps each product's factors in one order, whatever the rows.
-    roots = np.ascontiguousarray(roots, dtype=complex)
+    roots = np.asarray(roots, dtype=complex)
     if roots.ndim > 1:
         roots = roots[..., None, :]
-    at_lam = angle_scale * lam[..., None]
+    lam_pos = 0.5 * np.exp(angle_scale * lam)
+    lam_neg = np.exp(-angle_scale * lam)
     at_root = angle_scale * roots
-    factors = np.multiply(0.5 * np.exp(at_lam), np.exp(-at_root))
-    factors -= np.multiply(0.5 * np.exp(at_root), np.exp(-at_lam))
-    out = factors.prod(axis=-1)
+    root_pos = 0.5 * np.exp(at_root)
+    root_neg = np.exp(-at_root)
+    out = np.ones(np.broadcast_shapes(lam.shape, roots.shape[:-1]),
+                  dtype=complex)
+    factor, term = np.empty_like(out), np.empty_like(out)
+    for j in range(roots.shape[-1]):
+        np.multiply(lam_pos, root_neg[..., j], out=factor)
+        factor -= np.multiply(root_pos[..., j], lam_neg, out=term)
+        out *= factor
     return out if out.shape else complex(out)
 
 

@@ -75,10 +75,24 @@ def test_sinh_product_equals_factor_loop(scale, n_roots):
     lam = draw(rng, (3, 7), 1.0)
     got = sinh_product(lam, roots, scale)
     assert got.shape == lam.shape
-    # numpy's product reduction may reassociate, so the loop agrees to
-    # roundoff rather than bit for bit.
+    # The kernel multiplies the factors in the loop's order, but each factor
+    # is in exponential form, which rounds differently from sinh: the loop
+    # agrees to roundoff rather than bit for bit.
     np.testing.assert_allclose(got, sinh_loop(lam, roots, scale),
                                rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_sinh_product_of_no_roots_is_exactly_one(scale):
+    lam = draw(np.random.default_rng(5), (3, 7), 1.0)
+    got = sinh_product(lam, [], scale)
+    assert got.shape == lam.shape and np.all(got == 1)
+    # Rows without roots, on per-row points and on shared points.
+    for points in (lam, lam[0]):
+        got = sinh_product(points, np.zeros((3, 0)), scale)
+        assert got.shape == (3, 7) and np.all(got == 1)
+    got = sinh_product(0.2 + 0.1j, [], scale)
+    assert type(got) is complex and got == 1
 
 
 def test_sinh_product_scalar_returns_complex():
