@@ -18,7 +18,6 @@ or invocation was unusable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -474,19 +473,17 @@ def run_pipelines(config: RunConfig) -> dict:
 
 
 def _write_bethe_csv(path: str, report: dict) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["eigenvalue", "characterization", "root", "re", "im"]
-        )
-        for entry in report["eigenvalues"]:
-            for key in ("inhom", "hom"):
+    """One row per root, written as one string: the bytes csv's default
+    dialect writes (CRLF line ends; no field needs quoting)."""
+    lines = ["eigenvalue,characterization,root,re,im\r\n"]
+    for entry in report["eigenvalues"]:
+        for key in ("inhom", "hom"):
+            lines.extend(
+                f"{entry['index']},{key},{j},{re!r},{im!r}\r\n"
                 for j, (re, im) in enumerate(
-                    entry.get(key, {}).get("roots", [])
-                ):
-                    writer.writerow(
-                        [entry["index"], key, j, repr(re), repr(im)]
-                    )
+                    entry.get(key, {}).get("roots", [])))
+    with open(path, "w", newline="") as handle:
+        handle.write("".join(lines))
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 from collections import Counter
 
@@ -182,6 +183,29 @@ class TestRunCommand:
         assert lines[0] == "eigenvalue,characterization,root,re,im"
         # 2 eigenvalues, one root each from both characterizations
         assert len(lines) == 1 + 2 * 2
+
+    def test_bethe_csv_bytes_are_the_csv_writers(self, tmp_path):
+        report = run_pipelines(RunConfig.from_dict(base_doc((1, 1))))
+        # A recorded error carries no roots, so it writes no row.
+        report["eigenvalues"][1]["hom"] = {"class": "NotFullDegree",
+                                           "message": "a, b"}
+        report["eigenvalues"][2]["inhom"]["roots"].append([-0.0, 1e-300])
+        got = tmp_path / "got.csv"
+        cli._write_bethe_csv(str(got), report)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["eigenvalue", "characterization", "root", "re",
+                             "im"])
+            for entry in report["eigenvalues"]:
+                for key in ("inhom", "hom"):
+                    for j, (re, im) in enumerate(
+                            entry[key].get("roots", [])):
+                        writer.writerow(
+                            [entry["index"], key, j, repr(re), repr(im)])
+        assert got.read_bytes() == want.read_bytes()
+        assert b",hom," in got.read_bytes()
+        assert b"\r\n1,hom," not in got.read_bytes()
 
     def test_failing_tolerance_exits_one(self, tmp_path, capsys):
         doc = base_doc((1,), seed=3)
