@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -75,9 +76,11 @@ PROBE_POINTS = (0.23 + 0.11j, -0.4 + 0.6j)
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
-    """Whether a JSON value is a number of the given kinds.  JSON true and
-    false arrive as bool, a subclass of int, and are not numbers here."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """Whether a JSON value is a finite number of the given kinds.  JSON
+    true and false arrive as bool, a subclass of int, and are not numbers
+    here; nor are the NaN and Infinity that ``json.load`` accepts."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 def _parse_complex(value, where: str) -> complex:

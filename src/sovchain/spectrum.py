@@ -132,8 +132,7 @@ class Spectrum:
     stack ``rows``; the rows of ``left`` are the inverse of the column
     matrix, so left@right = identity.  ``sector`` (read-only) holds row i's
     spin-flip sector, +1 or -1: the untwisted eigenvector is even or odd
-    under the reversal of the state index.  ``functions`` views the same
-    rows as one ``EigenvalueFunction`` each, built on first use.
+    under the reversal of the state index.
     """
 
     model: ChainModel
@@ -141,11 +140,6 @@ class Spectrum:
     left: np.ndarray
     rows: EigenvalueFunction
     sector: np.ndarray
-
-    @cached_property
-    def functions(self) -> tuple:
-        return tuple(EigenvalueFunction(self.model, tuple(values))
-                     for values in self.rows.base_values)
 
 
 def brute_force_spectrum(models, seed: int = 0):

@@ -27,10 +27,11 @@ row's closure system with the shared builder, half-angle cardinals and the
 ladder null vectors the eigenvalue stack owns, takes one stacked SVD for
 the nullspaces, one stacked interpolation and one stacked companion
 eigenproblem for the roots, and fits every row's sum rule and Wronskian
-sign in one call each.  Every certificate evaluates Q on a whole point set
-(the grid, the roots, the inner rungs, the base points, every rung) for
-every row in one call, through the shared sinh-product kernel at angle
-scale 1/2.  Q is held by its roots alone.  A row that fails keeps its first
+sign in one call each.  Q is held by its roots alone: the admissibility
+check and every certificate evaluate it on a whole point set (the top
+rungs' half-period translates, the grid, the roots, the inner rungs, the
+base points, every rung) for every row in one call, through the shared
+sinh-product kernel at angle scale 1/2.  A row that fails keeps its first
 ``SovChainError`` in the errors the function returns and the other rows go
 on.  The grid and Bethe residuals share the corrected equation's
 zero-scale rule, and the eigenstates its assembly (``spectrum.eigenstates``).
@@ -58,15 +59,13 @@ from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
 from .sovbasis import SOVBasis
 from .spectrum import eigenstates
 from .tq_inhom import (
-    GRID_POINTS, _closure, _draw_node, _factor_rows, _null_vectors,
-    _relative_defect,
+    GRID_POINTS, _closure, _draw_node, _factor_rows, _relative_defect,
 )
-from .trigpoly import cabs, cardinals, horner, sinh_product
+from .trigpoly import cabs, cardinals, sinh_product
 
 __all__ = [
     "QFunctionHom",
     "draw_zeta0_hom",
-    "half_system_matrix",
     "solve_q_hom",
     "sum_rule_check",
     "wronskian",
@@ -108,13 +107,6 @@ class QFunctionHom:
         shared by every row, or one row of points per row."""
         return sinh_product(lam, self.roots, 0.5)
 
-    def row(self, i: int) -> "QFunctionHom":
-        """Row i of a stack as a single solution."""
-        return QFunctionHom(self.model, tuple(self.roots[i]),
-                            int(self.epsilon[i]), int(self.winding[i]),
-                            float(self.wronskian_residual[i]),
-                            float(self.sum_rule_residual[i]))
-
 
 # ----------------------------------------------------------------------
 # node placement and the closure system
@@ -122,19 +114,6 @@ class QFunctionHom:
 def draw_zeta0_hom(model: ChainModel, rng) -> complex:
     """Random auxiliary node kept away from every rung modulo 2*i*pi."""
     return _draw_node(model, rng, 2.0 * np.pi, SovChainError)
-
-
-def half_system_matrix(model: ChainModel, eigfun, zeta0: complex):
-    """Closure conditions at the bottom rungs in half-angle interpolation.
-
-    Unknowns are (Q(zeta0), Q at each site's top rung); the value at every
-    other upper rung is the top value times the ladder null component, and
-    each row demands that interpolation through those nodes reproduces the
-    ladder-prescribed value at one site's bottom rung.  Shape is
-    n_sites x (n_sites + 1), so a trustworthy solution shows up as a
-    one-dimensional nullspace.
-    """
-    return _closure(model, _null_vectors(eigfun), zeta0, angle_scale=0.5)[0]
 
 
 def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
@@ -159,11 +138,10 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     null = vh[:, -1].conj()
 
     values = (spread @ null[..., None])[..., 0]
-    coeffs, c_p, roots = _factor_rows(nodes, values, 0.5, errors)
+    c_p, roots = _factor_rows(nodes, values, 0.5, errors)
     top = null[:, 1:] / c_p[:, None]
     tops = np.array([rung.rungs[0] for rung in model.rung_table])
-    shifted = horner(coeffs, nodes.size - 1, tops + 1j * np.pi, 0.5)
-    shifted = shifted / c_p[:, None]
+    shifted = sinh_product(tops + 1j * np.pi, roots, 0.5)  # P / c_P
     scale = np.maximum(
         np.maximum(np.max(np.abs(top), axis=1), np.max(np.abs(shifted), axis=1)),
         np.max(np.abs(values), axis=1) / cabs(c_p),

@@ -63,7 +63,6 @@ __all__ = [
     "bethe_residuals_inhom",
     "q_coordinates_inhom",
     "eigenstates_from_q_inhom",
-    "degree_drop_residual",
     "homogeneous_rank_check",
     "root_multiset_distance",
     "GRID_POINTS",
@@ -86,7 +85,6 @@ class QFunctionInhom:
 
     model: ChainModel
     alpha: complex
-    zeta0: complex
     roots: tuple
     lambda_bar: complex
 
@@ -94,12 +92,6 @@ class QFunctionInhom:
         """Evaluate the product over the stored roots directly; lam holds
         points shared by every row, or one row of points per row."""
         return sinh_product(lam, self.roots)
-
-    def row(self, i: int) -> "QFunctionInhom":
-        """Row i of a stack as a single solution."""
-        return QFunctionInhom(self.model, complex(self.alpha[i]), self.zeta0,
-                              tuple(self.roots[i]),
-                              complex(self.lambda_bar[i]))
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +263,7 @@ def _inadmissible(tops) -> np.ndarray:
 
 def _factor_rows(nodes, values, angle_scale: float, errors: list):
     """Interpolate every row of node values and factor the interpolants:
-    (coefficients, c_P, roots), with each row's failure added to errors."""
+    (c_P, roots), with each row's failure added to errors."""
     try:
         coeffs = interpolate(nodes, values, 0, angle_scale)
     except DegenerateNodes as exc:  # the nodes are shared by every row
@@ -279,7 +271,7 @@ def _factor_rows(nodes, values, angle_scale: float, errors: list):
         coeffs = np.ones(values.shape, dtype=complex)
     c_p, roots, failed = factor(coeffs, angle_scale)
     record(errors, [e is not None for e in failed], lambda k: failed[k])
-    return coeffs, c_p, roots
+    return c_p, roots
 
 
 def _solve(model: ChainModel, xs, alpha: complex, zeta0: complex, errors):
@@ -300,9 +292,9 @@ def _solve(model: ChainModel, xs, alpha: complex, zeta0: complex, errors):
 
     unknowns = np.concatenate([np.ones((len(y), 1)), y], axis=-1)
     values = (spread @ unknowns[..., None])[..., 0]
-    roots = _factor_rows(nodes, values, 1.0, errors)[2]
-    return QFunctionInhom(model, np.full(len(y), complex(alpha)),
-                          complex(zeta0), roots, np.sum(roots, axis=-1))
+    roots = _factor_rows(nodes, values, 1.0, errors)[1]
+    return QFunctionInhom(model, np.full(len(y), complex(alpha)), roots,
+                          np.sum(roots, axis=-1))
 
 
 def solve_q_inhom(
@@ -456,24 +448,7 @@ def eigenstates_from_q_inhom(
 
 
 # ----------------------------------------------------------------------
-# structural checks on the functional equation
-
-
-def degree_drop_residual(model: ChainModel, sol: QFunctionInhom):
-    """Relative size of the extreme exponential coefficients of the combined
-    right-hand side, which must cancel for the equation to close, against
-    the largest coefficient of its three terms; per row.
-
-    Every term lies in the balanced class of degree m2 = N + N_s + 1, so
-    one interpolation through m2 + 1 nodes gives its coefficients.  The
-    nodes i*pi*k/(m2 + 1) put exp(2 lam) on the roots of unity, where the
-    Vandermonde matrix is a scaled DFT.
-    """
-    m2 = model.n_sites + model.n_s + 1
-    nodes = 1j * np.pi * np.arange(m2 + 1) / (m2 + 1)
-    coeffs = interpolate(nodes, np.stack(_rhs_terms(model, sol, nodes)), 0)
-    ends = np.abs(coeffs.sum(axis=0)[..., [0, -1]])
-    return ends.max(axis=-1) / np.abs(coeffs).max(axis=(0, -1))
+# library checks that the run does not call
 
 
 def homogeneous_rank_check(
@@ -497,9 +472,6 @@ def homogeneous_rank_check(
     stacked[n_sites + 1] = coeffs[:, -1]
     sing = np.linalg.svd(stacked, compute_uv=False)
     return float(sing[-1] / sing[0])
-
-
-# ----------------------------------------------------------------------
 
 
 def root_multiset_distance(first, second, period: complex = 1j * np.pi) -> float:

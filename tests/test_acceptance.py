@@ -107,13 +107,12 @@ class TestSpectrumOracle:
     ):
         model = chains[name]
         spec = chain_spectra[name]
-        assert len(spec.functions) == model.hilbert_dim
-        base = np.array([f.base_values for f in spec.functions])
+        base = spec.rows.base_values
+        assert len(base) == model.hilbert_dim
         for i in range(len(base)):
             for j in range(i + 1, len(base)):
                 assert np.max(np.abs(base[i] - base[j])) > 1e-6
-        for f in spec.functions:
-            assert sp.discrete_residual(model, f) < 1e-8
+        assert sp.discrete_residual(model, spec.rows).max() < 1e-8
 
     @pytest.mark.parametrize("name", ALL_SHAPES)
     def test_twist_family_is_isospectral(self, name, chains):
@@ -121,12 +120,7 @@ class TestSpectrumOracle:
         reference = None
         for kappa in (1.0, np.exp(0.3j), 2.0):
             variant = dataclasses.replace(model, kappa=kappa)
-            got = np.array(
-                [
-                    f.base_values
-                    for f in sp.brute_force_spectrum(variant).functions
-                ]
-            )
+            got = sp.brute_force_spectrum(variant).rows.base_values
             if reference is None:
                 reference = got
             else:
@@ -144,10 +138,11 @@ class TestSpectrumOracle:
         lefts, rights, errors = sp.eigenstates(
             model, basis, spec.rows.ladder[0])
         assert errors == [None] * model.hilbert_dim
-        for f, left, right in zip(spec.functions, lefts, rights):
-            for lam in probes:
-                assert sp.eigen_residual(model, f, right, lam, "right") < 1e-8
-                assert sp.eigen_residual(model, f, left, lam, "left") < 1e-8
+        for lam in probes:
+            assert sp.eigen_residual(
+                model, spec.rows, rights, lam, "right").max() < 1e-8
+            assert sp.eigen_residual(
+                model, spec.rows, lefts, lam, "left").max() < 1e-8
         for i, left in enumerate(lefts):
             for j, right in enumerate(rights):
                 if i == j:
@@ -171,17 +166,15 @@ class TestInhomogeneousEquation:
         others, _, errors_b = ti.solve_q_inhom(model, spec.rows, zeta0=zeta0_b)
         assert errors == errors_b == [None] * model.hilbert_dim
         assert attempts.max() <= 3
-        for i, f in enumerate(spec.functions):
-            sol = sols.row(i)
-            assert ti.inhom_grid_residual(model, f, sol) < 1e-8
-            assert ti.bethe_residuals_inhom(model, sol).max() < 1e-7
-            rebuilt, _, pole = ti.t_from_q_inhom(model, sol)
-            assert pole == [None]
-            scale = max(abs(v) for v in f.base_values)
-            diff = max(abs(a - b) for a, b in zip(rebuilt, f.base_values))
-            assert diff / scale < 1e-8
-            other = others.row(i)
-            assert ti.root_multiset_distance(sol.roots, other.roots) < 1e-7
+        assert ti.inhom_grid_residual(model, spec.rows, sols).max() < 1e-8
+        assert ti.bethe_residuals_inhom(model, sols).max() < 1e-7
+        rebuilt, _, pole = ti.t_from_q_inhom(model, sols)
+        assert pole == [None] * model.hilbert_dim
+        base = spec.rows.base_values
+        diff = np.max(np.abs(rebuilt - base), axis=1)
+        assert np.all(diff / np.max(np.abs(base), axis=1) < 1e-8)
+        for mine, theirs in zip(sols.roots, others.roots):
+            assert ti.root_multiset_distance(mine, theirs) < 1e-7
 
     @pytest.mark.parametrize("name", SMALL_SHAPES)
     def test_determinant_closed_forms(self, name, chains, chain_spectra):
@@ -189,7 +182,8 @@ class TestInhomogeneousEquation:
         spec = chain_spectra[name]
         zeta0 = ti.draw_zeta0(model, default_rng(42))
         closed = ti.det_m_zero_closed_form(model, zeta0)
-        for f in spec.functions:
+        for values in spec.rows.base_values:
+            f = sp.EigenvalueFunction(model, values)
             coeffs = ti.det_m_polynomial(model, f, zeta0)
             assert abs(coeffs[0] - closed) < 1e-8 * abs(closed)
             leading = ti.leading_det_coefficient(model, f)
@@ -205,26 +199,27 @@ class TestHomogeneousEquation:
         spec = chain_spectra[name]
         basis = chain_bases[name]
         zeta0 = th.draw_zeta0_hom(model, default_rng(42))
-        all_roots = []
         sols, errors = th.solve_q_hom(model, spec.rows, zeta0=zeta0)
-        assert errors == [None] * model.hilbert_dim
-        for idx, f in enumerate(spec.functions):
-            q = sols.row(idx)
-            assert th.hom_grid_residual(model, f, q) < 1e-8
-            eps, wres, fit_errors = th.verify_wronskian_identity(model, q)
-            assert fit_errors == [None]
-            assert eps == q.epsilon
-            assert wres < 1e-9
-            eps2, winding, sres = th.sum_rule_check(model, q.roots)
-            assert eps2 == q.epsilon
-            assert winding == q.winding
-            assert sres < 1e-7
-            angles, both_zero = th.q_vector_proportionality(model, q)
-            assert np.max(angles) < 1e-7
-            assert not both_zero.any()
-            bethe, bethe_errors = th.bethe_residuals_hom(model, q)
-            assert bethe_errors == [None]
-            assert bethe.max() < 1e-7
+        none = [None] * model.hilbert_dim
+        assert errors == none
+        assert th.hom_grid_residual(model, spec.rows, sols).max() < 1e-8
+        eps, wres, fit_errors = th.verify_wronskian_identity(model, sols)
+        assert fit_errors == none
+        assert np.array_equal(eps, sols.epsilon)
+        assert wres.max() < 1e-9
+        eps2, winding, sres = th.sum_rule_check(model, sols.roots)
+        assert np.array_equal(eps2, sols.epsilon)
+        assert np.array_equal(winding, sols.winding)
+        assert sres.max() < 1e-7
+        angles, both_zero = th.q_vector_proportionality(model, sols)
+        assert np.max(angles) < 1e-7
+        assert not both_zero.any()
+        bethe, bethe_errors = th.bethe_residuals_hom(model, sols)
+        assert bethe_errors == none
+        assert bethe.max() < 1e-7
+        for idx in range(model.hilbert_dim):
+            q = th.QFunctionHom(model, sols.roots[idx], sols.epsilon[idx],
+                                sols.winding[idx])
             states = th.eigenstates_from_q_hom(model, q, basis)
             assert states
             for _, left, right in states:
@@ -236,7 +231,7 @@ class TestHomogeneousEquation:
                 overlap = abs(np.vdot(oracle_l, left))
                 overlap /= np.linalg.norm(oracle_l) * np.linalg.norm(left)
                 assert 1.0 - overlap < 1e-8
-            all_roots.append(q.roots)
+        all_roots = sols.roots
         assert len(all_roots) == model.hilbert_dim
         for i in range(len(all_roots)):
             for j in range(i + 1, len(all_roots)):
@@ -248,10 +243,8 @@ class TestHomogeneousEquation:
 
 class TestSingleSiteAnchor:
     def test_eigenvalues_are_plus_minus_sinh(self, chain_spectra):
-        values = sorted(
-            (complex(f(0.0)) for f in chain_spectra["one-spin-half"].functions),
-            key=lambda z: z.real,
-        )
+        values = sorted(chain_spectra["one-spin-half"].rows(0.0),
+                        key=lambda z: z.real)
         assert abs(values[0] + SINH_ETA) < 1e-12
         assert abs(values[1] - SINH_ETA) < 1e-12
 
@@ -264,14 +257,12 @@ class TestSingleSiteAnchor:
         zeta0 = th.draw_zeta0_hom(model, default_rng(0))
         sols, errors = th.solve_q_hom(model, spec.rows, zeta0)
         assert errors == [None, None]
-        for i, f in enumerate(spec.functions):
-            value = complex(f(0.37 - 0.2j))
+        for i, value in enumerate(spec.rows(0.37 - 0.2j)):
             plus_branch = abs(value - SINH_ETA) < 1e-6
-            q = sols.row(i)
-            assert q.epsilon == (1 if plus_branch else -1)
+            assert sols.epsilon[i] == (1 if plus_branch else -1)
             target = xi1 if plus_branch else xi1 + 1j * np.pi
             apart = ti.root_multiset_distance(
-                q.roots, (target,), period=2j * np.pi
+                sols.roots[i], (target,), period=2j * np.pi
             )
             assert apart < 1e-9
 
@@ -282,36 +273,31 @@ class TestNegativeControls:
     ):
         model = chains["two-spin-half"]
         spec = chain_spectra["two-spin-half"]
-        for f in spec.functions:
-            off = sp.EigenvalueFunction(
-                model, tuple(v + 1e-3 for v in f.base_values)
-            )
-            assert sp.discrete_residual(model, off) > 1e-5
-        f = spec.functions[0]
-        off = sp.EigenvalueFunction(
-            model, tuple(v + 1e-3 for v in f.base_values)
-        )
+        off = sp.EigenvalueFunction(model, spec.rows.base_values + 1e-3)
+        assert np.all(sp.discrete_residual(model, off) > 1e-5)
         zeta0 = ti.draw_zeta0(model, default_rng(0))
-        sol = ti.solve_q_inhom(model, spec.rows, zeta0)[0].row(0)
-        assert ti.inhom_grid_residual(model, off, sol) > 1e-5
+        sol = ti.solve_q_inhom(model, spec.rows, zeta0)[0]
+        assert np.all(ti.inhom_grid_residual(model, off, sol) > 1e-5)
         zeta0 = th.draw_zeta0_hom(model, default_rng(0))
-        q = th.solve_q_hom(model, spec.rows, zeta0)[0].row(0)
-        assert th.hom_grid_residual(model, off, q) > 1e-5
+        q = th.solve_q_hom(model, spec.rows, zeta0)[0]
+        assert np.all(th.hom_grid_residual(model, off, q) > 1e-5)
 
     def test_perturbed_roots_are_rejected(self, chains, chain_spectra):
         model = chains["two-spin-half"]
         rows = chain_spectra["two-spin-half"].rows
         zeta0 = ti.draw_zeta0(model, default_rng(0))
-        sol = ti.solve_q_inhom(model, rows, zeta0)[0].row(0)
-        for j in range(len(sol.roots)):
-            bad = list(sol.roots)
-            bad[j] += 1e-3
-            bad_sol = dataclasses.replace(sol, roots=tuple(bad))
-            assert ti.bethe_residuals_inhom(model, bad_sol).max() > 1e-5
+        sol = ti.solve_q_inhom(model, rows, zeta0)[0]
+        for j in range(model.n_s):
+            bad = sol.roots.copy()
+            bad[:, j] += 1e-3
+            bad_sol = dataclasses.replace(sol, roots=bad)
+            residuals = ti.bethe_residuals_inhom(model, bad_sol)
+            assert np.all(residuals.max(axis=-1) > 1e-5)
         zeta0 = th.draw_zeta0_hom(model, default_rng(0))
-        q = th.solve_q_hom(model, rows, zeta0)[0].row(0)
-        for j in range(len(q.roots)):
-            bad = list(q.roots)
-            bad[j] += 1e-3
-            bad_q = th.QFunctionHom(model, tuple(bad), q.epsilon, q.winding)
-            assert th.bethe_residuals_hom(model, bad_q)[0].max() > 1e-5
+        q = th.solve_q_hom(model, rows, zeta0)[0]
+        for j in range(model.n_s):
+            bad = q.roots.copy()
+            bad[:, j] += 1e-3
+            bad_q = th.QFunctionHom(model, bad, q.epsilon, q.winding)
+            residuals = th.bethe_residuals_hom(model, bad_q)[0]
+            assert np.all(residuals.max(axis=-1) > 1e-5)

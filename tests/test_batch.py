@@ -117,8 +117,8 @@ def test_only_the_exceptional_row_is_solved_again(monkeypatch):
     row = 5
     # A deformation at which row 5's closure system is exactly singular.
     one = sp.EigenvalueFunction(model, rows.base_values[row : row + 1])
-    coeffs = ti.det_m_polynomial(model, sp.brute_force_spectrum(
-        model).functions[row], zeta0)
+    coeffs = ti.det_m_polynomial(
+        model, sp.EigenvalueFunction(model, rows.base_values[row]), zeta0)
     bad_alpha = complex(np.log(np.roots(coeffs[::-1])[0]))
 
     solved = []

@@ -115,6 +115,18 @@ class TestConfigParsing:
         (lambda d: d["model"].update(max_alpha_retries=False),
          "model.max_alpha_retries"),
         (lambda d: d.update(tolerances={"grid": True}), "tolerances.grid"),
+        # json.load accepts NaN and Infinity; neither is a number here.
+        pytest.param(lambda d: d.update(tolerances=dict.fromkeys(
+            DEFAULT_TOLERANCES, float("nan"))), "must be positive",
+            id="nan-tolerances"),
+        pytest.param(lambda d: d["model"].update(eta=[float("nan"), 0]),
+                     "model.eta", id="nan-eta"),
+        pytest.param(lambda d: d["model"].update(kappa=[float("inf"), 0]),
+                     "model.kappa", id="inf-kappa"),
+        pytest.param(lambda d: d["model"].update(delta_min=float("nan")),
+                     "model.delta_min", id="nan-delta_min"),
+        pytest.param(lambda d: d["model"].update(xi=[-float("inf"), 0.5]),
+                     "model.xi", id="inf-xi"),
     ])
     def test_rejects_malformed(self, mutate, message):
         doc = base_doc((1, 1))
@@ -255,6 +267,12 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json", doc)
         assert main([command, cfg]) == 2
         assert "'tolerances' must be an object" in capsys.readouterr().err
+
+    def test_literal_nan_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": {"two_s": [1, 1], "eta": [NaN, 0]}}')
+        assert main(["check", str(cfg)]) == 2
+        assert "model.eta" in capsys.readouterr().err
 
     def test_unknown_log_level_exits_two(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json", base_doc((1,), seed=3))

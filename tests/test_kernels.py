@@ -38,7 +38,7 @@ def case(request):
     eigfun = sp.EigenvalueFunction(model, tuple(draw(model.n_sites)))
     roots = tuple(draw(model.n_s))
     q_inhom = ti.QFunctionInhom(
-        model=model, alpha=0.2 - 0.1j, zeta0=0.3 + 0.4j, roots=roots,
+        model=model, alpha=0.2 - 0.1j, roots=roots,
         lambda_bar=complex(sum(roots)),
     )
     q_hom = thm.QFunctionHom(model, roots, 1, 0)
