@@ -242,6 +242,16 @@ class TestEigenstateCoordinates:
 
 
 class TestStructure:
+    def test_degree_drop_of_combined_side(self, d3_solutions):
+        # Without t: the three right-hand terms lie in the balanced class of
+        # degree N + N_s + 1, and the extreme exponential coefficients of
+        # their sum cancel, relative to the largest coefficient of a term.
+        _, sol = d3_solutions
+        nodes = dft_nodes(D3)
+        coeffs = interpolate(nodes, np.stack(ti._rhs_terms(D3, sol, nodes)), 0)
+        ends = np.abs(coeffs.sum(axis=0)[..., [0, -1]]).max(axis=-1)
+        assert np.all(ends < 1e-9 * np.abs(coeffs).max(axis=(0, -1)))
+
     def test_combined_side_equals_eigenvalue_times_q(self, d3_solutions):
         # At the DFT nodes, the three right-hand terms sum to t * Q with t
         # built from its base values.
