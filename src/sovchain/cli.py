@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -76,11 +75,12 @@ PROBE_POINTS = (0.23 + 0.11j, -0.4 + 0.6j)
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
-    """Whether a JSON value is a finite number of the given kinds.  JSON
-    true and false arrive as bool, a subclass of int, and are not numbers
-    here; nor are the NaN and Infinity that ``json.load`` accepts."""
+    """Whether a JSON value is a finite number of the given kinds that a
+    float can hold.  JSON true and false arrive as bool, a subclass of int,
+    and are not numbers here; nor are the NaN and Infinity that
+    ``json.load`` accepts, nor an integer beyond the float range."""
     return (isinstance(value, kinds) and not isinstance(value, bool)
-            and (not isinstance(value, float) or math.isfinite(value)))
+            and abs(value) <= sys.float_info.max)
 
 
 def _parse_complex(value, where: str) -> complex:

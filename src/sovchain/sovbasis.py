@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .errors import ConditioningFailure
 from .qalgebra import ChainModel, a_of, d_of, monodromy
-from .trigpoly import cardinals, scalar_product, sinh_product
+from .trigpoly import cardinals, sinh_product
 
 __all__ = [
     "SOVBasis",
@@ -57,11 +56,9 @@ def rung_points(model: ChainModel) -> np.ndarray:
 
 def _pair_product(points: np.ndarray, factor=lambda z: z) -> np.ndarray:
     """prod_{i<j} factor(sinh(p_j - p_i)) over the trailing site axis, one
-    product per row, multiplied in pair order as scalars would be."""
+    product per row."""
     i, j = np.triu_indices(points.shape[-1], 1)
-    pairs = factor(np.sinh(points[..., j] - points[..., i]))
-    return reduce(scalar_product, np.moveaxis(pairs, -1, 0),
-                  np.ones(points.shape[:-1], dtype=complex))
+    return factor(np.sinh(points[..., j] - points[..., i])).prod(axis=-1)
 
 
 def weights(model: ChainModel) -> np.ndarray:

@@ -34,7 +34,7 @@ factors come from the model's ``rung_table``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -45,7 +45,7 @@ from .qalgebra import (
     twist_gauge,
 )
 from .sovbasis import SOVBasis
-from .trigpoly import cabs, scalar_product
+from .trigpoly import cardinals
 
 __all__ = [
     "EigenvalueFunction",
@@ -64,37 +64,29 @@ class EigenvalueFunction:
     """A transfer-matrix eigenvalue, stored as its values at the base points,
     or a stack of eigenvalues with one row of base values each.
 
-    t(lam) = sum_n w_n prod_{l != n} sinh(lam - xi_l), with cardinal weights
-    w_n = t(xi_n) / prod_{l != n} sinh(xi_n - xi_l) fixed on construction.
-    The leave-one-out product is masked, not divided out, so lam may sit on
-    a base point (integer-spin rungs do).  ``rung_values`` and ``ladder``
-    are computed on first use, for every row at once, and kept read-only.
+    t(lam) = sum_n t(xi_n) C_n(lam), with C_n the cardinal function of base
+    point n (``trigpoly.cardinals``).  The cardinals are masked, not divided
+    out, so lam may sit on a base point (integer-spin rungs do).
+    ``rung_values`` and ``ladder`` are computed on first use, for every row
+    at once, and kept read-only.
     """
 
     model: ChainModel
     base_values: tuple
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.shape(self.base_values)[-1:] != (self.model.n_sites,):
             raise ValueError("need one value per base point")
-        xi = np.asarray(self.model.xi)
-        spread = np.sinh(xi[:, None] - xi[None, :])
-        np.fill_diagonal(spread, 1.0)
-        object.__setattr__(
-            self, "_weights",
-            np.asarray(self.base_values, dtype=complex) / spread.prod(axis=1),
-        )
 
     def __call__(self, lam):
         """t at lam; a stack puts its rows first.  Each row is one
-        matrix-vector product, so its values do not depend on the rows
-        beside it."""
+        multiply-sum with the cardinals at lam, so its values do not depend
+        on the rows beside it."""
         lam = np.asarray(lam, dtype=complex)
-        w = self._weights
-        w = w.reshape(w.shape[:-1] + (1,) * max(lam.ndim - 1, 0) + w.shape[-1:]
-                      + (1,))
-        total = (_leave_one_out(self.model, lam) @ w)[..., 0]
+        base = np.asarray(self.base_values, dtype=complex)
+        base = base.reshape(base.shape[:-1] + (1,) * lam.ndim
+                            + base.shape[-1:])
+        total = np.sum(base * cardinals(self.model.xi, lam), axis=-1)
         return total if total.shape else complex(total)
 
     @cached_property
@@ -114,14 +106,6 @@ class EigenvalueFunction:
         vectors are then zero).
         """
         return _ladder(self.model, self.rung_values)
-
-
-def _leave_one_out(model: ChainModel, lam: np.ndarray) -> np.ndarray:
-    """prod_{l != n} sinh(lam - xi_l) for every n, on a trailing axis."""
-    factors = np.sinh(lam[..., None] - np.asarray(model.xi))
-    return np.where(
-        np.eye(model.n_sites, dtype=bool), 1.0, factors[..., None, :]
-    ).prod(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -344,7 +328,7 @@ def discrete_residual(model: ChainModel, eigfun):
     for site in range(1, model.n_sites + 1):
         mat = ladder_matrix(model, eigfun, site)
         scale = np.prod(np.linalg.norm(mat, axis=-1), axis=-1)
-        value = cabs(np.linalg.det(mat)) / scale
+        value = np.abs(np.linalg.det(mat)) / scale
         worst = np.where(value > worst, value, worst)
     return worst if worst.shape else float(worst)
 
@@ -364,20 +348,18 @@ def _ladder(model: ChainModel, rung_values):
             q[..., 0] = 1.0
             for h in range(t.shape[-1] - 1):
                 prev = q[..., h - 1] if h > 0 else np.zeros(lead, complex)
-                nxt = (scalar_product(d[h], prev)
-                       - scalar_product(t[..., h], q[..., h])) / a[h]
+                nxt = (d[h] * prev - t[..., h] * q[..., h]) / a[h]
                 peak = np.maximum(1.0, np.max(np.abs(q[..., : h + 1]), -1))
-                record(errors, cabs(nxt) > 1e12 * peak,
+                record(errors, np.abs(nxt) > 1e12 * peak,
                        lambda k: RecursionBlowup(
                            f"rung recursion overflow at site {site}, "
                            f"rung {h + 1}"))
                 q[..., h + 1] = nxt
-            last = (scalar_product(-d[-1], q[..., -2])
-                    + scalar_product(t[..., -1], q[..., -1]))
+            last = -d[-1] * q[..., -2] + t[..., -1] * q[..., -1]
             row_scale = np.maximum(np.maximum(
-                cabs(d[-1]) * cabs(q[..., -2]),
-                cabs(t[..., -1]) * cabs(q[..., -1])), 1e-300)
-            consistency = np.maximum(consistency, cabs(last) / row_scale)
+                np.abs(d[-1]) * np.abs(q[..., -2]),
+                np.abs(t[..., -1]) * np.abs(q[..., -1])), 1e-300)
+            consistency = np.maximum(consistency, np.abs(last) / row_scale)
             qs.append(q)
     blown = np.reshape([e is not None for e in errors], lead)
     for q in qs:

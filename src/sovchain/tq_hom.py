@@ -30,7 +30,7 @@ eigenproblem for the roots, and fits every row's sum rule and Wronskian
 sign in one call each.  Q is held by its roots alone: the admissibility
 check and every certificate evaluate it on a whole point set (the top
 rungs' half-period translates, the grid, the roots, the inner rungs, the
-base points, every rung) for every row in one call, through the shared
+sample points, every rung) for every row in one call, through the shared
 sinh-product kernel at angle scale 1/2.  A row that fails keeps its first
 ``SovChainError`` in the errors the function returns and the other rows go
 on.  The grid and Bethe residuals share the corrected equation's
@@ -59,9 +59,10 @@ from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
 from .sovbasis import SOVBasis
 from .spectrum import eigenstates
 from .tq_inhom import (
-    GRID_POINTS, _closure, _draw_node, _factor_rows, _relative_defect,
+    GRID_POINTS, _at_base_points, _closure, _draw_node, _factor_rows,
+    _inner_rungs, _relative_defect, _sample_points,
 )
-from .trigpoly import cabs, cardinals, sinh_product
+from .trigpoly import sinh_product
 
 __all__ = [
     "QFunctionHom",
@@ -144,7 +145,7 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     shifted = sinh_product(tops + 1j * np.pi, roots, 0.5)  # P / c_P
     scale = np.maximum(
         np.maximum(np.max(np.abs(top), axis=1), np.max(np.abs(shifted), axis=1)),
-        np.max(np.abs(values), axis=1) / cabs(c_p),
+        np.max(np.abs(values), axis=1) / np.abs(c_p),
     )
     site = _vanishing_site(top, shifted, scale)
     record(errors, site >= 0, lambda k: NonAdmissible(
@@ -172,7 +173,7 @@ def _vanishing_site(top, shifted, scale) -> np.ndarray:
     closure system without pinning the state at that site.
     """
     floor = 1e-10 * np.maximum(scale, 1e-300)[..., None]
-    both = (cabs(top) <= floor) & (cabs(shifted) <= floor)
+    both = (np.abs(top) <= floor) & (np.abs(shifted) <= floor)
     return np.where(both.any(axis=-1), both.argmax(axis=-1), -1)
 
 
@@ -216,10 +217,6 @@ def wronskian_closed_form(model: ChainModel, q: QFunctionHom, lam):
         (big - s).prod(axis=-1) + (big + s).prod(axis=-1)
     )
     return out if lam.shape else complex(out)
-
-
-def _inner_rungs(model: ChainModel) -> np.ndarray:
-    return np.concatenate([rung.rungs[1:-1] for rung in model.rung_table])
 
 
 def w_eps(model: ChainModel, epsilon, lam):
@@ -291,37 +288,20 @@ def _t_numerator_terms(model: ChainModel, q: QFunctionHom, lam):
             q.value(lam + eta + ip) * q.value(lam - eta))
 
 
-# Offsets tried, in order, when a base point sits on an inner rung.
-_SAMPLE_OFFSETS = (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
-                   -0.31 - 0.19j, 0.37 + 0.05j)
-
-
 def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     """Rebuild every row's eigenvalue from Q and its half-period translate.
 
     The quotient of the cross combination by the signed inner-rung product
     is an entire function exactly when Q belongs to the spectrum; its
-    values at the base points define the eigenvalue function.  Base points
-    sitting on an inner rung (integer-spin sites) are recovered instead by
-    sampling the quotient at an offset copy of the base points and solving
-    the interpolation system.  Returns (base values, report, errors) where
+    values at the sample points (``tq_inhom._sample_points``: the base
+    points, or an offset copy clear of the inner rungs) map back to the
+    eigenvalue's base values.  Returns (base values, report, errors) where
     the report holds the relative numerator size at every inner rung; a
     row gets a NotEntire when any entry exceeds 1e-8.
     """
     inner = _inner_rungs(model)
-    xi = np.asarray(model.xi, dtype=complex)
-
-    def clearance(pts):
-        """Smallest distance modulo i*pi from pts to the inner rungs."""
-        gap = distance_to_ipi_lattice(pts[:, None] - inner)
-        return float(np.min(gap, initial=np.inf))
-
-    offset = 0.0
-    if clearance(xi) <= 1e-3:
-        offset = next(
-            (c for c in _SAMPLE_OFFSETS if clearance(xi + c) > 5e-2), None
-        )
-    samples = xi + (offset or 0.0)
+    errors = [None] * int(np.prod(np.shape(q.roots)[:-1]))
+    samples = _sample_points(model, errors)
     # One evaluation over the grid, the inner rungs and the sample points.
     term_down, term_up = _t_numerator_terms(
         model, q, np.concatenate([GRID_POINTS, inner, samples])
@@ -337,24 +317,14 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     )
     with np.errstate(all="ignore"):  # a vanishing row is rejected below
         report = np.abs(numerator[..., : inner.size]) / num_scale[..., None]
-        values = numerator[..., inner.size :] / w_eps(model, q.epsilon,
-                                                      samples)
+        values = _at_base_points(model, samples, numerator[..., inner.size :]
+                                 / w_eps(model, q.epsilon, samples))
     worst = np.ravel(np.max(report, axis=-1, initial=0.0))
-    errors = [None] * worst.size
     record(errors, num_scale == 0.0, lambda k: NotEntire(
         "Q vanishes on the whole sampling grid"))
     record(errors, worst > 1e-8, lambda k: NotEntire(
         "cross combination does not vanish at an inner rung: "
         f"worst relative size {worst[k]:.3e}"))
-    if offset is None:
-        record(errors, np.ones(worst.size, dtype=bool), lambda k: (
-            SovChainError("no offset clears the inner rungs")))
-    elif offset:
-        # Convert the offset samples back to base values through the
-        # interpolation kernel.
-        kernel = np.broadcast_to(cardinals(xi, samples),
-                                 values.shape + xi.shape)
-        values = np.linalg.solve(kernel, values[..., None])[..., 0]
     return values, report, errors
 
 
@@ -384,30 +354,18 @@ def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
     angles = np.zeros(scale.shape + (model.n_sites,))
     both_zero = np.zeros(angles.shape, dtype=bool)
     for n, (v, w) in enumerate(pairs):
-        nv, nw = _norm(v), _norm(w)
+        nv, nw = np.linalg.norm(v, axis=-1), np.linalg.norm(w, axis=-1)
         zero_v, zero_w = nv <= tiny, nw <= tiny
         both_zero[..., n] = zero_v & zero_w
         with np.errstate(all="ignore"):  # vanishing vectors are set below
-            coeff = _vdot(v, w) / (nv * nv)
+            coeff = np.sum(v.conj() * w, axis=-1) / (nv * nv)
             perp = w - coeff[..., None] * v
-            angle = np.arcsin(np.minimum(1.0, _norm(perp) / nw))
+            angle = np.arcsin(np.minimum(
+                1.0, np.linalg.norm(perp, axis=-1) / nw))
         angles[..., n] = np.where(zero_v | zero_w,
                                   np.where(both_zero[..., n], 0.0, 0.5 * np.pi),
                                   angle)
     return angles, both_zero
-
-
-def _norm(v):
-    """``np.linalg.norm`` of each row, bit for bit: the same two strided
-    dot products of the real and imaginary parts."""
-    re, im = v.real[..., None, :], v.imag[..., None, :]
-    return np.sqrt((re @ np.swapaxes(re, -1, -2))[..., 0, 0]
-                   + (im @ np.swapaxes(im, -1, -2))[..., 0, 0])
-
-
-def _vdot(v, w):
-    """``np.vdot`` of each row pair, bit for bit."""
-    return (v.conj()[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def bethe_residuals_hom(model: ChainModel, q: QFunctionHom):

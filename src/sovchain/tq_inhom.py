@@ -28,12 +28,14 @@ gets every row's roots from one stacked companion eigenproblem
 (``trigpoly.factor``).  A row whose system is singular is solved again, and
 only it, at the next deformation redraw.  Each check evaluates Q, a, d, t
 and the correction term in one call per point set for every row (the
-verification grid, the roots, the base points, every rung via
-``qalgebra.on_rungs``) through ``trigpoly.sinh_product``.  A row that fails
-a step keeps its first ``SovChainError`` in the list of errors the function
-returns (one entry per row, None for a row that passed), and the other
-rows go on.  Every grid and Bethe residual of both equations uses one
-zero-scale rule, ``_relative_defect``.
+verification grid, the roots, the sample points, every rung via
+``qalgebra.on_rungs``) through ``trigpoly.sinh_product``.  Both equations
+rebuild t from Q at the same sample points (``_sample_points``) and map
+the values back to the base points through ``trigpoly.cardinals``.  A row
+that fails a step keeps its first ``SovChainError`` in the list of errors
+the function returns (one entry per row, None for a row that passed), and
+the other rows go on.  Every grid and Bethe residual of both equations
+uses one zero-scale rule, ``_relative_defect``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateNodes, ExceptionalAlpha, NonAdmissible, PoleAtXi, record,
+    DegenerateNodes, ExceptionalAlpha, NonAdmissible, PoleAtXi, SovChainError,
+    record,
 )
 from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
 from .sovbasis import SOVBasis
@@ -196,6 +199,50 @@ def _draw_node(model: ChainModel, rng, period: float, error) -> complex:
     raise error(f"could not place the auxiliary node modulo {period:.4g}i")
 
 
+# Offsets tried, in order, when a base point sits on an inner rung.
+_SAMPLE_OFFSETS = (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
+                   -0.31 - 0.19j, 0.37 + 0.05j)
+
+
+def _inner_rungs(model: ChainModel) -> np.ndarray:
+    return np.concatenate([rung.rungs[1:-1] for rung in model.rung_table])
+
+
+def _sample_points(model: ChainModel, errors: list) -> np.ndarray:
+    """Where both T-Q equations sample t to rebuild it from Q: the base
+    points, or, when one sits on an inner rung (integer-spin sites), the
+    first offset copy of them clear of the inner rungs.  If no offset
+    clears them, every row gets an error and the base points are returned.
+    """
+    inner = _inner_rungs(model)
+    xi = np.asarray(model.xi, dtype=complex)
+
+    def clearance(pts):
+        """Smallest distance modulo i*pi from pts to the inner rungs."""
+        gap = distance_to_ipi_lattice(pts[:, None] - inner)
+        return float(np.min(gap, initial=np.inf))
+
+    if clearance(xi) > 1e-3:
+        return xi
+    for offset in _SAMPLE_OFFSETS:
+        if clearance(xi + offset) > 5e-2:
+            return xi + offset
+    record(errors, np.ones(len(errors), dtype=bool), lambda k: (
+        SovChainError("no offset clears the inner rungs")))
+    return xi
+
+
+def _at_base_points(model: ChainModel, samples, values) -> np.ndarray:
+    """t at the base points from its values at the samples, one row each.
+
+    t lies in the span of the cardinals of any N nodes, so
+    t(xi) = sum_k t(s_k) C_k(xi) with C = cardinals(samples, xi) and no
+    solve; the multiply-sum keeps each row independent of the others.
+    """
+    return np.sum(values[..., None, :] * cardinals(samples, model.xi),
+                  axis=-1)
+
+
 def draw_zeta0(model: ChainModel, rng) -> complex:
     """Random auxiliary node kept away from every rung modulo i*pi."""
     return _draw_node(model, rng, np.pi, ExceptionalAlpha)
@@ -205,7 +252,8 @@ def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
     """Ascending coefficients of the system determinant in beta.
 
     The determinant is a polynomial of degree equal to the number of roots;
-    it is sampled on the unit circle and fitted exactly.
+    it is sampled at the roots of unity of one degree more, so its
+    coefficients are the discrete Fourier transform of the samples.
     """
     n_s = model.n_s
     betas = np.exp(2j * np.pi * np.arange(n_s + 1) / (n_s + 1))
@@ -213,8 +261,7 @@ def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
     dets = np.array(
         [np.linalg.det(_closure(model, xs, zeta0, b)[0][:, 1:]) for b in betas]
     )
-    vand = betas[:, None] ** np.arange(n_s + 1)[None, :]
-    return np.linalg.solve(vand, dets)
+    return np.fft.fft(dets) / (n_s + 1)
 
 
 def leading_det_coefficient(model: ChainModel, eigfun) -> complex:
@@ -382,28 +429,30 @@ def inhom_grid_residual(
 def t_from_q_inhom(model: ChainModel, sol: QFunctionInhom):
     """Reconstruct every row's eigenvalue from its Q alone.
 
-    Evaluates the functional equation at the base points and divides by the
-    value of Q there.  Returns (base values, Bethe residuals, errors): the
-    residuals certify the reconstructed function is pole-free, and a row
-    with a root on a base point modulo the period gets a PoleAtXi.
+    Evaluates the functional equation at the sample points
+    (``_sample_points``), divides by the value of Q there and maps the
+    quotients back to the base points.  Returns (base values, Bethe
+    residuals, errors): the residuals certify the reconstructed function is
+    pole-free, and a row with a root on a sample point modulo the period
+    gets a PoleAtXi.
     """
-    xi = np.asarray(model.xi)
     roots = np.asarray(sol.roots, dtype=complex)
-    hits = distance_to_ipi_lattice(roots[..., None, :] - xi[:, None]) < 1e-8
-    hits = hits.reshape((-1,) + hits.shape[-2:])
     flat = roots.reshape(-1, roots.shape[-1])
+    errors = [None] * len(flat)
+    samples = _sample_points(model, errors)
+    hits = distance_to_ipi_lattice(flat[:, None, :] - samples[:, None]) < 1e-8
 
     def pole(k):
         n, j = np.argwhere(hits[k])[0]
         return PoleAtXi(
-            f"root {flat[k][j]:.6g} sits on base point {n + 1} modulo the "
+            f"root {flat[k][j]:.6g} sits on sample point {n + 1} modulo the "
             "period"
         )
 
-    errors = [None] * len(hits)
     record(errors, hits.any(axis=(1, 2)), pole)
     with np.errstate(all="ignore"):  # a pole row divides by zero
-        base = sum(_rhs_terms(model, sol, xi)) / sol.value(xi)
+        values = sum(_rhs_terms(model, sol, samples)) / sol.value(samples)
+        base = _at_base_points(model, samples, values)
     return base, bethe_residuals_inhom(model, sol), errors
 
 

@@ -205,7 +205,7 @@ def factor(coeffs, angle_scale: float = 1.0):
     scale = np.max(np.abs(c), axis=1)
     record(errors, scale == 0.0, lambda k: NotFullDegree(
         "the zero polynomial has no factored form"))
-    ends = np.minimum(cabs(c[:, 0]), cabs(c[:, -1]))
+    ends = np.minimum(np.abs(c[:, 0]), np.abs(c[:, -1]))
     record(errors, ends <= 1e-10 * scale, lambda k: NotFullDegree(
         "extremal coefficient vanishes: not in the full-degree class"))
     live = np.array([e is None for e in errors], dtype=bool)
@@ -230,31 +230,8 @@ def factor(coeffs, angle_scale: float = 1.0):
                        lam)
         order = np.lexsort((lam.imag, lam.real), axis=1)
         lam = np.take_along_axis(lam, order, axis=1)
-        c_p = scalar_product(
-            scalar_product(c[:, -1], 2.0**m2),
-            np.exp(scalar_product(angle_scale, np.sum(lam, axis=1))),
-        )
+        c_p = c[:, -1] * 2.0**m2 * np.exp(angle_scale * np.sum(lam, axis=1))
     return c_p, lam, errors
-
-
-def scalar_product(a, b):
-    """a * b elementwise, rounded as numpy rounds the product of two complex
-    scalars.  Array multiplication may fuse a multiply and an add and so
-    differ in the last bit; this keeps a product of scalars that moved
-    into an array equal to what it was."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def cabs(z):
-    """|z| elementwise, equal bit for bit to ``abs`` of a complex scalar
-    (``np.abs`` on a complex array is not)."""
-    z = np.asarray(z, dtype=complex)
-    return np.hypot(z.real, z.imag)
 
 
 def sinh_product(lam, roots, angle_scale: float = 1.0):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sovchain import tq_hom
 from sovchain.cli import generate_model
 from sovchain.sovbasis import build_basis
 from sovchain.spectrum import brute_force_spectrum
@@ -51,3 +52,21 @@ def chain_spectra(chains):
 @pytest.fixture(scope="session")
 def chain_bases(chains):
     return {name: build_basis(model) for name, model in chains.items()}
+
+
+@pytest.fixture
+def rank_deficient_hom_row(monkeypatch):
+    """Call with a row index: that row's tq-hom closure gets its first row
+    twice, so its nullspace is two-dimensional and that row alone records
+    a RankDeficient."""
+    def patch(row):
+        closure = tq_hom._closure
+
+        def duplicated(*args, **kwargs):
+            mat, nodes, spread = closure(*args, **kwargs)
+            mat[row, 1] = mat[row, 0]
+            return mat, nodes, spread
+
+        monkeypatch.setattr(tq_hom, "_closure", duplicated)
+
+    return patch

@@ -30,7 +30,6 @@ ALL_SHAPES = [
     "three-spin-half",
     "two-spin-one",
 ]
-SMALL_SHAPES = ALL_SHAPES[:4]
 
 PROBE_PAIRS = [(0.23 + 0.11j, -0.4 + 0.6j), (0.57 - 0.31j, 0.12 + 0.45j)]
 
@@ -153,7 +152,7 @@ class TestSpectrumOracle:
 
 
 class TestInhomogeneousEquation:
-    @pytest.mark.parametrize("name", SMALL_SHAPES)
+    @pytest.mark.parametrize("name", ALL_SHAPES)
     def test_every_eigenvalue_solves_and_round_trips(
         self, name, chains, chain_spectra
     ):
@@ -172,11 +171,18 @@ class TestInhomogeneousEquation:
         assert pole == [None] * model.hilbert_dim
         base = spec.rows.base_values
         diff = np.max(np.abs(rebuilt - base), axis=1)
-        assert np.all(diff / np.max(np.abs(base), axis=1) < 1e-8)
+        scale = np.max(np.abs(base), axis=1)
+        # Two-spin-one's exact zero eigenvalue has base values at rounding
+        # level (2.7e-31), where an error relative to them says nothing;
+        # that row alone is held to the run's absolute matching bound.
+        zero = scale < 1e-12
+        assert np.count_nonzero(zero) == (name == "two-spin-one")
+        assert np.all(diff[~zero] / scale[~zero] < 1e-8)
+        assert np.all(diff[zero] < 1e-8)
         for mine, theirs in zip(sols.roots, others.roots):
             assert ti.root_multiset_distance(mine, theirs) < 1e-7
 
-    @pytest.mark.parametrize("name", SMALL_SHAPES)
+    @pytest.mark.parametrize("name", ALL_SHAPES)
     def test_determinant_closed_forms(self, name, chains, chain_spectra):
         model = chains[name]
         spec = chain_spectra[name]

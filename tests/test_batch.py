@@ -8,10 +8,10 @@ rows, which rounds differently from a one-row product, so the sov residuals
 are held to the golden rule instead (rtol 1e-12, atol 1e-14).
 """
 
+import dataclasses
 import json
 import logging
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +20,8 @@ from sovchain import qalgebra, sovbasis as sb, spectrum as sp
 from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
 from sovchain.cli import PROBE_POINTS, RunConfig, run_pipelines
-from sovchain.errors import ExceptionalAlpha, PoleAtXi
+from sovchain.errors import ExceptionalAlpha, PoleAtXi, RankDeficient
 
-GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 TWISTS = [[1.0, 0.0], [0.6, 0.8]]
 
 
@@ -100,14 +99,31 @@ def test_a_stack_equals_stacks_of_one(two_s, kappa):
         else:
             assert np.array_equal(got, want), key
     if two_s == (2, 2):
-        # The zero eigenvalue puts a tq-inhom root on a base point; its
-        # neighbours are unaffected.
-        golden = json.loads(GOLDEN.read_text())["2-2"]["eigenvalues"][4]
-        assert whole["pole_errors"][4] == (golden["inhom"]["class"],
-                                           golden["inhom"]["message"])
-        assert golden["inhom"]["class"] == "PoleAtXi"
-        assert whole["pole_errors"][3] is None
-        assert whole["pole_errors"][5] is None
+        # The zero eigenvalue (row 4) has a tq-inhom root on a base point,
+        # an inner rung here, so t is sampled at an offset copy of the base
+        # points and row 4 rebuilds like the others.  A root moved onto a
+        # sample point records PoleAtXi on its row alone, in the stack as
+        # in a stack of one.
+        assert whole["pole_errors"] == [None] * model.hilbert_dim
+        sol = ti.solve_q_inhom(model, rows, zeta0=ti.draw_zeta0(
+            model, np.random.default_rng(42)))[0]
+        gaps = qalgebra.distance_to_ipi_lattice(
+            sol.roots[4][:, None] - np.asarray(model.xi))
+        assert gaps.min() < 1e-8
+        samples = ti._sample_points(model, [])
+        assert not np.array_equal(samples, model.xi)
+        roots = sol.roots.copy()
+        roots[4, 0] = samples[1]
+        moved = dataclasses.replace(sol, roots=roots)
+        errors = ti.t_from_q_inhom(model, moved)[2]
+        alone = ti.t_from_q_inhom(model, ti.QFunctionInhom(
+            model, sol.alpha[4:5], roots[4:5], sol.lambda_bar[4:5]))[2]
+        assert [e is None for e in errors] == [
+            i != 4 for i in range(model.hilbert_dim)]
+        assert isinstance(errors[4], PoleAtXi)
+        assert str(errors[4]) == str(alone[0])
+        assert str(errors[4]).endswith("sits on sample point 2 modulo the "
+                                       "period")
 
 
 def test_only_the_exceptional_row_is_solved_again(monkeypatch):
@@ -189,17 +205,19 @@ def test_grid_a_and_d_do_not_grow_with_the_spectrum(monkeypatch):
 STAGE = re.compile(r"stage (\S+): \d+\.\d+ s, (\d+) rows, (\d+) failed$")
 
 
-def test_each_stage_logs_its_time_rows_and_failures(caplog):
+def test_each_stage_logs_its_time_rows_and_failures(caplog,
+                                                    rank_deficient_hom_row):
     caplog.set_level(logging.INFO, logger="sovchain")
+    rank_deficient_hom_row(4)
     report = run_pipelines(RunConfig.from_dict(doc((2, 2))))
     stages = [STAGE.match(r.getMessage()) for r in caplog.records
               if r.name == "sovchain"]
     assert all(stages)
     got = [(m.group(1), int(m.group(2)), int(m.group(3))) for m in stages]
     assert got == [("model", 9, 0), ("oracle", 9, 0), ("basis", 9, 0),
-                   ("ladder", 9, 0), ("sov", 9, 0), ("tq-inhom", 9, 1),
-                   ("tq-hom", 9, 0)]
+                   ("ladder", 9, 0), ("sov", 9, 0), ("tq-inhom", 9, 0),
+                   ("tq-hom", 9, 1)]
     assert "stage" not in json.dumps(report)
-    failed = [e for e in report["eigenvalues"] if "class" in e["inhom"]]
+    failed = [e for e in report["eigenvalues"] if "class" in e["hom"]]
     assert [e["index"] for e in failed] == [4]
-    assert failed[0]["inhom"]["class"] == PoleAtXi.__name__
+    assert failed[0]["hom"]["class"] == RankDeficient.__name__

@@ -127,6 +127,18 @@ class TestConfigParsing:
                      "model.delta_min", id="nan-delta_min"),
         pytest.param(lambda d: d["model"].update(xi=[-float("inf"), 0.5]),
                      "model.xi", id="inf-xi"),
+        # An integer beyond the float range is not a number here either.
+        pytest.param(lambda d: d["model"].update(delta_min=10**400),
+                     "model.delta_min", id="huge-delta_min"),
+        pytest.param(lambda d: d["model"].update(eta=[10**400, 0]),
+                     "model.eta", id="huge-eta"),
+        pytest.param(lambda d: d.update(tolerances={"grid": 10**400}),
+                     "tolerances.grid", id="huge-tolerances.grid"),
+        pytest.param(lambda d: d["model"].update(kappa=[[10**400, 0]]),
+                     "model.kappa", id="huge-kappa"),
+        pytest.param(lambda d: d["model"].update(xi=[[0.4, 0.1],
+                                                     [0.9, -10**400]]),
+                     "model.xi", id="huge-xi"),
     ])
     def test_rejects_malformed(self, mutate, message):
         doc = base_doc((1, 1))
@@ -382,25 +394,40 @@ def test_ladder_and_eigenvalue_calls_per_eigenvalue(monkeypatch):
     assert set(evals) == {(12,)} and len(evals) < 40
 
 
-def test_library_error_is_recorded_per_eigenvalue(tmp_path, capsys):
-    # Two spin-1 sites: the exact zero eigenvalue puts a tq-inhom root on a
-    # base point.
+def test_library_error_is_recorded_per_eigenvalue(tmp_path, capsys,
+                                                  rank_deficient_hom_row):
+    # Two spin-1 sites, with eigenvalue 4's tq-hom closure made rank
+    # deficient.
+    rank_deficient_hom_row(4)
     doc = base_doc([2, 2])
     doc["output"] = {"report": "r.json", "bethe_csv": "roots.csv"}
     assert main(["run", write_config(tmp_path / "c.json", doc)]) == 1
-    assert "PoleAtXi" in capsys.readouterr().out
+    assert "RankDeficient" in capsys.readouterr().out
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["summary"]["count"] == 9
     assert report["summary"]["pass"] is False
-    failed = [e for e in report["eigenvalues"] if "class" in e["inhom"]]
+    failed = [e for e in report["eigenvalues"] if "class" in e["hom"]]
     assert len(failed) == 1
-    assert failed[0]["inhom"]["class"] == "PoleAtXi"
-    assert failed[0]["inhom"]["message"]
-    assert f"eigenvalue {failed[0]['index']} tq-inhom: PoleAtXi" in (
+    assert failed[0]["hom"]["class"] == "RankDeficient"
+    assert failed[0]["hom"]["message"]
+    assert f"eigenvalue {failed[0]['index']} tq-hom: RankDeficient" in (
         report["summary"]["failures"][0]
     )
-    assert all("roots" in e["hom"] for e in report["eigenvalues"])
+    assert all("roots" in e["inhom"] for e in report["eigenvalues"])
     assert (tmp_path / "roots.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("two_s", [(2,), (4,), (2, 2)],
+                         ids=lambda s: "".join(map(str, s)))
+def test_integer_spin_chains_pass_every_pipeline(two_s, seed):
+    # Their base points are inner rungs, where some tq-inhom Q has a root:
+    # the zero eigenvalue's on (2,) and (2,2), eigenvalues 1 and 3 on (4,).
+    doc = {"model": {"two_s": list(two_s), "xi": "random", "seed": seed,
+                     "kappa": [[1.0, 0.0], [0.6, 0.8]]}, "pipelines": "all"}
+    summary = run_pipelines(RunConfig.from_dict(doc))["summary"]
+    assert summary["failures"] == []
+    assert summary["pass"] is True
 
 
 def test_basis_error_is_recorded(monkeypatch):

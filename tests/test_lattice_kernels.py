@@ -4,6 +4,8 @@ Each reference below is the per-element loop a kernel replaced, kept here
 so the array form can be compared against it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,37 +176,45 @@ def test_q_values_and_targets_use_the_kernel():
 
 
 # ----------------------------------------------------------------------
-# the array PoleAtXi check on the two-spin-one chain
+# the array PoleAtXi check on a half-integer chain, sampled at its base
+# points
 
 
 def pole_message_loop(model, roots):
     for n, xi in enumerate(model.xi, start=1):
         for r in roots:
             if distance_loop(r - xi, np.pi) < 1e-8:
-                return f"root {r:.6g} sits on base point {n} modulo the period"
+                return (f"root {r:.6g} sits on sample point {n} modulo the "
+                        "period")
     return None
 
 
 def test_pole_at_xi_names_the_same_base_point_and_root():
     config = RunConfig.from_dict({"model": {
-        "two_s": [2, 2], "xi": "random", "seed": 11,
+        "two_s": [1, 3], "xi": "random", "seed": 11,
         "kappa": [[1.0, 0.0]]}})
     model = config.build_model(1.0)
+    assert np.array_equal(ti._sample_points(model, []), model.xi)
     zeta0 = ti.draw_zeta0(model, np.random.default_rng(42))
-    poles = 0
     spec = sp.brute_force_spectrum(model)
     sols, _, errors = ti.solve_q_inhom(model, spec.rows, zeta0=zeta0)
     assert errors == [None] * model.hilbert_dim
-    pole_errors = ti.t_from_q_inhom(model, sols)[2]
-    for roots, error in zip(sols.roots, pole_errors):
-        want = pole_message_loop(model, roots)
+    # Every third row gets a root on a base point, row 3 one period away.
+    roots = sols.roots.copy()
+    for k in range(0, len(roots), 3):
+        roots[k, k % roots.shape[1]] = (model.xi[k % model.n_sites]
+                                        + 1j * np.pi * (k == 3))
+    moved = dataclasses.replace(sols, roots=roots)
+    poles = 0
+    for row, error in zip(roots, ti.t_from_q_inhom(model, moved)[2]):
+        want = pole_message_loop(model, row)
         if want is None:
             assert error is None
             continue
         poles += 1
         assert isinstance(error, PoleAtXi)
         assert str(error) == want
-    assert poles > 0
+    assert poles == len(range(0, len(roots), 3))
 
 
 # ----------------------------------------------------------------------

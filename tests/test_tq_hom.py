@@ -134,18 +134,11 @@ class TestClosureSystem:
         assert np.all((0.0 <= sol.roots.imag) & (sol.roots.imag < 2 * np.pi))
 
     def test_rank_deficient_row_alone_is_recorded(self, d3_solved,
-                                                  monkeypatch):
+                                                  rank_deficient_hom_row):
         # Row 2's closure gets its first row twice, so its nullspace is
         # two-dimensional; the other rows must solve as before.
         spec, sol = d3_solved
-        closure = thm._closure
-
-        def duplicated(*args, **kwargs):
-            mat, nodes, spread = closure(*args, **kwargs)
-            mat[2, 1] = mat[2, 0]
-            return mat, nodes, spread
-
-        monkeypatch.setattr(thm, "_closure", duplicated)
+        rank_deficient_hom_row(2)
         patched, errors = thm.solve_q_hom(
             D3, spec.rows, thm.draw_zeta0_hom(D3, np.random.default_rng(3)))
         assert isinstance(errors.pop(2), RankDeficient)
