@@ -22,13 +22,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
 from .errors import ConfigError, GenerationExhausted, SovChainError
-from .qalgebra import ChainModel, transfer_antiperiodic
+from .qalgebra import ChainModel, monodromy_entries, transfer_from_entries
 from . import sovbasis as sb
 from . import spectrum as sp
 from . import tq_hom as thm
@@ -308,25 +308,22 @@ def run_pipelines(config: RunConfig) -> dict:
     model = config.build_model(config.kappa_list[0])
     _log_stage("model", start, model.hilbert_dim, 0)
     start = perf_counter()
-    # The twist enters neither the xi draw nor the model's validation.
-    spec, *others = sp.brute_force_spectrum(
-        [model] + [replace(model, kappa=k) for k in config.kappa_list[1:]])
+    spec, others = sp.brute_force_spectrum(model, twists=config.kappa_list[1:])
     eigs = spec.rows
     base = eigs.base_values
 
-    # Twisting the boundary must not move the spectrum.  Only the base
-    # values of the other twists are kept, not their eigenvectors.
-    others = [other.rows.base_values for other in others]
-    if others:
-        iso = max(_max_abs_diff(base, values) for values in others)
-        record("kappa_isospectrality", iso, tol["matching"])
+    # Twisting the boundary must not move the spectrum.
+    if len(others):
+        record("kappa_isospectrality", _max_abs_diff(others, base),
+               tol["matching"])
     _log_stage("oracle", start, len(base), 0)
 
     basis = basis_error = None
     if "sov" in config.pipelines:
         start = perf_counter()
-        probes = [(lam, transfer_antiperiodic(model, lam))
-                  for lam in PROBE_POINTS]
+        probes = list(zip(PROBE_POINTS, transfer_from_entries(
+            model, *monodromy_entries(model, PROBE_POINTS, "BC"),
+            model.kappa)))
         right_norms = np.linalg.norm(spec.right, axis=0)
         try:
             basis = sb.build_basis(model)
@@ -527,11 +524,15 @@ def _cmd_run(args) -> int:
         _write_bethe_csv(config.bethe_csv_path, report)
     summary = report["summary"]
     status = "PASS" if summary["pass"] else "FAIL"
-    print(f"{status}: {summary['count']} eigenvalues, report {path}")
-    for name, value in sorted(summary["max_residuals"].items()):
-        print(f"  {name}: {value:.3e}")
-    for line in summary["failures"]:
-        print(f"  FAILED {line}")
+    lines = [f"{status}: {summary['count']} eigenvalues, report {path}"]
+    lines += [f"  {name}: {value:.3e}"
+              for name, value in sorted(summary["max_residuals"].items())]
+    lines += [f"  FAILED {line}" for line in summary["failures"]]
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # Reader gone: as the Python docs advise, send the rest to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if summary["pass"] else 1
 
 

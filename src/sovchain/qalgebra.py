@@ -8,15 +8,17 @@ dense.  In the monodromy, a and d are diagonal and b and c have one
 off-diagonal each, so every nonzero entry of a block is one product of a
 local Lax entry per site; the read-only ``ChainModel.monodromy_plan``,
 built once per model on first use, says where those entries sit and which
-local entries they multiply, so a build costs O(nnz) per site (365 of the
-4096 entries of a block at dim 64).  Callers still build each operator
-once per (model, lam) and reuse it.  Everything on the rungs
-that does not depend on an eigenvalue (the rungs, a and d there, and the
-signed companion factors) is built once per model, on first use, in the
-read-only ``ChainModel.rung_table``, the one place the rung formula is
-evaluated; ``on_rungs`` evaluates a function on every rung in one call.
-Likewise ``ChainModel.lax_table`` holds each site's Sz diagonal and
-sinh(eta) S+-, so a Lax build computes only its two diagonal blocks.
+local entries they multiply.  ``monodromy_entries`` evaluates them at a
+whole array of points, O(nnz) per site (365 of the 4096 entries of a block
+at dim 64); a caller that reads only B and C scatters them from there with
+``transfer_from_entries``, one transfer matrix per twist of an array of
+twists.  Everything on the rungs that does not depend on an eigenvalue
+(the rungs, a and d there, and the signed companion factors) is built once
+per model, on first use, in the read-only ``ChainModel.rung_table``, the
+one place the rung formula is evaluated; ``on_rungs`` evaluates a function
+on every rung in one call.  Likewise ``ChainModel.lax_table`` holds each
+site's Sz diagonal and sinh(eta) S+-, so a Lax build computes only its two
+diagonal blocks.
 ``distance_to_ipi_lattice`` works on arrays of any shape.
 
 Conventions fixed here and relied on everywhere else:
@@ -263,20 +265,10 @@ def spin_matrices(two_s: int, eta: complex):
     dim = two_s + 1
     sz_diag = np.array([(two_s - 2 * k) / 2.0 for k in range(dim)])
     sz = np.diag(sz_diag.astype(complex))
-    x = np.array(
-        [
-            np.sqrt(
-                complex(q_integer(k, eta) * q_integer(two_s - k + 1, eta))
-            )
-            for k in range(1, dim)
-        ]
-    )
-    sminus = np.zeros((dim, dim), dtype=complex)
-    splus = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim - 1):
-        sminus[k + 1, k] = x[k]
-        splus[k, k + 1] = x[k]
-    return sz, splus, sminus
+    x = np.array([np.sqrt(complex(q_integer(k, eta)
+                                  * q_integer(two_s - k + 1, eta)))
+                  for k in range(1, dim)])
+    return sz, np.diag(x, 1), np.diag(x, -1)
 
 
 def r_matrix(lam: complex, eta: complex) -> np.ndarray:
@@ -295,55 +287,79 @@ def r_matrix(lam: complex, eta: complex) -> np.ndarray:
     )
 
 
-def lax(model: ChainModel, site: int, lam: complex):
+def lax(model: ChainModel, site: int, lam):
     """The four local blocks of the site Lax matrix at spectral point lam.
 
     Returns (a, b, c, d) with a = sinh(u + eta*Sz), b = Sminus*sinh(eta),
-    c = Splus*sinh(eta), d = sinh(u - eta*Sz), where u = lam - xi_site.
-    b and c are the model's read-only ``lax_table`` entries.
+    c = Splus*sinh(eta), d = sinh(u - eta*Sz), where u = lam - xi_site; a
+    and d stack one matrix per point of an array lam.  b and c are the
+    model's read-only ``lax_table`` entries.
     """
     if not 1 <= site <= model.n_sites:
         raise IndexOutOfRange(f"site {site} outside 1..{model.n_sites}")
-    u = complex(lam) - model.xi[site - 1]
+    u = np.asarray(lam, dtype=complex)[..., None] - model.xi[site - 1]
     sz_diag, b, c = model.lax_table[site - 1]
-    a = np.diag(np.sinh(u + model.eta * sz_diag))
-    d = np.diag(np.sinh(u - model.eta * sz_diag))
+    eye = np.eye(sz_diag.size)
+    a = np.sinh(u + model.eta * sz_diag)[..., None] * eye
+    d = np.sinh(u - model.eta * sz_diag)[..., None] * eye
     return a, b, c, d
 
 
-def monodromy(model: ChainModel, lam: complex):
-    """The four monodromy blocks (A, B, C, D) on the full quantum space.
-
-    The product runs site N leftmost, with site 1 the slowest tensor index.
-    a and d are diagonal and b and c have one off-diagonal each, so every
-    nonzero entry of every block is one product of N local Lax entries,
-    one per site.  ``ChainModel.monodromy_plan`` says which entries are
-    nonzero and which local entry each site contributes there; a build
-    reads each site's four local vectors from ``lax``, multiplies the
-    gathered factors in site order (partial product first, local factor
-    second, as the Kronecker recursion does, so the blocks equal it bit
-    for bit) and scatters each block into its own zeros.  The work is
-    O(nnz) per site, (3^N +- 1)/2 entries a block on spin-1/2 chains.  The
-    four blocks returned share no memory, so dropping A and D frees them.
+# Kept out of __all__ like ``on_rungs``, so that the bench tracer puts each
+# ``lax`` call under the ``monodromy`` or oracle span that asked for it.
+def monodromy_entries(model: ChainModel, lam, blocks: str = "ABCD") -> tuple:
+    """The nonzero entries of the named blocks (a run of "ABCD", such as
+    "BC") at every point of lam: one array per block, lam's shape then the
+    block's entries in plan order.  One ``lax`` call per site covers every
+    point; the factors multiply in site order, partial product first, as
+    the Kronecker recursion does, so the blocks equal it bit for bit.
     """
-    plan = model.monodromy_plan
+    first = "ABCD".index(blocks)  # a substring: "AD" raises ValueError
+    cuts = model.monodromy_plan.bounds[first:first + len(blocks) + 1]
     values = reduce(np.multiply, (
-        _local_entries(*lax(model, site, lam))[index]
-        for site, index in enumerate(plan.factors, start=1)))
+        _local_entries(*lax(model, site, lam))[..., row]
+        for site, row in enumerate(
+            model.monodromy_plan.factors[:, cuts[0]:cuts[-1]], start=1)))
+    return tuple(np.split(values, np.subtract(cuts[1:-1], cuts[0]), axis=-1))
+
+
+def _scatter(model: ChainModel, pieces) -> np.ndarray:
+    """One dense matrix per leading index of the (block k, entries) pieces,
+    which share their leading axes: each piece at block k's nonzero
+    positions, zeros elsewhere."""
+    lead = np.shape(pieces[0][1])[:-1]
     dim = model.hilbert_dim
-    blocks = []
-    for positions, part in zip(plan.positions, np.split(values, plan.bounds)):
-        block = np.zeros(dim * dim, dtype=complex)
-        block[positions] = part
-        blocks.append(block.reshape(dim, dim))
-    return tuple(blocks)
+    out = np.zeros(lead + (dim * dim,), dtype=complex)
+    for k, values in pieces:
+        out[..., model.monodromy_plan.positions[k]] = values
+    return out.reshape(lead + (dim, dim))
+
+
+def monodromy(model: ChainModel, lam, blocks: str = "ABCD") -> tuple:
+    """The monodromy blocks named in ``blocks`` (all four by default) on
+    the full quantum space, scattered from ``monodromy_entries`` (lam as
+    there), each into its own zeros, so that they share no memory."""
+    return tuple(_scatter(model, [("ABCD".index(name), values)])
+                 for name, values in zip(blocks, monodromy_entries(
+                     model, lam, blocks)))
+
+
+def transfer_from_entries(model: ChainModel, b, c, kappa=1.0) -> np.ndarray:
+    """kappa^{-1} B + kappa C (B + C by default) from the entries of B and
+    C: one matrix per point of their leading axes, broadcast against the
+    twists of an array kappa.  B and C share no position, so the entries,
+    not dense blocks, are divided and multiplied, then scattered together."""
+    kappa = np.asarray(kappa, dtype=complex)[..., None]
+    return _scatter(model, [(1, b / kappa), (2, kappa * c)])
 
 
 def _local_entries(a, b, c, d) -> np.ndarray:
-    """A site's nonzero Lax entries: [a diagonal, d diagonal,
-    b subdiagonal, c superdiagonal]."""
-    return np.concatenate(
-        (a.diagonal(), d.diagonal(), b.diagonal(-1), c.diagonal(1)))
+    """A site's nonzero Lax entries, with the leading axes of a and d:
+    [a diagonal, d diagonal, b subdiagonal, c superdiagonal]."""
+    off = np.concatenate((b.diagonal(-1), c.diagonal(1)))
+    return np.concatenate((a.diagonal(0, -2, -1), d.diagonal(0, -2, -1),
+                           np.broadcast_to(off, a.shape[:-2] + off.shape)),
+                          axis=-1)
 
 
 class MonodromyPlan(NamedTuple):
@@ -353,8 +369,8 @@ class MonodromyPlan(NamedTuple):
     positions[k] holds block k's nonzero flat positions, in the order the
     site recursion makes them.
     factors is (n_sites, nnz), the blocks' entries side by side in the
-    order A, B, C, D (split at ``bounds``); row n - 1 indexes site n's
-    ``_local_entries``.
+    order A, B, C, D, block k in columns bounds[k]:bounds[k + 1]; row n - 1
+    indexes site n's ``_local_entries``.
     """
 
     positions: tuple
@@ -394,7 +410,7 @@ def _monodromy_plan(two_s: tuple) -> MonodromyPlan:
     return MonodromyPlan(
         positions,
         _read_only(np.hstack([table[:, mask] for mask in masks])),
-        tuple(np.cumsum([p.size for p in positions[:-1]]).tolist()))
+        tuple(np.cumsum([0] + [p.size for p in positions]).tolist()))
 
 
 def _local_steps(two_s: int) -> np.ndarray:
@@ -431,13 +447,14 @@ def d_of(model: ChainModel, lam) -> complex:
 
 def transfer_antiperiodic(model: ChainModel, lam: complex) -> np.ndarray:
     """The twisted antidiagonal transfer matrix kappa^{-1} B + kappa C."""
-    _, b, c, _ = monodromy(model, lam)
+    b, c = monodromy(model, lam, "BC")
     return b / model.kappa + model.kappa * c
 
 
-def twist_gauge(model: ChainModel) -> np.ndarray:
+def twist_gauge(model: ChainModel, kappa=None) -> np.ndarray:
     """The diagonal kappa^{-|h|} of G, with kappa^{-1} B + kappa C =
-    G (B + C) G^{-1}.
+    G (B + C) G^{-1}; kappa is the model's, or an array of twists with one
+    diagonal each, in its shape.
 
     B lowers the total S^z by one and C raises it by one, so conjugating
     the untwisted B + C by G gives every B entry kappa^{-1} and every C
@@ -445,8 +462,9 @@ def twist_gauge(model: ChainModel) -> np.ndarray:
     from the top (rung index h_n at site n, site 1 the slowest index, as in
     ``sovbasis.all_h_tuples``).  At kappa = 1 every entry is exactly 1.
     """
+    kappa = model.kappa if kappa is None else np.asarray(kappa)[..., None]
     lowerings = reduce(np.add.outer, [np.arange(v + 1) for v in model.two_s])
-    return model.kappa ** -np.ravel(lowerings)
+    return kappa ** -np.ravel(lowerings)
 
 
 # ----------------------------------------------------------------------
@@ -534,18 +552,15 @@ def normality_check(model: ChainModel, seed: int = 0, tol_param: float = 1e-12):
         )
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(-1.0, 1.0, 5)
-    sign = (-1.0) ** (model.n_sites - 1)
-    worst = 0.0
-    for lam in pts:
-        t = transfer_antiperiodic(model, lam)
-        if case == "imaginary-eta":
-            other = -transfer_antiperiodic(model, np.conj(lam))
-        else:
-            other = sign * transfer_antiperiodic(model, -np.conj(lam))
-        scale = max(np.linalg.norm(t), 1e-300)
-        worst = max(
-            worst, float(np.linalg.norm(t.conj().T - other) / scale)
-        )
+    mirror, sign = ((np.conj(pts), -1.0) if case == "imaginary-eta"
+                    else (-np.conj(pts), (-1.0) ** (model.n_sites - 1)))
+    t, other = (transfer_from_entries(
+        model, *monodromy_entries(model, z, "BC"), model.kappa)
+        for z in (pts, mirror))
+    defect = np.linalg.norm(t.conj().swapaxes(1, 2) - sign * other,
+                            axis=(1, 2))
+    worst = float(np.max(
+        defect / np.maximum(np.linalg.norm(t, axis=(1, 2)), 1e-300)))
     return NormalityReport(
         case=case, max_residual=worst, probe_points=tuple(pts)
     )

@@ -95,7 +95,8 @@ def build_basis(model: ChainModel) -> SOVBasis:
     C(xi_n^{(k)}) / d(xi_n^{(k + 1)}) acting on the right.  Stacking the
     blocks by k gives all_h_tuples order (last site fastest).  B-operators
     at distinct arguments commute, so the site order does not matter.
-    Each upper rung costs one monodromy build, dropped after its step.
+    Each upper rung costs one build of B and C alone, dropped after its
+    step.
     """
     tops = rung_points(model)[0]
     norm_const = complex(_pair_product(tops, lambda z: np.sqrt(z + 0.0j)))
@@ -105,7 +106,7 @@ def build_basis(model: ChainModel) -> SOVBasis:
     for rung in reversed(model.rung_table):
         rights, lefts = [right], [left]
         for k, lam in enumerate(rung.rungs[:-1]):
-            _, b, c, _ = monodromy(model, lam)
+            b, c = monodromy(model, lam, "BC")
             rights.append(rights[-1] @ b.T / -rung.a[k])
             lefts.append(lefts[-1] @ c / rung.d[k + 1])
             del b, c

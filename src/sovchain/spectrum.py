@@ -1,15 +1,15 @@
 """Transfer-matrix spectrum: dense diagonalization cross-checked against the
 per-site rung determinant conditions.
 
-The dense oracle diagonalizes every twist of one chain in a single pass.
-The twist is a diagonal similarity of the untwisted transfer matrix, so
-one eigenbasis serves every twist, gauged by kappa^{-|h|}.  The global
-spin flip J (the reversal of the state index) commutes with the untwisted
-B + C, so that eigenbasis takes one half-size eigendecomposition and one
-inverse per flip sector, and each eigenvalue carries its sector (+1 or
--1).  The monodromy does not depend on the twist, so B and C are built
-once per sample point; each twist forms its own transfer matrix from them
-for its base values and its check residuals.
+The dense oracle diagonalizes one chain at several twists in one pass,
+with the twist as an array axis.  The twist is a diagonal similarity of
+the untwisted transfer matrix, so one eigenbasis serves every twist,
+gauged by kappa^{-|h|}.  The spin flip J (the reversal of the state index)
+commutes with the untwisted B + C, so that eigenbasis takes one half-size
+eigendecomposition and one inverse per flip sector (+1 or -1).  The
+entries of B and C are evaluated once, at every base and check point in
+one call; each point's transfer matrices, one per twist, are scattered
+from them for the base values and check residuals of every twist at once.
 
 An eigenvalue of the twisted transfer matrix is a trigonometric polynomial
 determined by its values at the N base points xi_1..xi_N (the interpolation
@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState, record
 from .qalgebra import (
-    ChainModel, _read_only, monodromy, on_rungs, transfer_antiperiodic,
-    twist_gauge,
+    ChainModel, _read_only, monodromy_entries, on_rungs,
+    transfer_antiperiodic, transfer_from_entries, twist_gauge,
 )
 from .sovbasis import SOVBasis
 from .trigpoly import cardinals
@@ -126,7 +126,7 @@ class Spectrum:
     sector: np.ndarray
 
 
-def brute_force_spectrum(models, seed: int = 0):
+def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
     """Diagonalize the twisted transfer matrix at a random point.
 
     Commutativity of the family lets one random-point diagonalization fix a
@@ -134,46 +134,40 @@ def brute_force_spectrum(models, seed: int = 0):
     points and verified at extra points.  Draws are retried when the sampled
     spectrum is too close to degenerate.
 
-    ``models`` is one model, which gives its ``Spectrum``, or a sequence of
-    models that differ only in the twist, which gives a tuple with one
-    ``Spectrum`` each.  The twist is a diagonal similarity
-    (``twist_gauge``), so one eigenbasis V of the untwisted B + C serves
-    every twist: twist kappa gets the right vectors G V and the left
-    covectors V^{-1} G^{-1}.  V and V^{-1} come from one eigendecomposition
-    and one inverse per spin-flip sector (``_eigenbasis``), each half the
-    size of B + C.  All twists share one ``default_rng(seed)``
-    and so one sample point, one retry loop and the same check points; the
-    monodromy is built once per point.  Base values and check residuals
-    are each twist's own, from its kappa^{-1} B + kappa C, and a twist in
-    a call with others gets the numbers of a call on it alone.
+    Returns the model's ``Spectrum``, or, given ``twists`` (further twists
+    of the same chain, as numbers), the pair of it and their base values
+    (len(twists) x E x N), each twist's rows in its own order.  One
+    eigenbasis V of the untwisted B + C (``_eigenbasis``) serves every
+    twist kappa, as right vectors G V and left covectors V^{-1} G^{-1}
+    (``twist_gauge``).  All twists share one ``default_rng(seed)``, so one
+    sample point, one retry loop and the same check points.  Base values
+    and check residuals are each twist's own, from its kappa^{-1} B +
+    kappa C, and bit for bit those of a call on that twist alone.
     """
-    single = isinstance(models, ChainModel)
-    twists = (models,) if single else tuple(models)
-    first = twists[0]
-    if any((m.two_s, m.xi, m.eta) != (first.two_s, first.xi, first.eta)
-           for m in twists):
-        raise ValueError("the models must differ only in the twist")
+    kappas = np.array([model.kappa, *(twists or ())], dtype=complex)
     rng = np.random.default_rng(seed)
-    vectors, inverse, sector = _eigenbasis(first, rng)
-    pairs = [(g[:, None] * vectors, inverse / g)
-             for g in map(twist_gauge, twists)]
+    vectors, inverse, sector = _eigenbasis(model, rng)
+    checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+    b, c = monodromy_entries(model, np.concatenate([model.xi, checks]), "BC")
+    gauge = twist_gauge(model, kappas)
+    right, left = gauge[..., None] * vectors, inverse / gauge[:, None]
     # Only the gauged pairs live on: at dim 1024 each matrix is 16 MB.
     del vectors, inverse
-    base = _base_values(twists, pairs)
-    # Each twist's unsorted pair is dropped as its sorted copy is made.
-    spectra = [_sorted(twist, values, *pairs.pop(0), sector)
-               for twist, values in zip(twists, base)]
-    _check(spectra, rng)
-    return spectra[0] if single else tuple(spectra)
-
-
-def _transfers(twists, lam):
-    """The transfer matrix of every twist at lam, one at a time, from one
-    monodromy."""
-    b, c = monodromy(twists[0], lam)[1:3]
-    for twist in twists:
-        # transfer_antiperiodic's kappa^{-1} B + kappa C, bit for bit.
-        yield b / twist.kappa + twist.kappa * c
+    n = model.n_sites
+    # One point's transfer matrices and their product at a time.
+    base = np.stack([
+        np.einsum("tij,tji->ti",
+                  left @ transfer_from_entries(model, b_n, c_n, kappas), right)
+        for b_n, c_n in zip(b[:n], c[:n])], axis=-1)
+    order = np.lexsort((base[..., 0].imag, base[..., 0].real))
+    # The other twists' covectors are done with; the check needs no left.
+    left = left[0][order[0]]
+    _check(model, kappas, right, base, checks, b[n:], c[n:])
+    base = np.take_along_axis(base, order[..., None], axis=1)
+    spec = Spectrum(model=model, right=right[0][:, order[0]], left=left,
+                    rows=EigenvalueFunction(model, base[0]),
+                    sector=_read_only(sector[order[0]]))
+    return spec if twists is None else (spec, base[1:])
 
 
 def _eigenbasis(model, rng):
@@ -190,8 +184,9 @@ def _eigenbasis(model, rng):
     dim = model.hilbert_dim
     for _ in range(4):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        eigs = [np.linalg.eig(block) for block in
-                _flip_sectors(np.add(*monodromy(model, lam)[1:3]))]
+        untwisted = transfer_from_entries(
+            model, *monodromy_entries(model, lam, "BC"))
+        eigs = [np.linalg.eig(block) for block in _flip_sectors(untwisted)]
         if _separated(np.concatenate([vals for vals, _ in eigs])):
             break
     else:
@@ -245,40 +240,28 @@ def _separated(vals) -> bool:
     return gap >= 1e-8 * max(1.0, float(np.max(np.abs(vals))))
 
 
-def _base_values(twists, pairs) -> np.ndarray:
-    """t(xi_n) for every twist, eigenvalue and base point (T x E x N)."""
-    first = twists[0]
-    base = np.zeros((len(twists), first.hilbert_dim, first.n_sites),
-                    dtype=complex)
-    for n, xi in enumerate(first.xi):
-        for i, t_n in enumerate(_transfers(twists, xi)):
-            right, left = pairs[i]
-            base[i, :, n] = np.einsum("ij,ji->i", left @ t_n, right)
-    return base
-
-
-def _sorted(model, values, right, left, sector) -> Spectrum:
-    """The spectrum in lexicographic order of t(xi_1)."""
-    order = np.lexsort((values[:, 0].imag, values[:, 0].real))
-    return Spectrum(model=model, right=right[:, order], left=left[order],
-                    rows=EigenvalueFunction(model, values[order]),
-                    sector=_read_only(sector[order]))
-
-
-def _check(spectra, rng) -> None:
-    """Every eigen-pair of every twist at three more points: the
-    eigen_residual defect of its own transfer matrix, column by column."""
-    twists = [spec.model for spec in spectra]
-    checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-    for lam in checks:
-        for spec, t_mat in zip(spectra, _transfers(twists, lam)):
-            worst = float(np.max(eigen_residual(
-                spec.model, spec.rows, spec.right.T, lam, t_mat=t_mat)))
-            if worst > 1e-8:
+def _check(model, kappas, right, base, checks, b, c) -> None:
+    """Every eigen-pair of every twist at three more points: the relative
+    defect of its own transfer matrix on each right vector, with the
+    cardinals at the check points and the vector norms computed once."""
+    values = base @ cardinals(model.xi, checks).T
+    # Unlike np.linalg.norm, vecdot makes no temporary of its operand's size.
+    norms = np.sqrt(np.vecdot(right, right, axis=1).real)
+    for p, (b_p, c_p) in enumerate(zip(b, c)):
+        t_mat = transfer_from_entries(model, b_p, c_p, kappas)
+        flat = t_mat.reshape(len(kappas), -1)
+        scale = np.sqrt(np.vecdot(flat, flat).real)[:, None] * norms
+        defect = t_mat @ right
+        del t_mat, flat
+        defect -= right * values[:, None, :, p]
+        worst = np.sqrt(np.vecdot(defect, defect, axis=1).real) / scale
+        del defect
+        for kappa, residual in zip(kappas, worst.max(axis=1)):
+            if residual > 1e-8:
                 raise DegenerateSpectrum(
                     f"eigenvector check failed away from the sample point "
-                    f"at twist kappa={spec.model.kappa:.6g} "
-                    f"(residual {worst:.2e})"
+                    f"at twist kappa={complex(kappa):.6g} "
+                    f"(residual {residual:.2e})"
                 )
 
 

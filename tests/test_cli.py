@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -349,17 +352,43 @@ class TestPipelineSelection:
         assert report["summary"]["pass"] is True
 
 
+@pytest.mark.parametrize("matching, status", [(1e-8, 0), (1e-30, 1)],
+                         ids=["pass", "fail"])
+def test_run_keeps_its_exit_status_when_the_reader_leaves(
+        tmp_path, matching, status):
+    # The reader closes the pipe before the run prints its summary, as
+    # `sovchain run cfg.json | true` does: the report is still written and
+    # the exit status is the run's own, with no traceback.
+    doc = base_doc([2, 3], seed=0)
+    doc["tolerances"] = {"matching": matching}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sovchain.cli", "run", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == status
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
+    report = json.loads((tmp_path / "cfg.report.json").read_text())
+    assert report["summary"]["pass"] is (status == 0)
+
+
 def test_each_operator_built_at_most_once_per_basis_half(monkeypatch):
-    # monodromy is bound by name in qalgebra and in sovbasis; count both.
+    # Every point evaluated through monodromy_entries, at each of its
+    # bindings: qalgebra (where monodromy reaches it), spectrum and cli.
     built = Counter()
-    original = qalgebra.monodromy
+    original = qalgebra.monodromy_entries
 
-    def counting(model, lam):
-        built[(model, complex(lam))] += 1
-        return original(model, lam)
+    def counting(model, lam, blocks="ABCD"):
+        built.update((model, complex(z)) for z in np.ravel(lam))
+        return original(model, lam, blocks)
 
-    monkeypatch.setattr(qalgebra, "monodromy", counting)
-    monkeypatch.setattr(sovbasis, "monodromy", counting)
+    for module in (qalgebra, spectrum, cli):
+        monkeypatch.setattr(module, "monodromy_entries", counting)
     doc = base_doc([1, 2, 1])
     doc["model"]["kappa"] = [[1.0, 0.0], [0.6, 0.8]]
     report = run_pipelines(RunConfig.from_dict(doc))

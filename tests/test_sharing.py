@@ -4,7 +4,8 @@ The model's rung table, an eigenvalue function's rung values and ladder,
 the monodromy's nonzero plan, the oracle self-check and the auxiliary
 node draws are pinned to the definitions they replace, kept here as plain
 references.  The oracle's one pass over every twist, with one eigenbasis
-for all of them, is pinned to one call per twist.
+for all of them and the twist as an array axis, is pinned to one call per
+twist.
 """
 
 import weakref
@@ -15,7 +16,6 @@ import pytest
 
 from sovchain import cli
 from sovchain import qalgebra as qa
-from sovchain import sovbasis as sb
 from sovchain import spectrum as sp
 from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
@@ -24,7 +24,7 @@ from sovchain.errors import (
     DegenerateSpectrum, ExceptionalAlpha, RecursionBlowup, SovChainError,
 )
 from sovchain.qalgebra import (
-    ChainModel, a_of, d_of, lax, monodromy, xi_shifted,
+    ChainModel, a_of, d_of, lax, monodromy, monodromy_entries, xi_shifted,
 )
 
 ETA = 0.31 + 0.07j
@@ -255,21 +255,19 @@ def test_monodromy_plan_is_built_once_per_model(monkeypatch):
 
 def test_oracle_check_fires_on_a_wrong_transfer_matrix(monkeypatch):
     model = chain((1, 1, 1))
-    calls = []
 
-    def skewed(model, lam):
-        # The sample point and the base points are built first; every
-        # later (check-point) transfer matrix is perturbed through B.
-        calls.append(lam)
-        a, b, c, d = monodromy(model, lam)
-        if len(calls) > 1 + model.n_sites:
-            t = b / model.kappa + model.kappa * c
-            b = b + model.kappa * (
-                1e-3 * np.linalg.norm(t) * np.eye(t.shape[0])[::-1])
-        return a, b, c, d
+    def skewed(model, lam, blocks="ABCD"):
+        # The sample point is evaluated alone, then the base points and the
+        # check points in one call: B's entries at every check point are
+        # scaled by 1 + 1e-3.
+        b, c = monodromy_entries(model, lam, blocks)
+        if np.ndim(lam):
+            b = b.copy()
+            b[model.n_sites:] *= 1 + 1e-3
+        return b, c
 
     sp.brute_force_spectrum(model)
-    monkeypatch.setattr(sp, "monodromy", skewed)
+    monkeypatch.setattr(sp, "monodromy_entries", skewed)
     with pytest.raises(DegenerateSpectrum, match="eigenvector check failed"):
         sp.brute_force_spectrum(model)
 
@@ -289,21 +287,22 @@ def twist_doc(two_s, kappas, pipelines="all"):
 
 
 def counting_builds(monkeypatch):
-    """The spectral point of every monodromy build, at every binding."""
+    """Every spectral point evaluated through monodromy_entries, at every
+    binding (monodromy and transfer_antiperiodic reach it in qalgebra)."""
     builds = []
 
-    def counting(model, lam):
-        builds.append(lam)
-        return monodromy(model, lam)
+    def counting(model, lam, blocks="ABCD"):
+        builds.extend(np.ravel(lam).tolist())
+        return monodromy_entries(model, lam, blocks)
 
-    for module in (qa, sb, sp):
-        monkeypatch.setattr(module, "monodromy", counting)
+    for module in (qa, sp, cli):
+        monkeypatch.setattr(module, "monodromy_entries", counting)
     return builds
 
 
 def test_oracle_builds_each_point_once_for_every_twist(monkeypatch):
-    # (1,)*5 tq-hom: the N + 4 points of the oracle are the only monodromy
-    # builds, whatever the number of twists; the chain is drawn once, and
+    # (1,)*5 tq-hom: the N + 4 points of the oracle are the only points
+    # evaluated, whatever the number of twists; the chain is drawn once, and
     # each oracle call makes no per-eigenvalue function and one eig and one
     # inv per spin-flip sector, half-size blocks whose sizes sum to dim.
     builds = counting_builds(monkeypatch)
@@ -371,29 +370,57 @@ def rejecting(monkeypatch, *rejected):
 @pytest.mark.parametrize("retry", [False, True], ids=["", "retry"])
 def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
     # With a retry, the first sample point is rejected: it is redrawn once
-    # for every twist, so one more point is built, and each lone call
-    # makes the same retry.
+    # for every twist, so one more point is evaluated, and each lone call
+    # makes the same retry.  1.7-0.4i is off the unit circle.
     model = cli.generate_model(11, len(two_s), two_s, 0.05, eta=ETA)
-    twisted = [replace(model, kappa=k) for k in TWISTS[:3]]
+    twists = TWISTS[1:3] + (1.7 - 0.4j,)
     builds = counting_builds(monkeypatch)
     if retry:
         rejecting(monkeypatch, 0)
-    together = sp.brute_force_spectrum(twisted)
+    spec, others = sp.brute_force_spectrum(model, twists=twists)
     assert len(builds) == model.n_sites + 4 + (1 if retry else 0)
-    for i, twist in enumerate(twisted):
+    assert others.shape == (len(twists), model.hilbert_dim, model.n_sites)
+
+    def alone(kappa):
         if retry:
             rejecting(monkeypatch, 0)
-        alone = sp.brute_force_spectrum(twist)
-        got = together[i]
-        assert got.model == twist
-        assert np.array_equal(got.rows.base_values, alone.rows.base_values)
-        assert np.array_equal(got.right, alone.right)
-        assert np.array_equal(got.left, alone.left)
+        return sp.brute_force_spectrum(replace(model, kappa=kappa))
+
+    first = alone(model.kappa)
+    assert spec.model == first.model == model
+    assert np.array_equal(spec.rows.base_values, first.rows.base_values)
+    assert np.array_equal(spec.right, first.right)
+    assert np.array_equal(spec.left, first.left)
+    assert np.array_equal(spec.sector, first.sector)
+    for kappa, values in zip(twists, others):
+        assert np.array_equal(values, alone(kappa).rows.base_values)
 
 
-def test_oracle_needs_models_that_differ_only_in_the_twist():
-    with pytest.raises(ValueError, match="only in the twist"):
-        sp.brute_force_spectrum([chain((1, 2)), chain((2, 1))])
+def skew_twist(monkeypatch, kappa, shift):
+    """Add shift(lam, t) to every transfer matrix t of twist kappa that the
+    oracle scatters, and leave every other twist's as it is.
+
+    The oracle scatters one point's transfer matrices at a time, in the
+    order of the points it evaluated last, so recording those points gives
+    each matrix its lam.
+    """
+    points = []
+    kernel, transfer = sp.monodromy_entries, sp.transfer_from_entries
+
+    def recording(model, lam, blocks="ABCD"):
+        points[:] = np.ravel(lam).tolist()
+        return kernel(model, lam, blocks)
+
+    def skewed(model, b, c, kappas=1.0):
+        t = transfer(model, b, c, kappas)
+        lam = points.pop(0)
+        stack = t.reshape((-1,) + t.shape[-2:])
+        for i in np.flatnonzero(np.ravel(kappas) == kappa):
+            stack[i] += shift(lam, stack[i])
+        return t
+
+    monkeypatch.setattr(sp, "monodromy_entries", recording)
+    monkeypatch.setattr(sp, "transfer_from_entries", skewed)
 
 
 def test_isospectrality_check_fires_on_one_wrong_twist(monkeypatch):
@@ -404,21 +431,14 @@ def test_isospectrality_check_fires_on_one_wrong_twist(monkeypatch):
     clean = run_pipelines(RunConfig.from_dict(doc))
     assert clean["summary"]["pass"]
     scale = max(abs(complex(*e["t_at_xi"][0])) for e in clean["eigenvalues"])
-    kappa = 0.6 + 0.8j
-    # B + beta * shift and C - beta * shift move the kappa = 1 transfer
-    # matrix by 0 and this one by shift.
-    beta = 1.0 / (1.0 / kappa - kappa)
-    build = sp.monodromy
+    xi = np.array([complex(*z) for z in clean["model"]["xi"]])
 
-    def skewed(model, lam):
-        a, b, c, d = build(model, lam)
-        xi = np.asarray(model.xi)
+    def shift(lam, t):
         cardinal = (np.prod(np.sinh(lam - xi[1:]))
                     / np.prod(np.sinh(xi[0] - xi[1:])))
-        shift = 1e-6 * scale * cardinal * np.eye(b.shape[0])
-        return a, b + beta * shift, c - beta * shift, d
+        return 1e-6 * scale * cardinal * np.eye(t.shape[0])
 
-    monkeypatch.setattr(sp, "monodromy", skewed)
+    skew_twist(monkeypatch, 0.6 + 0.8j, shift)
     report = run_pipelines(RunConfig.from_dict(doc))
     summary = report["summary"]
     assert not summary["pass"]
@@ -429,27 +449,18 @@ def test_isospectrality_check_fires_on_one_wrong_twist(monkeypatch):
 
 
 def test_oracle_check_names_the_one_wrong_twist(monkeypatch):
-    # B + beta * shift and C - beta * shift leave the untwisted B + C, and
-    # with it the shared eigenbasis, as they are, and move the 0.6+0.8i
-    # transfer matrix by an antidiagonal shift, which is neither the
-    # identity nor a gauge: that twist's check residuals must fire.
+    # The 0.6+0.8i transfer matrix moves by an antidiagonal shift, which is
+    # neither the identity nor a gauge, and the untwisted one, with the
+    # shared eigenbasis, stays as it is: that twist's check must fire.
     model = chain((1, 1, 1))
     kappa = 0.6 + 0.8j
-    beta = 1.0 / (1.0 / kappa - kappa)
-    twisted = [model, replace(model, kappa=kappa)]
-    sp.brute_force_spectrum(twisted)
-
-    def skewed(model, lam):
-        a, b, c, d = monodromy(model, lam)
-        t = b / kappa + kappa * c
-        shift = 1e-3 * np.linalg.norm(t) * np.eye(t.shape[0])[::-1]
-        return a, b + beta * shift, c - beta * shift, d
-
-    monkeypatch.setattr(sp, "monodromy", skewed)
+    sp.brute_force_spectrum(model, twists=[kappa])
+    skew_twist(monkeypatch, kappa, lambda lam, t: (
+        1e-3 * np.linalg.norm(t) * np.eye(t.shape[0])[::-1]))
     sp.brute_force_spectrum(model)
     with pytest.raises(DegenerateSpectrum, match=(
             r"eigenvector check failed .* at twist kappa=0\.6\+0\.8j ")):
-        sp.brute_force_spectrum(twisted)
+        sp.brute_force_spectrum(model, twists=[kappa])
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,10 @@ from numpy.testing import assert_allclose
 
 from sovchain.cli import generate_model
 from sovchain.errors import ConditioningFailure
-from sovchain.qalgebra import ChainModel, a_of, monodromy, xi_shifted
+from sovchain.qalgebra import (
+    ChainModel, a_of, monodromy, monodromy_entries, xi_shifted,
+)
+from sovchain import qalgebra as qa
 from sovchain import sovbasis as sb
 from sovchain.trigpoly import sinh_product
 
@@ -148,11 +151,12 @@ def test_collapsing_generation_step_raises(monkeypatch):
     # to rounding level, the first of them, (0, 1), is the collapse named.
     top = D2.rung_table[1].rungs[0]
 
-    def shrunk_b(m, lam):
-        a, b, c, d = monodromy(m, lam)
-        return (a, b * 1e-14, c, d) if lam == top else (a, b, c, d)
+    def shrunk_b(m, lam, blocks="ABCD"):
+        entries = monodromy_entries(m, lam, blocks)
+        return tuple(x * 1e-14 if name == "B" and lam == top else x
+                     for name, x in zip(blocks, entries))
 
-    monkeypatch.setattr(sb, "monodromy", shrunk_b)
+    monkeypatch.setattr(qa, "monodromy_entries", shrunk_b)
     with pytest.raises(ConditioningFailure, match=r"\(0, 1\)"):
         sb.build_basis(D2)
 

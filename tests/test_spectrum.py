@@ -235,8 +235,8 @@ def test_an_eigenvalue_shared_by_both_sectors_fails_the_gap_test(monkeypatch):
     vals = [np.linalg.eig(x)[0] for x in blocks]
     assert all(sp._separated(v) for v in vals)
     assert not sp._separated(np.concatenate(vals))
-    monkeypatch.setattr(sp, "monodromy",
-                        lambda model, lam: (None, mat / 2, mat / 2, None))
+    monkeypatch.setattr(sp, "transfer_from_entries",
+                        lambda model, b, c, kappa=1.0: mat)
     with pytest.raises(DegenerateSpectrum):
         sp._eigenbasis(D1, np.random.default_rng(0))
 
