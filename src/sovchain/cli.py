@@ -336,9 +336,6 @@ def run_pipelines(config: RunConfig) -> dict:
         _log_stage("basis", start, model.hilbert_dim,
                    model.hilbert_dim if basis_error else 0)
 
-    zeta0_inhom = ti.draw_zeta0(model, np.random.default_rng(42))
-    zeta0_hom = thm.draw_zeta0_hom(model, np.random.default_rng(42))
-
     start = perf_counter()
     discrete = sp.discrete_residual(model, eigs)
     ladder_errors = eigs.ladder[2]
@@ -365,9 +362,8 @@ def run_pipelines(config: RunConfig) -> dict:
 
     def inhom_step():
         sol, retries, errors = ti.solve_q_inhom(
-            model, eigs, zeta0=zeta0_inhom, alpha=config.alpha,
-            max_retries=config.max_alpha_retries,
-        )
+            model, eigs, ti.draw_zeta0(model, np.random.default_rng(42)),
+            config.alpha, config.max_alpha_retries)
         rebuilt, bethe, pole_errors = ti.t_from_q_inhom(model, sol)
         return {
             "alpha": _emit_complex(sol.alpha),
@@ -380,7 +376,8 @@ def run_pipelines(config: RunConfig) -> dict:
         }, _first_errors(errors, pole_errors)
 
     def hom_step():
-        sol, errors = thm.solve_q_hom(model, eigs, zeta0_hom)
+        sol, errors = thm.solve_q_hom(
+            model, eigs, thm.draw_zeta0_hom(model, np.random.default_rng(42)))
         bethe, bethe_errors = thm.bethe_residuals_hom(model, sol)
         angles, _ = thm.q_vector_proportionality(model, sol)
         rebuilt, _, pair_errors = thm.t_from_q_pair(model, sol)

@@ -18,7 +18,8 @@ per model, on first use, in the read-only ``ChainModel.rung_table``, the
 one place the rung formula is evaluated; ``on_rungs`` evaluates a function
 on every rung in one call.  Likewise ``ChainModel.lax_table`` holds each
 site's Sz diagonal and sinh(eta) S+-, so a Lax build computes only its two
-diagonal blocks.
+diagonal blocks, and ``ChainModel.derived`` keeps what a higher layer
+derives from the model alone (the T-Q checks' points and factors).
 ``distance_to_ipi_lattice`` works on arrays of any shape.
 
 Conventions fixed here and relied on everywhere else:
@@ -186,6 +187,15 @@ class ChainModel:
         factors per site (``MonodromyPlan``), read-only, built on first
         use."""
         return _monodromy_plan(self.two_s)
+
+    def derived(self, build):
+        """build(self), computed on first use and kept per instance, keyed
+        by build: what a higher layer derives from the model alone.  Kept
+        beside the fields, like a ``cached_property``."""
+        kept = self.__dict__.setdefault("_derived", {})
+        if build not in kept:
+            kept[build] = build(self)
+        return kept[build]
 
 
 class SiteRungs(NamedTuple):

@@ -58,6 +58,12 @@ __all__ = [
     "eigen_residual",
 ]
 
+# Verification grid of both functional equations, drawn once.
+_GRID_RNG = np.random.default_rng(17)
+GRID_POINTS = _read_only(_GRID_RNG.uniform(-1.5, 1.5, 40)
+                         + 1j * _GRID_RNG.uniform(-1.2, 1.2, 40))
+del _GRID_RNG
+
 
 @dataclass(frozen=True)
 class EigenvalueFunction:
@@ -67,8 +73,8 @@ class EigenvalueFunction:
     t(lam) = sum_n t(xi_n) C_n(lam), with C_n the cardinal function of base
     point n (``trigpoly.cardinals``).  The cardinals are masked, not divided
     out, so lam may sit on a base point (integer-spin rungs do).
-    ``rung_values`` and ``ladder`` are computed on first use, for every row
-    at once, and kept read-only.
+    ``grid_values``, ``rung_values`` and ``ladder`` are computed on first
+    use, for every row at once, and kept read-only.
     """
 
     model: ChainModel
@@ -88,6 +94,11 @@ class EigenvalueFunction:
                             + base.shape[-1:])
         total = np.sum(base * cardinals(self.model.xi, lam), axis=-1)
         return total if total.shape else complex(total)
+
+    @cached_property
+    def grid_values(self) -> np.ndarray:
+        """t on the verification grid ``GRID_POINTS``, from one call."""
+        return _read_only(self(GRID_POINTS))
 
     @cached_property
     def rung_values(self) -> tuple:

@@ -24,24 +24,25 @@ spectrum.
 As in the corrected-equation solver, the layer works on the whole
 spectrum at once, one row per eigenvalue: ``solve_q_hom`` builds every
 row's closure system with the shared builder, half-angle cardinals and the
-ladder null vectors the eigenvalue stack owns, takes one stacked SVD for
-the nullspaces, one stacked interpolation and one stacked companion
-eigenproblem for the roots, and fits every row's sum rule and Wronskian
-sign in one call each.  Q is held by its roots alone: the admissibility
-check and every certificate evaluate it on a whole point set (the top
-rungs' half-period translates, the grid, the roots, the inner rungs, the
-sample points, every rung) for every row in one call, through the shared
-sinh-product kernel at angle scale 1/2.  A row that fails keeps its first
-``SovChainError`` in the errors the function returns and the other rows go
-on.  The grid and Bethe residuals share the corrected equation's
+ladder null vectors the eigenvalue stack owns, takes one stacked SVD, one
+interpolation and one companion eigenproblem, and fits every row's sum
+rule and Wronskian sign in one call each.  Q is held by its roots alone; a
+solution's ``table`` holds Q on every point set its checks read (the grid
+and its shifts, the inner rungs, the sample points, every rung, each also
+half a period up), from one sinh-product call at angle scale 1/2, and
+each Bethe residual adds one call at the roots.  The model-only factors
+are built once per model (``_hom_points``).  A row that fails keeps its
+first ``SovChainError`` in the errors the function returns and the other
+rows go on.  The grid and Bethe residuals share the corrected equation's
 zero-scale rule, and the eigenstates its assembly (``spectrum.eigenstates``).
-The solve keeps its Wronskian fit and its sum-rule residual on the
-solution, so nothing recomputes them.
+The solution keeps its Wronskian fit and its sum-rule residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,12 +56,14 @@ from .errors import (
     SovChainError,
     record,
 )
-from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
+from .qalgebra import (
+    ChainModel, _read_only, a_of, d_of, distance_to_ipi_lattice,
+)
 from .sovbasis import SOVBasis
 from .spectrum import eigenstates
 from .tq_inhom import (
-    GRID_POINTS, _at_base_points, _closure, _draw_node, _factor_rows,
-    _inner_rungs, _relative_defect, _sample_points,
+    GRID_POINTS, _at_base_points, _check_points, _closure, _draw_node,
+    _factor_rows, _inner_rungs, _relative_defect, _sample_points,
 )
 from .trigpoly import sinh_product
 
@@ -108,6 +111,35 @@ class QFunctionHom:
         shared by every row, or one row of points per row."""
         return sinh_product(lam, self.roots, 0.5)
 
+    @cached_property
+    def table(self) -> dict:
+        """Q at every point set of ``_hom_points``, by name, for every row,
+        from one evaluation over their union, on first use; read-only."""
+        sets = self.model.derived(_hom_points).sets
+        values = _read_only(self.value(np.concatenate(list(sets.values()))))
+        cuts = np.cumsum([p.size for p in sets.values()])[:-1]
+        return dict(zip(sets, np.split(values, cuts, axis=-1)))
+
+
+_HomPoints = namedtuple("_HomPoints", "sets target w_samples")
+
+
+def _hom_points(model: ChainModel) -> _HomPoints:
+    """The model-only part of the tq-hom checks (``ChainModel.derived``):
+    the point sets where they read Q, by name (X holds the grid, the inner
+    rungs and the sample points), and, read-only, the Wronskian target
+    d * w_eps(1) on the grid and w_eps(1) at the sample points."""
+    eta, ip, grid = model.eta, 1j * np.pi, GRID_POINTS
+    samples = _sample_points(model, [])
+    x = np.concatenate([grid, _inner_rungs(model), samples])
+    rungs = np.concatenate([rung.rungs for rung in model.rung_table])
+    sets = {"grid": grid, "grid+ip": grid + ip, "x-eta": x - eta,
+            "x+ip-eta": x + ip - eta, "x+eta": x + eta,
+            "x+eta+ip": x + eta + ip, "rungs": rungs, "rungs+ip": rungs + ip}
+    d_grid = model.derived(_check_points).d[: grid.size]
+    return _HomPoints(sets, *map(_read_only, (
+        d_grid * w_eps(model, 1, grid), w_eps(model, 1, samples))))
+
 
 # ----------------------------------------------------------------------
 # node placement and the closure system
@@ -140,9 +172,13 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
 
     values = (spread @ null[..., None])[..., 0]
     c_p, roots = _factor_rows(nodes, values, 0.5, errors)
+    epsilon, winding, residual = sum_rule_check(model, roots)
+    # Made once: the Wronskian fit below fills in its residual.
+    sol = QFunctionHom(model, roots, epsilon, winding,
+                       np.empty(residual.shape), residual)
     top = null[:, 1:] / c_p[:, None]
-    tops = np.array([rung.rungs[0] for rung in model.rung_table])
-    shifted = sinh_product(tops + 1j * np.pi, roots, 0.5)  # P / c_P
+    tops = np.cumsum((0,) + model.two_s[:-1]) + np.arange(model.n_sites)
+    shifted = sol.table["rungs+ip"][:, tops]  # P / c_P at the top rungs
     scale = np.maximum(
         np.maximum(np.max(np.abs(top), axis=1), np.max(np.abs(shifted), axis=1)),
         np.max(np.abs(values), axis=1) / np.abs(c_p),
@@ -152,17 +188,15 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
         f"site {site[k] + 1}: Q vanishes at the top rung and at its "
         "half-period translate"))
 
-    epsilon, winding, residual = sum_rule_check(model, roots)
     record(errors, residual > 1e-6, lambda k: NoEpsilonFits(
         f"root sum misses the half-period lattice by {residual[k]:.3e}"))
-    sol = QFunctionHom(model, roots, epsilon, winding,
-                       sum_rule_residual=residual)
-    eps_w, wron, fit_errors = verify_wronskian_identity(model, sol)
+    eps_w, sol.wronskian_residual[:], fit_errors = verify_wronskian_identity(
+        model, sol)
     record(errors, [e is not None for e in fit_errors], lambda k: fit_errors[k])
     record(errors, eps_w != epsilon, lambda k: NoEpsilonFits(
         "root-sum sign and Wronskian sign disagree: "
         f"{epsilon[k]} vs {eps_w[k]}"))
-    return replace(sol, wronskian_residual=wron), errors
+    return sol, errors
 
 
 def _vanishing_site(top, shifted, scale) -> np.ndarray:
@@ -239,9 +273,10 @@ def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
     residual, errors) for the better one per row; a row where neither sign
     brings the relative defect under 1e-6 gets a NoEpsilonFits.
     """
-    pts = GRID_POINTS
-    w_vals = wronskian(model, q, pts)
-    target = d_of(model, pts) * w_eps(model, 1, pts)
+    t, cut = q.table, GRID_POINTS.size  # ``wronskian`` on the grid
+    w_vals = (t["grid+ip"] * t["x-eta"][..., :cut]
+              + t["grid"] * t["x+ip-eta"][..., :cut])
+    target = model.derived(_hom_points).target
     w_max = np.max(np.abs(w_vals), axis=-1)
     best_eps = np.zeros(w_max.shape, dtype=int)
     best_res = np.full(w_max.shape, np.inf)
@@ -263,29 +298,23 @@ def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
 # ----------------------------------------------------------------------
 # consequences of a solved Q
 
-def hom_grid_residual(model: ChainModel, eigfun, q: QFunctionHom) -> float:
+def hom_grid_residual(model: ChainModel, eigfun, q: QFunctionHom
+                      ) -> np.ndarray:
     """Worst relative defect of the two-term equation on the grid, per row.
 
     All terms are evaluated pointwise from products over roots and sites,
-    independently of the coefficient arithmetic used by the solver, each in
-    one call over the whole grid.  Points where every term vanishes count
-    as 0.
+    independently of the coefficient arithmetic used by the solver; Q is
+    read from the solution's ``table``, t from the stack's
+    ``grid_values``.  Points where every term vanishes count as 0.
     """
-    lam = GRID_POINTS
-    lhs = eigfun(lam) * q.value(lam)
-    term_a = -a_of(model, lam) * q.value(lam - model.eta)
-    term_d = d_of(model, lam) * q.value(lam + model.eta)
+    t, cut = q.table, GRID_POINTS.size
+    pts = model.derived(_check_points)
+    lhs = eigfun.grid_values * t["grid"]
+    term_a = -pts.a[:cut] * t["x-eta"][..., :cut]
+    term_d = pts.d[:cut] * t["x+eta"][..., :cut]
     return np.max(_relative_defect(
         lhs - term_a - term_d, [lhs, term_a, term_d]
     ), axis=-1)
-
-
-def _t_numerator_terms(model: ChainModel, q: QFunctionHom, lam):
-    eta = model.eta
-    ip = 1j * np.pi
-    lam = np.asarray(lam, dtype=complex)
-    return (q.value(lam + eta) * q.value(lam + ip - eta),
-            q.value(lam + eta + ip) * q.value(lam - eta))
 
 
 def t_from_q_pair(model: ChainModel, q: QFunctionHom):
@@ -299,13 +328,13 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     the report holds the relative numerator size at every inner rung; a
     row gets a NotEntire when any entry exceeds 1e-8.
     """
-    inner = _inner_rungs(model)
+    n_inner = _inner_rungs(model).size
     errors = [None] * int(np.prod(np.shape(q.roots)[:-1]))
-    samples = _sample_points(model, errors)
-    # One evaluation over the grid, the inner rungs and the sample points.
-    term_down, term_up = _t_numerator_terms(
-        model, q, np.concatenate([GRID_POINTS, inner, samples])
-    )
+    _sample_points(model, errors)  # an error on every row if unusable
+    # The table holds Q over the grid, the inner rungs and the samples.
+    t = q.table
+    term_down = t["x+eta"] * t["x+ip-eta"]
+    term_up = t["x+eta+ip"] * t["x-eta"]
     cut = GRID_POINTS.size
     numerator = term_down[..., cut:] - term_up[..., cut:]
     # Normalize against the products being subtracted, not against their
@@ -315,10 +344,13 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
         np.max(np.abs(term_down[..., :cut]), axis=-1),
         np.max(np.abs(term_up[..., :cut]), axis=-1),
     )
+    # w_eps(epsilon) at the samples; w_eps(-1) is exactly -w_eps(1), as
+    # (-2u) P and -(2u P) round alike.
+    w_one = model.derived(_hom_points).w_samples
+    signed = np.where(np.asarray(q.epsilon)[..., None] == 1, w_one, -w_one)
     with np.errstate(all="ignore"):  # a vanishing row is rejected below
-        report = np.abs(numerator[..., : inner.size]) / num_scale[..., None]
-        values = _at_base_points(model, samples, numerator[..., inner.size :]
-                                 / w_eps(model, q.epsilon, samples))
+        report = np.abs(numerator[..., :n_inner]) / num_scale[..., None]
+        values = _at_base_points(model, numerator[..., n_inner:] / signed)
     worst = np.ravel(np.max(report, axis=-1, initial=0.0))
     record(errors, num_scale == 0.0, lambda k: NotEntire(
         "Q vanishes on the whole sampling grid"))
@@ -330,12 +362,11 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
 
 def _rung_values(model: ChainModel, q: QFunctionHom):
     """Per site: Q on the rungs, and the alternating-sign copy of Q shifted
-    by half a period, from one value call."""
-    per_site = on_rungs(
-        model, lambda lam: np.array([q.value(lam), q.value(lam + 1j * np.pi)])
-    )
+    by half a period, read from the solution's table."""
+    cuts = np.cumsum([rung.rungs.size for rung in model.rung_table])[:-1]
     return [(plain, (-1.0) ** np.arange(plain.shape[-1]) * shifted)
-            for plain, shifted in per_site]
+            for plain, shifted in zip(np.split(q.table["rungs"], cuts, -1),
+                                      np.split(q.table["rungs+ip"], cuts, -1))]
 
 
 def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
@@ -393,8 +424,10 @@ def bethe_residuals_hom(model: ChainModel, q: QFunctionHom):
 
     errors = [None] * len(close)
     record(errors, close.any(axis=(1, 2)), collide)
-    term_a = a_of(model, roots) * q.value(roots - model.eta)
-    term_d = d_of(model, roots) * q.value(roots + model.eta)
+    down, up = np.split(q.value(np.concatenate(
+        [roots - model.eta, roots + model.eta], axis=-1)), 2, axis=-1)
+    term_a = a_of(model, roots) * down
+    term_d = d_of(model, roots) * up
     return _relative_defect(term_d - term_a, [term_a, term_d]), errors
 
 

@@ -22,25 +22,26 @@ The layer works on the whole spectrum at once: a Q, like an
 ``EigenvalueFunction``, is one solution or a stack of them, one row per
 eigenvalue (roots E x N_s).  ``solve_q_inhom`` builds every row's
 closure system (E x N x (N + 1)) from the ladder null vectors the
-eigenvalue stack owns and from one cardinal kernel (``trigpoly.cardinals``,
-shared with the half-period solver), takes one stacked SVD and solve, and
-gets every row's roots from one stacked companion eigenproblem
-(``trigpoly.factor``).  A row whose system is singular is solved again, and
-only it, at the next deformation redraw.  Each check evaluates Q, a, d, t
-and the correction term in one call per point set for every row (the
-verification grid, the roots, the sample points, every rung via
-``qalgebra.on_rungs``) through ``trigpoly.sinh_product``.  Both equations
-rebuild t from Q at the same sample points (``_sample_points``) and map
-the values back to the base points through ``trigpoly.cardinals``.  A row
-that fails a step keeps its first ``SovChainError`` in the list of errors
-the function returns (one entry per row, None for a row that passed), and
-the other rows go on.  Every grid and Bethe residual of both equations
-uses one zero-scale rule, ``_relative_defect``.
+eigenvalue stack owns and one cardinal kernel (``trigpoly.cardinals``),
+takes one stacked SVD and solve, and gets every row's roots from one
+stacked companion eigenproblem (``trigpoly.factor``); a row whose system
+is singular is solved again, alone, at the next deformation redraw.  A
+solution's ``table``, built on first use after the solve, holds Q and the
+right-hand terms on the grid and the sample points from one
+``trigpoly.sinh_product`` call for Q and one for the correction term;
+each check reads its slice, and a Bethe residual adds one call at the
+roots.  The model-only factors (the sample points, their cardinals at the
+base points, a and d) are built once per model (``_check_points``).  A
+row that fails a step keeps its first ``SovChainError`` in the errors the
+function returns (None for a row that passed), and the other rows go on.
+Every grid and Bethe residual uses one zero-scale rule, ``_relative_defect``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +49,11 @@ from .errors import (
     DegenerateNodes, ExceptionalAlpha, NonAdmissible, PoleAtXi, SovChainError,
     record,
 )
-from .qalgebra import ChainModel, a_of, d_of, distance_to_ipi_lattice, on_rungs
+from .qalgebra import (
+    ChainModel, _read_only, a_of, d_of, distance_to_ipi_lattice, on_rungs,
+)
 from .sovbasis import SOVBasis
-from .spectrum import eigenstates
+from .spectrum import GRID_POINTS, eigenstates
 from .trigpoly import cardinals, factor, interpolate, sinh_product
 
 __all__ = [
@@ -71,15 +74,6 @@ __all__ = [
     "GRID_POINTS",
 ]
 
-# Verification grid shared by both functional equations, drawn once.
-_GRID_RNG = np.random.default_rng(17)
-GRID_POINTS = (
-    _GRID_RNG.uniform(-1.5, 1.5, 40) + 1j * _GRID_RNG.uniform(-1.2, 1.2, 40)
-)
-GRID_POINTS.flags.writeable = False
-del _GRID_RNG
-
-
 @dataclass(frozen=True)
 class QFunctionInhom:
     """Monic product function sinh(lam - root_1)...sinh(lam - root_Ns),
@@ -95,6 +89,17 @@ class QFunctionInhom:
         """Evaluate the product over the stored roots directly; lam holds
         points shared by every row, or one row of points per row."""
         return sinh_product(lam, self.roots)
+
+    @cached_property
+    def table(self) -> tuple:
+        """(Q, term_a, term_d, term_f) at the check points P for every row,
+        from Q over P, P - eta and P + eta in one call, on first use;
+        read-only."""
+        pts, eta = self.model.derived(_check_points), self.model.eta
+        plain, *shifted = np.split(self.value(np.concatenate(
+            [pts.points, pts.points - eta, pts.points + eta])), 3, axis=-1)
+        return tuple(map(_read_only, (plain,) + _rhs_terms(
+            self.model, self, pts.points, (pts.a, pts.d), shifted)))
 
 
 # ----------------------------------------------------------------------
@@ -208,12 +213,17 @@ def _inner_rungs(model: ChainModel) -> np.ndarray:
     return np.concatenate([rung.rungs[1:-1] for rung in model.rung_table])
 
 
-def _sample_points(model: ChainModel, errors: list) -> np.ndarray:
-    """Where both T-Q equations sample t to rebuild it from Q: the base
-    points, or, when one sits on an inner rung (integer-spin sites), the
-    first offset copy of them clear of the inner rungs.  If no offset
-    clears them, every row gets an error and the base points are returned.
-    """
+_CheckPoints = namedtuple("_CheckPoints", "samples cleared to_base points a d")
+
+
+def _check_points(model: ChainModel) -> _CheckPoints:
+    """The model-only part of the checks of both T-Q equations, read-only
+    and built once per model (``ChainModel.derived``): the sample points
+    where t is rebuilt from Q, whether they clear the inner rungs, their
+    cardinals at the base points, and P (the grid, then the samples) with
+    a and d at P.  The samples are the base points or, when one sits on an
+    inner rung (integer-spin sites), the first offset copy clear of the
+    inner rungs."""
     inner = _inner_rungs(model)
     xi = np.asarray(model.xi, dtype=complex)
 
@@ -222,24 +232,34 @@ def _sample_points(model: ChainModel, errors: list) -> np.ndarray:
         gap = distance_to_ipi_lattice(pts[:, None] - inner)
         return float(np.min(gap, initial=np.inf))
 
-    if clearance(xi) > 1e-3:
-        return xi
-    for offset in _SAMPLE_OFFSETS:
+    samples, cleared = xi, clearance(xi) > 1e-3
+    for offset in () if cleared else _SAMPLE_OFFSETS:
         if clearance(xi + offset) > 5e-2:
-            return xi + offset
-    record(errors, np.ones(len(errors), dtype=bool), lambda k: (
+            samples, cleared = xi + offset, True
+            break
+    points = np.concatenate([GRID_POINTS, samples])
+    return _CheckPoints(_read_only(samples), cleared, *map(_read_only, (
+        cardinals(samples, model.xi), points, a_of(model, points),
+        d_of(model, points))))
+
+
+def _sample_points(model: ChainModel, errors: list) -> np.ndarray:
+    """Where both T-Q equations rebuild t from Q; if they do not clear the
+    inner rungs, every row gets an error."""
+    pts = model.derived(_check_points)
+    record(errors, np.full(len(errors), not pts.cleared), lambda k: (
         SovChainError("no offset clears the inner rungs")))
-    return xi
+    return pts.samples
 
 
-def _at_base_points(model: ChainModel, samples, values) -> np.ndarray:
+def _at_base_points(model: ChainModel, values) -> np.ndarray:
     """t at the base points from its values at the samples, one row each.
 
     t lies in the span of the cardinals of any N nodes, so
     t(xi) = sum_k t(s_k) C_k(xi) with C = cardinals(samples, xi) and no
     solve; the multiply-sum keeps each row independent of the others.
     """
-    return np.sum(values[..., None, :] * cardinals(samples, model.xi),
+    return np.sum(values[..., None, :] * model.derived(_check_points).to_base,
                   axis=-1)
 
 
@@ -389,13 +409,19 @@ def solve_q_inhom(
 # verification
 
 
-def _rhs_terms(model: ChainModel, sol: QFunctionInhom, lam):
-    """The three right-hand terms of the functional equation at lam."""
+def _rhs_terms(model: ChainModel, sol: QFunctionInhom, lam, edges=None,
+               shifted=None):
+    """The three right-hand terms of the functional equation at lam, from
+    (a, d) and Q at (lam - eta, lam + eta), evaluated in one call if not
+    given."""
+    if edges is None:
+        edges = a_of(model, lam), d_of(model, lam)
+    if shifted is None:
+        shifted = np.split(sol.value(np.concatenate(
+            [lam - model.eta, lam + model.eta], axis=-1)), 2, axis=-1)
     alpha = np.asarray(sol.alpha)[..., None]
-    down = sol.value(lam - model.eta)
-    up = sol.value(lam + model.eta)
-    term_a = -np.exp(lam - alpha) * a_of(model, lam) * down
-    term_d = np.exp(-lam - model.eta + alpha) * d_of(model, lam) * up
+    term_a = -np.exp(lam - alpha) * edges[0] * shifted[0]
+    term_d = np.exp(-lam - model.eta + alpha) * edges[1] * shifted[1]
     return term_a, term_d, f_inhom(model, sol.alpha + sol.lambda_bar, lam)
 
 
@@ -410,17 +436,17 @@ def _relative_defect(numerator, terms) -> np.ndarray:
 
 def inhom_grid_residual(
     model: ChainModel, eigfun, sol: QFunctionInhom
-) -> float:
+) -> np.ndarray:
     """Worst relative defect of the functional equation on the grid, per
     row.
 
     All four terms are evaluated pointwise from first principles (products
     over roots and rungs), independently of the coefficient arithmetic used
-    by the solver, each in one call over the whole grid for every row.
+    by the solver, and read from ``table`` and ``grid_values``.
     """
-    lam = GRID_POINTS
-    lhs = eigfun(lam) * sol.value(lam)
-    term_a, term_d, term_f = _rhs_terms(model, sol, lam)
+    cut = GRID_POINTS.size
+    q, term_a, term_d, term_f = (v[..., :cut] for v in sol.table)
+    lhs = eigfun.grid_values * q
     return np.max(_relative_defect(
         lhs - term_a - term_d - term_f, [lhs, term_a, term_d, term_f]
     ), axis=-1)
@@ -450,9 +476,9 @@ def t_from_q_inhom(model: ChainModel, sol: QFunctionInhom):
         )
 
     record(errors, hits.any(axis=(1, 2)), pole)
+    q, *terms = (v[..., GRID_POINTS.size :] for v in sol.table)
     with np.errstate(all="ignore"):  # a pole row divides by zero
-        values = sum(_rhs_terms(model, sol, samples)) / sol.value(samples)
-        base = _at_base_points(model, samples, values)
+        base = _at_base_points(model, sum(terms) / q)
     return base, bethe_residuals_inhom(model, sol), errors
 
 

@@ -163,12 +163,13 @@ def interpolate(nodes, values, m: int, angle_scale: float = 1.0):
     m2 = nodes.size - 1
     u = angle_scale * nodes
     z = np.exp(2.0 * u)
-    for i in range(z.size):
-        for j in range(i + 1, z.size):
-            if abs(z[i] - z[j]) <= 1e-10 * max(1.0, abs(z[i]), abs(z[j])):
-                raise DegenerateNodes(
-                    f"nodes {i} and {j} coincide modulo the period"
-                )
+    # np.hypot matches Python's complex abs bit for bit; np.abs does not.
+    diff, size = z[:, None] - z, np.hypot(z.real, z.imag)
+    close = np.triu(np.hypot(diff.real, diff.imag) <= 1e-10 * np.maximum(
+        1.0, np.maximum(size[:, None], size)), k=1)
+    if close.any():
+        i, j = np.argwhere(close)[0]
+        raise DegenerateNodes(f"nodes {i} and {j} coincide modulo the period")
     vand = z[:, None] ** np.arange(m2 + 1)[None, :]
     rhs = values * np.exp((m2 - m) * u)
     stack = np.broadcast_to(vand, rhs.shape + (m2 + 1,))

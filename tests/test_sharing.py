@@ -175,6 +175,148 @@ def test_failed_ladder_row_keeps_its_error():
 
 
 # ----------------------------------------------------------------------
+# the T-Q check tables: Q once per solution, model-only factors once per
+# model
+
+
+def tq_solutions(two_s):
+    """The model, its spectrum, and the tq-inhom and tq-hom solutions of
+    every eigenvalue.  (2, 2) has inner rungs on its base points, so it
+    samples t at an offset copy of them."""
+    model = chain(two_s)
+    rows = sp.brute_force_spectrum(model).rows
+    rng = np.random.default_rng
+    inhom = ti.solve_q_inhom(model, rows, ti.draw_zeta0(model, rng(42)))[0]
+    hom = thm.solve_q_hom(model, rows, thm.draw_zeta0_hom(model, rng(42)))[0]
+    return model, rows, inhom, hom
+
+
+TABLE_SHAPES = [(1, 2), (2, 2), (2, 1, 3)]
+
+
+@pytest.mark.parametrize("two_s", TABLE_SHAPES,
+                         ids=lambda s: "".join(map(str, s)))
+def test_table_slices_equal_q_at_their_points(two_s):
+    model, rows, inhom, hom = tq_solutions(two_s)
+    points = model.derived(thm._hom_points)
+    assert model.derived(thm._hom_points) is points
+    assert set(hom.table) == set(points.sets)
+    for name, lam in points.sets.items():
+        assert np.array_equal(hom.table[name], hom.value(lam)), name
+    # A table belongs to its solution: a copy builds its own, equal one.
+    copy = replace(hom, epsilon=hom.epsilon)
+    assert copy.table is not hom.table
+    assert all(np.array_equal(copy.table[k], v) for k, v in hom.table.items())
+    if two_s == (2, 2):
+        assert not np.array_equal(ti._sample_points(model, []), model.xi)
+
+    eta, alpha = model.eta, inhom.alpha[:, None]
+    lam = model.derived(ti._check_points).points
+    assert np.array_equal(lam, np.concatenate(
+        [ti.GRID_POINTS, ti._sample_points(model, [])]))
+    want = (inhom.value(lam),
+            -np.exp(lam - alpha) * a_of(model, lam) * inhom.value(lam - eta),
+            np.exp(-lam - eta + alpha) * d_of(model, lam)
+            * inhom.value(lam + eta),
+            ti.f_inhom(model, inhom.alpha + inhom.lambda_bar, lam))
+    for got, ref in zip(inhom.table, want, strict=True):
+        assert np.array_equal(got, ref)
+    shared = (*hom.table.values(), *inhom.table,
+              *model.derived(thm._hom_points)[1:],
+              *model.derived(ti._check_points)._asdict().values())
+    assert not any(np.ndim(v) and v.flags.writeable for v in shared)
+
+
+@pytest.mark.parametrize("two_s", TABLE_SHAPES,
+                         ids=lambda s: "".join(map(str, s)))
+def test_wronskian_fit_reads_the_definition_route(two_s):
+    model, rows, _, hom = tq_solutions(two_s)
+    # The fit of both signs, on the definition route's values.
+    grid = ti.GRID_POINTS
+    w_vals = thm.wronskian(model, hom, grid)
+    target = d_of(model, grid) * thm.w_eps(model, 1, grid)
+    w_max = np.max(np.abs(w_vals), axis=-1)
+    fits = []
+    for eps in (1, -1):
+        scale = np.maximum(w_max, np.max(np.abs(eps * target)))
+        fits.append(np.max(np.abs(w_vals - eps * target), axis=-1) / scale)
+    eps, res, _ = thm.verify_wronskian_identity(model, hom)
+    assert np.array_equal(res, np.minimum(*fits))
+    assert np.array_equal(eps, np.where(fits[1] < fits[0], -1, 1))
+    assert np.array_equal(hom.wronskian_residual, res)
+    assert np.array_equal(model.derived(thm._hom_points).target, target)
+    w_samples = model.derived(thm._hom_points).w_samples
+    samples = ti._sample_points(model, [])
+    for eps in (1, -1):
+        assert np.array_equal(
+            np.where(np.array([eps]) == 1, w_samples, -w_samples),
+            thm.w_eps(model, eps, samples))
+    # The grid residual against its terms evaluated point set by point set.
+    lhs = rows(grid) * hom.value(grid)
+    term_a = -a_of(model, grid) * hom.value(grid - model.eta)
+    term_d = d_of(model, grid) * hom.value(grid + model.eta)
+    want = np.max(ti._relative_defect(lhs - term_a - term_d,
+                                      [lhs, term_a, term_d]), axis=-1)
+    assert np.array_equal(thm.hom_grid_residual(model, rows, hom), want)
+    assert np.array_equal(rows.grid_values, rows(grid))
+    assert rows.grid_values is rows.grid_values
+
+
+def test_model_factors_leave_equality_and_hash_alone():
+    first, second = chain((2, 2)), chain((2, 2))
+    first.derived(ti._check_points)
+    assert first == second and hash(first) == hash(second)
+    assert first.derived(ti._check_points) is first.derived(ti._check_points)
+    assert second.derived(ti._check_points) is not first.derived(
+        ti._check_points)
+
+
+def tq_calls(monkeypatch, two_s):
+    """The sinh_product calls of both T-Q layers in one full run, by layer
+    and kind: 'table' for points shared by every row, 'roots' for one row
+    of points per row, 'model' for a product over model-only roots; and
+    the evaluations of t on the grid."""
+    calls = []
+    for module in (ti, thm):
+        def counting(lam, roots, *args, _name=module.__name__.split(".")[-1],
+                     _original=module.sinh_product):
+            kind = ("model" if np.ndim(roots) == 1
+                    else "roots" if np.ndim(lam) > 1 else "table")
+            calls.append((_name, kind))
+            return _original(lam, roots, *args)
+
+        monkeypatch.setattr(module, "sinh_product", counting)
+    call = sp.EigenvalueFunction.__call__
+
+    def counting_call(self, lam):
+        if np.array_equal(lam, ti.GRID_POINTS):
+            calls.append(("spectrum", "grid"))
+        return call(self, lam)
+
+    monkeypatch.setattr(sp.EigenvalueFunction, "__call__", counting_call)
+    doc = {"model": {"two_s": list(two_s), "seed": 11,
+                     "kappa": [[1.0, 0.0], [0.6, 0.8]]}, "pipelines": "all"}
+    report = run_pipelines(RunConfig.from_dict(doc))
+    monkeypatch.undo()
+    assert report["summary"]["count"] == 2 ** len(two_s)
+    return {key: calls.count(key) for key in set(calls)}
+
+
+def test_each_solution_evaluates_q_once_plus_once_at_its_roots(monkeypatch):
+    # tq-inhom: Q over its table's points, the correction term over them,
+    # and each once at the roots; tq-hom: Q over its table's points and at
+    # the roots, plus the two inner-rung products of the model.  t on the
+    # grid once for both.  Dimension 8 and 32 make as many calls.
+    small = tq_calls(monkeypatch, (1,) * 3)
+    large = tq_calls(monkeypatch, (1,) * 5)
+    assert small == large == {
+        ("tq_inhom", "table"): 2, ("tq_inhom", "roots"): 2,
+        ("tq_hom", "table"): 1, ("tq_hom", "roots"): 1,
+        ("tq_hom", "model"): 2, ("spectrum", "grid"): 1,
+    }
+
+
+# ----------------------------------------------------------------------
 # the monodromy from its nonzero plan
 
 
@@ -495,6 +637,17 @@ def test_node_draws_match_reference(two_s):
         assert thm.draw_zeta0_hom(model, np.random.default_rng(seed)) == (
             draw_loop(model, np.random.default_rng(seed), 2.0 * np.pi)
         )
+
+
+@pytest.mark.parametrize("pipeline, other", [
+    ("tq-hom", (ti, "draw_zeta0")), ("tq-inhom", (thm, "draw_zeta0_hom")),
+    ("sov", (ti, "draw_zeta0")), ("sov", (thm, "draw_zeta0_hom")),
+])
+def test_a_run_draws_only_the_nodes_of_its_pipelines(monkeypatch, pipeline,
+                                                     other):
+    monkeypatch.setattr(*other, lambda *args: pytest.fail("node drawn"))
+    doc = {"model": {"two_s": [1, 2], "seed": 3}, "pipelines": [pipeline]}
+    assert run_pipelines(RunConfig.from_dict(doc))["summary"]["count"] == 6
 
 
 class Scripted:

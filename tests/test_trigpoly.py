@@ -108,6 +108,43 @@ def test_from_values_half_angle_period_collision():
         interpolate([0.0, 2j * np.pi], [1.0, 2.0], 0, angle_scale=0.5)
 
 
+@pytest.mark.parametrize("nodes, first", [
+    ([0.1, 0.3, 0.1 + 1j * np.pi, 0.3 + 1j * np.pi], (0, 2)),
+    ([0.3, 0.1, 0.1 + 1j * np.pi, 0.3 + 1j * np.pi], (0, 3)),
+    ([0.5, 0.1, 0.3, 0.3 - 1j * np.pi, 0.1 + 2j * np.pi], (1, 4)),
+])
+def test_collision_message_names_the_first_pair(nodes, first):
+    # With two colliding pairs, the error names the first pair in the
+    # order (i, then j > i).
+    with pytest.raises(DegenerateNodes) as info:
+        interpolate(nodes, np.ones(len(nodes)), 0)
+    assert str(info.value) == (f"nodes {first[0]} and {first[1]} coincide "
+                               "modulo the period")
+
+
+def test_collision_test_matches_the_pairwise_abs_rule():
+    # The array test flags a pair exactly when Python's complex abs does:
+    # |z_i - z_j| <= 1e-10 max(1, |z_i|, |z_j|), z = exp(2 node), on pairs
+    # straddling the bound.
+    seen = set()
+    for _ in range(200):
+        base = complex(*RNG.uniform(-2.0, 2.0, 2))
+        z0 = np.exp(2.0 * base)
+        step = 1e-10 * max(1.0, abs(z0)) * RNG.uniform(0.5, 1.5)
+        other = np.log(z0 + step * np.exp(1j * RNG.uniform(0, 2 * np.pi)))
+        nodes = np.array([base, 0.5 * other, 0.7 + 0.2j])
+        z = np.exp(2.0 * nodes)
+        want = abs(z[0] - z[1]) <= 1e-10 * max(1.0, abs(z[0]), abs(z[1]))
+        seen.add(bool(want))
+        try:
+            interpolate(nodes, np.ones(3), 0)
+        except DegenerateNodes:
+            assert want
+        else:
+            assert not want
+    assert seen == {True, False}
+
+
 def test_vanishing_on_full_node_set_means_zero():
     # An element of the (m1, m2) family vanishing at m2+1 admissible nodes
     # has identically tiny coefficients.
