@@ -262,12 +262,6 @@ def generate_model(
 # ----------------------------------------------------------------------
 # pipeline orchestration
 
-def _max_abs_diff(first, second):
-    return float(np.max(np.abs(
-        np.asarray(first, dtype=complex) - np.asarray(second, dtype=complex)
-    )))
-
-
 def _error_entry(exc: SovChainError) -> dict:
     return {"class": type(exc).__name__, "message": str(exc)}
 
@@ -294,15 +288,19 @@ def run_pipelines(config: RunConfig) -> dict:
     eigenvalues in order, each with its pipelines in order.
     """
     tol = config.tolerances
-    failures = []
+    failures = []  # (eigenvalue, line); -1 for the run
     maxima = {}
 
-    def record(key, value, bound):
-        maxima[key] = max(maxima.get(key, 0.0), float(value))
-        if value > bound:
-            failures.append(
-                f"{key}: {value:.3e} exceeds {bound:.1e}"
-            )
+    def record(key, values, bound, rows=(-1,)):
+        """Decide one check over its column, values[i] belonging to
+        eigenvalue rows[i]: a value not under its bound (NaN too) fails,
+        and the maximum shows it."""
+        values = np.array(values, dtype=float, ndmin=1)
+        if values.size:
+            maxima[key] = float(np.max(values, initial=0.0))
+        failures.extend(
+            (rows[i], f"{key}: {values[i]:.3e} exceeds {bound:.1e}")
+            for i in np.flatnonzero(~(values <= bound)))
 
     start = perf_counter()
     model = config.build_model(config.kappa_list[0])
@@ -314,7 +312,7 @@ def run_pipelines(config: RunConfig) -> dict:
 
     # Twisting the boundary must not move the spectrum.
     if len(others):
-        record("kappa_isospectrality", _max_abs_diff(others, base),
+        record("kappa_isospectrality", np.max(np.abs(others - base)),
                tol["matching"])
     _log_stage("oracle", start, len(base), 0)
 
@@ -329,7 +327,7 @@ def run_pipelines(config: RunConfig) -> dict:
             basis = sb.build_basis(model)
         except SovChainError as exc:
             basis_error = _error_entry(exc)
-            failures.append(f"separated basis: {_describe(exc)}")
+            failures.append((-1, f"separated basis: {_describe(exc)}"))
         else:
             record("identity_resolution", sb.identity_resolution(basis),
                    tol["identity"])
@@ -399,45 +397,42 @@ def run_pipelines(config: RunConfig) -> dict:
     with np.errstate(all="ignore"):
         for name, step in (("sov", sov_step), ("tq-inhom", inhom_step),
                            ("tq-hom", hom_step)):
-            if name not in config.pipelines:
-                continue
-            if name == "sov" and basis_error is not None:
-                steps[name] = None, None
+            if name not in config.pipelines or name == "sov" and basis_error:
                 continue
             start = perf_counter()
             steps[name] = step()
             _log_stage(name, start, len(base),
                        sum(e is not None for e in steps[name][1]))
 
-    records = []
-    for idx, values in enumerate(_emit_complex(base)):
-        entry = {
-            "index": idx,
-            "t_at_xi": values,
-        }
-        dres = float(discrete[idx])
-        entry["discrete_residual"] = dres
-        record("discrete_residual", dres, tol["determinant"])
+    discrete = discrete.tolist()
+    record("discrete_residual", discrete, tol["determinant"],
+           range(len(discrete)))
+    records = [{"index": idx, "t_at_xi": values, "discrete_residual": dres}
+               for idx, (values, dres)
+               in enumerate(zip(_emit_complex(base), discrete))]
+    for entry in records if basis_error else ():
+        entry["sov"] = basis_error
+    # Each pipeline fills its part of every entry: its fields, or the error
+    # that fails this eigenvalue and pipeline (not the run).
+    for name, (columns, errors) in steps.items():
+        key = REPORT_KEYS[name]
+        ok = [idx for idx, exc in enumerate(errors) if exc is None]
+        failures.extend((idx, f"eigenvalue {idx} {name}: {_describe(exc)}")
+                        for idx, exc in enumerate(errors) if exc is not None)
+        for check, (pipeline, field, bound) in CHECKS.items():
+            if pipeline == name:
+                record(check, np.take(columns[field], ok), tol[bound], ok)
+        for entry, exc, row in zip(records, errors, zip(*columns.values())):
+            if exc is not None:
+                entry[key] = _error_entry(exc)
+            elif key == "sov":
+                entry.update(zip(columns, row))
+            else:
+                entry[key] = dict(zip(columns, row))
 
-        # A library error fails this eigenvalue and pipeline, not the run.
-        for name, (columns, errors) in steps.items():
-            key = REPORT_KEYS[name]
-            if columns is None:
-                entry[key] = basis_error
-                continue
-            if errors[idx] is not None:
-                entry[key] = _error_entry(errors[idx])
-                failures.append(
-                    f"eigenvalue {idx} {name}: {_describe(errors[idx])}")
-                continue
-            fields = {field: column[idx] for field, column in columns.items()}
-            entry.update(fields if key == "sov" else {key: fields})
-            for check, (pipeline, field, bound) in CHECKS.items():
-                if pipeline == name:
-                    record(check, fields[field], tol[bound])
-
-        records.append(entry)
-
+    # Run-level lines first, then by eigenvalue; within one, in the order
+    # recorded: discrete residual, then each pipeline's checks in turn.
+    failures = [line for _, line in sorted(failures, key=lambda f: f[0])]
     count_ok = len(records) == model.hilbert_dim
     if not count_ok:
         failures.append(

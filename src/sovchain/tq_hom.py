@@ -30,8 +30,9 @@ rule and Wronskian sign in one call each.  Q is held by its roots alone; a
 solution's ``table`` holds Q on every point set its checks read (the grid
 and its shifts, the inner rungs, the sample points, every rung, each also
 half a period up), from one sinh-product call at angle scale 1/2, and
-each Bethe residual adds one call at the roots.  The model-only factors
-are built once per model (``_hom_points``).  A row that fails keeps its
+each Bethe residual adds one call at the roots.  The checks read the
+one model context both equations share (``tq_inhom._check_points``: the
+sample points, and a and d on the grid).  A row that fails keeps its
 first ``SovChainError`` in the errors the function returns and the other
 rows go on.  The grid and Bethe residuals share the corrected equation's
 zero-scale rule, and the eigenstates its assembly (``spectrum.eigenstates``).
@@ -40,7 +41,6 @@ The solution keeps its Wronskian fit and its sum-rule residual.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,32 +113,21 @@ class QFunctionHom:
 
     @cached_property
     def table(self) -> dict:
-        """Q at every point set of ``_hom_points``, by name, for every row,
-        from one evaluation over their union, on first use; read-only."""
-        sets = self.model.derived(_hom_points).sets
+        """Q at every point set its checks read, by name, for every row,
+        from one evaluation over their union, on first use; read-only.
+        X holds the grid, the inner rungs and the sample points."""
+        model, ip, grid = self.model, 1j * np.pi, GRID_POINTS
+        eta = model.eta
+        x = np.concatenate([grid, _inner_rungs(model),
+                            model.derived(_check_points).samples])
+        rungs = np.concatenate([rung.rungs for rung in model.rung_table])
+        sets = {"grid": grid, "grid+ip": grid + ip, "x-eta": x - eta,
+                "x+ip-eta": x + ip - eta, "x+eta": x + eta,
+                "x+eta+ip": x + eta + ip, "rungs": rungs,
+                "rungs+ip": rungs + ip}
         values = _read_only(self.value(np.concatenate(list(sets.values()))))
         cuts = np.cumsum([p.size for p in sets.values()])[:-1]
         return dict(zip(sets, np.split(values, cuts, axis=-1)))
-
-
-_HomPoints = namedtuple("_HomPoints", "sets target w_samples")
-
-
-def _hom_points(model: ChainModel) -> _HomPoints:
-    """The model-only part of the tq-hom checks (``ChainModel.derived``):
-    the point sets where they read Q, by name (X holds the grid, the inner
-    rungs and the sample points), and, read-only, the Wronskian target
-    d * w_eps(1) on the grid and w_eps(1) at the sample points."""
-    eta, ip, grid = model.eta, 1j * np.pi, GRID_POINTS
-    samples = _sample_points(model, [])
-    x = np.concatenate([grid, _inner_rungs(model), samples])
-    rungs = np.concatenate([rung.rungs for rung in model.rung_table])
-    sets = {"grid": grid, "grid+ip": grid + ip, "x-eta": x - eta,
-            "x+ip-eta": x + ip - eta, "x+eta": x + eta,
-            "x+eta+ip": x + eta + ip, "rungs": rungs, "rungs+ip": rungs + ip}
-    d_grid = model.derived(_check_points).d[: grid.size]
-    return _HomPoints(sets, *map(_read_only, (
-        d_grid * w_eps(model, 1, grid), w_eps(model, 1, samples))))
 
 
 # ----------------------------------------------------------------------
@@ -273,10 +262,10 @@ def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
     residual, errors) for the better one per row; a row where neither sign
     brings the relative defect under 1e-6 gets a NoEpsilonFits.
     """
-    t, cut = q.table, GRID_POINTS.size  # ``wronskian`` on the grid
-    w_vals = (t["grid+ip"] * t["x-eta"][..., :cut]
-              + t["grid"] * t["x+ip-eta"][..., :cut])
-    target = model.derived(_hom_points).target
+    t, grid = q.table, GRID_POINTS  # ``wronskian`` on the grid
+    w_vals = (t["grid+ip"] * t["x-eta"][..., :grid.size]
+              + t["grid"] * t["x+ip-eta"][..., :grid.size])
+    target = model.derived(_check_points).d[:grid.size] * w_eps(model, 1, grid)
     w_max = np.max(np.abs(w_vals), axis=-1)
     best_eps = np.zeros(w_max.shape, dtype=int)
     best_res = np.full(w_max.shape, np.inf)
@@ -330,7 +319,7 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     """
     n_inner = _inner_rungs(model).size
     errors = [None] * int(np.prod(np.shape(q.roots)[:-1]))
-    _sample_points(model, errors)  # an error on every row if unusable
+    samples = _sample_points(model, errors)  # an error per row if unusable
     # The table holds Q over the grid, the inner rungs and the samples.
     t = q.table
     term_down = t["x+eta"] * t["x+ip-eta"]
@@ -346,7 +335,7 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     )
     # w_eps(epsilon) at the samples; w_eps(-1) is exactly -w_eps(1), as
     # (-2u) P and -(2u P) round alike.
-    w_one = model.derived(_hom_points).w_samples
+    w_one = w_eps(model, 1, samples)
     signed = np.where(np.asarray(q.epsilon)[..., None] == 1, w_one, -w_one)
     with np.errstate(all="ignore"):  # a vanishing row is rejected below
         report = np.abs(numerator[..., :n_inner]) / num_scale[..., None]

@@ -19,6 +19,7 @@ from sovchain import cli, qalgebra, sovbasis, spectrum, tq_hom, tq_inhom
 from sovchain.errors import (
     ConditioningFailure,
     ConfigError,
+    DegenerateNodes,
     GenerationExhausted,
 )
 from sovchain.qalgebra import distance_to_ipi_lattice
@@ -475,3 +476,87 @@ def test_basis_error_is_recorded(monkeypatch):
             "message": "basis state too small",
         }
         assert "roots" in entry["inhom"] and "roots" in entry["hom"]
+
+
+def _expected_failures(report):
+    """summary.failures rebuilt from the report: the run-level lines, then
+    per eigenvalue its discrete residual and its pipelines in order, each
+    pipeline's error or its checks in CHECKS order."""
+    tol = report["tolerances"]
+
+    def lines(key, value, bound):
+        return ([] if value <= tol[bound]
+                else [f"{key}: {value:.3e} exceeds {tol[bound]:.1e}"])
+
+    maxima = report["summary"]["max_residuals"]
+    out = (lines("kappa_isospectrality", maxima["kappa_isospectrality"],
+                 "matching")
+           + lines("identity_resolution", maxima["identity_resolution"],
+                   "identity"))
+    for entry in report["eigenvalues"]:
+        out += lines("discrete_residual", entry["discrete_residual"],
+                     "determinant")
+        for name in report["pipelines"]:
+            part = entry.get(cli.REPORT_KEYS[name], entry)
+            if "class" in part:
+                out.append(f"eigenvalue {entry['index']} {name}: "
+                           f"{part['class']}: {part['message']}")
+                continue
+            for check, (pipeline, field, bound) in cli.CHECKS.items():
+                if pipeline == name:
+                    out += lines(check, part[field], bound)
+    return out
+
+
+def test_failures_come_by_run_eigenvalue_pipeline_and_check():
+    doc = {"model": {"two_s": [1, 2], "seed": 0,
+                     "kappa": [[1.0, 0.0], [0.6, 0.8]]},
+           "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, 1e-300)}
+    report = run_pipelines(RunConfig.from_dict(doc))
+    failures = report["summary"]["failures"]
+    assert len(failures) == 74
+    assert failures == _expected_failures(report)
+
+
+def test_a_nan_residual_fails_the_run(monkeypatch):
+    real = tq_hom.hom_grid_residual
+
+    def nan_first_row(model, eigfun, q):
+        out = real(model, eigfun, q)
+        out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(tq_hom, "hom_grid_residual", nan_first_row)
+    doc = {"model": {"two_s": [1, 2], "seed": 0}}
+    report = run_pipelines(RunConfig.from_dict(doc))
+    summary = report["summary"]
+    assert summary["pass"] is False
+    assert summary["failures"] == ["hom_grid_residual: nan exceeds 1.0e-08"]
+    assert np.isnan(summary["max_residuals"]["hom_grid_residual"])
+    assert np.isnan(report["eigenvalues"][0]["hom"]["grid_residual"])
+
+
+@pytest.mark.parametrize("pipeline, angle_scale",
+                         [("tq-inhom", 1.0), ("tq-hom", 0.5)])
+def test_degenerate_nodes_fail_every_row_of_one_pipeline(
+        monkeypatch, pipeline, angle_scale):
+    # The interpolation nodes are shared by every row of a pipeline, so a
+    # collision among them fails the whole batch and no other pipeline.
+    real = tq_inhom.interpolate
+
+    def collide(nodes, values, m, scale=1.0):
+        if scale == angle_scale:
+            raise DegenerateNodes("nodes 0 and 1 coincide")
+        return real(nodes, values, m, scale)
+
+    monkeypatch.setattr(tq_inhom, "interpolate", collide)
+    report = run_pipelines(RunConfig.from_dict(base_doc([1, 2])))
+    key = cli.REPORT_KEYS[pipeline]
+    other = "hom" if key == "inhom" else "inhom"
+    error = {"class": "DegenerateNodes", "message": "nodes 0 and 1 coincide"}
+    assert all(e[key] == error for e in report["eigenvalues"])
+    assert all("roots" in e[other] for e in report["eigenvalues"])
+    assert report["summary"]["failures"] == [
+        f"eigenvalue {i} {pipeline}: DegenerateNodes: nodes 0 and 1 coincide"
+        for i in range(6)]
+    assert report["summary"]["pass"] is False

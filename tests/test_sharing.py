@@ -198,10 +198,19 @@ TABLE_SHAPES = [(1, 2), (2, 2), (2, 1, 3)]
                          ids=lambda s: "".join(map(str, s)))
 def test_table_slices_equal_q_at_their_points(two_s):
     model, rows, inhom, hom = tq_solutions(two_s)
-    points = model.derived(thm._hom_points)
-    assert model.derived(thm._hom_points) is points
-    assert set(hom.table) == set(points.sets)
-    for name, lam in points.sets.items():
+    # The one model context of both equations is built once per model.
+    assert model.derived(ti._check_points) is model.derived(ti._check_points)
+    # The tq-hom point sets by their definitions, X being the grid, the
+    # inner rungs and the sample points.
+    eta, ip, grid = model.eta, 1j * np.pi, ti.GRID_POINTS
+    x = np.concatenate([grid, ti._inner_rungs(model),
+                        ti._sample_points(model, [])])
+    rungs = np.concatenate([rung.rungs for rung in model.rung_table])
+    sets = {"grid": grid, "grid+ip": grid + ip, "x-eta": x - eta,
+            "x+ip-eta": x + ip - eta, "x+eta": x + eta,
+            "x+eta+ip": x + eta + ip, "rungs": rungs, "rungs+ip": rungs + ip}
+    assert list(hom.table) == list(sets)
+    for name, lam in sets.items():
         assert np.array_equal(hom.table[name], hom.value(lam)), name
     # A table belongs to its solution: a copy builds its own, equal one.
     copy = replace(hom, epsilon=hom.epsilon)
@@ -210,7 +219,7 @@ def test_table_slices_equal_q_at_their_points(two_s):
     if two_s == (2, 2):
         assert not np.array_equal(ti._sample_points(model, []), model.xi)
 
-    eta, alpha = model.eta, inhom.alpha[:, None]
+    alpha = inhom.alpha[:, None]
     lam = model.derived(ti._check_points).points
     assert np.array_equal(lam, np.concatenate(
         [ti.GRID_POINTS, ti._sample_points(model, [])]))
@@ -222,7 +231,6 @@ def test_table_slices_equal_q_at_their_points(two_s):
     for got, ref in zip(inhom.table, want, strict=True):
         assert np.array_equal(got, ref)
     shared = (*hom.table.values(), *inhom.table,
-              *model.derived(thm._hom_points)[1:],
               *model.derived(ti._check_points)._asdict().values())
     assert not any(np.ndim(v) and v.flags.writeable for v in shared)
 
@@ -244,13 +252,18 @@ def test_wronskian_fit_reads_the_definition_route(two_s):
     assert np.array_equal(res, np.minimum(*fits))
     assert np.array_equal(eps, np.where(fits[1] < fits[0], -1, 1))
     assert np.array_equal(hom.wronskian_residual, res)
-    assert np.array_equal(model.derived(thm._hom_points).target, target)
-    w_samples = model.derived(thm._hom_points).w_samples
-    samples = ti._sample_points(model, [])
+    # t rebuilt from the pair, against its definition at the samples with
+    # each row's own sign in w_eps; w_eps(-1) is exactly -w_eps(1).
+    samples, eta, ip = ti._sample_points(model, []), model.eta, 1j * np.pi
+    w_one = thm.w_eps(model, 1, samples)
     for eps in (1, -1):
-        assert np.array_equal(
-            np.where(np.array([eps]) == 1, w_samples, -w_samples),
-            thm.w_eps(model, eps, samples))
+        assert np.array_equal(np.where(np.array([eps]) == 1, w_one, -w_one),
+                              thm.w_eps(model, eps, samples))
+    cross = (hom.value(samples + eta) * hom.value(samples + ip - eta)
+             - hom.value(samples + eta + ip) * hom.value(samples - eta))
+    want = ti._at_base_points(
+        model, cross / thm.w_eps(model, hom.epsilon, samples))
+    assert np.array_equal(thm.t_from_q_pair(model, hom)[0], want)
     # The grid residual against its terms evaluated point set by point set.
     lhs = rows(grid) * hom.value(grid)
     term_a = -a_of(model, grid) * hom.value(grid - model.eta)
