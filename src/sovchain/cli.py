@@ -18,6 +18,7 @@ or invocation was unusable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -240,13 +241,8 @@ def generate_model(
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(10_000):
-        xi = tuple(
-            complex(re, im)
-            for re, im in zip(
-                rng.uniform(0.0, 2.0, n_sites),
-                rng.uniform(-0.3, 0.3, n_sites),
-            )
-        )
+        xi = tuple(rng.uniform(0.0, 2.0, n_sites)
+                   + 1j * rng.uniform(-0.3, 0.3, n_sites))
         try:
             return ChainModel(
                 two_s=two_s, xi=xi, eta=eta, kappa=kappa, delta_min=delta_min,
@@ -558,6 +554,7 @@ def _cmd_check(args) -> int:
     return 0
 
 
+@functools.cache  # once per process, on the first ``main`` call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sovchain",
@@ -577,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--delta-min", type=float, default=0.05)
     p_gen.add_argument("--eta-re", type=float, default=DEFAULT_ETA.real)
     p_gen.add_argument("--eta-im", type=float, default=DEFAULT_ETA.imag)
-    p_gen.add_argument("--kappa", type=float, nargs="*", default=[],
+    p_gen.add_argument("--kappa", type=float, nargs="*", default=(),
                        help="real twist values (complex go in the config)")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_generate)
@@ -599,8 +596,7 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=level, format="%(levelname)s %(name)s: %(message)s"
     )
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

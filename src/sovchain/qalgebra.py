@@ -7,7 +7,7 @@ diagonal ``twist_gauge`` conjugates into the untwisted B + C.  Everything is
 dense.  In the monodromy, a and d are diagonal and b and c have one
 off-diagonal each, so every nonzero entry of a block is one product of a
 local Lax entry per site; the read-only ``ChainModel.monodromy_plan``,
-built once per model on first use, says where those entries sit and which
+built once per shape on first use, says where those entries sit and which
 local entries they multiply.  ``monodromy_entries`` evaluates them at a
 whole array of points, O(nnz) per site (365 of the 4096 entries of a block
 at dim 64); a caller that reads only B and C scatters them from there with
@@ -34,7 +34,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -177,15 +177,14 @@ class ChainModel:
     def lax_table(self) -> tuple:
         """Per site, the spectral-point-free parts of its Lax blocks: the Sz
         diagonal and sinh(eta) S-, sinh(eta) S+, read-only, built on first
-        use and shared by sites of equal spin."""
-        blocks = {v: _lax_parts(v, self.eta) for v in set(self.two_s)}
-        return tuple(blocks[v] for v in self.two_s)
+        use and shared by sites of equal spin and models of equal eta."""
+        return tuple(_lax_parts(v, self.eta) for v in self.two_s)
 
     @cached_property
     def monodromy_plan(self) -> "MonodromyPlan":
         """The nonzero entries of the monodromy blocks and their local Lax
         factors per site (``MonodromyPlan``), read-only, built on first
-        use."""
+        use and shared by models of equal shape."""
         return _monodromy_plan(self.two_s)
 
     def derived(self, build):
@@ -229,6 +228,7 @@ def _site_table(model: ChainModel, site: int) -> SiteRungs:
     return SiteRungs(*map(_read_only, (rungs, a, d, companion)))
 
 
+@lru_cache(maxsize=64)
 def _lax_parts(two_s: int, eta: complex) -> tuple:
     sz, splus, sminus = spin_matrices(two_s, eta)
     return tuple(map(_read_only, (np.real(np.diag(sz)), sminus * np.sinh(eta),
@@ -257,6 +257,16 @@ def on_rungs(model: ChainModel, fn) -> tuple:
     values = fn(np.concatenate(rungs))
     return tuple(np.split(values, np.cumsum([r.size for r in rungs[:-1]]),
                           axis=-1))
+
+
+@lru_cache(maxsize=64)
+def ladder_groups(two_s: tuple) -> tuple:
+    """Per ladder length, in order of first appearance: its 0-based sites
+    and their rungs' positions (sites x rungs) in ``on_rungs`` order."""
+    starts = np.cumsum((0,) + two_s[:-1]) + np.arange(len(two_s))
+    return tuple((_read_only(n), _read_only(starts[n, None] + np.arange(v + 1)))
+                 for v in dict.fromkeys(two_s)
+                 for n in [np.flatnonzero(np.equal(two_s, v))])
 
 
 def q_integer(j: int, eta: complex) -> complex:
@@ -388,6 +398,7 @@ class MonodromyPlan(NamedTuple):
     bounds: tuple
 
 
+@lru_cache(maxsize=16)
 def _monodromy_plan(two_s: tuple) -> MonodromyPlan:
     """The site recursion T' = L_n T on the nonzero entries only.
 
@@ -402,9 +413,8 @@ def _monodromy_plan(two_s: tuple) -> MonodromyPlan:
     alpha = beta = np.arange(2)
     rows = cols = np.zeros(2, dtype=np.intp)
     table = np.zeros((0, 2), dtype=dtype)
-    steps = {v: _local_steps(v) for v in set(two_s)}
     for v in two_s:
-        local = steps[v][alpha]
+        local = _local_steps(v)[alpha]
         rows = (rows[:, None] * (v + 1) + local[:, 0]).ravel()
         cols = (cols[:, None] * (v + 1) + local[:, 1]).ravel()
         table = np.vstack((np.repeat(table, 2 * v + 1, axis=1),

@@ -23,10 +23,10 @@ Every eigenvalue has the same rungs, so the layer works on the whole
 spectrum at once.  An ``EigenvalueFunction`` holds one eigenvalue or a
 stack of them, one row each (base values E x N).  Its values on every rung
 (one E x (2s_n + 1) array per site) and its ladder null vectors (a
-recursion sequential in the rung and vectorized over the rows) are
-computed on first use for every row and shared by every pipeline; a row
-whose recursion overflows keeps its ``RecursionBlowup`` and the other rows
-go on.  The rung determinants take one stacked ``det`` per site, and
+recursion sequential in the rung, vectorized over the rows and the sites
+of one ladder length) are computed on first use and shared by every
+pipeline; a row whose recursion overflows keeps its ``RecursionBlowup``
+and the others go on.  The rung determinants take one ``det`` per length;
 ``eigenstates`` assembles the left and right states of every row with one
 product per side, for ladder and Q data alike.  a, d and the companion
 factors come from the model's ``rung_table``.
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState, record
 from .qalgebra import (
-    ChainModel, _read_only, monodromy_entries, on_rungs,
+    ChainModel, _read_only, ladder_groups, monodromy_entries, on_rungs,
     transfer_antiperiodic, transfer_from_entries, twist_gauge,
 )
 from .sovbasis import SOVBasis
@@ -268,7 +268,7 @@ def _check(model, kappas, right, base, checks, b, c) -> None:
         worst = np.sqrt(np.vecdot(defect, defect, axis=1).real) / scale
         del defect
         for kappa, residual in zip(kappas, worst.max(axis=1)):
-            if residual > 1e-8:
+            if not residual <= 1e-8:  # NaN fails too
                 raise DegenerateSpectrum(
                     f"eigenvector check failed away from the sample point "
                     f"at twist kappa={complex(kappa):.6g} "
@@ -305,59 +305,78 @@ def ladder_matrix(model: ChainModel, eigfun, site: int) -> np.ndarray:
     the spectrum.  Row h reads
     -d(xi^{(h)}) v_{h-1} + t(xi^{(h)}) v_h + a(xi^{(h)}) v_{h+1} = 0.
     """
-    t = eigfun.rung_values[site - 1]
     rung = model.rung_table[site - 1]
+    return _tridiagonal(eigfun.rung_values[site - 1], rung.a, rung.d)
+
+
+def _tridiagonal(t, a, d) -> np.ndarray:
+    """The ladder matrices of t's leading axes, a and d broadcast to them."""
     i = np.arange(t.shape[-1])
     mat = np.zeros(t.shape + i.shape, dtype=complex)
     mat[..., i, i] = t
-    mat[..., i[:-1], i[1:]] = rung.a[:-1]
-    mat[..., i[1:], i[:-1]] = -rung.d[1:]
+    mat[..., i[:-1], i[1:]] = a[..., :-1]
+    mat[..., i[1:], i[:-1]] = -d[..., 1:]
     return mat
+
+
+def _rung_groups(model: ChainModel, rung_values):
+    """Per ladder length (``ladder_groups``): its sites, then t, a and d on
+    their rungs, each with t's axes and (sites, rungs) last.  Equal ndim
+    matters: numpy rounds a one-element complex product of unequal ndim
+    on another path, and a row's bits would then depend on the row count."""
+    t = np.concatenate(rung_values, axis=-1)
+    a, d = (np.concatenate(side).reshape((1,) * (t.ndim - 1) + (-1,))
+            for side in zip(*[(rung.a, rung.d) for rung in model.rung_table]))
+    return [(sites, *(np.take(x, cols, -1) for x in (t, a, d)))
+            for sites, cols in ladder_groups(model.two_s)]
 
 
 def discrete_residual(model: ChainModel, eigfun):
     """Worst Hadamard-scaled rung determinant over the sites, per row: one
-    stacked determinant per site."""
+    stacked determinant per ladder length.  NaN propagates to the row."""
     worst = np.zeros(np.shape(eigfun.base_values)[:-1])
-    for site in range(1, model.n_sites + 1):
-        mat = ladder_matrix(model, eigfun, site)
-        scale = np.prod(np.linalg.norm(mat, axis=-1), axis=-1)
-        value = np.abs(np.linalg.det(mat)) / scale
-        worst = np.where(value > worst, value, worst)
+    with np.errstate(invalid="ignore"):  # det warns on NaN; the check fails it
+        for _, t, a, d in _rung_groups(model, eigfun.rung_values):
+            mat = _tridiagonal(t, a, d)
+            scale = np.prod(np.linalg.norm(mat, axis=-1), axis=-1)
+            worst = np.maximum(worst, np.max(
+                np.abs(np.linalg.det(mat)) / scale, axis=-1))
     return worst if worst.shape else float(worst)
 
 
 def _ladder(model: ChainModel, rung_values):
-    """The downward recursion of every site ladder for every row at once."""
+    """The downward recursion of every site ladder for every row at once,
+    one pass per ladder length; each row keeps its site-major first blowup."""
     lead = np.shape(rung_values[0])[:-1]
-    errors = [None] * int(np.prod(lead, dtype=int))
-    qs = []
-    consistency = np.zeros(lead)
+    blown = np.zeros(lead + (model.n_sites, max(model.two_s)), dtype=bool)
+    qs, consistency = [None] * model.n_sites, np.zeros(lead)
     # A row that overflows goes on in garbage until it is zeroed below.
     with np.errstate(all="ignore"):
-        for site, (t, rung) in enumerate(zip(rung_values, model.rung_table),
-                                         start=1):
-            a, d = rung.a, rung.d
+        for sites, t, a, d in _rung_groups(model, rung_values):
             q = np.zeros(t.shape, dtype=complex)
-            q[..., 0] = 1.0
+            q[..., 0], peak = 1.0, 1.0
             for h in range(t.shape[-1] - 1):
-                prev = q[..., h - 1] if h > 0 else np.zeros(lead, complex)
-                nxt = (d[h] * prev - t[..., h] * q[..., h]) / a[h]
-                peak = np.maximum(1.0, np.max(np.abs(q[..., : h + 1]), -1))
-                record(errors, np.abs(nxt) > 1e12 * peak,
-                       lambda k: RecursionBlowup(
-                           f"rung recursion overflow at site {site}, "
-                           f"rung {h + 1}"))
+                prev = q[..., h - 1] if h else np.zeros_like(q[..., 0])
+                nxt = (d[..., h] * prev - t[..., h] * q[..., h]) / a[..., h]
+                peak = np.maximum(peak, np.abs(q[..., h]))
+                blown[..., sites, h] = np.abs(nxt) > 1e12 * peak
                 q[..., h + 1] = nxt
-            last = -d[-1] * q[..., -2] + t[..., -1] * q[..., -1]
+            last = -d[..., -1] * q[..., -2] + t[..., -1] * q[..., -1]
             row_scale = np.maximum(np.maximum(
-                np.abs(d[-1]) * np.abs(q[..., -2]),
+                np.abs(d[..., -1]) * np.abs(q[..., -2]),
                 np.abs(t[..., -1]) * np.abs(q[..., -1])), 1e-300)
-            consistency = np.maximum(consistency, np.abs(last) / row_scale)
-            qs.append(q)
-    blown = np.reshape([e is not None for e in errors], lead)
+            consistency = np.maximum(consistency,
+                                     np.max(np.abs(last) / row_scale, -1))
+            for n, site_q in zip(sites, np.moveaxis(q, -2, 0)):
+                qs[n] = site_q
+    flat = blown.reshape(-1, model.n_sites * blown.shape[-1])
+    site, rung = np.divmod(flat.argmax(axis=-1), blown.shape[-1])
+    rows = flat.any(axis=-1)
+    errors = [None] * len(flat)
+    record(errors, rows, lambda k: RecursionBlowup(
+        f"rung recursion overflow at site {site[k] + 1}, rung {rung[k] + 1}"))
     for q in qs:
-        q[blown] = 0.0
+        q[rows.reshape(lead)] = 0.0
     return (tuple(map(_read_only, qs)), _read_only(np.asarray(consistency)),
             tuple(errors))
 

@@ -58,6 +58,7 @@ from .errors import (
 )
 from .qalgebra import (
     ChainModel, _read_only, a_of, d_of, distance_to_ipi_lattice,
+    ladder_groups,
 )
 from .sovbasis import SOVBasis
 from .spectrum import eigenstates
@@ -349,15 +350,6 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     return values, report, errors
 
 
-def _rung_values(model: ChainModel, q: QFunctionHom):
-    """Per site: Q on the rungs, and the alternating-sign copy of Q shifted
-    by half a period, read from the solution's table."""
-    cuts = np.cumsum([rung.rungs.size for rung in model.rung_table])[:-1]
-    return [(plain, (-1.0) ** np.arange(plain.shape[-1]) * shifted)
-            for plain, shifted in zip(np.split(q.table["rungs"], cuts, -1),
-                                      np.split(q.table["rungs+ip"], cuts, -1))]
-
-
 def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
     """Per-site angle between the rung vector of Q and of its translate.
 
@@ -367,24 +359,25 @@ def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
     site (after the rows); a site where exactly one vector vanishes reports
     pi/2.
     """
-    pairs = _rung_values(model, q)
-    scale = np.max([np.max(np.abs(np.concatenate(p, axis=-1)), axis=-1)
-                    for p in pairs], axis=0)
-    tiny = 1e-12 * np.maximum(scale, 1e-300)
+    plain, shifted = q.table["rungs"], q.table["rungs+ip"]
+    scale = np.max(np.abs(np.concatenate([plain, shifted], -1)), axis=-1)
+    tiny = 1e-12 * np.maximum(scale, 1e-300)[..., None]
     angles = np.zeros(scale.shape + (model.n_sites,))
     both_zero = np.zeros(angles.shape, dtype=bool)
-    for n, (v, w) in enumerate(pairs):
+    for sites, cols in ladder_groups(model.two_s):
+        # np.take keeps rows outermost, so sums over rungs round as per site.
+        v = np.take(plain, cols, axis=-1)
+        w = (-1.0) ** np.arange(cols.shape[-1]) * np.take(shifted, cols, -1)
         nv, nw = np.linalg.norm(v, axis=-1), np.linalg.norm(w, axis=-1)
         zero_v, zero_w = nv <= tiny, nw <= tiny
-        both_zero[..., n] = zero_v & zero_w
+        both_zero[..., sites] = zero_v & zero_w
         with np.errstate(all="ignore"):  # vanishing vectors are set below
             coeff = np.sum(v.conj() * w, axis=-1) / (nv * nv)
             perp = w - coeff[..., None] * v
             angle = np.arcsin(np.minimum(
                 1.0, np.linalg.norm(perp, axis=-1) / nw))
-        angles[..., n] = np.where(zero_v | zero_w,
-                                  np.where(both_zero[..., n], 0.0, 0.5 * np.pi),
-                                  angle)
+        angles[..., sites] = np.where(zero_v | zero_w, np.where(
+            zero_v & zero_w, 0.0, 0.5 * np.pi), angle)
     return angles, both_zero
 
 
@@ -430,11 +423,13 @@ def eigenstates_from_q_hom(model: ChainModel, q: QFunctionHom, basis: SOVBasis):
     (choice, left covector, right vector); raises BothChoicesZero when
     neither choice yields a state.
     """
-    pairs = _rung_values(model, q)
+    cuts = np.cumsum([rung.rungs.size for rung in model.rung_table])[:-1]
+    plain, shifted = (np.split(q.table[key], cuts, -1)
+                      for key in ("rungs", "rungs+ip"))
     out = []
-    for choice, side in ((1, 0), (-1, 1)):
-        left, right, errors = eigenstates(model, basis,
-                                          [pair[side] for pair in pairs])
+    for choice, vectors in ((1, plain), (-1, [
+            (-1.0) ** np.arange(v.shape[-1]) * v for v in shifted])):
+        left, right, errors = eigenstates(model, basis, vectors)
         if errors[0] is None:
             out.append((choice, left, right))
     if not out:

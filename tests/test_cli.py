@@ -339,6 +339,27 @@ class TestOtherCommands:
         bad.write_text("{not json")
         assert main(["check", str(bad)]) == 2
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # The parser is built on the first call and reused; no call sees
+        # what an earlier one parsed, and a usage error leaves it usable.
+        cli._build_parser.cache_clear()
+        cfg = write_config(tmp_path / "c.json", base_doc((1, 1), seed=3))
+        assert main(["run", cfg]) == 0
+        assert main(["check", cfg]) == 0
+        out = tmp_path / "g.json"
+        generate = ["generate", "--seed", "3", "--sites", "2", "--spins",
+                    "1", "1", "--out", str(out)]
+        assert main(generate + ["--kappa", "0.5"]) == 0
+        assert json.load(open(out))["model"]["kappa"] == [[0.5, 0.0]]
+        assert main(generate) == 0
+        assert json.load(open(out))["model"]["kappa"] == [[1.0, 0.0]]
+        with pytest.raises(SystemExit) as usage:
+            main(["run"])
+        assert usage.value.code == 2
+        assert "usage: sovchain run" in capsys.readouterr().err
+        assert main(["check", cfg]) == 0
+        assert cli._build_parser.cache_info().misses == 1
+
 
 class TestPipelineSelection:
     def test_subset_skips_sections(self, tmp_path):

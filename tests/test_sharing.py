@@ -22,6 +22,7 @@ from sovchain import tq_inhom as ti
 from sovchain.cli import RunConfig, run_pipelines
 from sovchain.errors import (
     DegenerateSpectrum, ExceptionalAlpha, RecursionBlowup, SovChainError,
+    record,
 )
 from sovchain.qalgebra import (
     ChainModel, a_of, d_of, lax, monodromy, monodromy_entries, xi_shifted,
@@ -172,6 +173,136 @@ def test_failed_ladder_row_keeps_its_error():
     for q, want in zip(qs, alone):
         assert np.array_equal(q[0], want) and np.array_equal(q[2], want)
         assert not q[1].any()
+
+
+# ----------------------------------------------------------------------
+# the rung checks, one pass per ladder length, against site loops
+
+STACKED_SHAPES = SHAPES + [(1,) * 6, (3, 3), (1, 4)]
+
+
+def site_loop_residual(model, eigfun):
+    """The Hadamard-scaled rung determinant, one site at a time."""
+    worst = np.zeros(np.shape(eigfun.base_values)[:-1])
+    for site in range(1, model.n_sites + 1):
+        mat = sp.ladder_matrix(model, eigfun, site)
+        scale = np.prod(np.linalg.norm(mat, axis=-1), axis=-1)
+        worst = np.maximum(worst, np.abs(np.linalg.det(mat)) / scale)
+    return worst
+
+
+def site_loop_ladder(model, rung_values):
+    """The downward rung recursion, one site and one rung at a time; a row
+    keeps the first blowup it meets, site-major."""
+    lead = np.shape(rung_values[0])[:-1]
+    errors = [None] * int(np.prod(lead, dtype=int))
+    qs, consistency = [], np.zeros(lead)
+    with np.errstate(all="ignore"):
+        for site, (t, rung) in enumerate(zip(rung_values, model.rung_table),
+                                         start=1):
+            a, d = rung.a, rung.d
+            q = np.zeros(t.shape, dtype=complex)
+            q[..., 0] = 1.0
+            for h in range(t.shape[-1] - 1):
+                prev = q[..., h - 1] if h > 0 else np.zeros(lead, complex)
+                nxt = (d[h] * prev - t[..., h] * q[..., h]) / a[h]
+                peak = np.maximum(1.0, np.max(np.abs(q[..., :h + 1]), -1))
+                record(errors, np.abs(nxt) > 1e12 * peak,
+                       lambda k: RecursionBlowup(
+                           f"rung recursion overflow at site {site}, "
+                           f"rung {h + 1}"))
+                q[..., h + 1] = nxt
+            last = -d[-1] * q[..., -2] + t[..., -1] * q[..., -1]
+            row_scale = np.maximum(np.maximum(
+                np.abs(d[-1]) * np.abs(q[..., -2]),
+                np.abs(t[..., -1]) * np.abs(q[..., -1])), 1e-300)
+            consistency = np.maximum(consistency, np.abs(last) / row_scale)
+            qs.append(q)
+    blown = np.reshape([e is not None for e in errors], lead)
+    for q in qs:
+        q[blown] = 0.0
+    return qs, consistency, errors
+
+
+def site_loop_proportionality(model, q):
+    """The angle between Q's rung vector and its translate's, per site."""
+    cuts = np.cumsum([rung.rungs.size for rung in model.rung_table])[:-1]
+    pairs = [(v, (-1.0) ** np.arange(v.shape[-1]) * w) for v, w in zip(
+        np.split(q.table["rungs"], cuts, -1),
+        np.split(q.table["rungs+ip"], cuts, -1))]
+    scale = np.max([np.max(np.abs(np.concatenate(p, axis=-1)), axis=-1)
+                    for p in pairs], axis=0)
+    tiny = 1e-12 * np.maximum(scale, 1e-300)
+    angles = np.zeros(scale.shape + (model.n_sites,))
+    both_zero = np.zeros(angles.shape, dtype=bool)
+    for n, (v, w) in enumerate(pairs):
+        nv, nw = np.linalg.norm(v, axis=-1), np.linalg.norm(w, axis=-1)
+        zero_v, zero_w = nv <= tiny, nw <= tiny
+        both_zero[..., n] = zero_v & zero_w
+        with np.errstate(all="ignore"):
+            coeff = np.sum(v.conj() * w, axis=-1) / (nv * nv)
+            perp = w - coeff[..., None] * v
+            angle = np.arcsin(np.minimum(
+                1.0, np.linalg.norm(perp, axis=-1) / nw))
+        angles[..., n] = np.where(zero_v | zero_w,
+                                  np.where(both_zero[..., n], 0.0, 0.5 * np.pi),
+                                  angle)
+    return angles, both_zero
+
+
+def assert_same_ladder(got, want):
+    qs, consistency, errors = got
+    assert len(qs) == len(want[0])
+    for q, want_q in zip(qs, want[0]):
+        assert np.array_equal(q, want_q) and not q.flags.writeable
+    assert np.array_equal(consistency, want[1])
+    assert [None if e is None else (type(e), str(e)) for e in errors] == [
+        None if e is None else (type(e), str(e)) for e in want[2]]
+
+
+@pytest.mark.parametrize("two_s", STACKED_SHAPES,
+                         ids=lambda s: "".join(map(str, s)))
+def test_stacked_rung_checks_equal_the_site_loops(two_s):
+    # Bit for bit, for the whole spectrum and for one row alone.
+    model = long_chain(two_s)
+    rows = sp.brute_force_spectrum(model).rows
+    for eigfun in (rows, sp.EigenvalueFunction(model, rows.base_values[1])):
+        assert np.array_equal(sp.discrete_residual(model, eigfun),
+                              site_loop_residual(model, eigfun))
+        assert_same_ladder(eigfun.ladder,
+                           site_loop_ladder(model, eigfun.rung_values))
+    hom = thm.solve_q_hom(
+        model, rows, thm.draw_zeta0_hom(model, np.random.default_rng(42)))[0]
+    for got, want in zip(thm.q_vector_proportionality(model, hom),
+                         site_loop_proportionality(model, hom)):
+        assert np.array_equal(got, want)
+
+
+def test_stacked_ladder_names_the_first_blowup_site_major():
+    # (1, 2, 1) runs sites 1 and 3 in one pass, site 2 in the next.  Row 1
+    # blows up at site 2, rung 2 and at site 3, rung 1: its error names
+    # site 2, the first one the site loop meets.
+    model = chain((1, 2, 1))
+    rng = np.random.default_rng(3)
+    values = [rng.uniform(-1, 1, (2, v + 1)) + 0j for v in model.two_s]
+    values[1][1, 1] = values[2][1, 0] = 1e20
+    got = sp._ladder(model, values)
+    assert_same_ladder(got, site_loop_ladder(model, values))
+    assert got[2][0] is None
+    assert str(got[2][1]) == "rung recursion overflow at site 2, rung 2"
+    assert not any(q[1].any() for q in got[0])
+
+
+def test_nan_rung_values_fail_the_determinant_check():
+    # A NaN row reads NaN, which no tolerance passes; the rows beside it
+    # keep their own residuals.
+    model = chain((1, 1, 1))
+    good = np.array(arbitrary_eigfun(model).base_values)
+    stack = sp.EigenvalueFunction(model, np.array([good, [np.nan] * 3, good]))
+    worst = sp.discrete_residual(model, stack)
+    assert np.isnan(worst[1])
+    alone = sp.discrete_residual(model, sp.EigenvalueFunction(model, good))
+    assert worst[0] == worst[2] == alone
 
 
 # ----------------------------------------------------------------------
@@ -424,6 +555,23 @@ def test_oracle_check_fires_on_a_wrong_transfer_matrix(monkeypatch):
     sp.brute_force_spectrum(model)
     monkeypatch.setattr(sp, "monodromy_entries", skewed)
     with pytest.raises(DegenerateSpectrum, match="eigenvector check failed"):
+        sp.brute_force_spectrum(model)
+
+
+def test_oracle_check_fails_on_a_nan_residual(monkeypatch):
+    # NaN B entries at every check point make every check residual NaN,
+    # which fails like any value over the bound.
+    model = chain((1, 1, 1))
+
+    def poisoned(model, lam, blocks="ABCD"):
+        b, c = monodromy_entries(model, lam, blocks)
+        if np.ndim(lam):
+            b = b.copy()
+            b[model.n_sites:] = np.nan
+        return b, c
+
+    monkeypatch.setattr(sp, "monodromy_entries", poisoned)
+    with pytest.raises(DegenerateSpectrum, match=r"\(residual nan\)"):
         sp.brute_force_spectrum(model)
 
 
