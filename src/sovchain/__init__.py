@@ -18,6 +18,7 @@ from .errors import (
     ExceptionalAlpha,
     GenerationExhausted,
     IndexOutOfRange,
+    LadderCollision,
     NoEpsilonFits,
     NonAdmissible,
     NotApplicable,
@@ -53,6 +54,7 @@ __all__ = [
     "CoincidentRoots",
     "BothChoicesZero",
     "ConfigError",
+    "LadderCollision",
     "GenerationExhausted",
 ]
 

@@ -29,6 +29,7 @@ __all__ = [
     "CoincidentRoots",
     "BothChoicesZero",
     "ConfigError",
+    "LadderCollision",
     "GenerationExhausted",
 ]
 
@@ -119,6 +120,10 @@ class BothChoicesZero(SovChainError):
 
 class ConfigError(SovChainError):
     """Invalid model or run configuration."""
+
+
+class LadderCollision(ConfigError):
+    """Two sites' shifted-inhomogeneity ladders come closer than delta_min."""
 
 
 class GenerationExhausted(SovChainError):

@@ -13,13 +13,15 @@ whole array of points, O(nnz) per site (365 of the 4096 entries of a block
 at dim 64); a caller that reads only B and C scatters them from there with
 ``transfer_from_entries``, one transfer matrix per twist of an array of
 twists.  Everything on the rungs that does not depend on an eigenvalue
-(the rungs, a and d there, and the signed companion factors) is built once
-per model, on first use, in the read-only ``ChainModel.rung_table``, the
-one place the rung formula is evaluated; ``on_rungs`` evaluates a function
-on every rung in one call.  Likewise ``ChainModel.lax_table`` holds each
-site's Sz diagonal and sinh(eta) S+-, so a Lax build computes only its two
-diagonal blocks, and ``ChainModel.derived`` keeps what a higher layer
-derives from the model alone (the T-Q checks' points and factors).
+(the rungs, a and d there, the companion factors and the layout itself)
+is built once per model, on first use, in the read-only
+``ChainModel.rung_table`` (``RungTable``), the one place that knows the
+rung layout: one flat, site-major array of every rung, in whose order
+every value on the rungs, in any layer, lies along its last axis.
+Likewise ``ChainModel.lax_table`` holds each site's Sz diagonal and
+sinh(eta) S+-, so a Lax build computes only its two diagonal blocks, and
+``ChainModel.derived`` keeps what a higher layer derives from the model
+alone (the T-Q checks' points and factors).
 ``distance_to_ipi_lattice`` works on arrays of any shape.
 
 Conventions fixed here and relied on everywhere else:
@@ -39,7 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IndexOutOfRange, NotApplicable
+from .errors import (
+    ConfigError, IndexOutOfRange, LadderCollision, NotApplicable,
+)
 
 __all__ = [
     "ChainModel",
@@ -126,7 +130,7 @@ class ChainModel:
                 )
         for i, j, d, gap in self._ladder_gaps():
             if gap < self.delta_min:
-                raise ConfigError(
+                raise LadderCollision(
                     f"inhomogeneity ladders of sites {i + 1} and {j + 1} "
                     f"collide: |xi_{i + 1} - xi_{j + 1} + ({d})*eta| = "
                     f"{gap:.3e} < delta_min={self.delta_min}"
@@ -169,9 +173,9 @@ class ChainModel:
                          default=np.inf))
 
     @cached_property
-    def rung_table(self) -> tuple:
-        """One read-only ``SiteRungs`` per site, built on first use."""
-        return tuple(_site_table(self, n) for n in range(1, self.n_sites + 1))
+    def rung_table(self) -> "RungTable":
+        """The read-only ``RungTable``, built on first use."""
+        return _rung_table(self)
 
     @cached_property
     def lax_table(self) -> tuple:
@@ -197,17 +201,35 @@ class ChainModel:
         return kept[build]
 
 
-class SiteRungs(NamedTuple):
-    """Eigenvalue-independent data on one site's ladder, top rung first.
+class RungTable(NamedTuple):
+    """Eigenvalue-independent data on every rung, in one flat layout:
+    site-major, each site's ladder top rung first (k = 0..2s_n).
 
-    companion[h - 1] = (-1)^h prod_{k < h} a(rung_k) / d(rung_{k+1}) for
-    h = 1..2s regauges rung vectors from left-state to right-state form.
+    rungs, a, d: the rungs xi_n + (s_n - k)*eta, and a and d there;
+    companion: (-1)^h prod_{k < h} a(rung_k) / d(rung_{k+1}) at level h of
+    its ladder (1 on the top rungs), the left- to right-state regauge;
+    level, site: each rung's k and 0-based site; top, upper, inner,
+    bottom: the positions of the rungs with k = 0 (each site's start
+    offset), k < 2s_n, 0 < k < 2s_n and k = 2s_n; groups: per ladder
+    length, in order of first appearance, its 0-based sites and their
+    rungs' positions (sites x rungs).
     """
 
     rungs: np.ndarray
     a: np.ndarray
     d: np.ndarray
     companion: np.ndarray
+    level: np.ndarray
+    site: np.ndarray
+    top: np.ndarray
+    upper: np.ndarray
+    inner: np.ndarray
+    bottom: np.ndarray
+    groups: tuple
+
+    def position(self, site, level):
+        """The position of rung ``level`` of 0-based ``site``; broadcasts."""
+        return self.top[site] + level
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -215,17 +237,27 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _site_table(model: ChainModel, site: int) -> SiteRungs:
-    """The one evaluation of the rung formula xi + (s - k)*eta."""
-    two_s = model.two_s[site - 1]
-    xi = model.xi[site - 1]
-    rungs = np.array(
-        [xi + (two_s - 2 * k) / 2.0 * model.eta for k in range(two_s + 1)]
-    )
+def _rung_table(model: ChainModel) -> RungTable:
+    """The one evaluation of the rung formula xi + (s - k)*eta, and one of
+    a and one of d, over every rung."""
+    two_s = np.asarray(model.two_s)
+    site = np.repeat(np.arange(model.n_sites), two_s + 1)
+    top = np.cumsum(two_s + 1) - (two_s + 1)
+    level = np.arange(site.size) - top[site]
+    length = two_s[site]
+    rungs = np.asarray(model.xi)[site] + (length - 2 * level) / 2.0 * model.eta
     a, d = a_of(model, rungs), d_of(model, rungs)
-    signs = (-1.0) ** np.arange(1, two_s + 1)
-    companion = signs * np.cumprod(a[:-1] / d[1:])
-    return SiteRungs(*map(_read_only, (rungs, a, d, companion)))
+    groups = tuple((_read_only(n), _read_only(top[n, None] + np.arange(v + 1)))
+                   for v in dict.fromkeys(model.two_s)
+                   for n in [np.flatnonzero(two_s == v)])
+    companion = np.ones(site.size, dtype=complex)
+    for _, cols in groups:
+        companion[cols[:, 1:]] = (-1.0) ** np.arange(1, cols.shape[1]) * (
+            np.cumprod(a[cols[:, :-1]] / d[cols[:, 1:]], axis=-1))
+    return RungTable(*map(_read_only, (
+        rungs, a, d, companion, level, site, top,
+        np.flatnonzero(level < length),
+        np.flatnonzero((level > 0) & (level < length)), top + two_s)), groups)
 
 
 @lru_cache(maxsize=64)
@@ -245,28 +277,8 @@ def xi_shifted(model: ChainModel, site: int, k: int) -> complex:
     two_s = model.two_s[site - 1]
     if not 0 <= k <= two_s:
         raise IndexOutOfRange(f"shift index {k} outside 0..{two_s}")
-    return complex(model.rung_table[site - 1].rungs[k])
-
-
-# Kept out of __all__ like ``trigpoly.sinh_product``: it runs on every
-# eigenvalue, so the bench tracer must not wrap it.
-def on_rungs(model: ChainModel, fn) -> tuple:
-    """fn evaluated once on every rung, site-major, split per site along
-    the last axis of its result."""
-    rungs = [rung.rungs for rung in model.rung_table]
-    values = fn(np.concatenate(rungs))
-    return tuple(np.split(values, np.cumsum([r.size for r in rungs[:-1]]),
-                          axis=-1))
-
-
-@lru_cache(maxsize=64)
-def ladder_groups(two_s: tuple) -> tuple:
-    """Per ladder length, in order of first appearance: its 0-based sites
-    and their rungs' positions (sites x rungs) in ``on_rungs`` order."""
-    starts = np.cumsum((0,) + two_s[:-1]) + np.arange(len(two_s))
-    return tuple((_read_only(n), _read_only(starts[n, None] + np.arange(v + 1)))
-                 for v in dict.fromkeys(two_s)
-                 for n in [np.flatnonzero(np.equal(two_s, v))])
+    table = model.rung_table
+    return complex(table.rungs[table.position(site - 1, k)])
 
 
 def q_integer(j: int, eta: complex) -> complex:
@@ -325,8 +337,8 @@ def lax(model: ChainModel, site: int, lam):
     return a, b, c, d
 
 
-# Kept out of __all__ like ``on_rungs``, so that the bench tracer puts each
-# ``lax`` call under the ``monodromy`` or oracle span that asked for it.
+# Kept out of __all__, so that the bench tracer puts each ``lax`` call
+# under the ``monodromy`` or oracle span that asked for it.
 def monodromy_entries(model: ChainModel, lam, blocks: str = "ABCD") -> tuple:
     """The nonzero entries of the named blocks (a run of "ABCD", such as
     "BC") at every point of lam: one array per block, lam's shape then the

@@ -10,8 +10,9 @@ The reference normalization constant uses the top rungs xi_n^{(0)}: the
 pairing of the two reference states must equal the h = 0 case of the general
 overlap formula, which fixes it to prod_{i<j} sinh(xi_j^{(0)} - xi_i^{(0)})
 up to the (immaterial) branch of the square root.  Rungs, and a and d on
-them, are read from the model's rung table.  The closed forms are checked
-on the whole basis at once, from one (dim x N) array of rung points.
+them, are read from the model's rung table, each state's by position
+(``_rung_positions``).  The closed forms are checked on the whole basis at
+once, from one (dim x N) array of rung points.
 """
 
 from __future__ import annotations
@@ -47,11 +48,17 @@ def _h_grid(model: ChainModel) -> np.ndarray:
     return np.indices([v + 1 for v in model.two_s]).reshape(model.n_sites, -1)
 
 
+def _rung_positions(model: ChainModel) -> np.ndarray:
+    """Row n: the position in the rung table of site n's rung h_n, for
+    every state in all_h_tuples order (N x dim)."""
+    return model.rung_table.position(np.arange(model.n_sites)[:, None],
+                                     _h_grid(model))
+
+
 def rung_points(model: ChainModel) -> np.ndarray:
     """Row i: the rung xi_n^{(h_n)} of every site for the i-th tuple of
     all_h_tuples (dim x N), read from the rung table."""
-    return np.stack([rung.rungs[h] for rung, h in
-                     zip(model.rung_table, _h_grid(model))], axis=1)
+    return model.rung_table.rungs[_rung_positions(model)].T.copy()
 
 
 def _pair_product(points: np.ndarray, factor=lambda z: z) -> np.ndarray:
@@ -98,17 +105,19 @@ def build_basis(model: ChainModel) -> SOVBasis:
     Each upper rung costs one build of B and C alone, dropped after its
     step.
     """
-    tops = rung_points(model)[0]
+    table = model.rung_table
+    tops = table.rungs[table.top]
     norm_const = complex(_pair_product(tops, lambda z: np.sqrt(z + 0.0j)))
     right = np.zeros((1, model.hilbert_dim), dtype=complex)
     right[0, 0] = 1.0 / norm_const
     left = right
-    for rung in reversed(model.rung_table):
+    for n in reversed(range(model.n_sites)):
+        ladder = np.flatnonzero(table.site == n)
         rights, lefts = [right], [left]
-        for k, lam in enumerate(rung.rungs[:-1]):
-            b, c = monodromy(model, lam, "BC")
-            rights.append(rights[-1] @ b.T / -rung.a[k])
-            lefts.append(lefts[-1] @ c / rung.d[k + 1])
+        for upper, lower in zip(ladder[:-1], ladder[1:]):
+            b, c = monodromy(model, table.rungs[upper], "BC")
+            rights.append(rights[-1] @ b.T / -table.a[upper])
+            lefts.append(lefts[-1] @ c / table.d[lower])
             del b, c
         right, left = np.concatenate(rights), np.concatenate(lefts)
     hs = all_h_tuples(model)
@@ -162,18 +171,19 @@ def _scaled(defect: np.ndarray, op: np.ndarray, norms: np.ndarray):
 
 
 def _neighbour_sum(model: ChainModel, states: np.ndarray, interp: np.ndarray,
-                   step: int, edges: list) -> np.ndarray:
+                   step: int, edge: np.ndarray, pick) -> np.ndarray:
     """Row i: the sum over sites a of state i's ladder neighbour with h_a
-    moved to h_a + step, weighted by interp[i, a] times edges[a][j], j the
-    upper rung of the move; a move off the ladder adds nothing.  Along
+    moved to h_a + step, weighted by interp[i, a] times edge at site a's
+    rung pick(h_a, h_a + step); a move off the ladder adds nothing.  Along
     site a the neighbours are the same rows shifted by step * stride_a."""
     sizes = [v + 1 for v in model.two_s]
     strides = model.hilbert_dim // np.cumprod(sizes)
     total = np.zeros_like(states)
-    for a, (h, edge) in enumerate(zip(_h_grid(model), edges)):
+    for a, h in enumerate(_h_grid(model)):
         moved = h + step
         rows = np.flatnonzero((moved >= 0) & (moved < sizes[a]))
-        coef = interp[rows, a] * edge[np.minimum(h, moved)[rows]]
+        at = model.rung_table.position(a, pick(h, moved)[rows])
+        coef = interp[rows, a] * edge[at]
         total[rows] += coef[:, None] * states[rows + step * strides[a]]
     return total
 
@@ -198,8 +208,7 @@ def action_residuals(basis: SOVBasis, lam: complex) -> dict:
     points = rung_points(model)
     interp = cardinals(points, lam)
     d_column = sinh_product(lam, points)  # one row per state
-    c_edges = [rung.d[1:] for rung in model.rung_table]
-    b_edges = [-rung.a[:-1] for rung in model.rung_table]
+    table = model.rung_table
     sides = (
         ("right", basis.right_vectors, basis.right_norms, 1, np.transpose),
         ("left", basis.left_covectors, basis.left_norms, -1, lambda op: op),
@@ -208,8 +217,10 @@ def action_residuals(basis: SOVBasis, lam: complex) -> dict:
     for side, states, norms, step, act in sides:
         closed_forms = {
             "D": (d1, d_column * states),
-            "C": (c1, _neighbour_sum(model, states, interp, -step, c_edges)),
-            "B": (b1, _neighbour_sum(model, states, interp, step, b_edges)),
+            "C": (c1, _neighbour_sum(model, states, interp, -step, table.d,
+                                     np.maximum)),
+            "B": (b1, _neighbour_sum(model, states, interp, step, -table.a,
+                                     np.minimum)),
         }
         for key, (op, want) in closed_forms.items():
             out[key, side] = _scaled(states @ act(op) - want, op, norms)

@@ -22,14 +22,16 @@ separated basis.
 Every eigenvalue has the same rungs, so the layer works on the whole
 spectrum at once.  An ``EigenvalueFunction`` holds one eigenvalue or a
 stack of them, one row each (base values E x N).  Its values on every rung
-(one E x (2s_n + 1) array per site) and its ladder null vectors (a
-recursion sequential in the rung, vectorized over the rows and the sites
-of one ladder length) are computed on first use and shared by every
-pipeline; a row whose recursion overflows keeps its ``RecursionBlowup``
-and the others go on.  The rung determinants take one ``det`` per length;
+and its ladder null vectors (a recursion sequential in the rung,
+vectorized over the rows and the sites of one ladder length) are computed
+on first use and shared by every pipeline; a row whose recursion
+overflows keeps its ``RecursionBlowup`` and the others go on.  Every value
+on the rungs, here and in the T-Q layers, is one (rows x rungs) array in
+the flat layout of the model's ``rung_table`` (``qalgebra.RungTable``),
+which holds a, d and the companion factors too.  The rung determinants
+take one ``det`` per length;
 ``eigenstates`` assembles the left and right states of every row with one
-product per side, for ladder and Q data alike.  a, d and the companion
-factors come from the model's ``rung_table``.
+product per side, for ladder and Q data alike.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState, record
 from .qalgebra import (
-    ChainModel, _read_only, ladder_groups, monodromy_entries, on_rungs,
-    transfer_antiperiodic, transfer_from_entries, twist_gauge,
+    ChainModel, _read_only, monodromy_entries, transfer_antiperiodic,
+    transfer_from_entries, twist_gauge,
 )
-from .sovbasis import SOVBasis
+from .sovbasis import SOVBasis, _rung_positions
 from .trigpoly import cardinals
 
 __all__ = [
@@ -101,20 +103,20 @@ class EigenvalueFunction:
         return _read_only(self(GRID_POINTS))
 
     @cached_property
-    def rung_values(self) -> tuple:
-        """t on each site's rungs, one array per site, from one call."""
-        return tuple(map(_read_only, on_rungs(self.model, self)))
+    def rung_values(self) -> np.ndarray:
+        """t on every rung (``ChainModel.rung_table``), from one call."""
+        return _read_only(self(self.model.rung_table.rungs))
 
     @cached_property
     def ladder(self) -> tuple:
         """Null vectors of every rung matrix by downward recursion, for
         every row: (q_vectors, consistency, errors), read-only.
 
-        q_vectors holds per site the recursion solution with q_0 = 1;
-        consistency the worst relative defect of the final (unused) ladder
-        row, which vanishes exactly on the spectrum; errors per row None or
-        the ``RecursionBlowup`` that stopped the recursion (the row's
-        vectors are then zero).
+        q_vectors holds on every rung the recursion solution with q = 1 on
+        the top rungs; consistency the worst relative defect of the final
+        (unused) ladder row, which vanishes exactly on the spectrum; errors
+        per row None or the ``RecursionBlowup`` that stopped the recursion
+        (the row's vectors are then zero).
         """
         return _ladder(self.model, self.rung_values)
 
@@ -305,8 +307,10 @@ def ladder_matrix(model: ChainModel, eigfun, site: int) -> np.ndarray:
     the spectrum.  Row h reads
     -d(xi^{(h)}) v_{h-1} + t(xi^{(h)}) v_h + a(xi^{(h)}) v_{h+1} = 0.
     """
-    rung = model.rung_table[site - 1]
-    return _tridiagonal(eigfun.rung_values[site - 1], rung.a, rung.d)
+    table = model.rung_table
+    cols = table.site == site - 1
+    return _tridiagonal(eigfun.rung_values[..., cols], table.a[cols],
+                        table.d[cols])
 
 
 def _tridiagonal(t, a, d) -> np.ndarray:
@@ -319,16 +323,15 @@ def _tridiagonal(t, a, d) -> np.ndarray:
     return mat
 
 
-def _rung_groups(model: ChainModel, rung_values):
-    """Per ladder length (``ladder_groups``): its sites, then t, a and d on
-    their rungs, each with t's axes and (sites, rungs) last.  Equal ndim
+def _rung_groups(model: ChainModel, t):
+    """Per ladder length (``RungTable.groups``): its rungs' positions, then
+    t, a and d there, with t's axes and (sites, rungs) last.  Equal ndim
     matters: numpy rounds a one-element complex product of unequal ndim
     on another path, and a row's bits would then depend on the row count."""
-    t = np.concatenate(rung_values, axis=-1)
-    a, d = (np.concatenate(side).reshape((1,) * (t.ndim - 1) + (-1,))
-            for side in zip(*[(rung.a, rung.d) for rung in model.rung_table]))
-    return [(sites, *(np.take(x, cols, -1) for x in (t, a, d)))
-            for sites, cols in ladder_groups(model.two_s)]
+    table = model.rung_table
+    a, d = (x.reshape((1,) * (t.ndim - 1) + (-1,)) for x in (table.a, table.d))
+    return [(cols, *(np.take(x, cols, -1) for x in (t, a, d)))
+            for _, cols in table.groups]
 
 
 def discrete_residual(model: ChainModel, eigfun):
@@ -346,20 +349,20 @@ def discrete_residual(model: ChainModel, eigfun):
 
 def _ladder(model: ChainModel, rung_values):
     """The downward recursion of every site ladder for every row at once,
-    one pass per ladder length; each row keeps its site-major first blowup."""
-    lead = np.shape(rung_values[0])[:-1]
-    blown = np.zeros(lead + (model.n_sites, max(model.two_s)), dtype=bool)
-    qs, consistency = [None] * model.n_sites, np.zeros(lead)
+    one pass per ladder length; each row keeps its first blowup in the
+    rung order."""
+    blown, qs = (np.zeros(rung_values.shape, dtype=t) for t in (bool, complex))
+    consistency = np.zeros(rung_values.shape[:-1])
     # A row that overflows goes on in garbage until it is zeroed below.
     with np.errstate(all="ignore"):
-        for sites, t, a, d in _rung_groups(model, rung_values):
+        for cols, t, a, d in _rung_groups(model, rung_values):
             q = np.zeros(t.shape, dtype=complex)
             q[..., 0], peak = 1.0, 1.0
             for h in range(t.shape[-1] - 1):
                 prev = q[..., h - 1] if h else np.zeros_like(q[..., 0])
                 nxt = (d[..., h] * prev - t[..., h] * q[..., h]) / a[..., h]
                 peak = np.maximum(peak, np.abs(q[..., h]))
-                blown[..., sites, h] = np.abs(nxt) > 1e12 * peak
+                blown[..., cols[:, h]] = np.abs(nxt) > 1e12 * peak
                 q[..., h + 1] = nxt
             last = -d[..., -1] * q[..., -2] + t[..., -1] * q[..., -1]
             row_scale = np.maximum(np.maximum(
@@ -367,30 +370,25 @@ def _ladder(model: ChainModel, rung_values):
                 np.abs(t[..., -1]) * np.abs(q[..., -1])), 1e-300)
             consistency = np.maximum(consistency,
                                      np.max(np.abs(last) / row_scale, -1))
-            for n, site_q in zip(sites, np.moveaxis(q, -2, 0)):
-                qs[n] = site_q
-    flat = blown.reshape(-1, model.n_sites * blown.shape[-1])
-    site, rung = np.divmod(flat.argmax(axis=-1), blown.shape[-1])
-    rows = flat.any(axis=-1)
+            qs[..., cols] = q
+    table = model.rung_table
+    flat = blown.reshape(-1, blown.shape[-1])
+    first, rows = flat.argmax(axis=-1), flat.any(axis=-1)
     errors = [None] * len(flat)
     record(errors, rows, lambda k: RecursionBlowup(
-        f"rung recursion overflow at site {site[k] + 1}, rung {rung[k] + 1}"))
-    for q in qs:
-        q[rows.reshape(lead)] = 0.0
-    return (tuple(map(_read_only, qs)), _read_only(np.asarray(consistency)),
-            tuple(errors))
+        f"rung recursion overflow at site {table.site[first[k]] + 1}, "
+        f"rung {table.level[first[k]] + 1}"))
+    qs[rows.reshape(qs.shape[:-1])] = 0.0
+    return _read_only(qs), _read_only(np.asarray(consistency)), tuple(errors)
 
 
 def companion_rescale(model: ChainModel, vectors):
-    """Regauge per-site rung vectors from left-state to right-state form.
+    """Regauge rung vectors from left-state to right-state form.
 
     Component h picks up (-1)^h times the running ratio of the expected
-    diagonal products along the ladder (``SiteRungs.companion``).
+    diagonal products along the ladder (``RungTable.companion``).
     """
-    return [
-        np.concatenate([arr[..., :1], rung.companion * arr[..., 1:]], axis=-1)
-        for rung, arr in zip(model.rung_table, vectors)
-    ]
+    return model.rung_table.companion * vectors
 
 
 # ----------------------------------------------------------------------
@@ -398,8 +396,8 @@ def companion_rescale(model: ChainModel, vectors):
 
 
 def eigenstates(model: ChainModel, basis: SOVBasis, vectors):
-    """Left covectors and right vectors from per-site rung vectors v, one
-    per row of v.
+    """Left covectors and right vectors from rung vectors v (rows x
+    rungs), one per row of v.
 
     left = sum_h [prod_n kappa^{h_n} v^{(n)}_{h_n}] w_h <h| and
     right = sum_h [prod_n kappa^{-h_n} p^{(n)}_{h_n}] w_h |h>, where
@@ -421,19 +419,14 @@ def eigenstates(model: ChainModel, basis: SOVBasis, vectors):
 def _assemble(model, states, norms, weights, vectors, sign):
     """One product of the weighted coefficients with the state matrix.
 
-    The coefficient of tuple h is prod_n kappa^{sign h_n} vectors[n][h_n];
-    over all_h_tuples (last site fastest) that is a Kronecker product, taken
-    row by row.  Returns the states and a mask of those with negligible norm.
+    The coefficient of tuple h is prod_n kappa^{sign h_n} v^{(n)}_{h_n},
+    one gather per site, multiplied in site order.  Returns the states and
+    a mask of those with negligible norm.
     """
-    coeffs = reduce(_outer, [
-        model.kappa ** (sign * np.arange(v.shape[-1])) * v for v in vectors
-    ]) * weights
+    scaled = model.kappa ** (sign * model.rung_table.level) * vectors
+    coeffs = reduce(np.multiply, (
+        scaled[..., cols] for cols in _rung_positions(model))) * weights
     total = coeffs @ states
     scale = np.max(np.abs(coeffs) * norms, axis=-1)
     zero = (scale == 0.0) | (np.linalg.norm(total, axis=-1) < 1e-12 * scale)
     return total, zero
-
-
-def _outer(x, y):
-    """Kronecker product of the last axes, row by row."""
-    return (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (-1,))

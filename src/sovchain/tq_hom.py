@@ -58,13 +58,12 @@ from .errors import (
 )
 from .qalgebra import (
     ChainModel, _read_only, a_of, d_of, distance_to_ipi_lattice,
-    ladder_groups,
 )
 from .sovbasis import SOVBasis
 from .spectrum import eigenstates
 from .tq_inhom import (
     GRID_POINTS, _at_base_points, _check_points, _closure, _draw_node,
-    _factor_rows, _inner_rungs, _relative_defect, _sample_points,
+    _factor_rows, _relative_defect, _sample_points,
 )
 from .trigpoly import sinh_product
 
@@ -118,10 +117,9 @@ class QFunctionHom:
         from one evaluation over their union, on first use; read-only.
         X holds the grid, the inner rungs and the sample points."""
         model, ip, grid = self.model, 1j * np.pi, GRID_POINTS
-        eta = model.eta
-        x = np.concatenate([grid, _inner_rungs(model),
+        eta, rungs = model.eta, model.rung_table.rungs
+        x = np.concatenate([grid, rungs[model.rung_table.inner],
                             model.derived(_check_points).samples])
-        rungs = np.concatenate([rung.rungs for rung in model.rung_table])
         sets = {"grid": grid, "grid+ip": grid + ip, "x-eta": x - eta,
                 "x+ip-eta": x + ip - eta, "x+eta": x + eta,
                 "x+eta+ip": x + eta + ip, "rungs": rungs,
@@ -167,8 +165,7 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     sol = QFunctionHom(model, roots, epsilon, winding,
                        np.empty(residual.shape), residual)
     top = null[:, 1:] / c_p[:, None]
-    tops = np.cumsum((0,) + model.two_s[:-1]) + np.arange(model.n_sites)
-    shifted = sol.table["rungs+ip"][:, tops]  # P / c_P at the top rungs
+    shifted = sol.table["rungs+ip"][:, model.rung_table.top]  # P / c_P
     scale = np.maximum(
         np.maximum(np.max(np.abs(top), axis=1), np.max(np.abs(shifted), axis=1)),
         np.max(np.abs(values), axis=1) / np.abs(c_p),
@@ -209,7 +206,7 @@ def sum_rule_check(model: ChainModel, roots):
     i*pi*(winding doubled, plus one when epsilon is -1); residual is the
     distance to the nearest lattice point.
     """
-    upper = sum(np.concatenate([rung.rungs[:-1] for rung in model.rung_table]))
+    upper = sum(model.rung_table.rungs[model.rung_table.upper])
     s_val = np.sum(np.asarray(roots, dtype=complex), axis=-1)
     s_val = s_val - upper + 0.5 * model.n_s * model.eta
     with np.errstate(invalid="ignore"):  # a failed row may hold NaN
@@ -251,7 +248,7 @@ def w_eps(model: ChainModel, epsilon, lam):
     unit = (0.5j) ** model.n_s
     sign = np.asarray(epsilon)[..., None]
     return np.where(sign == 1, 2.0 * unit, -2.0 * unit) * sinh_product(
-        lam, _inner_rungs(model)
+        lam, model.rung_table.rungs[model.rung_table.inner]
     )
 
 
@@ -318,7 +315,7 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     the report holds the relative numerator size at every inner rung; a
     row gets a NotEntire when any entry exceeds 1e-8.
     """
-    n_inner = _inner_rungs(model).size
+    n_inner = model.rung_table.inner.size
     errors = [None] * int(np.prod(np.shape(q.roots)[:-1]))
     samples = _sample_points(model, errors)  # an error per row if unusable
     # The table holds Q over the grid, the inner rungs and the samples.
@@ -364,7 +361,7 @@ def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
     tiny = 1e-12 * np.maximum(scale, 1e-300)[..., None]
     angles = np.zeros(scale.shape + (model.n_sites,))
     both_zero = np.zeros(angles.shape, dtype=bool)
-    for sites, cols in ladder_groups(model.two_s):
+    for sites, cols in model.rung_table.groups:
         # np.take keeps rows outermost, so sums over rungs round as per site.
         v = np.take(plain, cols, axis=-1)
         w = (-1.0) ** np.arange(cols.shape[-1]) * np.take(shifted, cols, -1)
@@ -423,12 +420,9 @@ def eigenstates_from_q_hom(model: ChainModel, q: QFunctionHom, basis: SOVBasis):
     (choice, left covector, right vector); raises BothChoicesZero when
     neither choice yields a state.
     """
-    cuts = np.cumsum([rung.rungs.size for rung in model.rung_table])[:-1]
-    plain, shifted = (np.split(q.table[key], cuts, -1)
-                      for key in ("rungs", "rungs+ip"))
+    shifted = (-1.0) ** model.rung_table.level * q.table["rungs+ip"]
     out = []
-    for choice, vectors in ((1, plain), (-1, [
-            (-1.0) ** np.arange(v.shape[-1]) * v for v in shifted])):
+    for choice, vectors in ((1, q.table["rungs"]), (-1, shifted)):
         left, right, errors = eigenstates(model, basis, vectors)
         if errors[0] is None:
             out.append((choice, left, right))

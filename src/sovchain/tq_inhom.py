@@ -50,7 +50,7 @@ from .errors import (
     record,
 )
 from .qalgebra import (
-    ChainModel, _read_only, a_of, d_of, distance_to_ipi_lattice, on_rungs,
+    ChainModel, _read_only, a_of, d_of, distance_to_ipi_lattice,
 )
 from .sovbasis import SOVBasis
 from .spectrum import GRID_POINTS, eigenstates
@@ -107,12 +107,11 @@ class QFunctionInhom:
 
 
 def _correction_roots(model: ChainModel, x) -> np.ndarray:
-    """The extra root pinned by x, followed by every rung, site-major; one
-    row per entry of x."""
-    ladders = [rung.rungs for rung in model.rung_table]
-    lower = sum(np.concatenate([r[1:] for r in ladders]))
+    """The extra root pinned by x, followed by every rung; one row per
+    entry of x."""
+    rungs = model.rung_table.rungs
+    lower = sum(rungs[model.rung_table.level > 0])
     extra = np.asarray(x - lower - (model.n_s + 1) * model.eta / 2.0)
-    rungs = np.concatenate(ladders)
     out = np.empty(extra.shape + (1 + rungs.size,), dtype=complex)
     out[..., 0] = extra
     out[..., 1:] = rungs
@@ -140,14 +139,13 @@ def f_inhom(model: ChainModel, x: complex, lam):
 
 
 def _dressed_null_vectors(model: ChainModel, qs):
-    """Ladder null vectors divided by the running exponential prefactors."""
-    return [
-        np.concatenate(
-            [q[..., :1], q[..., 1:] / np.cumprod(np.exp(rung.rungs[:-1]))],
-            axis=-1,
-        )
-        for rung, q in zip(model.rung_table, qs)
-    ]
+    """Ladder null vectors divided by the running exponential prefactors
+    prod_{k < h} exp(rung_k) along each ladder (1 on the top rungs)."""
+    table = model.rung_table
+    dress = np.ones(table.rungs.shape, dtype=complex)
+    for _, cols in table.groups:
+        dress[cols[:, 1:]] = np.cumprod(np.exp(table.rungs[cols[:, :-1]]), -1)
+    return qs / dress
 
 
 def _null_vectors(eigfun):
@@ -159,47 +157,47 @@ def _null_vectors(eigfun):
 
 
 def _closure_nodes(model: ChainModel, zeta0: complex):
-    """Interpolation nodes (zeta0, then the upper rungs of every site,
-    site-major) and the bottom rung of each site."""
-    ladders = [rung.rungs for rung in model.rung_table]
-    nodes = np.concatenate([[zeta0]] + [r[:-1] for r in ladders])
-    return nodes, np.array([r[-1] for r in ladders])
+    """Interpolation nodes (zeta0, then the upper rungs) and the bottom
+    rung of each site."""
+    table = model.rung_table
+    return (np.concatenate([[zeta0], table.rungs[table.upper]]),
+            table.rungs[table.bottom])
 
 
 def _closure(model: ChainModel, vectors, zeta0: complex, beta: complex = 1.0,
              angle_scale: float = 1.0):
-    """Bottom-rung closure rows for per-site rung vectors.
+    """Bottom-rung closure rows for rung vectors.
 
     Unknown 0 is the value of Q at zeta0 and unknown j the value at site
-    j's top rung; the value at rung h of site j is beta**h vectors[j][h]
-    times unknown j.  Returns (rows, nodes, spread): spread maps the
-    unknowns to the values at the nodes, and row i demands that
-    interpolation through the nodes reproduce the ladder value at site i's
-    bottom rung, so rows is n_sites x (n_sites + 1).  Vectors with leading
-    axes give a stack of systems, one per row, against one cardinal matrix.
+    j's top rung; at a rung of level h on site j the value is beta**h times
+    the vector there times unknown j.  Returns (rows, nodes, spread):
+    spread maps the unknowns to the values at the nodes, and row i demands
+    that interpolation through the nodes reproduce the ladder value at site
+    i's bottom rung, so rows is n_sites x (n_sites + 1).  Vectors with
+    leading axes give a stack of systems, one per row, against one cardinal
+    matrix.
     """
+    table = model.rung_table
     nodes, bottoms = _closure_nodes(model, zeta0)
-    n_sites = model.n_sites
-    lead = np.shape(vectors[0])[:-1]
-    spread = np.zeros(lead + (nodes.size, n_sites + 1), dtype=complex)
-    spread[..., 0, 0] = 1.0
-    bottom = np.zeros(lead + (n_sites, n_sites + 1), dtype=complex)
-    k = 1
-    for j, (two_s, vec) in enumerate(zip(model.two_s, vectors), start=1):
-        spread[..., k : k + two_s, j] = beta ** np.arange(two_s) * vec[..., :-1]
-        bottom[..., j - 1, j] = beta**two_s * vec[..., -1]
-        k += two_s
-    rows = bottom - cardinals(nodes, bottoms, angle_scale) @ spread
+    # Row 0 maps the unknowns to Q at zeta0, row 1 + i to Q at rung i.
+    held = np.zeros(np.shape(vectors)[:-1]
+                    + (1 + table.rungs.size, model.n_sites + 1), dtype=complex)
+    held[..., 0, 0] = 1.0
+    held[..., 1 + np.arange(table.rungs.size), 1 + table.site] = (
+        beta ** table.level * vectors)
+    spread = held[..., np.concatenate([[0], 1 + table.upper]), :]
+    rows = (held[..., 1 + table.bottom, :]
+            - cardinals(nodes, bottoms, angle_scale) @ spread)
     return rows, nodes, spread
 
 
 def _draw_node(model: ChainModel, rng, period: float, error) -> complex:
     """Random auxiliary node kept away from every rung modulo i*period;
     raises ``error`` after 1000 draws."""
-    rungs = np.concatenate([s.rungs for s in model.rung_table])
     for _ in range(1000):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        if np.all(distance_to_ipi_lattice(z - rungs, period) > 1e-2):
+        gaps = distance_to_ipi_lattice(z - model.rung_table.rungs, period)
+        if np.all(gaps > 1e-2):
             return z
     raise error(f"could not place the auxiliary node modulo {period:.4g}i")
 
@@ -207,10 +205,6 @@ def _draw_node(model: ChainModel, rng, period: float, error) -> complex:
 # Offsets tried, in order, when a base point sits on an inner rung.
 _SAMPLE_OFFSETS = (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
                    -0.31 - 0.19j, 0.37 + 0.05j)
-
-
-def _inner_rungs(model: ChainModel) -> np.ndarray:
-    return np.concatenate([rung.rungs[1:-1] for rung in model.rung_table])
 
 
 _CheckPoints = namedtuple("_CheckPoints", "samples cleared to_base points a d")
@@ -224,7 +218,7 @@ def _check_points(model: ChainModel) -> _CheckPoints:
     a and d at P.  The samples are the base points or, when one sits on an
     inner rung (integer-spin sites), the first offset copy clear of the
     inner rungs."""
-    inner = _inner_rungs(model)
+    inner = model.rung_table.rungs[model.rung_table.inner]
     xi = np.asarray(model.xi, dtype=complex)
 
     def clearance(pts):
@@ -287,7 +281,7 @@ def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
 def leading_det_coefficient(model: ChainModel, eigfun) -> complex:
     """Product of the dressed null-vector components at the bottom rungs."""
     xs = _dressed_null_vectors(model, _null_vectors(eigfun))
-    return complex(np.prod([x[-1] for x in xs]))
+    return complex(np.prod(xs[model.rung_table.bottom]))
 
 
 def det_m_zero_closed_form(model: ChainModel, zeta0: complex) -> complex:
@@ -297,24 +291,19 @@ def det_m_zero_closed_form(model: ChainModel, zeta0: complex) -> complex:
     turns the matrix into a scaled Cauchy matrix in the bottom and top rung
     positions; the determinant then factorizes completely.
     """
+    table = model.rung_table
     nodes, bottoms = _closure_nodes(model, zeta0)
-    n_sites = model.n_sites
-    top_slots = 1 + np.cumsum((0,) + model.two_s[:-1])
-    tops = nodes[top_slots]
-    acc = (-1.0 + 0.0j) ** n_sites
-    for a in range(n_sites):
-        for b in range(a + 1, n_sites):
-            acc *= np.sinh(bottoms[a] - bottoms[b]) * np.sinh(
-                tops[b] - tops[a]
-            )
-        for b in range(n_sites):
-            acc /= np.sinh(bottoms[a] - tops[b])
-    for n in range(n_sites):
-        for k, node in enumerate(nodes):
-            acc *= np.sinh(bottoms[n] - node)
-            if k != top_slots[n]:
-                acc /= np.sinh(tops[n] - node)
-    return complex(acc)
+    tops = table.rungs[table.top]
+    i, j = np.triu_indices(model.n_sites, 1)
+    # Each top rung is a node too; its own factor sinh(0) is left out.
+    from_tops = np.sinh(tops[:, None] - nodes)
+    from_tops[np.arange(tops.size),
+              1 + np.searchsorted(table.upper, table.top)] = 1.0
+    pairs = np.sinh(bottoms[i] - bottoms[j]) * np.sinh(tops[j] - tops[i])
+    return complex((-1.0) ** model.n_sites * np.prod(pairs)
+                   * np.prod(np.sinh(bottoms[:, None] - nodes))
+                   / np.prod(np.sinh(bottoms[:, None] - tops))
+                   / np.prod(from_tops))
 
 
 # ----------------------------------------------------------------------
@@ -395,8 +384,7 @@ def solve_q_inhom(
             rng.uniform(0.0, 2.0 * np.pi),
         )
         part_errors = [None] * again.size
-        part = _solve(model, [x[again] for x in xs], alpha, zeta0,
-                      part_errors)
+        part = _solve(model, xs[again], alpha, zeta0, part_errors)
         for name in ("alpha", "roots", "lambda_bar"):
             getattr(sol, name)[again] = getattr(part, name)
         for row, exc in zip(again, part_errors):
@@ -497,21 +485,17 @@ def bethe_residuals_inhom(model: ChainModel, sol: QFunctionInhom) -> np.ndarray:
 
 
 def q_coordinates_inhom(model: ChainModel, sol: QFunctionInhom):
-    """Values of the Gaussian-dressed Q at every rung, one array per site.
+    """Values of the Gaussian-dressed Q at every rung (rows x rungs).
 
     The Gaussian factor exp(-lam(lam + eta - 2 alpha)/(2 eta)) converts the
     deformation-dependent rung ratios of Q into the bare ladder null-vector
     components.  It is applied pointwise only; it is not periodic and has no
     place inside the trigonometric-polynomial type.
     """
-    def dressed(lam):
-        alpha = np.asarray(sol.alpha)[..., None]
-        gauss = np.exp(
-            -lam * (lam + model.eta - 2.0 * alpha) / (2.0 * model.eta)
-        )
-        return gauss * sol.value(lam)
-
-    return on_rungs(model, dressed)
+    lam = model.rung_table.rungs
+    alpha = np.asarray(sol.alpha)[..., None]
+    gauss = np.exp(-lam * (lam + model.eta - 2.0 * alpha) / (2.0 * model.eta))
+    return gauss * sol.value(lam)
 
 
 def eigenstates_from_q_inhom(

@@ -20,6 +20,7 @@ from sovchain.errors import (
     ConditioningFailure,
     ConfigError,
     DegenerateNodes,
+    DegenerateSpectrum,
     GenerationExhausted,
 )
 from sovchain.qalgebra import distance_to_ipi_lattice
@@ -334,6 +335,45 @@ class TestOtherCommands:
         assert "non-negative" in capsys.readouterr().err
         assert not (tmp_path / "g.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--kappa", "0"], "model.kappa entries must be nonzero"),
+        (["--delta-min", "-1"], "model.delta_min must be a positive number"),
+        (["--eta-re", "nan"], "model.eta: expected a number or [re, im] pair"),
+        (["--eta-re", "0", "--eta-im", "0"], "too close to the i*pi"),
+        (["--spins", "0", "1"], "every 2s value must be a positive integer"),
+    ], ids=["kappa-0", "delta-min", "eta-nan", "eta-0", "spin-0"])
+    def test_generate_writes_no_config_check_rejects(self, tmp_path, capsys,
+                                                     monkeypatch, flags,
+                                                     message):
+        # Each error is raised at once, not after 10^4 draws, by the rules
+        # ``check`` applies; nothing is written.
+        draws = []
+        monkeypatch.setattr(cli, "ChainModel", lambda **kw: (
+            draws.append(kw), qalgebra.ChainModel(**kw))[1])
+        out = tmp_path / "bad.json"
+        code = main(["generate", "--seed", "7", "--sites", "2",
+                     "--spins", "1", "2", *flags, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert len(draws) <= 1
+
+    def test_run_level_error_exits_one_without_report(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # A library error raised before any report exists (here the
+        # oracle's) ends the run: exit 1, the error on stderr, no report.
+        def degenerate(*args, **kwargs):
+            raise DegenerateSpectrum("no sampled point separated the "
+                                     "transfer eigenvalues")
+
+        monkeypatch.setattr(spectrum, "brute_force_spectrum", degenerate)
+        cfg = write_config(tmp_path / "c.json", base_doc((1, 1)))
+        assert main(["run", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("pipeline failure: no sampled point")
+        assert captured.out == ""
+        assert not (tmp_path / "c.report.json").exists()
+
     def test_check_bad_json_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -428,7 +468,7 @@ def test_ladder_and_eigenvalue_calls_per_eigenvalue(monkeypatch):
     call = spectrum.EigenvalueFunction.__call__
 
     def counting_ladder(model, rung_values):
-        ladders.append(np.shape(rung_values[0])[:-1])
+        ladders.append(np.shape(rung_values)[:-1])
         return ladder(model, rung_values)
 
     def counting_call(self, lam):

@@ -14,8 +14,8 @@ from sovchain import sovbasis as sb
 from sovchain import spectrum as sp
 from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
-from sovchain.qalgebra import ChainModel, a_of, d_of, on_rungs, xi_shifted
-from sovchain.trigpoly import cardinals, sinh_product
+from sovchain.qalgebra import ChainModel, a_of, d_of, xi_shifted
+from sovchain.trigpoly import cardinals
 
 ETA = 0.31 + 0.07j
 RTOL = 1e-13
@@ -127,9 +127,9 @@ def test_grid_is_the_seed_17_draw():
 
 def test_site_rungs_equal_xi_shifted(case):
     model = case[0]
-    for n in range(1, model.n_sites + 1):
-        want = [xi_shifted(model, n, h) for h in range(model.two_s[n - 1] + 1)]
-        assert np.array_equal(model.rung_table[n - 1].rungs, want)
+    want = [xi_shifted(model, n, h) for n in range(1, model.n_sites + 1)
+            for h in range(model.two_s[n - 1] + 1)]
+    assert np.array_equal(model.rung_table.rungs, want)
 
 
 def test_a_and_d(case):
@@ -209,11 +209,10 @@ def test_ladder_nullspace_and_rescale(case):
         want_p.append(p)
     qs = eigfun.ladder[0]
     ps = sp.companion_rescale(model, qs)
-    rescaled = sp.companion_rescale(model, [np.array(q) for q in want_q])
-    for site in range(model.n_sites):
-        assert_allclose(qs[site], want_q[site], rtol=RTOL)
-        assert_allclose(ps[site], want_p[site], rtol=RTOL)
-        assert_allclose(rescaled[site], want_p[site], rtol=RTOL)
+    rescaled = sp.companion_rescale(model, np.concatenate(want_q))
+    assert_allclose(qs, np.concatenate(want_q), rtol=RTOL)
+    assert_allclose(ps, np.concatenate(want_p), rtol=RTOL)
+    assert_allclose(rescaled, np.concatenate(want_p), rtol=RTOL)
 
 
 # The four zero-scale rules the shared defect replaced, one per residual.
@@ -262,18 +261,18 @@ def test_relative_defect_is_zero_where_every_term_vanishes():
 
 
 @pytest.mark.parametrize("two_s", [(1, 2), (2, 1, 3)], ids=["12", "213"])
-def test_on_rungs_equals_a_per_site_loop(two_s):
+def test_rung_values_equal_a_per_site_loop(two_s):
+    # t on the table's rungs, one site and one rung at a time, for one
+    # eigenvalue and for a stack of them.
     model = chain(two_s)
-    roots = np.linspace(0.1, 0.7, model.n_s) + 0.2j
-    eigfun = sp.EigenvalueFunction(model, tuple(0.3 + np.arange(len(two_s))))
-    fns = (eigfun,
-           lambda lam: sinh_product(lam, roots),
-           lambda lam: sinh_product(np.array([lam, lam + 1j]), roots, 0.5))
-    for fn in fns:
-        got = on_rungs(model, fn)
-        assert len(got) == model.n_sites
-        for values, rung in zip(got, model.rung_table):
-            assert np.array_equal(values, fn(rung.rungs))
+    base = 0.3 + np.arange(len(two_s))
+    for eigfun in (sp.EigenvalueFunction(model, tuple(base)),
+                   sp.EigenvalueFunction(model, np.array([base, 1j * base]))):
+        want = np.stack([
+            np.asarray(eigfun(xi_shifted(model, n, h)))
+            for n in range(1, model.n_sites + 1)
+            for h in range(model.two_s[n - 1] + 1)], axis=-1)
+        assert np.array_equal(eigfun.rung_values, want)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])

@@ -14,7 +14,7 @@ from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
 from sovchain.cli import RunConfig
 from sovchain.errors import ConfigError, PoleAtXi
-from sovchain.qalgebra import ChainModel, distance_to_ipi_lattice
+from sovchain.qalgebra import ChainModel, distance_to_ipi_lattice, xi_shifted
 from sovchain.trigpoly import sinh_product
 
 ETA = 0.31 + 0.07j
@@ -168,11 +168,11 @@ def test_q_values_and_targets_use_the_kernel():
     lam = np.array([0.3 - 0.2j, -0.1 + 0.5j])
     q_hom = thm.QFunctionHom(model, roots, 1, 0)
     assert np.array_equal(q_hom.value(lam), sinh_product(lam, roots, 0.5))
-    inner = [rung.rungs[1:-1] for rung in model.rung_table]
+    inner = [xi_shifted(model, 2, 1)]  # site 1 (spin 1/2) has none
     target = thm.w_eps(model, -1, lam)
     np.testing.assert_allclose(
-        target, -2.0 * (0.5j) ** 3 * sinh_loop(lam, np.concatenate(inner),
-                                               1.0), rtol=1e-14)
+        target, -2.0 * (0.5j) ** 3 * sinh_loop(lam, np.array(inner), 1.0),
+        rtol=1e-14)
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_one_ladder_and_one_wronskian_fit_per_eigenvalue(monkeypatch):
     fit = thm.verify_wronskian_identity
 
     def counting_ladder(model, rung_values):
-        ladders.append(np.shape(rung_values[0])[:-1])
+        ladders.append(np.shape(rung_values)[:-1])
         return ladder(model, rung_values)
 
     def counting_fit(model, q):
@@ -99,32 +99,67 @@ def test_solve_keeps_its_wronskian_fit():
 # the model's rung table
 
 
-@pytest.mark.parametrize("two_s", SHAPES, ids=lambda s: "".join(map(str, s)))
+@pytest.mark.parametrize("two_s", SHAPES + [(2, 1, 2, 1)],
+                         ids=lambda s: "".join(map(str, s)))
 def test_rung_table_matches_definitions(two_s):
+    # Site-major, top rung first; a, d and the companion factors of each
+    # site as one site's evaluation gives them.
     model = chain(two_s)
     table = model.rung_table
     assert table is model.rung_table
-    assert len(table) == model.n_sites
-    for n, rung in enumerate(table, start=1):
-        rungs = np.array(
-            [xi_shifted(model, n, k) for k in range(two_s[n - 1] + 1)]
-        )
-        assert np.array_equal(rung.rungs, rungs)
-        assert np.array_equal(rung.a, a_of(model, rungs))
-        assert np.array_equal(rung.d, d_of(model, rungs))
-        ratio = np.cumprod(a_of(model, rungs[:-1]) / d_of(model, rungs[1:]))
-        signs = (-1.0) ** np.arange(1, rungs.size)
-        assert np.array_equal(rung.companion, signs * ratio)
+    site, level = np.array(
+        [(n, k) for n, v in enumerate(two_s) for k in range(v + 1)]).T
+    assert np.array_equal(table.site, site)
+    assert np.array_equal(table.level, level)
+    rungs = np.array([model.xi[n] + (two_s[n] - 2 * k) / 2.0 * model.eta
+                      for n, k in zip(site, level)])
+    assert np.array_equal(table.rungs, rungs)
+    length = np.array(two_s)[site]
+    for name, mask in (("top", level == 0), ("bottom", level == length),
+                       ("upper", level < length),
+                       ("inner", (level > 0) & (level < length))):
+        assert np.array_equal(getattr(table, name), np.flatnonzero(mask))
+    for n in range(model.n_sites):
+        cols = np.flatnonzero(site == n)
+        assert np.array_equal(table.position(n, np.arange(cols.size)), cols)
+        assert xi_shifted(model, n + 1, cols.size - 1) == rungs[cols[-1]]
+        ladder = rungs[cols]
+        assert np.array_equal(table.a[cols], a_of(model, ladder))
+        assert np.array_equal(table.d[cols], d_of(model, ladder))
+        ratio = np.cumprod(a_of(model, ladder[:-1]) / d_of(model, ladder[1:]))
+        signs = (-1.0) ** np.arange(1, ladder.size)
+        assert table.companion[cols[0]] == 1.0
+        assert np.array_equal(table.companion[cols[1:]], signs * ratio)
+    # Per ladder length, in order of first appearance: its sites and their
+    # rungs' positions, one row per site.
+    lengths = list(dict.fromkeys(two_s))
+    assert len(table.groups) == len(lengths)
+    for v, (sites, cols) in zip(lengths, table.groups):
+        assert list(sites) == [n for n, w in enumerate(two_s) if w == v]
+        assert np.array_equal(cols, [np.flatnonzero(site == n) for n in sites])
+
+
+def test_rung_table_is_one_evaluation_over_every_rung(monkeypatch):
+    # One a and one d call over all rungs, not one per site.
+    calls = []
+    for name in ("a_of", "d_of"):
+        kernel = getattr(qa, name)
+        monkeypatch.setattr(qa, name, lambda model, lam, kernel=kernel,
+                            name=name: (calls.append((name, np.shape(lam))),
+                                        kernel(model, lam))[1])
+    model = chain((2, 1, 3))
+    model.rung_table
+    assert calls == [("a_of", (9,)), ("d_of", (9,))]
 
 
 def test_rung_table_is_read_only():
     model = chain((2, 1, 3))
-    rung = model.rung_table[0]
-    for arr in rung:
+    table = model.rung_table
+    for arr in (*table[:-1], *(x for group in table.groups for x in group)):
         with pytest.raises(ValueError):
-            arr[0] = 0.0
+            arr[0] = 0
     with pytest.raises(AttributeError):
-        rung.a = np.zeros(3)
+        table.a = np.zeros(3)
 
 
 def test_rung_table_leaves_equality_and_hash_alone():
@@ -143,9 +178,9 @@ def test_rung_table_leaves_equality_and_hash_alone():
 def test_eigenvalue_tables_match_definitions(two_s):
     model = chain(two_s)
     eigfun = arbitrary_eigfun(model)
-    for n, values in enumerate(eigfun.rung_values, start=1):
-        assert np.array_equal(values, eigfun(model.rung_table[n - 1].rungs))
-        assert not values.flags.writeable
+    values = eigfun.rung_values
+    assert np.array_equal(values, eigfun(model.rung_table.rungs))
+    assert not values.flags.writeable
     qs, consistency, errors = eigfun.ladder
     assert eigfun.ladder is eigfun.ladder
     assert errors == (None,)
@@ -153,9 +188,8 @@ def test_eigenvalue_tables_match_definitions(two_s):
     stack = sp.EigenvalueFunction(model, np.array([eigfun.base_values] * 2))
     want_q, want_c, _ = stack.ladder
     assert consistency == want_c[1]
-    for got, want in zip(qs, want_q):
-        assert np.array_equal(got, want[1])
-        assert not got.flags.writeable
+    assert np.array_equal(qs, want_q[1])
+    assert not qs.flags.writeable
 
 
 def test_failed_ladder_row_keeps_its_error():
@@ -170,9 +204,8 @@ def test_failed_ladder_row_keeps_its_error():
     assert errors[0] is None and errors[2] is None
     assert isinstance(errors[1], RecursionBlowup)
     alone = sp.EigenvalueFunction(model, tuple(good)).ladder[0]
-    for q, want in zip(qs, alone):
-        assert np.array_equal(q[0], want) and np.array_equal(q[2], want)
-        assert not q[1].any()
+    assert np.array_equal(qs[0], alone) and np.array_equal(qs[2], alone)
+    assert not qs[1].any()
 
 
 # ----------------------------------------------------------------------
@@ -191,16 +224,23 @@ def site_loop_residual(model, eigfun):
     return worst
 
 
+def site_cols(model):
+    """Each site's rungs in the table, top rung first, as a slice."""
+    table = model.rung_table
+    return [slice(top, bottom + 1)
+            for top, bottom in zip(table.top, table.bottom)]
+
+
 def site_loop_ladder(model, rung_values):
     """The downward rung recursion, one site and one rung at a time; a row
     keeps the first blowup it meets, site-major."""
-    lead = np.shape(rung_values[0])[:-1]
+    lead = np.shape(rung_values)[:-1]
     errors = [None] * int(np.prod(lead, dtype=int))
     qs, consistency = [], np.zeros(lead)
+    table = model.rung_table
     with np.errstate(all="ignore"):
-        for site, (t, rung) in enumerate(zip(rung_values, model.rung_table),
-                                         start=1):
-            a, d = rung.a, rung.d
+        for site, cols in enumerate(site_cols(model), start=1):
+            t, a, d = rung_values[..., cols], table.a[cols], table.d[cols]
             q = np.zeros(t.shape, dtype=complex)
             q[..., 0] = 1.0
             for h in range(t.shape[-1] - 1):
@@ -218,18 +258,16 @@ def site_loop_ladder(model, rung_values):
                 np.abs(t[..., -1]) * np.abs(q[..., -1])), 1e-300)
             consistency = np.maximum(consistency, np.abs(last) / row_scale)
             qs.append(q)
-    blown = np.reshape([e is not None for e in errors], lead)
-    for q in qs:
-        q[blown] = 0.0
+    qs = np.concatenate(qs, axis=-1)
+    qs[np.reshape([e is not None for e in errors], lead)] = 0.0
     return qs, consistency, errors
 
 
 def site_loop_proportionality(model, q):
     """The angle between Q's rung vector and its translate's, per site."""
-    cuts = np.cumsum([rung.rungs.size for rung in model.rung_table])[:-1]
-    pairs = [(v, (-1.0) ** np.arange(v.shape[-1]) * w) for v, w in zip(
-        np.split(q.table["rungs"], cuts, -1),
-        np.split(q.table["rungs+ip"], cuts, -1))]
+    pairs = [(v, (-1.0) ** np.arange(v.shape[-1]) * w)
+             for v, w in ((q.table[key][..., cols] for key in ("rungs", "rungs+ip"))
+                          for cols in site_cols(model))]
     scale = np.max([np.max(np.abs(np.concatenate(p, axis=-1)), axis=-1)
                     for p in pairs], axis=0)
     tiny = 1e-12 * np.maximum(scale, 1e-300)
@@ -252,9 +290,7 @@ def site_loop_proportionality(model, q):
 
 def assert_same_ladder(got, want):
     qs, consistency, errors = got
-    assert len(qs) == len(want[0])
-    for q, want_q in zip(qs, want[0]):
-        assert np.array_equal(q, want_q) and not q.flags.writeable
+    assert np.array_equal(qs, want[0]) and not qs.flags.writeable
     assert np.array_equal(consistency, want[1])
     assert [None if e is None else (type(e), str(e)) for e in errors] == [
         None if e is None else (type(e), str(e)) for e in want[2]]
@@ -284,13 +320,15 @@ def test_stacked_ladder_names_the_first_blowup_site_major():
     # site 2, the first one the site loop meets.
     model = chain((1, 2, 1))
     rng = np.random.default_rng(3)
-    values = [rng.uniform(-1, 1, (2, v + 1)) + 0j for v in model.two_s]
-    values[1][1, 1] = values[2][1, 0] = 1e20
+    values = np.concatenate(
+        [rng.uniform(-1, 1, (2, v + 1)) + 0j for v in model.two_s], axis=-1)
+    at = model.rung_table.position
+    values[1, at(1, 1)] = values[1, at(2, 0)] = 1e20
     got = sp._ladder(model, values)
     assert_same_ladder(got, site_loop_ladder(model, values))
     assert got[2][0] is None
     assert str(got[2][1]) == "rung recursion overflow at site 2, rung 2"
-    assert not any(q[1].any() for q in got[0])
+    assert not got[0][1].any()
 
 
 def test_nan_rung_values_fail_the_determinant_check():
@@ -334,9 +372,11 @@ def test_table_slices_equal_q_at_their_points(two_s):
     # The tq-hom point sets by their definitions, X being the grid, the
     # inner rungs and the sample points.
     eta, ip, grid = model.eta, 1j * np.pi, ti.GRID_POINTS
-    x = np.concatenate([grid, ti._inner_rungs(model),
+    ladders = [[xi_shifted(model, n, k) for k in range(v + 1)]
+               for n, v in enumerate(two_s, start=1)]
+    x = np.concatenate([grid, [r for ladder in ladders for r in ladder[1:-1]],
                         ti._sample_points(model, [])])
-    rungs = np.concatenate([rung.rungs for rung in model.rung_table])
+    rungs = np.concatenate(ladders)
     sets = {"grid": grid, "grid+ip": grid + ip, "x-eta": x - eta,
             "x+ip-eta": x + ip - eta, "x+eta": x + eta,
             "x+eta+ip": x + eta + ip, "rungs": rungs, "rungs+ip": rungs + ip}
@@ -830,7 +870,7 @@ def test_node_draws_use_their_period():
     # A rung's image half a period down is on the rung modulo i*pi but
     # not modulo 2*i*pi.
     model = chain((1, 2))
-    image = complex(model.rung_table[0].rungs[0]) - 1j * np.pi
+    image = xi_shifted(model, 1, 0) - 1j * np.pi
     clear = 0.3 - 0.6j
     assert ti.draw_zeta0(model, Scripted(image, clear)) == clear
     assert thm.draw_zeta0_hom(model, Scripted(image, clear)) == image
@@ -838,7 +878,7 @@ def test_node_draws_use_their_period():
 
 def test_node_draws_give_up_with_their_error_class():
     model = chain((1, 2))
-    rung = complex(model.rung_table[0].rungs[0])
+    rung = xi_shifted(model, 1, 0)
     with pytest.raises(ExceptionalAlpha):
         ti.draw_zeta0(model, Scripted(rung))
     with pytest.raises(SovChainError) as info:

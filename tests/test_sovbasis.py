@@ -149,7 +149,7 @@ def test_collapsed_state_raises():
 def test_collapsing_generation_step_raises(monkeypatch):
     # B at site 2's top rung builds every state with h_2 = 1 on D2; shrunk
     # to rounding level, the first of them, (0, 1), is the collapse named.
-    top = D2.rung_table[1].rungs[0]
+    top = xi_shifted(D2, 2, 0)
 
     def shrunk_b(m, lam, blocks="ABCD"):
         entries = monodromy_entries(m, lam, blocks)

@@ -88,8 +88,8 @@ class TestSingleSiteAnchor:
         plus = sp.EigenvalueFunction(D1, (SINH_ETA,))
         qs, consistency, _ = plus.ladder
         ps = sp.companion_rescale(D1, qs)
-        assert_allclose(qs[0], [1.0, -1.0], atol=1e-14)
-        assert_allclose(ps[0], [1.0, -1.0], atol=1e-14)
+        assert_allclose(qs, [1.0, -1.0], atol=1e-14)
+        assert_allclose(ps, [1.0, -1.0], atol=1e-14)
         assert consistency < 1e-13
 
     def test_left_state_twist_dependence(self):
