@@ -27,18 +27,14 @@ from .errors import (
     PoleAtXi,
     RankDeficient,
     RecursionBlowup,
-    ScaleMismatch,
     SovChainError,
     ZeroState,
 )
-from .trigpoly import TrigPoly
 
 __all__ = [
-    "TrigPoly",
     "SovChainError",
     "DegenerateNodes",
     "NotFullDegree",
-    "ScaleMismatch",
     "IndexOutOfRange",
     "NotApplicable",
     "ConditioningFailure",

@@ -52,6 +52,8 @@ DEFAULT_TOLERANCES = {
 }
 
 DEFAULT_ETA = 0.31 + 0.07j
+# Each redraw costs a solve, so a hopeless chain stops here, not in days.
+MAX_ALPHA_RETRIES = 100
 
 # Where each pipeline's results go in an eigenvalue's report entry (sov
 # writes its fields into the entry itself).
@@ -127,7 +129,8 @@ class RunConfig:
         two_s = model.get("two_s")
         if (not isinstance(two_s, list) or not two_s
                 or not all(_is_number(v, int) and v >= 1 for v in two_s)):
-            raise ConfigError("model.two_s must be a list of positive ints")
+            raise ConfigError("model.two_s must be a nonempty list: every "
+                              "2s value must be a positive integer")
         xi_field = model.get("xi", "random")
         if xi_field == "random":
             xi = None
@@ -165,8 +168,10 @@ class RunConfig:
             raise ConfigError("model.kappa entries must be nonzero")
         alpha = _parse_complex(model.get("alpha", 0.0), "model.alpha")
         retries = model.get("max_alpha_retries", 3)
-        if not _is_number(retries, int) or retries < 0:
-            raise ConfigError("model.max_alpha_retries must be >= 0")
+        if (not _is_number(retries, int)
+                or not 0 <= retries <= MAX_ALPHA_RETRIES):
+            raise ConfigError("model.max_alpha_retries must be an integer "
+                              f"from 0 to {MAX_ALPHA_RETRIES}")
 
         tol_field = doc.get("tolerances", {})
         if not isinstance(tol_field, dict):
@@ -483,13 +488,20 @@ def _load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     config = RunConfig.from_dict(doc, base_dir=os.path.dirname(path) or ".")
+    if config.report_path is None:
+        config.report_path = os.path.splitext(path)[0] + ".report.json"
     # Caught here, not when the report is written after every pipeline.
     for key, target in (("report", config.report_path),
-                        ("bethe_csv", config.bethe_csv_path)):
-        folder = os.path.dirname(target or "") or "."
-        if target is not None and not os.path.isdir(folder):
+                        ("bethe_csv", config.bethe_csv_path or "")):
+        folder = os.path.dirname(target) or "."
+        if target and not os.path.isdir(folder):
             raise ConfigError(
                 f"output.{key}: directory {folder!r} does not exist")
+        if os.path.isdir(target):
+            raise ConfigError(f"output.{key}: {target!r} is a directory")
+    csv = config.bethe_csv_path
+    if csv and os.path.realpath(csv) == os.path.realpath(config.report_path):
+        raise ConfigError(f"output.bethe_csv names the report file {csv!r}")
     return config
 
 
@@ -497,9 +509,6 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config)
     report = run_pipelines(config)
     path = config.report_path
-    if path is None:
-        root, _ = os.path.splitext(args.config)
-        path = root + ".report.json"
     # One compact string from the C encoder, written once.
     with open(path, "w") as handle:
         handle.write(json.dumps(report) + "\n")
@@ -522,22 +531,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    model = generate_model(
-        args.seed, args.sites, args.spins, args.delta_min,
-        eta=complex(args.eta_re, args.eta_im),
-    )
     doc = {
         "model": {
-            "two_s": list(model.two_s),
-            "xi": _emit_complex(model.xi),
+            "two_s": list(args.spins),
+            "xi": "random",
             "seed": args.seed,
             "delta_min": args.delta_min,
-            "eta": _emit_complex(model.eta),
+            "eta": _emit_complex(complex(args.eta_re, args.eta_im)),
             "kappa": _emit_complex(args.kappa) or [[1.0, 0.0]],
         },
         "pipelines": "all",
     }
-    RunConfig.from_dict(doc)  # the rules ``check`` applies, before writing
+    config = RunConfig.from_dict(doc)  # the rules ``check`` applies, first
+    model = generate_model(args.seed, args.sites, config.two_s,
+                           config.delta_min, eta=config.eta)
+    doc["model"]["xi"] = _emit_complex(model.xi)
     with open(args.out, "w") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")

@@ -13,7 +13,6 @@ __all__ = [
     "SovChainError",
     "DegenerateNodes",
     "NotFullDegree",
-    "ScaleMismatch",
     "IndexOutOfRange",
     "NotApplicable",
     "ConditioningFailure",
@@ -56,10 +55,6 @@ class DegenerateNodes(SovChainError):
 
 class NotFullDegree(SovChainError):
     """A trigonometric polynomial does not factor into the expected number of sinh factors."""
-
-
-class ScaleMismatch(SovChainError):
-    """A trigonometric polynomial's angle scale is neither 1 nor 1/2."""
 
 
 class IndexOutOfRange(SovChainError):

@@ -122,6 +122,10 @@ class ChainModel:
             raise ConfigError("every 2s value must be a positive integer")
         if self.kappa == 0:
             raise ConfigError("twist kappa must be nonzero")
+        if not np.isfinite(xi + (self.eta, self.kappa)).all():
+            raise ConfigError("eta, xi and kappa must be finite")
+        if not 0.0 < self.delta_min < np.inf:
+            raise ConfigError("delta_min must be a finite positive number")
         for k in range(1, max(two_s) + 2):
             if abs(np.sinh(k * self.eta)) <= _ETA_DEGENERACY_TOL:
                 raise ConfigError(

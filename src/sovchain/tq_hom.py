@@ -26,17 +26,18 @@ spectrum at once, one row per eigenvalue: ``solve_q_hom`` builds every
 row's closure system with the shared builder, half-angle cardinals and the
 ladder null vectors the eigenvalue stack owns, takes one stacked SVD, one
 interpolation and one companion eigenproblem, and fits every row's sum
-rule and Wronskian sign in one call each.  Q is held by its roots alone; a
-solution's ``table`` holds Q on every point set its checks read (the grid
-and its shifts, the inner rungs, the sample points, every rung, each also
-half a period up), from one sinh-product call at angle scale 1/2, and
-each Bethe residual adds one call at the roots.  The checks read the
-one model context both equations share (``tq_inhom._check_points``: the
-sample points, and a and d on the grid).  A row that fails keeps its
-first ``SovChainError`` in the errors the function returns and the other
-rows go on.  The grid and Bethe residuals share the corrected equation's
-zero-scale rule, and the eigenstates its assembly (``spectrum.eigenstates``).
-The solution keeps its Wronskian fit and its sum-rule residual.
+rule and Wronskian sign in one call each.  Q is held by its roots alone;
+its ``rhs`` gives the two right-hand terms, which the shared grid and
+Bethe bodies (``tq_inhom._grid_residual``, ``tq_inhom._bethe_residuals``)
+read.  A solution's ``table`` holds Q on every point set its checks read
+(the grid and its shifts, the inner rungs, the sample points, every rung,
+each also half a period up), from one evaluation at angle scale 1/2
+(``tq_inhom._q_values``).  The checks read the one model context both
+equations share (``tq_inhom._check_points``: the sample points, and a and
+d on the grid), and the eigenstates use the shared assembly
+(``spectrum.eigenstates``).  A row that fails keeps its first
+``SovChainError`` in the errors the function returns and the other rows
+go on.  The solution keeps its Wronskian fit and its sum-rule residual.
 """
 
 from __future__ import annotations
@@ -56,14 +57,12 @@ from .errors import (
     SovChainError,
     record,
 )
-from .qalgebra import (
-    ChainModel, _read_only, a_of, d_of, distance_to_ipi_lattice,
-)
+from .qalgebra import ChainModel, distance_to_ipi_lattice
 from .sovbasis import SOVBasis
 from .spectrum import eigenstates
 from .tq_inhom import (
-    GRID_POINTS, _at_base_points, _check_points, _closure, _draw_node,
-    _factor_rows, _relative_defect, _sample_points,
+    GRID_POINTS, _at_base_points, _bethe_residuals, _check_points, _closure,
+    _draw_node, _factor_rows, _grid_residual, _q_values, _sample_points,
 )
 from .trigpoly import sinh_product
 
@@ -111,6 +110,11 @@ class QFunctionHom:
         shared by every row, or one row of points per row."""
         return sinh_product(lam, self.roots, 0.5)
 
+    def rhs(self, lam, a, d, down, up) -> tuple:
+        """The two right-hand terms of the equation at lam for every row,
+        from a and d at lam and Q at lam - eta (down) and lam + eta (up)."""
+        return -a * down, d * up
+
     @cached_property
     def table(self) -> dict:
         """Q at every point set its checks read, by name, for every row,
@@ -124,9 +128,7 @@ class QFunctionHom:
                 "x+ip-eta": x + ip - eta, "x+eta": x + eta,
                 "x+eta+ip": x + eta + ip, "rungs": rungs,
                 "rungs+ip": rungs + ip}
-        values = _read_only(self.value(np.concatenate(list(sets.values()))))
-        cuts = np.cumsum([p.size for p in sets.values()])[:-1]
-        return dict(zip(sets, np.split(values, cuts, axis=-1)))
+        return dict(zip(sets, _q_values(self, list(sets.values()))))
 
 
 # ----------------------------------------------------------------------
@@ -287,21 +289,14 @@ def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
 
 def hom_grid_residual(model: ChainModel, eigfun, q: QFunctionHom
                       ) -> np.ndarray:
-    """Worst relative defect of the two-term equation on the grid, per row.
-
-    All terms are evaluated pointwise from products over roots and sites,
-    independently of the coefficient arithmetic used by the solver; Q is
-    read from the solution's ``table``, t from the stack's
-    ``grid_values``.  Points where every term vanishes count as 0.
-    """
+    """Worst relative defect of the two-term equation on the grid, per row
+    (``tq_inhom._grid_residual`` on ``rhs``), with Q from the solution's
+    ``table`` and t from the stack's ``grid_values``."""
     t, cut = q.table, GRID_POINTS.size
     pts = model.derived(_check_points)
-    lhs = eigfun.grid_values * t["grid"]
-    term_a = -pts.a[:cut] * t["x-eta"][..., :cut]
-    term_d = pts.d[:cut] * t["x+eta"][..., :cut]
-    return np.max(_relative_defect(
-        lhs - term_a - term_d, [lhs, term_a, term_d]
-    ), axis=-1)
+    return _grid_residual(eigfun, t["grid"], q.rhs(
+        GRID_POINTS, pts.a[:cut], pts.d[:cut], t["x-eta"][..., :cut],
+        t["x+eta"][..., :cut]))
 
 
 def t_from_q_pair(model: ChainModel, q: QFunctionHom):
@@ -381,8 +376,8 @@ def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
 def bethe_residuals_hom(model: ChainModel, q: QFunctionHom):
     """Relative defect of the root system at every root of Q, per row.
 
-    Entirety of the rebuilt eigenvalue demands that a(root) times Q one
-    step down equals d(root) times Q one step up at every root, with the
+    Entirety of the rebuilt eigenvalue demands that the two right-hand
+    terms cancel at every root (``tq_inhom._bethe_residuals``), with the
     half-angle factors at the root itself included (they carry a relative
     sign).  Returns (residuals, errors): a row with two roots closer than
     1e-8 modulo 2*i*pi gets a CoincidentRoots, since a double root breaks
@@ -403,11 +398,7 @@ def bethe_residuals_hom(model: ChainModel, q: QFunctionHom):
 
     errors = [None] * len(close)
     record(errors, close.any(axis=(1, 2)), collide)
-    down, up = np.split(q.value(np.concatenate(
-        [roots - model.eta, roots + model.eta], axis=-1)), 2, axis=-1)
-    term_a = a_of(model, roots) * down
-    term_d = d_of(model, roots) * up
-    return _relative_defect(term_d - term_a, [term_a, term_d]), errors
+    return _bethe_residuals(model, q), errors
 
 
 def eigenstates_from_q_hom(model: ChainModel, q: QFunctionHom, basis: SOVBasis):

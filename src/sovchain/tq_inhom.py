@@ -25,23 +25,26 @@ closure system (E x N x (N + 1)) from the ladder null vectors the
 eigenvalue stack owns and one cardinal kernel (``trigpoly.cardinals``),
 takes one stacked SVD and solve, and gets every row's roots from one
 stacked companion eigenproblem (``trigpoly.factor``); a row whose system
-is singular is solved again, alone, at the next deformation redraw.  A
-solution's ``table``, built on first use after the solve, holds Q and the
-right-hand terms on the grid and the sample points from one
-``trigpoly.sinh_product`` call for Q and one for the correction term;
-each check reads its slice, and a Bethe residual adds one call at the
-roots.  The model-only factors (the sample points, their cardinals at the
-base points, a and d) are built once per model (``_check_points``).  A
-row that fails a step keeps its first ``SovChainError`` in the errors the
-function returns (None for a row that passed), and the other rows go on.
-Every grid and Bethe residual uses one zero-scale rule, ``_relative_defect``.
+is singular is solved again, alone, at the next deformation redraw.
+
+Each solution class writes its equation's right-hand side once, as
+``rhs(lam, a, d, down, up)`` with Q one step down and up.  What both
+equations share lives here: the table builder ``_q_values`` (one
+evaluation of Q over the union of a solution's point sets; this table
+holds Q and the ``rhs`` terms on the grid and the sample points), the
+grid and Bethe bodies ``_grid_residual`` and ``_bethe_residuals``, their
+zero-scale rule ``_relative_defect``, and the model-only factors built
+once per model (``_check_points``).  A row that fails a step keeps its
+first ``SovChainError`` in the errors the function returns (None for a
+row that passed), and the other rows go on.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import sub
 
 import numpy as np
 
@@ -90,16 +93,34 @@ class QFunctionInhom:
         points shared by every row, or one row of points per row."""
         return sinh_product(lam, self.roots)
 
+    def rhs(self, lam, a, d, down, up) -> tuple:
+        """The right-hand terms of the equation at lam for every row, from
+        a and d at lam and Q at lam - eta (down) and lam + eta (up): the a
+        term, the d term and the correction term."""
+        alpha = np.asarray(self.alpha)[..., None]
+        return (-np.exp(lam - alpha) * a * down,
+                np.exp(-lam - self.model.eta + alpha) * d * up,
+                f_inhom(self.model, self.alpha + self.lambda_bar, lam))
+
     @cached_property
     def table(self) -> tuple:
         """(Q, term_a, term_d, term_f) at the check points P for every row,
         from Q over P, P - eta and P + eta in one call, on first use;
         read-only."""
         pts, eta = self.model.derived(_check_points), self.model.eta
-        plain, *shifted = np.split(self.value(np.concatenate(
-            [pts.points, pts.points - eta, pts.points + eta])), 3, axis=-1)
-        return tuple(map(_read_only, (plain,) + _rhs_terms(
-            self.model, self, pts.points, (pts.a, pts.d), shifted)))
+        plain, down, up = _q_values(
+            self, (pts.points, pts.points - eta, pts.points + eta))
+        return (plain, *map(_read_only, self.rhs(
+            pts.points, pts.a, pts.d, down, up)))
+
+
+def _q_values(sol, point_sets) -> list:
+    """Q at each point set for every row, from one evaluation over their
+    union: read-only views, in order.  Both solutions build their
+    ``table`` with it."""
+    values = _read_only(sol.value(np.concatenate(point_sets)))
+    cuts = np.cumsum([np.size(p) for p in point_sets])[:-1]
+    return np.split(values, cuts, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -397,22 +418,6 @@ def solve_q_inhom(
 # verification
 
 
-def _rhs_terms(model: ChainModel, sol: QFunctionInhom, lam, edges=None,
-               shifted=None):
-    """The three right-hand terms of the functional equation at lam, from
-    (a, d) and Q at (lam - eta, lam + eta), evaluated in one call if not
-    given."""
-    if edges is None:
-        edges = a_of(model, lam), d_of(model, lam)
-    if shifted is None:
-        shifted = np.split(sol.value(np.concatenate(
-            [lam - model.eta, lam + model.eta], axis=-1)), 2, axis=-1)
-    alpha = np.asarray(sol.alpha)[..., None]
-    term_a = -np.exp(lam - alpha) * edges[0] * shifted[0]
-    term_d = np.exp(-lam - model.eta + alpha) * edges[1] * shifted[1]
-    return term_a, term_d, f_inhom(model, sol.alpha + sol.lambda_bar, lam)
-
-
 def _relative_defect(numerator, terms) -> np.ndarray:
     """|numerator| over the largest |term| at each point, 0 where every
     term vanishes: the one zero-scale rule of every grid and Bethe
@@ -422,22 +427,35 @@ def _relative_defect(numerator, terms) -> np.ndarray:
                      where=scale != 0.0)
 
 
+def _grid_residual(eigfun, q, terms) -> np.ndarray:
+    """Worst relative defect of t Q = sum(terms) on the grid, per row: the
+    one grid-residual body of both functional equations.  Q and the terms
+    are products over roots and rungs evaluated pointwise, independently
+    of the coefficient arithmetic of the solver."""
+    lhs = eigfun.grid_values * q
+    return np.max(_relative_defect(
+        reduce(sub, terms, lhs), (lhs, *terms)), axis=-1)
+
+
+def _bethe_residuals(model: ChainModel, sol) -> np.ndarray:
+    """Pole-cancellation defect at each root, scaled by the largest term:
+    the one Bethe-residual body of both functional equations.  At a root
+    of Q the left side vanishes, so the right-hand terms must cancel;
+    their sum is the pole numerator."""
+    roots = np.asarray(sol.roots, dtype=complex)
+    down, up = np.split(sol.value(np.concatenate(
+        [roots - model.eta, roots + model.eta], axis=-1)), 2, axis=-1)
+    terms = sol.rhs(roots, a_of(model, roots), d_of(model, roots), down, up)
+    return _relative_defect(sum(terms), terms)
+
+
 def inhom_grid_residual(
     model: ChainModel, eigfun, sol: QFunctionInhom
 ) -> np.ndarray:
     """Worst relative defect of the functional equation on the grid, per
-    row.
-
-    All four terms are evaluated pointwise from first principles (products
-    over roots and rungs), independently of the coefficient arithmetic used
-    by the solver, and read from ``table`` and ``grid_values``.
-    """
-    cut = GRID_POINTS.size
-    q, term_a, term_d, term_f = (v[..., :cut] for v in sol.table)
-    lhs = eigfun.grid_values * q
-    return np.max(_relative_defect(
-        lhs - term_a - term_d - term_f, [lhs, term_a, term_d, term_f]
-    ), axis=-1)
+    row (``_grid_residual`` on the terms in ``table``)."""
+    q, *terms = (v[..., :GRID_POINTS.size] for v in sol.table)
+    return _grid_residual(eigfun, q, terms)
 
 
 def t_from_q_inhom(model: ChainModel, sol: QFunctionInhom):
@@ -471,13 +489,9 @@ def t_from_q_inhom(model: ChainModel, sol: QFunctionInhom):
 
 
 def bethe_residuals_inhom(model: ChainModel, sol: QFunctionInhom) -> np.ndarray:
-    """Pole-cancellation defect at each root, scaled by the largest term.
-
-    At a root of Q the left side of the functional equation vanishes, so the
-    three right-hand terms must cancel; their sum is the pole numerator.
-    """
-    terms = _rhs_terms(model, sol, np.asarray(sol.roots, dtype=complex))
-    return _relative_defect(sum(terms), terms)
+    """Pole-cancellation defect of the three right-hand terms at each
+    root (``_bethe_residuals``)."""
+    return _bethe_residuals(model, sol)
 
 
 # ----------------------------------------------------------------------

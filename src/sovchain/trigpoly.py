@@ -18,20 +18,15 @@ point and per root and no complex sinh per factor; its two products
 mirror each other operand for operand, so a point bit-equal to a root gives
 an exact 0.  ``interpolate``, ``horner`` and ``factor`` turn values into
 coefficients, coefficients into values, and coefficients into roots for a
-whole stack of polynomials, one per row.  ``TrigPoly`` holds one row: its
-``from_values``, ``eval`` and ``roots`` are those kernels applied to it.
+whole stack of polynomials, one per row.  ``TrigPoly.from_values``
+remains only as the traced bench's hook on ``interpolate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .errors import (
-    DegenerateNodes, NotFullDegree, ScaleMismatch, record,
-)
+from .errors import DegenerateNodes, NotFullDegree, record
 
 # sinh_product runs on every Q evaluation, so it stays out of __all__ and
 # out of the bench tracer's reach (bench/tracing.py wraps __all__).  It
@@ -39,111 +34,16 @@ from .errors import (
 # complex sinh; its exact 0 on a root rests on the mirrored operand order.
 __all__ = ["TrigPoly", "cardinals", "interpolate", "factor"]
 
-_VALID_SCALES = (1.0, 0.5)
 
-
-@dataclass(frozen=True)
 class TrigPoly:
-    """One element of the graded family described in the module docstring.
-
-    Parameters
-    ----------
-    parity : int
-        0 or 1; the sign under the half-period shift is (-1)**parity.
-    m1 : int
-        Left extremal exponent; must agree with ``parity`` modulo 2.
-    coeffs : sequence of complex
-        Coefficients c_0..c_{m2}.  An empty sequence is the zero polynomial.
-    angle_scale : float
-        1.0 for the full-angle family, 0.5 for the half-angle one.
-    """
-
-    parity: int
-    m1: int
-    coeffs: tuple
-    angle_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.angle_scale not in _VALID_SCALES:
-            raise ScaleMismatch(
-                f"angle_scale must be 1 or 1/2, got {self.angle_scale!r}"
-            )
-        if self.parity not in (0, 1):
-            raise ValueError(f"parity must be 0 or 1, got {self.parity!r}")
-        if self.m1 % 2 != self.parity:
-            raise ValueError(
-                f"m1={self.m1} and parity={self.parity} disagree modulo 2"
-            )
-        object.__setattr__(
-            self, "coeffs", tuple(complex(c) for c in self.coeffs)
-        )
+    """Kept only as the traced bench's hook: ``bench/run.py --trace 1``
+    wraps ``from_values`` and reads the condition number of the
+    Vandermonde matrix of every call.  Nothing in the package calls it."""
 
     @classmethod
-    def from_values(
-        cls,
-        nodes: Sequence[complex],
-        values: Sequence[complex],
-        m: int,
-        angle_scale: float = 1.0,
-    ) -> "TrigPoly":
-        """Interpolate through |nodes| point/value pairs.
-
-        The result has m2 = len(nodes) - 1 and m1 = m2 - m, so m is the
-        exponential unbalance of the target class (m = 0 gives the balanced
-        sinh-product family).  Nodes must be pairwise distinct in the
-        exponential variable exp(2*angle_scale*node); colliding nodes raise
-        DegenerateNodes.
-        """
-        nodes_arr = np.asarray(nodes, dtype=complex)
-        values_arr = np.asarray(values, dtype=complex)
-        if nodes_arr.ndim != 1 or nodes_arr.shape != values_arr.shape:
-            raise ValueError("nodes and values must be 1-d of equal length")
-        if nodes_arr.size == 0:
-            raise ValueError("need at least one node")
-        m1 = nodes_arr.size - 1 - m
-        coeffs = interpolate(nodes_arr, values_arr, m, angle_scale)
-        return cls(m1 % 2, m1, tuple(coeffs), angle_scale)
-
-    # ------------------------------------------------------------------
-    # evaluation
-
-    def eval(self, lam):
-        """Evaluate at a complex scalar or ndarray of points."""
-        lam_arr = np.asarray(lam, dtype=complex)
-        if not self.coeffs:
-            out = np.zeros(lam_arr.shape, dtype=complex)
-        else:
-            out = horner(self.coeffs, self.m1, lam_arr, self.angle_scale)
-        return out if lam_arr.shape else complex(out)
-
-    __call__ = eval
-
-    # ------------------------------------------------------------------
-    # factorization
-
-    def roots(self):
-        """Factor a full-degree element into (normalization, roots).
-
-        Returns (c_P, roots) with
-
-            P(lam) = c_P * exp((m2 - m1)*u) * prod_j sinh(u - angle_scale*root_j)
-
-        where u = angle_scale*lam.  Roots are found as eigenvalues of the
-        balanced companion matrix in z = exp(2u), mapped back through the
-        logarithm, normalized to Im root in [0, pi) for angle_scale 1 and
-        [0, 2*pi) for angle_scale 1/2, and sorted by (real, imaginary) part.
-        Raises NotFullDegree when an extremal coefficient is at most 1e-10
-        of the largest one, or when a z-root leaves the trusted magnitude
-        window [1e-12, 1e12].
-        """
-        if not any(self.coeffs):
-            raise NotFullDegree("the zero polynomial has no factored form")
-        if len(self.coeffs) == 1:
-            return complex(self.coeffs[0]), np.zeros(0, dtype=complex)
-        c_p, roots, errors = factor([self.coeffs], self.angle_scale)
-        if errors[0] is not None:
-            raise errors[0]
-        return complex(c_p[0]), roots[0]
+    def from_values(cls, nodes, values, m: int, angle_scale: float = 1.0):
+        """``interpolate(nodes, values, m, angle_scale)``."""
+        return interpolate(nodes, values, m, angle_scale)
 
 
 # ----------------------------------------------------------------------
@@ -151,12 +51,15 @@ class TrigPoly:
 
 
 def interpolate(nodes, values, m: int, angle_scale: float = 1.0):
-    """Coefficients of ``TrigPoly.from_values`` for every row of values.
+    """Coefficients through the nodes for every row of values.
 
-    values holds one row of node values per polynomial on its leading
-    axes.  Each row is solved against its own copy of the Vandermonde
-    matrix, so a row's coefficients do not depend on the rows beside it.
-    Raises DegenerateNodes when two nodes coincide modulo the period.
+    The result has m2 = len(nodes) - 1 and m1 = m2 - m, so m is the
+    exponential unbalance of the target class (m = 0 gives the balanced
+    sinh-product family).  values holds one row of node values per
+    polynomial on its leading axes.  Each row is solved against its own
+    copy of the Vandermonde matrix, so a row's coefficients do not depend
+    on the rows beside it.  Raises DegenerateNodes when two nodes coincide
+    modulo the period.
     """
     nodes = np.asarray(nodes, dtype=complex)
     values = np.asarray(values, dtype=complex)
@@ -177,8 +80,8 @@ def interpolate(nodes, values, m: int, angle_scale: float = 1.0):
 
 
 def horner(coeffs, m1: int, lam, angle_scale: float = 1.0):
-    """``TrigPoly.eval`` of every row of coefficients (leading axes) at the
-    points lam: the result has the rows' shape followed by lam's."""
+    """Every row of coefficients (leading axes) evaluated at the points
+    lam: the result has the rows' shape followed by lam's."""
     c = np.asarray(coeffs, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
     c = c.reshape(c.shape[:-1] + (1,) * lam.ndim + c.shape[-1:])
@@ -191,11 +94,15 @@ def horner(coeffs, m1: int, lam, angle_scale: float = 1.0):
 
 
 def factor(coeffs, angle_scale: float = 1.0):
-    """``TrigPoly.roots`` for every row of an (E, m2 + 1) coefficient array,
-    m2 >= 1.
+    """Factor every row of an (E, m2 + 1) coefficient array, m2 >= 1, as
 
-    Returns (c_P, roots, errors): roots is (E, m2), and errors holds per
-    row None or the NotFullDegree that ``roots`` would raise.  The
+        P(lam) = c_P * exp((m2 - m1)*u) * prod_j sinh(u - angle_scale*root_j)
+
+    with u = angle_scale*lam.  Returns (c_P, roots, errors): roots is
+    (E, m2), normalized to Im root in [0, pi/angle_scale) and sorted by
+    (real, imaginary) part, and errors holds per row None or a
+    NotFullDegree: an extremal coefficient at most 1e-10 of the largest,
+    or a root of z = exp(2u) outside [1e-12, 1e12] in magnitude.  The
     companion matrices are built exactly as ``np.roots`` builds them and
     go through one stacked ``np.linalg.eigvals``; a failed row's matrix is
     zeroed so it cannot stop the others.

@@ -277,6 +277,43 @@ class TestRunCommand:
         assert "nodir" in err[0]
         assert not (tmp_path / "nodir").exists()
 
+    @pytest.mark.parametrize("key", ["report", "bethe_csv"])
+    def test_output_naming_a_directory_exits_two(
+            self, tmp_path, capsys, monkeypatch, key):
+        doc = base_doc((1,), seed=3)
+        doc["output"] = {key: "."}
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        monkeypatch.setattr(cli, "run_pipelines", pytest.fail)
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: output.{key}: "
+                       f"{os.path.join(str(tmp_path), '.')!r} is a directory"]
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("output", [
+        {"report": "out.txt", "bethe_csv": "out.txt"},
+        {"bethe_csv": "cfg.report.json"},
+    ], ids=["both-named", "default-report"])
+    def test_outputs_naming_one_file_exit_two(
+            self, tmp_path, capsys, monkeypatch, output):
+        doc = base_doc((1,), seed=3)
+        doc["output"] = output
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        monkeypatch.setattr(cli, "run_pipelines", pytest.fail)
+        assert main(["run", cfg]) == 2
+        target = os.path.join(str(tmp_path), output["bethe_csv"])
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: output.bethe_csv names the report file {target!r}"]
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_alpha_retries_stop_at_one_hundred(self):
+        doc = base_doc((1,))
+        doc["model"]["max_alpha_retries"] = 100
+        assert RunConfig.from_dict(doc).max_alpha_retries == 100
+        doc["model"]["max_alpha_retries"] = 101
+        with pytest.raises(ConfigError, match="from 0 to 100"):
+            RunConfig.from_dict(doc)
+
     @pytest.mark.parametrize("command", ["check", "run"])
     def test_non_object_tolerances_exit_two(self, tmp_path, capsys, command):
         doc = base_doc((1,), seed=3)

@@ -62,6 +62,21 @@ def test_nonpositive_spin_rejected():
         model([0], [0.0])
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"eta": complex("nan")}, "finite"),
+    ({"xi": [0.0, complex("nan")]}, "finite"),
+    ({"kappa": np.inf}, "finite"),
+    ({"delta_min": -1.0}, "delta_min"),
+    ({"delta_min": np.nan}, "delta_min"),
+], ids=["nan-eta", "nan-xi", "inf-kappa", "negative-delta_min",
+        "nan-delta_min"])
+def test_non_finite_parameters_rejected(kw, message):
+    # Not only a configuration: a model built in code gets the same rules.
+    args = {"two_s": [1, 1], "xi": [0.0, 0.7], **kw}
+    with pytest.raises(ConfigError, match=message):
+        model(**args)
+
+
 def test_dimension_bookkeeping():
     m = model([1, 2, 3], [0.0, 0.7, 1.5])
     assert m.hilbert_dim == 2 * 3 * 4

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from sovchain.cli import generate_model
 from sovchain.errors import ExceptionalAlpha, PoleAtXi
-from sovchain.qalgebra import ChainModel, xi_shifted
+from sovchain.qalgebra import ChainModel, a_of, d_of, xi_shifted
 from sovchain.trigpoly import horner, interpolate
 from sovchain import sovbasis as sb
 from sovchain import spectrum as sp
@@ -34,6 +34,13 @@ def dft_nodes(m):
     return 1j * np.pi * np.arange(count) / count
 
 
+def rhs_terms(m, sol, nodes):
+    """The three right-hand terms at the nodes, from a and d there and Q
+    at the nodes shifted by -eta and +eta."""
+    return sol.rhs(nodes, a_of(m, nodes), d_of(m, nodes),
+                   sol.value(nodes - m.eta), sol.value(nodes + m.eta))
+
+
 def combined_side_defect(m, rows, sol):
     """Per row, the largest gap between the sum of the three right-hand
     terms and t * Q on the DFT nodes, relative to the largest term.  The
@@ -41,7 +48,7 @@ def combined_side_defect(m, rows, sol):
     included, so a small one certifies that the combined side drops to the
     degree of t * Q."""
     nodes = dft_nodes(m)
-    terms = ti._rhs_terms(m, sol, nodes)
+    terms = rhs_terms(m, sol, nodes)
     gap = np.abs(sum(terms) - rows(nodes) * sol.value(nodes))
     return gap.max(axis=-1) / np.abs(terms).max(axis=(0, -1))
 
@@ -251,7 +258,7 @@ class TestStructure:
         # their sum cancel, relative to the largest coefficient of a term.
         _, sol = d3_solutions
         nodes = dft_nodes(D3)
-        coeffs = interpolate(nodes, np.stack(ti._rhs_terms(D3, sol, nodes)), 0)
+        coeffs = interpolate(nodes, np.stack(rhs_terms(D3, sol, nodes)), 0)
         ends = np.abs(coeffs.sum(axis=0)[..., [0, -1]]).max(axis=-1)
         assert np.all(ends < 1e-9 * np.abs(coeffs).max(axis=(0, -1)))
 

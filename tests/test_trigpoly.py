@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from sovchain import DegenerateNodes, NotFullDegree, ScaleMismatch, TrigPoly
+from sovchain import DegenerateNodes, NotFullDegree
 from sovchain.trigpoly import factor, horner, interpolate
 
 # Frozen reference values (30-digit offline evaluation, pasted as literals).
@@ -37,7 +37,6 @@ def dft_nodes(count):
 def test_eval_zero_polynomial():
     for lam in [0.0, 1.3, 0.2 + 0.7j]:
         assert horner([0.0, 0.0], 1, lam) == 0.0
-        assert TrigPoly(0, 0, ()).eval(lam) == 0.0
 
 
 def test_eval_constant():
@@ -190,29 +189,6 @@ def test_add_aligns_mixed_left_exponents():
     assert_allclose(horner(c, 2, pts), total(pts), rtol=1e-12)
 
 
-def test_methods_are_the_kernels_on_one_row():
-    nodes = np.array([0.1, 0.5 + 0.2j, 0.9, 1.3 - 0.4j])
-    stack = np.stack([horner(coeffs_of(r), 3, nodes) for r in
-                      ([0.2, 0.8 - 0.3j, 1.4 + 0.1j], [0.3, -0.6, 1.1j])])
-    coeffs = interpolate(nodes, stack, 0)
-    c_p, roots, errors = factor(coeffs)
-    assert errors == [None, None]
-    pts = random_points(6)
-    for i, values in enumerate(stack):
-        p = TrigPoly.from_values(nodes, values, m=0)
-        assert np.array_equal(p.coeffs, coeffs[i])
-        assert np.array_equal(p.eval(pts), horner(coeffs[i], p.m1, pts))
-        got_c, got_roots = p.roots()
-        assert got_c == c_p[i] and np.array_equal(got_roots, roots[i])
-
-
-def test_invalid_angle_scale_raises():
-    with pytest.raises(ScaleMismatch):
-        TrigPoly(1, 1, (-0.5, 0.5), angle_scale=2.0)
-    with pytest.raises(ScaleMismatch):
-        TrigPoly.from_values([0.0, 0.7], [1.0, 2.0], m=0, angle_scale=0.3)
-
-
 # ----------------------------------------------------------------------
 # factorization
 
@@ -242,8 +218,6 @@ class TestRoots:
 
     def test_zero_polynomial_raises(self):
         assert isinstance(factor([[0.0, 0.0]])[2][0], NotFullDegree)
-        with pytest.raises(NotFullDegree):
-            TrigPoly(0, 0, ()).roots()
 
     def test_half_angle_strip(self):
         c_p, roots, errors = factor(
