@@ -499,8 +499,14 @@ def twist_gauge(model: ChainModel, kappa=None) -> np.ndarray:
     ``sovbasis.all_h_tuples``).  At kappa = 1 every entry is exactly 1.
     """
     kappa = model.kappa if kappa is None else np.asarray(kappa)[..., None]
-    lowerings = reduce(np.add.outer, [np.arange(v + 1) for v in model.two_s])
-    return kappa ** -np.ravel(lowerings)
+    return (kappa ** -np.arange(model.n_s + 1))[..., _lowerings(model.two_s)]
+
+
+@lru_cache(maxsize=16)
+def _lowerings(two_s: tuple) -> np.ndarray:
+    """|h| of every basis state, read-only; P = (-1)^{|h|} is its parity."""
+    return _read_only(np.ravel(reduce(
+        np.add.outer, [np.arange(v + 1) for v in two_s])))
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ The dense oracle diagonalizes one chain at several twists in one pass,
 with the twist as an array axis.  The twist is a diagonal similarity of
 the untwisted transfer matrix, so one eigenbasis serves every twist,
 gauged by kappa^{-|h|}.  The spin flip J (the reversal of the state index)
-commutes with the untwisted B + C, so that eigenbasis takes one half-size
-eigendecomposition and one inverse per flip sector (+1 or -1).  The
+commutes with the untwisted B + C and the parity (-1)^{|h|} anticommutes,
+so that eigenbasis takes half- or quarter-size eigendecompositions.  The
 entries of B and C are evaluated once, at every base and check point in
 one call; each point's transfer matrices, one per twist, are scattered
 from them for the base values and check residuals of every twist at once.
@@ -37,14 +37,14 @@ product per side, for ladder and Q data alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState, record
 from .qalgebra import (
-    ChainModel, _read_only, monodromy_entries, transfer_antiperiodic,
-    transfer_from_entries, twist_gauge,
+    ChainModel, _lowerings, _read_only, monodromy_entries,
+    transfer_antiperiodic, transfer_from_entries, twist_gauge,
 )
 from .sovbasis import SOVBasis, _rung_positions
 from .trigpoly import cardinals
@@ -129,7 +129,7 @@ class Spectrum:
     stack ``rows``; the rows of ``left`` are the inverse of the column
     matrix, so left@right = identity.  ``sector`` (read-only) holds row i's
     spin-flip sector, +1 or -1: the untwisted eigenvector is even or odd
-    under the reversal of the state index.
+    under the reversal of the state index.  Each row's -t is a row too.
     """
 
     model: ChainModel
@@ -188,31 +188,65 @@ def _eigenbasis(model, rng):
     untwisted B + C at the first sample point whose eigenvalues are well
     separated.
 
-    J, the reversal of the state index, is the global spin flip: it swaps
-    B and C, so it commutes with B + C.  Each sector's block
-    (``_flip_sectors``) takes one ``eig`` and one ``inv``; the gap test runs
-    on the eigenvalues of both, and the vectors and inverse rows lift back
-    to the full space (``_lift``).
+    J, the reversal of the state index, swaps B and C, so it commutes with
+    B + C (blocks ``_flip_sectors``).  The parity P = (-1)^{|h|}
+    anticommutes with it, swaps the blocks for odd N_s (``_mirrored``) and
+    halves each for even N_s (``_parity_halves``).  The gap test runs on
+    both blocks' eigenvalues; the bases lift to the full space (``_lift``).
     """
     dim = model.hilbert_dim
+    parity = 1 - 2 * (_lowerings(model.two_s)[:(dim + 1) // 2] % 2)
     for _ in range(4):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        untwisted = transfer_from_entries(
-            model, *monodromy_entries(model, lam, "BC"))
-        eigs = [np.linalg.eig(block) for block in _flip_sectors(untwisted)]
-        if _separated(np.concatenate([vals for vals, _ in eigs])):
+        blocks = _flip_sectors(transfer_from_entries(
+            model, *monodromy_entries(model, lam, "BC")))
+        sectors = (_mirrored(blocks[0], parity) if model.n_s % 2 else
+                   [_parity_halves(x, parity[:len(x)]) for x in blocks])
+        if _separated(np.concatenate([vals for vals, _ in sectors])):
             break
     else:
         raise DegenerateSpectrum(
             "no sampled point separated the transfer eigenvalues"
         )
-    signs = (1, -1)
-    vectors = np.hstack([_lift(v, sign, dim)
-                         for (_, v), sign in zip(eigs, signs)])
-    inverse = np.vstack([_lift(np.linalg.inv(v).T, sign, dim).T
-                         for (_, v), sign in zip(eigs, signs)])
-    sector = np.repeat(signs, [len(vals) for vals, _ in eigs])
+    pairs, signs = [basis() for _, basis in sectors], (1, -1)
+    vectors = np.hstack([_lift(x, sign, dim)
+                         for (x, _), sign in zip(pairs, signs)])
+    inverse = np.vstack([_lift(y.T, sign, dim).T
+                         for (_, y), sign in zip(pairs, signs)])
+    sector = np.repeat(signs, [len(vals) for vals, _ in sectors])
     return vectors, inverse, sector
+
+
+def _mirrored(plus, parity):
+    """Both sectors for odd N_s as (eigenvalues, lazy (vectors, inverse)),
+    from one ``eig`` and ``inv``: minus = -D plus D, D = diag(parity)."""
+    vals, x = np.linalg.eig(plus)
+    inverse = cache(lambda: np.linalg.inv(x))
+    return [(vals, lambda: (x, inverse())),
+            (-vals, lambda: (parity[:, None] * x, inverse() * parity))]
+
+
+def _parity_halves(block, parity):
+    """One sector for even N_s, as ``_mirrored``: in parity halves it is
+    [[0, X], [Y, 0]], and each eigenpair (mu, u) of X Y gives t = +-sqrt(mu)
+    with vector [u; +-Y u / t].  Unequal halves (all spins integer) and a
+    block under 12 states, where it is faster, take a plain ``eig``."""
+    e, o = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
+    if len(block) < 12 or len(e) != len(o):
+        vals, x = np.linalg.eig(block)
+        return vals, lambda: (x, np.linalg.inv(x))
+    low = block[np.ix_(o, e)]
+    mu, u = np.linalg.eig(block[np.ix_(e, o)] @ low)
+    root = np.sqrt(mu)
+
+    def basis():
+        w = low @ u / root
+        u_inv, w_inv = np.linalg.inv(u) / 2, np.linalg.inv(w) / 2
+        x, y = np.empty((2,) + block.shape, dtype=complex)
+        x[e], x[o] = np.hstack([u, u]), np.hstack([w, -w])
+        y[:, e], y[:, o] = np.vstack([u_inv] * 2), np.vstack([w_inv, -w_inv])
+        return x, y
+    return np.concatenate([root, -root]), basis
 
 
 def _flip_sectors(m):

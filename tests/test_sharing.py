@@ -8,6 +8,7 @@ for all of them and the twist as an array axis, is pinned to one call per
 twist.
 """
 
+import itertools
 import weakref
 from dataclasses import replace
 
@@ -644,10 +645,12 @@ def counting_builds(monkeypatch):
 
 
 def test_oracle_builds_each_point_once_for_every_twist(monkeypatch):
-    # (1,)*5 tq-hom: the N + 4 points of the oracle are the only points
-    # evaluated, whatever the number of twists; the chain is drawn once, and
-    # each oracle call makes no per-eigenvalue function and one eig and one
-    # inv per spin-flip sector, half-size blocks whose sizes sum to dim.
+    # tq-hom: the N + 4 points of the oracle are the only points evaluated,
+    # whatever the number of twists; the chain is drawn once, and each
+    # oracle call makes no per-eigenvalue function.  (1,)*5 (N_s odd) takes
+    # one eig and one inv of the even spin-flip sector, dim/2, for both
+    # sectors; (1,)*6 (N_s even) one eig of size dim/4 per sector and two
+    # invs of that size.
     builds = counting_builds(monkeypatch)
     draws, singles, in_oracle = [], [], []
     solvers = {"eig": [], "inv": []}
@@ -682,18 +685,24 @@ def test_oracle_builds_each_point_once_for_every_twist(monkeypatch):
                         counting_init)
     for name in solvers:
         monkeypatch.setattr(np.linalg, name, counting_solver(name))
-    for count in (1, 2, 8):
+    # (1,)*6 at this seed fails checks that sit at their 1e-7 bound
+    # (ROADMAP item 4), at every twist count; the oracle's do not fail.
+    cases = [((1,) * 5, {"eig": [16], "inv": [16]}, set()),
+             ((1,) * 6, {"eig": [16, 16], "inv": [16] * 4},
+              {"hom_bethe", "hom_proportionality"})]
+    for (two_s, expected, known), count in itertools.product(cases, (1, 2, 8)):
         builds.clear()
         draws.clear()
         for calls in solvers.values():
             calls.clear()
         report = run_pipelines(RunConfig.from_dict(
-            twist_doc((1,) * 5, TWISTS[:count], ["tq-hom"])))
-        assert report["summary"]["pass"], report["summary"]["failures"]
-        assert len(builds) == len(set(builds)) == 5 + 4
+            twist_doc(two_s, TWISTS[:count], ["tq-hom"])))
+        failures = report["summary"]["failures"]
+        assert {line.split(":")[0] for line in failures} <= known, failures
+        assert len(builds) == len(set(builds)) == len(two_s) + 4
         assert len(draws) == 1
         assert singles == []
-        assert solvers == {"eig": [16, 16], "inv": [16, 16]}
+        assert solvers == expected
 
 
 def rejecting(monkeypatch, *rejected):
@@ -708,13 +717,14 @@ def rejecting(monkeypatch, *rejected):
     monkeypatch.setattr(sp, "_separated", gap_test)
 
 
-@pytest.mark.parametrize("two_s", [(1, 2, 1), (2, 2), (1,) * 5],
-                         ids=["121", "22", "11111"])
+@pytest.mark.parametrize("two_s", [(1, 2, 1), (2, 2), (1,) * 5, (1,) * 6],
+                         ids=["121", "22", "11111", "111111"])
 @pytest.mark.parametrize("retry", [False, True], ids=["", "retry"])
 def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
     # With a retry, the first sample point is rejected: it is redrawn once
     # for every twist, so one more point is evaluated, and each lone call
-    # makes the same retry.  1.7-0.4i is off the unit circle.
+    # makes the same retry.  1.7-0.4i is off the unit circle.  (1,)*5 takes
+    # the mirrored flip sectors, (1,)*6 the quarter-size parity halves.
     model = cli.generate_model(11, len(two_s), two_s, 0.05, eta=ETA)
     twists = TWISTS[1:3] + (1.7 - 0.4j,)
     builds = counting_builds(monkeypatch)

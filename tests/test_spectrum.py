@@ -7,7 +7,10 @@ from sovchain import spectrum as sp
 from sovchain import tq_hom as thm
 from sovchain.cli import RunConfig
 from sovchain.errors import DegenerateSpectrum, RecursionBlowup, ZeroState
-from sovchain.qalgebra import ChainModel, monodromy, xi_shifted
+from sovchain.qalgebra import (
+    ChainModel, monodromy, monodromy_entries, transfer_from_entries,
+    xi_shifted,
+)
 
 ETA = 0.31 + 0.07j
 SINH_ETA = 0.31421767077936635556 + 0.073330601551639318257j
@@ -197,38 +200,91 @@ def generated(two_s, seed=0):
     return RunConfig.from_dict(doc).build_model(1.0)
 
 
-@pytest.mark.parametrize("two_s", [(4,), (2, 2), (2, 2, 2), (1, 4)],
-                         ids=["4", "22", "222", "14"])
+# B + C anticommutes with the parity P = (-1)^{|h|}, so t -> -t.  Odd N_s
+# takes the mirrored sectors; of even N_s, (1,)*6 and a block of (2, 2, 2)
+# take the quarter-size eig, and (3, 3), (2, 2), (4,) small blocks or
+# unequal parity halves.
+PARITY_SHAPES = [(1,) * 5, (1,) * 6, (1, 4), (2, 3), (3, 3), (2, 2), (4,),
+                 (2, 2, 2)]
+PARITY_TWISTS = (1.0, 0.6 + 0.8j, 3 - 1j)
+shape_ids = pytest.mark.parametrize("two_s", PARITY_SHAPES,
+                                    ids=lambda s: "".join(map(str, s)))
+
+
+def parity(m):
+    """(-1)^{|h|} of every state, in all_h_tuples order."""
+    return np.array([(-1) ** sum(h) for h in sb.all_h_tuples(m)])
+
+
+def pair_distance(x, y):
+    """Largest distance of a row of x to the row of y nearest to it, or inf
+    if two rows of x share their nearest row of y."""
+    dist = np.max(np.abs(x[:, None] - y[None]), axis=-1)
+    nearest = np.argmin(dist, axis=1)
+    if sorted(nearest) != list(range(len(y))):
+        return np.inf
+    return np.max(dist[np.arange(len(x)), nearest])
+
+
+@shape_ids
 def test_flip_sectors_split_the_spectrum(two_s):
     m = generated(two_s)
     dim = m.hilbert_dim
     b, c = monodromy(m, 0.3 - 0.4j)[1:3]
     full = np.linalg.eig(b + c)[0]
+    scale = np.max(np.abs(full))
     blocks = sp._flip_sectors(b + c)
     assert [len(x) for x in blocks] == [(dim + 1) // 2, dim // 2]
     halves = np.concatenate([np.linalg.eig(x)[0] for x in blocks])
     # Equal as multisets: each eigenvalue has its own nearest partner.
-    dist = np.abs(full[:, None] - halves[None, :])
-    nearest = np.argmin(dist, axis=1)
-    assert sorted(nearest) == list(range(dim))
-    assert np.max(dist[np.arange(dim), nearest]) <= 1e-12 * np.max(np.abs(full))
+    assert pair_distance(full[:, None], halves[:, None]) <= 1e-12 * scale
     vectors, inverse, sector = sp._eigenbasis(m, np.random.default_rng(0))
     assert np.max(np.abs(inverse @ vectors - np.eye(dim))) <= 1e-12
     assert np.sum(sector == 1) == (dim + 1) // 2
     assert np.sum(sector == -1) == dim // 2
+    # The eigenbasis, drawn at another point, diagonalizes B + C here too,
+    # with the full spectrum on its diagonal.
+    vals = np.diagonal(inverse @ (b + c) @ vectors)
+    assert pair_distance(full[:, None], vals[:, None]) <= 1e-12 * scale
+
+
+@shape_ids
+def test_transfer_matrix_vanishes_between_states_of_equal_parity(two_s):
+    m = generated(two_s)
+    p = parity(m)
+    b, c = monodromy_entries(m, np.array([0.3 - 0.4j, -0.7 + 0.2j]), "BC")
+    t_mats = transfer_from_entries(m, b, c, np.array(PARITY_TWISTS)[:, None])
+    assert t_mats.shape == (3, 2) + (m.hilbert_dim,) * 2
+    assert np.all(t_mats[..., np.equal.outer(p, p)] == 0)
+    assert np.all(np.any(t_mats != 0, axis=(-2, -1)))
+
+
+@shape_ids
+def test_oracle_base_values_pair_as_t_and_minus_t(two_s):
+    spec, others = sp.brute_force_spectrum(generated(two_s),
+                                           twists=PARITY_TWISTS[1:])
+    for base in (spec.rows.base_values, *others):
+        scale = np.max(np.abs(base))
+        assert pair_distance(base, -base) <= 1e-12 * scale
 
 
 def test_an_eigenvalue_shared_by_both_sectors_fails_the_gap_test(monkeypatch):
-    # M = Q+ M+ Q+^T + Q- M- Q-^T commutes with the index reversal; the
-    # eigenvalue 2 sits in both blocks, each of which alone is separated.
-    dim = 5
+    # On spin 2 (dim 5, P = diag(1, -1, 1, -1, 1)), M = Q+ M+ Q+^T +
+    # Q- M- Q-^T commutes with the index reversal and anticommutes with P,
+    # as every scattered transfer matrix does.  M+ (three states, halves of
+    # two and one) has the eigenvalues 0 and +-2, M- (halves of one each)
+    # +-2; each block alone is separated, both together are not.
+    dim, spin_two = 5, model([4], [0.0])
     rng = np.random.default_rng(7)
-    plus, minus = ((s @ np.diag(vals) @ np.linalg.inv(s))
-                   for s, vals in ((rng.standard_normal((3, 3)), [1, 2, 4]),
-                                   (rng.standard_normal((2, 2)), [2, 3])))
+    p01, p10, p12, m01 = rng.standard_normal(4) + 0.5
+    p21 = (4 - p01 * p10) / p12
+    plus = np.array([[0, p01, 0], [p10, 0, p12], [0, p21, 0]])
+    minus = np.array([[0, m01], [4 / m01, 0]])
     lifts = [sp._lift(np.eye(k), sign, dim) for k, sign in ((3, 1), (2, -1))]
     mat = sum(q @ x @ q.T for q, x in zip(lifts, (plus, minus)))
     assert np.allclose(mat, mat[::-1, ::-1], rtol=0, atol=1e-14)
+    p = parity(spin_two)
+    assert np.all(mat[np.equal.outer(p, p)] == 0)
     blocks = sp._flip_sectors(mat)
     for got, want in zip(blocks, (plus, minus)):
         assert_allclose(got, want, atol=1e-13)
@@ -238,7 +294,7 @@ def test_an_eigenvalue_shared_by_both_sectors_fails_the_gap_test(monkeypatch):
     monkeypatch.setattr(sp, "transfer_from_entries",
                         lambda model, b, c, kappa=1.0: mat)
     with pytest.raises(DegenerateSpectrum):
-        sp._eigenbasis(D1, np.random.default_rng(0))
+        sp._eigenbasis(spin_two, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
