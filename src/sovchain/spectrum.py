@@ -7,9 +7,13 @@ the untwisted transfer matrix, so one eigenbasis serves every twist,
 gauged by kappa^{-|h|}.  The spin flip J (the reversal of the state index)
 commutes with the untwisted B + C and the parity (-1)^{|h|} anticommutes,
 so that eigenbasis takes half- or quarter-size eigendecompositions.  The
-entries of B and C are evaluated once, at every base and check point in
-one call; each point's transfer matrices, one per twist, are scattered
-from them for the base values and check residuals of every twist at once.
+entries of B and C are evaluated once, at the sample point and every base
+and check point in one call; each point's transfer matrices, one per
+twist, are scattered from them for the base values and check residuals
+of every twist at once: the model's twist off the two-sided diagonal,
+every further twist through one covector.  From ``SECTOR_PRODUCTS_FROM``
+states on, the diagonal and the check take half-size products in the
+flip sectors.
 
 An eigenvalue of the twisted transfer matrix is a trigonometric polynomial
 determined by its values at the N base points xi_1..xi_N (the interpolation
@@ -139,6 +143,11 @@ class Spectrum:
     sector: np.ndarray
 
 
+# Dimension from which the model's base values and the check take their
+# products in the flip sectors; below it the full-size products are faster.
+SECTOR_PRODUCTS_FROM = 256
+
+
 def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
     """Diagonalize the twisted transfer matrix at a random point.
 
@@ -155,66 +164,91 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
     (``twist_gauge``).  All twists share one ``default_rng(seed)``, so one
     sample point, one retry loop and the same check points.  Base values
     and check residuals are each twist's own, from its kappa^{-1} B +
-    kappa C, and bit for bit those of a call on that twist alone.
+    kappa C.  The model's twist takes the diagonal of
+    V^{-1} G^{-1} T(xi_n) G V, bit for bit a call on it alone.  Each
+    further twist takes (u T(xi_n)) G V with one covector
+    u = 1^T V^{-1} G^{-1} (u G V = 1^T), O(dim^2) per point; its error is
+    first order in the eigenvectors' where the diagonal's is second, so it
+    matches a lone call to rounding, not bit for bit.
     """
     kappas = np.array([model.kappa, *(twists or ())], dtype=complex)
-    rng = np.random.default_rng(seed)
-    vectors, inverse, sector = _eigenbasis(model, rng)
-    checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-    b, c = monodromy_entries(model, np.concatenate([model.xi, checks]), "BC")
+    n, dim = model.n_sites, model.hilbert_dim
+    b, c, checks, pairs = _eigenbasis(model, np.random.default_rng(seed))
+    vectors, inverse, sector = _lifted(pairs, dim)
     gauge = twist_gauge(model, kappas)
-    right, left = gauge[..., None] * vectors, inverse / gauge[:, None]
+    right, left = gauge[..., None] * vectors, inverse / gauge[0]
+    covectors = (inverse.sum(axis=0) / gauge[1:])[:, None]
     # Only the gauged pairs live on: at dim 1024 each matrix is 16 MB.
     del vectors, inverse
-    n = model.n_sites
-    # One point's transfer matrices and their product at a time.
-    base = np.stack([
-        np.einsum("tij,tji->ti",
-                  left @ transfer_from_entries(model, b_n, c_n, kappas), right)
-        for b_n, c_n in zip(b[:n], c[:n])], axis=-1)
+    sectors = pairs if dim >= SECTOR_PRODUCTS_FROM else None
+    own, others = [], []
+    # One point's transfer matrices and their products at a time.
+    for b_n, c_n in zip(b[:n], c[:n]):
+        t_mats = transfer_from_entries(model, b_n, c_n, kappas)
+        others.append(covectors @ t_mats[1:])
+        own.append(_sector_values(t_mats[0], gauge[0], sectors) if sectors
+                   else np.einsum("ij,ji->i", left @ t_mats[0], right[0]))
+    del t_mats
+    base = np.concatenate([
+        np.stack(own, axis=-1)[None],
+        np.swapaxes(np.concatenate(others, axis=1) @ right[1:], 1, 2)])
     order = np.lexsort((base[..., 0].imag, base[..., 0].real))
-    # The other twists' covectors are done with; the check needs no left.
-    left = left[0][order[0]]
-    _check(model, kappas, right, base, checks, b[n:], c[n:])
+    _check(model, kappas, gauge, right, base, checks, b[n:], c[n:], sectors)
     base = np.take_along_axis(base, order[..., None], axis=1)
-    spec = Spectrum(model=model, right=right[0][:, order[0]], left=left,
+    spec = Spectrum(model=model, right=right[0][:, order[0]],
+                    left=left[order[0]],
                     rows=EigenvalueFunction(model, base[0]),
                     sector=_read_only(sector[order[0]]))
     return spec if twists is None else (spec, base[1:])
 
 
 def _eigenbasis(model, rng):
-    """Eigenvectors, their inverse and their flip sectors (+1, -1) of the
-    untwisted B + C at the first sample point whose eigenvalues are well
-    separated.
+    """(b, c, checks, pairs): the B and C entries at the N base points and
+    the three check points, the check points, and the eigenvectors and
+    their inverse (x, y) of each flip sector (even, then odd) of the
+    untwisted B + C at the first well separated sample point, in sector
+    coordinates (``_lift``).
+
+    One ``monodromy_entries`` call evaluates a draw's sample point, the
+    base points and its check points, drawn after the sample point.  A
+    rejected sample point is redrawn from the generator's state after it,
+    so the stream is that of drawing the check points after the accepted
+    sample only.
 
     J, the reversal of the state index, swaps B and C, so it commutes with
     B + C (blocks ``_flip_sectors``).  The parity P = (-1)^{|h|}
     anticommutes with it, swaps the blocks for odd N_s (``_mirrored``) and
     halves each for even N_s (``_parity_halves``).  The gap test runs on
-    both blocks' eigenvalues; the bases lift to the full space (``_lift``).
+    both blocks' eigenvalues.
     """
     dim = model.hilbert_dim
     parity = 1 - 2 * (_lowerings(model.two_s)[:(dim + 1) // 2] % 2)
     for _ in range(4):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        blocks = _flip_sectors(transfer_from_entries(
-            model, *monodromy_entries(model, lam, "BC")))
+        state = rng.bit_generator.state
+        checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        b, c = monodromy_entries(
+            model, np.concatenate([[lam], model.xi, checks]), "BC")
+        blocks = _flip_sectors(transfer_from_entries(model, b[0], c[0]))
         sectors = (_mirrored(blocks[0], parity) if model.n_s % 2 else
                    [_parity_halves(x, parity[:len(x)]) for x in blocks])
         if _separated(np.concatenate([vals for vals, _ in sectors])):
-            break
-    else:
-        raise DegenerateSpectrum(
-            "no sampled point separated the transfer eigenvalues"
-        )
-    pairs, signs = [basis() for _, basis in sectors], (1, -1)
+            return b[1:], c[1:], checks, [basis() for _, basis in sectors]
+        rng.bit_generator.state = state
+    raise DegenerateSpectrum(
+        "no sampled point separated the transfer eigenvalues"
+    )
+
+
+def _lifted(pairs, dim):
+    """The eigenvectors, their inverse and each column's sector (+1, -1) on
+    the full space, from the sector pairs of ``_eigenbasis``."""
+    signs = (1, -1)
     vectors = np.hstack([_lift(x, sign, dim)
                          for (x, _), sign in zip(pairs, signs)])
     inverse = np.vstack([_lift(y.T, sign, dim).T
                          for (_, y), sign in zip(pairs, signs)])
-    sector = np.repeat(signs, [len(vals) for vals, _ in sectors])
-    return vectors, inverse, sector
+    return vectors, inverse, np.repeat(signs, [len(x) for x, _ in pairs])
 
 
 def _mirrored(plus, parity):
@@ -287,10 +321,11 @@ def _separated(vals) -> bool:
     return gap >= 1e-8 * max(1.0, float(np.max(np.abs(vals))))
 
 
-def _check(model, kappas, right, base, checks, b, c) -> None:
+def _check(model, kappas, gauge, right, base, checks, b, c, sectors) -> None:
     """Every eigen-pair of every twist at three more points: the relative
     defect of its own transfer matrix on each right vector, with the
-    cardinals at the check points and the vector norms computed once."""
+    cardinals at the check points and the vector norms computed once.
+    Given the sector pairs, each defect is ``_sector_defects``' bound."""
     values = base @ cardinals(model.xi, checks).T
     # Unlike np.linalg.norm, vecdot makes no temporary of its operand's size.
     norms = np.sqrt(np.vecdot(right, right, axis=1).real)
@@ -298,11 +333,18 @@ def _check(model, kappas, right, base, checks, b, c) -> None:
         t_mat = transfer_from_entries(model, b_p, c_p, kappas)
         flat = t_mat.reshape(len(kappas), -1)
         scale = np.sqrt(np.vecdot(flat, flat).real)[:, None] * norms
-        defect = t_mat @ right
-        del t_mat, flat
-        defect -= right * values[:, None, :, p]
-        worst = np.sqrt(np.vecdot(defect, defect, axis=1).real) / scale
-        del defect
+        if sectors:
+            defect = np.stack([
+                _sector_defects(t, g, sectors, v) for t, g, v in zip(
+                    t_mat, gauge, values[..., p])])
+            del t_mat, flat
+        else:
+            defect = t_mat @ right
+            del t_mat, flat
+            # In place: a temporary of this size costs page faults.
+            defect -= right * values[:, None, :, p]
+            defect = np.sqrt(np.vecdot(defect, defect, axis=1).real)
+        worst = defect / scale
         for kappa, residual in zip(kappas, worst.max(axis=1)):
             if not residual <= 1e-8:  # NaN fails too
                 raise DegenerateSpectrum(
@@ -310,6 +352,60 @@ def _check(model, kappas, right, base, checks, b, c) -> None:
                     f"at twist kappa={complex(kappa):.6g} "
                     f"(residual {residual:.2e})"
                 )
+
+
+def _flip_split(t_mat, gauge):
+    """S = G^{-1} T G, formed in place of T, split by the flip J: the
+    ``_flip_sectors`` blocks of its part (S + J S J) / 2, and the
+    Frobenius norm of the rest, which couples the sectors.  Every entry
+    is read: rows i and dim-1-i as sum and difference, then columns."""
+    s = t_mat
+    if np.any(gauge != 1):  # G is exactly the identity at kappa = 1
+        s *= gauge
+        s /= gauge[:, None]
+    h = len(s) // 2
+    sums, diffs = s[:h] + s[:-h - 1:-1], s[:h] - s[:-h - 1:-1]
+    plus = sums[:, :h] + sums[:, :-h - 1:-1]
+    minus = diffs[:, :h] - diffs[:, :-h - 1:-1]
+    plus /= 2
+    minus /= 2
+    # Twice the blocks that couple the sectors, flat.
+    coupling = [(sums[:, :h] - sums[:, :-h - 1:-1]).ravel(),
+                (diffs[:, :h] + diffs[:, :-h - 1:-1]).ravel()]
+    if len(s) % 2:
+        mid, root2 = s[h], np.sqrt(2.0)
+        plus = np.block([[plus, sums[:, h:h + 1] / root2],
+                         [(mid[:h] + mid[:-h - 1:-1]) / root2, mid[h:h + 1]]])
+        coupling += [root2 * diffs[:, h], root2 * (mid[:h] - mid[:-h - 1:-1])]
+    # Unlike np.linalg.norm, vecdot makes no temporary of its operand's size.
+    rest = np.sqrt(sum(np.vecdot(x, x).real for x in coupling)) / 2
+    return [plus, minus], rest
+
+
+def _sector_values(t_mat, gauge, pairs):
+    """The diagonal of V^{-1} S V, one product per flip sector: the part
+    of S that couples the sectors has none.  Overwrites t_mat."""
+    blocks, _ = _flip_split(t_mat, gauge)
+    return np.concatenate([np.einsum("ij,ji->i", y @ block, x)
+                           for (x, y), block in zip(pairs, blocks)])
+
+
+def _sector_defects(t_mat, gauge, pairs, values):
+    """A bound of |T G v - t G v| per eigenvector v = lift(x): the lifted
+    |G (S+ x - x t)| plus max|g| |S-|_F |x|, S+ and S- the parts of S
+    that commute and anticommute with J.  Overwrites t_mat."""
+    blocks, rest = _flip_split(t_mat, gauge)
+    h, g2 = len(gauge) // 2, np.abs(gauge) ** 2
+    # A sector row i < h lifts to rows i and dim-1-i; the odd middle stays.
+    weights = np.concatenate([(g2[:h] + g2[::-1][:h]) / 2, g2[h:len(g2) - h]])
+    spill = rest * np.sqrt(np.max(g2))
+    out = []
+    for (x, _), block, t in zip(pairs, blocks,
+                                np.split(values, [len(pairs[0][0])])):
+        r = block @ x - x * t
+        out.append(np.sqrt(weights[:len(x)] @ (r.real ** 2 + r.imag ** 2))
+                   + spill * np.sqrt(np.vecdot(x, x, axis=0).real))
+    return np.concatenate(out)
 
 
 def eigen_residual(

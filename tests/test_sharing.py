@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from sovchain import cli
 from sovchain import qalgebra as qa
@@ -584,13 +585,12 @@ def test_oracle_check_fires_on_a_wrong_transfer_matrix(monkeypatch):
     model = chain((1, 1, 1))
 
     def skewed(model, lam, blocks="ABCD"):
-        # The sample point is evaluated alone, then the base points and the
-        # check points in one call: B's entries at every check point are
+        # The sample point, the base points and the check points are
+        # evaluated in one call: B's entries at every check point are
         # scaled by 1 + 1e-3.
         b, c = monodromy_entries(model, lam, blocks)
-        if np.ndim(lam):
-            b = b.copy()
-            b[model.n_sites:] *= 1 + 1e-3
+        b = b.copy()
+        b[1 + model.n_sites:] *= 1 + 1e-3
         return b, c
 
     sp.brute_force_spectrum(model)
@@ -606,9 +606,8 @@ def test_oracle_check_fails_on_a_nan_residual(monkeypatch):
 
     def poisoned(model, lam, blocks="ABCD"):
         b, c = monodromy_entries(model, lam, blocks)
-        if np.ndim(lam):
-            b = b.copy()
-            b[model.n_sites:] = np.nan
+        b = b.copy()
+        b[1 + model.n_sites:] = np.nan
         return b, c
 
     monkeypatch.setattr(sp, "monodromy_entries", poisoned)
@@ -722,16 +721,20 @@ def rejecting(monkeypatch, *rejected):
 @pytest.mark.parametrize("retry", [False, True], ids=["", "retry"])
 def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
     # With a retry, the first sample point is rejected: it is redrawn once
-    # for every twist, so one more point is evaluated, and each lone call
-    # makes the same retry.  1.7-0.4i is off the unit circle.  (1,)*5 takes
-    # the mirrored flip sectors, (1,)*6 the quarter-size parity halves.
+    # for every twist, with the check points drawn after it, so the one
+    # kernel call is made twice, and each lone call makes the same retry.
+    # 1.7-0.4i is off the unit circle.  (1,)*5 takes the mirrored flip
+    # sectors, (1,)*6 the quarter-size parity halves.  The model's twist,
+    # its eigenbasis and sectors are bit for bit a lone call's; a further
+    # twist reads its base values through the covector, which a lone call
+    # on it does not, and agrees to COVECTOR_MATCH of the largest |t|.
     model = cli.generate_model(11, len(two_s), two_s, 0.05, eta=ETA)
     twists = TWISTS[1:3] + (1.7 - 0.4j,)
     builds = counting_builds(monkeypatch)
     if retry:
         rejecting(monkeypatch, 0)
     spec, others = sp.brute_force_spectrum(model, twists=twists)
-    assert len(builds) == model.n_sites + 4 + (1 if retry else 0)
+    assert len(builds) == (model.n_sites + 4) * (2 if retry else 1)
     assert others.shape == (len(twists), model.hilbert_dim, model.n_sites)
 
     def alone(kappa):
@@ -746,7 +749,209 @@ def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
     assert np.array_equal(spec.left, first.left)
     assert np.array_equal(spec.sector, first.sector)
     for kappa, values in zip(twists, others):
-        assert np.array_equal(values, alone(kappa).rows.base_values)
+        lone = alone(kappa).rows.base_values
+        assert np.max(np.abs(values - lone)) <= (
+            COVECTOR_MATCH * np.max(np.abs(lone)))
+
+
+# Largest gap between a further twist's covector base values and the
+# two-sided ones of a lone call on it, relative to the largest |t|: at most
+# 7.7e-14 on the shapes above ((1,)*5 after the retry; 1.7e-14 without),
+# and 4.3e-13 on the census shapes up to dim 256 at seeds 0-2 ((1,)*8
+# seed 2; 4.9e-14 up to dim 81).
+COVECTOR_MATCH = 2e-13
+COVECTOR_MATCH_256 = 1e-12
+CENSUS_256 = [(1, 1, 1), (1, 2), (2, 3), (1, 2, 2), (2,), (2, 2), (4,),
+              (1, 4), (1,) * 6, (3, 3), (2, 1, 3), (2, 2, 2), (2, 2, 2, 2),
+              (3, 3, 3), (1,) * 7, (1,) * 8]
+
+
+@pytest.mark.parametrize("two_s", CENSUS_256,
+                         ids=lambda s: "".join(map(str, s)))
+def test_covector_base_values_match_two_sided_ones(two_s):
+    # The model's twist is 1; the twists 1, 0.6+0.8i and 1.7-0.4i read
+    # theirs through the covector, and each is matched row for row
+    # against the two-sided diagonal: the model's own rows for 1, a lone
+    # call for the others.  From dim 256 on, the two-sided diagonal is
+    # taken in the flip sectors.
+    for seed in (0, 1, 2):
+        model = cli.RunConfig.from_dict(
+            {"model": {"two_s": list(two_s), "seed": seed}}).build_model(1.0)
+        twists = (1.0, 0.6 + 0.8j, 1.7 - 0.4j)
+        spec, others = sp.brute_force_spectrum(model, twists=twists)
+        lone = [spec.rows.base_values] + [
+            sp.brute_force_spectrum(replace(model, kappa=k)).rows.base_values
+            for k in twists[1:]]
+        for values, want in zip(others, lone):
+            assert np.max(np.abs(values - want)) <= (
+                COVECTOR_MATCH_256 * np.max(np.abs(want)))
+
+
+class Watched(np.ndarray):
+    """A transfer matrix, or any array computed from one, that records the
+    (rows, inner, columns) of every matrix product it enters."""
+
+    products = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:  # a vector operand counts as one row
+            a, b = ((1,) * (2 - np.ndim(x)) + np.shape(x) for x in inputs)
+            Watched.products.append((a[-2], a[-1], b[-1]))
+        plain = [x.view(np.ndarray) if isinstance(x, Watched) else x
+                 for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0]
+        return result.view(Watched) if isinstance(result, np.ndarray) \
+            else result
+
+
+@pytest.mark.parametrize("two_s, full", [
+    ((1,) * 6, True), ((1,) * 8, False), ((1,) * 9, False)],
+    ids=["111111", "11111111", "111111111"])
+def test_oracle_makes_full_size_products_only_below_the_sector_cut(
+        monkeypatch, two_s, full):
+    # Every transfer matrix the oracle scatters is watched, and so is all
+    # it computes from one (the eigenbasis, its sectors, every product).
+    # Below SECTOR_PRODUCTS_FROM (dim 64) the model's base values and the
+    # check take dim x dim x dim products; from it on ((1,)*8 even and
+    # (1,)*9 odd N_s) no product is that large, and every eig and inv is
+    # of a sector, at most dim / 2.
+    transfer = sp.transfer_from_entries
+    monkeypatch.setattr(sp, "transfer_from_entries", lambda *args: (
+        transfer(*args).view(Watched)))
+    solvers = []
+    for name in ("eig", "inv"):
+        monkeypatch.setattr(np.linalg, name, lambda x, _f=getattr(
+            np.linalg, name): solvers.append(len(x)) or _f(x))
+    monkeypatch.setattr(Watched, "products", [])
+    model = cli.RunConfig.from_dict(
+        {"model": {"two_s": list(two_s), "seed": 0}}).build_model(1.0)
+    dim = model.hilbert_dim
+    assert (dim >= sp.SECTOR_PRODUCTS_FROM) is not full
+    spec, others = sp.brute_force_spectrum(model, twists=[0.6 + 0.8j])
+    assert np.max(np.abs(others[0] - spec.rows.base_values)) < 1e-8
+    assert Watched.products
+    assert ((dim,) * 3 in Watched.products) is full
+    assert solvers and max(solvers) <= dim // 2
+
+
+def sector_forced(monkeypatch):
+    """Take the model's base values and the check in the flip sectors at
+    every dimension."""
+    monkeypatch.setattr(sp, "SECTOR_PRODUCTS_FROM", 0)
+
+
+@pytest.mark.parametrize("two_s", [(1, 2, 1), (2, 2, 2), (1,) * 5, (1,) * 6],
+                         ids=["121", "222", "11111", "111111"])
+def test_sector_products_match_the_full_size_ones(monkeypatch, two_s):
+    # Forced on small chains (odd dim 27 has a middle state), the sector
+    # route gives the model's twist the base values of the full-size
+    # products to rounding, at a twist on and one off the unit circle, and
+    # the further twists' covector values bit for bit; its check passes.
+    model = cli.RunConfig.from_dict(
+        {"model": {"two_s": list(two_s), "seed": 1}}).build_model(1.0)
+    for kappa in (1.0, 1.7 - 0.4j):
+        twisted = replace(model, kappa=kappa)
+        dense, dense_others = sp.brute_force_spectrum(twisted, twists=[0.6j])
+        with monkeypatch.context() as patch:
+            sector_forced(patch)
+            spec, others = sp.brute_force_spectrum(twisted, twists=[0.6j])
+        want = dense.rows.base_values
+        assert np.max(np.abs(spec.rows.base_values - want)) <= (
+            1e-14 * np.max(np.abs(want)))
+        assert np.array_equal(others, dense_others)
+        assert np.array_equal(spec.right, dense.right)
+
+
+@pytest.mark.parametrize("two_s", [(1, 2, 1), (2, 2, 2)], ids=["121", "222"])
+def test_sector_defects_bound_the_full_defect(two_s):
+    # T + E at a twist off the unit circle, E random and of relative size
+    # 1e-6: the sector bound is at least the full defect of every column,
+    # and, when G^{-1} E G commutes with J (symmetrized), equals it to
+    # rounding.
+    model = cli.RunConfig.from_dict(
+        {"model": {"two_s": list(two_s), "seed": 0}}).build_model(1.0)
+    dim, kappa = model.hilbert_dim, 1.7 - 0.4j
+    *_, pairs = sp._eigenbasis(model, np.random.default_rng(0))
+    vectors, inverse, _ = sp._lifted(pairs, dim)
+    gauge = qa.twist_gauge(model, kappa)
+    t_mat = qa.transfer_from_entries(
+        model, *monodromy_entries(model, 0.2 - 0.3j, "BC"), kappa)
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal(
+        (dim, dim))
+    symmetric = (noise + noise[::-1, ::-1]) / 2
+    for e, exact in ((noise, False), (symmetric, True)):
+        e = gauge[:, None] * e / gauge * 1e-6 * np.linalg.norm(t_mat)
+        mat = t_mat + e
+        right = gauge[:, None] * vectors
+        values = np.diagonal(inverse / gauge @ t_mat @ right)
+        full = np.linalg.norm(mat @ right - right * values, axis=0)
+        bound = sp._sector_defects(mat.copy(), gauge, pairs, values)
+        assert np.all(bound >= full * (1 - 1e-9))
+        if exact:
+            assert_allclose(bound, full, rtol=1e-6)
+
+
+@pytest.mark.parametrize("skew", ["antidiagonal", "between"])
+def test_sector_check_names_the_one_wrong_twist(monkeypatch, skew):
+    # The sector route's check, forced on (1,)*5, with the 0.6+0.8i matrix
+    # shifted at the check points only, so that its base values stay: by
+    # the antidiagonal, which commutes with J and moves its flip blocks,
+    # or so that S = G^{-1} T G moves by e_01 - J e_01 J, which
+    # anticommutes with J, leaves the blocks as they are and moves only
+    # the part between them.  Either fires on that twist alone.
+    model = long_chain((1,) * 5)
+    kappa = 0.6 + 0.8j
+    gauge = qa.twist_gauge(model, kappa)
+    sector_forced(monkeypatch)
+    sp.brute_force_spectrum(model, twists=[kappa])
+
+    def shift(lam, t):
+        out = np.zeros_like(t)
+        if lam in model.xi:
+            return out
+        if skew == "antidiagonal":
+            out[np.arange(len(t)), np.arange(len(t))[::-1]] = 1.0
+        else:
+            out[0, 1], out[-1, -2] = 1.0, -1.0
+            out = gauge[:, None] * out / gauge
+        return 1e-3 * np.linalg.norm(t) * out
+
+    skew_twist(monkeypatch, kappa, shift)
+    sp.brute_force_spectrum(model)
+    with pytest.raises(DegenerateSpectrum, match=(
+            r"eigenvector check failed .* at twist kappa=0\.6\+0\.8j ")):
+        sp.brute_force_spectrum(model, twists=[kappa])
+
+
+def test_a_rejected_sample_point_keeps_the_draw_stream(monkeypatch):
+    # The stream is the one that draws the check points after the accepted
+    # sample point only: each kernel call takes a sample point, the base
+    # points and the three draws after it, and the redrawn sample point
+    # comes right after the rejected one.
+    model = chain((1, 2, 1))
+    calls = []
+    kernel = sp.monodromy_entries
+    monkeypatch.setattr(sp, "monodromy_entries", lambda model, lam, blocks: (
+        calls.append(np.array(lam)) or kernel(model, lam, blocks)))
+    rejecting(monkeypatch, 0)
+    sp.brute_force_spectrum(model, seed=5)
+
+    def draws(skip):
+        rng = np.random.default_rng(5)
+        for _ in range(skip):
+            rng.uniform(-1, 1), rng.uniform(-1, 1)
+        lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        return np.concatenate([[lam], model.xi, checks])
+
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], draws(0))
+    assert np.array_equal(calls[1], draws(1))
 
 
 def skew_twist(monkeypatch, kappa, shift):

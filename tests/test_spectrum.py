@@ -238,7 +238,8 @@ def test_flip_sectors_split_the_spectrum(two_s):
     halves = np.concatenate([np.linalg.eig(x)[0] for x in blocks])
     # Equal as multisets: each eigenvalue has its own nearest partner.
     assert pair_distance(full[:, None], halves[:, None]) <= 1e-12 * scale
-    vectors, inverse, sector = sp._eigenbasis(m, np.random.default_rng(0))
+    pairs = sp._eigenbasis(m, np.random.default_rng(0))[-1]
+    vectors, inverse, sector = sp._lifted(pairs, dim)
     assert np.max(np.abs(inverse @ vectors - np.eye(dim))) <= 1e-12
     assert np.sum(sector == 1) == (dim + 1) // 2
     assert np.sum(sector == -1) == dim // 2
