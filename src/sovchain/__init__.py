@@ -8,50 +8,8 @@ homogeneous half-angle functional equation), and cross-validates all of them
 against brute-force diagonalization at small sizes.
 """
 
-from .errors import (
-    BothChoicesZero,
-    CoincidentRoots,
-    ConditioningFailure,
-    ConfigError,
-    DegenerateNodes,
-    DegenerateSpectrum,
-    ExceptionalAlpha,
-    GenerationExhausted,
-    IndexOutOfRange,
-    LadderCollision,
-    NoEpsilonFits,
-    NonAdmissible,
-    NotApplicable,
-    NotEntire,
-    NotFullDegree,
-    PoleAtXi,
-    RankDeficient,
-    RecursionBlowup,
-    SovChainError,
-    ZeroState,
-)
-
-__all__ = [
-    "SovChainError",
-    "DegenerateNodes",
-    "NotFullDegree",
-    "IndexOutOfRange",
-    "NotApplicable",
-    "ConditioningFailure",
-    "DegenerateSpectrum",
-    "RecursionBlowup",
-    "ZeroState",
-    "ExceptionalAlpha",
-    "NonAdmissible",
-    "PoleAtXi",
-    "RankDeficient",
-    "NoEpsilonFits",
-    "NotEntire",
-    "CoincidentRoots",
-    "BothChoicesZero",
-    "ConfigError",
-    "LadderCollision",
-    "GenerationExhausted",
-]
+# The package exports its error classes.
+from .errors import *  # noqa: F403
+from .errors import __all__
 
 __version__ = "0.1.0"

@@ -52,6 +52,9 @@ DEFAULT_TOLERANCES = {
 }
 
 DEFAULT_ETA = 0.31 + 0.07j
+DEFAULT_DELTA_MIN = 0.05
+# The untwisted chain, as the config spells it; never mutated.
+DEFAULT_KAPPA = [[1.0, 0.0]]
 # Each redraw costs a solve, so a hopeless chain stops here, not in days.
 MAX_ALPHA_RETRIES = 100
 
@@ -149,11 +152,12 @@ class RunConfig:
         xi_seed = model.get("seed", 0)
         if not _is_number(xi_seed, int):
             raise ConfigError("model.seed must be an integer")
-        delta_min = model.get("delta_min", 0.05)
+        delta_min = model.get("delta_min", DEFAULT_DELTA_MIN)
         if not _is_number(delta_min) or delta_min <= 0:
             raise ConfigError("model.delta_min must be a positive number")
-        eta = _parse_complex(model.get("eta", [0.31, 0.07]), "model.eta")
-        kappa_field = model.get("kappa", [[1.0, 0.0]])
+        eta = _parse_complex(model.get("eta", _emit_complex(DEFAULT_ETA)),
+                             "model.eta")
+        kappa_field = model.get("kappa", DEFAULT_KAPPA)
         if not isinstance(kappa_field, list) or not kappa_field:
             raise ConfigError("model.kappa must be a nonempty list")
         if (len(kappa_field) == 2
@@ -538,7 +542,7 @@ def _cmd_generate(args) -> int:
             "seed": args.seed,
             "delta_min": args.delta_min,
             "eta": _emit_complex(complex(args.eta_re, args.eta_im)),
-            "kappa": _emit_complex(args.kappa) or [[1.0, 0.0]],
+            "kappa": _emit_complex(args.kappa) or DEFAULT_KAPPA,
         },
         "pipelines": "all",
     }
@@ -577,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--sites", type=int, required=True)
     p_gen.add_argument("--spins", type=int, nargs="+", required=True,
                        help="twice the spin of each site")
-    p_gen.add_argument("--delta-min", type=float, default=0.05)
+    p_gen.add_argument("--delta-min", type=float, default=DEFAULT_DELTA_MIN)
     p_gen.add_argument("--eta-re", type=float, default=DEFAULT_ETA.real)
     p_gen.add_argument("--eta-im", type=float, default=DEFAULT_ETA.imag)
     p_gen.add_argument("--kappa", type=float, nargs="*", default=(),

@@ -127,18 +127,17 @@ class EigenvalueFunction:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full spectrum with matched right eigenvectors and left covectors.
+    """Full spectrum with matched right eigenvectors.
 
-    Column i of ``right`` and row i of ``left`` belong to row i of the
-    stack ``rows``; the rows of ``left`` are the inverse of the column
-    matrix, so left@right = identity.  ``sector`` (read-only) holds row i's
-    spin-flip sector, +1 or -1: the untwisted eigenvector is even or odd
-    under the reversal of the state index.  Each row's -t is a row too.
+    Column i of ``right`` belongs to row i of the stack ``rows``; the left
+    covectors are the rows of its inverse.  ``sector`` (read-only) holds
+    row i's spin-flip sector, +1 or -1: the untwisted eigenvector is even
+    or odd under the reversal of the state index.  Each row's -t is a row
+    too.
     """
 
     model: ChainModel
     right: np.ndarray
-    left: np.ndarray
     rows: EigenvalueFunction
     sector: np.ndarray
 
@@ -159,28 +158,31 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
     Returns the model's ``Spectrum``, or, given ``twists`` (further twists
     of the same chain, as numbers), the pair of it and their base values
     (len(twists) x E x N), each twist's rows in its own order.  One
-    eigenbasis V of the untwisted B + C (``_eigenbasis``) serves every
-    twist kappa, as right vectors G V and left covectors V^{-1} G^{-1}
+    eigenbasis V of the untwisted B + C (``_eigenbasis``) and its inverse
+    serve every twist kappa, whose right vectors are G V
     (``twist_gauge``).  All twists share one ``default_rng(seed)``, so one
     sample point, one retry loop and the same check points.  Base values
     and check residuals are each twist's own, from its kappa^{-1} B +
     kappa C.  The model's twist takes the diagonal of
-    V^{-1} G^{-1} T(xi_n) G V, bit for bit a call on it alone.  Each
-    further twist takes (u T(xi_n)) G V with one covector
-    u = 1^T V^{-1} G^{-1} (u G V = 1^T), O(dim^2) per point; its error is
-    first order in the eigenvectors' where the diagonal's is second, so it
-    matches a lone call to rounding, not bit for bit.
+    V^{-1} G^{-1} T(xi_n) G V, bit for bit a call on it alone: below
+    ``SECTOR_PRODUCTS_FROM`` from the gauged inverse V^{-1} G^{-1}, formed
+    there only, and from it on in the flip sectors.  Each further twist
+    takes (u T(xi_n)) G V with one covector u = 1^T V^{-1} G^{-1}
+    (u G V = 1^T), O(dim^2) per point; its error is first order in the
+    eigenvectors' where the diagonal's is second, so it matches a lone
+    call to rounding, not bit for bit.
     """
     kappas = np.array([model.kappa, *(twists or ())], dtype=complex)
     n, dim = model.n_sites, model.hilbert_dim
     b, c, checks, pairs = _eigenbasis(model, np.random.default_rng(seed))
     vectors, inverse, sector = _lifted(pairs, dim)
     gauge = twist_gauge(model, kappas)
-    right, left = gauge[..., None] * vectors, inverse / gauge[0]
+    right = gauge[..., None] * vectors
     covectors = (inverse.sum(axis=0) / gauge[1:])[:, None]
-    # Only the gauged pairs live on: at dim 1024 each matrix is 16 MB.
-    del vectors, inverse
     sectors = pairs if dim >= SECTOR_PRODUCTS_FROM else None
+    left = None if sectors else inverse / gauge[0]
+    # Only the gauged matrices live on: at dim 1024 each is 16 MB.
+    del vectors, inverse
     own, others = [], []
     # One point's transfer matrices and their products at a time.
     for b_n, c_n in zip(b[:n], c[:n]):
@@ -196,7 +198,6 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
     _check(model, kappas, gauge, right, base, checks, b[n:], c[n:], sectors)
     base = np.take_along_axis(base, order[..., None], axis=1)
     spec = Spectrum(model=model, right=right[0][:, order[0]],
-                    left=left[order[0]],
                     rows=EigenvalueFunction(model, base[0]),
                     sector=_read_only(sector[order[0]]))
     return spec if twists is None else (spec, base[1:])
@@ -216,7 +217,7 @@ def _eigenbasis(model, rng):
     sample only.
 
     J, the reversal of the state index, swaps B and C, so it commutes with
-    B + C (blocks ``_flip_sectors``).  The parity P = (-1)^{|h|}
+    B + C (blocks ``_flip_split``).  The parity P = (-1)^{|h|}
     anticommutes with it, swaps the blocks for odd N_s (``_mirrored``) and
     halves each for even N_s (``_parity_halves``).  The gap test runs on
     both blocks' eigenvalues.
@@ -229,7 +230,7 @@ def _eigenbasis(model, rng):
         checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
         b, c = monodromy_entries(
             model, np.concatenate([[lam], model.xi, checks]), "BC")
-        blocks = _flip_sectors(transfer_from_entries(model, b[0], c[0]))
+        blocks, _ = _flip_split(transfer_from_entries(model, b[0], c[0]), 1)
         sectors = (_mirrored(blocks[0], parity) if model.n_s % 2 else
                    [_parity_halves(x, parity[:len(x)]) for x in blocks])
         if _separated(np.concatenate([vals for vals, _ in sectors])):
@@ -281,23 +282,6 @@ def _parity_halves(block, parity):
         y[:, e], y[:, o] = np.vstack([u_inv] * 2), np.vstack([w_inv, -w_inv])
         return x, y
     return np.concatenate([root, -root]), basis
-
-
-def _flip_sectors(m):
-    """The blocks of a J-symmetric M on the even and odd states, in O(dim^2).
-
-    With h = dim // 2, M+ acts on (e_i + e_{dim-1-i}) / sqrt 2 and M- on
-    (e_i - e_{dim-1-i}) / sqrt 2 for i < h; for odd dim, M+ also acts on
-    the middle state e_h.  Only the first h rows of M (and row h) are read.
-    """
-    h = len(m) // 2
-    near, far = m[:h, :h], m[:h, ::-1][:, :h]
-    plus, minus = near + far, near - far
-    if len(m) % 2:
-        root2 = np.sqrt(2.0)
-        plus = np.block([[plus, root2 * m[:h, h:h + 1]],
-                         [root2 * m[h:h + 1, :h], m[h:h + 1, h:h + 1]]])
-    return plus, minus
 
 
 def _lift(x, sign, dim):
@@ -356,9 +340,16 @@ def _check(model, kappas, gauge, right, base, checks, b, c, sectors) -> None:
 
 def _flip_split(t_mat, gauge):
     """S = G^{-1} T G, formed in place of T, split by the flip J: the
-    ``_flip_sectors`` blocks of its part (S + J S J) / 2, and the
-    Frobenius norm of the rest, which couples the sectors.  Every entry
-    is read: rows i and dim-1-i as sum and difference, then columns."""
+    blocks of its part (S + J S J) / 2 on the even and odd states, and the
+    Frobenius norm of the rest, which couples the sectors.
+
+    With h = dim // 2, the even block acts on (e_i + e_{dim-1-i}) / sqrt 2
+    and the odd one on (e_i - e_{dim-1-i}) / sqrt 2 for i < h; for odd dim
+    the even block also acts on the middle state e_h.  Every entry is
+    read: rows i and dim-1-i as sum and difference, then columns.  On a
+    J-symmetric S, such as B + C at gauge 1 (no gauge pass), the rest is
+    exactly 0 and the blocks are bit for bit near +- far, the middle row
+    and column sqrt 2 times S's."""
     s = t_mat
     if np.any(gauge != 1):  # G is exactly the identity at kappa = 1
         s *= gauge
@@ -374,8 +365,9 @@ def _flip_split(t_mat, gauge):
                 (diffs[:, :h] + diffs[:, :-h - 1:-1]).ravel()]
     if len(s) % 2:
         mid, root2 = s[h], np.sqrt(2.0)
-        plus = np.block([[plus, sums[:, h:h + 1] / root2],
-                         [(mid[:h] + mid[:-h - 1:-1]) / root2, mid[h:h + 1]]])
+        plus = np.block([[plus, root2 * (sums[:, h:h + 1] / 2)],
+                         [root2 * ((mid[:h] + mid[:-h - 1:-1]) / 2),
+                          mid[h:h + 1]]])
         coupling += [root2 * diffs[:, h], root2 * (mid[:h] - mid[:-h - 1:-1])]
     # Unlike np.linalg.norm, vecdot makes no temporary of its operand's size.
     rest = np.sqrt(sum(np.vecdot(x, x).real for x in coupling)) / 2

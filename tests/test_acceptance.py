@@ -223,6 +223,7 @@ class TestHomogeneousEquation:
         bethe, bethe_errors = th.bethe_residuals_hom(model, sols)
         assert bethe_errors == none
         assert bethe.max() < 1e-7
+        oracle_left = np.linalg.inv(spec.right)
         for idx in range(model.hilbert_dim):
             q = th.QFunctionHom(model, sols.roots[idx], sols.epsilon[idx],
                                 sols.winding[idx])
@@ -233,7 +234,7 @@ class TestHomogeneousEquation:
                 overlap = abs(np.vdot(oracle_r, right))
                 overlap /= np.linalg.norm(oracle_r) * np.linalg.norm(right)
                 assert 1.0 - overlap < 1e-8
-                oracle_l = spec.left[idx]
+                oracle_l = oracle_left[idx]
                 overlap = abs(np.vdot(oracle_l, left))
                 overlap /= np.linalg.norm(oracle_l) * np.linalg.norm(left)
                 assert 1.0 - overlap < 1e-8

@@ -15,7 +15,10 @@ from sovchain.cli import (
     main,
     run_pipelines,
 )
-from sovchain import cli, qalgebra, sovbasis, spectrum, tq_hom, tq_inhom
+import sovchain
+from sovchain import (
+    cli, errors, qalgebra, sovbasis, spectrum, tq_hom, tq_inhom,
+)
 from sovchain.errors import (
     ConditioningFailure,
     ConfigError,
@@ -545,17 +548,44 @@ def test_library_error_is_recorded_per_eigenvalue(tmp_path, capsys,
     assert (tmp_path / "roots.csv").exists()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("two_s", [(2,), (4,), (2, 2)],
-                         ids=lambda s: "".join(map(str, s)))
-def test_integer_spin_chains_pass_every_pipeline(two_s, seed):
-    # Their base points are inner rungs, where some tq-inhom Q has a root:
-    # the zero eigenvalue's on (2,) and (2,2), eigenvalues 1 and 3 on (4,).
+# The gated census: every shape that PASSes every pipeline at seeds 0-2
+# with twists 1 and 0.6+0.8i.  (1,4), (1,)*6, (3,3), (2,1,3), (2,2,2) and
+# (2,4) each fail at some seed; they wait for ROADMAP item 4.
+GATED_SHAPES = [(2,), (3,), (4,), (5,), (1, 1), (1, 2), (1, 3), (2, 2),
+                (2, 3), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1),
+                (1, 2, 2), (1,) * 4, (1,) * 5]
+INTEGER_SPIN = [s for s in GATED_SHAPES if not any(v % 2 for v in s)]
+HALF_INTEGER_SPIN = [s for s in GATED_SHAPES if s not in INTEGER_SPIN]
+
+
+def passes_every_pipeline(two_s, seed):
     doc = {"model": {"two_s": list(two_s), "xi": "random", "seed": seed,
                      "kappa": [[1.0, 0.0], [0.6, 0.8]]}, "pipelines": "all"}
     summary = run_pipelines(RunConfig.from_dict(doc))["summary"]
     assert summary["failures"] == []
     assert summary["pass"] is True
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("two_s", INTEGER_SPIN,
+                         ids=lambda s: "".join(map(str, s)))
+def test_integer_spin_chains_pass_every_pipeline(two_s, seed):
+    # Their base points are inner rungs, where some tq-inhom Q has a root:
+    # the zero eigenvalue's on (2,) and (2,2), eigenvalues 1 and 3 on (4,).
+    passes_every_pipeline(two_s, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("two_s", HALF_INTEGER_SPIN,
+                         ids=lambda s: "".join(map(str, s)))
+def test_chains_with_a_half_integer_spin_pass_every_pipeline(two_s, seed):
+    passes_every_pipeline(two_s, seed)
+
+
+def test_package_exports_the_error_classes():
+    assert sovchain.__all__ == errors.__all__
+    assert all(issubclass(getattr(sovchain, name), errors.SovChainError)
+               for name in sovchain.__all__)
 
 
 def test_basis_error_is_recorded(monkeypatch):

@@ -746,7 +746,6 @@ def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
     assert spec.model == first.model == model
     assert np.array_equal(spec.rows.base_values, first.rows.base_values)
     assert np.array_equal(spec.right, first.right)
-    assert np.array_equal(spec.left, first.left)
     assert np.array_equal(spec.sector, first.sector)
     for kappa, values in zip(twists, others):
         lone = alone(kappa).rows.base_values

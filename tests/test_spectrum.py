@@ -8,8 +8,7 @@ from sovchain import tq_hom as thm
 from sovchain.cli import RunConfig
 from sovchain.errors import DegenerateSpectrum, RecursionBlowup, ZeroState
 from sovchain.qalgebra import (
-    ChainModel, monodromy, monodromy_entries, transfer_from_entries,
-    xi_shifted,
+    ChainModel, monodromy_entries, transfer_from_entries, xi_shifted,
 )
 
 ETA = 0.31 + 0.07j
@@ -230,11 +229,25 @@ def pair_distance(x, y):
 def test_flip_sectors_split_the_spectrum(two_s):
     m = generated(two_s)
     dim = m.hilbert_dim
-    b, c = monodromy(m, 0.3 - 0.4j)[1:3]
-    full = np.linalg.eig(b + c)[0]
+    # B + C, scattered as the oracle scatters it at its sample point.
+    b, c = monodromy_entries(m, np.array([0.3 - 0.4j]), "BC")
+    mat = transfer_from_entries(m, b[0], c[0])
+    full = np.linalg.eig(mat)[0]
     scale = np.max(np.abs(full))
-    blocks = sp._flip_sectors(b + c)
+    blocks, rest = sp._flip_split(mat.copy(), 1)
     assert [len(x) for x in blocks] == [(dim + 1) // 2, dim // 2]
+    # B + C commutes with J exactly, so nothing couples the sectors and the
+    # blocks are near +- far bit for bit, the middle row and column of an
+    # odd dim sqrt 2 times B + C's.
+    assert rest == 0
+    h = dim // 2
+    near, far = mat[:h, :h], mat[:h, ::-1][:, :h]
+    assert np.array_equal(blocks[0][:h, :h], near + far)
+    assert np.array_equal(blocks[1], near - far)
+    mid = slice(h, len(blocks[0]))  # empty for even dim
+    assert np.array_equal(blocks[0][:h, mid], np.sqrt(2.0) * mat[:h, mid])
+    assert np.array_equal(blocks[0][mid, :h], np.sqrt(2.0) * mat[mid, :h])
+    assert np.array_equal(blocks[0][mid, mid], mat[mid, mid])
     halves = np.concatenate([np.linalg.eig(x)[0] for x in blocks])
     # Equal as multisets: each eigenvalue has its own nearest partner.
     assert pair_distance(full[:, None], halves[:, None]) <= 1e-12 * scale
@@ -245,7 +258,7 @@ def test_flip_sectors_split_the_spectrum(two_s):
     assert np.sum(sector == -1) == dim // 2
     # The eigenbasis, drawn at another point, diagonalizes B + C here too,
     # with the full spectrum on its diagonal.
-    vals = np.diagonal(inverse @ (b + c) @ vectors)
+    vals = np.diagonal(inverse @ mat @ vectors)
     assert pair_distance(full[:, None], vals[:, None]) <= 1e-12 * scale
 
 
@@ -286,7 +299,7 @@ def test_an_eigenvalue_shared_by_both_sectors_fails_the_gap_test(monkeypatch):
     assert np.allclose(mat, mat[::-1, ::-1], rtol=0, atol=1e-14)
     p = parity(spin_two)
     assert np.all(mat[np.equal.outer(p, p)] == 0)
-    blocks = sp._flip_sectors(mat)
+    blocks, _ = sp._flip_split(mat, 1)
     for got, want in zip(blocks, (plus, minus)):
         assert_allclose(got, want, atol=1e-13)
     vals = [np.linalg.eig(x)[0] for x in blocks]
