@@ -31,7 +31,8 @@ import numpy as np
 from .errors import (
     ConfigError, GenerationExhausted, LadderCollision, SovChainError,
 )
-from .qalgebra import ChainModel, monodromy_entries, transfer_from_entries
+from .qalgebra import (ChainModel, monodromy_entries, transfer_from_entries,
+                       twist_gauge)
 from . import sovbasis as sb
 from . import spectrum as sp
 from . import tq_hom as thm
@@ -344,14 +345,14 @@ def run_pipelines(config: RunConfig) -> dict:
 
     start = perf_counter()
     discrete = sp.discrete_residual(model, eigs)
-    ladder_errors = eigs.ladder[2]
+    ladder_qs, ladder_errors = eigs.ladder
     _log_stage("ladder", start, len(base),
                sum(e is not None for e in ladder_errors))
 
     # Each step runs one batch over every eigenvalue and returns its report
     # fields as columns (one JSON-ready entry per row) and the row errors.
     def sov_step():
-        left, right, errors = sp.eigenstates(model, basis, eigs.ladder[0])
+        left, right, errors = sp.eigenstates(model, basis, ladder_qs)
         worst = 0.0
         for lam, t_mat in probes:
             worst = np.maximum(worst, np.maximum(
@@ -559,7 +560,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _load_config(args.config)
-    config.build_model(config.kappa_list[0])
+    twist_gauge(config.build_model(config.kappa_list[0]), config.kappa_list)
     print("config ok")
     return 0
 

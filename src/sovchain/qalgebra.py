@@ -496,10 +496,17 @@ def twist_gauge(model: ChainModel, kappa=None) -> np.ndarray:
     the untwisted B + C by G gives every B entry kappa^{-1} and every C
     entry kappa.  |h| = sum_n h_n counts the lowerings of basis state h
     from the top (rung index h_n at site n, site 1 the slowest index, as in
-    ``sovbasis.all_h_tuples``).  At kappa = 1 every entry is exactly 1.
+    ``sovbasis.all_h_tuples``).  At kappa = 1 every entry is exactly 1.  A
+    twist with a power kappa^{-k}, k <= N_s, 0 or not finite is a ConfigError.
     """
-    kappa = model.kappa if kappa is None else np.asarray(kappa)[..., None]
-    return (kappa ** -np.arange(model.n_s + 1))[..., _lowerings(model.two_s)]
+    kappa = np.asarray(model.kappa if kappa is None else kappa)[..., None]
+    with np.errstate(all="ignore"):  # a bad power is named below
+        powers = kappa ** -np.arange(model.n_s + 1)
+    bad = kappa[~np.all(np.isfinite(powers) & (powers != 0), axis=-1)]
+    if bad.size:
+        raise ConfigError(f"twist kappa={complex(bad.flat[0]):.6g}: some "
+                          f"kappa^-k, k <= {model.n_s}, is 0 or not finite")
+    return powers[..., _lowerings(model.two_s)]
 
 
 @lru_cache(maxsize=16)

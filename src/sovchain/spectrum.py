@@ -114,13 +114,12 @@ class EigenvalueFunction:
     @cached_property
     def ladder(self) -> tuple:
         """Null vectors of every rung matrix by downward recursion, for
-        every row: (q_vectors, consistency, errors), read-only.
+        every row: (q_vectors, errors), read-only.
 
         q_vectors holds on every rung the recursion solution with q = 1 on
-        the top rungs; consistency the worst relative defect of the final
-        (unused) ladder row, which vanishes exactly on the spectrum; errors
-        per row None or the ``RecursionBlowup`` that stopped the recursion
-        (the row's vectors are then zero).
+        the top rungs; errors per row None or the ``RecursionBlowup`` that
+        stopped the recursion (the row's vectors are then zero).  Whether
+        the unused last ladder rows close, ``discrete_residual`` checks.
         """
         return _ladder(self.model, self.rung_values)
 
@@ -157,26 +156,26 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
 
     Returns the model's ``Spectrum``, or, given ``twists`` (further twists
     of the same chain, as numbers), the pair of it and their base values
-    (len(twists) x E x N), each twist's rows in its own order.  One
-    eigenbasis V of the untwisted B + C (``_eigenbasis``) and its inverse
-    serve every twist kappa, whose right vectors are G V
-    (``twist_gauge``).  All twists share one ``default_rng(seed)``, so one
-    sample point, one retry loop and the same check points.  Base values
-    and check residuals are each twist's own, from its kappa^{-1} B +
-    kappa C.  The model's twist takes the diagonal of
-    V^{-1} G^{-1} T(xi_n) G V, bit for bit a call on it alone: below
-    ``SECTOR_PRODUCTS_FROM`` from the gauged inverse V^{-1} G^{-1}, formed
-    there only, and from it on in the flip sectors.  Each further twist
-    takes (u T(xi_n)) G V with one covector u = 1^T V^{-1} G^{-1}
+    (len(twists) x E x N).  One eigenbasis V of the untwisted B + C
+    (``_eigenbasis``) and its inverse serve every twist kappa, whose right
+    vectors are G V (``twist_gauge``), so every twist takes the model's
+    row order, a lexsort on t(xi_1).  All twists share one
+    ``default_rng(seed)``, so one sample point, one retry loop and the
+    same check points.  Base values and check residuals are each twist's
+    own, from its kappa^{-1} B + kappa C.  The model's twist takes the
+    diagonal of V^{-1} G^{-1} T(xi_n) G V, bit for bit a call on it alone:
+    below ``SECTOR_PRODUCTS_FROM`` from the gauged inverse V^{-1} G^{-1},
+    formed there only, and from it on in the flip sectors.  Each further
+    twist takes (u T(xi_n)) G V with one covector u = 1^T V^{-1} G^{-1}
     (u G V = 1^T), O(dim^2) per point; its error is first order in the
     eigenvectors' where the diagonal's is second, so it matches a lone
     call to rounding, not bit for bit.
     """
     kappas = np.array([model.kappa, *(twists or ())], dtype=complex)
     n, dim = model.n_sites, model.hilbert_dim
+    gauge = twist_gauge(model, kappas)
     b, c, checks, pairs = _eigenbasis(model, np.random.default_rng(seed))
     vectors, inverse, sector = _lifted(pairs, dim)
-    gauge = twist_gauge(model, kappas)
     right = gauge[..., None] * vectors
     covectors = (inverse.sum(axis=0) / gauge[1:])[:, None]
     sectors = pairs if dim >= SECTOR_PRODUCTS_FROM else None
@@ -194,12 +193,12 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
     base = np.concatenate([
         np.stack(own, axis=-1)[None],
         np.swapaxes(np.concatenate(others, axis=1) @ right[1:], 1, 2)])
-    order = np.lexsort((base[..., 0].imag, base[..., 0].real))
     _check(model, kappas, gauge, right, base, checks, b[n:], c[n:], sectors)
-    base = np.take_along_axis(base, order[..., None], axis=1)
-    spec = Spectrum(model=model, right=right[0][:, order[0]],
+    order = np.lexsort((base[0, :, 0].imag, base[0, :, 0].real))
+    base = base[:, order]
+    spec = Spectrum(model=model, right=right[0][:, order],
                     rows=EigenvalueFunction(model, base[0]),
-                    sector=_read_only(sector[order[0]]))
+                    sector=_read_only(sector[order]))
     return spec if twists is None else (spec, base[1:])
 
 
@@ -230,7 +229,7 @@ def _eigenbasis(model, rng):
         checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
         b, c = monodromy_entries(
             model, np.concatenate([[lam], model.xi, checks]), "BC")
-        blocks, _ = _flip_split(transfer_from_entries(model, b[0], c[0]), 1)
+        blocks = _flip_split(transfer_from_entries(model, b[0], c[0]), 1)
         sectors = (_mirrored(blocks[0], parity) if model.n_s % 2 else
                    [_parity_halves(x, parity[:len(x)]) for x in blocks])
         if _separated(np.concatenate([vals for vals, _ in sectors])):
@@ -340,16 +339,15 @@ def _check(model, kappas, gauge, right, base, checks, b, c, sectors) -> None:
 
 def _flip_split(t_mat, gauge):
     """S = G^{-1} T G, formed in place of T, split by the flip J: the
-    blocks of its part (S + J S J) / 2 on the even and odd states, and the
-    Frobenius norm of the rest, which couples the sectors.
+    blocks of its part (S + J S J) / 2 on the even and odd states.
 
     With h = dim // 2, the even block acts on (e_i + e_{dim-1-i}) / sqrt 2
     and the odd one on (e_i - e_{dim-1-i}) / sqrt 2 for i < h; for odd dim
     the even block also acts on the middle state e_h.  Every entry is
     read: rows i and dim-1-i as sum and difference, then columns.  On a
-    J-symmetric S, such as B + C at gauge 1 (no gauge pass), the rest is
-    exactly 0 and the blocks are bit for bit near +- far, the middle row
-    and column sqrt 2 times S's."""
+    J-symmetric S, such as B + C at gauge 1 (no gauge pass), the blocks
+    are bit for bit near +- far, the middle row and column sqrt 2 times
+    S's.  The part between the sectors is left to ``_sector_defects``."""
     s = t_mat
     if np.any(gauge != 1):  # G is exactly the identity at kappa = 1
         s *= gauge
@@ -360,24 +358,18 @@ def _flip_split(t_mat, gauge):
     minus = diffs[:, :h] - diffs[:, :-h - 1:-1]
     plus /= 2
     minus /= 2
-    # Twice the blocks that couple the sectors, flat.
-    coupling = [(sums[:, :h] - sums[:, :-h - 1:-1]).ravel(),
-                (diffs[:, :h] + diffs[:, :-h - 1:-1]).ravel()]
     if len(s) % 2:
         mid, root2 = s[h], np.sqrt(2.0)
         plus = np.block([[plus, root2 * (sums[:, h:h + 1] / 2)],
                          [root2 * ((mid[:h] + mid[:-h - 1:-1]) / 2),
                           mid[h:h + 1]]])
-        coupling += [root2 * diffs[:, h], root2 * (mid[:h] - mid[:-h - 1:-1])]
-    # Unlike np.linalg.norm, vecdot makes no temporary of its operand's size.
-    rest = np.sqrt(sum(np.vecdot(x, x).real for x in coupling)) / 2
-    return [plus, minus], rest
+    return [plus, minus]
 
 
 def _sector_values(t_mat, gauge, pairs):
     """The diagonal of V^{-1} S V, one product per flip sector: the part
     of S that couples the sectors has none.  Overwrites t_mat."""
-    blocks, _ = _flip_split(t_mat, gauge)
+    blocks = _flip_split(t_mat, gauge)
     return np.concatenate([np.einsum("ij,ji->i", y @ block, x)
                            for (x, y), block in zip(pairs, blocks)])
 
@@ -386,8 +378,14 @@ def _sector_defects(t_mat, gauge, pairs, values):
     """A bound of |T G v - t G v| per eigenvector v = lift(x): the lifted
     |G (S+ x - x t)| plus max|g| |S-|_F |x|, S+ and S- the parts of S
     that commute and anticommute with J.  Overwrites t_mat."""
-    blocks, rest = _flip_split(t_mat, gauge)
+    blocks = _flip_split(t_mat, gauge)
     h, g2 = len(gauge) // 2, np.abs(gauge) ** 2
+    # S - J S J = 2 S-: its rows i < h, then an odd dim's middle row.  Row
+    # dim-1-i is row i reversed and negated, so rows i < h count twice.
+    odd = t_mat[:len(g2) - h] - t_mat[::-1, ::-1][:len(g2) - h]
+    # Unlike np.linalg.norm, vecdot makes no temporary of its operand's size.
+    rows = np.vecdot(odd, odd).real
+    rest = np.sqrt(2 * rows[:h].sum() + rows[h:].sum()) / 2
     # A sector row i < h lifts to rows i and dim-1-i; the odd middle stays.
     weights = np.concatenate([(g2[:h] + g2[::-1][:h]) / 2, g2[h:len(g2) - h]])
     spill = rest * np.sqrt(np.max(g2))
@@ -474,7 +472,6 @@ def _ladder(model: ChainModel, rung_values):
     one pass per ladder length; each row keeps its first blowup in the
     rung order."""
     blown, qs = (np.zeros(rung_values.shape, dtype=t) for t in (bool, complex))
-    consistency = np.zeros(rung_values.shape[:-1])
     # A row that overflows goes on in garbage until it is zeroed below.
     with np.errstate(all="ignore"):
         for cols, t, a, d in _rung_groups(model, rung_values):
@@ -486,12 +483,6 @@ def _ladder(model: ChainModel, rung_values):
                 peak = np.maximum(peak, np.abs(q[..., h]))
                 blown[..., cols[:, h]] = np.abs(nxt) > 1e12 * peak
                 q[..., h + 1] = nxt
-            last = -d[..., -1] * q[..., -2] + t[..., -1] * q[..., -1]
-            row_scale = np.maximum(np.maximum(
-                np.abs(d[..., -1]) * np.abs(q[..., -2]),
-                np.abs(t[..., -1]) * np.abs(q[..., -1])), 1e-300)
-            consistency = np.maximum(consistency,
-                                     np.max(np.abs(last) / row_scale, -1))
             qs[..., cols] = q
     table = model.rung_table
     flat = blown.reshape(-1, blown.shape[-1])
@@ -501,7 +492,7 @@ def _ladder(model: ChainModel, rung_values):
         f"rung recursion overflow at site {table.site[first[k]] + 1}, "
         f"rung {table.level[first[k]] + 1}"))
     qs[rows.reshape(qs.shape[:-1])] = 0.0
-    return _read_only(qs), _read_only(np.asarray(consistency)), tuple(errors)
+    return _read_only(qs), tuple(errors)
 
 
 def companion_rescale(model: ChainModel, vectors):

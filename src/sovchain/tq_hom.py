@@ -150,7 +150,7 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     reproduce the same sign; its residual is kept on the solution.
     Returns (solutions, errors per row).
     """
-    qs, _, errors = eigfun.ladder
+    qs, errors = eigfun.ladder
     errors = list(errors)
     mat, nodes, spread = _closure(model, qs, zeta0, angle_scale=0.5)
     _, sing, vh = np.linalg.svd(mat)

@@ -171,7 +171,7 @@ def _dressed_null_vectors(model: ChainModel, qs):
 
 def _null_vectors(eigfun):
     """One eigenvalue's ladder null vectors; raises its RecursionBlowup."""
-    qs, _, (error,) = eigfun.ladder
+    qs, (error,) = eigfun.ladder
     if error is not None:
         raise error
     return qs
@@ -390,7 +390,7 @@ def solve_q_inhom(
     row, errors per row).
     """
     rng = np.random.default_rng(0)
-    qs, _, errors = eigfun.ladder
+    qs, errors = eigfun.ladder
     errors = list(errors)
     xs = _dressed_null_vectors(model, qs)
     sol = _solve(model, xs, alpha, zeta0, errors)

@@ -42,10 +42,9 @@ def outputs(model, rows, basis):
                 for e in errors]
 
     rng = np.random.default_rng
-    qs, consistency, ladder_errors = rows.ladder
+    qs, ladder_errors = rows.ladder
     out = {"discrete": sp.discrete_residual(model, rows),
-           "q": qs, "consistency": consistency,
-           "ladder_errors": named(ladder_errors)}
+           "q": qs, "ladder_errors": named(ladder_errors)}
 
     sol, retries, errors = ti.solve_q_inhom(
         model, rows, zeta0=ti.draw_zeta0(model, rng(42)))

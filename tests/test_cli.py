@@ -107,7 +107,13 @@ class TestConfigParsing:
         assert config.kappa_list == (0.9 + 0.3j,)
 
     @pytest.mark.parametrize("mutate, message", [
-        (lambda d: d.pop("model"), "model"),
+        (lambda d: d.__delitem__("model"), "model"),
+        (lambda d: [d], "configuration root must be an object"),
+        (lambda d: d["model"].update(xi="grid"), "'random' or a list"),
+        (lambda d: d["model"].update(kappa=[]), "nonempty list"),
+        (lambda d: d.update(output=[]), "'output' must be an object"),
+        (lambda d: d.update(output={"report": 3}),
+         "output.report must be a string path"),
         (lambda d: d["model"].update(two_s=[0, 1]), "two_s"),
         (lambda d: d["model"].update(xi=[[0.1, 0.0]]), "xi"),
         (lambda d: d["model"].update(kappa=[[0.0, 0.0]]), "kappa"),
@@ -149,8 +155,9 @@ class TestConfigParsing:
                      "model.xi", id="huge-xi"),
     ])
     def test_rejects_malformed(self, mutate, message):
+        # A mutation edits the document in place or returns its replacement.
         doc = base_doc((1, 1))
-        mutate(doc)
+        doc = mutate(doc) or doc
         with pytest.raises(ConfigError, match=message):
             RunConfig.from_dict(doc)
 
@@ -262,6 +269,20 @@ class TestRunCommand:
         assert main([command, cfg]) == 2
         assert "non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("kappa", [1e200, 1e-300])
+    def test_twist_without_a_gauge_exits_two(self, tmp_path, capsys,
+                                             command, kappa):
+        # On (1, 2) the gauge kappa^-|h| underflows to 0 or overflows.
+        doc = base_doc((1, 2))
+        doc["model"]["kappa"] = [[1.0, 0.0], [kappa, 0.0]]
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main([command, cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: twist kappa={complex(kappa):.6g}: some "
+            "kappa^-k, k <= 3, is 0 or not finite"]
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
@@ -280,17 +301,25 @@ class TestRunCommand:
         assert "nodir" in err[0]
         assert not (tmp_path / "nodir").exists()
 
-    @pytest.mark.parametrize("key", ["report", "bethe_csv"])
+    @pytest.mark.parametrize("key, absolute", [
+        pytest.param("report", False, id="report"),
+        pytest.param("bethe_csv", False, id="bethe_csv"),
+        pytest.param("report", True, id="report-absolute"),
+    ])
     def test_output_naming_a_directory_exits_two(
-            self, tmp_path, capsys, monkeypatch, key):
+            self, tmp_path, capsys, monkeypatch, key, absolute):
+        # A relative path joins the config's folder; an absolute one is
+        # kept as given.
+        target = str(tmp_path) if absolute else "."
         doc = base_doc((1,), seed=3)
-        doc["output"] = {key: "."}
+        doc["output"] = {key: target}
         cfg = write_config(tmp_path / "cfg.json", doc)
         monkeypatch.setattr(cli, "run_pipelines", pytest.fail)
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: output.{key}: "
-                       f"{os.path.join(str(tmp_path), '.')!r} is a directory"]
+                       f"{os.path.join(str(tmp_path), target)!r} "
+                       "is a directory"]
         assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("output", [
@@ -580,6 +609,27 @@ def test_integer_spin_chains_pass_every_pipeline(two_s, seed):
                          ids=lambda s: "".join(map(str, s)))
 def test_chains_with_a_half_integer_spin_pass_every_pipeline(two_s, seed):
     passes_every_pipeline(two_s, seed)
+
+
+# The normal regimes: eta = 0.31i with real xi_n = 0.1 + 0.5 (n - 1), or
+# eta = 0.31 with xi_n = i (0.1 + 0.5 (n - 1)).  There Re t(xi_1) is about
+# 0, so a sort on it orders rounding noise; each twist's rows must still
+# belong to the model's eigenvectors, row for row.
+NORMAL_REGIMES = {"imaginary-eta": ([0.0, 0.31], lambda x: [x, 0.0]),
+                  "real-eta": ([0.31, 0.0], lambda x: [0.0, x])}
+
+
+@pytest.mark.parametrize("regime", NORMAL_REGIMES)
+@pytest.mark.parametrize("two_s", [(1, 1), (1, 2), (1, 1, 1), (1,) * 4,
+                                   (2, 2)], ids=lambda s: "".join(map(str, s)))
+def test_normal_regimes_pass_every_pipeline(two_s, regime):
+    eta, place = NORMAL_REGIMES[regime]
+    doc = {"model": {"two_s": list(two_s), "eta": eta,
+                     "xi": [place(0.1 + 0.5 * n) for n in range(len(two_s))],
+                     "kappa": [[1.0, 0.0], [0.6, 0.8]]}, "pipelines": "all"}
+    summary = run_pipelines(RunConfig.from_dict(doc))["summary"]
+    assert summary["failures"] == []
+    assert summary["max_residuals"]["kappa_isospectrality"] <= 1e-14
 
 
 def test_package_exports_the_error_classes():

@@ -68,8 +68,10 @@ def test_nonpositive_spin_rejected():
     ({"kappa": np.inf}, "finite"),
     ({"delta_min": -1.0}, "delta_min"),
     ({"delta_min": np.nan}, "delta_min"),
+    ({"two_s": [], "xi": []}, "at least one site"),
+    ({"xi": [0.0]}, "1 inhomogeneities for 2 sites"),
 ], ids=["nan-eta", "nan-xi", "inf-kappa", "negative-delta_min",
-        "nan-delta_min"])
+        "nan-delta_min", "no-site", "xi-count"])
 def test_non_finite_parameters_rejected(kw, message):
     # Not only a configuration: a model built in code gets the same rules.
     args = {"two_s": [1, 1], "xi": [0.0, 0.7], **kw}
@@ -262,6 +264,8 @@ def test_ladder_index_errors():
         xi_shifted(D3, 0, 0)
     with pytest.raises(IndexOutOfRange):
         xi_shifted(D3, 3, 0)
+    with pytest.raises(IndexOutOfRange, match="site 3 outside 1..2"):
+        lax(D3, 3, 0.1)
 
 
 # ----------------------------------------------------------------------

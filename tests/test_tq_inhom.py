@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sovchain.cli import generate_model
-from sovchain.errors import ExceptionalAlpha, PoleAtXi
+from sovchain.errors import ExceptionalAlpha, PoleAtXi, RecursionBlowup
 from sovchain.qalgebra import ChainModel, a_of, d_of, xi_shifted
 from sovchain.trigpoly import horner, interpolate
 from sovchain import sovbasis as sb
@@ -177,6 +177,12 @@ class TestDeterminantIdentities:
             assert_allclose(
                 coeffs[-1], ti.leading_det_coefficient(D3, f), rtol=1e-8
             )
+
+    def test_blown_up_row_raises_its_blowup(self):
+        # One eigenvalue's routes raise the error its ladder row recorded.
+        absurd = sp.EigenvalueFunction(D2, (1e20 + 0j, 1e20 + 0j))
+        with pytest.raises(RecursionBlowup, match="rung recursion overflow"):
+            ti.det_m_polynomial(D2, absurd, ZETA0)
 
     def test_constant_term_is_eigenvalue_independent(self, d2_solutions):
         dets = [
