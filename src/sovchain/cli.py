@@ -29,7 +29,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import (
-    ConfigError, GenerationExhausted, LadderCollision, SovChainError,
+    ConfigError, GenerationExhausted, LadderCollision, SovChainError, merge,
 )
 from .qalgebra import (ChainModel, monodromy_entries, transfer_from_entries,
                        twist_gauge)
@@ -103,9 +103,10 @@ def _parse_complex(value, where: str) -> complex:
 
 def _emit_complex(z):
     """[re, im] for a complex scalar, and that pair on a new last axis for
-    an array, as nested lists of Python floats."""
+    an array, as nested lists of Python floats: the (re, im) memory of the
+    complex values, read as floats."""
     z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, z.imag], -1).tolist()
+    return np.ascontiguousarray(z).view(float).reshape(z.shape + (2,)).tolist()
 
 
 @dataclass
@@ -279,15 +280,20 @@ def _describe(exc: SovChainError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _first_errors(*per_row):
+def _first_errors(first, *rest):
     """Each row's first error over several lists of per-row errors."""
-    return [next((e for e in row if e is not None), None)
-            for row in zip(*per_row)]
+    errors = list(first)
+    for more in rest:
+        merge(errors, more)
+    return errors
 
 
-def _log_stage(name: str, start: float, rows: int, failed: int) -> None:
-    log.info("stage %s: %.4f s, %d rows, %d failed", name,
-             perf_counter() - start, rows, failed)
+def _log_stage(name: str, start: float, rows: int, errors=()) -> None:
+    """One INFO line; its failed rows are counted only if it is logged."""
+    if log.isEnabledFor(logging.INFO):
+        log.info("stage %s: %.4f s, %d rows, %d failed", name,
+                 perf_counter() - start, rows,
+                 len(errors) - errors.count(None))
 
 
 def run_pipelines(config: RunConfig) -> dict:
@@ -304,16 +310,18 @@ def run_pipelines(config: RunConfig) -> dict:
         """Decide one check over its column, values[i] belonging to
         eigenvalue rows[i]: a value not under its bound (NaN too) fails,
         and the maximum shows it."""
-        values = np.array(values, dtype=float, ndmin=1)
-        if values.size:
-            maxima[key] = float(np.max(values, initial=0.0))
-        failures.extend(
-            (rows[i], f"{key}: {values[i]:.3e} exceeds {bound:.1e}")
-            for i in np.flatnonzero(~(values <= bound)))
+        values = np.array(values, dtype=float, ndmin=1, copy=None)
+        if not values.size:
+            return
+        maxima[key] = top = float(values.max(initial=0.0))
+        if not top <= bound:  # bounds are positive: a passing max passes all
+            failures.extend(
+                (rows[i], f"{key}: {values[i]:.3e} exceeds {bound:.1e}")
+                for i in np.flatnonzero(~(values <= bound)))
 
     start = perf_counter()
     model = config.build_model(config.kappa_list[0])
-    _log_stage("model", start, model.hilbert_dim, 0)
+    _log_stage("model", start, model.hilbert_dim)
     start = perf_counter()
     spec, others = sp.brute_force_spectrum(model, twists=config.kappa_list[1:])
     eigs = spec.rows
@@ -321,9 +329,9 @@ def run_pipelines(config: RunConfig) -> dict:
 
     # Twisting the boundary must not move the spectrum.
     if len(others):
-        record("kappa_isospectrality", np.max(np.abs(others - base)),
+        record("kappa_isospectrality", np.abs(others - base).max(),
                tol["matching"])
-    _log_stage("oracle", start, len(base), 0)
+    _log_stage("oracle", start, len(base))
 
     basis = basis_error = None
     if "sov" in config.pipelines:
@@ -341,13 +349,12 @@ def run_pipelines(config: RunConfig) -> dict:
             record("identity_resolution", sb.identity_resolution(basis),
                    tol["identity"])
         _log_stage("basis", start, model.hilbert_dim,
-                   model.hilbert_dim if basis_error else 0)
+                   (basis_error,) * model.hilbert_dim)
 
     start = perf_counter()
     discrete = sp.discrete_residual(model, eigs)
     ladder_qs, ladder_errors = eigs.ladder
-    _log_stage("ladder", start, len(base),
-               sum(e is not None for e in ladder_errors))
+    _log_stage("ladder", start, len(base), ladder_errors)
 
     # Each step runs one batch over every eigenvalue and returns its report
     # fields as columns (one JSON-ready entry per row) and the row errors.
@@ -355,16 +362,14 @@ def run_pipelines(config: RunConfig) -> dict:
         left, right, errors = sp.eigenstates(model, basis, ladder_qs)
         worst = 0.0
         for lam, t_mat in probes:
-            worst = np.maximum(worst, np.maximum(
-                sp.eigen_residual(model, eigs, right, lam, "right", t_mat),
-                sp.eigen_residual(model, eigs, left, lam, "left", t_mat),
-            ))
+            worst = np.maximum(worst, sp.eigen_residual(
+                model, eigs, (right, left), lam, "both", t_mat))
         cross = np.abs(left @ spec.right) / (
             np.linalg.norm(left, axis=1)[:, None] * right_norms)
-        cross = np.where(np.eye(len(cross), dtype=bool), -np.inf, cross)
+        np.fill_diagonal(cross, -np.inf)
         return {
             "eigenstate_residual": worst.tolist(),
-            "biorthogonality": np.max(cross, axis=1).tolist(),
+            "biorthogonality": cross.max(axis=1).tolist(),
         }, _first_errors(ladder_errors, errors)
 
     def inhom_step():
@@ -378,8 +383,8 @@ def run_pipelines(config: RunConfig) -> dict:
             "roots": _emit_complex(sol.roots),
             "grid_residual":
                 ti.inhom_grid_residual(model, eigs, sol).tolist(),
-            "bethe_max": np.max(bethe, axis=1).tolist(),
-            "round_trip": np.max(np.abs(rebuilt - base), axis=1).tolist(),
+            "bethe_max": bethe.max(axis=1).tolist(),
+            "round_trip": np.abs(rebuilt - base).max(axis=1).tolist(),
         }, _first_errors(errors, pole_errors)
 
     def hom_step():
@@ -395,9 +400,9 @@ def run_pipelines(config: RunConfig) -> dict:
             "grid_residual": thm.hom_grid_residual(model, eigs, sol).tolist(),
             "wronskian_residual": sol.wronskian_residual.tolist(),
             "sum_rule_residual": sol.sum_rule_residual.tolist(),
-            "bethe_max": np.max(bethe, axis=1).tolist(),
-            "proportionality_max": np.max(angles, axis=1).tolist(),
-            "round_trip": np.max(np.abs(rebuilt - base), axis=1).tolist(),
+            "bethe_max": bethe.max(axis=1).tolist(),
+            "proportionality_max": angles.max(axis=1).tolist(),
+            "round_trip": np.abs(rebuilt - base).max(axis=1).tolist(),
         }, _first_errors(errors, bethe_errors, pair_errors)
 
     steps = {}
@@ -410,34 +415,34 @@ def run_pipelines(config: RunConfig) -> dict:
                 continue
             start = perf_counter()
             steps[name] = step()
-            _log_stage(name, start, len(base),
-                       sum(e is not None for e in steps[name][1]))
+            _log_stage(name, start, len(base), steps[name][1])
 
-    discrete = discrete.tolist()
     record("discrete_residual", discrete, tol["determinant"],
            range(len(discrete)))
     records = [{"index": idx, "t_at_xi": values, "discrete_residual": dres}
                for idx, (values, dres)
-               in enumerate(zip(_emit_complex(base), discrete))]
+               in enumerate(zip(_emit_complex(base), discrete.tolist()))]
     for entry in records if basis_error else ():
         entry["sov"] = basis_error
     # Each pipeline fills its part of every entry: its fields, or the error
     # that fails this eigenvalue and pipeline (not the run).
     for name, (columns, errors) in steps.items():
-        key = REPORT_KEYS[name]
-        ok = [idx for idx, exc in enumerate(errors) if exc is None]
-        failures.extend((idx, f"eigenvalue {idx} {name}: {_describe(exc)}")
-                        for idx, exc in enumerate(errors) if exc is not None)
-        for check, (pipeline, field, bound) in CHECKS.items():
-            if pipeline == name:
-                record(check, np.take(columns[field], ok), tol[bound], ok)
-        for entry, exc, row in zip(records, errors, zip(*columns.values())):
+        key, ok = REPORT_KEYS[name], []
+        for idx, (entry, exc, row) in enumerate(
+                zip(records, errors, zip(*columns.values()))):
             if exc is not None:
                 entry[key] = _error_entry(exc)
-            elif key == "sov":
+                failures.append(
+                    (idx, f"eigenvalue {idx} {name}: {_describe(exc)}"))
+                continue
+            ok.append(idx)
+            if key == "sov":
                 entry.update(zip(columns, row))
             else:
                 entry[key] = dict(zip(columns, row))
+        for check, (pipeline, field, bound) in CHECKS.items():
+            if pipeline == name:
+                record(check, np.take(columns[field], ok), tol[bound], ok)
 
     # Run-level lines first, then by eigenvalue; within one, in the order
     # recorded: discrete residual, then each pipeline's checks in turn.
@@ -516,7 +521,8 @@ def _cmd_run(args) -> int:
     path = config.report_path
     # One compact string from the C encoder, written once.
     with open(path, "w") as handle:
-        handle.write(json.dumps(report) + "\n")
+        # run_pipelines builds the report afresh: it holds no cycle.
+        handle.write(json.dumps(report, check_circular=False) + "\n")
     if config.bethe_csv_path and any(
         p in config.pipelines for p in ("tq-inhom", "tq-hom")
     ):

@@ -9,29 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "SovChainError",
-    "DegenerateNodes",
-    "NotFullDegree",
-    "IndexOutOfRange",
-    "NotApplicable",
-    "ConditioningFailure",
-    "DegenerateSpectrum",
-    "RecursionBlowup",
-    "ZeroState",
-    "ExceptionalAlpha",
-    "NonAdmissible",
-    "PoleAtXi",
-    "RankDeficient",
-    "NoEpsilonFits",
-    "NotEntire",
-    "CoincidentRoots",
-    "BothChoicesZero",
-    "ConfigError",
-    "LadderCollision",
-    "GenerationExhausted",
-]
-
 
 class SovChainError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,10 +20,20 @@ class SovChainError(Exception):
 
 def record(errors: list, failed, make) -> None:
     """Give every row flagged in ``failed`` that has no error yet the error
-    ``make(row)``: a row keeps the first error it meets."""
-    for row in np.flatnonzero(failed):
-        if errors[row] is None:
-            errors[row] = make(row)
+    ``make(row)``: a row keeps the first error it meets.  An all-false
+    mask costs one count, no row loop."""
+    if np.count_nonzero(failed):
+        for row in np.flatnonzero(failed):
+            if errors[row] is None:
+                errors[row] = make(row)
+
+
+def merge(errors: list, more) -> None:
+    """``record`` for a list ``more`` of per-row errors (or None)."""
+    if more.count(None) < len(more):
+        for row, exc in enumerate(more):
+            if errors[row] is None:
+                errors[row] = exc
 
 
 class DegenerateNodes(SovChainError):
@@ -123,3 +110,8 @@ class LadderCollision(ConfigError):
 
 class GenerationExhausted(SovChainError):
     """Random model generation failed to meet the genericity margin within the attempt budget."""
+
+
+# Every error class above, in the order defined: the package's public names.
+__all__ = [name for name, value in list(globals().items())
+           if isinstance(value, type) and issubclass(value, SovChainError)]

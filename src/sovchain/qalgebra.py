@@ -356,7 +356,8 @@ def monodromy_entries(model: ChainModel, lam, blocks: str = "ABCD") -> tuple:
         _local_entries(*lax(model, site, lam))[..., row]
         for site, row in enumerate(
             model.monodromy_plan.factors[:, cuts[0]:cuts[-1]], start=1)))
-    return tuple(np.split(values, np.subtract(cuts[1:-1], cuts[0]), axis=-1))
+    return tuple(values[..., i - cuts[0]:j - cuts[0]]
+                 for i, j in zip(cuts, cuts[1:]))
 
 
 def _scatter(model: ChainModel, pieces) -> np.ndarray:

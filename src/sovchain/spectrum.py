@@ -343,24 +343,29 @@ def _flip_split(t_mat, gauge):
 
     With h = dim // 2, the even block acts on (e_i + e_{dim-1-i}) / sqrt 2
     and the odd one on (e_i - e_{dim-1-i}) / sqrt 2 for i < h; for odd dim
-    the even block also acts on the middle state e_h.  Every entry is
-    read: rows i and dim-1-i as sum and difference, then columns.  On a
-    J-symmetric S, such as B + C at gauge 1 (no gauge pass), the blocks
-    are bit for bit near +- far, the middle row and column sqrt 2 times
-    S's.  The part between the sectors is left to ``_sector_defects``."""
+    the even block also acts on the middle state e_h.  The blocks are
+    ((A + C) + (B + D)) / 2 and ((A - C) - (B - D)) / 2 in the quadrants
+    of S, far rows and columns reversed.  On a J-symmetric S, such as
+    B + C at gauge 1 (no gauge pass), they are bit for bit near +- far,
+    the middle row and column sqrt 2 times S's.  The part between the
+    sectors is left to ``_sector_defects``."""
     s = t_mat
     if np.any(gauge != 1):  # G is exactly the identity at kappa = 1
         s *= gauge
         s /= gauge[:, None]
     h = len(s) // 2
-    sums, diffs = s[:h] + s[:-h - 1:-1], s[:h] - s[:-h - 1:-1]
-    plus = sums[:, :h] + sums[:, :-h - 1:-1]
-    minus = diffs[:, :h] - diffs[:, :-h - 1:-1]
+    near, far = s[:h], s[:-h - 1:-1]
+    a, b = near[:, :h], near[:, :-h - 1:-1]
+    c, d = far[:, :h], far[:, :-h - 1:-1]
+    plus, minus, spare = a + c, a - c, b + d
+    plus += spare
+    minus -= np.subtract(b, d, out=spare)
     plus /= 2
     minus /= 2
     if len(s) % 2:
         mid, root2 = s[h], np.sqrt(2.0)
-        plus = np.block([[plus, root2 * (sums[:, h:h + 1] / 2)],
+        col = (near[:, h:h + 1] + far[:, h:h + 1]) / 2
+        plus = np.block([[plus, root2 * col],
                          [root2 * ((mid[:h] + mid[:-h - 1:-1]) / 2),
                           mid[h:h + 1]]])
     return [plus, minus]
@@ -404,15 +409,19 @@ def eigen_residual(
     """Relative defect of eigen-pairs at one spectral point.
 
     states holds one right vector (or left covector) per row of eigfun;
-    one product with the transfer matrix does every row.  Pass ``t_mat``,
-    the transfer matrix at ``lam``, if it is already built.
+    one product with the transfer matrix does every row.  Side "both"
+    takes the pair (right, left) and gives each row its larger defect,
+    with t(lam) and |T(lam)| formed once.  Pass ``t_mat``, the transfer
+    matrix at ``lam``, if it is already built.
     """
     if t_mat is None:
         t_mat = transfer_antiperiodic(model, lam)
-    image = states @ t_mat.T if side == "right" else states @ t_mat
-    defect = image - np.asarray(eigfun(lam))[..., None] * states
-    return np.linalg.norm(defect, axis=-1) / (
-        np.linalg.norm(t_mat) * np.linalg.norm(states, axis=-1))
+    value, size = np.asarray(eigfun(lam))[..., None], np.linalg.norm(t_mat)
+    sides = (zip(states, ("right", "left")) if side == "both"
+             else [(states, side)])
+    return reduce(np.maximum, [np.linalg.norm(
+        (s @ t_mat.T if on == "right" else s @ t_mat) - value * s, axis=-1)
+        / (size * np.linalg.norm(s, axis=-1)) for s, on in sides])
 
 
 # ----------------------------------------------------------------------

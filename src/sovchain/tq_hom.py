@@ -42,20 +42,15 @@ go on.  The solution keeps its Wronskian fit and its sum-rule residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    BothChoicesZero,
-    CoincidentRoots,
-    NoEpsilonFits,
-    NonAdmissible,
-    NotEntire,
-    RankDeficient,
-    SovChainError,
-    record,
+    BothChoicesZero, CoincidentRoots, NoEpsilonFits, NonAdmissible, NotEntire,
+    RankDeficient, SovChainError, merge, record,
 )
 from .qalgebra import ChainModel, distance_to_ipi_lattice
 from .sovbasis import SOVBasis
@@ -169,8 +164,8 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     top = null[:, 1:] / c_p[:, None]
     shifted = sol.table["rungs+ip"][:, model.rung_table.top]  # P / c_P
     scale = np.maximum(
-        np.maximum(np.max(np.abs(top), axis=1), np.max(np.abs(shifted), axis=1)),
-        np.max(np.abs(values), axis=1) / np.abs(c_p),
+        np.maximum(np.abs(top).max(axis=1), np.abs(shifted).max(axis=1)),
+        np.abs(values).max(axis=1) / np.abs(c_p),
     )
     site = _vanishing_site(top, shifted, scale)
     record(errors, site >= 0, lambda k: NonAdmissible(
@@ -181,7 +176,7 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
         f"root sum misses the half-period lattice by {residual[k]:.3e}"))
     eps_w, sol.wronskian_residual[:], fit_errors = verify_wronskian_identity(
         model, sol)
-    record(errors, [e is not None for e in fit_errors], lambda k: fit_errors[k])
+    merge(errors, fit_errors)
     record(errors, eps_w != epsilon, lambda k: NoEpsilonFits(
         "root-sum sign and Wronskian sign disagree: "
         f"{epsilon[k]} vs {eps_w[k]}"))
@@ -209,7 +204,7 @@ def sum_rule_check(model: ChainModel, roots):
     distance to the nearest lattice point.
     """
     upper = sum(model.rung_table.rungs[model.rung_table.upper])
-    s_val = np.sum(np.asarray(roots, dtype=complex), axis=-1)
+    s_val = np.asarray(roots, dtype=complex).sum(axis=-1)
     s_val = s_val - upper + 0.5 * model.n_s * model.eta
     with np.errstate(invalid="ignore"):  # a failed row may hold NaN
         r = np.round(s_val.imag / np.pi).astype(int)
@@ -266,14 +261,14 @@ def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
     w_vals = (t["grid+ip"] * t["x-eta"][..., :grid.size]
               + t["grid"] * t["x+ip-eta"][..., :grid.size])
     target = model.derived(_check_points).d[:grid.size] * w_eps(model, 1, grid)
-    w_max = np.max(np.abs(w_vals), axis=-1)
+    w_max = np.abs(w_vals).max(axis=-1)
     best_eps = np.zeros(w_max.shape, dtype=int)
     best_res = np.full(w_max.shape, np.inf)
     for eps in (1, -1):
         rhs = eps * target
-        scale = np.maximum(w_max, np.max(np.abs(rhs)))
+        scale = np.maximum(w_max, np.abs(rhs).max())
         with np.errstate(all="ignore"):  # a zero scale is skipped below
-            res = np.max(np.abs(w_vals - rhs), axis=-1) / scale
+            res = np.abs(w_vals - rhs).max(axis=-1) / scale
         better = (scale != 0.0) & (res < best_res)
         best_eps = np.where(better, eps, best_eps)
         best_res = np.where(better, res, best_res)
@@ -311,7 +306,7 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     row gets a NotEntire when any entry exceeds 1e-8.
     """
     n_inner = model.rung_table.inner.size
-    errors = [None] * int(np.prod(np.shape(q.roots)[:-1]))
+    errors = [None] * math.prod(np.shape(q.roots)[:-1])
     samples = _sample_points(model, errors)  # an error per row if unusable
     # The table holds Q over the grid, the inner rungs and the samples.
     t = q.table
@@ -322,10 +317,8 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     # Normalize against the products being subtracted, not against their
     # difference: the zero transfer eigenvalue has an identically vanishing
     # cross combination, and dividing roundoff by roundoff would reject it.
-    num_scale = np.maximum(
-        np.max(np.abs(term_down[..., :cut]), axis=-1),
-        np.max(np.abs(term_up[..., :cut]), axis=-1),
-    )
+    num_scale = np.maximum(np.abs(term_down[..., :cut]).max(axis=-1),
+                           np.abs(term_up[..., :cut]).max(axis=-1))
     # w_eps(epsilon) at the samples; w_eps(-1) is exactly -w_eps(1), as
     # (-2u) P and -(2u P) round alike.
     w_one = w_eps(model, 1, samples)
@@ -333,7 +326,7 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
     with np.errstate(all="ignore"):  # a vanishing row is rejected below
         report = np.abs(numerator[..., :n_inner]) / num_scale[..., None]
         values = _at_base_points(model, numerator[..., n_inner:] / signed)
-    worst = np.ravel(np.max(report, axis=-1, initial=0.0))
+    worst = report.max(axis=-1, initial=0.0).ravel()
     record(errors, num_scale == 0.0, lambda k: NotEntire(
         "Q vanishes on the whole sampling grid"))
     record(errors, worst > 1e-8, lambda k: NotEntire(
@@ -352,7 +345,7 @@ def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
     pi/2.
     """
     plain, shifted = q.table["rungs"], q.table["rungs+ip"]
-    scale = np.max(np.abs(np.concatenate([plain, shifted], -1)), axis=-1)
+    scale = np.abs(np.concatenate([plain, shifted], -1)).max(axis=-1)
     tiny = 1e-12 * np.maximum(scale, 1e-300)[..., None]
     angles = np.zeros(scale.shape + (model.n_sites,))
     both_zero = np.zeros(angles.shape, dtype=bool)
@@ -364,7 +357,7 @@ def q_vector_proportionality(model: ChainModel, q: QFunctionHom):
         zero_v, zero_w = nv <= tiny, nw <= tiny
         both_zero[..., sites] = zero_v & zero_w
         with np.errstate(all="ignore"):  # vanishing vectors are set below
-            coeff = np.sum(v.conj() * w, axis=-1) / (nv * nv)
+            coeff = (v.conj() * w).sum(axis=-1) / (nv * nv)
             perp = w - coeff[..., None] * v
             angle = np.arcsin(np.minimum(
                 1.0, np.linalg.norm(perp, axis=-1) / nw))
@@ -386,7 +379,9 @@ def bethe_residuals_hom(model: ChainModel, q: QFunctionHom):
     roots = np.asarray(q.roots, dtype=complex)
     gaps = distance_to_ipi_lattice(
         roots[..., :, None] - roots[..., None, :], 2.0 * np.pi)
-    close = np.triu(gaps < 1e-8, k=1).reshape((-1,) + gaps.shape[-2:])
+    order = np.arange(roots.shape[-1])
+    close = ((gaps < 1e-8) & (order[:, None] < order)).reshape(
+        (-1,) + gaps.shape[-2:])
     flat_gaps = gaps.reshape(close.shape)
 
     def collide(k):

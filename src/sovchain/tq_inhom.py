@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import (
     DegenerateNodes, ExceptionalAlpha, NonAdmissible, PoleAtXi, SovChainError,
-    record,
+    merge, record,
 )
 from .qalgebra import (
     ChainModel, _read_only, a_of, d_of, distance_to_ipi_lattice,
@@ -119,8 +119,8 @@ def _q_values(sol, point_sets) -> list:
     union: read-only views, in order.  Both solutions build their
     ``table`` with it."""
     values = _read_only(sol.value(np.concatenate(point_sets)))
-    cuts = np.cumsum([np.size(p) for p in point_sets])[:-1]
-    return np.split(values, cuts, axis=-1)
+    cuts = np.cumsum([0] + [np.size(p) for p in point_sets]).tolist()
+    return [values[..., i:j] for i, j in zip(cuts, cuts[1:])]
 
 
 # ----------------------------------------------------------------------
@@ -139,10 +139,6 @@ def _correction_roots(model: ChainModel, x) -> np.ndarray:
     return out
 
 
-def _correction_scale(model: ChainModel) -> complex:
-    return 2.0 * np.exp(-(model.n_s + 1) * model.eta / 2.0)
-
-
 def f_inhom(model: ChainModel, x: complex, lam):
     """Pointwise value of the correction term with shift parameter x.
 
@@ -150,9 +146,8 @@ def f_inhom(model: ChainModel, x: complex, lam):
     placed so that the extreme exponential coefficients of the functional
     equation cancel.  Accepts any shape; x may hold one value per row.
     """
-    return _correction_scale(model) * sinh_product(
-        lam, _correction_roots(model, x)
-    )
+    return 2.0 * np.exp(-(model.n_s + 1) * model.eta / 2.0) * sinh_product(
+        lam, _correction_roots(model, x))
 
 
 # ----------------------------------------------------------------------
@@ -334,8 +329,7 @@ def det_m_zero_closed_form(model: ChainModel, zeta0: complex) -> complex:
 def _inadmissible(tops) -> np.ndarray:
     """Per row: does a top-rung value of Q vanish?"""
     tops = np.abs(tops)
-    return np.min(tops, axis=-1) < 1e-10 * np.maximum(
-        1.0, np.max(tops, axis=-1))
+    return tops.min(axis=-1) < 1e-10 * np.maximum(1.0, tops.max(axis=-1))
 
 
 def _factor_rows(nodes, values, angle_scale: float, errors: list):
@@ -347,7 +341,7 @@ def _factor_rows(nodes, values, angle_scale: float, errors: list):
         record(errors, np.ones(len(values), dtype=bool), lambda k: exc)
         coeffs = np.ones(values.shape, dtype=complex)
     c_p, roots, failed = factor(coeffs, angle_scale)
-    record(errors, [e is not None for e in failed], lambda k: failed[k])
+    merge(errors, failed)
     return c_p, roots
 
 
@@ -422,7 +416,9 @@ def _relative_defect(numerator, terms) -> np.ndarray:
     """|numerator| over the largest |term| at each point, 0 where every
     term vanishes: the one zero-scale rule of every grid and Bethe
     residual of both functional equations."""
-    scale = np.max(np.abs(terms), axis=0)
+    scale = np.abs(terms[0])
+    for term in terms[1:]:  # in place: no stack of every term
+        np.maximum(scale, np.abs(term), out=scale)
     return np.divide(np.abs(numerator), scale, out=np.zeros(scale.shape),
                      where=scale != 0.0)
 
@@ -433,8 +429,7 @@ def _grid_residual(eigfun, q, terms) -> np.ndarray:
     are products over roots and rungs evaluated pointwise, independently
     of the coefficient arithmetic of the solver."""
     lhs = eigfun.grid_values * q
-    return np.max(_relative_defect(
-        reduce(sub, terms, lhs), (lhs, *terms)), axis=-1)
+    return _relative_defect(reduce(sub, terms, lhs), (lhs, *terms)).max(-1)
 
 
 def _bethe_residuals(model: ChainModel, sol) -> np.ndarray:
@@ -443,8 +438,9 @@ def _bethe_residuals(model: ChainModel, sol) -> np.ndarray:
     of Q the left side vanishes, so the right-hand terms must cancel;
     their sum is the pole numerator."""
     roots = np.asarray(sol.roots, dtype=complex)
-    down, up = np.split(sol.value(np.concatenate(
-        [roots - model.eta, roots + model.eta], axis=-1)), 2, axis=-1)
+    shifted = sol.value(np.concatenate(
+        [roots - model.eta, roots + model.eta], axis=-1))
+    down, up = shifted[..., :roots.shape[-1]], shifted[..., roots.shape[-1]:]
     terms = sol.rhs(roots, a_of(model, roots), d_of(model, roots), down, up)
     return _relative_defect(sum(terms), terms)
 

@@ -68,15 +68,15 @@ def interpolate(nodes, values, m: int, angle_scale: float = 1.0):
     z = np.exp(2.0 * u)
     # np.hypot matches Python's complex abs bit for bit; np.abs does not.
     diff, size = z[:, None] - z, np.hypot(z.real, z.imag)
-    close = np.triu(np.hypot(diff.real, diff.imag) <= 1e-10 * np.maximum(
-        1.0, np.maximum(size[:, None], size)), k=1)
-    if close.any():
+    close = np.hypot(diff.real, diff.imag) <= 1e-10 * np.maximum(
+        1.0, np.maximum(size[:, None], size))
+    close &= np.arange(m2 + 1)[:, None] < np.arange(m2 + 1)
+    if np.count_nonzero(close):
         i, j = np.argwhere(close)[0]
         raise DegenerateNodes(f"nodes {i} and {j} coincide modulo the period")
     vand = z[:, None] ** np.arange(m2 + 1)[None, :]
     rhs = values * np.exp((m2 - m) * u)
-    stack = np.broadcast_to(vand, rhs.shape + (m2 + 1,))
-    return np.linalg.solve(stack, rhs[..., None])[..., 0]
+    return np.linalg.solve(vand, rhs[..., None])[..., 0]
 
 
 def horner(coeffs, m1: int, lam, angle_scale: float = 1.0):
@@ -104,27 +104,22 @@ def factor(coeffs, angle_scale: float = 1.0):
     NotFullDegree: an extremal coefficient at most 1e-10 of the largest,
     or a root of z = exp(2u) outside [1e-12, 1e12] in magnitude.  The
     companion matrices are built exactly as ``np.roots`` builds them and
-    go through one stacked ``np.linalg.eigvals``; a failed row's matrix is
-    zeroed so it cannot stop the others.
+    go through one stacked ``np.linalg.eigvals``; a row with a vanishing
+    extremal coefficient keeps a zero first row, so it cannot stop others.
     """
     c = np.asarray(coeffs, dtype=complex)
     rows, m2 = c.shape[0], c.shape[1] - 1
-    errors = [None] * rows
-    scale = np.max(np.abs(c), axis=1)
-    record(errors, scale == 0.0, lambda k: NotFullDegree(
-        "the zero polynomial has no factored form"))
-    ends = np.minimum(np.abs(c[:, 0]), np.abs(c[:, -1]))
-    record(errors, ends <= 1e-10 * scale, lambda k: NotFullDegree(
-        "extremal coefficient vanishes: not in the full-degree class"))
-    live = np.array([e is None for e in errors], dtype=bool)
+    mags = np.abs(c)
+    scale = mags.max(axis=1)
+    thin = np.minimum(mags[:, 0], mags[:, -1]) <= 1e-10 * scale
     companion = np.zeros((rows, m2, m2), dtype=complex)
-    companion[:, 1:, :-1] = np.eye(m2 - 1)
-    companion[live, 0] = -c[live, -2::-1] / c[live, -1:]
+    companion.reshape(rows, m2 * m2)[:, m2::m2 + 1] = 1.0  # subdiagonal
+    np.divide(-c[:, -2::-1], c[:, -1:], out=companion[:, 0],
+              where=~thin[:, None])
     z = np.linalg.eigvals(companion)
     mags = np.abs(z)
-    record(errors, np.any((mags < 1e-12) | (mags > 1e12), axis=1),
-           lambda k: NotFullDegree("root magnitude outside the trusted window"))
-    # A failed row's garbage may overflow; its error is already recorded.
+    far = ((mags < 1e-12) | (mags > 1e12)).any(axis=1)
+    # A failed row's garbage may overflow; its error is recorded below.
     with np.errstate(all="ignore"):
         lam = np.log(z) / (2.0 * angle_scale)
         period = np.pi / angle_scale
@@ -132,13 +127,19 @@ def factor(coeffs, angle_scale: float = 1.0):
         # at the branch seam (z on the positive real axis) to Im = 0 so that
         # real roots come out real instead of jittering across the period.
         seam = 1e-13
-        lam = np.where(lam.imag < -seam, lam + 1j * period, lam)
-        lam = np.where(lam.imag >= period - seam, lam - 1j * period, lam)
-        lam = np.where(np.abs(lam.imag) <= seam, lam.real.astype(complex),
-                       lam)
+        np.add(lam, 1j * period, out=lam, where=lam.imag < -seam)
+        np.subtract(lam, 1j * period, out=lam, where=lam.imag >= period - seam)
+        lam.imag[np.abs(lam.imag) <= seam] = 0.0
         order = np.lexsort((lam.imag, lam.real), axis=1)
-        lam = np.take_along_axis(lam, order, axis=1)
-        c_p = c[:, -1] * 2.0**m2 * np.exp(angle_scale * np.sum(lam, axis=1))
+        lam = lam[np.arange(rows)[:, None], order]
+        c_p = c[:, -1] * 2.0**m2 * np.exp(angle_scale * lam.sum(axis=1))
+    errors = [None] * rows
+    record(errors, scale == 0.0, lambda k: NotFullDegree(
+        "the zero polynomial has no factored form"))
+    record(errors, thin, lambda k: NotFullDegree(
+        "extremal coefficient vanishes: not in the full-degree class"))
+    record(errors, far, lambda k: NotFullDegree(
+        "root magnitude outside the trusted window"))
     return c_p, lam, errors
 
 

@@ -638,12 +638,16 @@ def test_package_exports_the_error_classes():
                for name in sovchain.__all__)
 
 
-def test_basis_error_is_recorded(monkeypatch):
+def test_basis_error_is_recorded(monkeypatch, caplog):
     def broken(model):
         raise ConditioningFailure("basis state too small")
 
     monkeypatch.setattr(sovbasis, "build_basis", broken)
+    caplog.set_level("INFO", logger="sovchain")
     report = run_pipelines(RunConfig.from_dict(base_doc([1, 1])))
+    # The failed build fails every row of the basis stage.
+    assert [r.getMessage().endswith("4 rows, 4 failed") for r in caplog.records
+            if r.getMessage().startswith("stage basis:")] == [True]
     assert report["summary"]["pass"] is False
     assert report["summary"]["failures"] == [
         "separated basis: ConditioningFailure: basis state too small"
@@ -738,3 +742,79 @@ def test_degenerate_nodes_fail_every_row_of_one_pipeline(
         f"eigenvalue {i} {pipeline}: DegenerateNodes: nodes 0 and 1 coincide"
         for i in range(6)]
     assert report["summary"]["pass"] is False
+
+
+# ----------------------------------------------------------------------
+# the no-failure fast paths keep the bookkeeping's meaning
+
+
+def _never(row):
+    raise AssertionError(f"make called for row {row}")
+
+
+@pytest.mark.parametrize("mask", [
+    [False, False, False], np.zeros(3, dtype=bool), np.zeros((3, 1), bool),
+], ids=["list", "array", "2-d"])
+def test_record_on_an_all_false_mask_never_calls_make(mask):
+    rows = [None, ValueError("kept"), None]
+    errors.record(rows, mask, _never)
+    assert rows[0] is None and rows[2] is None
+    assert str(rows[1]) == "kept"
+
+
+@pytest.mark.parametrize("mask", [[False, True, True],
+                                  np.array([False, True, True])],
+                         ids=["list", "array"])
+def test_record_gives_only_rows_without_an_error_a_new_one(mask):
+    made = []
+    rows = [None, ValueError("kept"), None]
+    errors.record(rows, mask, lambda k: made.append(k) or KeyError(k))
+    assert made == [2]
+    assert [type(e) for e in rows] == [type(None), ValueError, KeyError]
+
+
+def test_first_errors_keeps_each_rows_first_error():
+    first, second = ValueError("a"), KeyError("b")
+    none = [None] * 3
+    assert cli._first_errors(none, none, none) == none
+    assert cli._first_errors(none, none) is not none  # a fresh list
+    # One list with errors: its entries, whichever argument it is.
+    assert cli._first_errors(none, [None, first, None]) == [None, first, None]
+    assert cli._first_errors((None, first, None), none) == [None, first, None]
+    # Two: the earlier list wins a row both fail.
+    assert cli._first_errors([first, None, None], [second, second, None]) == [
+        first, second, None]
+
+
+def _emit_by_stack(z):
+    """The former ``_emit_complex``: real and imaginary parts stacked."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], -1).tolist()
+
+
+@pytest.mark.parametrize("value", [
+    0.3 - 0.0j, -0.0 + 2j, np.complex128(complex(np.nan, -np.inf)), 2.5, [],
+    [1 + 2j, -0.0 - 0.0j, 3], np.arange(12).reshape(3, 4) * (0.1 - 0.7j),
+    (np.arange(12).reshape(3, 4) * (0.1 - 0.7j))[::2, ::-3],
+], ids=["scalar", "signed-zero", "nan-inf", "real", "empty", "1-d", "2-d",
+        "strided"])
+def test_emit_complex_equals_the_stack_route(value):
+    got, want = cli._emit_complex(value), _emit_by_stack(value)
+    assert json.dumps(got) == json.dumps(want)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_max_residuals_are_every_columns_maximum():
+    doc = {"model": {"two_s": [1, 2], "seed": 0,
+                     "kappa": [[1.0, 0.0], [0.6, 0.8]]}}
+    report = run_pipelines(RunConfig.from_dict(doc))
+    assert report["summary"]["pass"] is True
+    maxima = report["summary"]["max_residuals"]
+    entries = report["eigenvalues"]
+    want = {"discrete_residual": max(e["discrete_residual"] for e in entries)}
+    for check, (pipeline, field, _) in cli.CHECKS.items():
+        key = cli.REPORT_KEYS[pipeline]
+        want[check] = max(e.get(key, e)[field] for e in entries)
+    assert {k: maxima[k] for k in want} == want
+    assert set(maxima) == set(want) | {"kappa_isospectrality",
+                                       "identity_resolution"}

@@ -13,7 +13,8 @@ from sovchain.errors import (
     ConfigError, DegenerateSpectrum, RecursionBlowup, ZeroState,
 )
 from sovchain.qalgebra import (
-    ChainModel, monodromy_entries, transfer_from_entries, xi_shifted,
+    ChainModel, monodromy_entries, transfer_from_entries, twist_gauge,
+    xi_shifted,
 )
 
 ETA = 0.31 + 0.07j
@@ -278,6 +279,46 @@ def test_flip_sectors_split_the_spectrum(two_s):
     # with the full spectrum on its diagonal.
     vals = np.diagonal(inverse @ mat @ vectors)
     assert pair_distance(full[:, None], vals[:, None]) <= 1e-12 * scale
+
+
+def row_fold_split(t_mat, gauge):
+    """The former body of ``_flip_split``: rows folded into sums and
+    differences first, then columns."""
+    s = t_mat
+    if np.any(gauge != 1):
+        s *= gauge
+        s /= gauge[:, None]
+    h = len(s) // 2
+    sums, diffs = s[:h] + s[:-h - 1:-1], s[:h] - s[:-h - 1:-1]
+    plus = sums[:, :h] + sums[:, :-h - 1:-1]
+    minus = diffs[:, :h] - diffs[:, :-h - 1:-1]
+    plus /= 2
+    minus /= 2
+    if len(s) % 2:
+        mid, root2 = s[h], np.sqrt(2.0)
+        plus = np.block([[plus, root2 * (sums[:, h:h + 1] / 2)],
+                         [root2 * ((mid[:h] + mid[:-h - 1:-1]) / 2),
+                          mid[h:h + 1]]])
+    return [plus, minus]
+
+
+@pytest.mark.parametrize("two_s, kappa", [
+    ((1, 1, 1, 1), 1.0), ((2, 2, 2), 1.0), ((1, 1, 1, 1), 0.6 + 0.8j),
+    ((2, 2, 2), 1.7 - 0.4j), ((1, 2), 3 - 1j)],
+    ids=["even", "odd-27", "even-gauged", "odd-27-gauged", "even-6-gauged"])
+def test_flip_split_matches_the_row_fold(two_s, kappa):
+    """The quadrant sums give the row fold's blocks bit for bit, on the
+    twisted matrix and its gauge, which is neither J-symmetric nor 1."""
+    m = generated(two_s)
+    b, c = monodromy_entries(m, np.array([0.3 - 0.4j]), "BC")
+    mat = transfer_from_entries(m, b[0], c[0], kappa)
+    gauge = twist_gauge(m, kappa)
+    assert kappa == 1 or not np.array_equal(mat, mat[::-1, ::-1])
+    got = sp._flip_split(mat.copy(), gauge)
+    want = row_fold_split(mat.copy(), gauge)
+    assert [x.shape for x in got] == [x.shape for x in want]
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
 
 
 @shape_ids

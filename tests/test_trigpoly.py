@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sovchain import DegenerateNodes, NotFullDegree
+from sovchain.errors import record
 from sovchain.trigpoly import factor, horner, interpolate
 
 # Frozen reference values (30-digit offline evaluation, pasted as literals).
@@ -226,6 +227,66 @@ class TestRoots:
         assert_allclose(c_p[0], 1.0, rtol=1e-12)
         assert_allclose(roots[0], [0.2, 1.1 + 0.5j], atol=1e-12)
 
+
+
+def factor_reference(coeffs, angle_scale=1.0):
+    """The former body of ``factor``, with per-row error lists and np.where
+    passes: the masked, in-place kernel must match it bit for bit."""
+    c = np.asarray(coeffs, dtype=complex)
+    rows, m2 = c.shape[0], c.shape[1] - 1
+    errors = [None] * rows
+    scale = np.max(np.abs(c), axis=1)
+    record(errors, scale == 0.0, lambda k: NotFullDegree(
+        "the zero polynomial has no factored form"))
+    ends = np.minimum(np.abs(c[:, 0]), np.abs(c[:, -1]))
+    record(errors, ends <= 1e-10 * scale, lambda k: NotFullDegree(
+        "extremal coefficient vanishes: not in the full-degree class"))
+    live = np.array([e is None for e in errors], dtype=bool)
+    companion = np.zeros((rows, m2, m2), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(m2 - 1)
+    companion[live, 0] = -c[live, -2::-1] / c[live, -1:]
+    z = np.linalg.eigvals(companion)
+    mags = np.abs(z)
+    record(errors, np.any((mags < 1e-12) | (mags > 1e12), axis=1),
+           lambda k: NotFullDegree("root magnitude outside the trusted window"))
+    with np.errstate(all="ignore"):
+        lam = np.log(z) / (2.0 * angle_scale)
+        period = np.pi / angle_scale
+        seam = 1e-13
+        lam = np.where(lam.imag < -seam, lam + 1j * period, lam)
+        lam = np.where(lam.imag >= period - seam, lam - 1j * period, lam)
+        lam = np.where(np.abs(lam.imag) <= seam, lam.real.astype(complex),
+                       lam)
+        order = np.lexsort((lam.imag, lam.real), axis=1)
+        lam = np.take_along_axis(lam, order, axis=1)
+        c_p = c[:, -1] * 2.0**m2 * np.exp(angle_scale * np.sum(lam, axis=1))
+    return c_p, lam, errors
+
+
+@pytest.mark.parametrize("angle_scale", [1.0, 0.5])
+@pytest.mark.parametrize("degree", [1, 2, 5])
+def test_factor_matches_the_reference_bit_for_bit(degree, angle_scale):
+    """Good rows (one with real roots, on the branch seam), a zero row and
+    a row whose trailing coefficient vanishes, in one stack: roots, c_P
+    and errors as the reference gives them, NaN and inf included."""
+    rng = np.random.default_rng(degree)
+    good = [coeffs_of(rng.uniform(-1, 1, degree)
+                      + 1j * rng.uniform(-1.2, 1.2, degree), angle_scale,
+                      0.7 - 0.2j) for _ in range(3)]
+    real = coeffs_of(rng.uniform(-1, 1, degree), angle_scale)
+    thin = np.array(good[0])
+    thin[0] = 1e-14 * np.max(np.abs(thin))
+    stack = np.array([good[0], np.zeros(degree + 1), good[1], thin, real,
+                      good[2]])
+    with np.errstate(all="raise"):
+        c_p, roots, errors = factor(stack, angle_scale)
+    want_c, want_roots, want_errors = factor_reference(stack, angle_scale)
+    assert c_p.tobytes() == want_c.tobytes()
+    assert roots.tobytes() == want_roots.tobytes()
+    assert [type(e) for e in errors] == [type(e) for e in want_errors]
+    assert [str(e) for e in errors] == [str(e) for e in want_errors]
+    assert [e is None for e in errors] == [True, False, True, False, True,
+                                           True]
 
 # ----------------------------------------------------------------------
 # round-trip properties
