@@ -291,7 +291,7 @@ def _first_errors(first, *rest):
 def _log_stage(name: str, start: float, rows: int, errors=()) -> None:
     """One INFO line; its failed rows are counted only if it is logged."""
     if log.isEnabledFor(logging.INFO):
-        log.info("stage %s: %.4f s, %d rows, %d failed", name,
+        log.info("stage %s: %.6f s, %d rows, %d failed", name,
                  perf_counter() - start, rows,
                  len(errors) - errors.count(None))
 

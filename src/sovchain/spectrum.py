@@ -41,7 +41,7 @@ product per side, for ladder and Q data alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -69,6 +69,12 @@ _GRID_RNG = np.random.default_rng(17)
 GRID_POINTS = _read_only(_GRID_RNG.uniform(-1.5, 1.5, 40)
                          + 1j * _GRID_RNG.uniform(-1.2, 1.2, 40))
 del _GRID_RNG
+# The dense oracle's candidate sample points, tried in order (point k takes
+# uniforms 2k and 2k+1), and its three check points, drawn once.
+_ORACLE_DRAWS = np.random.default_rng(0).uniform(-1, 1, 8)
+SAMPLE_POINTS = _read_only(_ORACLE_DRAWS[::2] + 1j * _ORACLE_DRAWS[1::2])
+CHECK_POINTS = _read_only(_ORACLE_DRAWS[2:5] + 1j * _ORACLE_DRAWS[5:])
+del _ORACLE_DRAWS
 
 
 @dataclass(frozen=True)
@@ -146,35 +152,36 @@ class Spectrum:
 SECTOR_PRODUCTS_FROM = 256
 
 
-def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
-    """Diagonalize the twisted transfer matrix at a random point.
+def brute_force_spectrum(model: ChainModel, twists=None):
+    """Diagonalize the twisted transfer matrix at a generic point.
 
-    Commutativity of the family lets one random-point diagonalization fix a
-    common eigenbasis; the eigenvalue functions are then read off at the base
-    points and verified at extra points.  Draws are retried when the sampled
-    spectrum is too close to degenerate.
+    Commutativity of the family lets one diagonalization at a generic
+    point fix a common eigenbasis; the eigenvalue functions are then read
+    off at the base points and verified at ``CHECK_POINTS``.  The next of
+    ``SAMPLE_POINTS`` is tried when the sampled spectrum is too close to
+    degenerate.
 
     Returns the model's ``Spectrum``, or, given ``twists`` (further twists
     of the same chain, as numbers), the pair of it and their base values
     (len(twists) x E x N).  One eigenbasis V of the untwisted B + C
     (``_eigenbasis``) and its inverse serve every twist kappa, whose right
     vectors are G V (``twist_gauge``), so every twist takes the model's
-    row order, a lexsort on t(xi_1).  All twists share one
-    ``default_rng(seed)``, so one sample point, one retry loop and the
-    same check points.  Base values and check residuals are each twist's
-    own, from its kappa^{-1} B + kappa C.  The model's twist takes the
-    diagonal of V^{-1} G^{-1} T(xi_n) G V, bit for bit a call on it alone:
-    below ``SECTOR_PRODUCTS_FROM`` from the gauged inverse V^{-1} G^{-1},
-    formed there only, and from it on in the flip sectors.  Each further
-    twist takes (u T(xi_n)) G V with one covector u = 1^T V^{-1} G^{-1}
-    (u G V = 1^T), O(dim^2) per point; its error is first order in the
-    eigenvectors' where the diagonal's is second, so it matches a lone
-    call to rounding, not bit for bit.
+    row order: a lexsort on t(xi_1), with a real part at or below 1e-12
+    of the largest |t(xi_1)| taken as 0, so that rounding noise (the
+    normal regimes' Re t(xi_1)) orders no rows.  Base values and check
+    residuals are each twist's own, from its kappa^{-1} B + kappa C.  The
+    model's twist takes the diagonal of V^{-1} G^{-1} T(xi_n) G V, bit for
+    bit a call on it alone: below ``SECTOR_PRODUCTS_FROM`` from the gauged
+    inverse V^{-1} G^{-1}, formed there only, and from it on in the flip
+    sectors.  Each further twist takes (u T(xi_n)) G V with one covector
+    u = 1^T V^{-1} G^{-1} (u G V = 1^T), O(dim^2) per point; its error is
+    first order in the eigenvectors' where the diagonal's is second, so it
+    matches a lone call to rounding, not bit for bit.
     """
     kappas = np.array([model.kappa, *(twists or ())], dtype=complex)
     n, dim = model.n_sites, model.hilbert_dim
     gauge = twist_gauge(model, kappas)
-    b, c, checks, pairs = _eigenbasis(model, np.random.default_rng(seed))
+    b, c, pairs = _eigenbasis(model)
     vectors, inverse, sector = _lifted(pairs, dim)
     right = gauge[..., None] * vectors
     covectors = (inverse.sum(axis=0) / gauge[1:])[:, None]
@@ -193,8 +200,10 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
     base = np.concatenate([
         np.stack(own, axis=-1)[None],
         np.swapaxes(np.concatenate(others, axis=1) @ right[1:], 1, 2)])
-    _check(model, kappas, gauge, right, base, checks, b[n:], c[n:], sectors)
-    order = np.lexsort((base[0, :, 0].imag, base[0, :, 0].real))
+    _check(model, kappas, gauge, right, base, b[n:], c[n:], sectors)
+    key = base[0, :, 0]
+    noise = np.abs(key.real) <= 1e-12 * np.abs(key).max()
+    order = np.lexsort((key.imag, np.where(noise, 0.0, key.real)))
     base = base[:, order]
     spec = Spectrum(model=model, right=right[0][:, order],
                     rows=EigenvalueFunction(model, base[0]),
@@ -202,18 +211,14 @@ def brute_force_spectrum(model: ChainModel, seed: int = 0, twists=None):
     return spec if twists is None else (spec, base[1:])
 
 
-def _eigenbasis(model, rng):
-    """(b, c, checks, pairs): the B and C entries at the N base points and
-    the three check points, the check points, and the eigenvectors and
-    their inverse (x, y) of each flip sector (even, then odd) of the
-    untwisted B + C at the first well separated sample point, in sector
-    coordinates (``_lift``).
-
-    One ``monodromy_entries`` call evaluates a draw's sample point, the
-    base points and its check points, drawn after the sample point.  A
-    rejected sample point is redrawn from the generator's state after it,
-    so the stream is that of drawing the check points after the accepted
-    sample only.
+def _eigenbasis(model):
+    """(b, c, pairs): the B and C entries at the N base points and
+    ``CHECK_POINTS``, and the eigenvectors and their inverse (x, y) of
+    each flip sector (even, then odd) of the untwisted B + C at the first
+    well separated point of ``SAMPLE_POINTS``, in sector coordinates
+    (``_lift``).  One ``monodromy_entries`` call evaluates a candidate,
+    the base points and the check points; a rejected candidate moves to
+    the next, and the check points stay.
 
     J, the reversal of the state index, swaps B and C, so it commutes with
     B + C (blocks ``_flip_split``).  The parity P = (-1)^{|h|}
@@ -223,18 +228,14 @@ def _eigenbasis(model, rng):
     """
     dim = model.hilbert_dim
     parity = 1 - 2 * (_lowerings(model.two_s)[:(dim + 1) // 2] % 2)
-    for _ in range(4):
-        lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        state = rng.bit_generator.state
-        checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+    for lam in SAMPLE_POINTS:
         b, c = monodromy_entries(
-            model, np.concatenate([[lam], model.xi, checks]), "BC")
+            model, np.concatenate([[lam], model.xi, CHECK_POINTS]), "BC")
         blocks = _flip_split(transfer_from_entries(model, b[0], c[0]), 1)
         sectors = (_mirrored(blocks[0], parity) if model.n_s % 2 else
                    [_parity_halves(x, parity[:len(x)]) for x in blocks])
-        if _separated(np.concatenate([vals for vals, _ in sectors])):
-            return b[1:], c[1:], checks, [basis() for _, basis in sectors]
-        rng.bit_generator.state = state
+        if _separated(np.concatenate([vals for vals, *_ in sectors])):
+            return b[1:], c[1:], [pair for _, *pair in sectors]
     raise DegenerateSpectrum(
         "no sampled point separated the transfer eigenvalues"
     )
@@ -252,12 +253,11 @@ def _lifted(pairs, dim):
 
 
 def _mirrored(plus, parity):
-    """Both sectors for odd N_s as (eigenvalues, lazy (vectors, inverse)),
-    from one ``eig`` and ``inv``: minus = -D plus D, D = diag(parity)."""
+    """Both sectors for odd N_s as (eigenvalues, vectors, inverse), from
+    one ``eig`` and ``inv``: minus = -D plus D, D = diag(parity)."""
     vals, x = np.linalg.eig(plus)
-    inverse = cache(lambda: np.linalg.inv(x))
-    return [(vals, lambda: (x, inverse())),
-            (-vals, lambda: (parity[:, None] * x, inverse() * parity))]
+    y = np.linalg.inv(x)
+    return [(vals, x, y), (-vals, parity[:, None] * x, y * parity)]
 
 
 def _parity_halves(block, parity):
@@ -268,19 +268,16 @@ def _parity_halves(block, parity):
     e, o = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
     if len(block) < 12 or len(e) != len(o):
         vals, x = np.linalg.eig(block)
-        return vals, lambda: (x, np.linalg.inv(x))
+        return vals, x, np.linalg.inv(x)
     low = block[np.ix_(o, e)]
     mu, u = np.linalg.eig(block[np.ix_(e, o)] @ low)
     root = np.sqrt(mu)
-
-    def basis():
-        w = low @ u / root
-        u_inv, w_inv = np.linalg.inv(u) / 2, np.linalg.inv(w) / 2
-        x, y = np.empty((2,) + block.shape, dtype=complex)
-        x[e], x[o] = np.hstack([u, u]), np.hstack([w, -w])
-        y[:, e], y[:, o] = np.vstack([u_inv] * 2), np.vstack([w_inv, -w_inv])
-        return x, y
-    return np.concatenate([root, -root]), basis
+    w = low @ u / root
+    u_inv, w_inv = np.linalg.inv(u) / 2, np.linalg.inv(w) / 2
+    x, y = np.empty((2,) + block.shape, dtype=complex)
+    x[e], x[o] = np.hstack([u, u]), np.hstack([w, -w])
+    y[:, e], y[:, o] = np.vstack([u_inv] * 2), np.vstack([w_inv, -w_inv])
+    return np.concatenate([root, -root]), x, y
 
 
 def _lift(x, sign, dim):
@@ -304,12 +301,12 @@ def _separated(vals) -> bool:
     return gap >= 1e-8 * max(1.0, float(np.max(np.abs(vals))))
 
 
-def _check(model, kappas, gauge, right, base, checks, b, c, sectors) -> None:
-    """Every eigen-pair of every twist at three more points: the relative
+def _check(model, kappas, gauge, right, base, b, c, sectors) -> None:
+    """Every eigen-pair of every twist at ``CHECK_POINTS``: the relative
     defect of its own transfer matrix on each right vector, with the
     cardinals at the check points and the vector norms computed once.
     Given the sector pairs, each defect is ``_sector_defects``' bound."""
-    values = base @ cardinals(model.xi, checks).T
+    values = base @ cardinals(model.xi, CHECK_POINTS).T
     # Unlike np.linalg.norm, vecdot makes no temporary of its operand's size.
     norms = np.sqrt(np.vecdot(right, right, axis=1).real)
     for p, (b_p, c_p) in enumerate(zip(b, c)):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -623,13 +624,96 @@ NORMAL_REGIMES = {"imaginary-eta": ([0.0, 0.31], lambda x: [x, 0.0]),
 @pytest.mark.parametrize("two_s", [(1, 1), (1, 2), (1, 1, 1), (1,) * 4,
                                    (2, 2)], ids=lambda s: "".join(map(str, s)))
 def test_normal_regimes_pass_every_pipeline(two_s, regime):
+    # Twists 1 and 0.6+0.8i in either order: every pipeline passes, and
+    # each row holds the same eigenvalue in both orders, since the
+    # oracle's sort takes Re t(xi_1), rounding noise here, as 0.
     eta, place = NORMAL_REGIMES[regime]
-    doc = {"model": {"two_s": list(two_s), "eta": eta,
-                     "xi": [place(0.1 + 0.5 * n) for n in range(len(two_s))],
-                     "kappa": [[1.0, 0.0], [0.6, 0.8]]}, "pipelines": "all"}
-    summary = run_pipelines(RunConfig.from_dict(doc))["summary"]
-    assert summary["failures"] == []
-    assert summary["max_residuals"]["kappa_isospectrality"] <= 1e-14
+    values = []
+    for kappa in ([[1.0, 0.0], [0.6, 0.8]], [[0.6, 0.8], [1.0, 0.0]]):
+        doc = {"model": {"two_s": list(two_s), "eta": eta, "xi": [
+            place(0.1 + 0.5 * n) for n in range(len(two_s))],
+            "kappa": kappa}, "pipelines": "all"}
+        report = run_pipelines(RunConfig.from_dict(doc))
+        assert report["summary"]["failures"] == []
+        assert report["summary"]["max_residuals"][
+            "kappa_isospectrality"] <= 1e-14
+        values.append(np.array([e["t_at_xi"] for e in report["eigenvalues"]]))
+    assert np.max(np.abs(values[0] - values[1])) <= (
+        1e-12 * np.max(np.abs(values[0])))
+
+
+def test_stage_lines_show_microseconds(caplog):
+    caplog.set_level("INFO", logger="sovchain")
+    run_pipelines(RunConfig.from_dict(base_doc([1])))
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("stage ")]
+    assert [line.split(":")[0] for line in lines] == [
+        f"stage {name}" for name in ("model", "oracle", "basis", "ladder",
+                                     "sov", "tq-inhom", "tq-hom")]
+    for line in lines:
+        assert re.fullmatch(r"stage [a-z-]+: \d+\.\d{6} s, 2 rows, 0 failed",
+                            line), line
+
+
+def test_no_offset_clearing_the_inner_rungs_fails_the_tq_rows(monkeypatch):
+    # (2,2)'s base points are inner rungs.  With no offset copy to try,
+    # both T-Q pipelines fail every row where they rebuild t from Q, and
+    # the separated basis goes on.
+    monkeypatch.setattr(tq_inhom, "_SAMPLE_OFFSETS", ())
+    report = run_pipelines(RunConfig.from_dict(base_doc([2, 2], seed=0)))
+    want = {"class": "SovChainError",
+            "message": "no offset clears the inner rungs"}
+    assert len(report["eigenvalues"]) == 9
+    for entry in report["eigenvalues"]:
+        assert entry["inhom"] == entry["hom"] == want
+        assert "sov" not in entry and "eigenstate_residual" in entry
+
+
+def _flag_row_one(flags):
+    flags = flags.copy()
+    flags[1] = True
+    return flags
+
+
+def _vanish_at_site_one(site):
+    site = site.copy()
+    site[1] = 0
+    return site
+
+
+def _flip_sign_of_row_one(fit):
+    eps_w, residual, errors = fit
+    eps_w = eps_w.copy()
+    eps_w[1] = -eps_w[1]
+    return eps_w, residual, errors
+
+
+# Per case: the patched function, what its output becomes, the report key
+# and the error class and message of row 1 (formatted with its epsilon).
+FORCED_ROW_ERRORS = {
+    "inhom-top-rung": (tq_inhom, "_inadmissible", _flag_row_one, "inhom",
+                       "NonAdmissible", "a top-rung value of Q vanished"),
+    "hom-site": (tq_hom, "_vanishing_site", _vanish_at_site_one, "hom",
+                 "NonAdmissible", "site 1: Q vanishes at the top rung and "
+                 "at its half-period translate"),
+    "hom-sign": (tq_hom, "verify_wronskian_identity", _flip_sign_of_row_one,
+                 "hom", "NoEpsilonFits", "root-sum sign and Wronskian sign "
+                 "disagree: {eps} vs {flipped}"),
+}
+
+
+@pytest.mark.parametrize("case", FORCED_ROW_ERRORS)
+def test_a_forced_error_fails_its_row_alone(monkeypatch, case):
+    module, name, force, key, cls, message = FORCED_ROW_ERRORS[case]
+    doc = base_doc([1, 2], seed=0)
+    clean = run_pipelines(RunConfig.from_dict(doc))["eigenvalues"]
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: force(original(*args)))
+    entries = run_pipelines(RunConfig.from_dict(doc))["eigenvalues"]
+    eps = clean[1]["hom"]["epsilon"]
+    assert entries[1][key] == {"class": cls, "message": message.format(
+        eps=eps, flipped=-eps)}
+    assert entries[:1] + entries[2:] == clean[:1] + clean[2:]
 
 
 def test_package_exports_the_error_classes():

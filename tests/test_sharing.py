@@ -713,9 +713,9 @@ def rejecting(monkeypatch, *rejected):
                          ids=["121", "22", "11111", "111111"])
 @pytest.mark.parametrize("retry", [False, True], ids=["", "retry"])
 def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
-    # With a retry, the first sample point is rejected: it is redrawn once
-    # for every twist, with the check points drawn after it, so the one
-    # kernel call is made twice, and each lone call makes the same retry.
+    # With a retry, the first sample point is rejected: the next one
+    # serves every twist, so the one kernel call is made twice, and each
+    # lone call makes the same retry.
     # 1.7-0.4i is off the unit circle.  (1,)*5 takes the mirrored flip
     # sectors, (1,)*6 the quarter-size parity halves.  The model's twist,
     # its eigenbasis and sectors are bit for bit a lone call's; a further
@@ -749,8 +749,11 @@ def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
 
 def in_own_order(values):
     """One twist's base values in the order a lone call on that twist
-    gives them: by its own lexsort on t(xi_1)."""
-    return values[np.lexsort((values[:, 0].imag, values[:, 0].real))]
+    gives them: by its own lexsort on t(xi_1), a real part at or below
+    1e-12 of the largest |t(xi_1)| taken as 0."""
+    key = values[:, 0]
+    noise = np.abs(key.real) <= 1e-12 * np.abs(key).max()
+    return values[np.lexsort((key.imag, np.where(noise, 0.0, key.real)))]
 
 
 # Largest gap between a further twist's covector base values and the
@@ -875,7 +878,7 @@ def test_sector_defects_bound_the_full_defect(two_s):
     model = cli.RunConfig.from_dict(
         {"model": {"two_s": list(two_s), "seed": 0}}).build_model(1.0)
     dim, kappa = model.hilbert_dim, 1.7 - 0.4j
-    *_, pairs = sp._eigenbasis(model, np.random.default_rng(0))
+    *_, pairs = sp._eigenbasis(model)
     vectors, inverse, _ = sp._lifted(pairs, dim)
     gauge = qa.twist_gauge(model, kappa)
     t_mat = qa.transfer_from_entries(
@@ -928,30 +931,60 @@ def test_sector_check_names_the_one_wrong_twist(monkeypatch, skew):
         sp.brute_force_spectrum(model, twists=[kappa])
 
 
-def test_a_rejected_sample_point_keeps_the_draw_stream(monkeypatch):
-    # The stream is the one that draws the check points after the accepted
-    # sample point only: each kernel call takes a sample point, the base
-    # points and the three draws after it, and the redrawn sample point
-    # comes right after the rejected one.
+def test_a_rejected_sample_point_moves_to_the_next_constant(monkeypatch):
+    # Each kernel call takes a candidate sample point, the base points and
+    # the check points: a rejected candidate moves to the next of
+    # SAMPLE_POINTS, and the check points never move.  Four rejections
+    # exhaust the candidates.
     model = chain((1, 2, 1))
     calls = []
     kernel = sp.monodromy_entries
     monkeypatch.setattr(sp, "monodromy_entries", lambda model, lam, blocks: (
         calls.append(np.array(lam)) or kernel(model, lam, blocks)))
+    want = [np.concatenate([[lam], model.xi, sp.CHECK_POINTS])
+            for lam in sp.SAMPLE_POINTS]
+    for rejected in ((), (0,), (0, 1, 2), (0, 1, 2, 3)):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            rejecting(patch, *rejected)
+            if len(rejected) < 4:
+                sp.brute_force_spectrum(model)
+            else:
+                with pytest.raises(DegenerateSpectrum,
+                                   match="no sampled point"):
+                    sp.brute_force_spectrum(model)
+        assert len(calls) == min(len(rejected) + 1, 4)
+        for got, points in zip(calls, want):
+            assert np.array_equal(got, points)
+
+
+def test_oracle_points_are_the_former_scalar_draws():
+    # The constants keep every report bit for bit: each oracle call drew
+    # its sample point as complex(u, v) from default_rng(0), then its
+    # check points, and redrew a rejected sample point from the state
+    # right after it.
+    rng = np.random.default_rng(0)
+    samples = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(4)]
+    rng = np.random.default_rng(0)
+    rng.uniform(-1, 1), rng.uniform(-1, 1)
+    checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+    assert np.array_equal(sp.SAMPLE_POINTS, samples)
+    assert np.array_equal(sp.CHECK_POINTS, checks)
+    for points in (sp.SAMPLE_POINTS, sp.CHECK_POINTS):
+        assert points.dtype == complex and not points.flags.writeable
+
+
+def test_the_oracle_builds_no_generator(monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the oracle built a generator")
+
+    model = chain((1, 2, 1))
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    sp.brute_force_spectrum(model)
+    sp.brute_force_spectrum(model, twists=[0.6 + 0.8j, 1.7 - 0.4j])
     rejecting(monkeypatch, 0)
-    sp.brute_force_spectrum(model, seed=5)
-
-    def draws(skip):
-        rng = np.random.default_rng(5)
-        for _ in range(skip):
-            rng.uniform(-1, 1), rng.uniform(-1, 1)
-        lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        checks = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-        return np.concatenate([[lam], model.xi, checks])
-
-    assert len(calls) == 2
-    assert np.array_equal(calls[0], draws(0))
-    assert np.array_equal(calls[1], draws(1))
+    sp.brute_force_spectrum(model, twists=[0.6 + 0.8j])
 
 
 def skew_twist(monkeypatch, kappa, shift):

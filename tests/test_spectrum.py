@@ -111,7 +111,7 @@ class TestSingleSiteAnchor:
 
 @pytest.mark.parametrize("m", [D1, D2, D3, D4], ids=["D1", "D2", "D3", "D4"])
 def test_spectrum_is_simple(m):
-    spec = sp.brute_force_spectrum(m, seed=3)
+    spec = sp.brute_force_spectrum(m)
     vals = spec.rows.base_values[:, 0]
     assert len(vals) == m.hilbert_dim
     for i in range(len(vals)):
@@ -121,7 +121,7 @@ def test_spectrum_is_simple(m):
 
 @pytest.mark.parametrize("m", [D1, D2, D3, D4], ids=["D1", "D2", "D3", "D4"])
 def test_discrete_characterization(m):
-    spec = sp.brute_force_spectrum(m, seed=3)
+    spec = sp.brute_force_spectrum(m)
     assert sp.discrete_residual(m, spec.rows).max() < 1e-8
 
 
@@ -129,7 +129,7 @@ def test_quasi_periodicity():
     # The interpolated eigenvalue flips sign under lam -> lam + i*pi when the
     # chain length is even and is invariant when odd.
     for m, sign in [(D2, -1.0), (D4, 1.0)]:
-        rows = sp.brute_force_spectrum(m, seed=3).rows
+        rows = sp.brute_force_spectrum(m).rows
         for lam in [0.3 + 0.1j, -0.4 + 0.55j]:
             assert_allclose(rows(lam + 1j * np.pi), sign * rows(lam),
                             rtol=1e-10)
@@ -141,7 +141,7 @@ def test_kappa_isospectrality():
     # holds; the twists whose powers are not come in the next test.
     for kap in [1.0, np.exp(0.3j), 2.0, 1e10, 1e20]:
         m = model([1, 2], [0.0, 0.7], kappa=kap)
-        spec = sp.brute_force_spectrum(m, seed=3)
+        spec = sp.brute_force_spectrum(m)
         vals = spec.rows.base_values
         if ref is None:
             ref = vals
@@ -163,7 +163,7 @@ def test_twist_without_a_gauge_is_a_config_error(kappa):
 
 @pytest.mark.parametrize("m", [D2, D3], ids=["D2", "D3"])
 def test_separated_eigenstates(m):
-    spec = sp.brute_force_spectrum(m, seed=3)
+    spec = sp.brute_force_spectrum(m)
     basis = sb.build_basis(m)
     rng = np.random.default_rng(5)
     lams = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
@@ -184,7 +184,7 @@ def test_separated_eigenstates(m):
 
 
 def test_perturbed_value_is_rejected():
-    base = sp.brute_force_spectrum(D3, seed=3).rows.base_values.copy()
+    base = sp.brute_force_spectrum(D3).rows.base_values.copy()
     base[:, 0] += 1e-3
     bumped = sp.EigenvalueFunction(D3, base)
     assert np.all(sp.discrete_residual(D3, bumped) > 1e-5)
@@ -270,7 +270,7 @@ def test_flip_sectors_split_the_spectrum(two_s):
     halves = np.concatenate([np.linalg.eig(x)[0] for x in blocks])
     # Equal as multisets: each eigenvalue has its own nearest partner.
     assert pair_distance(full[:, None], halves[:, None]) <= 1e-12 * scale
-    pairs = sp._eigenbasis(m, np.random.default_rng(0))[-1]
+    pairs = sp._eigenbasis(m)[-1]
     vectors, inverse, sector = sp._lifted(pairs, dim)
     assert np.max(np.abs(inverse @ vectors - np.eye(dim))) <= 1e-12
     assert np.sum(sector == 1) == (dim + 1) // 2
@@ -367,7 +367,7 @@ def test_an_eigenvalue_shared_by_both_sectors_fails_the_gap_test(monkeypatch):
     monkeypatch.setattr(sp, "transfer_from_entries",
                         lambda model, b, c, kappa=1.0: mat)
     with pytest.raises(DegenerateSpectrum):
-        sp._eigenbasis(spin_two, np.random.default_rng(0))
+        sp._eigenbasis(spin_two)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -36,7 +36,7 @@ D5 = model([2, 2], [0.0, 0.9])
 def solved_spectrum(m):
     """The spectrum and the solution of every eigenvalue, from one solve
     over the stack."""
-    spec = sp.brute_force_spectrum(m, seed=3)
+    spec = sp.brute_force_spectrum(m)
     sol, errors = thm.solve_q_hom(
         m, spec.rows, thm.draw_zeta0_hom(m, np.random.default_rng(3)))
     assert errors == [None] * m.hilbert_dim

@@ -56,7 +56,7 @@ def combined_side_defect(m, rows, sol):
 def solved(m):
     """The spectrum, the solution of every eigenvalue and its retries,
     from one solve over the stack."""
-    spec = sp.brute_force_spectrum(m, seed=3)
+    spec = sp.brute_force_spectrum(m)
     sol, retries, errors = ti.solve_q_inhom(m, spec.rows, zeta0=ZETA0)
     assert errors == [None] * m.hilbert_dim
     return spec, sol, retries
@@ -294,7 +294,7 @@ class TestStructure:
         # identically and only the terms set the scale.
         m = generate_model(seed, len(two_s), list(two_s), 0.05, eta=ETA,
                            kappa=np.exp(0.3j))
-        spec = sp.brute_force_spectrum(m, seed=3)
+        spec = sp.brute_force_spectrum(m)
         zeta0 = ti.draw_zeta0(m, np.random.default_rng(42))
         sol, _, errors = ti.solve_q_inhom(m, spec.rows, zeta0=zeta0)
         assert errors == [None] * m.hilbert_dim
@@ -324,7 +324,7 @@ class TestStructure:
         # reads at least 5.5e-4 through n_s = 6 ((2, 1, 3) seed 1).
         m = generate_model(seed, len(two_s), list(two_s), 0.05, eta=ETA,
                            kappa=np.exp(0.3j))
-        spec = sp.brute_force_spectrum(m, seed=3)
+        spec = sp.brute_force_spectrum(m)
         zeta0 = ti.draw_zeta0(m, np.random.default_rng(42))
         for values in spec.rows.base_values:
             f = sp.EigenvalueFunction(m, values)
