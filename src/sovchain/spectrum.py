@@ -1,19 +1,16 @@
 """Transfer-matrix spectrum: dense diagonalization cross-checked against the
 per-site rung determinant conditions.
 
-The dense oracle diagonalizes one chain at several twists in one pass,
-with the twist as an array axis.  The twist is a diagonal similarity of
-the untwisted transfer matrix, so one eigenbasis serves every twist,
-gauged by kappa^{-|h|}.  The spin flip J (the reversal of the state index)
-commutes with the untwisted B + C and the parity (-1)^{|h|} anticommutes,
-so that eigenbasis takes half- or quarter-size eigendecompositions.  The
-entries of B and C are evaluated once, at the sample point and every base
-and check point in one call; each point's transfer matrices, one per
-twist, are scattered from them for the base values and check residuals
-of every twist at once: the model's twist off the two-sided diagonal,
-every further twist through one covector.  From ``SECTOR_PRODUCTS_FROM``
-states on, the diagonal and the check take half-size products in the
-flip sectors.
+The dense oracle diagonalizes one chain at several twists in one pass.
+The twist is a diagonal similarity of the untwisted transfer matrix, so
+one eigenbasis serves every twist, gauged by kappa^{-|h|}.  The spin flip
+J (the reversal of the state index) commutes with the untwisted B + C and
+the parity (-1)^{|h|} anticommutes, so that eigenbasis takes half- or
+quarter-size eigendecompositions.  The entries of B and C are evaluated
+once, at the sample point and every base and check point in one call.
+Only the model's twist scatters transfer matrices from them (its products
+in the flip sectors from ``SECTOR_PRODUCTS_FROM`` states on); a further
+twist works from the entries, its gauge and the model twist's check.
 
 An eigenvalue of the twisted transfer matrix is a trigonometric polynomial
 determined by its values at the N base points xi_1..xi_N (the interpolation
@@ -41,13 +38,13 @@ product per side, for ladder and Q data alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, RecursionBlowup, ZeroState, record
 from .qalgebra import (
-    ChainModel, _lowerings, _read_only, monodromy_entries,
+    ChainModel, _lowerings, _monodromy_plan, _read_only, monodromy_entries,
     transfer_antiperiodic, transfer_from_entries, twist_gauge,
 )
 from .sovbasis import SOVBasis, _rung_positions
@@ -168,44 +165,48 @@ def brute_force_spectrum(model: ChainModel, twists=None):
     vectors are G V (``twist_gauge``), so every twist takes the model's
     row order: a lexsort on t(xi_1), with a real part at or below 1e-12
     of the largest |t(xi_1)| taken as 0, so that rounding noise (the
-    normal regimes' Re t(xi_1)) orders no rows.  Base values and check
-    residuals are each twist's own, from its kappa^{-1} B + kappa C.  The
-    model's twist takes the diagonal of V^{-1} G^{-1} T(xi_n) G V, bit for
-    bit a call on it alone: below ``SECTOR_PRODUCTS_FROM`` from the gauged
-    inverse V^{-1} G^{-1}, formed there only, and from it on in the flip
-    sectors.  Each further twist takes (u T(xi_n)) G V with one covector
-    u = 1^T V^{-1} G^{-1} (u G V = 1^T), O(dim^2) per point; its error is
-    first order in the eigenvectors' where the diagonal's is second, so it
-    matches a lone call to rounding, not bit for bit.
+    normal regimes' Re t(xi_1)) orders no rows.  The model's twist takes
+    the diagonal of V^{-1} G^{-1} T(xi_n) G V, bit for bit a call on it
+    alone: below ``SECTOR_PRODUCTS_FROM`` from the gauged inverse V^{-1}
+    G^{-1}, formed there only, and from it on in the flip sectors.  A
+    further twist (``_further_values``, ``_residuals``) matches a lone
+    call to rounding, not bit for bit.
     """
     kappas = np.array([model.kappa, *(twists or ())], dtype=complex)
     n, dim = model.n_sites, model.hilbert_dim
     gauge = twist_gauge(model, kappas)
     b, c, pairs = _eigenbasis(model)
     vectors, inverse, sector = _lifted(pairs, dim)
-    right = gauge[..., None] * vectors
-    covectors = (inverse.sum(axis=0) / gauge[1:])[:, None]
+    right = gauge[0, :, None] * vectors
+    sums = inverse.sum(axis=0)
     sectors = pairs if dim >= SECTOR_PRODUCTS_FROM else None
     left = None if sectors else inverse / gauge[0]
     # Only the gauged matrices live on: at dim 1024 each is 16 MB.
     del vectors, inverse
-    own, others = [], []
-    # One point's transfer matrices and their products at a time.
+    own = []
+    # One point's transfer matrix and its products at a time.
     for b_n, c_n in zip(b[:n], c[:n]):
-        t_mats = transfer_from_entries(model, b_n, c_n, kappas)
-        others.append(covectors @ t_mats[1:])
-        own.append(_sector_values(t_mats[0], gauge[0], sectors) if sectors
-                   else np.einsum("ij,ji->i", left @ t_mats[0], right[0]))
-    del t_mats
-    base = np.concatenate([
-        np.stack(own, axis=-1)[None],
-        np.swapaxes(np.concatenate(others, axis=1) @ right[1:], 1, 2)])
-    _check(model, kappas, gauge, right, base, b[n:], c[n:], sectors)
+        t_mat = transfer_from_entries(model, b_n, c_n, kappas[0])
+        own.append(_sector_values(t_mat, gauge[0], sectors) if sectors
+                   else np.einsum("ij,ji->i", left @ t_mat, right))
+    del t_mat, left
+    base = np.stack(own, axis=-1)[None]
+    if len(kappas) > 1:
+        base = np.concatenate([base, _further_values(
+            model, kappas, gauge, sums, right, b[:n], c[:n])])
+    worst = _residuals(model, kappas, gauge, right, base, b[n:], c[n:],
+                       sectors).max(axis=(1, 2))
+    for kappa, residual in zip(kappas, worst):
+        if not residual <= 1e-8:  # NaN fails too
+            raise DegenerateSpectrum(
+                f"eigenvector check failed away from the sample point "
+                f"at twist kappa={complex(kappa):.6g} "
+                f"(residual {residual:.2e})")
     key = base[0, :, 0]
     noise = np.abs(key.real) <= 1e-12 * np.abs(key).max()
     order = np.lexsort((key.imag, np.where(noise, 0.0, key.real)))
     base = base[:, order]
-    spec = Spectrum(model=model, right=right[0][:, order],
+    spec = Spectrum(model=model, right=right[:, order],
                     rows=EigenvalueFunction(model, base[0]),
                     sector=_read_only(sector[order]))
     return spec if twists is None else (spec, base[1:])
@@ -301,37 +302,77 @@ def _separated(vals) -> bool:
     return gap >= 1e-8 * max(1.0, float(np.max(np.abs(vals))))
 
 
-def _check(model, kappas, gauge, right, base, b, c, sectors) -> None:
-    """Every eigen-pair of every twist at ``CHECK_POINTS``: the relative
-    defect of its own transfer matrix on each right vector, with the
-    cardinals at the check points and the vector norms computed once.
-    Given the sector pairs, each defect is ``_sector_defects``' bound."""
+@lru_cache(maxsize=16)
+def _cells(two_s: tuple) -> tuple:
+    """The plan's B then C cells sorted by column, B's first: that order,
+    their rows, columns and C mask, and the starts of the runs of one
+    column and block, and of each column's runs among them."""
+    plan = _monodromy_plan(two_s)
+    rows, cols = np.divmod(np.concatenate(plan.positions[1:3]),
+                           int(np.prod(np.add(two_s, 1))))
+    is_c = np.arange(rows.size) >= plan.positions[1].size
+    order = np.argsort(2 * cols + is_c, kind="stable")
+    rows, cols, is_c = rows[order], cols[order], is_c[order]
+    starts = np.flatnonzero(np.diff(2 * cols + is_c, prepend=-1))
+    return (order, rows, cols, is_c, starts,
+            np.flatnonzero(np.diff(cols[starts], prepend=-1)))
+
+
+def _further_values(model, kappas, gauge, sums, right, b, c):
+    """The further twists' base values ((u_k T_k) o g_k / g_0) @ (G_0 V =
+    right), u_k = sums / g_k, from the B and C entries b, c.  A cell enters
+    (u_k T_k) o g_k as sums[row] * entry * ratio, the ratio kappa_k^{-+1}
+    g_k[col] / g_k[row] (B, C), which the gauge certificate G_k^-1 T_k G_k
+    = B + C first checks is 1 to 1e-12; it is one number on each run of
+    ``_cells``, so one sum per run serves every twist."""
+    order, rows, cols, is_c, starts, heads = _cells(model.two_s)
+    k, g = kappas[1:, None], gauge[1:]
+    ratios = np.where(is_c, k, 1 / k) * g.take(cols, 1) / g.take(rows, 1)
+    for kappa, miss in zip(kappas[1:], np.abs(ratios - 1).max(axis=1)):
+        if not miss <= 1e-12:  # NaN fails too
+            raise DegenerateSpectrum(
+                f"gauge check failed at twist kappa={complex(kappa):.6g} "
+                f"(residual {miss:.2e})")
+    runs = np.add.reduceat(np.concatenate([b, c], axis=-1)[:, order]
+                           * sums[rows], starts, axis=-1)
+    out = np.add.reduceat(ratios[:, None, starts] * runs, heads, axis=-1)
+    return np.swapaxes(((out / gauge[0]).reshape(-1, len(sums)) @ right)
+                       .reshape(out.shape), 1, 2)
+
+
+def _residuals(model, kappas, gauge, right, base, b, c, sectors):
+    """|T G v - t G v| / (|T|_F |G v|) per twist, eigen-pair and point of
+    ``CHECK_POINTS``: D_0 = T_0 G_0 v - t_0 G_0 v (G_0 v = right; the sector
+    bound given the pairs), and for a further twist, as T_k G_k v - t_k G_k
+    v = G_k G_0^-1 (D_0 + (t_0 - t_k) G_0 v), the bound max|g_k / g_0|
+    (|D_0| + |t_0 - t_k| |G_0 v|) / (|T_k|_F |G_k v|)."""
     values = base @ cardinals(model.xi, CHECK_POINTS).T
     # Unlike np.linalg.norm, vecdot makes no temporary of its operand's size.
-    norms = np.sqrt(np.vecdot(right, right, axis=1).real)
+    norms = np.sqrt(np.vecdot(right, right, axis=0).real)
+    defects, sizes = [], []
     for p, (b_p, c_p) in enumerate(zip(b, c)):
-        t_mat = transfer_from_entries(model, b_p, c_p, kappas)
-        flat = t_mat.reshape(len(kappas), -1)
-        scale = np.sqrt(np.vecdot(flat, flat).real)[:, None] * norms
+        t_mat = transfer_from_entries(model, b_p, c_p, kappas[0])
+        sizes.append(np.sqrt(np.vecdot(t_mat.ravel(), t_mat.ravel()).real))
         if sectors:
-            defect = np.stack([
-                _sector_defects(t, g, sectors, v) for t, g, v in zip(
-                    t_mat, gauge, values[..., p])])
-            del t_mat, flat
+            defect = _sector_defects(t_mat, gauge[0], sectors, values[0, :, p])
+            del t_mat
         else:
             defect = t_mat @ right
-            del t_mat, flat
+            del t_mat
             # In place: a temporary of this size costs page faults.
-            defect -= right * values[:, None, :, p]
-            defect = np.sqrt(np.vecdot(defect, defect, axis=1).real)
-        worst = defect / scale
-        for kappa, residual in zip(kappas, worst.max(axis=1)):
-            if not residual <= 1e-8:  # NaN fails too
-                raise DegenerateSpectrum(
-                    f"eigenvector check failed away from the sample point "
-                    f"at twist kappa={complex(kappa):.6g} "
-                    f"(residual {residual:.2e})"
-                )
+            defect -= right * values[0, :, p]
+            defect = np.sqrt(np.vecdot(defect, defect, axis=0).real)
+        defects.append(defect)
+    defects = np.stack(defects, axis=-1)
+    own = (defects / (norms[:, None] * sizes))[None]
+    if len(kappas) == 1:
+        return own
+    ratio, mag = np.abs(gauge[1:] / gauge[0]), np.abs(kappas[1:, None]) ** 2
+    gauged = np.sqrt(ratio ** 2 @ np.abs(right) ** 2)[..., None]
+    size = np.sqrt(np.vecdot(b, b).real / mag + mag * np.vecdot(c, c).real)
+    return np.concatenate([own, ratio.max(axis=1)[:, None, None] * (
+        defects + np.abs(values[1:] - values[0]) * norms[:, None]) / (
+        size[:, None] * gauged)])
 
 
 def _flip_split(t_mat, gauge):

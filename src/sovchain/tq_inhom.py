@@ -380,10 +380,10 @@ def solve_q_inhom(
     The rows whose closure system is singular at the deformation alpha
     (ExceptionalAlpha) are solved again, and only they, at the next
     redraw, up to max_retries times; the redraws come from a fixed seed,
-    so every row sees the same sequence.  Returns (solutions, retries per
-    row, errors per row).
+    so every row sees the same sequence, and the generator is built at the
+    first redraw.  Returns (solutions, retries per row, errors per row).
     """
-    rng = np.random.default_rng(0)
+    rng = None
     qs, errors = eigfun.ladder
     errors = list(errors)
     xs = _dressed_null_vectors(model, qs)
@@ -394,6 +394,7 @@ def solve_q_inhom(
                                 for e in errors])
         if not again.size:
             break
+        rng = rng or np.random.default_rng(0)
         alpha = complex(
             rng.uniform(-np.log(2.0), np.log(2.0)),
             rng.uniform(0.0, 2.0 * np.pi),

@@ -4,7 +4,7 @@ The model's rung table, an eigenvalue function's rung values and ladder,
 the monodromy's nonzero plan, the oracle self-check and the auxiliary
 node draws are pinned to the definitions they replace, kept here as plain
 references.  The oracle's one pass over every twist, with one eigenbasis
-for all of them and the twist as an array axis, is pinned to one call per
+for all of them and no matrix per further twist, is pinned to one call per
 twist.
 """
 
@@ -29,6 +29,7 @@ from sovchain.errors import (
 from sovchain.qalgebra import (
     ChainModel, a_of, d_of, lax, monodromy, monodromy_entries, xi_shifted,
 )
+from sovchain.trigpoly import cardinals
 
 ETA = 0.31 + 0.07j
 XI = (0.1, 0.9 + 0.1j, 1.7 - 0.05j, 2.4 + 0.08j)
@@ -719,9 +720,10 @@ def test_twists_in_one_call_match_lone_calls(monkeypatch, two_s, retry):
     # 1.7-0.4i is off the unit circle.  (1,)*5 takes the mirrored flip
     # sectors, (1,)*6 the quarter-size parity halves.  The model's twist,
     # its eigenbasis and sectors are bit for bit a lone call's; a further
-    # twist reads its base values through the covector, which a lone call
-    # on it does not, in the model's row order, and agrees, sorted by its
-    # own key as the lone call is, to COVECTOR_MATCH of the largest |t|.
+    # twist reads its base values from the B and C entries through its
+    # gauge, which a lone call on it does not, in the model's row order,
+    # and agrees, sorted by its own key as the lone call is, to
+    # COVECTOR_MATCH of the largest |t|.
     model = cli.generate_model(11, len(two_s), two_s, 0.05, eta=ETA)
     twists = TWISTS[1:3] + (1.7 - 0.4j,)
     builds = counting_builds(monkeypatch)
@@ -756,7 +758,8 @@ def in_own_order(values):
     return values[np.lexsort((key.imag, np.where(noise, 0.0, key.real)))]
 
 
-# Largest gap between a further twist's covector base values and the
+# Largest gap between a further twist's base values (through its gauge;
+# the names date from the covector that read them before) and the
 # two-sided ones of a lone call on it, relative to the largest |t|: at most
 # 7.7e-14 on the shapes above ((1,)*5 after the retry; 1.7e-14 without),
 # and 4.3e-13 on the census shapes up to dim 256 at seeds 0-2 ((1,)*8
@@ -772,7 +775,7 @@ CENSUS_256 = [(1, 1, 1), (1, 2), (2, 3), (1, 2, 2), (2,), (2, 2), (4,),
                          ids=lambda s: "".join(map(str, s)))
 def test_covector_base_values_match_two_sided_ones(two_s):
     # The model's twist is 1; the twists 1, 0.6+0.8i and 1.7-0.4i read
-    # theirs through the covector, and each is matched row for row
+    # theirs through their gauges, and each is matched row for row
     # against the two-sided diagonal: the model's own rows for 1, a lone
     # call, sorted by its own key, for the others.  From dim 256 on, the
     # two-sided diagonal is taken in the flip sectors.
@@ -821,10 +824,17 @@ def test_oracle_makes_full_size_products_only_below_the_sector_cut(
     # Below SECTOR_PRODUCTS_FROM (dim 64) the model's base values and the
     # check take dim x dim x dim products; from it on ((1,)*8 even and
     # (1,)*9 odd N_s) no product is that large, and every eig and inv is
-    # of a sector, at most dim / 2.
+    # of a sector, at most dim / 2.  A call with 8 twists scatters no more
+    # matrices and makes no more dim^3 products than one with 1 twist.
     transfer = sp.transfer_from_entries
-    monkeypatch.setattr(sp, "transfer_from_entries", lambda *args: (
-        transfer(*args).view(Watched)))
+    scattered = []
+
+    def watched(*args):
+        t_mat = transfer(*args)
+        scattered.append(t_mat.size // t_mat.shape[-1] ** 2)
+        return t_mat.view(Watched)
+
+    monkeypatch.setattr(sp, "transfer_from_entries", watched)
     solvers = []
     for name in ("eig", "inv"):
         monkeypatch.setattr(np.linalg, name, lambda x, _f=getattr(
@@ -839,6 +849,54 @@ def test_oracle_makes_full_size_products_only_below_the_sector_cut(
     assert Watched.products
     assert ((dim,) * 3 in Watched.products) is full
     assert solvers and max(solvers) <= dim // 2
+    work = []
+    for twists in (None, TWISTS[1:]):
+        scattered.clear()
+        Watched.products = []
+        sp.brute_force_spectrum(model, twists=twists)
+        work.append((sum(scattered), Watched.products.count((dim,) * 3)))
+    assert work[1] <= work[0] and work[0][0] == 1 + model.n_sites + 3
+
+
+# Further twists of the bound test: on and off the unit circle, from 1e-3
+# to |20+5i|.
+BOUND_TWISTS = (0.6 + 0.8j, 1.7 - 0.4j, 3.0, 0.1, 1j, 1e-3, 20 + 5j)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["dense", "sector"])
+def test_further_twist_bound_covers_its_dense_residual(monkeypatch, forced):
+    # Every further twist's bound, per eigen-pair and check point, is at
+    # least the dense residual of that twist's own transfer matrix on G_k
+    # V with its own t, less one machine epsilon: the dense residual
+    # carries its own rounding, and where the model's defect is exactly 0
+    # (the one-site (2,)) it reads up to 4.1e-17 over the bound.  Census
+    # shapes up to dim 81 at seeds 0-2, the model at twist 1, on the dense
+    # route and with the sector route forced.
+    calls = []
+    residuals = sp._residuals
+    monkeypatch.setattr(sp, "_residuals", lambda *args: (
+        calls.append((args, residuals(*args))) or calls[-1][1]))
+    if forced:
+        sector_forced(monkeypatch)
+    for two_s in [s for s in CENSUS_256 if np.prod(np.add(s, 1)) <= 81]:
+        for seed in (0, 1, 2):
+            model = cli.RunConfig.from_dict(
+                {"model": {"two_s": list(two_s), "seed": seed}}
+            ).build_model(1.0)
+            sp.brute_force_spectrum(model, twists=BOUND_TWISTS)
+            (_, kappas, gauge, right, base, b, c, _), bounds = calls.pop()
+            values = base @ cardinals(model.xi, sp.CHECK_POINTS).T
+            for k in range(1, len(kappas)):
+                vectors = (gauge[k] / gauge[0])[:, None] * right
+                for p, (b_p, c_p) in enumerate(zip(b, c)):
+                    t_mat = qa.transfer_from_entries(model, b_p, c_p,
+                                                     kappas[k])
+                    dense = np.linalg.norm(
+                        t_mat @ vectors - vectors * values[k, :, p], axis=0
+                    ) / (np.linalg.norm(t_mat)
+                         * np.linalg.norm(vectors, axis=0))
+                    assert np.all(bounds[k, :, p]
+                                  >= dense - np.finfo(float).eps)
 
 
 def sector_forced(monkeypatch):
@@ -853,7 +911,7 @@ def test_sector_products_match_the_full_size_ones(monkeypatch, two_s):
     # Forced on small chains (odd dim 27 has a middle state), the sector
     # route gives the model's twist the base values of the full-size
     # products to rounding, at a twist on and one off the unit circle, and
-    # the further twists' covector values bit for bit; its check passes.
+    # the further twists' values bit for bit; its check passes.
     model = cli.RunConfig.from_dict(
         {"model": {"two_s": list(two_s), "seed": 1}}).build_model(1.0)
     for kappa in (1.0, 1.7 - 0.4j):
@@ -901,34 +959,31 @@ def test_sector_defects_bound_the_full_defect(two_s):
 
 @pytest.mark.parametrize("skew", ["antidiagonal", "between"])
 def test_sector_check_names_the_one_wrong_twist(monkeypatch, skew):
-    # The sector route's check, forced on (1,)*5, with the 0.6+0.8i matrix
-    # shifted at the check points only, so that its base values stay: by
-    # the antidiagonal, which commutes with J and moves its flip blocks,
-    # or so that S = G^{-1} T G moves by e_01 - J e_01 J, which
-    # anticommutes with J, leaves the blocks as they are and moves only
-    # the part between them.  Either fires on that twist alone.
+    # The sector route, forced on (1,)*5.  A further twist forms no
+    # transfer matrix, so the fault enters its gauge: the 0.6+0.8i gauge
+    # scaled by 1 + 1e-6 d, d diagonal, moves G^{-1} T G off B + C by about
+    # 1e-6 [B + C, d].  With d even under the flip J (d_i = d_{dim-1-i})
+    # that part commutes with J and moves the flip blocks, as an
+    # antidiagonal skew of T did; with d odd it anticommutes with J and
+    # moves only the part between them.  Either fails the gauge
+    # certificate of that twist alone.  A 1e-6 shift of its base values,
+    # made before the check, fails the bound on the sector route too.
     model = long_chain((1,) * 5)
     kappa = 0.6 + 0.8j
-    gauge = qa.twist_gauge(model, kappa)
     sector_forced(monkeypatch)
-    sp.brute_force_spectrum(model, twists=[kappa])
-
-    def shift(lam, t):
-        out = np.zeros_like(t)
-        if lam in model.xi:
-            return out
-        if skew == "antidiagonal":
-            out[np.arange(len(t)), np.arange(len(t))[::-1]] = 1.0
-        else:
-            out[0, 1], out[-1, -2] = 1.0, -1.0
-            out = gauge[:, None] * out / gauge
-        return 1e-3 * np.linalg.norm(t) * out
-
-    skew_twist(monkeypatch, kappa, shift)
-    sp.brute_force_spectrum(model)
+    sp.brute_force_spectrum(model, twists=[1.7 - 0.4j, kappa])
+    d = np.zeros(model.hilbert_dim)
+    d[1], d[-2] = 1.0, (1.0 if skew == "antidiagonal" else -1.0)
+    with monkeypatch.context() as patch:
+        skew_gauge(patch, kappa, 1 + 1e-6 * d)
+        sp.brute_force_spectrum(model, twists=[1.7 - 0.4j])
+        with pytest.raises(DegenerateSpectrum, match=(
+                r"^gauge check failed at twist kappa=0\.6\+0\.8j ")):
+            sp.brute_force_spectrum(model, twists=[1.7 - 0.4j, kappa])
+    shift_values(monkeypatch, kappa, 1e-6)
     with pytest.raises(DegenerateSpectrum, match=(
             r"eigenvector check failed .* at twist kappa=0\.6\+0\.8j ")):
-        sp.brute_force_spectrum(model, twists=[kappa])
+        sp.brute_force_spectrum(model, twists=[1.7 - 0.4j, kappa])
 
 
 def test_a_rejected_sample_point_moves_to_the_next_constant(monkeypatch):
@@ -987,71 +1042,88 @@ def test_the_oracle_builds_no_generator(monkeypatch):
     sp.brute_force_spectrum(model, twists=[0.6 + 0.8j])
 
 
-def skew_twist(monkeypatch, kappa, shift):
-    """Add shift(lam, t) to every transfer matrix t of twist kappa that the
-    oracle scatters, and leave every other twist's as it is.
+def skew_gauge(monkeypatch, kappa, factor):
+    """Multiply the oracle's gauge of twist kappa by factor, one entry per
+    state, and leave every other twist's as it is."""
+    gauge = sp.twist_gauge
 
-    The oracle scatters one point's transfer matrices at a time, in the
-    order of the points it evaluated last, so recording those points gives
-    each matrix its lam.
-    """
-    points = []
-    kernel, transfer = sp.monodromy_entries, sp.transfer_from_entries
+    def skewed(model, kappas=None):
+        out = gauge(model, kappas).copy()
+        out[np.ravel(kappas) == kappa] *= factor
+        return out
 
-    def recording(model, lam, blocks="ABCD"):
-        points[:] = np.ravel(lam).tolist()
-        return kernel(model, lam, blocks)
+    monkeypatch.setattr(sp, "twist_gauge", skewed)
 
-    def skewed(model, b, c, kappas=1.0):
-        t = transfer(model, b, c, kappas)
-        lam = points.pop(0)
-        stack = t.reshape((-1,) + t.shape[-2:])
-        for i in np.flatnonzero(np.ravel(kappas) == kappa):
-            stack[i] += shift(lam, stack[i])
-        return t
 
-    monkeypatch.setattr(sp, "monodromy_entries", recording)
-    monkeypatch.setattr(sp, "transfer_from_entries", skewed)
+def shift_values(monkeypatch, kappa, size):
+    """Move t(xi_1) of further twist kappa by size times the largest
+    |t(xi_1)| where the oracle computes it, before its check."""
+    further = sp._further_values
+
+    def shifted(model, kappas, *args):
+        out = further(model, kappas, *args)
+        out[kappas[1:] == kappa, :, 0] += size * np.abs(out[..., 0]).max()
+        return out
+
+    monkeypatch.setattr(sp, "_further_values", shifted)
 
 
 def test_isospectrality_check_fires_on_one_wrong_twist(monkeypatch):
-    # Twist 0.6+0.8i (not 1) gets t + 1e-6 s L_1 on every point, with L_1
-    # the first cardinal function and s the largest |t(xi_1)|: its
-    # eigenvectors and its function class stay, so only t(xi_1) moves.
+    # Twist 0.6+0.8i (not 1) has its t(xi_1) moved by 1e-6 of the largest
+    # |t(xi_1)| in the values the oracle returns, on the dense route and on
+    # the forced sector route: only kappa_isospectrality sees it, and the
+    # eigenvalues stay.  The same shift made before the oracle's check
+    # fails its bound (the |t_0 - t_k| term) and ends the run, which
+    # test_oracle_check_names_the_one_wrong_twist shows.
     doc = twist_doc((1, 2, 1), (1.0, 0.6 + 0.8j))
-    clean = run_pipelines(RunConfig.from_dict(doc))
-    assert clean["summary"]["pass"]
-    scale = max(abs(complex(*e["t_at_xi"][0])) for e in clean["eigenvalues"])
-    xi = np.array([complex(*z) for z in clean["model"]["xi"]])
+    oracle = sp.brute_force_spectrum
 
-    def shift(lam, t):
-        cardinal = (np.prod(np.sinh(lam - xi[1:]))
-                    / np.prod(np.sinh(xi[0] - xi[1:])))
-        return 1e-6 * scale * cardinal * np.eye(t.shape[0])
+    def shifted(model, twists=None):
+        spec, others = oracle(model, twists=twists)
+        others[0, :, 0] += 1e-6 * np.abs(others[0, :, 0]).max()
+        return spec, others
 
-    skew_twist(monkeypatch, 0.6 + 0.8j, shift)
-    report = run_pipelines(RunConfig.from_dict(doc))
-    summary = report["summary"]
-    assert not summary["pass"]
-    assert summary["failures"][0].startswith("kappa_isospectrality")
-    iso = summary["max_residuals"]["kappa_isospectrality"]
-    assert iso == pytest.approx(1e-6 * scale, rel=1e-3)
-    assert report["eigenvalues"] == clean["eigenvalues"]
+    for forced in (False, True):
+        with monkeypatch.context() as patch:
+            if forced:
+                sector_forced(patch)
+            clean = run_pipelines(RunConfig.from_dict(doc))
+            assert clean["summary"]["pass"]
+            patch.setattr(sp, "brute_force_spectrum", shifted)
+            report = run_pipelines(RunConfig.from_dict(doc))
+        scale = max(abs(complex(*e["t_at_xi"][0]))
+                    for e in clean["eigenvalues"])
+        summary = report["summary"]
+        assert not summary["pass"]
+        assert summary["failures"][0].startswith("kappa_isospectrality")
+        iso = summary["max_residuals"]["kappa_isospectrality"]
+        assert iso == pytest.approx(1e-6 * scale, rel=1e-3)
+        assert report["eigenvalues"] == clean["eigenvalues"]
 
 
 def test_oracle_check_names_the_one_wrong_twist(monkeypatch):
-    # The 0.6+0.8i transfer matrix moves by an antidiagonal shift, which is
-    # neither the identity nor a gauge, and the untwisted one, with the
-    # shared eigenbasis, stays as it is: that twist's check must fire.
+    # A further twist forms no transfer matrix, so a fault enters where
+    # its data does, here in 0.6+0.8i, the second of two further twists,
+    # on the dense route.  One entry of its gauge scaled by 1 + 1e-6 is
+    # not kappa^{-|h|}: the gauge certificate names it.  Its t(xi_1) moved
+    # by 1e-6 of the largest |t(xi_1)| before the check: the bound's
+    # |t_0 - t_k| term names it.  The other twists pass either way.
     model = chain((1, 1, 1))
     kappa = 0.6 + 0.8j
-    sp.brute_force_spectrum(model, twists=[kappa])
-    skew_twist(monkeypatch, kappa, lambda lam, t: (
-        1e-3 * np.linalg.norm(t) * np.eye(t.shape[0])[::-1]))
-    sp.brute_force_spectrum(model)
+    sp.brute_force_spectrum(model, twists=[1.7 - 0.4j, kappa])
+    factor = np.ones(model.hilbert_dim)
+    factor[3] += 1e-6
+    with monkeypatch.context() as patch:
+        skew_gauge(patch, kappa, factor)
+        sp.brute_force_spectrum(model, twists=[1.7 - 0.4j])
+        with pytest.raises(DegenerateSpectrum, match=(
+                r"^gauge check failed at twist kappa=0\.6\+0\.8j ")):
+            sp.brute_force_spectrum(model, twists=[1.7 - 0.4j, kappa])
+    shift_values(monkeypatch, kappa, 1e-6)
+    sp.brute_force_spectrum(model, twists=[1.7 - 0.4j])
     with pytest.raises(DegenerateSpectrum, match=(
             r"eigenvector check failed .* at twist kappa=0\.6\+0\.8j ")):
-        sp.brute_force_spectrum(model, twists=[kappa])
+        sp.brute_force_spectrum(model, twists=[1.7 - 0.4j, kappa])
 
 
 # ----------------------------------------------------------------------

@@ -151,6 +151,31 @@ class TestSolve:
         assert 1 <= retries[0] <= 3
         assert ti.inhom_grid_residual(D2, spec.rows, sol).max() < 1e-8
 
+    def test_redraws_come_from_a_generator_built_at_the_first(
+            self, d2_solutions, monkeypatch):
+        # A solve that needs no redraw builds no generator; one that does
+        # draws its alphas from default_rng(0), as when the generator was
+        # built on every call.
+        spec, _ = d2_solutions
+        f = sp.EigenvalueFunction(D2, spec.rows.base_values[0])
+        coeffs = ti.det_m_polynomial(D2, f, ZETA0)
+        bad_alpha = np.log(np.roots(coeffs[::-1])[0])
+        build = np.random.default_rng
+        rng = build(0)
+        draws = [complex(rng.uniform(-np.log(2.0), np.log(2.0)),
+                         rng.uniform(0.0, 2.0 * np.pi)) for _ in range(3)]
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a solve without redraws built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        _, retries, errors = ti.solve_q_inhom(D2, spec.rows, zeta0=ZETA0)
+        assert errors == [None] * D2.hilbert_dim and not retries.any()
+        monkeypatch.setattr(np.random, "default_rng", build)
+        sol, retries, _ = ti.solve_q_inhom(D2, spec.rows, zeta0=ZETA0,
+                                           alpha=bad_alpha)
+        assert sol.alpha[0] == draws[retries[0] - 1]
+
     def test_admissibility_guard(self):
         # One flag per row: the solve records NonAdmissible for flagged rows.
         flagged = ti._inadmissible(np.array([[1.0, 0.0, 2.0], [1.0, 0.5, 2.0]]))
