@@ -489,6 +489,15 @@ def _write_bethe_csv(path: str, report: dict) -> None:
 # ----------------------------------------------------------------------
 # entry points
 
+def _check_output(name: str, target: str) -> None:
+    """Refuse an output path in a missing directory or naming one, early."""
+    folder = os.path.dirname(target) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{name}: directory {folder!r} does not exist")
+    if os.path.isdir(target):
+        raise ConfigError(f"{name}: {target!r} is a directory")
+
+
 def _load_config(path: str) -> RunConfig:
     try:
         with open(path) as handle:
@@ -500,15 +509,10 @@ def _load_config(path: str) -> RunConfig:
     config = RunConfig.from_dict(doc, base_dir=os.path.dirname(path) or ".")
     if config.report_path is None:
         config.report_path = os.path.splitext(path)[0] + ".report.json"
-    # Caught here, not when the report is written after every pipeline.
     for key, target in (("report", config.report_path),
-                        ("bethe_csv", config.bethe_csv_path or "")):
-        folder = os.path.dirname(target) or "."
-        if target and not os.path.isdir(folder):
-            raise ConfigError(
-                f"output.{key}: directory {folder!r} does not exist")
-        if os.path.isdir(target):
-            raise ConfigError(f"output.{key}: {target!r} is a directory")
+                        ("bethe_csv", config.bethe_csv_path)):
+        if target:
+            _check_output(f"output.{key}", target)
     csv = config.bethe_csv_path
     if csv and os.path.realpath(csv) == os.path.realpath(config.report_path):
         raise ConfigError(f"output.bethe_csv names the report file {csv!r}")
@@ -554,6 +558,7 @@ def _cmd_generate(args) -> int:
         "pipelines": "all",
     }
     config = RunConfig.from_dict(doc)  # the rules ``check`` applies, first
+    _check_output("--out", args.out)
     model = generate_model(args.seed, args.sites, config.two_s,
                            config.delta_min, eta=config.eta)
     doc["model"]["xi"] = _emit_complex(model.xi)

@@ -6,22 +6,20 @@ antidiagonal transfer matrix kappa^{-1} B(lam) + kappa C(lam), which the
 diagonal ``twist_gauge`` conjugates into the untwisted B + C.  Everything is
 dense.  In the monodromy, a and d are diagonal and b and c have one
 off-diagonal each, so every nonzero entry of a block is one product of a
-local Lax entry per site; the read-only ``ChainModel.monodromy_plan``,
-built once per shape on first use, says where those entries sit and which
-local entries they multiply.  ``monodromy_entries`` evaluates them at a
-whole array of points, O(nnz) per site (365 of the 4096 entries of a block
-at dim 64); a caller that reads only B and C scatters them from there with
-``transfer_from_entries``, one transfer matrix per twist of an array of
-twists.  Everything on the rungs that does not depend on an eigenvalue
-(the rungs, a and d there, the companion factors and the layout itself)
-is built once per model, on first use, in the read-only
-``ChainModel.rung_table`` (``RungTable``), the one place that knows the
-rung layout: one flat, site-major array of every rung, in whose order
-every value on the rungs, in any layer, lies along its last axis.
-Likewise ``ChainModel.lax_table`` holds each site's Sz diagonal and
-sinh(eta) S+-, so a Lax build computes only its two diagonal blocks, and
-``ChainModel.derived`` keeps what a higher layer derives from the model
-alone (the T-Q checks' points and factors).
+local Lax entry per site; the read-only ``_monodromy_plan``, cached per
+shape, says where those entries sit and which local entries they multiply.
+``monodromy_entries`` evaluates them at a whole array of points, O(nnz)
+per site (365 of the 4096 entries of a block at dim 64); a caller that
+reads only B and C scatters them from there with ``transfer_from_entries``,
+one transfer matrix per twist of an array of twists.  Everything on the
+rungs that does not depend on an eigenvalue (the rungs, a and d there, the
+companion factors and the layout itself) is built once per model, on first
+use, in the read-only ``ChainModel.rung_table`` (``RungTable``), the one
+place that knows the rung layout: one flat, site-major array of every
+rung, in whose order every value on the rungs, in any layer, lies along
+its last axis.  Likewise ``_lax_parts``, cached per spin and eta, holds a
+site's Sz diagonal and sinh(eta) S+-, so a Lax build computes only its two
+diagonal blocks.
 ``distance_to_ipi_lattice`` works on arrays of any shape.
 
 Conventions fixed here and relied on everywhere else:
@@ -171,38 +169,10 @@ class ChainModel:
         """Total twist-sector degree: twice the sum of all spins."""
         return sum(self.two_s)
 
-    def genericity_margin(self) -> float:
-        """Smallest shifted-ladder separation modulo i*pi over site pairs."""
-        return float(min((gap for *_, gap in self._ladder_gaps()),
-                         default=np.inf))
-
     @cached_property
     def rung_table(self) -> "RungTable":
         """The read-only ``RungTable``, built on first use."""
         return _rung_table(self)
-
-    @cached_property
-    def lax_table(self) -> tuple:
-        """Per site, the spectral-point-free parts of its Lax blocks: the Sz
-        diagonal and sinh(eta) S-, sinh(eta) S+, read-only, built on first
-        use and shared by sites of equal spin and models of equal eta."""
-        return tuple(_lax_parts(v, self.eta) for v in self.two_s)
-
-    @cached_property
-    def monodromy_plan(self) -> "MonodromyPlan":
-        """The nonzero entries of the monodromy blocks and their local Lax
-        factors per site (``MonodromyPlan``), read-only, built on first
-        use and shared by models of equal shape."""
-        return _monodromy_plan(self.two_s)
-
-    def derived(self, build):
-        """build(self), computed on first use and kept per instance, keyed
-        by build: what a higher layer derives from the model alone.  Kept
-        beside the fields, like a ``cached_property``."""
-        kept = self.__dict__.setdefault("_derived", {})
-        if build not in kept:
-            kept[build] = build(self)
-        return kept[build]
 
 
 class RungTable(NamedTuple):
@@ -329,12 +299,12 @@ def lax(model: ChainModel, site: int, lam):
     Returns (a, b, c, d) with a = sinh(u + eta*Sz), b = Sminus*sinh(eta),
     c = Splus*sinh(eta), d = sinh(u - eta*Sz), where u = lam - xi_site; a
     and d stack one matrix per point of an array lam.  b and c are the
-    model's read-only ``lax_table`` entries.
+    read-only ``_lax_parts`` of the site's spin, shared by equal spins.
     """
     if not 1 <= site <= model.n_sites:
         raise IndexOutOfRange(f"site {site} outside 1..{model.n_sites}")
     u = np.asarray(lam, dtype=complex)[..., None] - model.xi[site - 1]
-    sz_diag, b, c = model.lax_table[site - 1]
+    sz_diag, b, c = _lax_parts(model.two_s[site - 1], model.eta)
     eye = np.eye(sz_diag.size)
     a = np.sinh(u + model.eta * sz_diag)[..., None] * eye
     d = np.sinh(u - model.eta * sz_diag)[..., None] * eye
@@ -351,11 +321,11 @@ def monodromy_entries(model: ChainModel, lam, blocks: str = "ABCD") -> tuple:
     the Kronecker recursion does, so the blocks equal it bit for bit.
     """
     first = "ABCD".index(blocks)  # a substring: "AD" raises ValueError
-    cuts = model.monodromy_plan.bounds[first:first + len(blocks) + 1]
+    plan = _monodromy_plan(model.two_s)
+    cuts = plan.bounds[first:first + len(blocks) + 1]
     values = reduce(np.multiply, (
         _local_entries(*lax(model, site, lam))[..., row]
-        for site, row in enumerate(
-            model.monodromy_plan.factors[:, cuts[0]:cuts[-1]], start=1)))
+        for site, row in enumerate(plan.factors[:, cuts[0]:cuts[-1]], 1)))
     return tuple(values[..., i - cuts[0]:j - cuts[0]]
                  for i, j in zip(cuts, cuts[1:]))
 
@@ -368,7 +338,7 @@ def _scatter(model: ChainModel, pieces) -> np.ndarray:
     dim = model.hilbert_dim
     out = np.zeros(lead + (dim * dim,), dtype=complex)
     for k, values in pieces:
-        out[..., model.monodromy_plan.positions[k]] = values
+        out[..., _monodromy_plan(model.two_s).positions[k]] = values
     return out.reshape(lead + (dim, dim))
 
 
@@ -567,15 +537,22 @@ def quantum_determinant_residual(model: ChainModel, lam: complex) -> float:
 # normality
 
 
+# The regimes' tolerance on |kappa| - 1 and on the parts of eta and xi that
+# must vanish, and the five probe points (uniforms k and k + 5), drawn once.
+_NORMALITY_TOL = 1e-12
+_NORMALITY_DRAWS = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 5))
+_NORMALITY_POINTS = _read_only(_NORMALITY_DRAWS[0] + 1j * _NORMALITY_DRAWS[1])
+del _NORMALITY_DRAWS
+
+
 @dataclass(frozen=True)
 class NormalityReport:
     case: str
     max_residual: float
-    probe_points: tuple
 
 
-def normality_check(model: ChainModel, seed: int = 0, tol_param: float = 1e-12):
-    """Check the adjoint symmetry of the transfer matrix at 5 random points.
+def normality_check(model: ChainModel):
+    """Check the adjoint symmetry of the transfer matrix at 5 fixed points.
 
     Two parameter regimes admit the symmetry: purely imaginary eta with real
     inhomogeneities (case "imaginary-eta"), where T(lam)^dag = -T(conj lam),
@@ -583,14 +560,11 @@ def normality_check(model: ChainModel, seed: int = 0, tol_param: float = 1e-12):
     where T(lam)^dag = (-1)^(N-1) T(-conj lam).  Both need |kappa| = 1.
     Parameters fitting neither regime raise NotApplicable.
     """
-    if abs(abs(model.kappa) - 1.0) > tol_param:
+    if abs(abs(model.kappa) - 1.0) > _NORMALITY_TOL:
         raise NotApplicable("normality needs |kappa| = 1")
-    case_one = abs(model.eta.real) <= tol_param and all(
-        abs(x.imag) <= tol_param for x in model.xi
-    )
-    case_two = abs(model.eta.imag) <= tol_param and all(
-        abs(x.real) <= tol_param for x in model.xi
-    )
+    xi, tol = np.asarray(model.xi), _NORMALITY_TOL
+    case_one = abs(model.eta.real) <= tol and np.all(np.abs(xi.imag) <= tol)
+    case_two = abs(model.eta.imag) <= tol and np.all(np.abs(xi.real) <= tol)
     if case_one:
         case = "imaginary-eta"
     elif case_two:
@@ -600,8 +574,7 @@ def normality_check(model: ChainModel, seed: int = 0, tol_param: float = 1e-12):
             "parameters fit neither normality regime (eta in i*R with real "
             "xi, or real eta with imaginary xi)"
         )
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(-1.0, 1.0, 5)
+    pts = _NORMALITY_POINTS
     mirror, sign = ((np.conj(pts), -1.0) if case == "imaginary-eta"
                     else (-np.conj(pts), (-1.0) ** (model.n_sites - 1)))
     t, other = (transfer_from_entries(
@@ -611,6 +584,4 @@ def normality_check(model: ChainModel, seed: int = 0, tol_param: float = 1e-12):
                             axis=(1, 2))
     worst = float(np.max(
         defect / np.maximum(np.linalg.norm(t, axis=(1, 2)), 1e-300)))
-    return NormalityReport(
-        case=case, max_residual=worst, probe_points=tuple(pts)
-    )
+    return NormalityReport(case=case, max_residual=worst)

@@ -120,23 +120,21 @@ def build_basis(model: ChainModel) -> SOVBasis:
             lefts.append(lefts[-1] @ c / table.d[lower])
             del b, c
         right, left = np.concatenate(rights), np.concatenate(lefts)
-    hs = all_h_tuples(model)
-    right_norms = _check_norms(hs, right)
-    left_norms = _check_norms(hs, left)
     return SOVBasis(model, norm_const, weights(model), right, left,
-                    right_norms, left_norms)
+                    _check_norms(model, right), _check_norms(model, left))
 
 
-def _check_norms(hs: list, states: np.ndarray) -> np.ndarray:
-    """Norms of the states (row i labeled by hs[i]); raise if any has
-    collapsed."""
+def _check_norms(model: ChainModel, states: np.ndarray) -> np.ndarray:
+    """Norms of the states, in all_h_tuples order; raise if any has
+    collapsed, naming the first such state by its rung tuple."""
     norms = np.linalg.norm(states, axis=1)
     biggest = norms.max()
-    for h, n in zip(hs, norms):
-        if n < 1e-12 * biggest:
-            raise ConditioningFailure(
-                f"basis state {h} collapsed to relative norm {n / biggest:.2e}"
-            )
+    collapsed = np.flatnonzero(norms < 1e-12 * biggest)
+    if collapsed.size:
+        i = collapsed[0]
+        h = tuple(_h_grid(model)[:, i].tolist())
+        raise ConditioningFailure(f"basis state {h} collapsed to relative "
+                                  f"norm {norms[i] / biggest:.2e}")
     return norms
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "brute_force_spectrum",
     "ladder_matrix",
     "discrete_residual",
-    "companion_rescale",
     "eigenstates",
     "eigen_residual",
 ]
@@ -542,15 +541,6 @@ def _ladder(model: ChainModel, rung_values):
     return _read_only(qs), tuple(errors)
 
 
-def companion_rescale(model: ChainModel, vectors):
-    """Regauge rung vectors from left-state to right-state form.
-
-    Component h picks up (-1)^h times the running ratio of the expected
-    diagonal products along the ladder (``RungTable.companion``).
-    """
-    return model.rung_table.companion * vectors
-
-
 # ----------------------------------------------------------------------
 # eigenstates in the separated basis
 
@@ -561,14 +551,14 @@ def eigenstates(model: ChainModel, basis: SOVBasis, vectors):
 
     left = sum_h [prod_n kappa^{h_n} v^{(n)}_{h_n}] w_h <h| and
     right = sum_h [prod_n kappa^{-h_n} p^{(n)}_{h_n}] w_h |h>, where
-    p = companion_rescale(model, v).  Returns (left, right, errors), with a
+    p = ``RungTable.companion`` * v.  Returns (left, right, errors), with a
     ZeroState for each row where either state has negligible norm.
     """
     left, left_zero = _assemble(model, basis.left_covectors, basis.left_norms,
                                 basis.weights, vectors, 1)
     right, right_zero = _assemble(model, basis.right_vectors,
                                   basis.right_norms, basis.weights,
-                                  companion_rescale(model, vectors), -1)
+                                  model.rung_table.companion * vectors, -1)
     zero = left_zero | right_zero
     errors = [None] * zero.size
     record(errors, zero, lambda k: ZeroState(

@@ -118,7 +118,7 @@ class QFunctionHom:
         model, ip, grid = self.model, 1j * np.pi, GRID_POINTS
         eta, rungs = model.eta, model.rung_table.rungs
         x = np.concatenate([grid, rungs[model.rung_table.inner],
-                            model.derived(_check_points).samples])
+                            _check_points(model).samples])
         sets = {"grid": grid, "grid+ip": grid + ip, "x-eta": x - eta,
                 "x+ip-eta": x + ip - eta, "x+eta": x + eta,
                 "x+eta+ip": x + eta + ip, "rungs": rungs,
@@ -260,7 +260,7 @@ def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
     t, grid = q.table, GRID_POINTS  # ``wronskian`` on the grid
     w_vals = (t["grid+ip"] * t["x-eta"][..., :grid.size]
               + t["grid"] * t["x+ip-eta"][..., :grid.size])
-    target = model.derived(_check_points).d[:grid.size] * w_eps(model, 1, grid)
+    target = _check_points(model).d[:grid.size] * w_eps(model, 1, grid)
     w_max = np.abs(w_vals).max(axis=-1)
     best_eps = np.zeros(w_max.shape, dtype=int)
     best_res = np.full(w_max.shape, np.inf)
@@ -288,7 +288,7 @@ def hom_grid_residual(model: ChainModel, eigfun, q: QFunctionHom
     (``tq_inhom._grid_residual`` on ``rhs``), with Q from the solution's
     ``table`` and t from the stack's ``grid_values``."""
     t, cut = q.table, GRID_POINTS.size
-    pts = model.derived(_check_points)
+    pts = _check_points(model)
     return _grid_residual(eigfun, t["grid"], q.rhs(
         GRID_POINTS, pts.a[:cut], pts.d[:cut], t["x-eta"][..., :cut],
         t["x+eta"][..., :cut]))

@@ -33,8 +33,8 @@ equations share lives here: the table builder ``_q_values`` (one
 evaluation of Q over the union of a solution's point sets; this table
 holds Q and the ``rhs`` terms on the grid and the sample points), the
 grid and Bethe bodies ``_grid_residual`` and ``_bethe_residuals``, their
-zero-scale rule ``_relative_defect``, and the model-only factors built
-once per model (``_check_points``).  A row that fails a step keeps its
+zero-scale rule ``_relative_defect``, and the model-only factors cached
+per model (``_check_points``).  A row that fails a step keeps its
 first ``SovChainError`` in the errors the function returns (None for a
 row that passed), and the other rows go on.
 """
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import sub
 
 import numpy as np
@@ -107,7 +107,7 @@ class QFunctionInhom:
         """(Q, term_a, term_d, term_f) at the check points P for every row,
         from Q over P, P - eta and P + eta in one call, on first use;
         read-only."""
-        pts, eta = self.model.derived(_check_points), self.model.eta
+        pts, eta = _check_points(self.model), self.model.eta
         plain, down, up = _q_values(
             self, (pts.points, pts.points - eta, pts.points + eta))
         return (plain, *map(_read_only, self.rhs(
@@ -226,9 +226,10 @@ _SAMPLE_OFFSETS = (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
 _CheckPoints = namedtuple("_CheckPoints", "samples cleared to_base points a d")
 
 
+@lru_cache(maxsize=16)
 def _check_points(model: ChainModel) -> _CheckPoints:
     """The model-only part of the checks of both T-Q equations, read-only
-    and built once per model (``ChainModel.derived``): the sample points
+    and cached per model (equal models share it): the sample points
     where t is rebuilt from Q, whether they clear the inner rungs, their
     cardinals at the base points, and P (the grid, then the samples) with
     a and d at P.  The samples are the base points or, when one sits on an
@@ -256,7 +257,7 @@ def _check_points(model: ChainModel) -> _CheckPoints:
 def _sample_points(model: ChainModel, errors: list) -> np.ndarray:
     """Where both T-Q equations rebuild t from Q; if they do not clear the
     inner rungs, every row gets an error."""
-    pts = model.derived(_check_points)
+    pts = _check_points(model)
     record(errors, np.full(len(errors), not pts.cleared), lambda k: (
         SovChainError("no offset clears the inner rungs")))
     return pts.samples
@@ -269,8 +270,7 @@ def _at_base_points(model: ChainModel, values) -> np.ndarray:
     t(xi) = sum_k t(s_k) C_k(xi) with C = cardinals(samples, xi) and no
     solve; the multiply-sum keeps each row independent of the others.
     """
-    return np.sum(values[..., None, :] * model.derived(_check_points).to_base,
-                  axis=-1)
+    return np.sum(values[..., None, :] * _check_points(model).to_base, axis=-1)
 
 
 def draw_zeta0(model: ChainModel, rng) -> complex:

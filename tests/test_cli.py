@@ -396,6 +396,23 @@ class TestOtherCommands:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("out, message", [
+        ("nodir/x.json", "directory {folder!r} does not exist"),
+        (".", "{out!r} is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_generate_out_path_error_exits_two(self, tmp_path, capsys,
+                                               monkeypatch, out, message):
+        # The check ``run`` applies to its outputs, before any draw.
+        monkeypatch.setattr(cli, "generate_model", pytest.fail)
+        out, folder = str(tmp_path / out), str(tmp_path / "nodir")
+        code = main(["generate", "--seed", "1", "--sites", "1",
+                     "--spins", "1", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: --out: " + message.format(
+            folder=folder, out=out)]
+        assert os.listdir(tmp_path) == []
+
     def test_generate_negative_seed_exits_two(self, tmp_path, capsys):
         code = main([
             "generate", "--seed", "-1", "--sites", "1", "--spins", "1",

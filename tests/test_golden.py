@@ -1,4 +1,4 @@
-"""Refactor gate: full run reports on two reference configurations.
+"""Refactor gate: full run reports on four reference configurations.
 
 ``tests/data/golden_reports.json`` holds the complete ``run_pipelines``
 report for each configuration in ``CONFIGS``.  A refactor must reproduce
@@ -29,15 +29,21 @@ TINY_FACTOR = 10.0
 # (1,2,1) passes every pipeline; (2,2) has its base points on inner rungs,
 # so both T-Q round trips sample t at an offset copy of them, and its zero
 # eigenvalue has a tq-inhom root on a base point; (1,4) is the smallest
-# high-spin shape, a 5-rung spin-2 ladder.
+# high-spin shape, a 5-rung spin-2 ladder.  (1,3,2) has model twist
+# 0.6+0.8i, so the oracle's gauged products differ from the untwisted ones,
+# and its two 12-state flip sectors take ``_parity_halves``' XY route.
 CONFIGS = {
     name: {
         "model": {"two_s": list(two_s), "xi": "random", "seed": 11,
-                  "kappa": [[1.0, 0.0], [0.6, 0.8]]},
+                  "kappa": kappa},
         "pipelines": "all",
     }
-    for name, two_s in (("1-2-1", (1, 2, 1)), ("2-2", (2, 2)),
-                        ("1-4", (1, 4)))
+    for name, two_s, kappa in (
+        ("1-2-1", (1, 2, 1), [[1.0, 0.0], [0.6, 0.8]]),
+        ("2-2", (2, 2), [[1.0, 0.0], [0.6, 0.8]]),
+        ("1-4", (1, 4), [[1.0, 0.0], [0.6, 0.8]]),
+        ("1-3-2", (1, 3, 2), [[0.6, 0.8], [1.0, 0.0]]),
+    )
 }
 
 

@@ -208,8 +208,8 @@ def test_ladder_nullspace_and_rescale(case):
         want_q.append(q)
         want_p.append(p)
     qs = eigfun.ladder[0]
-    ps = sp.companion_rescale(model, qs)
-    rescaled = sp.companion_rescale(model, np.concatenate(want_q))
+    ps = model.rung_table.companion * qs
+    rescaled = model.rung_table.companion * np.concatenate(want_q)
     assert_allclose(qs, np.concatenate(want_q), rtol=RTOL)
     assert_allclose(ps, np.concatenate(want_p), rtol=RTOL)
     assert_allclose(rescaled, np.concatenate(want_p), rtol=RTOL)

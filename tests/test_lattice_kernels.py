@@ -234,15 +234,15 @@ def margin_loop(model):
 
 
 @pytest.mark.parametrize("two_s", [(1, 2), (2, 1, 3), (1, 1, 1, 1)])
-def test_genericity_margin_equals_triple_loop(two_s):
+def test_ladder_gap_minimum_equals_triple_loop(two_s):
     xi = (0.1, 0.9 + 0.1j, 1.7 - 0.05j, 2.4 + 0.08j)[: len(two_s)]
     model = ChainModel(two_s=two_s, xi=xi, eta=ETA, kappa=1.0)
-    assert model.genericity_margin() == margin_loop(model)
+    assert min(gap for *_, gap in model._ladder_gaps()) == margin_loop(model)
 
 
 def test_single_site_margin_is_infinite():
     model = ChainModel(two_s=(2,), xi=(0.1,), eta=ETA, kappa=1.0)
-    assert model.genericity_margin() == np.inf
+    assert model._ladder_gaps() == [] and margin_loop(model) == np.inf
 
 
 def test_collision_message_text_is_unchanged():

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from sovchain import ConfigError, IndexOutOfRange, NotApplicable
 from sovchain.qalgebra import (
+    _NORMALITY_POINTS,
     ChainModel,
+    _lax_parts,
     a_of,
     d_of,
     lax,
@@ -83,7 +85,7 @@ def test_dimension_bookkeeping():
     m = model([1, 2, 3], [0.0, 0.7, 1.5])
     assert m.hilbert_dim == 2 * 3 * 4
     assert m.n_s == 6
-    assert m.genericity_margin() > m.delta_min
+    assert min(gap for *_, gap in m._ladder_gaps()) > m.delta_min
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +149,9 @@ def test_lax_from_the_table_equals_a_fresh_build_bit_for_bit():
                                  lax_from_spin_matrices(m, site, lam)):
                 assert np.array_equal(got, want)
     # Built once per spin: sites 1 and 3 share their read-only blocks.
-    assert all(x is y for x, y in zip(m.lax_table[0], m.lax_table[2]))
-    assert not any(x.flags.writeable for x in m.lax_table[1])
+    first, third = (lax(m, site, 0.41 + 0.09j) for site in (1, 3))
+    assert first[1] is third[1] and first[2] is third[2]
+    assert not any(x.flags.writeable for x in _lax_parts(1, m.eta))
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 3])
@@ -333,6 +336,13 @@ def test_normality_real_eta():
     report = normality_check(m)
     assert report.case == "real-eta"
     assert report.max_residual < 1e-12
+
+
+def test_normality_points_are_the_draws_of_seed_zero():
+    rng = np.random.default_rng(0)
+    want = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(-1.0, 1.0, 5)
+    assert np.array_equal(_NORMALITY_POINTS, want)
+    assert not _NORMALITY_POINTS.flags.writeable
 
 
 def test_normality_not_applicable():

@@ -364,7 +364,7 @@ TABLE_SHAPES = [(1, 2), (2, 2), (2, 1, 3)]
 def test_table_slices_equal_q_at_their_points(two_s):
     model, rows, inhom, hom = tq_solutions(two_s)
     # The one model context of both equations is built once per model.
-    assert model.derived(ti._check_points) is model.derived(ti._check_points)
+    assert ti._check_points(model) is ti._check_points(model)
     # The tq-hom point sets by their definitions, X being the grid, the
     # inner rungs and the sample points.
     eta, ip, grid = model.eta, 1j * np.pi, ti.GRID_POINTS
@@ -387,7 +387,7 @@ def test_table_slices_equal_q_at_their_points(two_s):
         assert not np.array_equal(ti._sample_points(model, []), model.xi)
 
     alpha = inhom.alpha[:, None]
-    lam = model.derived(ti._check_points).points
+    lam = ti._check_points(model).points
     assert np.array_equal(lam, np.concatenate(
         [ti.GRID_POINTS, ti._sample_points(model, [])]))
     want = (inhom.value(lam),
@@ -398,7 +398,7 @@ def test_table_slices_equal_q_at_their_points(two_s):
     for got, ref in zip(inhom.table, want, strict=True):
         assert np.array_equal(got, ref)
     shared = (*hom.table.values(), *inhom.table,
-              *model.derived(ti._check_points)._asdict().values())
+              *ti._check_points(model)._asdict().values())
     assert not any(np.ndim(v) and v.flags.writeable for v in shared)
 
 
@@ -444,11 +444,9 @@ def test_wronskian_fit_reads_the_definition_route(two_s):
 
 def test_model_factors_leave_equality_and_hash_alone():
     first, second = chain((2, 2)), chain((2, 2))
-    first.derived(ti._check_points)
+    ti._check_points(first)
     assert first == second and hash(first) == hash(second)
-    assert first.derived(ti._check_points) is first.derived(ti._check_points)
-    assert second.derived(ti._check_points) is not first.derived(
-        ti._check_points)
+    assert ti._check_points(first) is ti._check_points(first)
 
 
 def tq_calls(monkeypatch, two_s):
@@ -542,7 +540,7 @@ def test_monodromy_equals_the_kronecker_recursion(two_s):
 @pytest.mark.parametrize("two_s", MONODROMY_SHAPES, ids=MONODROMY_IDS)
 def test_monodromy_plan_is_the_nonzero_pattern(two_s):
     model = long_chain(two_s)
-    plan = model.monodromy_plan
+    plan = qa._monodromy_plan(model.two_s)
     blocks = _kron_monodromy(model, 0.37 - 0.21j)
     for positions, block in zip(plan.positions, blocks):
         assert np.array_equal(np.sort(positions), np.flatnonzero(block))
@@ -557,17 +555,16 @@ def test_monodromy_plan_is_the_nonzero_pattern(two_s):
             (3**n + 1) // 2, (3**n - 1) // 2, (3**n - 1) // 2, (3**n + 1) // 2]
 
 
-def test_monodromy_plan_is_built_once_per_model(monkeypatch):
-    builds = []
-    build = qa._monodromy_plan
-    monkeypatch.setattr(qa, "_monodromy_plan",
-                        lambda two_s: builds.append(two_s) or build(two_s))
+def test_monodromy_plan_is_built_once_per_model():
+    qa._monodromy_plan.cache_clear()
     model = long_chain((1,) * 6)
-    assert builds == []  # built on first use, not with the model
+    # Built on first use, not with the model.
+    assert qa._monodromy_plan.cache_info().misses == 0
     monodromy(model, 0.37 - 0.21j)
-    plan = model.monodromy_plan
+    plan = qa._monodromy_plan(model.two_s)
     monodromy(model, -0.8 + 1.3j)
-    assert builds == [(1,) * 6] and model.monodromy_plan is plan
+    assert qa._monodromy_plan.cache_info().misses == 1
+    assert qa._monodromy_plan(model.two_s) is plan
     assert [p.size for p in plan.positions] == [365, 364, 364, 365]
 
 

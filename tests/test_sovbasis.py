@@ -142,8 +142,9 @@ def test_weight_is_reciprocal_of_overlap():
 
 def test_collapsed_state_raises():
     states = np.array([[1.0 + 0j, 0.0], [1e-15 + 0j, 0.0]])
-    with pytest.raises(ConditioningFailure):
-        sb._check_norms([(0,), (1,)], states)
+    with pytest.raises(ConditioningFailure, match=r"^basis state \(1,\) "
+                       r"collapsed to relative norm 1\.00e-15$"):
+        sb._check_norms(D1, states)
 
 
 def test_collapsing_generation_step_raises(monkeypatch):

@@ -95,7 +95,7 @@ class TestSingleSiteAnchor:
     def test_null_vector_components(self):
         plus = sp.EigenvalueFunction(D1, (SINH_ETA,))
         qs, _ = plus.ladder
-        ps = sp.companion_rescale(D1, qs)
+        ps = D1.rung_table.companion * qs
         assert_allclose(qs, [1.0, -1.0], atol=1e-14)
         assert_allclose(ps, [1.0, -1.0], atol=1e-14)
 
