@@ -372,10 +372,13 @@ def run_pipelines(config: RunConfig) -> dict:
             "biorthogonality": cross.max(axis=1).tolist(),
         }, _first_errors(ladder_errors, errors)
 
+    # One auxiliary node closes both T-Q systems.
+    zeta0 = (None if {"tq-inhom", "tq-hom"}.isdisjoint(config.pipelines)
+             else ti.draw_zeta0(model, np.random.default_rng(42)))
+
     def inhom_step():
         sol, retries, errors = ti.solve_q_inhom(
-            model, eigs, ti.draw_zeta0(model, np.random.default_rng(42)),
-            config.alpha, config.max_alpha_retries)
+            model, eigs, zeta0, config.alpha, config.max_alpha_retries)
         rebuilt, bethe, pole_errors = ti.t_from_q_inhom(model, sol)
         return {
             "alpha": _emit_complex(sol.alpha),
@@ -388,8 +391,7 @@ def run_pipelines(config: RunConfig) -> dict:
         }, _first_errors(errors, pole_errors)
 
     def hom_step():
-        sol, errors = thm.solve_q_hom(
-            model, eigs, thm.draw_zeta0_hom(model, np.random.default_rng(42)))
+        sol, errors = thm.solve_q_hom(model, eigs, zeta0)
         bethe, bethe_errors = thm.bethe_residuals_hom(model, sol)
         angles, _ = thm.q_vector_proportionality(model, sol)
         rebuilt, _, pair_errors = thm.t_from_q_pair(model, sol)

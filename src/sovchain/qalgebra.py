@@ -466,8 +466,8 @@ def twist_gauge(model: ChainModel, kappa=None) -> np.ndarray:
     B lowers the total S^z by one and C raises it by one, so conjugating
     the untwisted B + C by G gives every B entry kappa^{-1} and every C
     entry kappa.  |h| = sum_n h_n counts the lowerings of basis state h
-    from the top (rung index h_n at site n, site 1 the slowest index, as in
-    ``sovbasis.all_h_tuples``).  At kappa = 1 every entry is exactly 1.  A
+    from the top (``_h_grid``: rung index h_n at site n, site 1 the slowest
+    index).  At kappa = 1 every entry is exactly 1.  A
     twist with a power kappa^{-k}, k <= N_s, 0 or not finite is a ConfigError.
     """
     kappa = np.asarray(model.kappa if kappa is None else kappa)[..., None]
@@ -481,10 +481,17 @@ def twist_gauge(model: ChainModel, kappa=None) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _h_grid(two_s: tuple) -> np.ndarray:
+    """Row n: the rung index h_n of every basis state, read-only (N x dim).
+    The states are in ``itertools.product`` order (site 1 the slowest)."""
+    return _read_only(np.indices([v + 1 for v in two_s]).reshape(
+        len(two_s), -1))
+
+
+@lru_cache(maxsize=16)
 def _lowerings(two_s: tuple) -> np.ndarray:
     """|h| of every basis state, read-only; P = (-1)^{|h|} is its parity."""
-    return _read_only(np.ravel(reduce(
-        np.add.outer, [np.arange(v + 1) for v in two_s])))
+    return _read_only(_h_grid(two_s).sum(axis=0))
 
 
 # ----------------------------------------------------------------------

@@ -11,24 +11,24 @@ pairing of the two reference states must equal the h = 0 case of the general
 overlap formula, which fixes it to prod_{i<j} sinh(xi_j^{(0)} - xi_i^{(0)})
 up to the (immaterial) branch of the square root.  Rungs, and a and d on
 them, are read from the model's rung table, each state's by position
-(``_rung_positions``).  The closed forms are checked on the whole basis at
-once, from one (dim x N) array of rung points.
+(``_rung_positions``).  Every per-state array lists the states in the one
+enumeration of the rung tuples, ``qalgebra._h_grid`` (site 1 the slowest
+index).  The closed forms are checked on the whole basis at once, from one
+(dim x N) array of rung points.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningFailure
-from .qalgebra import ChainModel, a_of, d_of, monodromy
+from .qalgebra import ChainModel, _h_grid, a_of, d_of, monodromy
 from .trigpoly import cardinals, sinh_product
 
 __all__ = [
     "SOVBasis",
-    "all_h_tuples",
     "rung_points",
     "weights",
     "build_basis",
@@ -38,26 +38,16 @@ __all__ = [
 ]
 
 
-def all_h_tuples(model: ChainModel):
-    """All rung tuples in lexicographic order (last site fastest)."""
-    return list(itertools.product(*(range(v + 1) for v in model.two_s)))
-
-
-def _h_grid(model: ChainModel) -> np.ndarray:
-    """Row n: h_n of every state, in all_h_tuples order (N x dim)."""
-    return np.indices([v + 1 for v in model.two_s]).reshape(model.n_sites, -1)
-
-
 def _rung_positions(model: ChainModel) -> np.ndarray:
     """Row n: the position in the rung table of site n's rung h_n, for
-    every state in all_h_tuples order (N x dim)."""
+    every state in ``_h_grid`` order (N x dim)."""
     return model.rung_table.position(np.arange(model.n_sites)[:, None],
-                                     _h_grid(model))
+                                     _h_grid(model.two_s))
 
 
 def rung_points(model: ChainModel) -> np.ndarray:
-    """Row i: the rung xi_n^{(h_n)} of every site for the i-th tuple of
-    all_h_tuples (dim x N), read from the rung table."""
+    """Row i: the rung xi_n^{(h_n)} of every site for the i-th state of
+    ``_h_grid`` (dim x N), read from the rung table."""
     return model.rung_table.rungs[_rung_positions(model)].T.copy()
 
 
@@ -70,7 +60,7 @@ def _pair_product(points: np.ndarray, factor=lambda z: z) -> np.ndarray:
 
 def weights(model: ChainModel) -> np.ndarray:
     """The completeness weight prod_{i<j} sinh(xi_j^{(h_j)} - xi_i^{(h_i)})
-    of every state, in all_h_tuples order."""
+    of every state, in ``_h_grid`` order."""
     return _pair_product(rung_points(model))
 
 
@@ -79,7 +69,7 @@ class SOVBasis:
     """Both halves of the separated basis.
 
     Row i of ``right_vectors`` (``left_covectors``) is the state labeled by
-    the i-th tuple of all_h_tuples and entry i of ``right_norms``
+    column i of ``_h_grid`` and entry i of ``right_norms``
     (``left_norms``) its norm; ``weights[i]`` is that tuple's completeness
     weight.
     """
@@ -100,7 +90,7 @@ def build_basis(model: ChainModel) -> SOVBasis:
     block of site n, and upper rung k maps block k to block k + 1: right
     vectors by -B(xi_n^{(k)}) / a(xi_n^{(k)}), left covectors by
     C(xi_n^{(k)}) / d(xi_n^{(k + 1)}) acting on the right.  Stacking the
-    blocks by k gives all_h_tuples order (last site fastest).  B-operators
+    blocks by k gives ``_h_grid`` order (last site fastest).  B-operators
     at distinct arguments commute, so the site order does not matter.
     Each upper rung costs one build of B and C alone, dropped after its
     step.
@@ -125,14 +115,14 @@ def build_basis(model: ChainModel) -> SOVBasis:
 
 
 def _check_norms(model: ChainModel, states: np.ndarray) -> np.ndarray:
-    """Norms of the states, in all_h_tuples order; raise if any has
+    """Norms of the states, in ``_h_grid`` order; raise if any has
     collapsed, naming the first such state by its rung tuple."""
     norms = np.linalg.norm(states, axis=1)
     biggest = norms.max()
     collapsed = np.flatnonzero(norms < 1e-12 * biggest)
     if collapsed.size:
         i = collapsed[0]
-        h = tuple(_h_grid(model)[:, i].tolist())
+        h = tuple(_h_grid(model.two_s)[:, i].tolist())
         raise ConditioningFailure(f"basis state {h} collapsed to relative "
                                   f"norm {norms[i] / biggest:.2e}")
     return norms
@@ -177,7 +167,7 @@ def _neighbour_sum(model: ChainModel, states: np.ndarray, interp: np.ndarray,
     sizes = [v + 1 for v in model.two_s]
     strides = model.hilbert_dim // np.cumprod(sizes)
     total = np.zeros_like(states)
-    for a, h in enumerate(_h_grid(model)):
+    for a, h in enumerate(_h_grid(model.two_s)):
         moved = h + step
         rows = np.flatnonzero((moved >= 0) & (moved < sizes[a]))
         at = model.rung_table.position(a, pick(h, moved)[rows])

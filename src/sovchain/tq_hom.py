@@ -50,20 +50,19 @@ import numpy as np
 
 from .errors import (
     BothChoicesZero, CoincidentRoots, NoEpsilonFits, NonAdmissible, NotEntire,
-    RankDeficient, SovChainError, merge, record,
+    RankDeficient, merge, record,
 )
 from .qalgebra import ChainModel, distance_to_ipi_lattice
 from .sovbasis import SOVBasis
 from .spectrum import eigenstates
 from .tq_inhom import (
     GRID_POINTS, _at_base_points, _bethe_residuals, _check_points, _closure,
-    _draw_node, _factor_rows, _grid_residual, _q_values, _sample_points,
+    _factor_rows, _grid_residual, _q_values, _sample_points,
 )
 from .trigpoly import sinh_product
 
 __all__ = [
     "QFunctionHom",
-    "draw_zeta0_hom",
     "solve_q_hom",
     "sum_rule_check",
     "wronskian",
@@ -127,12 +126,7 @@ class QFunctionHom:
 
 
 # ----------------------------------------------------------------------
-# node placement and the closure system
-
-def draw_zeta0_hom(model: ChainModel, rng) -> complex:
-    """Random auxiliary node kept away from every rung modulo 2*i*pi."""
-    return _draw_node(model, rng, 2.0 * np.pi, SovChainError)
-
+# the closure system
 
 def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     """Solve the two-term equation for every row of an eigenvalue stack.

@@ -207,17 +207,6 @@ def _closure(model: ChainModel, vectors, zeta0: complex, beta: complex = 1.0,
     return rows, nodes, spread
 
 
-def _draw_node(model: ChainModel, rng, period: float, error) -> complex:
-    """Random auxiliary node kept away from every rung modulo i*period;
-    raises ``error`` after 1000 draws."""
-    for _ in range(1000):
-        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        gaps = distance_to_ipi_lattice(z - model.rung_table.rungs, period)
-        if np.all(gaps > 1e-2):
-            return z
-    raise error(f"could not place the auxiliary node modulo {period:.4g}i")
-
-
 # Offsets tried, in order, when a base point sits on an inner rung.
 _SAMPLE_OFFSETS = (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
                    -0.31 - 0.19j, 0.37 + 0.05j)
@@ -274,8 +263,14 @@ def _at_base_points(model: ChainModel, values) -> np.ndarray:
 
 
 def draw_zeta0(model: ChainModel, rng) -> complex:
-    """Random auxiliary node kept away from every rung modulo i*pi."""
-    return _draw_node(model, rng, np.pi, ExceptionalAlpha)
+    """Random auxiliary node kept away from every rung modulo i*pi, so also
+    modulo 2*i*pi: both T-Q closures take it.  Raises ExceptionalAlpha
+    after 1000 draws."""
+    for _ in range(1000):
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        if np.all(distance_to_ipi_lattice(z - model.rung_table.rungs) > 1e-2):
+            return z
+    raise ExceptionalAlpha("could not place the auxiliary node modulo i*pi")
 
 
 def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:

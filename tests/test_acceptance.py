@@ -213,7 +213,7 @@ class TestHomogeneousEquation:
         model = chains[name]
         spec = chain_spectra[name]
         basis = chain_bases[name]
-        zeta0 = th.draw_zeta0_hom(model, default_rng(42))
+        zeta0 = ti.draw_zeta0(model, default_rng(42))
         sols, errors = th.solve_q_hom(model, spec.rows, zeta0=zeta0)
         none = [None] * model.hilbert_dim
         assert errors == none
@@ -270,7 +270,7 @@ class TestSingleSiteAnchor:
         model = chains["one-spin-half"]
         xi1 = model.xi[0]
         spec = chain_spectra["one-spin-half"]
-        zeta0 = th.draw_zeta0_hom(model, default_rng(0))
+        zeta0 = ti.draw_zeta0(model, default_rng(0))
         sols, errors = th.solve_q_hom(model, spec.rows, zeta0)
         assert errors == [None, None]
         for i, value in enumerate(spec.rows(0.37 - 0.2j)):
@@ -294,7 +294,7 @@ class TestNegativeControls:
         zeta0 = ti.draw_zeta0(model, default_rng(0))
         sol = ti.solve_q_inhom(model, spec.rows, zeta0)[0]
         assert np.all(ti.inhom_grid_residual(model, off, sol) > 1e-5)
-        zeta0 = th.draw_zeta0_hom(model, default_rng(0))
+        zeta0 = ti.draw_zeta0(model, default_rng(0))
         q = th.solve_q_hom(model, spec.rows, zeta0)[0]
         assert np.all(th.hom_grid_residual(model, off, q) > 1e-5)
 
@@ -309,7 +309,7 @@ class TestNegativeControls:
             bad_sol = dataclasses.replace(sol, roots=bad)
             residuals = ti.bethe_residuals_inhom(model, bad_sol)
             assert np.all(residuals.max(axis=-1) > 1e-5)
-        zeta0 = th.draw_zeta0_hom(model, default_rng(0))
+        zeta0 = ti.draw_zeta0(model, default_rng(0))
         q = th.solve_q_hom(model, rows, zeta0)[0]
         for j in range(model.n_s):
             bad = q.roots.copy()

@@ -55,7 +55,7 @@ def outputs(model, rows, basis):
                inhom_errors=named(errors), pole_errors=named(pole_errors))
 
     hom, errors = thm.solve_q_hom(model, rows,
-                                  thm.draw_zeta0_hom(model, rng(42)))
+                                  ti.draw_zeta0(model, rng(42)))
     bethe, bethe_errors = thm.bethe_residuals_hom(model, hom)
     values, report, pair_errors = thm.t_from_q_pair(model, hom)
     out.update(hom_roots=hom.roots, epsilon=hom.epsilon, winding=hom.winding,

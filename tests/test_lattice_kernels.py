@@ -266,7 +266,7 @@ def test_solve_carries_the_sum_rule_residual():
         "kappa": [[1.0, 0.0]]}}).build_model(1.0)
     sol, errors = thm.solve_q_hom(
         model, sp.brute_force_spectrum(model).rows,
-        thm.draw_zeta0_hom(model, np.random.default_rng(0)))
+        ti.draw_zeta0(model, np.random.default_rng(0)))
     assert errors == [None] * model.hilbert_dim
     _, _, residual = thm.sum_rule_check(model, sol.roots)
     assert np.array_equal(sol.sum_rule_residual, residual)

@@ -23,8 +23,7 @@ from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
 from sovchain.cli import RunConfig, run_pipelines
 from sovchain.errors import (
-    DegenerateSpectrum, ExceptionalAlpha, RecursionBlowup, SovChainError,
-    record,
+    DegenerateSpectrum, ExceptionalAlpha, RecursionBlowup, record,
 )
 from sovchain.qalgebra import (
     ChainModel, a_of, d_of, lax, monodromy, monodromy_entries, xi_shifted,
@@ -90,7 +89,7 @@ def test_solve_keeps_its_wronskian_fit():
     model = chain((1, 2))
     spec = sp.brute_force_spectrum(model)
     sol, errors = thm.solve_q_hom(
-        model, spec.rows, thm.draw_zeta0_hom(model, np.random.default_rng(4)))
+        model, spec.rows, ti.draw_zeta0(model, np.random.default_rng(4)))
     assert errors == [None] * model.hilbert_dim
     eps, res, _ = thm.verify_wronskian_identity(model, sol)
     assert np.array_equal(sol.epsilon, eps)
@@ -304,7 +303,7 @@ def test_stacked_rung_checks_equal_the_site_loops(two_s):
         assert_same_ladder(eigfun.ladder,
                            site_loop_ladder(model, eigfun.rung_values))
     hom = thm.solve_q_hom(
-        model, rows, thm.draw_zeta0_hom(model, np.random.default_rng(42)))[0]
+        model, rows, ti.draw_zeta0(model, np.random.default_rng(42)))[0]
     for got, want in zip(thm.q_vector_proportionality(model, hom),
                          site_loop_proportionality(model, hom)):
         assert np.array_equal(got, want)
@@ -352,7 +351,7 @@ def tq_solutions(two_s):
     rows = sp.brute_force_spectrum(model).rows
     rng = np.random.default_rng
     inhom = ti.solve_q_inhom(model, rows, ti.draw_zeta0(model, rng(42)))[0]
-    hom = thm.solve_q_hom(model, rows, thm.draw_zeta0_hom(model, rng(42)))[0]
+    hom = thm.solve_q_hom(model, rows, ti.draw_zeta0(model, rng(42)))[0]
     return model, rows, inhom, hom
 
 
@@ -1124,10 +1123,10 @@ def test_oracle_check_names_the_one_wrong_twist(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the auxiliary node draws
+# the auxiliary node draw
 
 
-def draw_loop(model, rng, period):
+def draw_loop(model, rng):
     rungs = [
         xi_shifted(model, n, k)
         for n in range(1, model.n_sites + 1)
@@ -1138,8 +1137,8 @@ def draw_loop(model, rng, period):
         gaps = []
         for r in rungs:
             w = z - r
-            k = round(w.imag / period)
-            gaps.append(abs(complex(w.real, w.imag - period * k)))
+            k = round(w.imag / np.pi)
+            gaps.append(abs(complex(w.real, w.imag - np.pi * k)))
         if min(gaps) > 1e-2:
             return z
     raise AssertionError("no node")
@@ -1150,22 +1149,29 @@ def test_node_draws_match_reference(two_s):
     model = chain(two_s)
     for seed in range(5):
         assert ti.draw_zeta0(model, np.random.default_rng(seed)) == (
-            draw_loop(model, np.random.default_rng(seed), np.pi)
-        )
-        assert thm.draw_zeta0_hom(model, np.random.default_rng(seed)) == (
-            draw_loop(model, np.random.default_rng(seed), 2.0 * np.pi)
+            draw_loop(model, np.random.default_rng(seed))
         )
 
 
-@pytest.mark.parametrize("pipeline, other", [
-    ("tq-hom", (ti, "draw_zeta0")), ("tq-inhom", (thm, "draw_zeta0_hom")),
-    ("sov", (ti, "draw_zeta0")), ("sov", (thm, "draw_zeta0_hom")),
-])
-def test_a_run_draws_only_the_nodes_of_its_pipelines(monkeypatch, pipeline,
-                                                     other):
-    monkeypatch.setattr(*other, lambda *args: pytest.fail("node drawn"))
-    doc = {"model": {"two_s": [1, 2], "seed": 3}, "pipelines": [pipeline]}
+@pytest.mark.parametrize("pipelines, draws", [
+    (["sov"], 0), (["tq-inhom"], 1), (["tq-hom"], 1),
+    (["tq-inhom", "tq-hom"], 1),
+], ids=["sov", "tq-inhom", "tq-hom", "both"])
+def test_a_run_draws_one_node_for_both_tq_closures(monkeypatch, pipelines,
+                                                   draws):
+    # A node clear of every rung modulo i*pi is also clear modulo 2*i*pi,
+    # so both closures take the one node.
+    nodes = []
+    draw = ti.draw_zeta0
+
+    def counted(*args):
+        nodes.append(draw(*args))
+        return nodes[-1]
+
+    monkeypatch.setattr(ti, "draw_zeta0", counted)
+    doc = {"model": {"two_s": [1, 2], "seed": 3}, "pipelines": pipelines}
     assert run_pipelines(RunConfig.from_dict(doc))["summary"]["count"] == 6
+    assert len(nodes) == draws
 
 
 class Scripted:
@@ -1183,21 +1189,11 @@ class Scripted:
         return self.parts.pop(0)
 
 
-def test_node_draws_use_their_period():
-    # A rung's image half a period down is on the rung modulo i*pi but
-    # not modulo 2*i*pi.
+def test_node_draws_give_up_with_their_error_class():
     model = chain((1, 2))
+    # A rung's image half a period down is on the rung modulo i*pi.
     image = xi_shifted(model, 1, 0) - 1j * np.pi
     clear = 0.3 - 0.6j
     assert ti.draw_zeta0(model, Scripted(image, clear)) == clear
-    assert thm.draw_zeta0_hom(model, Scripted(image, clear)) == image
-
-
-def test_node_draws_give_up_with_their_error_class():
-    model = chain((1, 2))
-    rung = xi_shifted(model, 1, 0)
     with pytest.raises(ExceptionalAlpha):
-        ti.draw_zeta0(model, Scripted(rung))
-    with pytest.raises(SovChainError) as info:
-        thm.draw_zeta0_hom(model, Scripted(rung))
-    assert type(info.value) is SovChainError
+        ti.draw_zeta0(model, Scripted(image))

@@ -1,3 +1,6 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,11 +31,38 @@ RNG = np.random.default_rng(11)
 LAMBDAS = [complex(z) for z in RNG.uniform(-1, 1, 3) + 1j * RNG.uniform(-1, 1, 3)]
 
 
+def h_tuples(m):
+    """The rung tuple of every basis state, read from the one grid."""
+    return [tuple(h) for h in qa._h_grid(m.two_s).T.tolist()]
+
+
 def test_h_tuple_enumeration():
-    assert sb.all_h_tuples(D1) == [(0,), (1,)]
-    assert sb.all_h_tuples(D3) == [
+    assert h_tuples(D1) == [(0,), (1,)]
+    assert h_tuples(D3) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
     ]
+
+
+CENSUS = [(1, 1, 1), (1, 2), (2, 3), (1, 2, 2), (2,), (2, 2), (4,), (1, 4),
+          (1,) * 6, (3, 3), (2, 1, 3), (2, 2, 2), (2, 4), (1,) * 8,
+          (2, 2, 2, 2), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("two_s", CENSUS, ids=lambda s: "".join(map(str, s)))
+def test_h_grid_is_the_one_cached_read_only_enumeration(two_s):
+    grid = qa._h_grid(two_s)
+    assert qa._h_grid(two_s) is grid
+    assert [tuple(h) for h in grid.T.tolist()] == list(
+        itertools.product(*(range(v + 1) for v in two_s)))
+    # |h| as the parity and the twist gauge read it, bit for bit the
+    # outer-sum enumeration it replaced.
+    outer = np.ravel(reduce(np.add.outer, [np.arange(v + 1) for v in two_s]))
+    for total in (grid.sum(axis=0), qa._lowerings(two_s)):
+        assert total.dtype == outer.dtype and np.array_equal(total, outer)
+    assert not grid.flags.writeable
+    assert not qa._lowerings(two_s).flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1
 
 
 def reference_pairing(basis):
@@ -42,7 +72,7 @@ def reference_pairing(basis):
 def test_rung_points_follow_the_tuples():
     for m in (D1, D3, D5):
         want = [[xi_shifted(m, n + 1, k) for n, k in enumerate(h)]
-                for h in sb.all_h_tuples(m)]
+                for h in h_tuples(m)]
         assert np.array_equal(sb.rung_points(m), want)
 
 
@@ -133,7 +163,7 @@ def test_b_operators_commute_in_construction():
 
 def test_weight_is_reciprocal_of_overlap():
     basis = sb.build_basis(D3)
-    for h, w in zip(sb.all_h_tuples(D3), sb.weights(D3)):
+    for h, w in zip(h_tuples(D3), sb.weights(D3)):
         pts = [xi_shifted(D3, n + 1, k) for n, k in enumerate(h)]
         assert_allclose(w, np.sinh(pts[1] - pts[0]), rtol=1e-15)
     gram = basis.left_covectors @ basis.right_vectors.T

@@ -8,13 +8,14 @@ from numpy.testing import assert_allclose
 from sovchain import sovbasis as sb
 from sovchain import spectrum as sp
 from sovchain import tq_hom as thm
+from sovchain import tq_inhom as ti
 from sovchain.cli import RunConfig
 from sovchain.errors import (
     ConfigError, DegenerateSpectrum, RecursionBlowup, ZeroState,
 )
 from sovchain.qalgebra import (
-    ChainModel, monodromy_entries, transfer_from_entries, twist_gauge,
-    xi_shifted,
+    ChainModel, _h_grid, monodromy_entries, transfer_from_entries,
+    twist_gauge, xi_shifted,
 )
 
 ETA = 0.31 + 0.07j
@@ -229,8 +230,8 @@ shape_ids = pytest.mark.parametrize("two_s", PARITY_SHAPES,
 
 
 def parity(m):
-    """(-1)^{|h|} of every state, in all_h_tuples order."""
-    return np.array([(-1) ** sum(h) for h in sb.all_h_tuples(m)])
+    """(-1)^{|h|} of every state, in basis order."""
+    return (-1) ** _h_grid(m.two_s).sum(axis=0)
 
 
 def pair_distance(x, y):
@@ -380,5 +381,5 @@ def test_sector_is_the_tq_hom_sign(two_s, seed):
     spec = sp.brute_force_spectrum(m)
     assert not spec.sector.flags.writeable
     sol, _ = thm.solve_q_hom(m, spec.rows,
-                             thm.draw_zeta0_hom(m, np.random.default_rng(42)))
+                             ti.draw_zeta0(m, np.random.default_rng(42)))
     assert np.array_equal(spec.sector, sol.epsilon)

@@ -38,7 +38,7 @@ def solved_spectrum(m):
     over the stack."""
     spec = sp.brute_force_spectrum(m)
     sol, errors = thm.solve_q_hom(
-        m, spec.rows, thm.draw_zeta0_hom(m, np.random.default_rng(3)))
+        m, spec.rows, ti.draw_zeta0(m, np.random.default_rng(3)))
     assert errors == [None] * m.hilbert_dim
     return spec, sol
 
@@ -104,7 +104,7 @@ class TestSingleSiteAnchor:
 class TestClosureSystem:
     def test_shape_and_conditioning(self, d3_solved):
         spec, _ = d3_solved
-        zeta0 = thm.draw_zeta0_hom(D3, np.random.default_rng(3))
+        zeta0 = ti.draw_zeta0(D3, np.random.default_rng(3))
         mat = ti._closure(D3, spec.rows.ladder[0], zeta0, angle_scale=0.5)[0]
         assert mat.shape == (D3.hilbert_dim, 2, 3)
         sing = np.linalg.svd(mat, compute_uv=False)
@@ -140,7 +140,7 @@ class TestClosureSystem:
         spec, sol = d3_solved
         rank_deficient_hom_row(2)
         patched, errors = thm.solve_q_hom(
-            D3, spec.rows, thm.draw_zeta0_hom(D3, np.random.default_rng(3)))
+            D3, spec.rows, ti.draw_zeta0(D3, np.random.default_rng(3)))
         assert isinstance(errors.pop(2), RankDeficient)
         assert errors == [None] * (D3.hilbert_dim - 1)
         others = np.arange(D3.hilbert_dim) != 2
