@@ -1153,10 +1153,20 @@ def test_node_draws_match_reference(two_s):
         )
 
 
+@pytest.mark.parametrize("pipeline, other", [
+    ("sov", (ti, "draw_zeta0")), ("sov", (thm, "solve_q_hom")),
+], ids=["sov-other2", "sov-other3"])
+def test_a_run_draws_only_the_nodes_of_its_pipelines(monkeypatch, pipeline,
+                                                     other):
+    # A sov run neither draws the node nor reaches a T-Q closure.
+    monkeypatch.setattr(*other, lambda *args: pytest.fail("node drawn"))
+    doc = {"model": {"two_s": [1, 2], "seed": 3}, "pipelines": [pipeline]}
+    assert run_pipelines(RunConfig.from_dict(doc))["summary"]["count"] == 6
+
+
 @pytest.mark.parametrize("pipelines, draws", [
-    (["sov"], 0), (["tq-inhom"], 1), (["tq-hom"], 1),
-    (["tq-inhom", "tq-hom"], 1),
-], ids=["sov", "tq-inhom", "tq-hom", "both"])
+    (["tq-inhom"], 1), (["tq-hom"], 1), (["tq-inhom", "tq-hom"], 1),
+], ids=["tq-inhom", "tq-hom", "both"])
 def test_a_run_draws_one_node_for_both_tq_closures(monkeypatch, pipelines,
                                                    draws):
     # A node clear of every rung modulo i*pi is also clear modulo 2*i*pi,
