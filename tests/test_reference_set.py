@@ -32,7 +32,9 @@ SEEDS = (0, 1, 2)
 # The accuracy census (ROADMAP state block) and the golden shapes.
 SHAPES = [(1, 1, 1), (1, 2), (2, 3), (1, 2, 2), (2,), (2, 2), (4,), (1, 4),
           (1,) * 6, (3, 3), (2, 1, 3), (2, 2, 2), (2, 4), (1,) * 8,
-          (2, 2, 2, 2), (3, 3, 3), (1, 2, 1), (1, 3, 2)]
+          (2, 2, 2, 2), (3, 3, 3), (1, 2, 1), (1, 3, 2), (1,) * 7,
+          (3,), (5,), (1, 1), (1, 3), (1, 1, 2), (1, 1, 3), (1,) * 4,
+          (1,) * 5]
 
 
 def reference_configs() -> dict:
