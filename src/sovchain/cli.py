@@ -223,7 +223,9 @@ class RunConfig:
             bethe_csv_path=_path("bethe_csv"),
         )
 
-    def build_model(self, kappa: complex) -> ChainModel:
+    def build_model(self) -> ChainModel:
+        """The chain at the first twist of the configuration."""
+        kappa = self.kappa_list[0]
         if self.xi is None:
             return generate_model(
                 self.xi_seed, len(self.two_s), self.two_s, self.delta_min,
@@ -320,7 +322,7 @@ def run_pipelines(config: RunConfig) -> dict:
                 for i in np.flatnonzero(~(values <= bound)))
 
     start = perf_counter()
-    model = config.build_model(config.kappa_list[0])
+    model = config.build_model()
     _log_stage("model", start, model.hilbert_dim)
     start = perf_counter()
     spec, others = sp.brute_force_spectrum(model, twists=config.kappa_list[1:])
@@ -515,6 +517,9 @@ def _load_config(path: str) -> RunConfig:
                         ("bethe_csv", config.bethe_csv_path)):
         if target:
             _check_output(f"output.{key}", target)
+            if os.path.realpath(target) == os.path.realpath(path):
+                raise ConfigError(
+                    f"output.{key} names the config file {target!r}")
     csv = config.bethe_csv_path
     if csv and os.path.realpath(csv) == os.path.realpath(config.report_path):
         raise ConfigError(f"output.bethe_csv names the report file {csv!r}")
@@ -573,7 +578,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _load_config(args.config)
-    twist_gauge(config.build_model(config.kappa_list[0]), config.kappa_list)
+    twist_gauge(config.build_model(), config.kappa_list)
     print("config ok")
     return 0
 

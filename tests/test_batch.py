@@ -31,7 +31,8 @@ def doc(two_s, pipelines="all"):
 
 
 def model_at(two_s, kappa):
-    return RunConfig.from_dict(doc(two_s)).build_model(complex(*kappa))
+    return dataclasses.replace(RunConfig.from_dict(doc(two_s)).build_model(),
+                               kappa=complex(*kappa))
 
 
 def outputs(model, rows, basis):

@@ -339,6 +339,23 @@ class TestRunCommand:
             f"config error: output.bethe_csv names the report file {target!r}"]
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("key", ["report", "bethe_csv"])
+    def test_output_naming_the_config_exits_two(
+            self, tmp_path, capsys, monkeypatch, command, key):
+        # Through the folder's own name: only the resolved paths meet.
+        doc = base_doc((1,), seed=3)
+        doc["output"] = {key: os.path.join("..", tmp_path.name, "cfg.json")}
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        text = (tmp_path / "cfg.json").read_text()
+        monkeypatch.setattr(cli, "run_pipelines", pytest.fail)
+        assert main([command, cfg]) == 2
+        target = os.path.join(str(tmp_path), doc["output"][key])
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: output.{key} names the config file {target!r}"]
+        assert os.listdir(tmp_path) == ["cfg.json"]
+        assert (tmp_path / "cfg.json").read_text() == text
+
     def test_alpha_retries_stop_at_one_hundred(self):
         doc = base_doc((1,))
         doc["model"]["max_alpha_retries"] = 100
@@ -593,40 +610,6 @@ def test_library_error_is_recorded_per_eigenvalue(tmp_path, capsys,
     )
     assert all("roots" in e["inhom"] for e in report["eigenvalues"])
     assert (tmp_path / "roots.csv").exists()
-
-
-# The gated census: every shape that PASSes every pipeline at seeds 0-2
-# with twists 1 and 0.6+0.8i.  (1,4), (1,)*6, (3,3), (2,1,3), (2,2,2) and
-# (2,4) each fail at some seed; they wait for ROADMAP item 4.
-GATED_SHAPES = [(2,), (3,), (4,), (5,), (1, 1), (1, 2), (1, 3), (2, 2),
-                (2, 3), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1),
-                (1, 2, 2), (1,) * 4, (1,) * 5]
-INTEGER_SPIN = [s for s in GATED_SHAPES if not any(v % 2 for v in s)]
-HALF_INTEGER_SPIN = [s for s in GATED_SHAPES if s not in INTEGER_SPIN]
-
-
-def passes_every_pipeline(two_s, seed):
-    doc = {"model": {"two_s": list(two_s), "xi": "random", "seed": seed,
-                     "kappa": [[1.0, 0.0], [0.6, 0.8]]}, "pipelines": "all"}
-    summary = run_pipelines(RunConfig.from_dict(doc))["summary"]
-    assert summary["failures"] == []
-    assert summary["pass"] is True
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("two_s", INTEGER_SPIN,
-                         ids=lambda s: "".join(map(str, s)))
-def test_integer_spin_chains_pass_every_pipeline(two_s, seed):
-    # Their base points are inner rungs, where some tq-inhom Q has a root:
-    # the zero eigenvalue's on (2,) and (2,2), eigenvalues 1 and 3 on (4,).
-    passes_every_pipeline(two_s, seed)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("two_s", HALF_INTEGER_SPIN,
-                         ids=lambda s: "".join(map(str, s)))
-def test_chains_with_a_half_integer_spin_pass_every_pipeline(two_s, seed):
-    passes_every_pipeline(two_s, seed)
 
 
 # The normal regimes: eta = 0.31i with real xi_n = 0.1 + 0.5 (n - 1), or
@@ -906,7 +889,8 @@ def test_emit_complex_equals_the_stack_route(value):
 
 
 def test_max_residuals_are_every_columns_maximum():
-    doc = {"model": {"two_s": [1, 2], "seed": 0,
+    # Seed 3: the reference gate runs the census seeds 0-2 of (1,2).
+    doc = {"model": {"two_s": [1, 2], "seed": 3,
                      "kappa": [[1.0, 0.0], [0.6, 0.8]]}}
     report = run_pipelines(RunConfig.from_dict(doc))
     assert report["summary"]["pass"] is True

@@ -193,7 +193,7 @@ def test_pole_at_xi_names_the_same_base_point_and_root():
     config = RunConfig.from_dict({"model": {
         "two_s": [1, 3], "xi": "random", "seed": 11,
         "kappa": [[1.0, 0.0]]}})
-    model = config.build_model(1.0)
+    model = config.build_model()
     assert np.array_equal(ti._sample_points(model, []), model.xi)
     zeta0 = ti.draw_zeta0(model, np.random.default_rng(42))
     spec = sp.brute_force_spectrum(model)
@@ -263,7 +263,7 @@ def test_collision_message_text_is_unchanged():
 def test_solve_carries_the_sum_rule_residual():
     model = RunConfig.from_dict({"model": {
         "two_s": [1, 2], "xi": "random", "seed": 11,
-        "kappa": [[1.0, 0.0]]}}).build_model(1.0)
+        "kappa": [[1.0, 0.0]]}}).build_model()
     sol, errors = thm.solve_q_hom(
         model, sp.brute_force_spectrum(model).rows,
         ti.draw_zeta0(model, np.random.default_rng(0)))

@@ -29,6 +29,7 @@ from sovchain.qalgebra import (
     ChainModel, a_of, d_of, lax, monodromy, monodromy_entries, xi_shifted,
 )
 from sovchain.trigpoly import cardinals
+import test_reference_set as reference
 
 ETA = 0.31 + 0.07j
 XI = (0.1, 0.9 + 0.1j, 1.7 - 0.05j, 2.4 + 0.08j)
@@ -758,16 +759,13 @@ def in_own_order(values):
 # the names date from the covector that read them before) and the
 # two-sided ones of a lone call on it, relative to the largest |t|: at most
 # 7.7e-14 on the shapes above ((1,)*5 after the retry; 1.7e-14 without),
-# and 4.3e-13 on the census shapes up to dim 256 at seeds 0-2 ((1,)*8
-# seed 2; 4.9e-14 up to dim 81).
+# and 4.3e-13 on the reference set's census shapes (all up to dim 256) at
+# seeds 0-2 ((1,)*8 seed 2; 4.9e-14 up to dim 81).
 COVECTOR_MATCH = 2e-13
 COVECTOR_MATCH_256 = 1e-12
-CENSUS_256 = [(1, 1, 1), (1, 2), (2, 3), (1, 2, 2), (2,), (2, 2), (4,),
-              (1, 4), (1,) * 6, (3, 3), (2, 1, 3), (2, 2, 2), (2, 2, 2, 2),
-              (3, 3, 3), (1,) * 7, (1,) * 8]
 
 
-@pytest.mark.parametrize("two_s", CENSUS_256,
+@pytest.mark.parametrize("two_s", reference.SHAPES,
                          ids=lambda s: "".join(map(str, s)))
 def test_covector_base_values_match_two_sided_ones(two_s):
     # The model's twist is 1; the twists 1, 0.6+0.8i and 1.7-0.4i read
@@ -777,7 +775,7 @@ def test_covector_base_values_match_two_sided_ones(two_s):
     # two-sided diagonal is taken in the flip sectors.
     for seed in (0, 1, 2):
         model = cli.RunConfig.from_dict(
-            {"model": {"two_s": list(two_s), "seed": seed}}).build_model(1.0)
+            {"model": {"two_s": list(two_s), "seed": seed}}).build_model()
         twists = (1.0, 0.6 + 0.8j, 1.7 - 0.4j)
         spec, others = sp.brute_force_spectrum(model, twists=twists)
         lone = [spec.rows.base_values] + [
@@ -837,7 +835,7 @@ def test_oracle_makes_full_size_products_only_below_the_sector_cut(
             np.linalg, name): solvers.append(len(x)) or _f(x))
     monkeypatch.setattr(Watched, "products", [])
     model = cli.RunConfig.from_dict(
-        {"model": {"two_s": list(two_s), "seed": 0}}).build_model(1.0)
+        {"model": {"two_s": list(two_s), "seed": 0}}).build_model()
     dim = model.hilbert_dim
     assert (dim >= sp.SECTOR_PRODUCTS_FROM) is not full
     spec, others = sp.brute_force_spectrum(model, twists=[0.6 + 0.8j])
@@ -874,11 +872,11 @@ def test_further_twist_bound_covers_its_dense_residual(monkeypatch, forced):
         calls.append((args, residuals(*args))) or calls[-1][1]))
     if forced:
         sector_forced(monkeypatch)
-    for two_s in [s for s in CENSUS_256 if np.prod(np.add(s, 1)) <= 81]:
+    for two_s in [s for s in reference.SHAPES if np.prod(np.add(s, 1)) <= 81]:
         for seed in (0, 1, 2):
             model = cli.RunConfig.from_dict(
                 {"model": {"two_s": list(two_s), "seed": seed}}
-            ).build_model(1.0)
+            ).build_model()
             sp.brute_force_spectrum(model, twists=BOUND_TWISTS)
             (_, kappas, gauge, right, base, b, c, _), bounds = calls.pop()
             values = base @ cardinals(model.xi, sp.CHECK_POINTS).T
@@ -909,7 +907,7 @@ def test_sector_products_match_the_full_size_ones(monkeypatch, two_s):
     # products to rounding, at a twist on and one off the unit circle, and
     # the further twists' values bit for bit; its check passes.
     model = cli.RunConfig.from_dict(
-        {"model": {"two_s": list(two_s), "seed": 1}}).build_model(1.0)
+        {"model": {"two_s": list(two_s), "seed": 1}}).build_model()
     for kappa in (1.0, 1.7 - 0.4j):
         twisted = replace(model, kappa=kappa)
         dense, dense_others = sp.brute_force_spectrum(twisted, twists=[0.6j])
@@ -930,7 +928,7 @@ def test_sector_defects_bound_the_full_defect(two_s):
     # and, when G^{-1} E G commutes with J (symmetrized), equals it to
     # rounding.
     model = cli.RunConfig.from_dict(
-        {"model": {"two_s": list(two_s), "seed": 0}}).build_model(1.0)
+        {"model": {"two_s": list(two_s), "seed": 0}}).build_model()
     dim, kappa = model.hilbert_dim, 1.7 - 0.4j
     *_, pairs = sp._eigenbasis(model)
     vectors, inverse, _ = sp._lifted(pairs, dim)

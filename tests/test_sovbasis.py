@@ -13,6 +13,7 @@ from sovchain.qalgebra import (
 from sovchain import qalgebra as qa
 from sovchain import sovbasis as sb
 from sovchain.trigpoly import sinh_product
+from test_reference_set import SHAPES
 
 ETA = 0.31 + 0.07j
 
@@ -43,12 +44,7 @@ def test_h_tuple_enumeration():
     ]
 
 
-CENSUS = [(1, 1, 1), (1, 2), (2, 3), (1, 2, 2), (2,), (2, 2), (4,), (1, 4),
-          (1,) * 6, (3, 3), (2, 1, 3), (2, 2, 2), (2, 4), (1,) * 8,
-          (2, 2, 2, 2), (3, 3, 3)]
-
-
-@pytest.mark.parametrize("two_s", CENSUS, ids=lambda s: "".join(map(str, s)))
+@pytest.mark.parametrize("two_s", SHAPES, ids=lambda s: "".join(map(str, s)))
 def test_h_grid_is_the_one_cached_read_only_enumeration(two_s):
     grid = qa._h_grid(two_s)
     assert qa._h_grid(two_s) is grid

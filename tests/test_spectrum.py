@@ -215,7 +215,7 @@ def generated(two_s, seed=0):
     """The chain ``sovchain run`` draws for this shape and model seed, at
     kappa = 1."""
     doc = {"model": {"two_s": list(two_s), "seed": seed}}
-    return RunConfig.from_dict(doc).build_model(1.0)
+    return RunConfig.from_dict(doc).build_model()
 
 
 # B + C anticommutes with the parity P = (-1)^{|h|}, so t -> -t.  Odd N_s
