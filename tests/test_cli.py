@@ -28,6 +28,7 @@ from sovchain.errors import (
     GenerationExhausted,
 )
 from sovchain.qalgebra import distance_to_ipi_lattice
+from test_reference_set import GATED, SEEDS, census_doc, summarize
 
 SINH_ETA = 0.31421767077936635556 + 0.073330601551639318257j
 
@@ -610,6 +611,30 @@ def test_library_error_is_recorded_per_eigenvalue(tmp_path, capsys,
     )
     assert all("roots" in e["inhom"] for e in report["eigenvalues"])
     assert (tmp_path / "roots.csv").exists()
+
+
+# The gated census, from the reference gate's one list; each case reads
+# the gate's run of its entry.  The integer-spin shapes are the ones whose
+# base points are inner rungs (see GATED).
+def passes_every_pipeline(two_s, seed):
+    summary = summarize(census_doc(two_s, seed))
+    assert summary["failures"] == []
+    assert summary["pass"] is True
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("two_s",
+                         [s for s in GATED if not any(v % 2 for v in s)],
+                         ids=lambda s: "".join(map(str, s)))
+def test_integer_spin_chains_pass_every_pipeline(two_s, seed):
+    passes_every_pipeline(two_s, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("two_s", [s for s in GATED if any(v % 2 for v in s)],
+                         ids=lambda s: "".join(map(str, s)))
+def test_chains_with_a_half_integer_spin_pass_every_pipeline(two_s, seed):
+    passes_every_pipeline(two_s, seed)
 
 
 # The normal regimes: eta = 0.31i with real xi_n = 0.1 + 0.5 (n - 1), or

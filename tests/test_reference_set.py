@@ -18,6 +18,7 @@ file's diff is then the census before and after.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,6 +54,12 @@ def census_name(two_s, seed) -> str:
     return f"census/{'-'.join(map(str, two_s))}/seed{seed}"
 
 
+def census_doc(two_s, seed) -> dict:
+    return {"model": {"two_s": list(two_s), "xi": "random", "seed": seed,
+                      "kappa": [[1.0, 0.0], [0.6, 0.8]]},
+            "pipelines": "all"}
+
+
 def reference_configs() -> dict:
     """The reference set's configuration documents, by name."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -63,10 +70,7 @@ def reference_configs() -> dict:
             for index in range(BENCH_CONFIGS)}
     for two_s in SHAPES:
         for seed in SEEDS:
-            docs[census_name(two_s, seed)] = {
-                "model": {"two_s": list(two_s), "xi": "random", "seed": seed,
-                          "kappa": [[1.0, 0.0], [0.6, 0.8]]},
-                "pipelines": "all"}
+            docs[census_name(two_s, seed)] = census_doc(two_s, seed)
     return docs
 
 
@@ -119,11 +123,22 @@ def failure_keys(report: dict) -> list:
 
 
 def summarize(doc: dict) -> dict:
-    """What the gate keeps of one configuration's report."""
+    """What the gate keeps of one configuration's report.
+
+    Each document runs once per session: the gated-census tests of
+    ``test_cli.py`` read the same summaries.
+    """
+    return json.loads(_summary(json.dumps(doc, sort_keys=True)))
+
+
+@functools.lru_cache(maxsize=None)
+def _summary(text: str) -> str:
+    doc = json.loads(text)
     report = json.loads(json.dumps(run_pipelines(RunConfig.from_dict(doc))))
     summary = report["summary"]
-    return {"pass": summary["pass"], "max_residuals": summary["max_residuals"],
-            "failures": failure_keys(report)}
+    return json.dumps({"pass": summary["pass"],
+                       "max_residuals": summary["max_residuals"],
+                       "failures": failure_keys(report)})
 
 
 def _dumps(data: dict) -> str:
