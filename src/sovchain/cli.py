@@ -568,6 +568,7 @@ def _cmd_generate(args) -> int:
     _check_output("--out", args.out)
     model = generate_model(args.seed, args.sites, config.two_s,
                            config.delta_min, eta=config.eta)
+    twist_gauge(model, config.kappa_list)
     doc["model"]["xi"] = _emit_complex(model.xi)
     with open(args.out, "w") as handle:
         json.dump(doc, handle, indent=2)

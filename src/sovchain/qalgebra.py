@@ -125,7 +125,9 @@ class ChainModel:
         if not 0.0 < self.delta_min < np.inf:
             raise ConfigError("delta_min must be a finite positive number")
         for k in range(1, max(two_s) + 2):
-            if abs(np.sinh(k * self.eta)) <= _ETA_DEGENERACY_TOL:
+            with np.errstate(over="ignore"):  # an infinite sinh is far from 0
+                near = abs(np.sinh(k * self.eta)) <= _ETA_DEGENERACY_TOL
+            if near:
                 raise ConfigError(
                     f"eta={self.eta} is too close to the i*pi-commensurate "
                     f"set: |sinh({k}*eta)| <= {_ETA_DEGENERACY_TOL}"

@@ -229,8 +229,12 @@ def _eigenbasis(model):
     dim = model.hilbert_dim
     parity = 1 - 2 * (_lowerings(model.two_s)[:(dim + 1) // 2] % 2)
     for lam in SAMPLE_POINTS:
-        b, c = monodromy_entries(
-            model, np.concatenate([[lam], model.xi, CHECK_POINTS]), "BC")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            b, c = monodromy_entries(
+                model, np.concatenate([[lam], model.xi, CHECK_POINTS]), "BC")
+        head = slice(1 + model.n_sites)  # the check points are checked later
+        if not (np.isfinite(b[head]).all() and np.isfinite(c[head]).all()):
+            raise DegenerateSpectrum("the B and C entries are not finite")
         blocks = _flip_split(transfer_from_entries(model, b[0], c[0]), 1)
         sectors = (_mirrored(blocks[0], parity) if model.n_s % 2 else
                    [_parity_halves(x, parity[:len(x)]) for x in blocks])

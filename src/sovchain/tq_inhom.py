@@ -344,9 +344,12 @@ def _solve(model: ChainModel, xs, alpha: complex, zeta0: complex, errors):
     """Solve every row's closure system at one deformation value and
     extract the roots; returns the stack of solutions, with each row's
     failure added to errors."""
-    beta = np.exp(complex(alpha))
-    rows, nodes, spread = _closure(model, xs, zeta0, beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # flagged below
+        beta = np.exp(complex(alpha))
+        rows, nodes, spread = _closure(model, xs, zeta0, beta)
     mat, rhs = rows[..., 1:], -rows[..., 0]
+    # A closure that is not finite at this alpha is redrawn as singular.
+    mat[~np.isfinite(rows).all(axis=(-2, -1))] = 0.0
     sing = np.linalg.svd(mat, compute_uv=False)
     singular = sing[:, -1] <= 1e-10 * np.maximum(1.0, sing[:, 0])
     record(errors, singular, lambda k: ExceptionalAlpha(

@@ -101,17 +101,19 @@ def factor(coeffs, angle_scale: float = 1.0):
     with u = angle_scale*lam.  Returns (c_P, roots, errors): roots is
     (E, m2), normalized to Im root in [0, pi/angle_scale) and sorted by
     (real, imaginary) part, and errors holds per row None or a
-    NotFullDegree: an extremal coefficient at most 1e-10 of the largest,
-    or a root of z = exp(2u) outside [1e-12, 1e12] in magnitude.  The
-    companion matrices are built exactly as ``np.roots`` builds them and
-    go through one stacked ``np.linalg.eigvals``; a row with a vanishing
-    extremal coefficient keeps a zero first row, so it cannot stop others.
+    NotFullDegree: a coefficient not finite, an extremal coefficient at
+    most 1e-10 of the largest, or a root of z = exp(2u) outside [1e-12,
+    1e12] in magnitude.  The companion matrices are built exactly as
+    ``np.roots`` builds them and go through one stacked
+    ``np.linalg.eigvals``; a row not finite or with a vanishing extremal
+    coefficient keeps a zero first row, so it cannot stop others.
     """
     c = np.asarray(coeffs, dtype=complex)
     rows, m2 = c.shape[0], c.shape[1] - 1
     mags = np.abs(c)
     scale = mags.max(axis=1)
-    thin = np.minimum(mags[:, 0], mags[:, -1]) <= 1e-10 * scale
+    finite = np.isfinite(scale)
+    thin = ~finite | (np.minimum(mags[:, 0], mags[:, -1]) <= 1e-10 * scale)
     companion = np.zeros((rows, m2, m2), dtype=complex)
     companion.reshape(rows, m2 * m2)[:, m2::m2 + 1] = 1.0  # subdiagonal
     np.divide(-c[:, -2::-1], c[:, -1:], out=companion[:, 0],
@@ -134,6 +136,8 @@ def factor(coeffs, angle_scale: float = 1.0):
         lam = lam[np.arange(rows)[:, None], order]
         c_p = c[:, -1] * 2.0**m2 * np.exp(angle_scale * lam.sum(axis=1))
     errors = [None] * rows
+    record(errors, ~finite, lambda k: NotFullDegree(
+        "a coefficient is not finite"))
     record(errors, scale == 0.0, lambda k: NotFullDegree(
         "the zero polynomial has no factored form"))
     record(errors, thin, lambda k: NotFullDegree(

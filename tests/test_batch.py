@@ -5,7 +5,7 @@ depend on the rows beside it: roots, every T-Q and ladder residual and every
 recorded error are compared bit for bit between the full stack and stacks
 of one row.  The separated-basis states are one matrix product over all
 rows, which rounds differently from a one-row product, so the sov residuals
-are held to the golden rule instead (rtol 1e-12, atol 1e-14).
+are held to the reference gate's rule instead (rtol 1e-12, atol 1e-14).
 """
 
 import dataclasses

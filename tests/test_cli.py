@@ -285,6 +285,35 @@ class TestRunCommand:
             "kappa^-k, k <= 3, is 0 or not finite"]
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    def test_overflowing_alpha_is_redrawn(self, tmp_path):
+        # exp(800) overflows, so no row's closure is finite: each row is an
+        # ExceptionalAlpha and is redrawn; with no redraw each keeps it.
+        doc = {"model": {"two_s": [1, 2], "seed": 0, "alpha": [800.0, 0.0]}}
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", cfg]) == 0
+        rows = json.loads((tmp_path / "cfg.report.json").read_text())[
+            "eigenvalues"]
+        assert [e["inhom"]["retries"] for e in rows] == [1] * 6
+        doc["model"]["max_alpha_retries"] = 0
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", cfg]) == 1
+        rows = json.loads((tmp_path / "cfg.report.json").read_text())[
+            "eigenvalues"]
+        assert [e["inhom"]["class"] for e in rows] == ["ExceptionalAlpha"] * 6
+
+    def test_overflowing_eta_fails_the_oracle(self, tmp_path, capsys):
+        # sinh(400) overflows: the model still constructs, with no warning,
+        # and the oracle names the non-finite entries; no report.
+        doc = {"model": {"two_s": [1, 2], "seed": 0, "eta": [400.0, 0.0]}}
+        RunConfig.from_dict(doc).build_model()
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["check", cfg]) == 0
+        assert main(["run", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "pipeline failure: the B and C entries are not finite\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
@@ -446,7 +475,10 @@ class TestOtherCommands:
         (["--eta-re", "nan"], "model.eta: expected a number or [re, im] pair"),
         (["--eta-re", "0", "--eta-im", "0"], "too close to the i*pi"),
         (["--spins", "0", "1"], "every 2s value must be a positive integer"),
-    ], ids=["kappa-0", "delta-min", "eta-nan", "eta-0", "spin-0"])
+        (["--kappa", "1e-300"], "is 0 or not finite"),
+        (["--kappa", "1e200"], "is 0 or not finite"),
+    ], ids=["kappa-0", "delta-min", "eta-nan", "eta-0", "spin-0", "kappa-tiny",
+            "kappa-huge"])
     def test_generate_writes_no_config_check_rejects(self, tmp_path, capsys,
                                                      monkeypatch, flags,
                                                      message):

@@ -220,6 +220,21 @@ class TestRoots:
     def test_zero_polynomial_raises(self):
         assert isinstance(factor([[0.0, 0.0]])[2][0], NotFullDegree)
 
+    def test_non_finite_row_fails_alone(self):
+        # An overflowed row is NotFullDegree and leaves the others as they
+        # are factored alone.
+        good = coeffs_of([0.4, 0.9 - 0.2j])
+        with np.errstate(all="raise"):
+            c_p, roots, errors = factor([good, [np.inf, 1.0, 1.0],
+                                         [1.0, np.nan, 1.0]])
+        alone = factor([good])
+        assert errors[0] is None
+        assert all(isinstance(e, NotFullDegree)
+                   and str(e) == "a coefficient is not finite"
+                   for e in errors[1:])
+        assert c_p[0] == alone[0][0]
+        assert roots[0].tobytes() == alone[1][0].tobytes()
+
     def test_half_angle_strip(self):
         c_p, roots, errors = factor(
             [coeffs_of([0.2, 1.1 + 0.5j], angle_scale=0.5)], 0.5)
