@@ -476,18 +476,31 @@ def run_pipelines(config: RunConfig) -> dict:
     return report
 
 
-def _write_bethe_csv(path: str, report: dict) -> None:
-    """One row per root, written as one string: the bytes csv's default
-    dialect writes (CRLF line ends; no field needs quoting)."""
-    lines = ["eigenvalue,characterization,root,re,im\r\n"]
+def _encode(report: dict) -> tuple:
+    """The report's JSON text and the root CSV's text, each root formatted
+    once with repr: how ``json.dumps`` writes a finite float and how the
+    root CSV (csv's default dialect: CRLF line ends, no field needs
+    quoting) writes every one.  Each roots array of the report is replaced
+    by a NUL placeholder before the encoding, and its text spliced in."""
+    lines, arrays = ["eigenvalue,characterization,root,re,im\r\n"], []
     for entry in report["eigenvalues"]:
         for key in ("inhom", "hom"):
-            lines.extend(
-                f"{entry['index']},{key},{j},{re!r},{im!r}\r\n"
-                for j, (re, im) in enumerate(
-                    entry.get(key, {}).get("roots", [])))
-    with open(path, "w", newline="") as handle:
-        handle.write("".join(lines))
+            part = entry.get(key, {})
+            if "roots" in part:
+                pairs = [(repr(re), repr(im)) for re, im in part["roots"]]
+                lines.extend(f"{entry['index']},{key},{j},{re},{im}\r\n"
+                             for j, (re, im) in enumerate(pairs))
+                text = ", ".join(f"[{re}, {im}]" for re, im in pairs)
+                # Only nan and inf hold an n; json.dumps writes NaN, Infinity.
+                if "n" in text:
+                    text = text.replace("nan", "NaN").replace(
+                        "inf", "Infinity")
+                arrays.append(f"[{text}]")
+                part["roots"] = "\0"
+    # run_pipelines builds the report afresh: it holds no cycle.
+    pieces = json.dumps(report, check_circular=False).split('"\\u0000"')
+    text = pieces[0] + "".join(map("".join, zip(arrays, pieces[1:])))
+    return text + "\n", "".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -530,14 +543,14 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config)
     report = run_pipelines(config)
     path = config.report_path
-    # One compact string from the C encoder, written once.
+    text, roots = _encode(report)
     with open(path, "w") as handle:
-        # run_pipelines builds the report afresh: it holds no cycle.
-        handle.write(json.dumps(report, check_circular=False) + "\n")
+        handle.write(text)
     if config.bethe_csv_path and any(
         p in config.pipelines for p in ("tq-inhom", "tq-hom")
     ):
-        _write_bethe_csv(config.bethe_csv_path, report)
+        with open(config.bethe_csv_path, "w", newline="") as handle:
+            handle.write(roots)
     summary = report["summary"]
     status = "PASS" if summary["pass"] else "FAIL"
     lines = [f"{status}: {summary['count']} eigenvalues, report {path}"]

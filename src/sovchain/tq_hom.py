@@ -33,8 +33,9 @@ read.  A solution's ``table`` holds Q on every point set its checks read
 (the grid and its shifts, the inner rungs, the sample points, every rung,
 each also half a period up), from one evaluation at angle scale 1/2
 (``tq_inhom._q_values``).  The checks read the one model context both
-equations share (``tq_inhom._check_points``: the sample points, and a and
-d on the grid), and the eigenstates use the shared assembly
+equations share (``tq_inhom._check_points``: the sample points, a and d
+on the grid, and the inner-rung product of the Wronskian target), and
+the eigenstates use the shared assembly
 (``spectrum.eigenstates``).  A row that fails keeps its first
 ``SovChainError`` in the errors the function returns and the other rows
 go on.  The solution keeps its Wronskian fit and its sum-rule residual.
@@ -231,16 +232,18 @@ def wronskian_closed_form(model: ChainModel, q: QFunctionHom, lam):
     return out if lam.shape else complex(out)
 
 
-def w_eps(model: ChainModel, epsilon, lam):
-    """Target of the Wronskian: 2*eps*(i/2)^deg times the inner-rung product.
+def w_eps(model: ChainModel, epsilon, lam, inner=None):
+    """Target of the Wronskian: 2*eps*(i/2)^deg times the inner-rung
+    product, which inner holds at lam when the caller has it
+    (``tq_inhom._check_points`` does at the check points).
 
     Accepts any shape; epsilon may hold one sign per row.
     """
-    unit = (0.5j) ** model.n_s
+    unit, table = (0.5j) ** model.n_s, model.rung_table
     sign = np.asarray(epsilon)[..., None]
-    return np.where(sign == 1, 2.0 * unit, -2.0 * unit) * sinh_product(
-        lam, model.rung_table.rungs[model.rung_table.inner]
-    )
+    if inner is None:
+        inner = sinh_product(lam, table.rungs[table.inner])
+    return np.where(sign == 1, 2.0 * unit, -2.0 * unit) * inner
 
 
 def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
@@ -251,10 +254,11 @@ def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
     residual, errors) for the better one per row; a row where neither sign
     brings the relative defect under 1e-6 gets a NoEpsilonFits.
     """
-    t, grid = q.table, GRID_POINTS  # ``wronskian`` on the grid
+    t, grid, pts = q.table, GRID_POINTS, _check_points(model)
+    # ``wronskian`` on the grid, and its target from the cached product.
     w_vals = (t["grid+ip"] * t["x-eta"][..., :grid.size]
               + t["grid"] * t["x+ip-eta"][..., :grid.size])
-    target = _check_points(model).d[:grid.size] * w_eps(model, 1, grid)
+    target = pts.d[:grid.size] * w_eps(model, 1, grid, pts.inner[:grid.size])
     w_max = np.abs(w_vals).max(axis=-1)
     best_eps = np.zeros(w_max.shape, dtype=int)
     best_res = np.full(w_max.shape, np.inf)
@@ -315,7 +319,7 @@ def t_from_q_pair(model: ChainModel, q: QFunctionHom):
                            np.abs(term_up[..., :cut]).max(axis=-1))
     # w_eps(epsilon) at the samples; w_eps(-1) is exactly -w_eps(1), as
     # (-2u) P and -(2u P) round alike.
-    w_one = w_eps(model, 1, samples)
+    w_one = w_eps(model, 1, samples, _check_points(model).inner[cut:])
     signed = np.where(np.asarray(q.epsilon)[..., None] == 1, w_one, -w_one)
     with np.errstate(all="ignore"):  # a vanishing row is rejected below
         report = np.abs(numerator[..., :n_inner]) / num_scale[..., None]

@@ -93,14 +93,15 @@ class QFunctionInhom:
         points shared by every row, or one row of points per row."""
         return sinh_product(lam, self.roots)
 
-    def rhs(self, lam, a, d, down, up) -> tuple:
+    def rhs(self, lam, a, d, down, up, rungs=None) -> tuple:
         """The right-hand terms of the equation at lam for every row, from
         a and d at lam and Q at lam - eta (down) and lam + eta (up): the a
-        term, the d term and the correction term."""
+        term, the d term and the correction term (``f_inhom``, with the
+        rung product rungs at lam when the caller holds it)."""
         alpha = np.asarray(self.alpha)[..., None]
-        return (-np.exp(lam - alpha) * a * down,
-                np.exp(-lam - self.model.eta + alpha) * d * up,
-                f_inhom(self.model, self.alpha + self.lambda_bar, lam))
+        return (-np.exp(lam) * a * np.exp(-alpha) * down,
+                np.exp(-lam - self.model.eta) * d * np.exp(alpha) * up,
+                f_inhom(self.model, self.alpha + self.lambda_bar, lam, rungs))
 
     @cached_property
     def table(self) -> tuple:
@@ -111,7 +112,7 @@ class QFunctionInhom:
         plain, down, up = _q_values(
             self, (pts.points, pts.points - eta, pts.points + eta))
         return (plain, *map(_read_only, self.rhs(
-            pts.points, pts.a, pts.d, down, up)))
+            pts.points, pts.a, pts.d, down, up, pts.rungs)))
 
 
 def _q_values(sol, point_sets) -> list:
@@ -127,27 +128,20 @@ def _q_values(sol, point_sets) -> list:
 # the correction term
 
 
-def _correction_roots(model: ChainModel, x) -> np.ndarray:
-    """The extra root pinned by x, followed by every rung; one row per
-    entry of x."""
-    rungs = model.rung_table.rungs
-    lower = sum(rungs[model.rung_table.level > 0])
-    extra = np.asarray(x - lower - (model.n_s + 1) * model.eta / 2.0)
-    out = np.empty(extra.shape + (1 + rungs.size,), dtype=complex)
-    out[..., 0] = extra
-    out[..., 1:] = rungs
-    return out
-
-
-def f_inhom(model: ChainModel, x: complex, lam):
+def f_inhom(model: ChainModel, x: complex, lam, rungs=None):
     """Pointwise value of the correction term with shift parameter x.
 
-    The product factor kills the value at every rung, and the extra root is
-    placed so that the extreme exponential coefficients of the functional
-    equation cancel.  Accepts any shape; x may hold one value per row.
+    The product over every rung kills the value at each of them, and the
+    extra root is placed so that the extreme exponential coefficients of
+    the functional equation cancel.  Accepts any shape; x may hold one
+    value per row.  The rung product depends on the model alone: rungs is
+    its value at lam when the caller holds it (``_check_points`` does).
     """
-    return 2.0 * np.exp(-(model.n_s + 1) * model.eta / 2.0) * sinh_product(
-        lam, _correction_roots(model, x))
+    table, shift = model.rung_table, (model.n_s + 1) * model.eta / 2.0
+    if rungs is None:
+        rungs = sinh_product(lam, table.rungs)
+    extra = np.asarray(x - sum(table.rungs[table.level > 0]) - shift)
+    return sinh_product(lam, extra[..., None]) * (2.0 * np.exp(-shift) * rungs)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +206,8 @@ _SAMPLE_OFFSETS = (0.13 + 0.09j, -0.17 + 0.11j, 0.21 - 0.15j, 0.29 + 0.23j,
                    -0.31 - 0.19j, 0.37 + 0.05j)
 
 
-_CheckPoints = namedtuple("_CheckPoints", "samples cleared to_base points a d")
+_CheckPoints = namedtuple("_CheckPoints",
+                          "samples cleared to_base points a d rungs inner")
 
 
 @lru_cache(maxsize=16)
@@ -221,9 +216,11 @@ def _check_points(model: ChainModel) -> _CheckPoints:
     and cached per model (equal models share it): the sample points
     where t is rebuilt from Q, whether they clear the inner rungs, their
     cardinals at the base points, and P (the grid, then the samples) with
-    a and d at P.  The samples are the base points or, when one sits on an
-    inner rung (integer-spin sites), the first offset copy clear of the
-    inner rungs."""
+    a and d at P and the products of sinh(P - rung) over every rung (the
+    correction term's) and over the inner rungs (the Wronskian's).  The
+    samples are the base points or, when one sits on an inner rung
+    (integer-spin sites), the first offset copy clear of the inner
+    rungs."""
     inner = model.rung_table.rungs[model.rung_table.inner]
     xi = np.asarray(model.xi, dtype=complex)
 
@@ -240,7 +237,8 @@ def _check_points(model: ChainModel) -> _CheckPoints:
     points = np.concatenate([GRID_POINTS, samples])
     return _CheckPoints(_read_only(samples), cleared, *map(_read_only, (
         cardinals(samples, model.xi), points, a_of(model, points),
-        d_of(model, points))))
+        d_of(model, points), sinh_product(points, model.rung_table.rungs),
+        sinh_product(points, inner))))
 
 
 def _sample_points(model: ChainModel, errors: list) -> np.ndarray:

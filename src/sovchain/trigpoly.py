@@ -13,12 +13,12 @@ There is no polynomial arithmetic: a polynomial is built from its values at
 m2 + 1 nodes, which fix its class, and the pointwise kernels compute those
 values.  ``sinh_product`` (prod of sinh(s (lam - r)) over roots) and
 ``cardinals`` (the Lagrange kernel of both T-Q closures) take arrays of any
-shape.  ``sinh_product`` is evaluated in exponential form, one exp per
-point and per root and no complex sinh per factor; its two products
-mirror each other operand for operand, so a point bit-equal to a root gives
-an exact 0.  ``interpolate``, ``horner`` and ``factor`` turn values into
-coefficients, coefficients into values, and coefficients into roots for a
-whole stack of polynomials, one per row.  ``TrigPoly.from_values``
+shape.  ``sinh_product`` runs no complex sinh: it is a product of
+differences z - zeta of exponentials taken once per point and once per
+root, so a point bit-equal to a root gives an exact 0.  ``interpolate``,
+``horner`` and ``factor`` turn values into coefficients, coefficients into
+values, and coefficients into roots for a whole stack of polynomials, one
+per row.  ``TrigPoly.from_values``
 remains only as the traced bench's hook on ``interpolate``.
 """
 
@@ -29,9 +29,7 @@ import numpy as np
 from .errors import DegenerateNodes, NotFullDegree, record
 
 # sinh_product runs on every Q evaluation, so it stays out of __all__ and
-# out of the bench tracer's reach (bench/tracing.py wraps __all__).  It
-# takes exp(+-s lam) once per point and exp(+-s r) once per root and runs no
-# complex sinh; its exact 0 on a root rests on the mirrored operand order.
+# out of the bench tracer's reach (bench/tracing.py wraps __all__).
 __all__ = ["TrigPoly", "cardinals", "interpolate", "factor"]
 
 
@@ -150,40 +148,35 @@ def factor(coeffs, angle_scale: float = 1.0):
 def sinh_product(lam, roots, angle_scale: float = 1.0):
     """prod_j sinh(angle_scale * (lam - roots_j)) for lam of any shape.
 
-    Evaluated in exponential form, with no complex sinh: for s =
-    angle_scale, exp(s lam) and exp(-s lam) are taken once per point and
-    exp(s r) and exp(-s r) once per root, and factor j is
+    Evaluated with no complex sinh: for s = angle_scale and m roots,
 
-        (exp(s lam)/2) exp(-s r_j) - (exp(s r_j)/2) exp(-s lam),
+        prod_j sinh(s (lam - r_j))
+            = [prod_j exp(-s r_j)/2] exp(-s lam)**m prod_j (z - zeta_j),
 
-    where halving is exact.  The second product mirrors the first operand
-    for operand, so a point bit-equal to a root gives an exact 0: numpy's
-    complex multiply may fuse a multiply and an add and is then not
-    commutative in the last bit.  Each factor is good to a few ulps of
-    |exp(s lam - s r)| + |exp(s r - s lam)|, so beside a root it is
-    accurate in absolute, not relative, terms.  Each factor multiplies
-    into a running product over the points, root by root in order, so no
-    points-by-roots array is built; no roots give exactly 1.  A scalar lam
-    gives a complex.  Roots with leading axes are rows, one product each:
-    lam then holds either points shared by every row or one row of points
-    per row (its second-to-last axis), and the rows lead in the result.
+    with z = exp(2 s lam) taken once per point and zeta_j = exp(2 s r_j)
+    and exp(-s r_j) once per root.  Each root then costs one subtraction
+    and one multiply over the points.  A point bit-equal to a root gives an
+    exact 0, as z and zeta_j are the same exp of the same argument.  Factor
+    j is good to a few ulps of |z| + |zeta_j|, so beside a root it is
+    accurate in absolute, not relative, terms.  The prefactor is a product
+    of exps and a power, not the exp of a sum, which would round its
+    argument; no roots give exactly 1.  A scalar lam gives a complex.
+    Roots with leading axes are rows, one product each: lam then holds
+    either points shared by every row or one row of points per row (its
+    second-to-last axis), and the rows lead in the result.
     """
     lam = np.asarray(lam, dtype=complex)
     roots = np.asarray(roots, dtype=complex)
     if roots.ndim > 1:
         roots = roots[..., None, :]
-    lam_pos = 0.5 * np.exp(angle_scale * lam)
-    lam_neg = np.exp(-angle_scale * lam)
-    at_root = angle_scale * roots
-    root_pos = 0.5 * np.exp(at_root)
-    root_neg = np.exp(-at_root)
-    out = np.ones(np.broadcast_shapes(lam.shape, roots.shape[:-1]),
-                  dtype=complex)
-    factor, term = np.empty_like(out), np.empty_like(out)
-    for j in range(roots.shape[-1]):
-        np.multiply(lam_pos, root_neg[..., j], out=factor)
-        factor -= np.multiply(root_pos[..., j], lam_neg, out=term)
-        out *= factor
+    count = roots.shape[-1]
+    zeta = np.exp(2.0 * angle_scale * roots)
+    z = np.exp(2.0 * angle_scale * lam)
+    out = np.multiply(np.prod(0.5 * np.exp(-angle_scale * roots), axis=-1),
+                      np.exp(-angle_scale * lam) ** count)
+    factor = np.empty_like(out)
+    for j in range(count):
+        out *= np.subtract(z, zeta[..., j], out=factor)
     return out if out.shape else complex(out)
 
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -225,28 +226,55 @@ class TestRunCommand:
         # 2 eigenvalues, one root each from both characterizations
         assert len(lines) == 1 + 2 * 2
 
-    def test_bethe_csv_bytes_are_the_csv_writers(self, tmp_path):
-        report = run_pipelines(RunConfig.from_dict(base_doc((1, 1))))
-        # A recorded error carries no roots, so it writes no row.
-        report["eigenvalues"][1]["hom"] = {"class": "NotFullDegree",
-                                           "message": "a, b"}
-        report["eigenvalues"][2]["inhom"]["roots"].append([-0.0, 1e-300])
-        got = tmp_path / "got.csv"
-        cli._write_bethe_csv(str(got), report)
-        want = tmp_path / "want.csv"
-        with open(want, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["eigenvalue", "characterization", "root", "re",
-                             "im"])
-            for entry in report["eigenvalues"]:
-                for key in ("inhom", "hom"):
-                    for j, (re, im) in enumerate(
-                            entry[key].get("roots", [])):
-                        writer.writerow(
-                            [entry["index"], key, j, repr(re), repr(im)])
-        assert got.read_bytes() == want.read_bytes()
-        assert b",hom," in got.read_bytes()
-        assert b"\r\n1,hom," not in got.read_bytes()
+    def test_bethe_csv_bytes_are_the_csv_writers(self, tmp_path,
+                                                 monkeypatch):
+        # One run writes the bytes json.dumps writes for its report and the
+        # csv module writes for repr of its roots, on every kind of config.
+        reports = []
+
+        def edited(config):
+            report = run_pipelines(config)
+            entries = report["eigenvalues"]
+            if config.pipelines == cli.PIPELINES:
+                # A recorded error carries no roots, so it writes no row.
+                entries[1]["hom"] = {"class": "NotFullDegree",
+                                     "message": "a, b"}
+                entries[2]["inhom"]["roots"] += [
+                    [-0.0, 1e-300], [float("nan"), float("-inf")]]
+            reports.append(copy.deepcopy(report))
+            return report
+
+        monkeypatch.setattr(cli, "run_pipelines", edited)
+        for pipelines in ("all", ["tq-hom"], ["sov"]):
+            doc = dict(base_doc((1, 1)), pipelines=pipelines, output={
+                "report": "out.json", "bethe_csv": "roots.csv"})
+            main(["run", write_config(tmp_path / "cfg.json", doc)])
+            report = reports.pop()
+            assert (tmp_path / "out.json").read_bytes() == (
+                json.dumps(report, check_circular=False) + "\n").encode()
+            got = tmp_path / "roots.csv"
+            if pipelines == ["sov"]:  # no T-Q pipeline, so no CSV
+                assert not got.exists()
+                continue
+            want = tmp_path / "want.csv"
+            with open(want, "w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["eigenvalue", "characterization", "root",
+                                 "re", "im"])
+                for entry in report["eigenvalues"]:
+                    for key in ("inhom", "hom"):
+                        for j, (re, im) in enumerate(
+                                entry.get(key, {}).get("roots", [])):
+                            writer.writerow(
+                                [entry["index"], key, j, repr(re), repr(im)])
+            text = got.read_bytes()
+            assert text == want.read_bytes() and b",hom," in text
+            if pipelines == "all":
+                assert b"-0.0,1e-300\r\n2,inhom,3,nan,-inf\r\n" in text
+                assert b"\r\n1,hom," not in text
+            else:
+                assert b",inhom," not in text
+            got.unlink()
 
     def test_failing_tolerance_exits_one(self, tmp_path, capsys):
         doc = base_doc((1,), seed=3)

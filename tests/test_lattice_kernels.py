@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from sovchain import spectrum as sp
+from sovchain import trigpoly
 from sovchain import tq_hom as thm
 from sovchain import tq_inhom as ti
-from sovchain.cli import RunConfig
+from sovchain.cli import RunConfig, run_pipelines
 from sovchain.errors import ConfigError, PoleAtXi
 from sovchain.qalgebra import ChainModel, distance_to_ipi_lattice, xi_shifted
 from sovchain.trigpoly import sinh_product
+from test_reference_set import census_doc
 
 ETA = 0.31 + 0.07j
 
@@ -173,6 +175,45 @@ def test_q_values_and_targets_use_the_kernel():
     np.testing.assert_allclose(
         target, -2.0 * (0.5j) ** 3 * sinh_loop(lam, np.array(inner), 1.0),
         rtol=1e-14)
+
+
+def solve_path(monkeypatch, two_s, seed):
+    """What one run solves, per row: both solutions' fields and the base
+    values, bit for bit as bytes, and the run's residual maxima."""
+    kept = {}
+    for module, name in ((ti, "solve_q_inhom"), (thm, "solve_q_hom")):
+        def keeping(*args, _solve=getattr(module, name), _name=name):
+            kept[_name] = _solve(*args)
+            return kept[_name]
+
+        monkeypatch.setattr(module, name, keeping)
+    report = run_pipelines(RunConfig.from_dict(census_doc(two_s, seed)))
+    inhom, retries, _ = kept["solve_q_inhom"]
+    hom, _ = kept["solve_q_hom"]
+    fields = {"t_at_xi": [e["t_at_xi"] for e in report["eigenvalues"]],
+              "retries": retries,
+              **{f"inhom.{k}": getattr(inhom, k)
+                 for k in ("roots", "alpha", "lambda_bar")},
+              **{f"hom.{k}": getattr(hom, k) for k in (
+                  "roots", "epsilon", "winding", "sum_rule_residual")}}
+    return ({k: np.asarray(v).tobytes() for k, v in fields.items()},
+            report["summary"]["max_residuals"])
+
+
+@pytest.mark.parametrize("two_s, seed", [((1,) * 6, 0), ((2, 3), 2)])
+def test_a_check_kernel_cannot_move_a_solution(monkeypatch, two_s, seed):
+    # sinh_product only checks a solution: scaled by 1 + 2**-20 at every
+    # binding site, it moves check values but no root, alpha, lambda_bar,
+    # retry count, sign, winding, sum-rule residual or base value.
+    plain, plain_maxima = solve_path(monkeypatch, two_s, seed)
+    for module in (trigpoly, ti, thm):
+        def scaled(*args, _kernel=module.sinh_product):
+            return _kernel(*args) * (1.0 + 2.0**-20)
+
+        monkeypatch.setattr(module, "sinh_product", scaled)
+    moved, moved_maxima = solve_path(monkeypatch, two_s, seed)
+    assert moved == plain
+    assert moved_maxima != plain_maxima  # the wrapped kernel did run
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,8 @@ string, bool, int, key and recorded error exactly and every float to rtol
 10 of it, or both must be 0 (``_mismatches``).  A census configuration of
 a ``GATED`` shape must also PASS.  A change that moves numbers on purpose
 re-captures the file with ``python tests/test_reference_set.py``, which
-also prints the census table, and says so in its change notes; the
-file's diff is then the census before and after.
+pins BLAS to one thread, also prints the census table, and says so in its
+change notes; the file's diff is then the census before and after.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -314,6 +315,13 @@ def test_failure_keys_rebuild_the_lines():
 
 
 if __name__ == "__main__":
+    # The file depends on the BLAS thread count at the last bit, so the
+    # capture runs on one thread: numpy reads the count when it loads, so
+    # the script starts again with it set.
+    PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    if any(os.environ.get(key) != value for key, value in PINNED.items()):
+        os.environ.update(PINNED)
+        os.execv(sys.executable, [sys.executable, *sys.argv])
     data = {name: {"config": doc, **summarize(doc, name in FULL_NAMES)}
             for name, doc in reference_configs().items()}
     text = _dumps(data)

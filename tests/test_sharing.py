@@ -453,8 +453,10 @@ def tq_calls(monkeypatch, two_s):
     """The sinh_product calls of both T-Q layers in one full run, by layer
     and kind: 'table' for points shared by every row, 'roots' for one row
     of points per row, 'model' for a product over model-only roots; and
-    the evaluations of t on the grid."""
+    the evaluations of t on the grid.  The check points are built afresh,
+    so their model-only products count."""
     calls = []
+    ti._check_points.cache_clear()
     for module in (ti, thm):
         def counting(lam, roots, *args, _name=module.__name__.split(".")[-1],
                      _original=module.sinh_product):
@@ -481,16 +483,19 @@ def tq_calls(monkeypatch, two_s):
 
 
 def test_each_solution_evaluates_q_once_plus_once_at_its_roots(monkeypatch):
-    # tq-inhom: Q over its table's points, the correction term over them,
-    # and each once at the roots; tq-hom: Q over its table's points and at
-    # the roots, plus the two inner-rung products of the model.  t on the
-    # grid once for both.  Dimension 8 and 32 make as many calls.
+    # tq-inhom: Q over its table's points, the correction term's extra root
+    # over them, and each once at the roots; tq-hom: Q over its table's
+    # points and at the roots.  What depends on the model alone is made
+    # once: the products over every rung and over the inner rungs at the
+    # check points (``_check_points``, per model; the Wronskian target
+    # reads the second) and the rung product at the Bethe points.  t on
+    # the grid once for both.  Dimension 8 and 32 make as many calls.
     small = tq_calls(monkeypatch, (1,) * 3)
     large = tq_calls(monkeypatch, (1,) * 5)
     assert small == large == {
         ("tq_inhom", "table"): 2, ("tq_inhom", "roots"): 2,
-        ("tq_hom", "table"): 1, ("tq_hom", "roots"): 1,
-        ("tq_hom", "model"): 2, ("spectrum", "grid"): 1,
+        ("tq_inhom", "model"): 3, ("tq_hom", "table"): 1,
+        ("tq_hom", "roots"): 1, ("spectrum", "grid"): 1,
     }
 
 
