@@ -24,16 +24,17 @@ spectrum.
 As in the corrected-equation solver, the layer works on the whole
 spectrum at once, one row per eigenvalue: ``solve_q_hom`` builds every
 row's closure system with the shared builder, half-angle cardinals and the
-ladder null vectors the eigenvalue stack owns, takes one stacked SVD, one
-interpolation and one companion eigenproblem, and fits every row's sum
-rule and Wronskian sign in one call each.  Q is held by its roots alone;
-its ``rhs`` gives the two right-hand terms, which the shared grid and
-Bethe bodies (``tq_inhom._grid_residual``, ``tq_inhom._bethe_residuals``)
-read.  A solution's ``table`` holds Q on every point set its checks read
-(the grid and its shifts, the inner rungs, the sample points, every rung,
-each also half a period up), from one evaluation at angle scale 1/2
-(``tq_inhom._q_values``).  The checks read the one model context both
-equations share (``tq_inhom._check_points``: the sample points, a and d
+ladder null vectors the eigenvalue stack owns, takes one stacked SVD and
+one root step from the node values (``trigpoly.interpolant_roots``), and
+fits every row's sum rule and Wronskian sign in one call each.  Q is held
+by its roots alone; its ``rhs`` gives the two right-hand terms, which the
+shared grid and Bethe bodies (``tq_inhom._grid_residual``,
+``tq_inhom._bethe_residuals``) read.  A solution's ``table`` holds Q on
+every point set its checks read (the grid and its shifts, the inner
+rungs, the sample points, every rung, each also half a period up), from
+one evaluation at angle scale 1/2 (``tq_inhom._q_values``); the solve's
+admissibility check reads it at the top rungs.  The checks read the one
+model context both equations share (``tq_inhom._check_points``: the sample points, a and d
 on the grid, and the inner-rung product of the Wronskian target), and
 the eigenstates use the shared assembly
 (``spectrum.eigenstates``).  A row that fails keeps its first
@@ -58,9 +59,9 @@ from .sovbasis import SOVBasis
 from .spectrum import eigenstates
 from .tq_inhom import (
     GRID_POINTS, _at_base_points, _bethe_residuals, _check_points, _closure,
-    _factor_rows, _grid_residual, _q_values, _sample_points,
+    _grid_residual, _q_values, _sample_points,
 )
-from .trigpoly import sinh_product
+from .trigpoly import interpolant_roots, sinh_product
 
 __all__ = [
     "QFunctionHom",
@@ -137,8 +138,9 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     and half-angle interpolation through all of them produces the product
     form.  The root sum then determines the sign epsilon and the winding
     integer, and a Wronskian fit over the verification grid must
-    reproduce the same sign; its residual is kept on the solution.
-    Returns (solutions, errors per row).
+    reproduce the same sign; its residual is kept on the solution.  A
+    row whose Q vanishes at a top rung and at its half-period translate
+    is NonAdmissible.  Returns (solutions, errors per row).
     """
     qs, errors = eigfun.ladder
     errors = list(errors)
@@ -151,18 +153,15 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     null = vh[:, -1].conj()
 
     values = (spread @ null[..., None])[..., 0]
-    c_p, roots = _factor_rows(nodes, values, 0.5, errors)
+    roots, failed = interpolant_roots(nodes, values, 0.5)
+    merge(errors, failed)
     epsilon, winding, residual = sum_rule_check(model, roots)
     # Made once: the Wronskian fit below fills in its residual.
     sol = QFunctionHom(model, roots, epsilon, winding,
                        np.empty(residual.shape), residual)
-    top = null[:, 1:] / c_p[:, None]
-    shifted = sol.table["rungs+ip"][:, model.rung_table.top]  # P / c_P
-    scale = np.maximum(
-        np.maximum(np.abs(top).max(axis=1), np.abs(shifted).max(axis=1)),
-        np.abs(values).max(axis=1) / np.abs(c_p),
-    )
-    site = _vanishing_site(top, shifted, scale)
+    top = model.rung_table.top
+    site = _vanishing_site(sol.table["rungs"][:, top],
+                           sol.table["rungs+ip"][:, top])
     record(errors, site >= 0, lambda k: NonAdmissible(
         f"site {site[k] + 1}: Q vanishes at the top rung and at its "
         "half-period translate"))
@@ -178,15 +177,17 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     return sol, errors
 
 
-def _vanishing_site(top, shifted, scale) -> np.ndarray:
+def _vanishing_site(top, shifted) -> np.ndarray:
     """Per row, the first site where Q vanishes both at the top rung and
-    at its translate, or -1.
+    at its translate, to 1e-10 of the largest of those values, or -1.
 
     Such a pair would let an entire family of functions through the
     closure system without pinning the state at that site.
     """
+    top, shifted = np.abs(top), np.abs(shifted)
+    scale = np.maximum(top.max(axis=-1), shifted.max(axis=-1))
     floor = 1e-10 * np.maximum(scale, 1e-300)[..., None]
-    both = (np.abs(top) <= floor) & (np.abs(shifted) <= floor)
+    both = (top <= floor) & (shifted <= floor)
     return np.where(both.any(axis=-1), both.argmax(axis=-1), -1)
 
 

@@ -23,9 +23,9 @@ The layer works on the whole spectrum at once: a Q, like an
 eigenvalue (roots E x N_s).  ``solve_q_inhom`` builds every row's
 closure system (E x N x (N + 1)) from the ladder null vectors the
 eigenvalue stack owns and one cardinal kernel (``trigpoly.cardinals``),
-takes one stacked SVD and solve, and gets every row's roots from one
-stacked companion eigenproblem (``trigpoly.factor``); a row whose system
-is singular is solved again, alone, at the next deformation redraw.
+takes one stacked SVD and solve, and gets every row's roots from its
+node values in one call (``trigpoly.interpolant_roots``); a row whose
+system is singular is solved again, alone, at the next deformation redraw.
 
 Each solution class writes its equation's right-hand side once, as
 ``rhs(lam, a, d, down, up)`` with Q one step down and up.  What both
@@ -49,15 +49,14 @@ from operator import sub
 import numpy as np
 
 from .errors import (
-    DegenerateNodes, ExceptionalAlpha, NonAdmissible, PoleAtXi, SovChainError,
-    merge, record,
+    ExceptionalAlpha, NonAdmissible, PoleAtXi, SovChainError, merge, record,
 )
 from .qalgebra import (
     ChainModel, _read_only, a_of, d_of, distance_to_ipi_lattice,
 )
 from .sovbasis import SOVBasis
 from .spectrum import GRID_POINTS, eigenstates
-from .trigpoly import cardinals, factor, interpolate, sinh_product
+from .trigpoly import cardinals, interpolant_roots, interpolate, sinh_product
 
 __all__ = [
     "QFunctionInhom",
@@ -325,19 +324,6 @@ def _inadmissible(tops) -> np.ndarray:
     return tops.min(axis=-1) < 1e-10 * np.maximum(1.0, tops.max(axis=-1))
 
 
-def _factor_rows(nodes, values, angle_scale: float, errors: list):
-    """Interpolate every row of node values and factor the interpolants:
-    (c_P, roots), with each row's failure added to errors."""
-    try:
-        coeffs = interpolate(nodes, values, 0, angle_scale)
-    except DegenerateNodes as exc:  # the nodes are shared by every row
-        record(errors, np.ones(len(values), dtype=bool), lambda k: exc)
-        coeffs = np.ones(values.shape, dtype=complex)
-    c_p, roots, failed = factor(coeffs, angle_scale)
-    merge(errors, failed)
-    return c_p, roots
-
-
 def _solve(model: ChainModel, xs, alpha: complex, zeta0: complex, errors):
     """Solve every row's closure system at one deformation value and
     extract the roots; returns the stack of solutions, with each row's
@@ -359,7 +345,8 @@ def _solve(model: ChainModel, xs, alpha: complex, zeta0: complex, errors):
 
     unknowns = np.concatenate([np.ones((len(y), 1)), y], axis=-1)
     values = (spread @ unknowns[..., None])[..., 0]
-    roots = _factor_rows(nodes, values, 1.0, errors)[1]
+    roots, failed = interpolant_roots(nodes, values)
+    merge(errors, failed)
     return QFunctionInhom(model, np.full(len(y), complex(alpha)), roots,
                           np.sum(roots, axis=-1))
 

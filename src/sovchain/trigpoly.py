@@ -15,11 +15,12 @@ values.  ``sinh_product`` (prod of sinh(s (lam - r)) over roots) and
 ``cardinals`` (the Lagrange kernel of both T-Q closures) take arrays of any
 shape.  ``sinh_product`` runs no complex sinh: it is a product of
 differences z - zeta of exponentials taken once per point and once per
-root, so a point bit-equal to a root gives an exact 0.  ``interpolate``,
-``horner`` and ``factor`` turn values into coefficients, coefficients into
-values, and coefficients into roots for a whole stack of polynomials, one
-per row.  ``TrigPoly.from_values``
-remains only as the traced bench's hook on ``interpolate``.
+root, so a point bit-equal to a root gives an exact 0.  ``interpolate``
+and ``horner`` turn values into coefficients and coefficients into values
+for a whole stack of polynomials, one per row; ``interpolant_roots``, the
+one root step of both T-Q solvers, turns node values into roots.
+``TrigPoly.from_values`` remains only as the traced bench's hook on
+``interpolate``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import DegenerateNodes, NotFullDegree, record
 
 # sinh_product runs on every Q evaluation, so it stays out of __all__ and
 # out of the bench tracer's reach (bench/tracing.py wraps __all__).
-__all__ = ["TrigPoly", "cardinals", "interpolate", "factor"]
+__all__ = ["TrigPoly", "cardinals", "interpolate", "interpolant_roots"]
 
 
 class TrigPoly:
@@ -91,23 +92,32 @@ def horner(coeffs, m1: int, lam, angle_scale: float = 1.0):
     return acc * np.exp(-m1 * u)
 
 
-def factor(coeffs, angle_scale: float = 1.0):
-    """Factor every row of an (E, m2 + 1) coefficient array, m2 >= 1, as
+def interpolant_roots(nodes, values, angle_scale: float = 1.0):
+    """Roots of the balanced interpolant through the nodes, for every row
+    of an (E, m2 + 1) array of node values, m2 >= 1.
 
-        P(lam) = c_P * exp((m2 - m1)*u) * prod_j sinh(u - angle_scale*root_j)
+    Each row is ``interpolate``d at m = 0 and its interpolant factored as
 
-    with u = angle_scale*lam.  Returns (c_P, roots, errors): roots is
+        P(lam) = c * prod_j sinh(angle_scale * (lam - root_j)),
+
+    with the constant c not formed.  Returns (roots, errors): roots is
     (E, m2), normalized to Im root in [0, pi/angle_scale) and sorted by
-    (real, imaginary) part, and errors holds per row None or a
-    NotFullDegree: a coefficient not finite, an extremal coefficient at
-    most 1e-10 of the largest, or a root of z = exp(2u) outside [1e-12,
-    1e12] in magnitude.  The companion matrices are built exactly as
-    ``np.roots`` builds them and go through one stacked
-    ``np.linalg.eigvals``; a row not finite or with a vanishing extremal
-    coefficient keeps a zero first row, so it cannot stop others.
+    (real, imaginary) part, and errors holds per row None, the
+    DegenerateNodes of the shared nodes, or a NotFullDegree: a coefficient
+    not finite, an extremal coefficient at most 1e-10 of the largest, or a
+    root of z = exp(2u) outside [1e-12, 1e12] in magnitude.  The companion matrices
+    are built exactly as ``np.roots`` builds them and go through one
+    stacked ``np.linalg.eigvals``; a row not finite or with a vanishing
+    extremal coefficient keeps a zero first row, so it cannot stop others.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    rows, m2 = c.shape[0], c.shape[1] - 1
+    values = np.asarray(values, dtype=complex)
+    rows, m2 = values.shape[0], values.shape[1] - 1
+    errors = [None] * rows
+    try:
+        c = interpolate(nodes, values, 0, angle_scale)
+    except DegenerateNodes as exc:  # the nodes are shared by every row
+        record(errors, np.ones(rows, dtype=bool), lambda k: exc)
+        c = np.ones(values.shape, dtype=complex)
     mags = np.abs(c)
     scale = mags.max(axis=1)
     finite = np.isfinite(scale)
@@ -132,8 +142,6 @@ def factor(coeffs, angle_scale: float = 1.0):
         lam.imag[np.abs(lam.imag) <= seam] = 0.0
         order = np.lexsort((lam.imag, lam.real), axis=1)
         lam = lam[np.arange(rows)[:, None], order]
-        c_p = c[:, -1] * 2.0**m2 * np.exp(angle_scale * lam.sum(axis=1))
-    errors = [None] * rows
     record(errors, ~finite, lambda k: NotFullDegree(
         "a coefficient is not finite"))
     record(errors, scale == 0.0, lambda k: NotFullDegree(
@@ -142,7 +150,7 @@ def factor(coeffs, angle_scale: float = 1.0):
         "extremal coefficient vanishes: not in the full-degree class"))
     record(errors, far, lambda k: NotFullDegree(
         "root magnitude outside the trusted window"))
-    return c_p, lam, errors
+    return lam, errors
 
 
 def sinh_product(lam, roots, angle_scale: float = 1.0):

@@ -19,7 +19,7 @@ from sovchain.cli import (
 )
 import sovchain
 from sovchain import (
-    cli, errors, qalgebra, sovbasis, spectrum, tq_hom, tq_inhom,
+    cli, errors, qalgebra, sovbasis, spectrum, tq_hom, tq_inhom, trigpoly,
 )
 from sovchain.errors import (
     ConditioningFailure,
@@ -766,6 +766,13 @@ def _vanish_at_site_one(site):
     return site
 
 
+def _miss_the_lattice_in_row_one(fit):
+    epsilon, winding, residual = fit
+    residual = residual.copy()
+    residual[1] = 1.0
+    return epsilon, winding, residual
+
+
 def _flip_sign_of_row_one(fit):
     eps_w, residual, errors = fit
     eps_w = eps_w.copy()
@@ -781,6 +788,9 @@ FORCED_ROW_ERRORS = {
     "hom-site": (tq_hom, "_vanishing_site", _vanish_at_site_one, "hom",
                  "NonAdmissible", "site 1: Q vanishes at the top rung and "
                  "at its half-period translate"),
+    "hom-sum-rule": (tq_hom, "sum_rule_check", _miss_the_lattice_in_row_one,
+                     "hom", "NoEpsilonFits", "root sum misses the "
+                     "half-period lattice by 1.000e+00"),
     "hom-sign": (tq_hom, "verify_wronskian_identity", _flip_sign_of_row_one,
                  "hom", "NoEpsilonFits", "root-sum sign and Wronskian sign "
                  "disagree: {eps} vs {flipped}"),
@@ -893,14 +903,14 @@ def test_degenerate_nodes_fail_every_row_of_one_pipeline(
         monkeypatch, pipeline, angle_scale):
     # The interpolation nodes are shared by every row of a pipeline, so a
     # collision among them fails the whole batch and no other pipeline.
-    real = tq_inhom.interpolate
+    real = trigpoly.interpolate
 
     def collide(nodes, values, m, scale=1.0):
         if scale == angle_scale:
             raise DegenerateNodes("nodes 0 and 1 coincide")
         return real(nodes, values, m, scale)
 
-    monkeypatch.setattr(tq_inhom, "interpolate", collide)
+    monkeypatch.setattr(trigpoly, "interpolate", collide)
     report = run_pipelines(RunConfig.from_dict(base_doc([1, 2])))
     key = cli.REPORT_KEYS[pipeline]
     other = "hom" if key == "inhom" else "inhom"

@@ -365,6 +365,29 @@ class TestNegativeControls:
         errors = thm.t_from_q_pair(D3, bad)[2]
         assert all(isinstance(e, NotEntire) for e in errors)
 
+    def test_vanishing_grid_is_not_entire_in_its_row_alone(self, d3_solved):
+        # Row 1's cached Q is 0 on the grid, so the cross combination has
+        # no scale to be measured against; the other rows rebuild their
+        # base values as the unaltered solution does.
+        _, sol = d3_solved
+        clean = thm.t_from_q_pair(D3, sol)
+        bad = thm.QFunctionHom(D3, sol.roots, sol.epsilon, sol.winding)
+        table = {key: value.copy() for key, value in sol.table.items()}
+        cut = ti.GRID_POINTS.size
+        for key in ("grid", "grid+ip"):
+            table[key][1] = 0.0
+        for key in ("x-eta", "x+ip-eta", "x+eta", "x+eta+ip"):
+            table[key][1, :cut] = 0.0
+        bad.__dict__["table"] = table  # the cached_property's slot
+        values, report, errors = thm.t_from_q_pair(D3, bad)
+        assert [str(e) if e else None for e in errors] == [
+            None, "Q vanishes on the whole sampling grid"] + [None] * (
+                D3.hilbert_dim - 2)
+        assert isinstance(errors[1], NotEntire)
+        rows = np.arange(D3.hilbert_dim) != 1
+        assert np.array_equal(values[rows], clean[0][rows])
+        assert np.array_equal(report[rows], clean[1][rows])
+
     def test_coincident_roots_raise(self, d3_solved):
         _, sol = d3_solved
         roots = sol.roots.copy()
@@ -375,9 +398,9 @@ class TestNegativeControls:
 
     def test_admissibility_guard(self):
         # One site per row, or -1: the solve records NonAdmissible there.
+        # The scale is the largest of the row's values, 1.0 in both rows.
         site = thm._vanishing_site(
             np.array([[1e-14, 1.0], [1e-14, 1.0]]),
             np.array([[1e-13, 0.5], [0.5, 0.5]]),
-            np.array([1.0, 1.0]),
         )
         assert site.tolist() == [0, -1]

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from sovchain import DegenerateNodes, NotFullDegree
 from sovchain.errors import record
-from sovchain.trigpoly import factor, horner, interpolate
+from sovchain.trigpoly import horner, interpolant_roots, interpolate
 
 # Frozen reference values (30-digit offline evaluation, pasted as literals).
 SINH_03 = 0.30452029344714261896
@@ -191,63 +191,112 @@ def test_add_aligns_mixed_left_exponents():
 
 
 # ----------------------------------------------------------------------
-# factorization
+# roots from node values
+
+
+def node_values(roots, angle_scale=1.0, prefactor=1.0):
+    """(nodes, values): prefactor * prod sinh(s (lam - r)) at nodes where
+    exp(2 s lam) runs over the roots of unity, by ``horner``."""
+    nodes = dft_nodes(len(roots) + 1) / angle_scale
+    return nodes, horner(coeffs_of(roots, angle_scale, prefactor), len(roots),
+                         nodes, angle_scale)
+
+
+def assert_factors(found, roots, angle_scale=1.0):
+    """The found roots are the given ones modulo the period: their sinh
+    products agree up to one constant at random points."""
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.5, 1.5, 8) + 1j * rng.uniform(-1.0, 1.0, 8)
+    got, want = (np.prod(np.sinh(angle_scale * (pts[:, None] - np.asarray(
+        r)[None, :])), axis=1) for r in (found, roots))
+    k = np.argmax(np.abs(want))
+    gap = got - got[k] / want[k] * want
+    assert np.max(np.abs(gap)) <= 1e-8 * max(np.max(np.abs(got)), 1.0)
 
 
 class TestRoots:
     def test_single_factor(self):
-        c_p, roots, errors = factor([coeffs_of([0.4])])
+        nodes, values = node_values([0.4])
+        roots, errors = interpolant_roots(nodes, [values])
         assert errors == [None]
-        assert_allclose(c_p[0], 1.0, rtol=1e-12)
         assert_allclose(roots[0], [0.4], atol=1e-12)
 
     def test_two_factors_with_strip_normalization(self):
-        p = coeffs_of([0.4, 0.9 - 0.2j])
-        c_p, roots, _ = factor([p])
+        nodes, values = node_values([0.4, 0.9 - 0.2j])
+        roots, _ = interpolant_roots(nodes, [values])
         assert_allclose(
             roots[0], [0.4, 0.9 + 1j * (np.pi - 0.2)], atol=1e-10
         )
-        # Re-multiplying the factored form reproduces p.
-        pts = random_points(6)
-        rebuilt = c_p[0] * np.prod(
-            np.sinh(pts[:, None] - roots[0][None, :]), axis=1
-        )
-        assert_allclose(rebuilt, horner(p, 2, pts), rtol=1e-10)
+        assert_factors(roots[0], [0.4, 0.9 - 0.2j])
 
     def test_trailing_coefficient_zero_raises(self):
-        assert isinstance(factor([[0.0, 0.3, 0.7]])[2][0], NotFullDegree)
+        nodes = dft_nodes(3)
+        values = horner([0.0, 0.3, 0.7], 2, nodes)
+        assert isinstance(interpolant_roots(nodes, [values])[1][0],
+                          NotFullDegree)
 
     def test_zero_polynomial_raises(self):
-        assert isinstance(factor([[0.0, 0.0]])[2][0], NotFullDegree)
+        errors = interpolant_roots(dft_nodes(2), [[0.0, 0.0]])[1]
+        assert isinstance(errors[0], NotFullDegree)
 
     def test_non_finite_row_fails_alone(self):
-        # An overflowed row is NotFullDegree and leaves the others as they
-        # are factored alone.
-        good = coeffs_of([0.4, 0.9 - 0.2j])
-        with np.errstate(all="raise"):
-            c_p, roots, errors = factor([good, [np.inf, 1.0, 1.0],
-                                         [1.0, np.nan, 1.0]])
-        alone = factor([good])
+        # A non-finite row is NotFullDegree and leaves the others as they
+        # are solved alone.  Its inf meets a zero in ``interpolate``.
+        nodes, good = node_values([0.4, 0.9 - 0.2j])
+        with np.errstate(invalid="ignore"):
+            roots, errors = interpolant_roots(
+                nodes, [good, [np.inf, 1.0, 1.0], [1.0, np.nan, 1.0]])
+        alone = interpolant_roots(nodes, [good])
         assert errors[0] is None
         assert all(isinstance(e, NotFullDegree)
                    and str(e) == "a coefficient is not finite"
                    for e in errors[1:])
-        assert c_p[0] == alone[0][0]
-        assert roots[0].tobytes() == alone[1][0].tobytes()
+        assert roots[0].tobytes() == alone[0][0].tobytes()
 
     def test_half_angle_strip(self):
-        c_p, roots, errors = factor(
-            [coeffs_of([0.2, 1.1 + 0.5j], angle_scale=0.5)], 0.5)
+        nodes, values = node_values([0.2, 1.1 + 0.5j], angle_scale=0.5)
+        roots, errors = interpolant_roots(nodes, [values], 0.5)
         assert errors == [None]
-        assert_allclose(c_p[0], 1.0, rtol=1e-12)
         assert_allclose(roots[0], [0.2, 1.1 + 0.5j], atol=1e-12)
 
+    def test_degenerate_nodes_fail_every_row(self):
+        nodes = [0.0, 1j * np.pi]
+        errors = interpolant_roots(nodes, np.ones((3, 2)))[1]
+        assert [str(e) for e in errors] == [
+            "nodes 0 and 1 coincide modulo the period"] * 3
+        assert all(isinstance(e, DegenerateNodes) for e in errors)
+
+    def test_root_outside_the_trusted_window_fails_its_row_alone(
+            self, monkeypatch):
+        # A finite row whose extremal coefficients pass has every root of
+        # z = exp(2u) within [1e-10, 1e10] (Cauchy's bound), so only a
+        # rounding fault of the eigenvalue solver reaches the window test.
+        # It is forced here: row 1 gets z = exp(30), a root of real part
+        # 15 at angle scale 1.
+        nodes, good = node_values([0.4, 0.9 - 0.2j])
+        stack = [good, good, good]
+        clean, _ = interpolant_roots(nodes, stack)
+        eigvals = np.linalg.eigvals
+
+        def far(a):
+            z = eigvals(a)
+            z[1, 0] = np.exp(30.0)
+            return z
+
+        monkeypatch.setattr(np.linalg, "eigvals", far)
+        roots, errors = interpolant_roots(nodes, stack)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], NotFullDegree)
+        assert str(errors[1]) == "root magnitude outside the trusted window"
+        assert_allclose(roots[1].real.max(), 15.0, rtol=1e-12)
+        assert roots[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
 
 
-def factor_reference(coeffs, angle_scale=1.0):
-    """The former body of ``factor``, with per-row error lists and np.where
-    passes: the masked, in-place kernel must match it bit for bit."""
-    c = np.asarray(coeffs, dtype=complex)
+def factor_reference(nodes, values, angle_scale=1.0):
+    """The former root step: ``interpolate``, then the companion solve with
+    per-row error lists and np.where passes.  The masked, in-place kernel
+    must match it bit for bit."""
+    c = interpolate(nodes, values, 0, angle_scale)
     rows, m2 = c.shape[0], c.shape[1] - 1
     errors = [None] * rows
     scale = np.max(np.abs(c), axis=1)
@@ -274,29 +323,29 @@ def factor_reference(coeffs, angle_scale=1.0):
                        lam)
         order = np.lexsort((lam.imag, lam.real), axis=1)
         lam = np.take_along_axis(lam, order, axis=1)
-        c_p = c[:, -1] * 2.0**m2 * np.exp(angle_scale * np.sum(lam, axis=1))
-    return c_p, lam, errors
+    return lam, errors
 
 
 @pytest.mark.parametrize("angle_scale", [1.0, 0.5])
 @pytest.mark.parametrize("degree", [1, 2, 5])
 def test_factor_matches_the_reference_bit_for_bit(degree, angle_scale):
     """Good rows (one with real roots, on the branch seam), a zero row and
-    a row whose trailing coefficient vanishes, in one stack: roots, c_P
-    and errors as the reference gives them, NaN and inf included."""
+    a row whose trailing coefficient vanishes, as node values in one
+    stack: roots and errors as the reference gives them, NaN and inf
+    included."""
     rng = np.random.default_rng(degree)
+    nodes = dft_nodes(degree + 1) / angle_scale
     good = [coeffs_of(rng.uniform(-1, 1, degree)
                       + 1j * rng.uniform(-1.2, 1.2, degree), angle_scale,
                       0.7 - 0.2j) for _ in range(3)]
     real = coeffs_of(rng.uniform(-1, 1, degree), angle_scale)
     thin = np.array(good[0])
     thin[0] = 1e-14 * np.max(np.abs(thin))
-    stack = np.array([good[0], np.zeros(degree + 1), good[1], thin, real,
-                      good[2]])
+    stack = horner(np.array([good[0], np.zeros(degree + 1), good[1], thin,
+                             real, good[2]]), degree, nodes, angle_scale)
     with np.errstate(all="raise"):
-        c_p, roots, errors = factor(stack, angle_scale)
-    want_c, want_roots, want_errors = factor_reference(stack, angle_scale)
-    assert c_p.tobytes() == want_c.tobytes()
+        roots, errors = interpolant_roots(nodes, stack, angle_scale)
+    want_roots, want_errors = factor_reference(nodes, stack, angle_scale)
     assert roots.tobytes() == want_roots.tobytes()
     assert [type(e) for e in errors] == [type(e) for e in want_errors]
     assert [str(e) for e in errors] == [str(e) for e in want_errors]
@@ -341,11 +390,7 @@ def test_roots_round_trip(roots):
     ) if len(roots) > 1 else 1.0
     if sep < 0.1:
         return
-    p = coeffs_of(roots, prefactor=1.3 - 0.4j)
-    c_p, found, errors = factor([p])
+    nodes, values = node_values(roots, prefactor=1.3 - 0.4j)
+    found, errors = interpolant_roots(nodes, [values])
     assert errors == [None]
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(-1.5, 1.5, 8) + 1j * rng.uniform(-1.0, 1.0, 8)
-    rebuilt = c_p[0] * np.prod(np.sinh(pts[:, None] - found[0][None, :]), axis=1)
-    ref = horner(p, len(roots), pts)
-    assert np.max(np.abs(rebuilt - ref)) <= 1e-8 * max(np.max(np.abs(ref)), 1.0)
+    assert_factors(found[0], roots)
