@@ -8,10 +8,9 @@ J (the reversal of the state index) commutes with the untwisted B + C and
 the parity (-1)^{|h|} anticommutes, so that eigenbasis takes half- or
 quarter-size eigendecompositions.  The entries of B and C are evaluated
 once, at the sample point and every base and check point in one call.
-Only the model's twist scatters transfer matrices from them (its base
-values in the flip sectors from ``SECTOR_PRODUCTS_FROM`` states on, its
-check in them at every size); a further twist works from the entries,
-its gauge and the model twist's check.
+Only the model's twist scatters transfer matrices from them (its products
+in the flip sectors from ``SECTOR_PRODUCTS_FROM`` states on); a further
+twist works from the entries, its gauge and the model twist's check.
 
 An eigenvalue of the twisted transfer matrix is a trigonometric polynomial
 determined by its values at the N base points xi_1..xi_N (the interpolation
@@ -144,9 +143,8 @@ class Spectrum:
     sector: np.ndarray
 
 
-# Dimension from which the model's base values take their products in the
-# flip sectors; below it the full-size products are faster.  The check
-# takes them in the flip sectors at every size.
+# Dimension from which the model's base values and the check take their
+# products in the flip sectors; below it the full-size products are faster.
 SECTOR_PRODUCTS_FROM = 256
 
 
@@ -196,7 +194,7 @@ def brute_force_spectrum(model: ChainModel, twists=None):
         base = np.concatenate([base, _further_values(
             model, kappas, gauge, sums, right, b[:n], c[:n])])
     worst = _residuals(model, kappas, gauge, right, base, b[n:], c[n:],
-                       pairs).max(axis=(1, 2))
+                       sectors).max(axis=(1, 2))
     for kappa, residual in zip(kappas, worst):
         if not residual <= 1e-8:  # NaN fails too
             raise DegenerateSpectrum(
@@ -345,13 +343,12 @@ def _further_values(model, kappas, gauge, sums, right, b, c):
                        .reshape(out.shape), 1, 2)
 
 
-def _residuals(model, kappas, gauge, right, base, b, c, pairs):
+def _residuals(model, kappas, gauge, right, base, b, c, sectors):
     """|T G v - t G v| / (|T|_F |G v|) per twist, eigen-pair and point of
-    ``CHECK_POINTS``: D_0 = T_0 G_0 v - t_0 G_0 v (G_0 v = right), bounded
-    in the flip sectors of the pairs at every size (``_sector_defects``),
-    and for a further twist, as T_k G_k v - t_k G_k v = G_k G_0^-1 (D_0 +
-    (t_0 - t_k) G_0 v), the bound max|g_k / g_0| (|D_0| + |t_0 - t_k|
-    |G_0 v|) / (|T_k|_F |G_k v|)."""
+    ``CHECK_POINTS``: D_0 = T_0 G_0 v - t_0 G_0 v (G_0 v = right; the sector
+    bound given the pairs), and for a further twist, as T_k G_k v - t_k G_k
+    v = G_k G_0^-1 (D_0 + (t_0 - t_k) G_0 v), the bound max|g_k / g_0|
+    (|D_0| + |t_0 - t_k| |G_0 v|) / (|T_k|_F |G_k v|)."""
     values = base @ cardinals(model.xi, CHECK_POINTS).T
     # Unlike np.linalg.norm, vecdot makes no temporary of its operand's size.
     norms = np.sqrt(np.vecdot(right, right, axis=0).real)
@@ -359,9 +356,16 @@ def _residuals(model, kappas, gauge, right, base, b, c, pairs):
     for p, (b_p, c_p) in enumerate(zip(b, c)):
         t_mat = transfer_from_entries(model, b_p, c_p, kappas[0])
         sizes.append(np.sqrt(np.vecdot(t_mat.ravel(), t_mat.ravel()).real))
-        defects.append(_sector_defects(t_mat, gauge[0], pairs,
-                                       values[0, :, p]))
-        del t_mat
+        if sectors:
+            defect = _sector_defects(t_mat, gauge[0], sectors, values[0, :, p])
+            del t_mat
+        else:
+            defect = t_mat @ right
+            del t_mat
+            # In place: a temporary of this size costs page faults.
+            defect -= right * values[0, :, p]
+            defect = np.sqrt(np.vecdot(defect, defect, axis=0).real)
+        defects.append(defect)
     defects = np.stack(defects, axis=-1)
     own = (defects / (norms[:, None] * sizes))[None]
     if len(kappas) == 1:

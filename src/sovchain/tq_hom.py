@@ -33,10 +33,10 @@ shared grid and Bethe bodies (``tq_inhom._grid_residual``,
 every point set its checks read (the grid and its shifts, the inner
 rungs, the sample points, every rung, each also half a period up), from
 one evaluation at angle scale 1/2 (``tq_inhom._q_values``); the solve's
-admissibility check reads it at the top rungs.  The checks read the one
-model context both equations share (``tq_inhom._check_points``: the sample points, a and d
-on the grid, and the inner-rung product of the Wronskian target), and
-the eigenstates use the shared assembly
+admissibility check reads it at every rung.  The checks read the one
+model context both equations share (``tq_inhom._check_points``: the
+sample points, a and d on the grid, and the inner-rung product of the
+Wronskian target), and the eigenstates use the shared assembly
 (``spectrum.eigenstates``).  A row that fails keeps its first
 ``SovChainError`` in the errors the function returns and the other rows
 go on.  The solution keeps its Wronskian fit and its sum-rule residual.
@@ -159,9 +159,8 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     # Made once: the Wronskian fit below fills in its residual.
     sol = QFunctionHom(model, roots, epsilon, winding,
                        np.empty(residual.shape), residual)
-    top = model.rung_table.top
-    site = _vanishing_site(sol.table["rungs"][:, top],
-                           sol.table["rungs+ip"][:, top])
+    site = _vanishing_site(sol.table["rungs"], sol.table["rungs+ip"],
+                           model.rung_table.top)
     record(errors, site >= 0, lambda k: NonAdmissible(
         f"site {site[k] + 1}: Q vanishes at the top rung and at its "
         "half-period translate"))
@@ -177,17 +176,18 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     return sol, errors
 
 
-def _vanishing_site(top, shifted) -> np.ndarray:
+def _vanishing_site(rungs, shifted, top) -> np.ndarray:
     """Per row, the first site where Q vanishes both at the top rung and
-    at its translate, to 1e-10 of the largest of those values, or -1.
+    at its translate, to 1e-10 of the largest |Q| on the row's rungs and
+    their translates, or -1.
 
     Such a pair would let an entire family of functions through the
     closure system without pinning the state at that site.
     """
-    top, shifted = np.abs(top), np.abs(shifted)
-    scale = np.maximum(top.max(axis=-1), shifted.max(axis=-1))
+    rungs, shifted = np.abs(rungs), np.abs(shifted)
+    scale = np.maximum(rungs.max(axis=-1), shifted.max(axis=-1))
     floor = 1e-10 * np.maximum(scale, 1e-300)[..., None]
-    both = (top <= floor) & (shifted <= floor)
+    both = (rungs[..., top] <= floor) & (shifted[..., top] <= floor)
     return np.where(both.any(axis=-1), both.argmax(axis=-1), -1)
 
 

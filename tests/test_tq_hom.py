@@ -398,9 +398,21 @@ class TestNegativeControls:
 
     def test_admissibility_guard(self):
         # One site per row, or -1: the solve records NonAdmissible there.
-        # The scale is the largest of the row's values, 1.0 in both rows.
+        # Two spin-1/2 sites, top rungs 0 and 2; the scale is the largest
+        # value on the row's rungs, 1.0 in both rows.
         site = thm._vanishing_site(
-            np.array([[1e-14, 1.0], [1e-14, 1.0]]),
-            np.array([[1e-13, 0.5], [0.5, 0.5]]),
+            np.array([[1e-14, 1.0, 1.0, 0.2], [1e-14, 0.3, 1.0, 0.2]]),
+            np.array([[1e-13, 0.2, 0.5, 0.2], [0.5, 0.2, 0.5, 0.2]]),
+            np.array([0, 2]),
+        )
+        assert site.tolist() == [0, -1]
+
+    def test_admissibility_guard_on_one_site(self):
+        # One spin-1 site: its top rung and translate are the only top
+        # values, so the scale must come from the lower rungs.
+        site = thm._vanishing_site(
+            np.array([[1e-14, 1.0, 0.7], [1e-7, 1.0, 0.7]]),
+            np.array([[1e-13, 0.4, 0.9], [1e-13, 0.4, 0.9]]),
+            np.array([0]),
         )
         assert site.tolist() == [0, -1]
