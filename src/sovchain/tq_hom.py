@@ -68,7 +68,6 @@ __all__ = [
     "solve_q_hom",
     "sum_rule_check",
     "wronskian",
-    "wronskian_closed_form",
     "w_eps",
     "verify_wronskian_identity",
     "hom_grid_residual",
@@ -211,7 +210,7 @@ def sum_rule_check(model: ChainModel, roots):
 
 
 # ----------------------------------------------------------------------
-# Wronskian routes
+# the Wronskian
 
 def wronskian(model: ChainModel, q: QFunctionHom, lam):
     """Definition route: Q(lam+i*pi)Q(lam-eta) + Q(lam)Q(lam+i*pi-eta)."""
@@ -220,17 +219,6 @@ def wronskian(model: ChainModel, q: QFunctionHom, lam):
     lam = np.asarray(lam, dtype=complex)
     up, down = q.value(lam + ip), q.value(lam - eta)
     return up * down + q.value(lam) * q.value(lam + ip - eta)
-
-
-def wronskian_closed_form(model: ChainModel, q: QFunctionHom, lam):
-    """Product route obtained by pairing the half-angle factors."""
-    lam = np.asarray(lam, dtype=complex)
-    s = np.sinh(0.5 * model.eta)
-    big = np.sinh(lam[..., None] - np.asarray(q.roots) - 0.5 * model.eta)
-    out = (0.5j) ** model.n_s * (
-        (big - s).prod(axis=-1) + (big + s).prod(axis=-1)
-    )
-    return out if lam.shape else complex(out)
 
 
 def w_eps(model: ChainModel, epsilon, lam, inner=None):

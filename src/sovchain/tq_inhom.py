@@ -79,13 +79,12 @@ __all__ = [
 @dataclass(frozen=True)
 class QFunctionInhom:
     """Monic product function sinh(lam - root_1)...sinh(lam - root_Ns),
-    held by its roots; or a stack of them, with one row of roots, one alpha
-    and one lambda_bar per eigenvalue."""
+    held by its roots; or a stack of them, with one row of roots and one
+    alpha per eigenvalue (``rhs`` forms the root sum it needs)."""
 
     model: ChainModel
     alpha: complex
     roots: tuple
-    lambda_bar: complex
 
     def value(self, lam):
         """Evaluate the product over the stored roots directly; lam holds
@@ -100,7 +99,8 @@ class QFunctionInhom:
         alpha = np.asarray(self.alpha)[..., None]
         return (-np.exp(lam) * a * np.exp(-alpha) * down,
                 np.exp(-lam - self.model.eta) * d * np.exp(alpha) * up,
-                f_inhom(self.model, self.alpha + self.lambda_bar, lam, rungs))
+                f_inhom(self.model, self.alpha + np.sum(self.roots, axis=-1),
+                        lam, rungs))
 
     @cached_property
     def table(self) -> tuple:
@@ -157,12 +157,12 @@ def _dressed_null_vectors(model: ChainModel, qs):
     return qs / dress
 
 
-def _null_vectors(eigfun):
-    """One eigenvalue's ladder null vectors; raises its RecursionBlowup."""
+def _null_vectors(model: ChainModel, eigfun):
+    """One eigenvalue's dressed null vectors; raises its RecursionBlowup."""
     qs, (error,) = eigfun.ladder
     if error is not None:
         raise error
-    return qs
+    return _dressed_null_vectors(model, qs)
 
 
 def _closure_nodes(model: ChainModel, zeta0: complex):
@@ -279,7 +279,7 @@ def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
     """
     n_s = model.n_s
     betas = np.exp(2j * np.pi * np.arange(n_s + 1) / (n_s + 1))
-    xs = _dressed_null_vectors(model, _null_vectors(eigfun))
+    xs = _null_vectors(model, eigfun)
     dets = np.array(
         [np.linalg.det(_closure(model, xs, zeta0, b)[0][:, 1:]) for b in betas]
     )
@@ -288,7 +288,7 @@ def det_m_polynomial(model: ChainModel, eigfun, zeta0: complex) -> np.ndarray:
 
 def leading_det_coefficient(model: ChainModel, eigfun) -> complex:
     """Product of the dressed null-vector components at the bottom rungs."""
-    xs = _dressed_null_vectors(model, _null_vectors(eigfun))
+    xs = _null_vectors(model, eigfun)
     return complex(np.prod(xs[model.rung_table.bottom]))
 
 
@@ -326,7 +326,7 @@ def _inadmissible(tops) -> np.ndarray:
 
 def _solve(model: ChainModel, xs, alpha: complex, zeta0: complex, errors):
     """Solve every row's closure system at one deformation value and
-    extract the roots; returns the stack of solutions, with each row's
+    extract the roots; returns the roots (rows x N_s), with each row's
     failure added to errors."""
     with np.errstate(over="ignore", invalid="ignore"):  # flagged below
         beta = np.exp(complex(alpha))
@@ -347,8 +347,7 @@ def _solve(model: ChainModel, xs, alpha: complex, zeta0: complex, errors):
     values = (spread @ unknowns[..., None])[..., 0]
     roots, failed = interpolant_roots(nodes, values)
     merge(errors, failed)
-    return QFunctionInhom(model, np.full(len(y), complex(alpha)), roots,
-                          np.sum(roots, axis=-1))
+    return roots
 
 
 def solve_q_inhom(
@@ -364,13 +363,15 @@ def solve_q_inhom(
     (ExceptionalAlpha) are solved again, and only they, at the next
     redraw, up to max_retries times; the redraws come from a fixed seed,
     so every row sees the same sequence, and the generator is built at the
-    first redraw.  Returns (solutions, retries per row, errors per row).
+    first redraw.  The stack is built once, from each row's last alpha and
+    roots.  Returns (solutions, retries per row, errors per row).
     """
     rng = None
     qs, errors = eigfun.ladder
     errors = list(errors)
     xs = _dressed_null_vectors(model, qs)
-    sol = _solve(model, xs, alpha, zeta0, errors)
+    alphas = np.full(len(errors), complex(alpha))
+    roots = _solve(model, xs, alpha, zeta0, errors)
     retries = np.zeros(len(errors), dtype=int)
     for attempt in range(1, max_retries + 1):
         again = np.flatnonzero([isinstance(e, ExceptionalAlpha)
@@ -383,12 +384,12 @@ def solve_q_inhom(
             rng.uniform(0.0, 2.0 * np.pi),
         )
         part_errors = [None] * again.size
-        part = _solve(model, xs[again], alpha, zeta0, part_errors)
-        for name in ("alpha", "roots", "lambda_bar"):
-            getattr(sol, name)[again] = getattr(part, name)
+        roots[again] = _solve(model, xs[again], alpha, zeta0, part_errors)
+        alphas[again] = alpha
         for row, exc in zip(again, part_errors):
             errors[row] = exc
         retries[again] = attempt
+    sol = QFunctionInhom(model, _read_only(alphas), _read_only(roots))
     return sol, retries, errors
 
 
@@ -517,7 +518,7 @@ def homogeneous_rank_check(
     the ratio does not read the rows' scales, which differ by up to 1e9
     on chains up to dim 81.
     """
-    xs = _dressed_null_vectors(model, _null_vectors(eigfun))
+    xs = _null_vectors(model, eigfun)
     rows, nodes, spread = _closure(model, xs, zeta0, np.exp(complex(alpha)))
     n_sites = model.n_sites
     stacked = np.zeros((n_sites + 2, n_sites + 1), dtype=complex)

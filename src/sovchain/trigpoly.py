@@ -104,11 +104,12 @@ def interpolant_roots(nodes, values, angle_scale: float = 1.0):
     (E, m2), normalized to Im root in [0, pi/angle_scale) and sorted by
     (real, imaginary) part, and errors holds per row None, the
     DegenerateNodes of the shared nodes, or a NotFullDegree: a coefficient
-    not finite, an extremal coefficient at most 1e-10 of the largest, or a
-    root of z = exp(2u) outside [1e-12, 1e12] in magnitude.  The companion matrices
-    are built exactly as ``np.roots`` builds them and go through one
-    stacked ``np.linalg.eigvals``; a row not finite or with a vanishing
-    extremal coefficient keeps a zero first row, so it cannot stop others.
+    not finite, or an extremal coefficient at most 1e-10 of the largest
+    (past this test, Cauchy's bound keeps every root of z = exp(2u) within
+    about [1e-10, 1e10] in magnitude).  The companion matrices are built
+    exactly as ``np.roots`` builds them and go through one stacked
+    ``np.linalg.eigvals``; a row not finite or with a vanishing extremal
+    coefficient keeps a zero first row, so it cannot stop others.
     """
     values = np.asarray(values, dtype=complex)
     rows, m2 = values.shape[0], values.shape[1] - 1
@@ -127,8 +128,6 @@ def interpolant_roots(nodes, values, angle_scale: float = 1.0):
     np.divide(-c[:, -2::-1], c[:, -1:], out=companion[:, 0],
               where=~thin[:, None])
     z = np.linalg.eigvals(companion)
-    mags = np.abs(z)
-    far = ((mags < 1e-12) | (mags > 1e12)).any(axis=1)
     # A failed row's garbage may overflow; its error is recorded below.
     with np.errstate(all="ignore"):
         lam = np.log(z) / (2.0 * angle_scale)
@@ -148,8 +147,6 @@ def interpolant_roots(nodes, values, angle_scale: float = 1.0):
         "the zero polynomial has no factored form"))
     record(errors, thin, lambda k: NotFullDegree(
         "extremal coefficient vanishes: not in the full-degree class"))
-    record(errors, far, lambda k: NotFullDegree(
-        "root magnitude outside the trusted window"))
     return lam, errors
 
 

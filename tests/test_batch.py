@@ -117,7 +117,7 @@ def test_a_stack_equals_stacks_of_one(two_s, kappa):
         moved = dataclasses.replace(sol, roots=roots)
         errors = ti.t_from_q_inhom(model, moved)[2]
         alone = ti.t_from_q_inhom(model, ti.QFunctionInhom(
-            model, sol.alpha[4:5], roots[4:5], sol.lambda_bar[4:5]))[2]
+            model, sol.alpha[4:5], roots[4:5]))[2]
         assert [e is None for e in errors] == [
             i != 4 for i in range(model.hilbert_dim)]
         assert isinstance(errors[4], PoleAtXi)
@@ -165,7 +165,7 @@ def test_only_the_exceptional_row_is_solved_again(monkeypatch):
 
 def test_a_retried_row_is_checked_at_its_retried_roots():
     # Row 5's closure system is singular at the first deformation, so the
-    # solve writes its redrawn alpha and roots into the stack.  The checks
+    # solve builds the stack from its redrawn alpha and roots.  The checks
     # build their table of Q after the solve and read the retried roots: the
     # row's grid residual and round trip equal those of a solution holding
     # only its final alpha and roots.
@@ -185,8 +185,7 @@ def test_a_retried_row_is_checked_at_its_retried_roots():
 
     pick = slice(row, row + 1)
     alone = ti.QFunctionInhom(model, sol.alpha[pick].copy(),
-                              sol.roots[pick].copy(),
-                              sol.lambda_bar[pick].copy())
+                              sol.roots[pick].copy())
     one = sp.EigenvalueFunction(model, rows.base_values[pick])
     assert grid[row] == ti.inhom_grid_residual(model, one, alone)[0]
     assert np.array_equal(base[row], ti.t_from_q_inhom(model, alone)[0][0])

@@ -583,23 +583,27 @@ class TestPipelineSelection:
                          ids=["pass", "fail"])
 def test_run_keeps_its_exit_status_when_the_reader_leaves(
         tmp_path, matching, status):
-    # The reader closes the pipe before the run prints its summary, as
-    # `sovchain run cfg.json | true` does: the report is still written and
-    # the exit status is the run's own, with no traceback.
-    doc = base_doc([2, 3], seed=0)
+    # The pipe's read end is closed before the run starts, as in
+    # `sovchain run cfg.json | true` with a reader that exits at once, so
+    # printing the summary raises BrokenPipeError: the report is still
+    # written, the exit status is the run's own, and stderr stays empty
+    # (no traceback, and no failed flush of stdout at exit).
+    doc = base_doc([1, 2], seed=0)
     doc["tolerances"] = {"matching": matching}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "sovchain.cli", "run", str(path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == status
-    assert "Traceback" not in err and "BrokenPipe" not in err, err
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sovchain.cli", "run", str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == status
+    assert proc.stderr == b"", proc.stderr.decode()
     report = json.loads((tmp_path / "cfg.report.json").read_text())
     assert report["summary"]["pass"] is (status == 0)
 

@@ -37,10 +37,7 @@ def case(request):
         return rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
     eigfun = sp.EigenvalueFunction(model, tuple(draw(model.n_sites)))
     roots = tuple(draw(model.n_s))
-    q_inhom = ti.QFunctionInhom(
-        model=model, alpha=0.2 - 0.1j, roots=roots,
-        lambda_bar=complex(sum(roots)),
-    )
+    q_inhom = ti.QFunctionInhom(model=model, alpha=0.2 - 0.1j, roots=roots)
     q_hom = thm.QFunctionHom(model, roots, 1, 0)
     return model, eigfun, q_inhom, q_hom
 
@@ -92,7 +89,7 @@ def f_loop(model, x, lam):
 
 
 def inhom_terms_loop(model, sol, lam):
-    x = sol.alpha + sol.lambda_bar
+    x = sol.alpha + sum(sol.roots)
     term_a = (-np.exp(lam - sol.alpha) * a_loop(model, lam)
               * q_loop(sol.roots, lam - model.eta))
     term_d = (np.exp(-lam - model.eta + sol.alpha) * d_loop(model, lam)

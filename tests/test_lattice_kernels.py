@@ -193,7 +193,7 @@ def solve_path(monkeypatch, two_s, seed):
     fields = {"t_at_xi": [e["t_at_xi"] for e in report["eigenvalues"]],
               "retries": retries,
               **{f"inhom.{k}": getattr(inhom, k)
-                 for k in ("roots", "alpha", "lambda_bar")},
+                 for k in ("roots", "alpha")},
               **{f"hom.{k}": getattr(hom, k) for k in (
                   "roots", "epsilon", "winding", "sum_rule_residual")}}
     return ({k: np.asarray(v).tobytes() for k, v in fields.items()},
@@ -203,7 +203,7 @@ def solve_path(monkeypatch, two_s, seed):
 @pytest.mark.parametrize("two_s, seed", [((1,) * 6, 0), ((2, 3), 2)])
 def test_a_check_kernel_cannot_move_a_solution(monkeypatch, two_s, seed):
     # sinh_product only checks a solution: scaled by 1 + 2**-20 at every
-    # binding site, it moves check values but no root, alpha, lambda_bar,
+    # binding site, it moves check values but no root, alpha,
     # retry count, sign, winding, sum-rule residual or base value.
     plain, plain_maxima = solve_path(monkeypatch, two_s, seed)
     for module in (trigpoly, ti, thm):

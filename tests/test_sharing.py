@@ -394,7 +394,7 @@ def test_table_slices_equal_q_at_their_points(two_s):
             -np.exp(lam - alpha) * a_of(model, lam) * inhom.value(lam - eta),
             np.exp(-lam - eta + alpha) * d_of(model, lam)
             * inhom.value(lam + eta),
-            ti.f_inhom(model, inhom.alpha + inhom.lambda_bar, lam))
+            ti.f_inhom(model, inhom.alpha + inhom.roots.sum(axis=-1), lam))
     for got, ref in zip(inhom.table, want, strict=True):
         assert np.array_equal(got, ref)
     shared = (*hom.table.values(), *inhom.table,

@@ -209,17 +209,6 @@ class TestSolvedPipelines:
                     sol.roots[i], sol.roots[j], period=2j * np.pi,
                 ) > 1e-4
 
-    def test_wronskian_closed_form_matches_definition(self, d3_solved):
-        rng = np.random.default_rng(8)
-        pts = rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)
-        _, sol = d3_solved
-        got = thm.wronskian(D3, sol, pts)
-        for i in range(D3.hilbert_dim):
-            q = thm.QFunctionHom(D3, sol.roots[i], sol.epsilon[i],
-                                 sol.winding[i])
-            want = thm.wronskian_closed_form(D3, q, pts)
-            assert_allclose(got[i], want, rtol=1e-11)
-
     def test_wronskian_half_period_parity(self, d3_solved):
         _, sol = d3_solved
         sign = (-1.0) ** D3.n_s

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -232,23 +230,14 @@ class TestReconstruction:
         _, sol = d3_solutions
         roots = sol.roots.copy()
         roots[:, 0] += 1e-3
-        bumped = ti.QFunctionInhom(
-            model=sol.model,
-            alpha=sol.alpha,
-            roots=roots,
-            lambda_bar=sol.lambda_bar + 1e-3,
-        )
+        bumped = ti.QFunctionInhom(model=sol.model, alpha=sol.alpha,
+                                   roots=roots)
         residuals = ti.bethe_residuals_inhom(D3, bumped)
         assert np.all(residuals.max(axis=-1) > 1e-5)
 
     def test_pole_at_base_point(self):
         roots = (D2.xi[0], 0.5 + 0.3j)
-        sol = ti.QFunctionInhom(
-            model=D2,
-            alpha=0.0,
-            roots=roots,
-            lambda_bar=complex(np.sum(roots)),
-        )
+        sol = ti.QFunctionInhom(model=D2, alpha=0.0, roots=roots)
         assert isinstance(ti.t_from_q_inhom(D2, sol)[2][0], PoleAtXi)
 
 
@@ -325,12 +314,16 @@ class TestStructure:
         assert errors == [None] * m.hilbert_dim
         assert combined_side_defect(m, spec.rows, sol).max() < 1e-9
 
-    def test_shifted_lambda_bar_breaks_degree_drop(self, d3_solutions):
-        # Negative control of the combined-side check: a lambda_bar off by
-        # 1e-4 moves the correction term's free root.
+    def test_shifted_lambda_bar_breaks_degree_drop(self, d3_solutions,
+                                                   monkeypatch):
+        # Negative control of the combined-side check: the shift alpha plus
+        # the root sum (lambda_bar) off by 1e-4 in the correction term moves
+        # its free root.
         spec, sol = d3_solutions
-        wrong = dataclasses.replace(sol, lambda_bar=sol.lambda_bar + 1e-4)
-        assert np.all(combined_side_defect(D3, spec.rows, wrong) > 1e-7)
+        f_inhom = ti.f_inhom
+        monkeypatch.setattr(ti, "f_inhom", lambda model, x, *args: f_inhom(
+            model, x + 1e-4, *args))
+        assert np.all(combined_side_defect(D3, spec.rows, sol) > 1e-7)
 
     def test_correction_free_system_has_only_zero_solution(self, d2_solutions):
         for values in d2_solutions[0].rows.base_values:

@@ -266,30 +266,33 @@ class TestRoots:
             "nodes 0 and 1 coincide modulo the period"] * 3
         assert all(isinstance(e, DegenerateNodes) for e in errors)
 
-    def test_root_outside_the_trusted_window_fails_its_row_alone(
-            self, monkeypatch):
-        # A finite row whose extremal coefficients pass has every root of
-        # z = exp(2u) within [1e-10, 1e10] (Cauchy's bound), so only a
-        # rounding fault of the eigenvalue solver reaches the window test.
-        # It is forced here: row 1 gets z = exp(30), a root of real part
-        # 15 at angle scale 1.
-        nodes, good = node_values([0.4, 0.9 - 0.2j])
-        stack = [good, good, good]
-        clean, _ = interpolant_roots(nodes, stack)
-        eigvals = np.linalg.eigvals
-
-        def far(a):
-            z = eigvals(a)
-            z[1, 0] = np.exp(30.0)
-            return z
-
-        monkeypatch.setattr(np.linalg, "eigvals", far)
-        roots, errors = interpolant_roots(nodes, stack)
-        assert errors[0] is None and errors[2] is None
-        assert isinstance(errors[1], NotFullDegree)
-        assert str(errors[1]) == "root magnitude outside the trusted window"
-        assert_allclose(roots[1].real.max(), 15.0, rtol=1e-12)
-        assert roots[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
+    @pytest.mark.parametrize("angle_scale", [1.0, 0.5])
+    def test_full_degree_rows_keep_their_roots_inside_cauchys_bound(
+            self, angle_scale):
+        # A row that passes the extremal-coefficient test has every root of
+        # z = exp(2 s lam) within about [1e-10, 1e10] in magnitude
+        # (Cauchy's bound), which is why no root window is tested.  Rows at
+        # degrees 1-12 with coefficients spread over 1e+-3 and both ends
+        # just above 1e-10 of the largest (at degree 1, one end of the
+        # other) reach that bound from both sides.
+        rng = np.random.default_rng(38)
+        reach = []
+        for degree in range(1, 13):
+            c = 10.0 ** rng.uniform(-3, 3, (125, degree + 1)) * np.exp(
+                2j * np.pi * rng.uniform(size=(125, degree + 1)))
+            if degree == 1:
+                c[::2, 0] = 1.001e-10 * np.abs(c[::2, 1])
+                c[1::2, 1] = 1.001e-10 * np.abs(c[1::2, 0])
+            else:
+                c[:, [0, -1]] *= 1.001e-10 * np.abs(c[:, 1:-1]).max(
+                    axis=1, keepdims=True) / np.abs(c[:, [0, -1]])
+            nodes = dft_nodes(degree + 1) / angle_scale
+            roots, errors = interpolant_roots(
+                nodes, horner(c, degree, nodes, angle_scale), angle_scale)
+            assert errors == [None] * len(c)
+            reach.append(np.abs(np.exp(2.0 * angle_scale * roots)).ravel())
+        reach = np.concatenate(reach)
+        assert 1e-11 <= reach.min() < 1e-9 and 1e9 < reach.max() <= 1e11
 
 
 def factor_reference(nodes, values, angle_scale=1.0):
@@ -310,9 +313,6 @@ def factor_reference(nodes, values, angle_scale=1.0):
     companion[:, 1:, :-1] = np.eye(m2 - 1)
     companion[live, 0] = -c[live, -2::-1] / c[live, -1:]
     z = np.linalg.eigvals(companion)
-    mags = np.abs(z)
-    record(errors, np.any((mags < 1e-12) | (mags > 1e12), axis=1),
-           lambda k: NotFullDegree("root magnitude outside the trusted window"))
     with np.errstate(all="ignore"):
         lam = np.log(z) / (2.0 * angle_scale)
         period = np.pi / angle_scale
