@@ -92,6 +92,14 @@ def _is_number(value, kinds=(int, float)) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _known_keys(section: dict, known, where: str) -> None:
+    """Refuse a key the parser does not read, which would otherwise leave
+    the setting it misspells at its default without a word."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key '{key}' in {where}")
+
+
 def _parse_complex(value, where: str) -> complex:
     if _is_number(value):
         return complex(value)
@@ -128,9 +136,13 @@ class RunConfig:
     def from_dict(cls, doc, base_dir: str = ".") -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError("configuration root must be an object")
+        _known_keys(doc, ("model", "tolerances", "pipelines", "output"),
+                    "the configuration root")
         model = doc.get("model")
         if not isinstance(model, dict):
             raise ConfigError("missing 'model' section")
+        _known_keys(model, ("two_s", "xi", "seed", "delta_min", "eta", "kappa",
+                            "alpha", "max_alpha_retries"), "'model'")
         two_s = model.get("two_s")
         if (not isinstance(two_s, list) or not two_s
                 or not all(_is_number(v, int) and v >= 1 for v in two_s)):
@@ -182,10 +194,9 @@ class RunConfig:
         tol_field = doc.get("tolerances", {})
         if not isinstance(tol_field, dict):
             raise ConfigError("'tolerances' must be an object")
+        _known_keys(tol_field, DEFAULT_TOLERANCES, "'tolerances'")
         tolerances = dict(DEFAULT_TOLERANCES)
         for key, value in tol_field.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance '{key}'")
             if not _is_number(value) or value <= 0:
                 raise ConfigError(f"tolerances.{key} must be positive")
             tolerances[key] = float(value)
@@ -204,6 +215,7 @@ class RunConfig:
         output = doc.get("output", {})
         if not isinstance(output, dict):
             raise ConfigError("'output' must be an object")
+        _known_keys(output, ("report", "bethe_csv"), "'output'")
 
         def _path(key):
             value = output.get(key)
@@ -394,6 +406,7 @@ def run_pipelines(config: RunConfig) -> dict:
 
     def hom_step():
         sol, errors = thm.solve_q_hom(model, eigs, zeta0)
+        wronskian, fit_errors = thm.verify_wronskian_identity(model, sol)
         bethe, bethe_errors = thm.bethe_residuals_hom(model, sol)
         angles, _ = thm.q_vector_proportionality(model, sol)
         rebuilt, _, pair_errors = thm.t_from_q_pair(model, sol)
@@ -402,12 +415,12 @@ def run_pipelines(config: RunConfig) -> dict:
             "epsilon": sol.epsilon.tolist(),
             "winding": sol.winding.tolist(),
             "grid_residual": thm.hom_grid_residual(model, eigs, sol).tolist(),
-            "wronskian_residual": sol.wronskian_residual.tolist(),
+            "wronskian_residual": wronskian.tolist(),
             "sum_rule_residual": sol.sum_rule_residual.tolist(),
             "bethe_max": bethe.max(axis=1).tolist(),
             "proportionality_max": angles.max(axis=1).tolist(),
             "round_trip": np.abs(rebuilt - base).max(axis=1).tolist(),
-        }, _first_errors(errors, bethe_errors, pair_errors)
+        }, _first_errors(errors, fit_errors, bethe_errors, pair_errors)
 
     steps = {}
     # A failed row carries garbage through the rest of its batch; only its

@@ -85,7 +85,7 @@ class RankDeficient(SovChainError):
 
 
 class NoEpsilonFits(SovChainError):
-    """Neither sign choice is consistent with the Wronskian and the sum rule."""
+    """A root sum off the half-period lattice, or a Wronskian off its sign."""
 
 
 class NotEntire(SovChainError):

@@ -26,20 +26,21 @@ spectrum at once, one row per eigenvalue: ``solve_q_hom`` builds every
 row's closure system with the shared builder, half-angle cardinals and the
 ladder null vectors the eigenvalue stack owns, takes one stacked SVD and
 one root step from the node values (``trigpoly.interpolant_roots``), and
-fits every row's sum rule and Wronskian sign in one call each.  Q is held
-by its roots alone; its ``rhs`` gives the two right-hand terms, which the
-shared grid and Bethe bodies (``tq_inhom._grid_residual``,
-``tq_inhom._bethe_residuals``) read.  A solution's ``table`` holds Q on
-every point set its checks read (the grid and its shifts, the inner
-rungs, the sample points, every rung, each also half a period up), from
-one evaluation at angle scale 1/2 (``tq_inhom._q_values``); the solve's
-admissibility check reads it at every rung.  The checks read the one
-model context both equations share (``tq_inhom._check_points``: the
-sample points, a and d on the grid, and the inner-rung product of the
-Wronskian target), and the eigenstates use the shared assembly
-(``spectrum.eigenstates``).  A row that fails keeps its first
-``SovChainError`` in the errors the function returns and the other rows
-go on.  The solution keeps its Wronskian fit and its sum-rule residual.
+reads every row's sign and winding off the root sum in one call.  Q is
+held by its roots and what their sum fixed; its ``rhs`` gives the two
+right-hand terms, which the shared grid and Bethe bodies
+(``tq_inhom._grid_residual``, ``tq_inhom._bethe_residuals``) read.  A
+solution's ``table`` holds Q on every point set its checks read (the grid
+and its shifts, the inner rungs, the sample points, every rung, each also
+half a period up), from one evaluation at angle scale 1/2
+(``tq_inhom._q_values``); the solve's admissibility check reads it at
+every rung.  The checks read the one model context both equations share
+(``tq_inhom._check_points``: the sample points, a and d on the grid, and
+the inner-rung product of the Wronskian target), and the eigenstates use
+the shared assembly (``spectrum.eigenstates``).  A row that fails keeps
+its first ``SovChainError`` in the errors the function returns and the
+other rows go on.  The Wronskian fit is a check the run calls, at each
+row's own sign.
 """
 
 from __future__ import annotations
@@ -83,21 +84,18 @@ class QFunctionHom:
     """Half-angle product solution of the two-term equation.
 
     roots holds one value per half unit of total spin, normalized to
-    Im root in [0, 2*pi).  epsilon is the sign carried by the Wronskian
-    image and the root sum; winding is the integer part of the root sum
-    on the half-period lattice.  Q is held by its roots alone.
-    wronskian_residual is the defect of the Wronskian fit that
-    ``solve_q_hom`` checked epsilon against, and sum_rule_residual the
-    distance of the root sum to the half-period lattice it found (both None
-    for a Q built by hand).  A stack of solutions holds one row of roots
-    and one entry of every other field per eigenvalue.
+    Im root in [0, 2*pi).  The root sum fixes the rest: epsilon is the
+    sign its half-period lattice point carries, which the Wronskian image
+    must carry too; winding is the integer part of that point; and
+    sum_rule_residual is the root sum's distance to it (None for a Q built
+    by hand).  A stack of solutions holds one row of roots and one entry
+    of every other field per eigenvalue.
     """
 
     model: ChainModel
     roots: tuple
     epsilon: int
     winding: int
-    wronskian_residual: float | None = None
     sum_rule_residual: float | None = None
 
     def value(self, lam):
@@ -136,8 +134,8 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     top rungs; the ladder null vectors extend this to every upper rung,
     and half-angle interpolation through all of them produces the product
     form.  The root sum then determines the sign epsilon and the winding
-    integer, and a Wronskian fit over the verification grid must
-    reproduce the same sign; its residual is kept on the solution.  A
+    integer, and must land within 1e-6 of the half-period lattice;
+    ``verify_wronskian_identity`` checks the Wronskian at that sign.  A
     row whose Q vanishes at a top rung and at its half-period translate
     is NonAdmissible.  Returns (solutions, errors per row).
     """
@@ -155,9 +153,7 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
     roots, failed = interpolant_roots(nodes, values, 0.5)
     merge(errors, failed)
     epsilon, winding, residual = sum_rule_check(model, roots)
-    # Made once: the Wronskian fit below fills in its residual.
-    sol = QFunctionHom(model, roots, epsilon, winding,
-                       np.empty(residual.shape), residual)
+    sol = QFunctionHom(model, roots, epsilon, winding, residual)
     site = _vanishing_site(sol.table["rungs"], sol.table["rungs+ip"],
                            model.rung_table.top)
     record(errors, site >= 0, lambda k: NonAdmissible(
@@ -166,12 +162,6 @@ def solve_q_hom(model: ChainModel, eigfun, zeta0: complex):
 
     record(errors, residual > 1e-6, lambda k: NoEpsilonFits(
         f"root sum misses the half-period lattice by {residual[k]:.3e}"))
-    eps_w, sol.wronskian_residual[:], fit_errors = verify_wronskian_identity(
-        model, sol)
-    merge(errors, fit_errors)
-    record(errors, eps_w != epsilon, lambda k: NoEpsilonFits(
-        "root-sum sign and Wronskian sign disagree: "
-        f"{epsilon[k]} vs {eps_w[k]}"))
     return sol, errors
 
 
@@ -236,34 +226,28 @@ def w_eps(model: ChainModel, epsilon, lam, inner=None):
 
 
 def verify_wronskian_identity(model: ChainModel, q: QFunctionHom):
-    """Fit every row's Wronskian against d times the signed inner-rung
-    product.
+    """Fit every row's Wronskian against d times w_eps at the sign epsilon
+    its root sum fixed, on the verification grid.
 
-    Tries both signs on the verification grid and returns (epsilon,
-    residual, errors) for the better one per row; a row where neither sign
-    brings the relative defect under 1e-6 gets a NoEpsilonFits.
+    Returns (residual, errors): a row whose relative defect is not under
+    1e-6 (NaN too) gets a NoEpsilonFits naming its sign.  The two signs'
+    defects differ by 2*|target|/scale, so at most one of them can fit.
     """
     t, grid, pts = q.table, GRID_POINTS, _check_points(model)
     # ``wronskian`` on the grid, and its target from the cached product.
     w_vals = (t["grid+ip"] * t["x-eta"][..., :grid.size]
               + t["grid"] * t["x+ip-eta"][..., :grid.size])
-    target = pts.d[:grid.size] * w_eps(model, 1, grid, pts.inner[:grid.size])
-    w_max = np.abs(w_vals).max(axis=-1)
-    best_eps = np.zeros(w_max.shape, dtype=int)
-    best_res = np.full(w_max.shape, np.inf)
-    for eps in (1, -1):
-        rhs = eps * target
-        scale = np.maximum(w_max, np.abs(rhs).max())
-        with np.errstate(all="ignore"):  # a zero scale is skipped below
-            res = np.abs(w_vals - rhs).max(axis=-1) / scale
-        better = (scale != 0.0) & (res < best_res)
-        best_eps = np.where(better, eps, best_eps)
-        best_res = np.where(better, res, best_res)
-    errors = [None] * best_res.size
-    flat_res = np.ravel(best_res)
-    record(errors, (best_eps == 0) | (best_res > 1e-6), lambda k: NoEpsilonFits(
-        f"Wronskian matches neither sign: best defect {flat_res[k]:.3e}"))
-    return best_eps, best_res, errors
+    target = pts.d[:grid.size] * w_eps(model, q.epsilon, grid,
+                                       pts.inner[:grid.size])
+    scale = np.maximum(np.abs(w_vals), np.abs(target)).max(axis=-1)
+    with np.errstate(all="ignore"):  # a zero scale reads NaN and fails
+        residual = np.abs(w_vals - target).max(axis=-1) / scale
+    errors = [None] * residual.size
+    signs = np.broadcast_to(q.epsilon, residual.shape)
+    record(errors, ~(residual <= 1e-6), lambda k: NoEpsilonFits(
+        f"Wronskian misses the sign {signs.flat[k]} of the root sum: "
+        f"defect {residual.flat[k]:.3e}"))
+    return residual, errors
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ import sovchain.sovbasis as sb
 import sovchain.spectrum as sp
 import sovchain.tq_hom as th
 import sovchain.tq_inhom as ti
+from sovchain.errors import NoEpsilonFits
 
 SINH_ETA = 0.31421767077936635556 + 0.073330601551639318257j
 
@@ -218,10 +219,13 @@ class TestHomogeneousEquation:
         none = [None] * model.hilbert_dim
         assert errors == none
         assert th.hom_grid_residual(model, spec.rows, sols).max() < 1e-8
-        eps, wres, fit_errors = th.verify_wronskian_identity(model, sols)
+        # The Wronskian carries the root sum's sign, and not the other one.
+        wres, fit_errors = th.verify_wronskian_identity(model, sols)
         assert fit_errors == none
-        assert np.array_equal(eps, sols.epsilon)
         assert wres.max() < 1e-9
+        flipped = dataclasses.replace(sols, epsilon=-sols.epsilon)
+        _, flip_errors = th.verify_wronskian_identity(model, flipped)
+        assert all(isinstance(e, NoEpsilonFits) for e in flip_errors)
         eps2, winding, sres = th.sum_rule_check(model, sols.roots)
         assert np.array_equal(eps2, sols.epsilon)
         assert np.array_equal(winding, sols.winding)

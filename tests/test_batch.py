@@ -57,10 +57,11 @@ def outputs(model, rows, basis):
 
     hom, errors = thm.solve_q_hom(model, rows,
                                   ti.draw_zeta0(model, rng(42)))
+    wronskian, fit_errors = thm.verify_wronskian_identity(model, hom)
     bethe, bethe_errors = thm.bethe_residuals_hom(model, hom)
     values, report, pair_errors = thm.t_from_q_pair(model, hom)
     out.update(hom_roots=hom.roots, epsilon=hom.epsilon, winding=hom.winding,
-               wronskian=hom.wronskian_residual,
+               wronskian=wronskian, fit_errors=named(fit_errors),
                sum_rule=hom.sum_rule_residual,
                hom_grid=thm.hom_grid_residual(model, rows, hom),
                hom_bethe=bethe,

@@ -12,6 +12,7 @@ import pytest
 
 from sovchain.cli import (
     DEFAULT_TOLERANCES,
+    PIPELINES,
     RunConfig,
     generate_model,
     main,
@@ -109,6 +110,15 @@ class TestConfigParsing:
         config = RunConfig.from_dict(doc)
         assert config.kappa_list == (0.9 + 0.3j,)
 
+    def test_readme_example_parses(self):
+        # The documented keys stay in step with the parser's.
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as handle:
+            section = handle.read().split("\n## Command line\n")[1]
+        block = section.split("\n## ")[0].split("```json\n")[1]
+        config = RunConfig.from_dict(json.loads(block.split("```")[0]))
+        assert config.two_s == (1, 2) and config.pipelines == PIPELINES
+
     @pytest.mark.parametrize("mutate, message", [
         (lambda d: d.__delitem__("model"), "model"),
         (lambda d: [d], "configuration root must be an object"),
@@ -121,6 +131,16 @@ class TestConfigParsing:
         (lambda d: d["model"].update(xi=[[0.1, 0.0]]), "xi"),
         (lambda d: d["model"].update(kappa=[[0.0, 0.0]]), "kappa"),
         (lambda d: d.update(tolerances={"bogus": 1e-8}), "tolerance"),
+        # A misspelt key would leave its setting at the default.
+        pytest.param(lambda d: d.update(pipeline=["tq-hom"]),
+                     "unknown key 'pipeline' in the configuration root",
+                     id="unknown-root-key"),
+        pytest.param(lambda d: d["model"].update(delta_mn=5),
+                     "unknown key 'delta_mn' in 'model'",
+                     id="unknown-model-key"),
+        pytest.param(lambda d: d.update(output={"reprot": "r.json"}),
+                     "unknown key 'reprot' in 'output'",
+                     id="unknown-output-key"),
         (lambda d: d.update(pipelines=["nope"]), "pipelines"),
         (lambda d: d["model"].update(delta_min=-1), "delta_min"),
         (lambda d: d["model"].update(two_s=[True, 1]), "model.two_s"),
@@ -778,10 +798,10 @@ def _miss_the_lattice_in_row_one(fit):
 
 
 def _flip_sign_of_row_one(fit):
-    eps_w, residual, errors = fit
-    eps_w = eps_w.copy()
-    eps_w[1] = -eps_w[1]
-    return eps_w, residual, errors
+    epsilon, winding, residual = fit
+    epsilon = epsilon.copy()
+    epsilon[1] = -epsilon[1]
+    return epsilon, winding, residual
 
 
 # Per case: the patched function, what its output becomes, the report key
@@ -795,9 +815,9 @@ FORCED_ROW_ERRORS = {
     "hom-sum-rule": (tq_hom, "sum_rule_check", _miss_the_lattice_in_row_one,
                      "hom", "NoEpsilonFits", "root sum misses the "
                      "half-period lattice by 1.000e+00"),
-    "hom-sign": (tq_hom, "verify_wronskian_identity", _flip_sign_of_row_one,
-                 "hom", "NoEpsilonFits", "root-sum sign and Wronskian sign "
-                 "disagree: {eps} vs {flipped}"),
+    "hom-sign": (tq_hom, "sum_rule_check", _flip_sign_of_row_one, "hom",
+                 "NoEpsilonFits", "Wronskian misses the sign {flipped} of "
+                 "the root sum: defect 2.000e+00"),
 }
 
 

@@ -10,7 +10,7 @@ twist.
 
 import itertools
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -86,16 +86,17 @@ def test_one_ladder_and_one_wronskian_fit_per_eigenvalue(monkeypatch):
         assert "roots" in entry["hom"] and "eigenstate_residual" in entry
 
 
-def test_solve_keeps_its_wronskian_fit():
+def test_solve_leaves_the_wronskian_fit_to_the_run(monkeypatch):
+    # The solution holds the roots and what their sum fixed; the solve
+    # never fits the Wronskian, which the run checks at the solved sign.
     model = chain((1, 2))
     spec = sp.brute_force_spectrum(model)
+    monkeypatch.delattr(thm, "verify_wronskian_identity")
     sol, errors = thm.solve_q_hom(
         model, spec.rows, ti.draw_zeta0(model, np.random.default_rng(4)))
     assert errors == [None] * model.hilbert_dim
-    eps, res, _ = thm.verify_wronskian_identity(model, sol)
-    assert np.array_equal(sol.epsilon, eps)
-    assert np.array_equal(sol.wronskian_residual, res)
-    assert thm.QFunctionHom(model, (), 1, 0).wronskian_residual is None
+    assert [f.name for f in fields(sol)] == [
+        "model", "roots", "epsilon", "winding", "sum_rule_residual"]
 
 
 # ----------------------------------------------------------------------
@@ -406,19 +407,14 @@ def test_table_slices_equal_q_at_their_points(two_s):
                          ids=lambda s: "".join(map(str, s)))
 def test_wronskian_fit_reads_the_definition_route(two_s):
     model, rows, _, hom = tq_solutions(two_s)
-    # The fit of both signs, on the definition route's values.
+    # The fit at each row's own sign, on the definition route's values.
     grid = ti.GRID_POINTS
     w_vals = thm.wronskian(model, hom, grid)
-    target = d_of(model, grid) * thm.w_eps(model, 1, grid)
-    w_max = np.max(np.abs(w_vals), axis=-1)
-    fits = []
-    for eps in (1, -1):
-        scale = np.maximum(w_max, np.max(np.abs(eps * target)))
-        fits.append(np.max(np.abs(w_vals - eps * target), axis=-1) / scale)
-    eps, res, _ = thm.verify_wronskian_identity(model, hom)
-    assert np.array_equal(res, np.minimum(*fits))
-    assert np.array_equal(eps, np.where(fits[1] < fits[0], -1, 1))
-    assert np.array_equal(hom.wronskian_residual, res)
+    target = d_of(model, grid) * thm.w_eps(model, hom.epsilon, grid)
+    scale = np.maximum(np.max(np.abs(w_vals), axis=-1),
+                       np.max(np.abs(target), axis=-1))
+    fit = np.max(np.abs(w_vals - target), axis=-1) / scale
+    assert np.array_equal(thm.verify_wronskian_identity(model, hom)[0], fit)
     # t rebuilt from the pair, against its definition at the samples with
     # each row's own sign in w_eps; w_eps(-1) is exactly -w_eps(1).
     samples, eta, ip = ti._sample_points(model, []), model.eta, 1j * np.pi

@@ -158,10 +158,15 @@ class TestSolvedPipelines:
     def test_wronskian_identity_and_sign(self, name, request):
         m = {"d2": D2, "d3": D3, "d5": D5}[name]
         _, sol = request.getfixturevalue(f"{name}_solved")
-        eps, res, errors = thm.verify_wronskian_identity(m, sol)
+        res, errors = thm.verify_wronskian_identity(m, sol)
         assert errors == [None] * m.hilbert_dim
-        assert np.array_equal(eps, sol.epsilon)
         assert res.max() < 1e-9
+        flipped = thm.QFunctionHom(m, sol.roots, -sol.epsilon, sol.winding)
+        res, errors = thm.verify_wronskian_identity(m, flipped)
+        assert np.all(res > 1.0)
+        assert [str(e) for e in errors] == [
+            f"Wronskian misses the sign {-eps} of the root sum: defect "
+            f"{r:.3e}" for eps, r in zip(sol.epsilon, res)]
 
     @pytest.mark.parametrize("name", ["d2", "d3", "d5"])
     def test_sum_rule(self, name, request):
@@ -320,7 +325,7 @@ class TestNegativeControls:
         roots = sol.roots.copy()
         roots[:, 0] += 1e-3
         bad = thm.QFunctionHom(D3, roots, sol.epsilon, sol.winding)
-        _, res, errors = thm.verify_wronskian_identity(D3, bad)
+        res, errors = thm.verify_wronskian_identity(D3, bad)
         assert all(isinstance(e, NoEpsilonFits) or r > 1e-5
                    for e, r in zip(errors, res))
 
